@@ -13,10 +13,12 @@ rate M_n^s * mu; diagonal entries make every row sum to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .aggregation import label_array
 from .config import AggregationScheme
@@ -24,7 +26,8 @@ from .rules import AssignmentRule
 from .states import StateSpace, occ_index, scope_count
 
 # Above this state count the steady-state solve switches from a dense LU to
-# a sparse factorization.
+# a sparse factorization, and the tagged-volume solves from banded LUs to
+# sparse ones.
 DENSE_SOLVE_LIMIT = 2000
 
 STEADY_RESIDUAL_TOL = 1e-10
@@ -114,20 +117,117 @@ class ChainTables:
         self.dep_dst = np.concatenate(dst)
         self.dep_rate = np.concatenate(rate).astype(float)
 
+    @cached_property
+    def departure_dense(self) -> np.ndarray:
+        """Dense departure rates without a diagonal, the start of every
+        dense generator."""
+        nst = self.space.num_states
+        q = np.zeros((nst, nst))
+        q[self.dep_src, self.dep_dst] = self.dep_rate
+        return q
+
+    @cached_property
+    def solve_plan(self) -> "SolvePlan":
+        return SolvePlan(self)
+
     def arrival_edges(self, choice: np.ndarray, strict: bool = False):
         """Arrival triplets (src, dst, rate) for a preferred-system table of
         shape (N, num_states)."""
         config = self.space.config
-        nst = self.space.num_states
-        rows, cols, rates = [], [], []
+        N, nst = choice.shape
         targets = self.strict_id if strict else self.admit_id
-        for n in range(config.num_classes):
-            dst = targets[n, choice[n], np.arange(nst)]
-            ok = dst >= 0
-            rows.append(np.nonzero(ok)[0])
-            cols.append(dst[ok])
-            rates.append(np.full(ok.sum(), config.arrival_rate[n]))
-        return (np.concatenate(rows), np.concatenate(cols), np.concatenate(rates))
+        dst = targets[np.arange(N)[:, None], choice, np.arange(nst)]
+        ok = dst >= 0
+        rates = np.broadcast_to(np.asarray(config.arrival_rate, dtype=float)[:, None],
+                                dst.shape)
+        return np.nonzero(ok)[1], dst[ok], rates[ok]
+
+
+@dataclass(frozen=True)
+class TaggedPlan:
+    """Where the entries of one tagged (class, system) block come from.
+
+    ids lists the tagged states in the solve order and rate the tagged
+    user's throughput in each, the right-hand side of every solve; norm
+    bounds |A|_inf of the block under any rule. rows and cols are the
+    local positions of every entry some rule can put in the block, diagonal
+    included; src is each entry's flat position in a dense full generator,
+    and band its flat position in LAPACK band storage of shape band_shape
+    (Fortran order, with kl spare rows on top for the LU's fill). The
+    shift_* arrays locate the tagged user's own departures that stay in the
+    block, the entries his absorption rate mu is taken off.
+    """
+
+    ids: np.ndarray
+    rate: np.ndarray
+    norm: float
+    kl: int
+    ku: int
+    rows: np.ndarray
+    cols: np.ndarray
+    src: np.ndarray
+    band: np.ndarray
+    shift_rows: np.ndarray
+    shift_cols: np.ndarray
+    shift_band: np.ndarray
+
+    @property
+    def band_shape(self) -> tuple[int, int]:
+        return (2 * self.kl + self.ku + 1, len(self.ids))
+
+
+class SolvePlan:
+    """Policy-independent layout of the tagged-volume solves of one space.
+
+    The state order is a reverse Cuthill-McKee order of the union of every
+    arrival and departure edge (a rule only picks among them), so each
+    tagged block is banded for every policy; tagged[n][s] is the
+    TaggedPlan of the (n, s) block.
+    """
+
+    def __init__(self, tables: ChainTables):
+        config = tables.space.config
+        nst = tables.space.num_states
+        state = np.broadcast_to(np.arange(nst), tables.arrival_id.shape)
+        ok = tables.arrival_id >= 0
+        up_src, up_dst = state[ok], tables.arrival_id[ok]
+        loops = np.arange(nst)
+        rows = np.concatenate([up_src, up_dst, loops])
+        cols = np.concatenate([up_dst, up_src, loops])
+        graph = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nst, nst))
+        self.order = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64)
+        coo = graph.tocoo()
+        self.tagged = [[self._tagged(tables, coo.row, coo.col, n, s)
+                        for s in range(config.num_systems)]
+                       for n in range(config.num_classes)]
+
+    def _tagged(self, tables: ChainTables, g_rows: np.ndarray, g_cols: np.ndarray,
+                n: int, s: int) -> TaggedPlan:
+        config = tables.space.config
+        nst = tables.space.num_states
+        present = tables.occ_ns[n, s] > 0
+        ids = self.order[present[self.order]]
+        m = len(ids)
+        local = np.full(nst, -1, dtype=np.int64)
+        local[ids] = np.arange(m)
+        keep = present[g_rows] & present[g_cols]
+        rows, cols = local[g_rows[keep]], local[g_cols[keep]]
+        kl = int(np.max(rows - cols, initial=0))
+        ku = int(np.max(cols - rows, initial=0))
+        ldab = 2 * kl + ku + 1
+        shift_rows = np.nonzero(tables.occ_ns[n, s, ids] >= 2)[0]
+        shift_cols = local[tables.departure_id[n, s, ids[shift_rows]]]
+        # off the diagonal a row holds rates summing to |a_ii| - mu, and
+        # |a_ii| is at most every arrival rate plus mu per user present
+        users = tables.space.occ[ids].sum(axis=1)
+        outflow = sum(config.arrival_rate) + config.service_rate * users.max(initial=0)
+        return TaggedPlan(
+            ids=ids, rate=tables.throughput[n, s, ids], norm=2.0 * outflow,
+            kl=kl, ku=ku, rows=rows, cols=cols,
+            src=g_rows[keep] * nst + g_cols[keep],
+            band=cols * ldab + kl + ku + rows - cols,
+            shift_rows=shift_rows, shift_cols=shift_cols,
+            shift_band=shift_cols * ldab + kl + ku + shift_rows - shift_cols)
 
 
 def chain_tables(space: StateSpace) -> ChainTables:
@@ -181,10 +281,10 @@ def assemble_dense(tables: ChainTables, choice: np.ndarray,
                    strict: bool = False) -> np.ndarray:
     """Dense variant of assemble_generator for solver hot paths."""
     arr_src, arr_dst, arr_rate = tables.arrival_edges(choice, strict=strict)
-    nst = tables.space.num_states
-    q = np.zeros((nst, nst))
-    np.add.at(q, (arr_src, arr_dst), arr_rate)
-    np.add.at(q, (tables.dep_src, tables.dep_dst), tables.dep_rate)
+    q = tables.departure_dense.copy()
+    # an arrival raises the population and a departure lowers it, so no
+    # two edges share a cell
+    q[arr_src, arr_dst] = arr_rate
     np.fill_diagonal(q, q.diagonal() - q.sum(axis=1))
     return q
 
@@ -234,24 +334,34 @@ def _solve_stationary(matrix) -> np.ndarray:
         raise SingularChainError(f"stationary solve failed: {exc}") from exc
 
 
-def solve_steady_state(gen: Generator, scheme: AggregationScheme | None = None,
-                       residual_tol: float = STEADY_RESIDUAL_TOL) -> SteadyState:
-    """Unique stationary distribution of the generator.
+def stationary_vector(matrix, residual_tol: float = STEADY_RESIDUAL_TOL
+                      ) -> tuple[np.ndarray, float]:
+    """Stationary distribution of a generator (dense or sparse) and its
+    balance residual max|pi Q|.
 
-    The solution is checked against the balance equations afterwards; tiny
-    negative entries from roundoff are clamped to zero. When a scheme is
-    given, the conditional label masses (and which labels carry no mass at
-    all) are attached to the result.
+    Tiny negative entries from roundoff are clamped to zero. Negative mass,
+    a residual above residual_tol and non-finite values raise ResidualError.
     """
-    pi = _solve_stationary(gen.matrix)
-    if pi.min() < -1e-9:
-        raise ResidualError(f"stationary solve produced negative mass {pi.min():.3e}")
+    pi = _solve_stationary(matrix)
+    if not pi.min() >= -1e-9:
+        raise ResidualError(
+            f"stationary solve produced negative or non-finite mass {pi.min():.3e}")
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
-    residual = float(np.abs(pi @ gen.matrix).max())
-    if residual > residual_tol:
+    residual = float(np.abs(pi @ matrix).max())
+    if not residual <= residual_tol:
         raise ResidualError(
             f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}")
+    return pi, residual
+
+
+def solve_steady_state(gen: Generator, scheme: AggregationScheme | None = None,
+                       residual_tol: float = STEADY_RESIDUAL_TOL) -> SteadyState:
+    """Unique stationary distribution of the generator, checked by
+    stationary_vector. When a scheme is given, the conditional label masses
+    (and which labels carry no mass at all) are attached to the result.
+    """
+    pi, residual = stationary_vector(gen.matrix, residual_tol)
     ss = SteadyState(pi=pi, residual=residual)
     if scheme is not None:
         labels = label_array(scheme, gen.space)

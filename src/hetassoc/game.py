@@ -18,14 +18,12 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .aggregation import label_array
 from .config import AggregationScheme, NetworkConfig, Policy
-from .ctmc import (EMPTY_LABEL_MASS, ChainTables, DENSE_SOLVE_LIMIT, Generator,
-                   ResidualError, STEADY_RESIDUAL_TOL, _solve_stationary,
+from .ctmc import (EMPTY_LABEL_MASS, ChainTables, DENSE_SOLVE_LIMIT,
                    assemble_dense, assemble_generator, chain_tables,
-                   solve_steady_state)
+                   stationary_vector)
 from .rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 from .states import StateSpace
 from .transient import solve_volume_from_matrix
@@ -41,19 +39,22 @@ class EmptyLabelError(ValueError):
 def _solve_pi(space: StateSpace, q) -> tuple[np.ndarray, float]:
     """Stationary distribution of an assembled generator (dense or sparse),
     with the same post-solve checks the public solver applies."""
-    if sp.issparse(q):
-        ss = solve_steady_state(Generator(matrix=q, space=space, rule_name=""))
-        return ss.pi, ss.residual
-    pi = _solve_stationary(q)
-    if pi.min() < -1e-9:
-        raise ResidualError(f"stationary solve produced negative mass {pi.min():.3e}")
-    pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
-    residual = float(np.abs(pi @ q).max())
-    if residual > STEADY_RESIDUAL_TOL:
-        raise ResidualError(
-            f"stationary residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.1e}")
-    return pi, residual
+    return stationary_vector(q)
+
+
+def _outcome_index(tables: ChainTables, strict: bool) -> np.ndarray:
+    """index[n, s, i]: flat position in a (N, S, num_states) volume table of
+    the volume a class-n user preferring system s at state i ends up with,
+    after the network's admission outcome; a lost arrival points one past
+    the table, where callers append a zero."""
+    N, S, nst = tables.occ_ns.shape
+    if strict:
+        target = tables.strict_id
+        sys_in = np.broadcast_to(np.arange(S)[:, None], target.shape)
+    else:
+        target, sys_in = tables.admit_id, tables.admit_sys
+    flat = (np.arange(N)[:, None, None] * S + sys_in) * nst + target
+    return np.where(target >= 0, flat, N * S * nst)
 
 
 class SearchCapError(RuntimeError):
@@ -85,17 +86,12 @@ class PolicyEvaluation:
         never profitable; a policy entry without a defined payoff leaves
         that group unconstrained.
         """
-        gap = 0.0
-        for n in range(self.individual.shape[0]):
-            for l in range(self.individual.shape[1]):
-                if self.empty_labels[l]:
-                    continue
-                payoffs = self.individual[n, l]
-                current = payoffs[self.policy.choice[n][l]]
-                if np.isnan(current) or np.all(np.isnan(payoffs)):
-                    continue
-                gap = max(gap, float(np.nanmax(payoffs) - current))
-        return gap
+        choice = np.asarray(self.policy.choice)
+        N, L = choice.shape
+        current = self.individual[np.arange(N)[:, None], np.arange(L), choice]
+        forgone = np.fmax.reduce(self.individual, axis=2) - current
+        valid = ~np.isnan(forgone) & ~self.empty_labels
+        return float(forgone[valid].max(initial=0.0))
 
     def is_nash(self, eps: float = NASH_EPS) -> bool:
         return self.nash_gap() <= eps
@@ -164,6 +160,26 @@ class PolicyGameSolver:
         self.weights = np.array(self.config.arrival_rate) / sum(self.config.arrival_rate)
         self.state_counts = np.bincount(self.labels, minlength=self.num_labels)
         self.structurally_empty = self.state_counts == 0
+
+        N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
+        self._outcome = _outcome_index(self.tables, strict_arrivals)
+        # U[n, l, s] averages payoff[n, s, i] over the label's states with
+        # weight payoff_weight[n, s, i] * pi[i]: the admission outcome over
+        # every state, or under "exclude" the volume in system s itself over
+        # the states where s can admit the user
+        if deviation_payoff == "redirect":
+            self._payoff = self._outcome
+            self._payoff_weight = np.ones(self._outcome.shape)
+        else:
+            self._payoff = _outcome_index(self.tables, strict=True)
+            self._payoff_weight = (self.tables.arrival_id >= 0).astype(float)
+        nst = self.space.num_states
+        n_idx, s_idx = np.arange(N)[:, None, None], np.arange(S)[:, None]
+        # flat position of value[n, s, i] is _chosen_base[n, i] + s * nst
+        self._chosen_base = np.arange(N)[:, None] * (S * nst) + np.arange(nst)
+        # bins of the (n, label, s) payoff table and the (n, label) tables
+        self._nls_bin = ((n_idx * L + self.labels) * S + s_idx).ravel()
+        self._nl_bin = (np.arange(N)[:, None] * L + self.labels).ravel()
         self._cache: dict[tuple, PolicyEvaluation] | None = {} if use_cache else None
 
     # ----- evaluation -------------------------------------------------
@@ -220,21 +236,7 @@ class PolicyGameSolver:
     def _deviation_values(self, volumes: np.ndarray) -> np.ndarray:
         """value[n, s, i]: expected volume of a class-n user preferring
         system s at state i, after the network's admission outcome."""
-        N, S = self.config.num_classes, self.config.num_systems
-        nst = self.space.num_states
-        value = np.zeros((N, S, nst))
-        tables = self.tables
-        for n in range(N):
-            for s in range(S):
-                if self.strict_arrivals:
-                    sys_in = np.where(tables.strict_id[n, s] >= 0, s, -1)
-                    target = tables.strict_id[n, s]
-                else:
-                    sys_in = tables.admit_sys[n, s]
-                    target = tables.admit_id[n, s]
-                ok = target >= 0
-                value[n, s, ok] = volumes[n, sys_in[ok], target[ok]]
-        return value
+        return np.append(volumes, 0.0)[self._outcome]
 
     def _evaluate(self, policy: Policy) -> PolicyEvaluation:
         policy.validate_for(self.config, self.scheme)
@@ -254,38 +256,27 @@ class PolicyGameSolver:
                 volumes[n, s] = solve_volume_from_matrix(self.tables, q, n, s)
 
         blocked = self.tables.blocked
-        blocking = np.zeros((N, L))
-        per_class = np.empty(N)
-        for n in range(N):
-            num = np.bincount(labels[blocked[n]], weights=pi[blocked[n]], minlength=L)
-            np.divide(num, label_mass, out=blocking[n], where=~empty)
-            per_class[n] = pi[blocked[n]].sum()
+        per_class = np.array([pi[b].sum() for b in blocked])
         overall = float(self.weights @ per_class)
+        blocking = np.zeros((N, L))
+        num = np.bincount(self._nl_bin, weights=(blocked * pi).ravel(), minlength=N * L)
+        np.divide(num.reshape(N, L), label_mass, out=blocking, where=~empty)
 
         value = self._deviation_values(volumes)
-        idx = np.arange(nst)
+        chosen = value.take(self._chosen_base + choice * nst)
+        inner = np.bincount(self._nl_bin, weights=(chosen * pi).ravel(),
+                            minlength=N * L).reshape(N, L)
+        global_u = sum(self.weights * ((1.0 - blocking) * inner).sum(axis=1))
 
-        global_u = 0.0
-        for n in range(N):
-            chosen_val = value[n, choice[n], idx]
-            inner = np.bincount(labels, weights=chosen_val * pi, minlength=L)
-            global_u += self.weights[n] * float(((1.0 - blocking[n]) * inner).sum())
-
+        weight = self._payoff_weight * pi
+        payoff = np.append(volumes, 0.0)[self._payoff]
+        num = np.bincount(self._nls_bin, weights=(payoff * weight).ravel(),
+                          minlength=N * L * S).reshape(N, L, S)
+        den = np.bincount(self._nls_bin, weights=weight.ravel(),
+                          minlength=N * L * S).reshape(N, L, S)
         individual = np.full((N, L, S), np.nan)
-        for n in range(N):
-            for s in range(S):
-                if self.deviation_payoff == "redirect":
-                    num = np.bincount(labels, weights=value[n, s] * pi, minlength=L)
-                    den = label_mass
-                else:
-                    feas = self.tables.arrival_id[n, s] >= 0
-                    direct = np.zeros(nst)
-                    direct[feas] = volumes[n, s, self.tables.arrival_id[n, s, feas]]
-                    num = np.bincount(labels[feas], weights=direct[feas] * pi[feas],
-                                      minlength=L)
-                    den = np.bincount(labels[feas], weights=pi[feas], minlength=L)
-                ok = (~empty) & (den > EMPTY_LABEL_MASS)
-                individual[n, ok, s] = num[ok] / den[ok]
+        np.divide(num, den, out=individual,
+                  where=~empty[:, None] & (den > EMPTY_LABEL_MASS))
 
         return PolicyEvaluation(
             policy=policy, pi=pi, residual=residual, label_mass=label_mass,
@@ -571,26 +562,18 @@ def evaluate_baseline(space: StateSpace, which: str,
 
     cells, ncells = rule.information_partition(space)
     weights = np.array(config.arrival_rate) / sum(config.arrival_rate)
-    idx = np.arange(nst)
+    value = np.append(volumes, 0.0)[_outcome_index(tables, strict_arrivals)]
+    chosen = np.take_along_axis(value, choice[:, None, :], axis=1)[:, 0]
     per_class = np.empty(N)
     global_u = 0.0
     for n in range(N):
-        if strict_arrivals:
-            target = tables.strict_id[n, choice[n], idx]
-            sys_in = np.where(target >= 0, choice[n], -1)
-        else:
-            sys_in = tables.admit_sys[n, choice[n], idx]
-            target = tables.admit_id[n, choice[n], idx]
-        val = np.zeros(nst)
-        ok = target >= 0
-        val[ok] = volumes[n, sys_in[ok], target[ok]]
         blocked = tables.blocked[n]
         per_class[n] = pi[blocked].sum()
         cell_mass = np.bincount(cells, weights=pi, minlength=ncells)
         cell_block = np.bincount(cells[blocked], weights=pi[blocked], minlength=ncells)
         with np.errstate(invalid="ignore"):
             b_cell = np.where(cell_mass > EMPTY_LABEL_MASS, cell_block / cell_mass, 0.0)
-        inner = np.bincount(cells, weights=val * pi, minlength=ncells)
+        inner = np.bincount(cells, weights=chosen[n] * pi, minlength=ncells)
         global_u += weights[n] * float(((1.0 - b_cell) * inner).sum())
 
     return BaselineEvaluation(

@@ -6,6 +6,14 @@ state reached at rate mu, and the remaining dynamics (everyone else's
 arrivals and departures, under the same assignment rule) are kept. The
 expected volume sent before absorption solves a linear system whose right
 hand side is the tagged user's instantaneous rate in each state.
+
+The blocks are laid out by the space's SolvePlan (ctmc). Up to
+DENSE_SOLVE_LIMIT states the generator is dense and each block is
+gathered into LAPACK band storage over the plan's reverse Cuthill-McKee
+order and solved by a banded LU (gbsv); every block row leaks mu to
+absorption, so the block is strictly diagonally dominant and the banded
+LU is stable. Above the limit the block is a CSR matrix solved by SuperLU.
+Every solve is checked against the full generator afterwards.
 """
 
 from __future__ import annotations
@@ -15,10 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 
-from .ctmc import ChainTables, DENSE_SOLVE_LIMIT, assemble_generator, chain_tables
+from .ctmc import (ChainTables, DENSE_SOLVE_LIMIT, ResidualError, TaggedPlan,
+                   assemble_generator, chain_tables)
 from .rules import AssignmentRule
 from .states import Occupancy, StateSpace
+
+# Largest accepted |A v + r|_inf / (|A|_inf |v|_inf) of a tagged solve, with
+# |A|_inf taken as the plan's bound; backward-stable LUs stay near 1e-16.
+TAGGED_RESIDUAL_TOL = 1e-10
+
+_gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
 
 
 class InfeasibleTargetError(LookupError):
@@ -65,61 +81,87 @@ def _tagged_matrix(q, tables: ChainTables, user_class: int, system: int):
     departure rate by mu (the tagged user himself leaves toward absorption).
 
     Diagonals are kept from the original generator, so each transient row
-    plus the mu absorption entry still sums to zero.
+    plus the mu absorption entry still sums to zero. Returns the block's
+    TaggedPlan and the block: LAPACK band storage for a dense generator, a
+    CSR matrix for a sparse one, both in the plan's state order.
     """
+    plan = tables.solve_plan.tagged[user_class][system]
     mu = tables.space.config.service_rate
-    ids = np.nonzero(tables.occ_ns[user_class, system] > 0)[0]
-    local = np.full(tables.space.num_states, -1, dtype=np.int64)
-    local[ids] = np.arange(len(ids))
-
     if sp.issparse(q):
-        sub = q[ids][:, ids].tolil()
-    else:
-        sub = q[np.ix_(ids, ids)].copy()
-    multi = ids[tables.occ_ns[user_class, system, ids] >= 2]
-    for i in multi:
-        j = tables.departure_id[user_class, system, i]
-        sub[local[i], local[j]] -= mu
-    if sp.issparse(sub):
-        sub = sub.tocsr()
-    return ids, sub
+        m = len(plan.ids)
+        shift = sp.csr_matrix((np.full(len(plan.shift_rows), mu),
+                               (plan.shift_rows, plan.shift_cols)), shape=(m, m))
+        return plan, q[plan.ids][:, plan.ids] - shift
+    band = np.zeros(plan.band_shape[0] * plan.band_shape[1])
+    band[plan.band] = q.take(plan.src)
+    band[plan.shift_band] -= mu
+    return plan, band.reshape(plan.band_shape, order="F")
 
 
 def build_tagged_generator(space: StateSpace, rule: AssignmentRule,
                            user_class: int, system: int,
                            strict_arrivals: bool = False) -> TaggedChain:
     """Absorbing-chain generator for a tagged (class, system) user under a
-    rule."""
+    rule, over the tagged states in ascending id order."""
     tables = chain_tables(space)
     q = assemble_generator(tables, rule.choice_table(space), strict=strict_arrivals)
     if space.num_states <= DENSE_SOLVE_LIMIT:
         q = q.toarray()
-    ids, sub = _tagged_matrix(q, tables, user_class, system)
-    return TaggedChain(state_ids=ids, matrix=sub,
+    plan, block = _tagged_matrix(q, tables, user_class, system)
+    if not sp.issparse(block):
+        dense = np.zeros((len(plan.ids),) * 2)
+        dense[plan.rows, plan.cols] = block.ravel(order="F")[plan.band]
+        block = dense
+    ascending = np.argsort(plan.ids)
+    return TaggedChain(state_ids=plan.ids[ascending],
+                       matrix=block[ascending][:, ascending],
                        absorb_rate=space.config.service_rate,
                        user_class=user_class, system=system)
 
 
-def _solve_tagged(matrix, rhs: np.ndarray) -> np.ndarray:
-    if sp.issparse(matrix):
-        return spla.spsolve(matrix.tocsc(), -rhs)
-    return np.linalg.solve(matrix, -rhs)
+def _solve_tagged(plan: TaggedPlan, block, rhs: np.ndarray) -> np.ndarray:
+    if sp.issparse(block):
+        return spla.spsolve(block.tocsc(), -rhs)
+    _, _, values, info = _gbsv(plan.kl, plan.ku, block, -rhs, overwrite_ab=1,
+                               overwrite_b=1)
+    if info != 0:
+        raise SingularTaggedChainError(f"banded LU of the tagged block failed (info {info})")
+    return values
+
+
+def _check_tagged(q, plan: TaggedPlan, values: np.ndarray, mu: float) -> None:
+    """Raise ResidualError unless A v = -r holds to TAGGED_RESIDUAL_TOL, for
+    the block A and the tagged user's rate r.
+
+    A v is taken from the full generator rather than from the solved block,
+    so an entry the block's gather missed shows up in the residual.
+    """
+    full = np.zeros(q.shape[0])
+    full[plan.ids] = values
+    av = q.dot(full)[plan.ids]
+    av[plan.shift_rows] -= mu * values[plan.shift_cols]
+    residual = np.abs(av + plan.rate).max()
+    scale = plan.norm * np.abs(values).max()
+    if not residual <= TAGGED_RESIDUAL_TOL * scale:
+        raise ResidualError(
+            f"tagged residual {residual:.3e} exceeds {TAGGED_RESIDUAL_TOL:.0e} "
+            f"relative to |A| |v| = {scale:.3e}")
 
 
 def solve_volume_from_matrix(tables: ChainTables, q, user_class: int,
                              system: int) -> np.ndarray:
     """Expected megabits of a tagged user, indexed by dense state id (nan on
     states where he is absent). Takes an already assembled full generator."""
-    config = tables.space.config
-    if config.service_rate <= 0:
+    mu = tables.space.config.service_rate
+    if mu <= 0:
         raise SingularTaggedChainError("absorption requires a positive service rate")
-    ids, sub = _tagged_matrix(q, tables, user_class, system)
+    plan, block = _tagged_matrix(q, tables, user_class, system)
     out = np.full(tables.space.num_states, np.nan)
-    if len(ids) == 0:
+    if len(plan.ids) == 0:
         return out
-    rhs = tables.throughput[user_class, system, ids]
-    values = _solve_tagged(sub, rhs)
-    out[ids] = values
+    values = _solve_tagged(plan, block, plan.rate)
+    _check_tagged(q, plan, values, mu)
+    out[plan.ids] = values
     return out
 
 

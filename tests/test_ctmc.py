@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyRule,
-                      blocking_by_label, build_generator, enumerate_states,
-                      overall_blocking, per_class_blocking, solve_steady_state)
-from hetassoc.ctmc import chain_tables
+from hetassoc import (AggregationScheme, Generator, NetworkConfig, Policy,
+                      PolicyRule, ResidualError, blocking_by_label, build_generator,
+                      enumerate_states, overall_blocking, per_class_blocking,
+                      solve_steady_state)
+from hetassoc.ctmc import DENSE_SOLVE_LIMIT, chain_tables
+from hetassoc.game import _solve_pi
 
 from conftest import random_instance, random_policy
 
@@ -190,12 +193,9 @@ def test_row_sums_and_residual_random_instances():
         assert ss.pi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sparse_solver_path_matches_erlang_recursion():
-    """Above the dense cutoff the solve goes through the sparse
-    factorization; the loss probability must still match the Erlang-B
-    recursion computed independently."""
-    servers = 2500
-    offered = 2000.0
+def check_erlang_loss_chain(servers: int, offered: float) -> None:
+    """Loss probability against the Erlang-B recursion computed
+    independently, and every tagged volume within its bounds."""
     config = NetworkConfig(peak_rate=((float(servers),),), t_min=1.0,
                            t_max=2.0, arrival_rate=(offered,), service_rate=1.0)
     space = enumerate_states(config)
@@ -218,6 +218,33 @@ def test_sparse_solver_path_matches_erlang_recursion():
     assert finite.sum() == servers
     assert (vol[finite] > 0).all()
     assert (vol[finite] <= config.t_max / config.service_rate + 1e-9).all()
+
+
+def test_sparse_solver_path_matches_erlang_recursion():
+    """Above the dense cutoff the solves go through the sparse
+    factorization; the loss probability must still match the Erlang-B
+    recursion computed independently."""
+    assert 2500 + 1 > DENSE_SOLVE_LIMIT
+    check_erlang_loss_chain(2500, 2000.0)
+
+
+@pytest.mark.parametrize("servers, offered", [(300, 250.0), (1999, 1900.0)])
+def test_dense_solver_path_matches_erlang_recursion(servers, offered):
+    """At or below the cutoff: a dense stationary LU and banded tagged LUs,
+    the largest case right at the cutoff."""
+    assert servers + 1 <= DENSE_SOLVE_LIMIT
+    check_erlang_loss_chain(servers, offered)
+
+
+def test_nan_generator_is_rejected(erlang_space):
+    """A NaN generator solves to an all-NaN vector, which every comparison
+    with a tolerance lets through unless written to fail on NaN."""
+    q = np.full((3, 3), np.nan)
+    with pytest.raises(ResidualError):
+        solve_steady_state(Generator(matrix=sp.csr_matrix(q), space=erlang_space,
+                                     rule_name="nan"))
+    with pytest.raises(ResidualError):
+        _solve_pi(erlang_space, q)
 
 
 def test_coo_triplets_only_offdiagonal(erlang):

@@ -377,3 +377,52 @@ def test_baseline_report_fields(erlang_space):
     assert inst.global_utility == pytest.approx(1.2, abs=1e-10)
     with pytest.raises(ValueError):
         evaluate_baseline(erlang_space, "nonsense")
+
+
+def loop_payoffs(solver, ev):
+    """Deviation payoffs U[n, l, s] and Nash gap recomputed state by state
+    from an evaluation's stationary vector and volumes."""
+    tables, config = solver.tables, solver.config
+    N, S, L = config.num_classes, config.num_systems, solver.num_labels
+    pi, labels = ev.pi, solver.labels
+    num, den = np.zeros((N, L, S)), np.zeros((N, L, S))
+    for n in range(N):
+        for s in range(S):
+            for i in range(solver.space.num_states):
+                if solver.deviation_payoff == "exclude":
+                    target, sys_in = tables.arrival_id[n, s, i], s
+                    weight = 1.0 if target >= 0 else 0.0
+                elif solver.strict_arrivals:
+                    target, sys_in, weight = tables.strict_id[n, s, i], s, 1.0
+                else:
+                    target, sys_in = tables.admit_id[n, s, i], tables.admit_sys[n, s, i]
+                    weight = 1.0
+                value = ev.volumes[n, sys_in, target] if target >= 0 else 0.0
+                num[n, labels[i], s] += value * weight * pi[i]
+                den[n, labels[i], s] += weight * pi[i]
+    individual = np.full((N, L, S), np.nan)
+    gap = 0.0
+    for n in range(N):
+        for l in range(L):
+            for s in range(S):
+                if not ev.empty_labels[l] and den[n, l, s] > 1e-12:
+                    individual[n, l, s] = num[n, l, s] / den[n, l, s]
+            payoffs = individual[n, l]
+            current = payoffs[ev.policy.choice[n][l]]
+            if not ev.empty_labels[l] and not np.isnan(current):
+                gap = max(gap, float(np.nanmax(payoffs) - current))
+    return individual, gap
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("mode", ["redirect", "exclude"])
+def test_payoff_table_and_gap_match_state_loop(strict, mode):
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        config, space, scheme = random_instance(rng, max_space=120)
+        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict,
+                                  deviation_payoff=mode)
+        ev = solver.evaluate(random_policy(rng, config, scheme))
+        individual, gap = loop_payoffs(solver, ev)
+        np.testing.assert_allclose(ev.individual, individual, rtol=1e-13, atol=0)
+        assert ev.nash_gap() == pytest.approx(gap, rel=1e-12, abs=1e-15)

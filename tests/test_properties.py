@@ -3,7 +3,8 @@
 Five families, each exercised on at least 100 random instances with S <= 2,
 N <= 2 and at most 500 feasible states: zero generator row sums, steady
 residuals, departure closure, label-partition totality and relabeling
-equivariance of the game layer. The check bodies live in conftest so the
+equivariance of the game layer. A sixth family checks the tagged-volume
+solves under both sharing scopes. The check bodies live in conftest so the
 acceptance suite can time the very same assertions.
 """
 
@@ -12,7 +13,8 @@ import pytest
 
 from conftest import (check_departure_closure, check_generator_row_sums,
                       check_label_totality, check_relabel_equivariance,
-                      check_steady_residuals, random_instance)
+                      check_steady_residuals, check_tagged_solves,
+                      random_instance)
 
 N_INSTANCES = 105
 
@@ -32,6 +34,24 @@ def two_system_instances():
         if item[0].num_systems == 2:
             out.append(item)
     return out
+
+
+@pytest.fixture(scope="module")
+def instances_by_scope():
+    """Random instances, 30 per sharing scope."""
+    rng = np.random.default_rng(7357)
+    out = {"per_system": [], "network_wide": []}
+    while min(len(v) for v in out.values()) < 30:
+        item = random_instance(rng)
+        bucket = out[item[0].sharing_scope]
+        if len(bucket) < 30:
+            bucket.append(item)
+    return out
+
+
+@pytest.mark.parametrize("scope", ["per_system", "network_wide"])
+def test_tagged_solves_match_dense_reference(instances_by_scope, scope):
+    check_tagged_solves(instances_by_scope[scope], np.random.default_rng(11))
 
 
 def test_generator_row_sums_zero(instances):

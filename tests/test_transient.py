@@ -1,12 +1,18 @@
 """Absorbing-chain volume solves against hand-computed oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hetassoc import (AggregationScheme, InfeasibleTargetError, NetworkConfig,
-                      Policy, PolicyRule, build_generator, build_tagged_generator,
-                      enumerate_states, solve_volume, volume_tables)
-from hetassoc.ctmc import chain_tables
+                      Policy, PolicyRule, ResidualError, build_generator,
+                      build_tagged_generator, enumerate_states, solve_volume,
+                      volume_tables)
+from hetassoc import transient
+from hetassoc.ctmc import ChainTables, assemble_dense, chain_tables
+from hetassoc.transient import SingularTaggedChainError, solve_volume_from_matrix
 
 from conftest import random_instance, random_policy
 
@@ -157,3 +163,59 @@ def test_module_level_arrival_utility(erlang):
     _, space, _, rule = erlang
     table = volume_tables(space, rule)
     assert arrival_utility(table, (0,), 0, 0) == pytest.approx(5.0 / 3.0)
+
+
+@pytest.fixture
+def hybrid_chain(hybrid_instance):
+    """Private tables and a dense generator of the shipped instance."""
+    config, scheme = hybrid_instance
+    space = enumerate_states(config)
+    rule = PolicyRule(Policy.constant(config.num_classes, scheme.label_count, 0), scheme)
+    tables = ChainTables(space)
+    return tables, assemble_dense(tables, rule.choice_table(space))
+
+
+def test_solve_plan_blocks_are_banded(hybrid_chain):
+    """The solve order is a permutation of the states, and every tagged
+    block's entries fit the plan's band."""
+    tables, _ = hybrid_chain
+    plan = tables.solve_plan
+    nst = tables.space.num_states
+    assert np.array_equal(np.sort(plan.order), np.arange(nst))
+    for row in plan.tagged:
+        for tagged in row:
+            assert tagged.kl < len(tagged.ids) and tagged.ku < len(tagged.ids)
+            assert (tagged.rows - tagged.cols).max(initial=0) <= tagged.kl
+            assert (tagged.cols - tagged.rows).max(initial=0) <= tagged.ku
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_corrupted_tagged_solve_raises(hybrid_chain, monkeypatch, sparse):
+    tables, q = hybrid_chain
+    if sparse:
+        q = sp.csr_matrix(q)
+    solve_volume_from_matrix(tables, q, 0, 0)
+    original = transient._solve_tagged
+    monkeypatch.setattr(transient, "_solve_tagged",
+                        lambda *args: original(*args) * (1.0 + 1e-6))
+    with pytest.raises(ResidualError):
+        solve_volume_from_matrix(tables, q, 0, 0)
+
+
+def test_tagged_block_missing_an_entry_raises(hybrid_chain):
+    """A band gather that misses an entry of the generator solves a wrong
+    system; the residual against the full generator catches it."""
+    tables, q = hybrid_chain
+    plan = tables.solve_plan.tagged[0][0]
+    off = np.nonzero((plan.rows != plan.cols) & (q.take(plan.src) != 0))[0][0]
+    tables.solve_plan.tagged[0][0] = dataclasses.replace(
+        plan, src=np.delete(plan.src, off), band=np.delete(plan.band, off))
+    with pytest.raises(ResidualError):
+        solve_volume_from_matrix(tables, q, 0, 0)
+
+
+def test_singular_banded_block_raises(hybrid_chain):
+    tables, _ = hybrid_chain
+    plan = tables.solve_plan.tagged[0][0]
+    with pytest.raises(SingularTaggedChainError):
+        transient._solve_tagged(plan, np.zeros(plan.band_shape, order="F"), plan.rate)
