@@ -23,13 +23,14 @@ from .charts import line_chart
 from .config import (NETWORK_WIDE, PER_SYSTEM, AggregationScheme, ConfigError,
                      NetworkConfig, Policy, load_instance, serialize_instance)
 from .control import optimize_thresholds
-from .ctmc import build_generator, solve_steady_state
-from .game import PolicyGameSolver, evaluate_baseline
+from .ctmc import (ResidualError, SingularChainError, build_generator,
+                   solve_steady_state)
+from .game import PolicyGameSolver, SearchCapError, evaluate_baseline
 from .output import write_csv, write_json
 from .rules import InstantaneousRateRule, PeakRateRule, PolicyRule
 from .simulate import simulate
 from .states import CapacityError, enumerate_states, state_table_rows
-from .transient import volume_tables
+from .transient import SingularTaggedChainError, volume_tables
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -567,7 +568,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, CapacityError, FileNotFoundError) as exc:
+    except (ConfigError, CapacityError, FileNotFoundError, SearchCapError,
+            ResidualError, SingularChainError, SingularTaggedChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -564,12 +564,12 @@ def evaluate_baseline(space: StateSpace, which: str,
     weights = np.array(config.arrival_rate) / sum(config.arrival_rate)
     value = np.append(volumes, 0.0)[_outcome_index(tables, strict_arrivals)]
     chosen = np.take_along_axis(value, choice[:, None, :], axis=1)[:, 0]
+    cell_mass = np.bincount(cells, weights=pi, minlength=ncells)
     per_class = np.empty(N)
     global_u = 0.0
     for n in range(N):
         blocked = tables.blocked[n]
         per_class[n] = pi[blocked].sum()
-        cell_mass = np.bincount(cells, weights=pi, minlength=ncells)
         cell_block = np.bincount(cells[blocked], weights=pi[blocked], minlength=ncells)
         with np.errstate(invalid="ignore"):
             b_cell = np.where(cell_mass > EMPTY_LABEL_MASS, cell_block / cell_mass, 0.0)

@@ -7,6 +7,17 @@ rate over his sojourn (piecewise-constant between events, which is exact
 for this model). Admission decisions are recomputed from the throughput
 definition rather than read from the chain engine's tables.
 
+Everything the event loop needs about an occupancy depends on that
+occupancy alone, so the loop keeps one record per occupancy in a dict
+local to the run, built the first time the loop reaches it: the per-user
+rate of every (class, system) pair present, the total event rate, the
+system each class's arrival ends up in (or -1 when it is lost) and the
+occupancies that follow each arrival and departure. A record is computed
+from the throughput definition, the rule's `choose` and the admission
+test in this module, never from the chain engine's tables, so the
+simulator stays an independent check of them; the rule is asked once per
+(occupancy, class) instead of once per arrival.
+
 One seeded generator drives a single stream, so runs are bit-identical
 given (config, rule, events, seed).
 """
@@ -16,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
 
 import numpy as np
 from scipy import stats
@@ -27,22 +39,13 @@ CI_LEVEL = 0.99
 MIN_EVENTS_FOR_CI = 100_000
 
 
-class _Uniforms:
-    """Buffered uniform draws from one named stream."""
-
-    def __init__(self, seed: int, block: int = 1 << 16):
-        self._rng = np.random.default_rng(seed)
-        self._block = block
-        self._buf = self._rng.random(block)
-        self._pos = 0
-
-    def __call__(self) -> float:
-        if self._pos == self._block:
-            self._buf = self._rng.random(self._block)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
+def _uniform_stream(seed: int, block: int = 1 << 12):
+    """Endless uniform draws from one seeded generator, as Python floats,
+    drawn `block` at a time (the stream does not depend on `block`; a small
+    one keeps the list of floats small)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield from rng.random(block).tolist()
 
 
 @dataclass
@@ -125,7 +128,7 @@ class SimReport:
         return mean, math.sqrt(m2 / (count - 1) / count), count
 
 
-def _admits(config: NetworkConfig, occ: list, sys_count: list, total: int,
+def _admits(config: NetworkConfig, occ: tuple, sys_count: list, total: int,
             user_class: int, system: int) -> bool:
     """Would adding one (user_class, system) user keep everyone above t_min?
 
@@ -158,6 +161,55 @@ def _admits(config: NetworkConfig, occ: list, sys_count: list, total: int,
     return True
 
 
+def _moved(key: tuple, i: int, delta: int) -> tuple:
+    return key[:i] + (key[i] + delta,) + key[i + 1:]
+
+
+def _occupancy_record(config: NetworkConfig, rule: AssignmentRule, key: tuple,
+                      strict_arrivals: bool) -> tuple:
+    """Everything the event loop needs in occupancy `key`.
+
+    Returns (total event rate, flows, arrivals, departures):
+    - flows: (flat index s*N + n, per-user rate) of every pair present,
+      the rate being min(peak * g(k) / k, t_max) with k users in the
+      sharing scope;
+    - arrivals[n]: (system joined or -1 if lost, next occupancy);
+    - departures[s*N + n]: occupancy after one (n, s) user leaves, or None
+      when no such user is present.
+    """
+    N, S = config.num_classes, config.num_systems
+    sys_count = [sum(key[s * N:(s + 1) * N]) for s in range(S)]
+    total = sum(key)
+
+    flows = []
+    for s in range(S):
+        k = total if config.sharing_scope == NETWORK_WIDE else sys_count[s]
+        if k <= 0:
+            continue
+        g = config.gain(k)
+        for n in range(N):
+            if key[s * N + n]:
+                flows.append((s * N + n,
+                              min(config.peak_rate[n][s] * g / k, config.t_max)))
+
+    arrivals = []
+    for n in range(N):
+        preferred = rule.choose(config, key, n)
+        joined = -1
+        if _admits(config, key, sys_count, total, n, preferred):
+            joined = preferred
+        elif not strict_arrivals:
+            for s in range(S):
+                if s != preferred and _admits(config, key, sys_count, total, n, s):
+                    joined = s
+                    break
+        arrivals.append((joined, _moved(key, joined * N + n, 1) if joined >= 0 else None))
+    departures = [_moved(key, i, -1) if key[i] else None for i in range(N * S)]
+
+    rate_total = sum(config.arrival_rate) + total * config.service_rate
+    return rate_total, flows, arrivals, departures
+
+
 def simulate(config: NetworkConfig, rule: AssignmentRule, num_events: int,
              seed: int, *, num_batches: int = 25,
              strict_arrivals: bool = False) -> SimReport:
@@ -177,119 +229,100 @@ def simulate(config: NetworkConfig, rule: AssignmentRule, num_events: int,
 
     N, S = config.num_classes, config.num_systems
     mu = config.service_rate
-    lam = list(config.arrival_rate)
-    lam_total = sum(lam)
-    draw = _Uniforms(seed)
+    lam_total = sum(config.arrival_rate)
+    # an arrival is of class n when the pick falls below lam_edge[n]
+    lam_edge = list(accumulate(config.arrival_rate))
+    # two uniforms per event: the holding time, then the event pick
+    draws = _uniform_stream(seed)
+    pairs = zip(draws, draws)
 
-    occ = [0] * (N * S)
-    sys_count = [0] * S
-    total = 0
-    thr = [[0.0] * S for _ in range(N)]
-
-    def refresh_throughputs():
-        for s in range(S):
-            if config.sharing_scope == NETWORK_WIDE:
-                k = total
-            else:
-                k = sys_count[s]
-            if k <= 0:
-                for n in range(N):
-                    thr[n][s] = 0.0
-                continue
-            g = config.gain(k)
-            for n in range(N):
-                thr[n][s] = min(config.peak_rate[n][s] * g / k, config.t_max)
-
-    cum = [[0.0] * S for _ in range(N)]
+    records: dict = {}
+    key = (0,) * (N * S)
+    cum = [0.0] * (N * S)             # delivered megabits per pair, s*N + n
     users: list[tuple] = []           # (class, system, cum snapshot, seen state)
 
-    arrivals = np.zeros((num_batches, N))
-    blocked = np.zeros((num_batches, N))
-    admitted = np.zeros((num_batches, N, S))
-    volume_sum = np.zeros((num_batches, N, S))
-    volume_count = np.zeros((num_batches, N, S), dtype=np.int64)
+    arrivals, blocked, admitted = [], [], []
+    volume_sum, volume_count = [], []
     state_time_batches: list[dict] = [{} for _ in range(num_batches)]
-    batch_time = np.zeros(num_batches)
+    batch_time = []
     arrival_seen: dict = {}
     volume_by_entry: dict = {}
 
     t = 0.0
-    for ev in range(num_events):
-        batch = ev * num_batches // num_events
-        rate_total = lam_total + len(users) * mu
-        dt = -math.log(1.0 - draw()) / rate_total
-        t += dt
-        batch_time[batch] += dt
-        key = tuple(occ)
+    for batch in range(num_batches):
+        # events ev with ev * num_batches // num_events == batch
+        first = (batch * num_events + num_batches - 1) // num_batches
+        last = ((batch + 1) * num_events + num_batches - 1) // num_batches
         bt = state_time_batches[batch]
-        bt[key] = bt.get(key, 0.0) + dt
-        if total:
-            for n in range(N):
-                row_occ = occ
-                cum_n = cum[n]
-                thr_n = thr[n]
-                for s in range(S):
-                    if row_occ[s * N + n]:
-                        cum_n[s] += thr_n[s] * dt
+        arr = [0] * N
+        blk = [0] * N
+        adm = [0] * (N * S)           # n*S + s, as are vsum and vcount
+        vsum = [0.0] * (N * S)
+        vcount = [0] * (N * S)
+        elapsed = 0.0
+        for u_time, u_pick in islice(pairs, last - first):
+            rec = records.get(key)
+            if rec is None:
+                rec = records[key] = _occupancy_record(config, rule, key,
+                                                       strict_arrivals)
+            rate_total, flows, arrive, depart = rec
+            dt = -math.log(1.0 - u_time) / rate_total
+            t += dt
+            elapsed += dt
+            bt[key] = bt.get(key, 0.0) + dt
+            for i, rate in flows:
+                cum[i] += rate * dt
 
-        pick = draw() * rate_total
-        if pick < lam_total:
-            # arrival; locate the class on the cumulative rate axis
-            n = 0
-            acc = lam[0]
-            while pick >= acc:
-                n += 1
-                acc += lam[n]
-            seen = key
-            arrival_seen[seen] = arrival_seen.get(seen, 0) + 1
-            arrivals[batch, n] += 1
-            preferred = rule.choose(config, seen, n)
-            joined = -1
-            if _admits(config, occ, sys_count, total, n, preferred):
-                joined = preferred
-            elif not strict_arrivals:
-                for s in range(S):
-                    if s != preferred and _admits(config, occ, sys_count, total, n, s):
-                        joined = s
-                        break
-            if joined < 0:
-                blocked[batch, n] += 1
+            pick = u_pick * rate_total
+            if pick < lam_total:
+                n = 0
+                while pick >= lam_edge[n]:
+                    n += 1
+                arrival_seen[key] = arrival_seen.get(key, 0) + 1
+                arr[n] += 1
+                joined, nxt = arrive[n]
+                if joined < 0:
+                    blk[n] += 1
+                    continue
+                users.append((n, joined, cum[joined * N + n], key))
+                adm[n * S + joined] += 1
+                key = nxt
             else:
-                users.append((n, joined, cum[n][joined], seen))
-                occ[joined * N + n] += 1
-                sys_count[joined] += 1
-                total += 1
-                admitted[batch, n, joined] += 1
-                refresh_throughputs()
-        else:
-            idx = min(int((pick - lam_total) / mu), len(users) - 1)
-            n, s, snapshot, seen = users[idx]
-            users[idx] = users[-1]
-            users.pop()
-            vol = cum[n][s] - snapshot
-            volume_sum[batch, n, s] += vol
-            volume_count[batch, n, s] += 1
-            entry_key = (n, s, seen)
-            count, mean, m2 = volume_by_entry.get(entry_key, (0, 0.0, 0.0))
-            count += 1
-            delta = vol - mean
-            mean += delta / count
-            m2 += delta * (vol - mean)
-            volume_by_entry[entry_key] = (count, mean, m2)
-            occ[s * N + n] -= 1
-            sys_count[s] -= 1
-            total -= 1
-            refresh_throughputs()
+                idx = min(int((pick - lam_total) / mu), len(users) - 1)
+                n, s, snapshot, seen = users[idx]
+                users[idx] = users[-1]
+                users.pop()
+                vol = cum[s * N + n] - snapshot
+                vsum[n * S + s] += vol
+                vcount[n * S + s] += 1
+                entry_key = (n, s, seen)
+                count, mean, m2 = volume_by_entry.get(entry_key, (0, 0.0, 0.0))
+                count += 1
+                delta = vol - mean
+                mean += delta / count
+                m2 += delta * (vol - mean)
+                volume_by_entry[entry_key] = (count, mean, m2)
+                key = depart[s * N + n]
+        arrivals.append(arr)
+        blocked.append(blk)
+        admitted.append(adm)
+        volume_sum.append(vsum)
+        volume_count.append(vcount)
+        batch_time.append(elapsed)
 
     state_time: dict = {}
     for bt in state_time_batches:
         for key, val in bt.items():
             state_time[key] = state_time.get(key, 0.0) + val
 
+    per_pair = (num_batches, N, S)
     return SimReport(
         seed=seed, num_events=num_events, num_batches=num_batches,
-        total_time=t, arrivals=arrivals, blocked=blocked, admitted=admitted,
+        total_time=t, arrivals=np.array(arrivals, dtype=float),
+        blocked=np.array(blocked, dtype=float),
+        admitted=np.array(admitted, dtype=float).reshape(per_pair),
         state_time=state_time, state_time_batches=state_time_batches,
-        batch_time=batch_time, arrival_seen=arrival_seen,
-        volume_sum=volume_sum, volume_count=volume_count,
+        batch_time=np.array(batch_time), arrival_seen=arrival_seen,
+        volume_sum=np.array(volume_sum).reshape(per_pair),
+        volume_count=np.array(volume_count, dtype=np.int64).reshape(per_pair),
         volume_by_entry=volume_by_entry)

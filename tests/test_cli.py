@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from hetassoc import ResidualError, SingularChainError, cli
 from hetassoc.cli import main
 from hetassoc.output import read_csv_rows
+from hetassoc.transient import SingularTaggedChainError
 
 from conftest import CONFIG_DIR
 
@@ -166,6 +168,25 @@ def test_enumerate_capacity_error(tmp_path, capsys):
     assert run("enumerate", "--config", HYBRID, "--out", str(tmp_path),
                "--max-states", "10") == 1
     assert "ceiling" in capsys.readouterr().err
+
+
+def test_exhaustive_optimal_over_the_cap_is_an_error(tmp_path, capsys):
+    assert run("optimal", "--config", HYBRID, "--out", str(tmp_path),
+               "--method", "exhaustive") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "above the cap" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [ResidualError, SingularChainError,
+                                   SingularTaggedChainError])
+def test_numerical_failures_are_one_line_errors(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("solve went wrong")
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", fail)
+    assert run("validate", "--config", HYBRID) == 1
+    assert capsys.readouterr().err == "error: solve went wrong\n"
 
 
 def test_control_rejects_bad_scheme_text(capsys):

@@ -1,12 +1,18 @@
 """Discrete-event simulator against the analytic chain (and itself)."""
 
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyRule,
                       build_generator, enumerate_states, simulate,
                       solve_steady_state, volume_tables)
-from hetassoc.rules import PeakRateRule
+from hetassoc.rules import InstantaneousRateRule, PeakRateRule
+
+GOLDEN = Path(__file__).parent / "data" / "simulate_golden.json"
 
 EVENTS = 120_000
 
@@ -142,3 +148,69 @@ def test_input_validation(erlang_config, erlang_scheme):
         simulate(erlang_config, rule, 0, seed=1)
     with pytest.raises(ValueError):
         simulate(erlang_config, rule, 1000, seed=1, num_batches=5)
+
+
+class CountingPolicyRule(PolicyRule):
+    """PolicyRule that counts its choose() calls per (occupancy, class)."""
+
+    def __init__(self, policy, scheme):
+        super().__init__(policy, scheme)
+        object.__setattr__(self, "calls", Counter())
+
+    def choose(self, config, occ, user_class):
+        self.calls[tuple(occ), user_class] += 1
+        return super().choose(config, occ, user_class)
+
+
+def test_rule_asked_once_per_visited_occupancy(hybrid_instance):
+    config, scheme = hybrid_instance
+    rule = CountingPolicyRule(Policy(((1,) * 9, (0, 1) * 4 + (0,))), scheme)
+    report = simulate(config.scale_traffic(5.0), rule, 100_000, seed=8)
+    assert max(rule.calls.values()) == 1
+    asked = {occ for occ, _ in rule.calls}
+    assert set(report.arrival_seen) <= asked <= set(report.state_time)
+
+
+def _integer_outputs(report) -> dict:
+    return {"arrivals": report.arrivals.astype(int).tolist(),
+            "blocked": report.blocked.astype(int).tolist(),
+            "admitted": report.admitted.astype(int).tolist(),
+            "volume_count": report.volume_count.tolist(),
+            "arrival_seen": sorted([list(occ), count]
+                                   for occ, count in report.arrival_seen.items())}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_integer_outputs_match_golden(hybrid_instance):
+    """Counts and admission decisions for a fixed seed, recorded with the
+    per-event implementation of the loop. They depend only on the uniform
+    stream and the admission logic, so they hold on every platform."""
+    config, scheme = hybrid_instance
+    config = config.scale_traffic(5.0)
+    rule = PolicyRule(Policy(((1,) * 9, (0, 1) * 4 + (0,))), scheme)
+    runs = {
+        "redirect": simulate(config, rule, 30_000, seed=2024, num_batches=20),
+        "strict": simulate(config, rule, 30_000, seed=2024, num_batches=20,
+                           strict_arrivals=True),
+        "network_instant": simulate(config.with_sharing_scope("network_wide"),
+                                    InstantaneousRateRule(), 30_000, seed=2024,
+                                    num_batches=20),
+    }
+    golden = json.loads(GOLDEN.read_text())
+    assert set(golden) == set(runs)
+    for name, report in runs.items():
+        assert _integer_outputs(report) == golden[name], name
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("events,batches", [(13, 20), (1_001, 23)])
+def test_batches_split_events_like_the_index_formula(erlang_config, erlang_scheme,
+                                                     events, batches):
+    """Event ev falls in batch ev * batches // events."""
+    rule = PolicyRule(Policy(((0, 0, 0),)), erlang_scheme)
+    report = simulate(erlang_config, rule, events, seed=5, num_batches=batches)
+    per_batch = report.arrivals.sum(axis=1) + report.volume_count.sum(axis=(1, 2))
+    expected = np.bincount([ev * batches // events for ev in range(events)],
+                           minlength=batches)
+    # every event is an arrival or a departure; departures are completed calls
+    assert np.array_equal(per_batch, expected)
