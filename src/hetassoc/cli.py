@@ -22,7 +22,7 @@ from .aggregation import label_array
 from .charts import line_chart
 from .config import (NETWORK_WIDE, PER_SYSTEM, AggregationScheme, ConfigError,
                      NetworkConfig, Policy, load_instance, serialize_instance)
-from .control import optimize_thresholds
+from .control import RankingMismatchError, optimize_thresholds
 from .ctmc import (ResidualError, SingularChainError, build_generator,
                    solve_steady_state)
 from .game import PolicyGameSolver, SearchCapError, evaluate_baseline
@@ -569,7 +569,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, CapacityError, FileNotFoundError, SearchCapError,
-            ResidualError, SingularChainError, SingularTaggedChainError) as exc:
+            ResidualError, SingularChainError, SingularTaggedChainError,
+            RankingMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,7 @@ blocking users generate at equilibrium.
 
 For each candidate aggregation scheme the user game is re-solved; the
 scheme whose equilibrium blocks the least traffic wins (maximizing the
-acceptance ratio 1/b gives the same winner, which is asserted). Equilibrium
+acceptance ratio 1/b gives the same winner, which is checked). Equilibrium
 multiplicity is surfaced instead of hidden: a declared selection rule picks
 the representative equilibrium and the worst case is reported next to it.
 """
@@ -19,6 +19,11 @@ from .game import PolicyEvaluation, PolicyGameSolver
 from .states import StateSpace, enumerate_states
 
 SELECTION_RULES = ("max_utility", "min_blocking")
+
+
+class RankingMismatchError(RuntimeError):
+    """The scheme that blocks the least does not maximize the acceptance
+    ratio 1/b, which a NaN blocking can cause."""
 
 
 @dataclass
@@ -108,8 +113,12 @@ def optimize_thresholds(config: NetworkConfig, grid, *,
     best_index = None
     if scored:
         best_index = min(scored, key=lambda item: item[1])[0]
-        # maximizing the acceptance ratio must agree with minimizing blocking
-        inv = [(i, (1.0 / b) if b > 0 else np.inf) for i, b in scored]
-        assert max(inv, key=lambda item: item[1])[0] == best_index
+        # minimizing blocking must also maximize the acceptance ratio; the
+        # inversion can round blockings an ulp apart to one ratio, a tie
+        inv = {i: (1.0 / b) if b > 0 else np.inf for i, b in scored}
+        if not inv[best_index] >= max(inv.values()):
+            raise RankingMismatchError(
+                f"scheme {best_index} blocks the least but does not maximize the "
+                f"acceptance ratio; blockings {[b for _, b in scored]}")
     return ControlResult(outcomes=outcomes, best_index=best_index,
                          selection_rule=selection_rule)

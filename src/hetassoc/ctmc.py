@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .aggregation import label_array
@@ -25,13 +26,21 @@ from .config import AggregationScheme
 from .rules import AssignmentRule
 from .states import StateSpace, occ_index, scope_count
 
-# Above this state count the steady-state solve switches from a dense LU to
-# a sparse factorization, and the tagged-volume solves from banded LUs to
-# sparse ones.
+# Up to this state count (the dense side) generators are held as band
+# matrices in the SolvePlan's order: the stationary solve and the tagged-
+# volume solves are banded LUs. Above it both are sparse factorizations.
 DENSE_SOLVE_LIMIT = 2000
 
 STEADY_RESIDUAL_TOL = 1e-10
+# A pinned stationary solve is trusted only where the pinned state holds
+# more than this fraction of the largest entry. Below it the pin is lost in
+# rounding: the computed ratio lands near machine epsilon whatever the true
+# one, and the vector is right only up to luck.
+PIN_MASS_FLOOR = 1e-12
 EMPTY_LABEL_MASS = 1e-12
+
+_gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
+_gbmv = get_blas_funcs("gbmv", dtype=np.float64)
 
 
 class SingularChainError(RuntimeError):
@@ -116,15 +125,7 @@ class ChainTables:
         self.dep_src = np.concatenate(src)
         self.dep_dst = np.concatenate(dst)
         self.dep_rate = np.concatenate(rate).astype(float)
-
-    @cached_property
-    def departure_dense(self) -> np.ndarray:
-        """Dense departure rates without a diagonal, the start of every
-        dense generator."""
-        nst = self.space.num_states
-        q = np.zeros((nst, nst))
-        q[self.dep_src, self.dep_dst] = self.dep_rate
-        return q
+        self.departure_out = np.bincount(self.dep_src, weights=self.dep_rate, minlength=nst)
 
     @cached_property
     def solve_plan(self) -> "SolvePlan":
@@ -151,11 +152,12 @@ class TaggedPlan:
     user's throughput in each, the right-hand side of every solve; norm
     bounds |A|_inf of the block under any rule. rows and cols are the
     local positions of every entry some rule can put in the block, diagonal
-    included; src is each entry's flat position in a dense full generator,
-    and band its flat position in LAPACK band storage of shape band_shape
-    (Fortran order, with kl spare rows on top for the LU's fill). The
-    shift_* arrays locate the tagged user's own departures that stay in the
-    block, the entries his absorption rate mu is taken off.
+    included; src is each entry's position in the data of the full
+    generator's BandGenerator, and band its flat position in LAPACK band
+    storage of shape band_shape (Fortran order, with kl spare rows on top
+    for the LU's fill). The shift_* arrays locate the tagged user's own
+    departures that stay in the block, the entries his absorption rate mu
+    is taken off.
     """
 
     ids: np.ndarray
@@ -176,13 +178,102 @@ class TaggedPlan:
         return (2 * self.kl + self.ku + 1, len(self.ids))
 
 
+def _band_position(width: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Flat (Fortran-order) position of entry (r, c) of a matrix with
+    half-bandwidth `width` in band storage of 3 width + 1 rows: row
+    2 width + r - c of column c, above which width rows are left for the
+    LU's fill."""
+    return c * (3 * width + 1) + 2 * width + r - c
+
+
+class BandGenerator:
+    """A generator Q held as its transpose in LAPACK band storage.
+
+    The states are taken in `order`; band holds Q^T with half-bandwidth
+    width in the layout of _band_position, shape (3 width + 1, n). data is
+    band flattened plus one slot past its end, which takes the writes of
+    arrivals that are lost. pins lists the positions in the order where the
+    stationary solve tries to pin pi, in turn. shape and nnz describe Q;
+    q.dot(x) is Q x and x @ q is x Q, both by BLAS gbmv on the unfactored
+    band.
+    """
+
+    # numpy defers `x @ q` to __rmatmul__ instead of coercing q to an array
+    __array_ufunc__ = None
+
+    def __init__(self, data: np.ndarray, width: int, order: np.ndarray,
+                 pins: tuple[int, ...]):
+        n = len(order)
+        self.data = data
+        self.width = width
+        self.order = order
+        self.pins = pins
+        self.shape = (n, n)
+        self.band = data[:-1].reshape((3 * width + 1, n), order="F")
+
+    @classmethod
+    def from_matrix(cls, matrix, order: np.ndarray,
+                    pins: tuple[int, ...]) -> "BandGenerator":
+        """Band form of a dense or sparse generator, states taken in order."""
+        coo = sp.coo_matrix(matrix)
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order))
+        r, c = position[coo.col], position[coo.row]
+        width = int(np.abs(r - c).max(initial=0))
+        data = np.zeros((3 * width + 1) * len(order) + 1)
+        data[_band_position(width, r, c)] = coo.data
+        return cls(data, width, order, pins)
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.band))
+
+    def toarray(self) -> np.ndarray:
+        k, c = np.nonzero(self.band)
+        q = np.zeros(self.shape)
+        q[self.order[c], self.order[c + k - 2 * self.width]] = self.band[k, c]
+        return q
+
+    def _gbmv(self, x: np.ndarray, trans: int) -> np.ndarray:
+        # The width spare rows count as superdiagonals; they are zero here.
+        # scipy's gbmv wrapper wants at least as many rows as the band has,
+        # so a short matrix gets zero rows below it (the band holds zeros
+        # wherever a row past the end would be read).
+        n, w = self.shape[0], self.width
+        m = max(n, 3 * w + 1)
+        xs = np.zeros(m if trans else n)
+        xs[:n] = x[self.order]
+        y = np.empty(n)
+        y[self.order] = _gbmv(m, n, w, 2 * w, 1.0, self.band, xs, trans=trans)[:n]
+        return y
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        return self._gbmv(x, 1)
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        return self._gbmv(x, 0)
+
+
 class SolvePlan:
-    """Policy-independent layout of the tagged-volume solves of one space.
+    """Policy-independent layout of the dense-side solves of one space.
 
     The state order is a reverse Cuthill-McKee order of the union of every
-    arrival and departure edge (a rule only picks among them), so each
-    tagged block is banded for every policy; tagged[n][s] is the
-    TaggedPlan of the (n, s) block.
+    arrival and departure edge (a rule only picks among them), so the full
+    generator and each tagged block are banded for every policy. width is
+    the full generator's half-bandwidth in that order, and tagged[n][s] the
+    TaggedPlan of the (n, s) block. pins holds the positions where the
+    stationary solve pins pi, in turn: first the empty state, which every
+    state drains to (so it carries mass under any rule) and which holds the
+    most under light load, then the end of the order with more users, whose
+    states hold the most under heavy load.
+
+    On the dense side the plan also holds what assemble_dense scatters:
+    departures, the data of a BandGenerator with every departure rate and
+    nothing else; diagonal, the data position of each state's diagonal
+    entry; arrivals[strict], per (class, preferred system, state), the
+    data position and rate of the arrival the network admits (the slot past
+    the band and rate 0 when it is lost); and arrival_src, the state of each
+    entry of a (class, state) table, flattened.
     """
 
     def __init__(self, tables: ChainTables):
@@ -196,10 +287,35 @@ class SolvePlan:
         cols = np.concatenate([up_dst, up_src, loops])
         graph = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nst, nst))
         self.order = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64)
+        self.position = np.empty(nst, dtype=np.int64)
+        self.position[self.order] = np.arange(nst)
+        users = tables.space.occ.sum(axis=1)
+        high = 0 if users[self.order[0]] > users[self.order[-1]] else nst - 1
+        self.pins = (int(self.position[users.argmin()]), high)
         coo = graph.tocoo()
+        self.width = int(np.abs(self.position[coo.row] - self.position[coo.col]).max())
+
+        if nst <= DENSE_SOLVE_LIMIT:
+            sink = (3 * self.width + 1) * nst
+            self.diagonal = self.band_position(loops, loops)
+            self.departures = np.zeros(sink + 1)
+            self.departures[self.band_position(tables.dep_src, tables.dep_dst)] = \
+                tables.dep_rate
+            rate = np.asarray(config.arrival_rate, dtype=float)[:, None, None]
+            self.arrival_src = np.tile(loops, config.num_classes)
+            self.arrivals = {}
+            for strict, target in ((False, tables.admit_id), (True, tables.strict_id)):
+                admitted = target >= 0
+                self.arrivals[strict] = (
+                    np.where(admitted, self.band_position(state, target), sink),
+                    np.where(admitted, rate, 0.0))
         self.tagged = [[self._tagged(tables, coo.row, coo.col, n, s)
                         for s in range(config.num_systems)]
                        for n in range(config.num_classes)]
+
+    def band_position(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Data position of the generator entry q[src, dst]."""
+        return _band_position(self.width, self.position[dst], self.position[src])
 
     def _tagged(self, tables: ChainTables, g_rows: np.ndarray, g_cols: np.ndarray,
                 n: int, s: int) -> TaggedPlan:
@@ -224,7 +340,7 @@ class SolvePlan:
         return TaggedPlan(
             ids=ids, rate=tables.throughput[n, s, ids], norm=2.0 * outflow,
             kl=kl, ku=ku, rows=rows, cols=cols,
-            src=g_rows[keep] * nst + g_cols[keep],
+            src=self.band_position(g_rows[keep], g_cols[keep]),
             band=cols * ldab + kl + ku + rows - cols,
             shift_rows=shift_rows, shift_cols=shift_cols,
             shift_band=shift_cols * ldab + kl + ku + shift_rows - shift_cols)
@@ -265,6 +381,14 @@ class Generator:
                 yield int(r), int(c), float(v)
 
 
+def _outflow(tables: ChainTables, arr_src: np.ndarray, arr_rate: np.ndarray) -> np.ndarray:
+    """Total rate out of each state: its departures plus the arrivals
+    (src, rate) admitted there. Both assemblies take their diagonal from
+    here, so the band and CSR generators agree entry for entry."""
+    nst = tables.space.num_states
+    return tables.departure_out + np.bincount(arr_src, weights=arr_rate, minlength=nst)
+
+
 def assemble_generator(tables: ChainTables, choice: np.ndarray,
                        strict: bool = False) -> sp.csr_matrix:
     arr_src, arr_dst, arr_rate = tables.arrival_edges(choice, strict=strict)
@@ -273,20 +397,28 @@ def assemble_generator(tables: ChainTables, choice: np.ndarray,
     rates = np.concatenate([arr_rate, tables.dep_rate])
     nst = tables.space.num_states
     q = sp.coo_matrix((rates, (rows, cols)), shape=(nst, nst)).tocsr()
-    q = q - sp.diags(np.asarray(q.sum(axis=1)).ravel(), format="csr")
-    return q
+    return q - sp.diags(_outflow(tables, arr_src, arr_rate), format="csr")
 
 
 def assemble_dense(tables: ChainTables, choice: np.ndarray,
-                   strict: bool = False) -> np.ndarray:
-    """Dense variant of assemble_generator for solver hot paths."""
-    arr_src, arr_dst, arr_rate = tables.arrival_edges(choice, strict=strict)
-    q = tables.departure_dense.copy()
+                   strict: bool = False):
+    """The generator of a preferred-system table in the form the solvers
+    take: a BandGenerator up to DENSE_SOLVE_LIMIT states (the dense side),
+    CSR from assemble_generator above. Every solver assembles through here.
+    """
+    if tables.space.num_states > DENSE_SOLVE_LIMIT:
+        return assemble_generator(tables, choice, strict=strict)
+    plan = tables.solve_plan
+    N, S, nst = tables.arrival_id.shape
+    where, rates = plan.arrivals[strict]
+    picked = (np.arange(N)[:, None] * S + choice) * nst + np.arange(nst)
+    rate = rates.take(picked)
+    data = plan.departures.copy()
     # an arrival raises the population and a departure lowers it, so no
-    # two edges share a cell
-    q[arr_src, arr_dst] = arr_rate
-    np.fill_diagonal(q, q.diagonal() - q.sum(axis=1))
-    return q
+    # two edges share an entry
+    data[where.take(picked)] = rate
+    data[plan.diagonal] = -_outflow(tables, plan.arrival_src, rate.ravel())
+    return BandGenerator(data, plan.width, plan.order, plan.pins)
 
 
 def build_generator(space: StateSpace, rule: AssignmentRule,
@@ -311,7 +443,37 @@ class SteadyState:
         return float(self.label_mass[label])
 
 
-def _solve_stationary(matrix) -> np.ndarray:
+def _solve_pinned(gen: BandGenerator, r: int) -> np.ndarray:
+    """Stationary distribution up to scale by a banded LU, with the balance
+    equation of the state at position r of the order replaced by pinning
+    its mass; the pin row is scaled to |q_rr| like the row it replaces.
+
+    Raises SingularChainError when the LU is singular, and ResidualError
+    when the pinned entry is not finite or holds at most PIN_MASS_FLOOR of
+    the largest: a pinned state with that little mass is lost in rounding,
+    or lets the others overflow.
+    """
+    n, w = gen.shape[0], gen.width
+    data = gen.data.copy()
+    diagonal = _band_position(w, r, r)
+    scale = abs(data[diagonal])
+    data[_band_position(w, r, np.arange(max(0, r - w), min(n, r + w + 1)))] = 0.0
+    data[diagonal] = scale
+    rhs = np.zeros(n)
+    rhs[r] = scale
+    ab = data[:-1].reshape(gen.band.shape, order="F")
+    _, _, x, info = _gbsv(w, w, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        raise SingularChainError(f"pinned banded LU failed (info {info})")
+    top = x.max()
+    if not (top < np.inf and x[r] > PIN_MASS_FLOOR * top):
+        raise ResidualError(f"pinned entry {x[r]:.3e} is negligible next to {top:.3e}")
+    pi = np.empty(n)
+    pi[gen.order] = x / top
+    return pi
+
+
+def _solve_normalized(matrix) -> np.ndarray:
     """Solve pi Q = 0, sum(pi) = 1 with one balance row replaced by the
     normalization; valid because the balance equations always sum to zero."""
     n = matrix.shape[0]
@@ -320,7 +482,7 @@ def _solve_stationary(matrix) -> np.ndarray:
     b = np.zeros(n)
     b[-1] = 1.0
     if n <= DENSE_SOLVE_LIMIT:
-        a = matrix.toarray().T if sp.issparse(matrix) else np.array(matrix.T)
+        a = np.array(matrix.T) if isinstance(matrix, np.ndarray) else matrix.toarray().T
         a[-1, :] = 1.0
         try:
             return np.linalg.solve(a, b)
@@ -334,15 +496,10 @@ def _solve_stationary(matrix) -> np.ndarray:
         raise SingularChainError(f"stationary solve failed: {exc}") from exc
 
 
-def stationary_vector(matrix, residual_tol: float = STEADY_RESIDUAL_TOL
-                      ) -> tuple[np.ndarray, float]:
-    """Stationary distribution of a generator (dense or sparse) and its
-    balance residual max|pi Q|.
-
-    Tiny negative entries from roundoff are clamped to zero. Negative mass,
-    a residual above residual_tol and non-finite values raise ResidualError.
-    """
-    pi = _solve_stationary(matrix)
+def _checked(pi: np.ndarray, matrix, residual_tol: float) -> tuple[np.ndarray, float]:
+    """Normalized pi and its balance residual max|pi Q|, after clamping
+    roundoff-sized negative entries to zero; negative mass, non-finite
+    values and a residual above residual_tol raise ResidualError."""
     if not pi.min() >= -1e-9:
         raise ResidualError(
             f"stationary solve produced negative or non-finite mass {pi.min():.3e}")
@@ -355,13 +512,35 @@ def stationary_vector(matrix, residual_tol: float = STEADY_RESIDUAL_TOL
     return pi, residual
 
 
+def stationary_vector(matrix, residual_tol: float = STEADY_RESIDUAL_TOL
+                      ) -> tuple[np.ndarray, float]:
+    """Stationary distribution of a generator (a BandGenerator, dense or
+    sparse) and its balance residual max|pi Q|, checked by _checked.
+
+    A BandGenerator is solved pinned at each of its pins in turn, and the
+    first solution that passes its checks is kept. If none does, and for
+    any other matrix, one balance row is replaced by the normalization.
+    """
+    if isinstance(matrix, BandGenerator):
+        for r in matrix.pins:
+            try:
+                return _checked(_solve_pinned(matrix, r), matrix, residual_tol)
+            except (SingularChainError, ResidualError):
+                pass
+    return _checked(_solve_normalized(matrix), matrix, residual_tol)
+
+
 def solve_steady_state(gen: Generator, scheme: AggregationScheme | None = None,
                        residual_tol: float = STEADY_RESIDUAL_TOL) -> SteadyState:
     """Unique stationary distribution of the generator, checked by
     stationary_vector. When a scheme is given, the conditional label masses
     (and which labels carry no mass at all) are attached to the result.
     """
-    pi, residual = stationary_vector(gen.matrix, residual_tol)
+    matrix = gen.matrix
+    if gen.num_states <= DENSE_SOLVE_LIMIT:
+        plan = chain_tables(gen.space).solve_plan
+        matrix = BandGenerator.from_matrix(matrix, plan.order, plan.pins)
+    pi, residual = stationary_vector(matrix, residual_tol)
     ss = SteadyState(pi=pi, residual=residual)
     if scheme is not None:
         labels = label_array(scheme, gen.space)

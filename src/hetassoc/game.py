@@ -21,9 +21,10 @@ import numpy as np
 
 from .aggregation import label_array
 from .config import AggregationScheme, NetworkConfig, Policy
-from .ctmc import (EMPTY_LABEL_MASS, ChainTables, DENSE_SOLVE_LIMIT,
-                   assemble_dense, assemble_generator, chain_tables,
-                   stationary_vector)
+# assemble_generator is not called here, but perfbench/tracer.py wraps the
+# name in this module, so it stays bound
+from .ctmc import (EMPTY_LABEL_MASS, ChainTables, assemble_dense,  # noqa: F401
+                   assemble_generator, chain_tables, stationary_vector)
 from .rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 from .states import StateSpace
 from .transient import solve_volume_from_matrix
@@ -37,8 +38,8 @@ class EmptyLabelError(ValueError):
 
 
 def _solve_pi(space: StateSpace, q) -> tuple[np.ndarray, float]:
-    """Stationary distribution of an assembled generator (dense or sparse),
-    with the same post-solve checks the public solver applies."""
+    """Stationary distribution of a generator from assemble_dense, with the
+    same post-solve checks the public solver applies."""
     return stationary_vector(q)
 
 
@@ -228,11 +229,6 @@ class PolicyGameSolver:
     def _steady(self, q) -> tuple[np.ndarray, float]:
         return _solve_pi(self.space, q)
 
-    def _assemble(self, choice: np.ndarray):
-        if self.space.num_states <= DENSE_SOLVE_LIMIT:
-            return assemble_dense(self.tables, choice, strict=self.strict_arrivals)
-        return assemble_generator(self.tables, choice, strict=self.strict_arrivals)
-
     def _deviation_values(self, volumes: np.ndarray) -> np.ndarray:
         """value[n, s, i]: expected volume of a class-n user preferring
         system s at state i, after the network's admission outcome."""
@@ -245,7 +241,7 @@ class PolicyGameSolver:
         labels = self.labels
         choice = np.asarray(policy.choice, dtype=np.int64)[:, labels]
 
-        q = self._assemble(choice)
+        q = assemble_dense(self.tables, choice, strict=self.strict_arrivals)
         pi, residual = self._steady(q)
         label_mass = np.bincount(labels, weights=pi, minlength=L)
         empty = (label_mass <= EMPTY_LABEL_MASS) | self.structurally_empty
@@ -547,10 +543,7 @@ def evaluate_baseline(space: StateSpace, which: str,
     config = space.config
     tables = chain_tables(space)
     choice = rule.choice_table(space)
-    if space.num_states <= DENSE_SOLVE_LIMIT:
-        q = assemble_dense(tables, choice, strict=strict_arrivals)
-    else:
-        q = assemble_generator(tables, choice, strict=strict_arrivals)
+    q = assemble_dense(tables, choice, strict=strict_arrivals)
     pi, residual = _solve_pi(space, q)
 
     N, S = config.num_classes, config.num_systems

@@ -8,12 +8,14 @@ expected volume sent before absorption solves a linear system whose right
 hand side is the tagged user's instantaneous rate in each state.
 
 The blocks are laid out by the space's SolvePlan (ctmc). Up to
-DENSE_SOLVE_LIMIT states the generator is dense and each block is
-gathered into LAPACK band storage over the plan's reverse Cuthill-McKee
-order and solved by a banded LU (gbsv); every block row leaks mu to
-absorption, so the block is strictly diagonally dominant and the banded
-LU is stable. Above the limit the block is a CSR matrix solved by SuperLU.
-Every solve is checked against the full generator afterwards.
+DENSE_SOLVE_LIMIT states the generator is a ctmc.BandGenerator, Q^T in
+band storage over the plan's reverse Cuthill-McKee order, and each block is
+gathered from that band into its own band storage and solved by a banded LU
+(gbsv); every block row leaks mu to absorption, so the block is strictly
+diagonally dominant and the banded LU is stable. Above the limit the
+generator and the block are CSR matrices and the block is solved by SuperLU.
+Every solve is checked against the full generator afterwards (on the dense
+side by BLAS gbmv on the unfactored band).
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
-from .ctmc import (ChainTables, DENSE_SOLVE_LIMIT, ResidualError, TaggedPlan,
+# assemble_generator is not called here, but perfbench/tracer.py wraps the
+# name in this module, so it stays bound
+from .ctmc import (ChainTables, ResidualError, TaggedPlan, assemble_dense,  # noqa: F401
                    assemble_generator, chain_tables)
 from .rules import AssignmentRule
 from .states import Occupancy, StateSpace
@@ -82,8 +86,9 @@ def _tagged_matrix(q, tables: ChainTables, user_class: int, system: int):
 
     Diagonals are kept from the original generator, so each transient row
     plus the mu absorption entry still sums to zero. Returns the block's
-    TaggedPlan and the block: LAPACK band storage for a dense generator, a
-    CSR matrix for a sparse one, both in the plan's state order.
+    TaggedPlan and the block: LAPACK band storage gathered from a
+    BandGenerator, a CSR matrix for a sparse one, both in the plan's state
+    order.
     """
     plan = tables.solve_plan.tagged[user_class][system]
     mu = tables.space.config.service_rate
@@ -93,7 +98,7 @@ def _tagged_matrix(q, tables: ChainTables, user_class: int, system: int):
                                (plan.shift_rows, plan.shift_cols)), shape=(m, m))
         return plan, q[plan.ids][:, plan.ids] - shift
     band = np.zeros(plan.band_shape[0] * plan.band_shape[1])
-    band[plan.band] = q.take(plan.src)
+    band[plan.band] = q.data.take(plan.src)
     band[plan.shift_band] -= mu
     return plan, band.reshape(plan.band_shape, order="F")
 
@@ -104,9 +109,7 @@ def build_tagged_generator(space: StateSpace, rule: AssignmentRule,
     """Absorbing-chain generator for a tagged (class, system) user under a
     rule, over the tagged states in ascending id order."""
     tables = chain_tables(space)
-    q = assemble_generator(tables, rule.choice_table(space), strict=strict_arrivals)
-    if space.num_states <= DENSE_SOLVE_LIMIT:
-        q = q.toarray()
+    q = assemble_dense(tables, rule.choice_table(space), strict=strict_arrivals)
     plan, block = _tagged_matrix(q, tables, user_class, system)
     if not sp.issparse(block):
         dense = np.zeros((len(plan.ids),) * 2)
@@ -170,9 +173,7 @@ def solve_volume(space: StateSpace, rule: AssignmentRule, user_class: int,
     """Expected megabits sent by a tagged (class, system) user from every
     state containing him; nan elsewhere."""
     tables = chain_tables(space)
-    q = assemble_generator(tables, rule.choice_table(space), strict=strict_arrivals)
-    if space.num_states <= DENSE_SOLVE_LIMIT:
-        q = q.toarray()
+    q = assemble_dense(tables, rule.choice_table(space), strict=strict_arrivals)
     return solve_volume_from_matrix(tables, q, user_class, system)
 
 
@@ -220,9 +221,7 @@ def volume_tables(space: StateSpace, rule: AssignmentRule,
         return store[key]
     tables = chain_tables(space)
     config = space.config
-    q = assemble_generator(tables, rule.choice_table(space), strict=strict_arrivals)
-    if space.num_states <= DENSE_SOLVE_LIMIT:
-        q = q.toarray()
+    q = assemble_dense(tables, rule.choice_table(space), strict=strict_arrivals)
     volumes = np.full((config.num_classes, config.num_systems, space.num_states), np.nan)
     for n in range(config.num_classes):
         for s in range(config.num_systems):

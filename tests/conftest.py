@@ -208,7 +208,7 @@ def check_tagged_solves(instances, rng, rel_tol: float = 1e-12) -> None:
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
         for strict in (False, True):
             q = build_generator(space, rule, strict_arrivals=strict).dense()
-            dense = assemble_dense(tables, rule.choice_table(space), strict=strict)
+            dense = assemble_dense(tables, rule.choice_table(space), strict=strict).toarray()
             assert np.abs(dense - q).max() <= 1e-13 * np.abs(q).max()
             for n in range(config.num_classes):
                 for s in range(config.num_systems):
@@ -224,3 +224,43 @@ def check_tagged_solves(instances, rng, rel_tol: float = 1e-12) -> None:
                     expected = np.linalg.solve(block, -tables.throughput[n, s, ids])
                     err = np.abs(vol[ids] - expected).max()
                     assert err <= rel_tol * np.abs(expected).max()
+
+
+def pinned_solve_holds(band, r: int) -> bool:
+    """Whether the stationary solve pinned at position r of the band's order
+    passes its checks; where it does not, the next pin or the
+    normalization-row solve takes over."""
+    from hetassoc.ctmc import (STEADY_RESIDUAL_TOL, ResidualError, SingularChainError,
+                               _checked, _solve_pinned)
+    try:
+        _checked(_solve_pinned(band, r), band, STEADY_RESIDUAL_TOL)
+    except (ResidualError, SingularChainError):
+        return False
+    return True
+
+
+def check_band_generator(instances, rng, rel_tol: float = 1e-12) -> None:
+    """In both arrival modes the band generator equals the sparse one entry
+    for entry, and its stationary vector matches a normalization-row solve
+    of the sparse generator; the pinned banded solve must carry at least
+    half of those solves rather than its normalization-row fallback."""
+    from hetassoc import PolicyRule, build_generator
+    from hetassoc.ctmc import assemble_dense, chain_tables, stationary_vector
+    pinned = 0
+    for config, space, scheme in instances:
+        tables = chain_tables(space)
+        rule = PolicyRule(random_policy(rng, config, scheme), scheme)
+        for strict in (False, True):
+            q = build_generator(space, rule, strict_arrivals=strict).dense()
+            band = assemble_dense(tables, rule.choice_table(space), strict=strict)
+            assert np.array_equal(band.toarray(), q)
+            a = q.T.copy()
+            a[-1, :] = 1.0
+            rhs = np.zeros(len(q))
+            rhs[-1] = 1.0
+            reference = np.linalg.solve(a, rhs)
+            pi, _ = stationary_vector(band)
+            assert np.abs(pi - reference).max() <= rel_tol * reference.max()
+            pinned += any(pinned_solve_holds(band, r) for r in band.pins)
+    assert pinned >= len(instances)
+

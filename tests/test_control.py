@@ -112,3 +112,44 @@ def test_empty_grid_rejected(shipped):
     config, _ = shipped
     with pytest.raises(ValueError):
         optimize_thresholds(config, [])
+
+
+def _stub_equilibrium_blockings(monkeypatch, blockings):
+    """Make every scheme's game return one equilibrium with the next of
+    the given blockings."""
+    from types import SimpleNamespace
+
+    from hetassoc import control
+
+    values = iter(blockings)
+
+    class StubSolver:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def find_nash(self, *args, **kwargs):
+            return [SimpleNamespace(overall_blocking=next(values), global_utility=1.0)]
+
+    monkeypatch.setattr(control, "PolicyGameSolver", StubSolver)
+
+
+def test_ranking_mismatch_raises_a_typed_error(shipped, monkeypatch):
+    """A NaN blocking makes minimizing blocking and maximizing the
+    acceptance ratio disagree; that is an error, also under python -O."""
+    from hetassoc.control import RankingMismatchError
+    _stub_equilibrium_blockings(monkeypatch, [0.5, float("nan")])
+    config, scheme = shipped
+    with pytest.raises(RankingMismatchError):
+        optimize_thresholds(config, [scheme, AggregationScheme.uniform(2, 0.0, 0.0)])
+
+
+def test_blockings_an_ulp_apart_are_no_mismatch(shipped, monkeypatch):
+    """Blockings that differ in the last digit can invert to one acceptance
+    ratio (seen with --strict-eq2 --sharing network at 1 Erlang); the
+    least-blocking scheme still maximizes the ratio."""
+    blockings = [0.06171029556533966, 0.06171029556533967, 0.061710295565339655]
+    _stub_equilibrium_blockings(monkeypatch, blockings)
+    config, scheme = shipped
+    grid = [scheme, AggregationScheme.uniform(2, 0.0, 0.0),
+            AggregationScheme.uniform(2, 0.5, 0.9)]
+    assert optimize_thresholds(config, grid).best_index == 2

@@ -8,10 +8,10 @@ from hetassoc import (AggregationScheme, Generator, NetworkConfig, Policy,
                       PolicyRule, ResidualError, blocking_by_label, build_generator,
                       enumerate_states, overall_blocking, per_class_blocking,
                       solve_steady_state)
-from hetassoc.ctmc import DENSE_SOLVE_LIMIT, chain_tables
+from hetassoc.ctmc import DENSE_SOLVE_LIMIT, assemble_dense, chain_tables
 from hetassoc.game import _solve_pi
 
-from conftest import random_instance, random_policy
+from conftest import pinned_solve_holds, random_instance, random_policy
 
 
 @pytest.fixture
@@ -193,15 +193,20 @@ def test_row_sums_and_residual_random_instances():
         assert ss.pi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def check_erlang_loss_chain(servers: int, offered: float) -> None:
-    """Loss probability against the Erlang-B recursion computed
-    independently, and every tagged volume within its bounds."""
+def erlang_loss_chain(servers: int, offered: float):
+    """Config, space, one-label scheme and rule of an M/M/c/c queue."""
     config = NetworkConfig(peak_rate=((float(servers),),), t_min=1.0,
                            t_max=2.0, arrival_rate=(offered,), service_rate=1.0)
     space = enumerate_states(config)
     assert space.num_states == servers + 1
     scheme1 = AggregationScheme(((1.0, 1.0),))
-    rule = PolicyRule(Policy(((0,) * 3,)), scheme1)
+    return config, space, scheme1, PolicyRule(Policy(((0,) * 3,)), scheme1)
+
+
+def check_erlang_loss_chain(servers: int, offered: float) -> None:
+    """Loss probability against the Erlang-B recursion computed
+    independently, and every tagged volume within its bounds."""
+    config, space, scheme1, rule = erlang_loss_chain(servers, offered)
     gen = build_generator(space, rule)
     ss = solve_steady_state(gen, scheme1)
     assert ss.residual <= 1e-10
@@ -228,12 +233,34 @@ def test_sparse_solver_path_matches_erlang_recursion():
     check_erlang_loss_chain(2500, 2000.0)
 
 
-@pytest.mark.parametrize("servers, offered", [(300, 250.0), (1999, 1900.0)])
+@pytest.mark.parametrize("servers, offered", [(300, 250.0), (1999, 1900.0),
+                                             (1999, 500.0), (1999, 10.0)])
 def test_dense_solver_path_matches_erlang_recursion(servers, offered):
-    """At or below the cutoff: a dense stationary LU and banded tagged LUs,
-    the largest case right at the cutoff."""
+    """At or below the cutoff: a banded stationary LU (or its fallback) and
+    banded tagged LUs, the largest cases right at the cutoff."""
     assert servers + 1 <= DENSE_SOLVE_LIMIT
     check_erlang_loss_chain(servers, offered)
+
+
+@pytest.mark.parametrize("servers, offered, empty_holds, full_holds", [
+    (300, 250.0, False, True), (1999, 1900.0, False, True),
+    (1999, 500.0, False, False), (1999, 10.0, True, False), (50, 0.5, True, False)])
+def test_each_pin_declines_when_its_state_is_negligible(servers, offered, empty_holds,
+                                                        full_holds):
+    """The stationary solve pins pi at the empty state, then at the full
+    one. A pinned state with negligible mass (the empty one under heavy
+    load, the full one under light load) is lost in rounding or lets the
+    others overflow, so that pin declines; at 500 Erlangs on 1,999 servers
+    both do and the normalization-row LU solves the chain. On 50 servers at
+    0.5 Erlangs the full-state pin returns a wrong vector whose pinned
+    entry looks sound; only the residual check turns it down."""
+    _, space, _, rule = erlang_loss_chain(servers, offered)
+    band = assemble_dense(chain_tables(space), rule.choice_table(space))
+    empty, full = band.pins
+    assert space.states[band.order[empty]] == (0,)
+    assert space.states[band.order[full]] == (servers,)
+    assert pinned_solve_holds(band, empty) == empty_holds
+    assert pinned_solve_holds(band, full) == full_holds
 
 
 def test_nan_generator_is_rejected(erlang_space):

@@ -3,18 +3,19 @@
 Five families, each exercised on at least 100 random instances with S <= 2,
 N <= 2 and at most 500 feasible states: zero generator row sums, steady
 residuals, departure closure, label-partition totality and relabeling
-equivariance of the game layer. A sixth family checks the tagged-volume
-solves under both sharing scopes. The check bodies live in conftest so the
-acceptance suite can time the very same assertions.
+equivariance of the game layer. Two more families check, under both
+sharing scopes and both arrival modes, the tagged-volume solves and the
+band generator with its stationary solve. The check bodies live in conftest
+so the acceptance suite can time the very same assertions.
 """
 
 import numpy as np
 import pytest
 
-from conftest import (check_departure_closure, check_generator_row_sums,
-                      check_label_totality, check_relabel_equivariance,
-                      check_steady_residuals, check_tagged_solves,
-                      random_instance)
+from conftest import (check_band_generator, check_departure_closure,
+                      check_generator_row_sums, check_label_totality,
+                      check_relabel_equivariance, check_steady_residuals,
+                      check_tagged_solves, random_instance)
 
 N_INSTANCES = 105
 
@@ -52,6 +53,11 @@ def instances_by_scope():
 @pytest.mark.parametrize("scope", ["per_system", "network_wide"])
 def test_tagged_solves_match_dense_reference(instances_by_scope, scope):
     check_tagged_solves(instances_by_scope[scope], np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("scope", ["per_system", "network_wide"])
+def test_band_generator_and_stationary_solve_match_references(instances_by_scope, scope):
+    check_band_generator(instances_by_scope[scope], np.random.default_rng(12))
 
 
 def test_generator_row_sums_zero(instances):

@@ -167,7 +167,7 @@ def test_module_level_arrival_utility(erlang):
 
 @pytest.fixture
 def hybrid_chain(hybrid_instance):
-    """Private tables and a dense generator of the shipped instance."""
+    """Private tables and the band generator of the shipped instance."""
     config, scheme = hybrid_instance
     space = enumerate_states(config)
     rule = PolicyRule(Policy.constant(config.num_classes, scheme.label_count, 0), scheme)
@@ -193,7 +193,7 @@ def test_solve_plan_blocks_are_banded(hybrid_chain):
 def test_corrupted_tagged_solve_raises(hybrid_chain, monkeypatch, sparse):
     tables, q = hybrid_chain
     if sparse:
-        q = sp.csr_matrix(q)
+        q = sp.csr_matrix(q.toarray())
     solve_volume_from_matrix(tables, q, 0, 0)
     original = transient._solve_tagged
     monkeypatch.setattr(transient, "_solve_tagged",
@@ -207,7 +207,7 @@ def test_tagged_block_missing_an_entry_raises(hybrid_chain):
     system; the residual against the full generator catches it."""
     tables, q = hybrid_chain
     plan = tables.solve_plan.tagged[0][0]
-    off = np.nonzero((plan.rows != plan.cols) & (q.take(plan.src) != 0))[0][0]
+    off = np.nonzero((plan.rows != plan.cols) & (q.data.take(plan.src) != 0))[0][0]
     tables.solve_plan.tagged[0][0] = dataclasses.replace(
         plan, src=np.delete(plan.src, off), band=np.delete(plan.band, off))
     with pytest.raises(ResidualError):
