@@ -26,9 +26,10 @@ from .config import AggregationScheme
 from .rules import AssignmentRule
 from .states import StateSpace, occ_index, scope_count
 
-# Up to this state count (the dense side) generators are held as band
-# matrices in the SolvePlan's order: the stationary solve and the tagged-
-# volume solves are banded LUs. Above it both are sparse factorizations.
+# Every generator is held as a band matrix in the SolvePlan's order, and the
+# stationary and tagged-volume solves are banded LUs at any state count. Only
+# the normalization-row fallback (_solve_normalized), taken when no pin
+# holds, reads this: up to it a dense LU, above it SuperLU.
 DENSE_SOLVE_LIMIT = 2000
 
 STEADY_RESIDUAL_TOL = 1e-10
@@ -180,17 +181,16 @@ class TaggedPlan:
 
 def _band_position(width: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Flat (Fortran-order) position of entry (r, c) of a matrix with
-    half-bandwidth `width` in band storage of 3 width + 1 rows: row
-    2 width + r - c of column c, above which width rows are left for the
-    LU's fill."""
-    return c * (3 * width + 1) + 2 * width + r - c
+    half-bandwidth `width` in band storage of 2 width + 1 rows: row
+    width + r - c of column c."""
+    return c * (2 * width + 1) + width + r - c
 
 
 class BandGenerator:
     """A generator Q held as its transpose in LAPACK band storage.
 
     The states are taken in `order`; band holds Q^T with half-bandwidth
-    width in the layout of _band_position, shape (3 width + 1, n). data is
+    width in the layout of _band_position, shape (2 width + 1, n). data is
     band flattened plus one slot past its end, which takes the writes of
     arrivals that are lost. pins lists the positions in the order where the
     stationary solve tries to pin pi, in turn. shape and nnz describe Q;
@@ -209,7 +209,7 @@ class BandGenerator:
         self.order = order
         self.pins = pins
         self.shape = (n, n)
-        self.band = data[:-1].reshape((3 * width + 1, n), order="F")
+        self.band = data[:-1].reshape((2 * width + 1, n), order="F")
 
     @classmethod
     def from_matrix(cls, matrix, order: np.ndarray,
@@ -220,7 +220,7 @@ class BandGenerator:
         position[order] = np.arange(len(order))
         r, c = position[coo.col], position[coo.row]
         width = int(np.abs(r - c).max(initial=0))
-        data = np.zeros((3 * width + 1) * len(order) + 1)
+        data = np.zeros((2 * width + 1) * len(order) + 1)
         data[_band_position(width, r, c)] = coo.data
         return cls(data, width, order, pins)
 
@@ -228,23 +228,24 @@ class BandGenerator:
     def nnz(self) -> int:
         return int(np.count_nonzero(self.band))
 
-    def toarray(self) -> np.ndarray:
+    def tocoo(self) -> sp.coo_matrix:
         k, c = np.nonzero(self.band)
-        q = np.zeros(self.shape)
-        q[self.order[c], self.order[c + k - 2 * self.width]] = self.band[k, c]
-        return q
+        rows, cols = self.order[c], self.order[c + k - self.width]
+        return sp.coo_matrix((self.band[k, c], (rows, cols)), shape=self.shape)
+
+    def toarray(self) -> np.ndarray:
+        return self.tocoo().toarray()
 
     def _gbmv(self, x: np.ndarray, trans: int) -> np.ndarray:
-        # The width spare rows count as superdiagonals; they are zero here.
         # scipy's gbmv wrapper wants at least as many rows as the band has,
         # so a short matrix gets zero rows below it (the band holds zeros
         # wherever a row past the end would be read).
         n, w = self.shape[0], self.width
-        m = max(n, 3 * w + 1)
+        m = max(n, 2 * w + 1)
         xs = np.zeros(m if trans else n)
         xs[:n] = x[self.order]
         y = np.empty(n)
-        y[self.order] = _gbmv(m, n, w, 2 * w, 1.0, self.band, xs, trans=trans)[:n]
+        y[self.order] = _gbmv(m, n, w, w, 1.0, self.band, xs, trans=trans)[:n]
         return y
 
     def dot(self, x: np.ndarray) -> np.ndarray:
@@ -255,7 +256,7 @@ class BandGenerator:
 
 
 class SolvePlan:
-    """Policy-independent layout of the dense-side solves of one space.
+    """Policy-independent layout of the solves of one space.
 
     The state order is a reverse Cuthill-McKee order of the union of every
     arrival and departure edge (a rule only picks among them), so the full
@@ -267,13 +268,14 @@ class SolvePlan:
     most under light load, then the end of the order with more users, whose
     states hold the most under heavy load.
 
-    On the dense side the plan also holds what assemble_dense scatters:
-    departures, the data of a BandGenerator with every departure rate and
-    nothing else; diagonal, the data position of each state's diagonal
-    entry; arrivals[strict], per (class, preferred system, state), the
-    data position and rate of the arrival the network admits (the slot past
-    the band and rate 0 when it is lost); and arrival_src, the state of each
-    entry of a (class, state) table, flattened.
+    The plan also holds what assemble_dense scatters: size, the length of
+    a BandGenerator's data; departures, the data position of each departure
+    edge of the ChainTables (rates dep_rate); diagonal, the data position of
+    each state's diagonal entry; arrivals[strict], per (class, preferred
+    system, state), the data position and rate of the arrival the network
+    admits (the slot past the band and rate 0 when it is lost); and
+    arrival_src, the state of each entry of a (class, state) table,
+    flattened.
     """
 
     def __init__(self, tables: ChainTables):
@@ -295,20 +297,18 @@ class SolvePlan:
         coo = graph.tocoo()
         self.width = int(np.abs(self.position[coo.row] - self.position[coo.col]).max())
 
-        if nst <= DENSE_SOLVE_LIMIT:
-            sink = (3 * self.width + 1) * nst
-            self.diagonal = self.band_position(loops, loops)
-            self.departures = np.zeros(sink + 1)
-            self.departures[self.band_position(tables.dep_src, tables.dep_dst)] = \
-                tables.dep_rate
-            rate = np.asarray(config.arrival_rate, dtype=float)[:, None, None]
-            self.arrival_src = np.tile(loops, config.num_classes)
-            self.arrivals = {}
-            for strict, target in ((False, tables.admit_id), (True, tables.strict_id)):
-                admitted = target >= 0
-                self.arrivals[strict] = (
-                    np.where(admitted, self.band_position(state, target), sink),
-                    np.where(admitted, rate, 0.0))
+        sink = (2 * self.width + 1) * nst
+        self.size = sink + 1
+        self.diagonal = self.band_position(loops, loops)
+        self.departures = self.band_position(tables.dep_src, tables.dep_dst)
+        rate = np.asarray(config.arrival_rate, dtype=float)[:, None, None]
+        self.arrival_src = np.tile(loops, config.num_classes)
+        self.arrivals = {}
+        for strict, target in ((False, tables.admit_id), (True, tables.strict_id)):
+            admitted = target >= 0
+            self.arrivals[strict] = (
+                np.where(admitted, self.band_position(state, target), sink),
+                np.where(admitted, rate, 0.0))
         self.tagged = [[self._tagged(tables, coo.row, coo.col, n, s)
                         for s in range(config.num_systems)]
                        for n in range(config.num_classes)]
@@ -403,17 +403,16 @@ def assemble_generator(tables: ChainTables, choice: np.ndarray,
 def assemble_dense(tables: ChainTables, choice: np.ndarray,
                    strict: bool = False):
     """The generator of a preferred-system table in the form the solvers
-    take: a BandGenerator up to DENSE_SOLVE_LIMIT states (the dense side),
-    CSR from assemble_generator above. Every solver assembles through here.
+    take, a BandGenerator, at any state count. Every solver assembles
+    through here.
     """
-    if tables.space.num_states > DENSE_SOLVE_LIMIT:
-        return assemble_generator(tables, choice, strict=strict)
     plan = tables.solve_plan
     N, S, nst = tables.arrival_id.shape
     where, rates = plan.arrivals[strict]
     picked = (np.arange(N)[:, None] * S + choice) * nst + np.arange(nst)
     rate = rates.take(picked)
-    data = plan.departures.copy()
+    data = np.zeros(plan.size)
+    data[plan.departures] = tables.dep_rate
     # an arrival raises the population and a departure lowers it, so no
     # two edges share an entry
     data[where.take(picked)] = rate
@@ -443,42 +442,54 @@ class SteadyState:
         return float(self.label_mass[label])
 
 
-def _solve_pinned(gen: BandGenerator, r: int) -> np.ndarray:
-    """Stationary distribution up to scale by a banded LU, with the balance
-    equation of the state at position r of the order replaced by pinning
-    its mass; the pin row is scaled to |q_rr| like the row it replaces.
-
-    Raises SingularChainError when the LU is singular, and ResidualError
-    when the pinned entry is not finite or holds at most PIN_MASS_FLOOR of
-    the largest: a pinned state with that little mass is lost in rounding,
-    or lets the others overflow.
+def _pinned_lu(gen: BandGenerator, r: int) -> np.ndarray:
+    """Stationary distribution up to scale, in the band's order, by a banded
+    LU with the balance equation of the state at position r of the order
+    replaced by pinning its mass to 1; the pin row is scaled to |q_rr| like
+    the row it replaces. The LU works on a copy of the band with width rows
+    on top for its fill. Raises SingularChainError when the LU is singular.
     """
     n, w = gen.shape[0], gen.width
-    data = gen.data.copy()
-    diagonal = _band_position(w, r, r)
-    scale = abs(data[diagonal])
-    data[_band_position(w, r, np.arange(max(0, r - w), min(n, r + w + 1)))] = 0.0
-    data[diagonal] = scale
+    ab = np.zeros((3 * w + 1, n), order="F")
+    band = ab[w:]
+    band[...] = gen.band
+    scale = abs(band[w, r])
+    cols = np.arange(max(0, r - w), min(n, r + w + 1))
+    band[w + r - cols, cols] = 0.0
+    band[w, r] = scale
     rhs = np.zeros(n)
     rhs[r] = scale
-    ab = data[:-1].reshape(gen.band.shape, order="F")
     _, _, x, info = _gbsv(w, w, ab, rhs, overwrite_ab=1, overwrite_b=1)
     if info != 0:
         raise SingularChainError(f"pinned banded LU failed (info {info})")
+    return x
+
+
+def _pinned_pi(gen: BandGenerator, x: np.ndarray, r: int) -> np.ndarray:
+    """The solution x of _pinned_lu at pin r as a distribution over state
+    ids, scaled to its largest entry. Raises ResidualError when the pinned
+    entry is not finite or holds at most PIN_MASS_FLOOR of the largest: a
+    pinned state with that little mass is lost in rounding, or lets the
+    others overflow.
+    """
     top = x.max()
     if not (top < np.inf and x[r] > PIN_MASS_FLOOR * top):
         raise ResidualError(f"pinned entry {x[r]:.3e} is negligible next to {top:.3e}")
-    pi = np.empty(n)
+    pi = np.empty(len(x))
     pi[gen.order] = x / top
     return pi
 
 
 def _solve_normalized(matrix) -> np.ndarray:
     """Solve pi Q = 0, sum(pi) = 1 with one balance row replaced by the
-    normalization; valid because the balance equations always sum to zero."""
+    normalization; valid because the balance equations always sum to zero.
+    The last resort of stationary_vector: a dense LU up to
+    DENSE_SOLVE_LIMIT states, SuperLU above."""
     n = matrix.shape[0]
     if n == 1:
         return np.ones(1)
+    if isinstance(matrix, BandGenerator):
+        matrix = matrix.tocoo()
     b = np.zeros(n)
     b[-1] = 1.0
     if n <= DENSE_SOLVE_LIMIT:
@@ -518,15 +529,25 @@ def stationary_vector(matrix, residual_tol: float = STEADY_RESIDUAL_TOL
     sparse) and its balance residual max|pi Q|, checked by _checked.
 
     A BandGenerator is solved pinned at each of its pins in turn, and the
-    first solution that passes its checks is kept. If none does, and for
-    any other matrix, one balance row is replaced by the normalization.
+    first solution that passes its checks is kept. Where both decline, as
+    on mid-load chains whose mass sits far from either end, it is pinned
+    once more at the heaviest state of the first declined solution that
+    came back finite. If no pin holds, and for any other matrix, one
+    balance row is replaced by the normalization.
     """
     if isinstance(matrix, BandGenerator):
-        for r in matrix.pins:
+        pins, heaviest = list(matrix.pins), None
+        for r in pins:
             try:
-                return _checked(_solve_pinned(matrix, r), matrix, residual_tol)
-            except (SingularChainError, ResidualError):
+                x = _pinned_lu(matrix, r)
+                return _checked(_pinned_pi(matrix, x, r), matrix, residual_tol)
+            except SingularChainError:
                 pass
+            except ResidualError:
+                if heaviest is None and np.isfinite(x).all():
+                    heaviest = int(x.argmax())
+                    if heaviest not in pins:
+                        pins.append(heaviest)
     return _checked(_solve_normalized(matrix), matrix, residual_tol)
 
 
@@ -536,10 +557,8 @@ def solve_steady_state(gen: Generator, scheme: AggregationScheme | None = None,
     stationary_vector. When a scheme is given, the conditional label masses
     (and which labels carry no mass at all) are attached to the result.
     """
-    matrix = gen.matrix
-    if gen.num_states <= DENSE_SOLVE_LIMIT:
-        plan = chain_tables(gen.space).solve_plan
-        matrix = BandGenerator.from_matrix(matrix, plan.order, plan.pins)
+    plan = chain_tables(gen.space).solve_plan
+    matrix = BandGenerator.from_matrix(gen.matrix, plan.order, plan.pins)
     pi, residual = stationary_vector(matrix, residual_tol)
     ss = SteadyState(pi=pi, residual=residual)
     if scheme is not None:

@@ -7,15 +7,13 @@ arrivals and departures, under the same assignment rule) are kept. The
 expected volume sent before absorption solves a linear system whose right
 hand side is the tagged user's instantaneous rate in each state.
 
-The blocks are laid out by the space's SolvePlan (ctmc). Up to
-DENSE_SOLVE_LIMIT states the generator is a ctmc.BandGenerator, Q^T in
-band storage over the plan's reverse Cuthill-McKee order, and each block is
-gathered from that band into its own band storage and solved by a banded LU
-(gbsv); every block row leaks mu to absorption, so the block is strictly
-diagonally dominant and the banded LU is stable. Above the limit the
-generator and the block are CSR matrices and the block is solved by SuperLU.
-Every solve is checked against the full generator afterwards (on the dense
-side by BLAS gbmv on the unfactored band).
+The blocks are laid out by the space's SolvePlan (ctmc). At any state count
+the generator is a ctmc.BandGenerator, Q^T in band storage over the plan's
+reverse Cuthill-McKee order, and each block is gathered from that band into
+its own band storage and solved by a banded LU (gbsv); every block row leaks
+mu to absorption, so the block is strictly diagonally dominant and the
+banded LU is stable. Every solve is checked against the full generator
+afterwards, by BLAS gbmv on its unfactored band.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
 # assemble_generator is not called here, but perfbench/tracer.py wraps the
@@ -53,13 +49,13 @@ class SingularTaggedChainError(RuntimeError):
 class TaggedChain:
     """Absorbing chain of one tagged (class, system) user.
 
-    matrix is the transient-to-transient block (diagonal included); the
-    absorption column is the constant rate mu from every transient state.
-    state_ids maps local rows back to dense space ids.
+    matrix is the dense transient-to-transient block (diagonal included) at
+    any state count; the absorption column is the constant rate mu from
+    every transient state. state_ids maps local rows back to dense space ids.
     """
 
     state_ids: np.ndarray
-    matrix: np.ndarray | sp.csr_matrix
+    matrix: np.ndarray
     absorb_rate: float
     user_class: int
     system: int
@@ -67,11 +63,7 @@ class TaggedChain:
     def row_sum_error(self) -> float:
         """Deviation of (transient rows + absorption column) from the original
         zero row sums."""
-        if sp.issparse(self.matrix):
-            sums = np.asarray(self.matrix.sum(axis=1)).ravel()
-        else:
-            sums = self.matrix.sum(axis=1)
-        return float(np.abs(sums + self.absorb_rate).max())
+        return float(np.abs(self.matrix.sum(axis=1) + self.absorb_rate).max())
 
 
 def tagged_state_ids(space: StateSpace, user_class: int, system: int) -> np.ndarray:
@@ -85,21 +77,14 @@ def _tagged_matrix(q, tables: ChainTables, user_class: int, system: int):
     departure rate by mu (the tagged user himself leaves toward absorption).
 
     Diagonals are kept from the original generator, so each transient row
-    plus the mu absorption entry still sums to zero. Returns the block's
-    TaggedPlan and the block: LAPACK band storage gathered from a
-    BandGenerator, a CSR matrix for a sparse one, both in the plan's state
-    order.
+    plus the mu absorption entry still sums to zero. Takes a BandGenerator
+    and returns the block's TaggedPlan and the block in LAPACK band storage,
+    gathered from the generator's band, in the plan's state order.
     """
     plan = tables.solve_plan.tagged[user_class][system]
-    mu = tables.space.config.service_rate
-    if sp.issparse(q):
-        m = len(plan.ids)
-        shift = sp.csr_matrix((np.full(len(plan.shift_rows), mu),
-                               (plan.shift_rows, plan.shift_cols)), shape=(m, m))
-        return plan, q[plan.ids][:, plan.ids] - shift
     band = np.zeros(plan.band_shape[0] * plan.band_shape[1])
     band[plan.band] = q.data.take(plan.src)
-    band[plan.shift_band] -= mu
+    band[plan.shift_band] -= tables.space.config.service_rate
     return plan, band.reshape(plan.band_shape, order="F")
 
 
@@ -110,11 +95,9 @@ def build_tagged_generator(space: StateSpace, rule: AssignmentRule,
     rule, over the tagged states in ascending id order."""
     tables = chain_tables(space)
     q = assemble_dense(tables, rule.choice_table(space), strict=strict_arrivals)
-    plan, block = _tagged_matrix(q, tables, user_class, system)
-    if not sp.issparse(block):
-        dense = np.zeros((len(plan.ids),) * 2)
-        dense[plan.rows, plan.cols] = block.ravel(order="F")[plan.band]
-        block = dense
+    plan, band = _tagged_matrix(q, tables, user_class, system)
+    block = np.zeros((len(plan.ids),) * 2)
+    block[plan.rows, plan.cols] = band.ravel(order="F")[plan.band]
     ascending = np.argsort(plan.ids)
     return TaggedChain(state_ids=plan.ids[ascending],
                        matrix=block[ascending][:, ascending],
@@ -122,9 +105,7 @@ def build_tagged_generator(space: StateSpace, rule: AssignmentRule,
                        user_class=user_class, system=system)
 
 
-def _solve_tagged(plan: TaggedPlan, block, rhs: np.ndarray) -> np.ndarray:
-    if sp.issparse(block):
-        return spla.spsolve(block.tocsc(), -rhs)
+def _solve_tagged(plan: TaggedPlan, block: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     _, _, values, info = _gbsv(plan.kl, plan.ku, block, -rhs, overwrite_ab=1,
                                overwrite_b=1)
     if info != 0:

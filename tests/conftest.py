@@ -226,14 +226,25 @@ def check_tagged_solves(instances, rng, rel_tol: float = 1e-12) -> None:
                     assert err <= rel_tol * np.abs(expected).max()
 
 
+def erlang_loss_chain(servers: int, offered: float):
+    """Config, space, one-label scheme and rule of an M/M/c/c queue."""
+    from hetassoc import Policy, PolicyRule
+    config = NetworkConfig(peak_rate=((float(servers),),), t_min=1.0,
+                           t_max=2.0, arrival_rate=(offered,), service_rate=1.0)
+    space = enumerate_states(config)
+    assert space.num_states == servers + 1
+    scheme1 = AggregationScheme(((1.0, 1.0),))
+    return config, space, scheme1, PolicyRule(Policy(((0,) * 3,)), scheme1)
+
+
 def pinned_solve_holds(band, r: int) -> bool:
     """Whether the stationary solve pinned at position r of the band's order
     passes its checks; where it does not, the next pin or the
     normalization-row solve takes over."""
     from hetassoc.ctmc import (STEADY_RESIDUAL_TOL, ResidualError, SingularChainError,
-                               _checked, _solve_pinned)
+                               _checked, _pinned_lu, _pinned_pi)
     try:
-        _checked(_solve_pinned(band, r), band, STEADY_RESIDUAL_TOL)
+        _checked(_pinned_pi(band, _pinned_lu(band, r), r), band, STEADY_RESIDUAL_TOL)
     except (ResidualError, SingularChainError):
         return False
     return True

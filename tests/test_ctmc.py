@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hetassoc import (AggregationScheme, Generator, NetworkConfig, Policy,
                       PolicyRule, ResidualError, blocking_by_label, build_generator,
                       enumerate_states, overall_blocking, per_class_blocking,
                       solve_steady_state)
-from hetassoc.ctmc import DENSE_SOLVE_LIMIT, assemble_dense, chain_tables
+from hetassoc import ctmc
+from hetassoc.ctmc import (DENSE_SOLVE_LIMIT, SingularChainError, assemble_dense,
+                           chain_tables, stationary_vector)
 from hetassoc.game import _solve_pi
+from hetassoc.transient import solve_volume_from_matrix
 
-from conftest import pinned_solve_holds, random_instance, random_policy
+from conftest import erlang_loss_chain, pinned_solve_holds, random_instance, random_policy
 
 
 @pytest.fixture
@@ -193,16 +197,6 @@ def test_row_sums_and_residual_random_instances():
         assert ss.pi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def erlang_loss_chain(servers: int, offered: float):
-    """Config, space, one-label scheme and rule of an M/M/c/c queue."""
-    config = NetworkConfig(peak_rate=((float(servers),),), t_min=1.0,
-                           t_max=2.0, arrival_rate=(offered,), service_rate=1.0)
-    space = enumerate_states(config)
-    assert space.num_states == servers + 1
-    scheme1 = AggregationScheme(((1.0, 1.0),))
-    return config, space, scheme1, PolicyRule(Policy(((0,) * 3,)), scheme1)
-
-
 def check_erlang_loss_chain(servers: int, offered: float) -> None:
     """Loss probability against the Erlang-B recursion computed
     independently, and every tagged volume within its bounds."""
@@ -225,21 +219,103 @@ def check_erlang_loss_chain(servers: int, offered: float) -> None:
     assert (vol[finite] <= config.t_max / config.service_rate + 1e-9).all()
 
 
-def test_sparse_solver_path_matches_erlang_recursion():
-    """Above the dense cutoff the solves go through the sparse
-    factorization; the loss probability must still match the Erlang-B
-    recursion computed independently."""
+def test_sparse_solver_path_matches_erlang_recursion(monkeypatch):
+    """The last-resort stationary solve above the cutoff: with every pin
+    made to fail, the normalization-row solve runs as a SuperLU
+    factorization, and the loss probability must still match the Erlang-B
+    recursion computed independently. (Left alone, this chain holds on its
+    third pin; see test_banded_solver_path_matches_erlang_recursion.)"""
     assert 2500 + 1 > DENSE_SOLVE_LIMIT
+
+    def no_pin(gen, r):
+        raise SingularChainError("pins disabled")
+
+    monkeypatch.setattr(ctmc, "_pinned_lu", no_pin)
     check_erlang_loss_chain(2500, 2000.0)
 
 
 @pytest.mark.parametrize("servers, offered", [(300, 250.0), (1999, 1900.0),
                                              (1999, 500.0), (1999, 10.0)])
 def test_dense_solver_path_matches_erlang_recursion(servers, offered):
-    """At or below the cutoff: a banded stationary LU (or its fallback) and
-    banded tagged LUs, the largest cases right at the cutoff."""
+    """At or below the cutoff: a banded stationary LU and banded tagged LUs,
+    the largest cases right at the cutoff."""
     assert servers + 1 <= DENSE_SOLVE_LIMIT
     check_erlang_loss_chain(servers, offered)
+
+
+@pytest.mark.parametrize("servers, offered, pin", [(2500, 2400.0, "full"),
+                                                  (2500, 10.0, "empty"),
+                                                  (2500, 2000.0, "third")])
+def test_banded_solver_path_matches_erlang_recursion(servers, offered, pin):
+    """Above the cutoff the solves are the same banded LUs as below it, on
+    the full-state pin under heavy load, the empty-state pin under light
+    load, and the third pin where neither end holds enough mass."""
+    assert servers + 1 > DENSE_SOLVE_LIMIT
+    _, space, _, rule = erlang_loss_chain(servers, offered)
+    band = assemble_dense(chain_tables(space), rule.choice_table(space))
+    empty, full = band.pins
+    assert pinned_solve_holds(band, empty) == (pin == "empty")
+    assert pinned_solve_holds(band, full) == (pin == "full")
+    check_erlang_loss_chain(servers, offered)
+
+
+@pytest.mark.parametrize("servers, offered", [(1999, 500.0), (300, 100.0)])
+def test_third_pin_solves_mid_load_chains(servers, offered, monkeypatch):
+    """Under mid load neither the empty nor the full state holds enough
+    mass to pin. The third pin, at the heaviest state of the first
+    declined solution, must solve the chain without the normalization-row
+    fallback, which is made to fail here."""
+    _, space, _, rule = erlang_loss_chain(servers, offered)
+    band = assemble_dense(chain_tables(space), rule.choice_table(space))
+    assert not any(pinned_solve_holds(band, r) for r in band.pins)
+
+    def no_fallback(matrix):
+        raise AssertionError("normalization-row fallback reached")
+
+    monkeypatch.setattr(ctmc, "_solve_normalized", no_fallback)
+    check_erlang_loss_chain(servers, offered)
+
+
+def test_banded_solves_match_superlu_reference():
+    """A 3-system, 3-class instance with 3,600 states: the banded stationary
+    vector and every banded tagged volume agree to 1e-10 relative with
+    SuperLU solves of the CSR generator (one balance row replaced by the
+    normalization) and of its CSR tagged blocks, the formulation the banded
+    solves replaced above the cutoff."""
+    config = NetworkConfig(peak_rate=((5.4, 9.0, 7.2), (2.7, 4.5, 3.6), (1.35, 2.7, 1.8)),
+                           t_min=1.0, t_max=2.0, arrival_rate=(1.0, 1.0, 1.0),
+                           service_rate=1.0)
+    space = enumerate_states(config)
+    assert space.num_states == 3600
+    scheme = AggregationScheme.uniform(3, 0.3, 0.7)
+    rule = PolicyRule(random_policy(np.random.default_rng(3600), config, scheme), scheme)
+    tables = chain_tables(space)
+    band = assemble_dense(tables, rule.choice_table(space))
+    q = build_generator(space, rule).matrix
+
+    a = q.T.tolil()
+    a[-1, :] = 1.0
+    rhs = np.zeros(space.num_states)
+    rhs[-1] = 1.0
+    reference = spla.spsolve(a.tocsc(), rhs)
+    pi, _ = stationary_vector(band)
+    assert np.abs(pi - reference).max() <= 1e-10 * reference.max()
+
+    mu = config.service_rate
+    for n in range(config.num_classes):
+        for s in range(config.num_systems):
+            ids = np.nonzero(tables.occ_ns[n, s] > 0)[0]
+            local = np.full(space.num_states, -1)
+            local[ids] = np.arange(len(ids))
+            rows = np.nonzero(tables.occ_ns[n, s, ids] >= 2)[0]
+            cols = local[tables.departure_id[n, s, ids[rows]]]
+            own = sp.csr_matrix((np.full(len(rows), mu), (rows, cols)),
+                                shape=(len(ids), len(ids)))
+            block = q[ids][:, ids] - own
+            expected = spla.spsolve(block.tocsc(), -tables.throughput[n, s, ids])
+            vol = solve_volume_from_matrix(tables, band, n, s)
+            assert np.isnan(np.delete(vol, ids)).all()
+            assert np.abs(vol[ids] - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("servers, offered, empty_holds, full_holds", [
@@ -251,7 +327,7 @@ def test_each_pin_declines_when_its_state_is_negligible(servers, offered, empty_
     one. A pinned state with negligible mass (the empty one under heavy
     load, the full one under light load) is lost in rounding or lets the
     others overflow, so that pin declines; at 500 Erlangs on 1,999 servers
-    both do and the normalization-row LU solves the chain. On 50 servers at
+    both do and a third pin solves the chain. On 50 servers at
     0.5 Erlangs the full-state pin returns a wrong vector whose pinned
     entry looks sound; only the residual check turns it down."""
     _, space, _, rule = erlang_loss_chain(servers, offered)

@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hetassoc import (AggregationScheme, InfeasibleTargetError, NetworkConfig,
                       Policy, PolicyRule, ResidualError, build_generator,
@@ -14,7 +13,7 @@ from hetassoc import transient
 from hetassoc.ctmc import ChainTables, assemble_dense, chain_tables
 from hetassoc.transient import SingularTaggedChainError, solve_volume_from_matrix
 
-from conftest import random_instance, random_policy
+from conftest import erlang_loss_chain, random_instance, random_policy
 
 
 @pytest.fixture
@@ -189,11 +188,16 @@ def test_solve_plan_blocks_are_banded(hybrid_chain):
             assert (tagged.cols - tagged.rows).max(initial=0) <= tagged.ku
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_corrupted_tagged_solve_raises(hybrid_chain, monkeypatch, sparse):
-    tables, q = hybrid_chain
-    if sparse:
-        q = sp.csr_matrix(q.toarray())
+@pytest.mark.parametrize("chain", ["shipped", "erlang-2501"])
+def test_corrupted_tagged_solve_raises(chain, request, monkeypatch):
+    """On the shipped chain and on one above DENSE_SOLVE_LIMIT, both banded,
+    a solve thrown off by one part in a million fails its residual check."""
+    if chain == "shipped":
+        tables, q = request.getfixturevalue("hybrid_chain")
+    else:
+        _, space, _, rule = erlang_loss_chain(2500, 2000.0)
+        tables = ChainTables(space)
+        q = assemble_dense(tables, rule.choice_table(space))
     solve_volume_from_matrix(tables, q, 0, 0)
     original = transient._solve_tagged
     monkeypatch.setattr(transient, "_solve_tagged",
