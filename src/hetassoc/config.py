@@ -209,7 +209,7 @@ class Policy:
             raise ConfigError("policy must have one row per radio class")
         if self.num_labels != scheme.label_count:
             raise ConfigError("policy must have one column per load label")
-        if any(s >= config.num_systems for row in self.choice for s in row):
+        if max(map(max, self.choice)) >= config.num_systems:
             raise ConfigError("policy entries must be valid system indices")
 
     def with_entry(self, n: int, l: int, s: int) -> "Policy":

@@ -10,12 +10,19 @@ actually produces: the redirected system's expectation, or zero when every
 system is full. Labels with (numerically) zero stationary mass carry no
 strategic content; they are masked out of equilibrium comparisons and
 canonicalized to system 0 when policies are reported.
+
+Redirection makes many policies interchangeable: preferring a saturated
+system is the same as preferring the one the network picks instead. The
+solver groups policies into fibres, the sets of policies that induce the
+same chain and the same payoffs bit for bit (the reduced normal form of the
+game). Exhaustive scans solve one representative per fibre, and the
+evaluation cache serves every member from it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,6 +149,10 @@ class PolicyGameSolver:
     averaged in U[n, l, s]: "redirect" substitutes the redirection outcome
     (zero when fully blocked), "exclude" drops those states from both the
     numerator and the denominator.
+
+    rep[n, l, s] is the lowest system interchangeable with s at the entry
+    (n, l); a policy's fibre is the set of canonical policies with the same
+    image under rep, and the evaluation cache is keyed by that image.
     """
 
     def __init__(self, space: StateSpace, scheme: AggregationScheme, *,
@@ -181,7 +192,32 @@ class PolicyGameSolver:
         # bins of the (n, label, s) payoff table and the (n, label) tables
         self._nls_bin = ((n_idx * L + self.labels) * S + s_idx).ravel()
         self._nl_bin = (np.arange(N)[:, None] * L + self.labels).ravel()
+        self.rep = self._interchangeable_systems()
+        self._rep_entries = self.rep.reshape(N * L, S).tolist()
         self._cache: dict[tuple, PolicyEvaluation] | None = {} if use_cache else None
+
+    def _interchangeable_systems(self) -> np.ndarray:
+        """rep[n, l, s]: the lowest system interchangeable with s at the
+        entry (n, l).
+
+        Two systems are interchangeable there when, at every state of label
+        l, every array the evaluation gathers through the choice agrees: the
+        band position and rate of the admitted arrival, the outcome index of
+        the chosen value, and the payoff index and weight of the deviation
+        table. Policies with the same image under rep (one fibre) then
+        assemble the same generator and the same payoff table, bit for bit.
+        A structurally empty label maps every system to 0.
+        """
+        N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
+        where, rate = self.tables.solve_plan.arrivals[self.strict_arrivals]
+        differ = np.zeros((N, S, S, self.space.num_states), dtype=bool)
+        for gathered in (where, rate, self._outcome, self._payoff, self._payoff_weight):
+            differ |= gathered[:, :, None] != gathered[:, None]
+        # clash[n, s, t, l]: s and t disagree at some state of label l
+        bins = (np.arange(N * S * S)[:, None] * L + self.labels).ravel()
+        clash = np.bincount(bins, weights=differ.ravel(), minlength=N * S * S * L)
+        agree = clash.reshape(N, S, S, L).transpose(0, 3, 1, 2) == 0
+        return agree.argmax(axis=3)
 
     # ----- evaluation -------------------------------------------------
 
@@ -194,18 +230,37 @@ class PolicyGameSolver:
                 if not self.structurally_empty[l]]
 
     def policy_space_size(self) -> int:
+        """Number of canonical policies (free entries only), fibres unmerged."""
         return self.config.num_systems ** len(self.positions())
 
-    def canonical_policies(self):
-        """All policies up to the entries that cannot matter structurally."""
-        S = self.config.num_systems
+    def _product(self, options: list[np.ndarray]):
+        """Policies whose k-th free entry (in positions() order) takes each
+        system of options[k] in turn, lexicographically; entries off
+        positions() stay at system 0."""
         positions = self.positions()
         base = [[0] * self.num_labels for _ in range(self.config.num_classes)]
-        for combo in itertools.product(range(S), repeat=len(positions)):
+        for combo in itertools.product(*options):
             rows = [row[:] for row in base]
             for (n, l), s in zip(positions, combo):
                 rows[n][l] = s
             yield Policy(tuple(tuple(row) for row in rows))
+
+    def representatives(self):
+        """One canonical policy per fibre, its lowest member."""
+        systems = np.arange(self.config.num_systems)
+        return self._product([np.flatnonzero(self.rep[n, l] == systems)
+                              for n, l in self.positions()])
+
+    def fibre(self, policy: Policy) -> list[Policy]:
+        """Every canonical policy that shares policy's fibre."""
+        return list(self._product(
+            [np.flatnonzero(self.rep[n, l] == self.rep[n, l, policy.choice[n][l]])
+             for n, l in self.positions()]))
+
+    def _fibre_key(self, policy: Policy) -> tuple:
+        """rep's image of a validated policy, entry by entry."""
+        return tuple(map(list.__getitem__, self._rep_entries,
+                         itertools.chain.from_iterable(policy.choice)))
 
     def canonicalize(self, policy: Policy, evaluation: PolicyEvaluation) -> Policy:
         """Pin entries on zero-mass labels to system 0 for reporting."""
@@ -217,13 +272,17 @@ class PolicyGameSolver:
         return Policy(tuple(tuple(row) for row in rows))
 
     def evaluate(self, policy: Policy) -> PolicyEvaluation:
-        if self._cache is not None:
-            hit = self._cache.get(policy.choice)
-            if hit is not None:
-                return hit
-        evaluation = self._evaluate(policy)
-        if self._cache is not None:
-            self._cache[policy.choice] = evaluation
+        """Evaluation of a policy; with the cache on, one chain is solved
+        per fibre and every member is served from it."""
+        policy.validate_for(self.config, self.scheme)
+        if self._cache is None:
+            return self._evaluate(policy)
+        key = self._fibre_key(policy)
+        evaluation = self._cache.get(key)
+        if evaluation is None:
+            evaluation = self._cache[key] = self._evaluate(policy)
+        elif evaluation.policy.choice != policy.choice:
+            evaluation = replace(evaluation, policy=policy)
         return evaluation
 
     def _steady(self, q) -> tuple[np.ndarray, float]:
@@ -235,7 +294,6 @@ class PolicyGameSolver:
         return np.append(volumes, 0.0)[self._outcome]
 
     def _evaluate(self, policy: Policy) -> PolicyEvaluation:
-        policy.validate_for(self.config, self.scheme)
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
         nst = self.space.num_states
         labels = self.labels
@@ -311,22 +369,21 @@ class PolicyGameSolver:
         return self._optimal_search(restarts=restarts, seed=seed)
 
     def _optimal_exhaustive(self, size: int) -> OptimalResult:
+        """Scan one representative per fibre; every member of a tied fibre
+        is a tie, so policies_evaluated counts the canonical policies."""
         best_u = -np.inf
-        best: list[tuple[Policy, PolicyEvaluation]] = []
-        count = 0
-        for policy in self.canonical_policies():
-            count += 1
-            ev = self.evaluate(policy)
-            if ev.global_utility > best_u + TIE_TOL:
-                best_u = ev.global_utility
-                best = [(policy, ev)]
-            elif ev.global_utility >= best_u - TIE_TOL:
-                best.append((policy, ev))
-        best.sort(key=lambda item: item[0].flatten())
-        policy, ev = best[0]
-        return OptimalResult(policy=policy, evaluation=ev,
-                             ties=[p for p, _ in best], method="exhaustive",
-                             policies_evaluated=count)
+        best: list[Policy] = []
+        for policy in self.representatives():
+            utility = self.evaluate(policy).global_utility
+            if utility > best_u + TIE_TOL:
+                best_u = utility
+                best = [policy]
+            elif utility >= best_u - TIE_TOL:
+                best.append(policy)
+        ties = sorted((member for policy in best for member in self.fibre(policy)),
+                      key=Policy.flatten)
+        return OptimalResult(policy=ties[0], evaluation=self.evaluate(ties[0]),
+                             ties=ties, method="exhaustive", policies_evaluated=size)
 
     def _optimal_search(self, restarts: int, seed: int) -> OptimalResult:
         rng = np.random.default_rng(seed)
@@ -380,7 +437,8 @@ class PolicyGameSolver:
                   verify: bool = True) -> list[PolicyEvaluation]:
         """All (canonical) pure equilibria found under the requested mode.
 
-        exhaustive checks every canonical policy; best_response runs
+        exhaustive checks every canonical policy, one representative per
+        fibre, and expands each equilibrium into its fibre; best_response runs
         Gauss-Seidel argmax dynamics from several starts and keeps the fixed
         points. Candidates are re-verified on freshly solved chains before
         being returned. An empty list means no pure equilibrium was found.
@@ -390,8 +448,9 @@ class PolicyGameSolver:
         if mode == "auto":
             mode = "exhaustive" if self.policy_space_size() <= auto_cap else "best_response"
         if mode == "exhaustive":
-            candidates = [policy for policy in self.canonical_policies()
-                          if self.evaluate(policy).is_nash(eps)]
+            candidates = [member for policy in self.representatives()
+                          if self.evaluate(policy).is_nash(eps)
+                          for member in self.fibre(policy)]
         else:
             candidates = self._best_response_candidates(restarts=restarts,
                                                         seed=seed, eps=eps)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hetassoc import (AggregationScheme, EmptyLabelError, NetworkConfig, Policy,
-                      SearchCapError, enumerate_states, evaluate_baseline,
+from hetassoc import (AggregationScheme, ConfigError, EmptyLabelError, NetworkConfig,
+                      Policy, SearchCapError, enumerate_states, evaluate_baseline,
                       evaluate_policy)
 from hetassoc.game import PolicyGameSolver
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
@@ -426,3 +426,114 @@ def test_payoff_table_and_gap_match_state_loop(strict, mode):
         individual, gap = loop_payoffs(solver, ev)
         np.testing.assert_allclose(ev.individual, individual, rtol=1e-13, atol=0)
         assert ev.nash_gap() == pytest.approx(gap, rel=1e-12, abs=1e-15)
+
+
+# ----- the quotient by fibres ----------------------------------------------
+
+
+def representative_count(solver) -> int:
+    """Number of fibres: the product over free entries of the number of
+    interchangeability classes there."""
+    S = solver.config.num_systems
+    return int(np.prod([np.count_nonzero(solver.rep[n, l] == np.arange(S))
+                        for n, l in solver.positions()]))
+
+
+@pytest.fixture(scope="module")
+def shipped_spaces(hybrid_instance):
+    config, scheme = hybrid_instance
+    return {erl: enumerate_states(config.scale_traffic(erl / config.offered_erlangs))
+            for erl in (1, 5, 10)}
+
+
+@pytest.mark.parametrize("erlangs", [1, 5, 10])
+def test_quotient_counts_on_shipped_instance(hybrid_instance, shipped_spaces, erlangs):
+    """Redirection merges 2^18 canonical policies into 2^11 fibres; strict
+    arrivals and the exclude payoff mode each keep 2^16 apart."""
+    _, scheme = hybrid_instance
+    space = shipped_spaces[erlangs]
+    solver = PolicyGameSolver(space, scheme)
+    assert solver.policy_space_size() == 262_144
+    assert representative_count(solver) == 2_048
+    assert sum(1 for _ in solver.representatives()) == 2_048
+    strict = PolicyGameSolver(space, scheme, strict_arrivals=True)
+    assert representative_count(strict) == 65_536
+    exclude = PolicyGameSolver(space, scheme, deviation_payoff="exclude")
+    assert representative_count(exclude) == 65_536
+
+
+def test_quotient_count_on_exhaustive_benchmark_instance(hybrid_instance):
+    """System 1 at thresholds 0.5/0.5 and 5 Erlangs: 4,096 canonical
+    policies, 256 fibres."""
+    config, scheme = hybrid_instance
+    scheme = AggregationScheme((scheme.thresholds[0], (0.5, 0.5)))
+    space = enumerate_states(config.scale_traffic(5.0 / config.offered_erlangs))
+    solver = PolicyGameSolver(space, scheme)
+    assert solver.policy_space_size() == 4_096
+    assert representative_count(solver) == 256
+
+
+def test_no_pure_equilibrium_at_one_erlang(hybrid_instance, shipped_spaces):
+    """The README claim, checked over all 262,144 canonical policies."""
+    _, scheme = hybrid_instance
+    assert PolicyGameSolver(shipped_spaces[1], scheme).find_nash("exhaustive") == []
+
+
+def test_exhaustive_equals_best_response_at_five_erlangs(hybrid_instance, shipped_spaces):
+    _, scheme = hybrid_instance
+    solver = PolicyGameSolver(shipped_spaces[5], scheme)
+    exact = solver.find_nash("exhaustive")
+    auto = solver.find_nash("auto")
+    assert len(exact) == 128
+    assert [ev.policy.choice for ev in exact] == [ev.policy.choice for ev in auto]
+    # one fibre: every member is its own report with its own policy
+    assert len(solver.fibre(exact[0].policy)) == 128
+    assert all(ev.global_utility == exact[0].global_utility for ev in exact)
+
+
+def test_exhaustive_optimum_reports_whole_fibres(mirror_instance):
+    """Ties are closed under fibres, and the count covers every canonical
+    policy."""
+    _, space, scheme = mirror_instance
+    solver = PolicyGameSolver(space, scheme)
+    result = solver.optimal_policy(method="exhaustive")
+    assert result.policies_evaluated == solver.policy_space_size() == 512
+    ties = {p.choice for p in result.ties}
+    for policy in result.ties:
+        assert {p.choice for p in solver.fibre(policy)} <= ties
+    assert result.evaluation.policy == result.policy
+
+
+def test_cache_hit_reports_the_requested_policy(hybrid_instance, shipped_spaces):
+    _, scheme = hybrid_instance
+    solver = PolicyGameSolver(shipped_spaces[5], scheme)
+    rep = next(iter(solver.representatives()))
+    members = solver.fibre(rep)
+    assert len(members) > 1
+    first = solver.evaluate(rep)
+    for member in members[1:4]:
+        ev = solver.evaluate(member)
+        assert ev.policy == member
+        assert ev.pi is first.pi
+
+
+@pytest.fixture(scope="module")
+def warm_solver(hybrid_instance, shipped_spaces):
+    _, scheme = hybrid_instance
+    solver = PolicyGameSolver(shipped_spaces[5], scheme)
+    solver.find_nash("best_response", restarts=2, seed=0)
+    return solver
+
+
+@pytest.mark.parametrize("bad", [
+    ((0,) * 9, (2,) * 9),             # system index out of range
+    ((0,) * 9, (0,) * 8 + (5,)),      # out of range on the last entry
+    ((0,) * 10, (0,) * 10),           # one column too many
+    ((0,) * 8, (0,) * 8),             # one column too few
+    ((0,) * 9,),                      # one row too few
+])
+def test_warm_solver_rejects_malformed_policies(warm_solver, bad):
+    """Validation precedes the fibre lookup, so a malformed policy raises
+    ConfigError, never an IndexError or a cached answer."""
+    with pytest.raises(ConfigError):
+        warm_solver.evaluate(Policy(bad))
