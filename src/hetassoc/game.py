@@ -152,7 +152,8 @@ class PolicyGameSolver:
 
     rep[n, l, s] is the lowest system interchangeable with s at the entry
     (n, l); a policy's fibre is the set of canonical policies with the same
-    image under rep, and the evaluation cache is keyed by that image.
+    image under rep, and the evaluation cache and the best-response tables
+    are keyed by that image.
     """
 
     def __init__(self, space: StateSpace, scheme: AggregationScheme, *,
@@ -195,6 +196,8 @@ class PolicyGameSolver:
         self.rep = self._interchangeable_systems()
         self._rep_entries = self.rep.reshape(N * L, S).tolist()
         self._cache: dict[tuple, PolicyEvaluation] | None = {} if use_cache else None
+        # best-response table of each fibre the search has visited
+        self._responses: dict[tuple, list] = {}
 
     def _interchangeable_systems(self) -> np.ndarray:
         """rep[n, l, s]: the lowest system interchangeable with s at the
@@ -259,8 +262,15 @@ class PolicyGameSolver:
 
     def _fibre_key(self, policy: Policy) -> tuple:
         """rep's image of a validated policy, entry by entry."""
-        return tuple(map(list.__getitem__, self._rep_entries,
-                         itertools.chain.from_iterable(policy.choice)))
+        return self._flat_key(itertools.chain.from_iterable(policy.choice))
+
+    def _flat_key(self, flat) -> tuple:
+        """rep's image of a flattened (class-major) choice; it is also the
+        flattened choice of the fibre's representative."""
+        return tuple(map(list.__getitem__, self._rep_entries, flat))
+
+    def _representative(self, key: tuple) -> Policy:
+        return Policy.from_flat(key, self.config.num_classes, self.num_labels)
 
     def canonicalize(self, policy: Policy, evaluation: PolicyEvaluation) -> Policy:
         """Pin entries on zero-mass labels to system 0 for reporting."""
@@ -439,9 +449,11 @@ class PolicyGameSolver:
 
         exhaustive checks every canonical policy, one representative per
         fibre, and expands each equilibrium into its fibre; best_response runs
-        Gauss-Seidel argmax dynamics from several starts and keeps the fixed
-        points. Candidates are re-verified on freshly solved chains before
-        being returned. An empty list means no pure equilibrium was found.
+        Gauss-Seidel argmax dynamics from several starts, keeps the fixed
+        points and closes them under payoff ties. Every candidate is
+        re-verified before being returned, against its own choice, on a
+        table a fresh checker solved for its fibre. An empty list means no
+        pure equilibrium was found.
         """
         if mode not in ("auto", "exhaustive", "best_response"):
             raise ValueError("mode must be auto, exhaustive or best_response")
@@ -473,32 +485,42 @@ class PolicyGameSolver:
         """Close a set of equilibrium candidates under near-tie entry swaps.
 
         Argmax dynamics never move along payoff ties, yet every tie variant
-        is its own equilibrium under the reporting convention; breadth-first
-        exploration of single-entry swaps whose payoff is within the
-        tolerance of the entry's best recovers the whole tie class.
+        is its own equilibrium under the reporting convention. The closure
+        walks fibres, not policies: every member of a fibre has the same
+        payoff table and Nash status, and a swap inside the fibre always
+        passes the tie test, so breadth-first exploration of single-entry
+        swaps to another fibre, whose payoff is within 2 * eps of the
+        entry's best (entries on empty or all-NaN rows stay put), reaches
+        the tie class; every member of each fibre reached is returned.
         """
-        queue = [p for p in candidates if self.evaluate(p).is_nash(eps)]
-        seen = {p.choice for p in queue}
-        out = list(queue)
+        L = self.num_labels
+        entries = [n * L + l for n, l in self.positions()]
+        queue = list(dict.fromkeys(self._fibre_key(p) for p in candidates
+                                   if self.evaluate(p).is_nash(eps)))
+        seen = set(queue)
+        reached = list(queue)
         while queue:
-            policy = queue.pop()
-            ev = self.evaluate(policy)
-            for (n, l) in self.positions():
-                if ev.empty_labels[l] or np.all(np.isnan(ev.individual[n, l])):
+            key = queue.pop()
+            table = self._response_table(key)
+            for k in entries:
+                if table[k] is None:
                     continue
-                payoffs = ev.individual[n, l]
-                top = np.nanmax(payoffs)
-                for s in range(self.config.num_systems):
-                    if s == policy.choice[n][l] or payoffs[s] < top - 2 * eps:
+                payoffs, best = table[k]
+                top = payoffs[best]
+                for s, payoff in enumerate(payoffs):
+                    target = self._rep_entries[k][s]
+                    # a NaN payoff is not below the top, so it is not skipped
+                    if target == key[k] or payoff < top - 2 * eps:
                         continue
-                    neighbor = policy.with_entry(n, l, s)
-                    if neighbor.choice in seen:
+                    neighbor = key[:k] + (target,) + key[k + 1:]
+                    if neighbor in seen:
                         continue
-                    seen.add(neighbor.choice)
-                    if self.evaluate(neighbor).is_nash(eps):
+                    seen.add(neighbor)
+                    if self.evaluate(self._representative(neighbor)).is_nash(eps):
                         queue.append(neighbor)
-                        out.append(neighbor)
-        return out
+                        reached.append(neighbor)
+        return [member for key in reached
+                for member in self.fibre(self._representative(key))]
 
     def _best_response_candidates(self, restarts: int, seed: int,
                                   eps: float) -> list[Policy]:
@@ -510,6 +532,26 @@ class PolicyGameSolver:
                 candidates.append(policy)
         return candidates
 
+    def _response_table(self, choice) -> list:
+        """Best-response table of the fibre of a flattened choice, built
+        once per fibre: for each flat entry n * L + l, None when the label
+        is empty or its payoff row all NaN, else the row as floats and its
+        NaN-aware argmax."""
+        key = self._flat_key(choice)
+        table = self._responses.get(key)
+        if table is None:
+            ev = self.evaluate(self._representative(key))
+            N, L, S = ev.individual.shape
+            payoffs = ev.individual.reshape(N * L, S)
+            skip = (np.isnan(ev.individual).all(axis=2) | ev.empty_labels).ravel()
+            # np.nanargmax is argmax with NaN read as -inf
+            best = np.where(np.isnan(payoffs), -np.inf, payoffs).argmax(axis=1)
+            table = self._responses[key] = [
+                None if skipped else (row, b)
+                for row, b, skipped in zip(payoffs.tolist(), best.tolist(),
+                                           skip.tolist())]
+        return table
+
     def best_response_path(self, start: Policy, *, eps: float = NASH_EPS,
                            max_iters: int = 2000
                            ) -> tuple[Policy | None, list[BestResponseStep]]:
@@ -519,52 +561,60 @@ class PolicyGameSolver:
         order and at most one entry changes per iteration; the path stops at
         a fixed point (returned with the recorded steps) or when a
         (policy, position) pair repeats, which means a cycle (returns None).
+        Payoffs come from the response table of the current fibre.
         """
+        start.validate_for(self.config, self.scheme)
         positions = self.positions()
         if not positions:
             return start, []
-        policy = start
+        L = self.num_labels
+        entries = [n * L + l for n, l in positions]
+        choice = list(itertools.chain.from_iterable(start.choice))
+        table = self._response_table(choice)
         steps: list[BestResponseStep] = []
         visited: set[tuple] = set()
         stale = 0
         ptr = 0
         for _ in range(max_iters):
-            state_key = (policy.choice, ptr)
+            state_key = (tuple(choice), ptr)
             if state_key in visited:
                 return None, steps
             visited.add(state_key)
-            n, l = positions[ptr]
-            ev = self.evaluate(policy)
+            k = entries[ptr]
+            response = table[k]
             updated = False
-            if not ev.empty_labels[l] and not np.all(np.isnan(ev.individual[n, l])):
-                payoffs = ev.individual[n, l]
-                best = int(np.nanargmax(payoffs))
-                current = policy.choice[n][l]
+            if response is not None:
+                payoffs, best = response
+                current = choice[k]
                 if payoffs[best] > payoffs[current] + eps:
+                    n, l = positions[ptr]
                     steps.append(BestResponseStep(
                         user_class=n, label=l, old_system=current,
-                        new_system=best, old_payoff=float(payoffs[current]),
-                        new_payoff=float(payoffs[best])))
-                    policy = policy.with_entry(n, l, best)
+                        new_system=best, old_payoff=payoffs[current],
+                        new_payoff=payoffs[best]))
+                    choice[k] = best
+                    table = self._response_table(choice)
                     updated = True
             stale = 0 if updated else stale + 1
             if stale >= len(positions):
-                return policy, steps
+                return Policy.from_flat(choice, self.config.num_classes, L), steps
             ptr = (ptr + 1) % len(positions)
         return None, steps
 
     def fresh_checker(self) -> "PolicyGameSolver":
-        """Solver that re-solves every chain and utility table from scratch,
-        reusing none of this solver's cached evaluations."""
+        """Solver with its own empty fibre cache and its own partition,
+        reusing none of this solver's evaluations: it solves one chain and
+        utility table per fibre, as its rep groups them, and judges every
+        member against that table under the member's own choice."""
         return PolicyGameSolver(self.space, self.scheme,
                                 strict_arrivals=self.strict_arrivals,
-                                deviation_payoff=self.deviation_payoff,
-                                use_cache=False)
+                                deviation_payoff=self.deviation_payoff)
 
     def verify_equilibrium(self, policy: Policy, eps: float = NASH_EPS) -> bool:
-        """Re-check the no-profitable-deviation inequality on freshly solved
-        chains and utility tables (structural transition indexes are shared;
-        they contain no solved quantities)."""
+        """Re-check the no-profitable-deviation inequality for policy on a
+        chain and utility table a fresh checker solves for its fibre
+        (structural transition indexes are shared; they contain no solved
+        quantities)."""
         return self.fresh_checker().evaluate(policy).is_nash(eps)
 
 

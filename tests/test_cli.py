@@ -11,10 +11,11 @@ from hetassoc.cli import main
 from hetassoc.output import read_csv_rows
 from hetassoc.transient import SingularTaggedChainError
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, REPO_ROOT
 
 ERLANG = str(CONFIG_DIR / "erlang_single.json")
 HYBRID = str(CONFIG_DIR / "hybrid_example.json")
+DATA_DIR = REPO_ROOT / "tests" / "data"
 
 
 def run(*argv) -> int:
@@ -248,3 +249,17 @@ def test_sweep_deterministic(tmp_path):
                    "--out", str(out)) == 0
     assert (a / "sweep_utility.csv").read_bytes() == (b / "sweep_utility.csv").read_bytes()
     assert (a / "sweep.json").read_bytes() == (b / "sweep.json").read_bytes()
+
+
+@pytest.mark.parametrize("flags, golden", [
+    ((), "sweep_golden.json"),
+    (("--strict-eq2",), "sweep_golden_strict.json"),
+])
+def test_sweep_matches_golden_artifact(tmp_path, flags, golden):
+    """The paper's sweep, best-response search included, reproduces a
+    recorded sweep.json byte for byte."""
+    assert run("sweep", "--config", HYBRID, "--traffic", "1:10:3",
+               "--analyses", "nash,baselines", "--jobs", "1", *flags,
+               "--out", str(tmp_path)) == 0
+    assert (tmp_path / "sweep.json").read_bytes() == \
+        (DATA_DIR / golden).read_bytes()

@@ -443,7 +443,7 @@ def representative_count(solver) -> int:
 def shipped_spaces(hybrid_instance):
     config, scheme = hybrid_instance
     return {erl: enumerate_states(config.scale_traffic(erl / config.offered_erlangs))
-            for erl in (1, 5, 10)}
+            for erl in (1, 4, 5, 10)}
 
 
 @pytest.mark.parametrize("erlangs", [1, 5, 10])
@@ -532,8 +532,100 @@ def warm_solver(hybrid_instance, shipped_spaces):
     ((0,) * 8, (0,) * 8),             # one column too few
     ((0,) * 9,),                      # one row too few
 ])
-def test_warm_solver_rejects_malformed_policies(warm_solver, bad):
+def test_warm_solver_rejects_malformed_policies(warm_solver, bad, monkeypatch):
     """Validation precedes the fibre lookup, so a malformed policy raises
-    ConfigError, never an IndexError or a cached answer."""
+    ConfigError, never an IndexError or a cached answer; a best-response
+    path validates its start before its first step."""
     with pytest.raises(ConfigError):
         warm_solver.evaluate(Policy(bad))
+
+    def first_step(choice):
+        raise AssertionError("the path took a step from a malformed start")
+
+    monkeypatch.setattr(warm_solver, "_response_table", first_step)
+    with pytest.raises(ConfigError):
+        warm_solver.best_response_path(Policy(bad))
+
+
+# ----- the fresh certificate ------------------------------------------------
+
+
+def _watch_checkers(solver, monkeypatch, perturb=None):
+    """Record every chain the solver's fresh checkers solve, passing each
+    solved evaluation through perturb first."""
+    solved = []
+    make = solver.fresh_checker
+
+    def fresh_checker():
+        checker = make()
+        solve = checker._evaluate
+
+        def _evaluate(policy):
+            solved.append(policy)
+            ev = solve(policy)
+            if perturb is not None:
+                perturb(ev)
+            return ev
+
+        checker._evaluate = _evaluate
+        return checker
+
+    monkeypatch.setattr(solver, "fresh_checker", fresh_checker)
+    return solved
+
+
+def test_checker_solves_one_chain_for_the_whole_fibre(hybrid_instance, shipped_spaces,
+                                                      monkeypatch):
+    """The 128 reported members at 5 Erlangs form one fibre; the fresh
+    checker solves it once and judges every member on that table."""
+    _, scheme = hybrid_instance
+    solver = PolicyGameSolver(shipped_spaces[5], scheme)
+    solved = _watch_checkers(solver, monkeypatch)
+    found = solver.find_nash()
+    assert len(found) == 128
+    assert len(solved) == 1
+
+
+def test_members_are_judged_on_the_checker_table(hybrid_instance, shipped_spaces,
+                                                 monkeypatch):
+    """Raising one deviation payoff of the checker's table by 1e-6 rejects
+    every member, though the searching solver's own table (unperturbed)
+    still calls each of them an equilibrium.
+
+    At 4 Erlangs every member picks the same system for class 0 on every
+    label, and the closest deviation there is under 1e-6 below the own
+    payoff, so the raise makes it profitable for all 128.
+    """
+    _, scheme = hybrid_instance
+    solver = PolicyGameSolver(shipped_spaces[4], scheme)
+    found = solver.find_nash()
+    assert len(found) == 128
+    ev = found[0]
+    own = ev.individual[0, np.arange(solver.num_labels), ev.policy.choice[0]]
+    other = ev.individual[0, np.arange(solver.num_labels), 1 - np.array(ev.policy.choice[0])]
+    assert len({m.policy.choice[0] for m in found}) == 1
+    label = int(np.argmin(own - other))
+    deviation = 1 - ev.policy.choice[0][label]
+    assert own[label] - other[label] < 1e-6 - 1e-9
+
+    def raise_entry(checked):
+        checked.individual[0, label, deviation] += 1e-6
+
+    solved = _watch_checkers(solver, monkeypatch, raise_entry)
+    assert solver.find_nash() == []
+    assert len(solved) == 1
+    assert all(solver.evaluate(m.policy).is_nash() for m in found)
+
+
+def test_verify_equilibrium_rejects_a_flip_outside_the_fibre(hybrid_instance,
+                                                             shipped_spaces):
+    _, scheme = hybrid_instance
+    solver = PolicyGameSolver(shipped_spaces[5], scheme)
+    member = solver.find_nash()[0].policy
+    assert solver.verify_equilibrium(member)
+    # the first free entry whose other system leaves the fibre
+    n, l = next((n, l) for n, l in solver.positions()
+                if solver.rep[n, l, 0] != solver.rep[n, l, 1])
+    flipped = member.with_entry(n, l, 1 - member.choice[n][l])
+    assert flipped not in solver.fibre(member)
+    assert not solver.verify_equilibrium(flipped)

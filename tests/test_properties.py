@@ -8,14 +8,15 @@ sharing scopes and both arrival modes, the tagged-volume solves and the
 band generator with its stationary solve. The check bodies live in conftest
 so the acceptance suite can time the very same assertions. A last family
 checks that every member of a fibre of the policy space evaluates exactly
-like its representative.
+like its representative, and a reference copy of the per-policy
+best-response walk and tie closure checks the fibre-level search.
 """
 
 import numpy as np
 import pytest
 
-from hetassoc import Policy
-from hetassoc.game import PolicyGameSolver
+from hetassoc import AggregationScheme, NetworkConfig, Policy, enumerate_states
+from hetassoc.game import NASH_EPS, BestResponseStep, PolicyGameSolver
 
 from conftest import (check_band_generator, check_departure_closure,
                       check_generator_row_sums, check_label_totality,
@@ -156,3 +157,181 @@ def test_fibre_members_evaluate_like_their_representative(instances_by_scope, sc
     # entries where a sampled member left its representative on a label
     # with states
     assert merged >= 20
+
+
+# ----- reference walk: the search one policy at a time ---------------------
+
+
+def _reference_path(solver, start, eps=NASH_EPS, max_iters=2000):
+    """Gauss-Seidel best-response dynamics, one Policy per step, every
+    payoff read from solver.evaluate."""
+    positions = solver.positions()
+    if not positions:
+        return start, []
+    policy = start
+    steps = []
+    visited = set()
+    stale = 0
+    ptr = 0
+    for _ in range(max_iters):
+        state_key = (policy.choice, ptr)
+        if state_key in visited:
+            return None, steps
+        visited.add(state_key)
+        n, l = positions[ptr]
+        ev = solver.evaluate(policy)
+        updated = False
+        if not ev.empty_labels[l] and not np.all(np.isnan(ev.individual[n, l])):
+            payoffs = ev.individual[n, l]
+            best = int(np.nanargmax(payoffs))
+            current = policy.choice[n][l]
+            if payoffs[best] > payoffs[current] + eps:
+                steps.append(BestResponseStep(
+                    user_class=n, label=l, old_system=current,
+                    new_system=best, old_payoff=float(payoffs[current]),
+                    new_payoff=float(payoffs[best])))
+                policy = policy.with_entry(n, l, best)
+                updated = True
+        stale = 0 if updated else stale + 1
+        if stale >= len(positions):
+            return policy, steps
+        ptr = (ptr + 1) % len(positions)
+    return None, steps
+
+
+def _reference_ties(solver, candidates, eps=NASH_EPS):
+    """Breadth-first closure of equilibrium candidates under single-entry
+    swaps whose payoff is within 2 * eps of the entry's best."""
+    queue = [p for p in candidates if solver.evaluate(p).is_nash(eps)]
+    seen = {p.choice for p in queue}
+    out = list(queue)
+    while queue:
+        policy = queue.pop()
+        ev = solver.evaluate(policy)
+        for (n, l) in solver.positions():
+            if ev.empty_labels[l] or np.all(np.isnan(ev.individual[n, l])):
+                continue
+            payoffs = ev.individual[n, l]
+            top = np.nanmax(payoffs)
+            for s in range(solver.config.num_systems):
+                if s == policy.choice[n][l] or payoffs[s] < top - 2 * eps:
+                    continue
+                neighbor = policy.with_entry(n, l, s)
+                if neighbor.choice in seen:
+                    continue
+                seen.add(neighbor.choice)
+                if solver.evaluate(neighbor).is_nash(eps):
+                    queue.append(neighbor)
+                    out.append(neighbor)
+    return out
+
+
+def _reference_equilibria(solver, restarts, seed, eps=NASH_EPS):
+    """Canonical equilibrium set of find_nash("best_response") with the
+    reference walk, each member re-checked on a chain solved for it alone."""
+    rng = np.random.default_rng(seed)
+    candidates = [fixed for start in solver._starting_policies(restarts, rng)
+                  for fixed in [_reference_path(solver, start, eps)[0]]
+                  if fixed is not None]
+    checker = PolicyGameSolver(solver.space, solver.scheme,
+                               strict_arrivals=solver.strict_arrivals,
+                               deviation_payoff=solver.deviation_payoff,
+                               use_cache=False)
+    found = set()
+    for policy in _reference_ties(solver, candidates, eps):
+        canonical = solver.canonicalize(policy, solver.evaluate(policy))
+        if (canonical.choice not in found and solver.evaluate(canonical).is_nash(eps)
+                and checker.evaluate(canonical).is_nash(eps)):
+            found.add(canonical.choice)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("mode", ["redirect", "exclude"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_fibre_search_matches_the_reference_walk(strict, mode):
+    """Best-response paths (steps and fixed points, bit for bit) and the
+    canonical equilibrium set of find_nash("best_response") agree with the
+    per-policy reference walk on random instances.
+
+    The reference walk never swaps an entry whose payoff row is all NaN,
+    which the exclude mode allows on a label with mass; the fibre closure
+    takes in every member there. Where the sets differ, the new one must
+    be the reference's plus such members: exactly the exhaustive set.
+    """
+    rng = np.random.default_rng(8080)
+    options = dict(strict_arrivals=strict, deviation_payoff=mode)
+    walked = tied = 0
+    for _ in range(12):
+        config, space, scheme = random_instance(rng)
+        reference = PolicyGameSolver(space, scheme, **options)
+        solver = PolicyGameSolver(space, scheme, **options)
+        starts = [random_policy(rng, config, scheme) for _ in range(6)]
+        for start in starts:
+            expected = _reference_path(reference, start)
+            assert solver.best_response_path(start) == expected
+            walked += len(expected[1])
+        seed = int(rng.integers(1 << 16))
+        found = [ev.policy.choice
+                 for ev in solver.find_nash("best_response", restarts=8, seed=seed)]
+        expected = _reference_equilibria(reference, restarts=8, seed=seed)
+        tied += len(found) > 1
+        if found != expected:
+            assert mode == "exclude"
+            assert set(expected) < set(found)
+            assert found == [ev.policy.choice for ev in solver.find_nash("exhaustive")]
+    # the comparison covered real steps and real tie families
+    assert walked >= 100
+    assert tied >= 2
+
+
+@pytest.mark.parametrize("erlangs", [5, 10])
+def test_tie_closure_matches_the_reference_walk_on_the_shipped_instance(hybrid_instance,
+                                                                        erlangs):
+    """The fibre closure returns exactly the policies the reference walk
+    reaches, each once, though several restarts end at the same fixed
+    point (restart seed 3)."""
+    config, scheme = hybrid_instance
+    space = enumerate_states(config.scale_traffic(erlangs / config.offered_erlangs))
+    solver = PolicyGameSolver(space, scheme)
+    candidates = solver._best_response_candidates(restarts=64, seed=3, eps=NASH_EPS)
+    assert len({p.choice for p in candidates}) < len(candidates)
+    ties = [p.choice for p in solver._expand_ties(candidates, NASH_EPS)]
+    reached = _reference_ties(PolicyGameSolver(space, scheme), candidates)
+    assert len(ties) == len(set(ties)) == 128
+    assert set(ties) == {p.choice for p in reached}
+
+
+def _three_system_instance(rng):
+    """Small random instance with three systems and two classes, where a
+    payoff row under the exclude mode can be NaN at some systems only."""
+    while True:
+        peak = tuple(tuple(float(np.round(rng.uniform(0.6, 6.0), 3)) for _ in range(3))
+                     for _ in range(2))
+        config = NetworkConfig(peak_rate=peak, t_min=1.0,
+                               t_max=float(np.round(rng.uniform(1.0, 2.0), 3)),
+                               arrival_rate=(1.0, 0.8), service_rate=1.0)
+        try:
+            space = enumerate_states(config, max_states=300)
+        except Exception:
+            continue
+        return config, space, AggregationScheme.uniform(3, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("mode", ["redirect", "exclude"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_three_system_paths_match_the_reference_walk(strict, mode):
+    """With three systems a payoff row can hold NaN beside real payoffs;
+    the response table's argmax must skip them as np.nanargmax does."""
+    rng = np.random.default_rng(9090)
+    options = dict(strict_arrivals=strict, deviation_payoff=mode)
+    walked = 0
+    for _ in range(3):
+        config, space, scheme = _three_system_instance(rng)
+        reference = PolicyGameSolver(space, scheme, **options)
+        solver = PolicyGameSolver(space, scheme, **options)
+        for _ in range(3):
+            start = random_policy(rng, config, scheme)
+            expected = _reference_path(reference, start)
+            assert solver.best_response_path(start) == expected
+            walked += len(expected[1])
+    assert walked >= 30
