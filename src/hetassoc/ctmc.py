@@ -568,11 +568,6 @@ def solve_steady_state(gen: Generator, scheme: AggregationScheme | None = None,
     return ss
 
 
-def blocking_states(space: StateSpace, user_class: int) -> np.ndarray:
-    """Mask of states where no system can admit a class-`user_class` user."""
-    return chain_tables(space).blocked[user_class]
-
-
 def blocking_by_label(space: StateSpace, scheme: AggregationScheme,
                       steady: SteadyState, user_class: int,
                       restrict_numerator: bool = True) -> np.ndarray:
@@ -584,7 +579,7 @@ def blocking_by_label(space: StateSpace, scheme: AggregationScheme,
     stationary mass report zero.
     """
     labels = label_array(scheme, space)
-    blocked = blocking_states(space, user_class)
+    blocked = chain_tables(space).blocked[user_class]
     L = scheme.label_count
     mass = np.bincount(labels, weights=steady.pi, minlength=L)
     if restrict_numerator:
@@ -602,15 +597,14 @@ def overall_blocking(space: StateSpace, steady: SteadyState) -> float:
     saturated."""
     config = space.config
     total = sum(config.arrival_rate)
+    blocked = chain_tables(space).blocked
     b = 0.0
     for n in range(config.num_classes):
         weight = config.arrival_rate[n] / total
-        b += weight * steady.pi[blocking_states(space, n)].sum()
+        b += weight * steady.pi[blocked[n]].sum()
     return b
 
 
 def per_class_blocking(space: StateSpace, steady: SteadyState) -> np.ndarray:
     """Unconditional blocking probability per class."""
-    config = space.config
-    return np.array([steady.pi[blocking_states(space, n)].sum()
-                     for n in range(config.num_classes)])
+    return np.array([steady.pi[blocked].sum() for blocked in chain_tables(space).blocked])

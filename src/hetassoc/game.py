@@ -1,15 +1,19 @@
 """Global and individual utilities, optimal policies, Nash equilibria and
 the two information baselines.
 
-A policy evaluation solves the policy's chain once, derives every tagged
-volume table, then aggregates them three ways: the global utility (traffic
-weighted, label by label, not normalized by label mass), the individual
-deviation payoffs U[n, l, s] (normalized by label mass) and the blocking
-table. Deviating to a saturated system is valued at the outcome the network
-actually produces: the redirected system's expectation, or zero when every
-system is full. Labels with (numerically) zero stationary mass carry no
-strategic content; they are masked out of equilibrium comparisons and
-canonicalized to system 0 when policies are reported.
+Policies and baselines share one evaluation core: it solves the chain a
+choice table induces once, derives every tagged volume table, and
+aggregates the blocking table and the global utility (traffic weighted,
+cell by cell, not normalized by cell mass) over an information partition.
+A policy's cells are the broadcast load labels; the peak-rate baseline has
+a single cell and the instantaneous-rate baseline one cell per state. A
+policy evaluation adds the individual deviation payoffs U[n, l, s]
+(normalized by label mass). Deviating to a saturated system is valued at
+the outcome the network actually produces: the redirected system's
+expectation, or zero when every system is full. Labels with (numerically)
+zero stationary mass carry no strategic content; they are masked out of
+equilibrium comparisons and canonicalized to system 0 when policies are
+reported.
 
 Redirection makes many policies interchangeable: preferring a saturated
 system is the same as preferring the one the network picks instead. The
@@ -28,13 +32,13 @@ import numpy as np
 
 from .aggregation import label_array
 from .config import AggregationScheme, NetworkConfig, Policy
-# assemble_generator is not called here, but perfbench/tracer.py wraps the
-# name in this module, so it stays bound
+# assemble_generator and solve_volume_from_matrix are not called here, but
+# perfbench/tracer.py wraps the names in this module, so they stay bound
 from .ctmc import (EMPTY_LABEL_MASS, ChainTables, assemble_dense,  # noqa: F401
                    assemble_generator, chain_tables, stationary_vector)
 from .rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 from .states import StateSpace
-from .transient import solve_volume_from_matrix
+from .transient import solve_volume_from_matrix, tagged_volumes  # noqa: F401
 
 NASH_EPS = 1e-9
 TIE_TOL = 1e-9
@@ -46,7 +50,8 @@ class EmptyLabelError(ValueError):
 
 def _solve_pi(space: StateSpace, q) -> tuple[np.ndarray, float]:
     """Stationary distribution of a generator from assemble_dense, with the
-    same post-solve checks the public solver applies."""
+    same post-solve checks the public solver applies; space is unused, but
+    perfbench/tracer.py reads the generator as the second argument."""
     return stationary_vector(q)
 
 
@@ -70,20 +75,65 @@ class SearchCapError(RuntimeError):
 
 
 @dataclass
-class PolicyEvaluation:
-    """Everything one policy induces: chain, blocking, utilities."""
+class ChainEvaluation:
+    """What one choice table induces, aggregated over an information
+    partition: the "labels" are a policy's load labels or a baseline rule's
+    information cells."""
 
-    policy: Policy
     pi: np.ndarray
     residual: float
     label_mass: np.ndarray
     empty_labels: np.ndarray          # no stationary mass (or no states at all)
     blocking: np.ndarray              # (N, L) conditional blocking per label
     global_utility: float
-    individual: np.ndarray            # (N, L, S), nan on empty labels
     overall_blocking: float
     per_class_blocking: np.ndarray
     volumes: np.ndarray               # (N, S, num_states) tagged expectations
+
+
+def _evaluate_chain(tables: ChainTables, choice: np.ndarray, cells: np.ndarray,
+                    ncells: int, outcome: np.ndarray, strict: bool) -> ChainEvaluation:
+    """Solve the chain of a (N, num_states) preferred-system table and
+    aggregate it over cells, a cell id per state (ncells in all).
+
+    outcome is _outcome_index(tables, strict). A cell's blocking is
+    conditional on the cell; the global utility weights each cell's chosen
+    value by its non-blocking probability.
+    """
+    N, nst = choice.shape
+    q = assemble_dense(tables, choice, strict=strict)
+    pi, residual = _solve_pi(tables.space, q)
+    mass = np.bincount(cells, weights=pi, minlength=ncells)
+    empty = mass <= EMPTY_LABEL_MASS
+    volumes = tagged_volumes(tables, q)
+
+    rates = tables.space.config.arrival_rate
+    weights = np.array(rates) / sum(rates)
+    bins = (np.arange(N)[:, None] * ncells + cells).ravel()
+    blocked = tables.blocked
+    per_class = np.array([pi[b].sum() for b in blocked])
+    blocking = np.zeros((N, ncells))
+    num = np.bincount(bins, weights=(blocked * pi).ravel(), minlength=N * ncells)
+    np.divide(num.reshape(N, ncells), mass, out=blocking, where=~empty)
+
+    value = np.append(volumes, 0.0)[outcome]
+    chosen = value[np.arange(N)[:, None], choice, np.arange(nst)]
+    inner = np.bincount(bins, weights=(chosen * pi).ravel(),
+                        minlength=N * ncells).reshape(N, ncells)
+    global_u = sum(weights * ((1.0 - blocking) * inner).sum(axis=1))
+    return ChainEvaluation(
+        pi=pi, residual=residual, label_mass=mass, empty_labels=empty,
+        blocking=blocking, global_utility=global_u,
+        overall_blocking=float(weights @ per_class), per_class_blocking=per_class,
+        volumes=volumes)
+
+
+@dataclass
+class PolicyEvaluation(ChainEvaluation):
+    """Everything one policy induces: chain, blocking, utilities."""
+
+    policy: Policy
+    individual: np.ndarray            # (N, L, S), nan on empty labels
 
     def nash_gap(self) -> float:
         """Largest payoff any (class, label) group forgoes by following the
@@ -128,17 +178,12 @@ class BestResponseStep:
 
 
 @dataclass
-class BaselineEvaluation:
-    """PolicyEvaluation-like report for a state-dependent baseline rule."""
+class BaselineEvaluation(ChainEvaluation):
+    """Report of a state-dependent baseline rule, over its information
+    cells."""
 
     which: str
     rule: AssignmentRule
-    pi: np.ndarray
-    residual: float
-    global_utility: float
-    overall_blocking: float
-    per_class_blocking: np.ndarray
-    volumes: np.ndarray
 
 
 class PolicyGameSolver:
@@ -158,7 +203,7 @@ class PolicyGameSolver:
 
     def __init__(self, space: StateSpace, scheme: AggregationScheme, *,
                  strict_arrivals: bool = False, deviation_payoff: str = "redirect",
-                 use_cache: bool = True, private_tables: bool = False):
+                 use_cache: bool = True):
         if deviation_payoff not in ("redirect", "exclude"):
             raise ValueError("deviation_payoff must be 'redirect' or 'exclude'")
         self.space = space
@@ -166,11 +211,9 @@ class PolicyGameSolver:
         self.config: NetworkConfig = space.config
         self.strict_arrivals = strict_arrivals
         self.deviation_payoff = deviation_payoff
-        self.tables: ChainTables = (ChainTables(space) if private_tables
-                                    else chain_tables(space))
+        self.tables: ChainTables = chain_tables(space)
         self.labels = label_array(scheme, space)
         self.num_labels = scheme.label_count
-        self.weights = np.array(self.config.arrival_rate) / sum(self.config.arrival_rate)
         self.state_counts = np.bincount(self.labels, minlength=self.num_labels)
         self.structurally_empty = self.state_counts == 0
 
@@ -186,13 +229,9 @@ class PolicyGameSolver:
         else:
             self._payoff = _outcome_index(self.tables, strict=True)
             self._payoff_weight = (self.tables.arrival_id >= 0).astype(float)
-        nst = self.space.num_states
+        # bins of the (n, label, s) payoff table
         n_idx, s_idx = np.arange(N)[:, None, None], np.arange(S)[:, None]
-        # flat position of value[n, s, i] is _chosen_base[n, i] + s * nst
-        self._chosen_base = np.arange(N)[:, None] * (S * nst) + np.arange(nst)
-        # bins of the (n, label, s) payoff table and the (n, label) tables
         self._nls_bin = ((n_idx * L + self.labels) * S + s_idx).ravel()
-        self._nl_bin = (np.arange(N)[:, None] * L + self.labels).ravel()
         self.rep = self._interchangeable_systems()
         self._rep_entries = self.rep.reshape(N * L, S).tolist()
         self._cache: dict[tuple, PolicyEvaluation] | None = {} if use_cache else None
@@ -295,58 +334,21 @@ class PolicyGameSolver:
             evaluation = replace(evaluation, policy=policy)
         return evaluation
 
-    def _steady(self, q) -> tuple[np.ndarray, float]:
-        return _solve_pi(self.space, q)
-
-    def _deviation_values(self, volumes: np.ndarray) -> np.ndarray:
-        """value[n, s, i]: expected volume of a class-n user preferring
-        system s at state i, after the network's admission outcome."""
-        return np.append(volumes, 0.0)[self._outcome]
-
     def _evaluate(self, policy: Policy) -> PolicyEvaluation:
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
-        nst = self.space.num_states
-        labels = self.labels
-        choice = np.asarray(policy.choice, dtype=np.int64)[:, labels]
-
-        q = assemble_dense(self.tables, choice, strict=self.strict_arrivals)
-        pi, residual = self._steady(q)
-        label_mass = np.bincount(labels, weights=pi, minlength=L)
-        empty = (label_mass <= EMPTY_LABEL_MASS) | self.structurally_empty
-
-        volumes = np.empty((N, S, nst))
-        for n in range(N):
-            for s in range(S):
-                volumes[n, s] = solve_volume_from_matrix(self.tables, q, n, s)
-
-        blocked = self.tables.blocked
-        per_class = np.array([pi[b].sum() for b in blocked])
-        overall = float(self.weights @ per_class)
-        blocking = np.zeros((N, L))
-        num = np.bincount(self._nl_bin, weights=(blocked * pi).ravel(), minlength=N * L)
-        np.divide(num.reshape(N, L), label_mass, out=blocking, where=~empty)
-
-        value = self._deviation_values(volumes)
-        chosen = value.take(self._chosen_base + choice * nst)
-        inner = np.bincount(self._nl_bin, weights=(chosen * pi).ravel(),
-                            minlength=N * L).reshape(N, L)
-        global_u = sum(self.weights * ((1.0 - blocking) * inner).sum(axis=1))
-
-        weight = self._payoff_weight * pi
-        payoff = np.append(volumes, 0.0)[self._payoff]
+        choice = np.asarray(policy.choice, dtype=np.int64)[:, self.labels]
+        core = _evaluate_chain(self.tables, choice, self.labels, L, self._outcome,
+                               self.strict_arrivals)
+        weight = self._payoff_weight * core.pi
+        payoff = np.append(core.volumes, 0.0)[self._payoff]
         num = np.bincount(self._nls_bin, weights=(payoff * weight).ravel(),
                           minlength=N * L * S).reshape(N, L, S)
         den = np.bincount(self._nls_bin, weights=weight.ravel(),
                           minlength=N * L * S).reshape(N, L, S)
         individual = np.full((N, L, S), np.nan)
         np.divide(num, den, out=individual,
-                  where=~empty[:, None] & (den > EMPTY_LABEL_MASS))
-
-        return PolicyEvaluation(
-            policy=policy, pi=pi, residual=residual, label_mass=label_mass,
-            empty_labels=empty, blocking=blocking, global_utility=global_u,
-            individual=individual, overall_blocking=overall,
-            per_class_blocking=per_class, volumes=volumes)
+                  where=~core.empty_labels[:, None] & (den > EMPTY_LABEL_MASS))
+        return PolicyEvaluation(**vars(core), policy=policy, individual=individual)
 
     def individual_utility(self, evaluation: PolicyEvaluation, user_class: int,
                            label: int, system: int) -> float:
@@ -649,37 +651,8 @@ def evaluate_baseline(space: StateSpace, which: str,
         rule = InstantaneousRateRule()
     else:
         raise ValueError("which must be 'peak_rate' or 'instantaneous_rate'")
-    config = space.config
     tables = chain_tables(space)
-    choice = rule.choice_table(space)
-    q = assemble_dense(tables, choice, strict=strict_arrivals)
-    pi, residual = _solve_pi(space, q)
-
-    N, S = config.num_classes, config.num_systems
-    nst = space.num_states
-    volumes = np.empty((N, S, nst))
-    for n in range(N):
-        for s in range(S):
-            volumes[n, s] = solve_volume_from_matrix(tables, q, n, s)
-
-    cells, ncells = rule.information_partition(space)
-    weights = np.array(config.arrival_rate) / sum(config.arrival_rate)
-    value = np.append(volumes, 0.0)[_outcome_index(tables, strict_arrivals)]
-    chosen = np.take_along_axis(value, choice[:, None, :], axis=1)[:, 0]
-    cell_mass = np.bincount(cells, weights=pi, minlength=ncells)
-    per_class = np.empty(N)
-    global_u = 0.0
-    for n in range(N):
-        blocked = tables.blocked[n]
-        per_class[n] = pi[blocked].sum()
-        cell_block = np.bincount(cells[blocked], weights=pi[blocked], minlength=ncells)
-        with np.errstate(invalid="ignore"):
-            b_cell = np.where(cell_mass > EMPTY_LABEL_MASS, cell_block / cell_mass, 0.0)
-        inner = np.bincount(cells, weights=chosen[n] * pi, minlength=ncells)
-        global_u += weights[n] * float(((1.0 - b_cell) * inner).sum())
-
-    return BaselineEvaluation(
-        which=which, rule=rule, pi=pi, residual=residual,
-        global_utility=global_u,
-        overall_blocking=float(weights @ per_class),
-        per_class_blocking=per_class, volumes=volumes)
+    core = _evaluate_chain(tables, rule.choice_table(space),
+                           *rule.information_partition(space),
+                           _outcome_index(tables, strict_arrivals), strict_arrivals)
+    return BaselineEvaluation(**vars(core), which=which, rule=rule)

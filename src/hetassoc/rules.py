@@ -41,10 +41,6 @@ class AssignmentRule:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def fingerprint(self) -> tuple:
-        """Hashable identity used to key utility-table caches."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class PolicyRule(AssignmentRule):
@@ -67,9 +63,6 @@ class PolicyRule(AssignmentRule):
     def describe(self):
         return "policy"
 
-    def fingerprint(self):
-        return ("policy", self.policy.choice, self.scheme.thresholds)
-
 
 @dataclass(frozen=True)
 class PeakRateRule(AssignmentRule):
@@ -84,9 +77,6 @@ class PeakRateRule(AssignmentRule):
 
     def describe(self):
         return "peak_rate"
-
-    def fingerprint(self):
-        return ("peak_rate",)
 
 
 @dataclass(frozen=True)
@@ -116,6 +106,3 @@ class InstantaneousRateRule(AssignmentRule):
 
     def describe(self):
         return "instantaneous_rate"
-
-    def fingerprint(self):
-        return ("instantaneous_rate",)

@@ -149,6 +149,17 @@ def solve_volume_from_matrix(tables: ChainTables, q, user_class: int,
     return out
 
 
+def tagged_volumes(tables: ChainTables, q) -> np.ndarray:
+    """volumes[n, s, i]: solve_volume_from_matrix for every (class, system)
+    pair of an assembled generator."""
+    N, S, nst = tables.occ_ns.shape
+    volumes = np.empty((N, S, nst))
+    for n in range(N):
+        for s in range(S):
+            volumes[n, s] = solve_volume_from_matrix(tables, q, n, s)
+    return volumes
+
+
 def solve_volume(space: StateSpace, rule: AssignmentRule, user_class: int,
                  system: int, strict_arrivals: bool = False) -> np.ndarray:
     """Expected megabits sent by a tagged (class, system) user from every
@@ -168,7 +179,6 @@ class VolumeTable:
 
     space: StateSpace
     volumes: np.ndarray
-    rule_key: tuple
 
     def arrival_utility(self, occ_or_id, user_class: int, system: int) -> float:
         """Expected volume of a user who finds the network in the given state
@@ -189,28 +199,11 @@ class VolumeTable:
 
 
 def volume_tables(space: StateSpace, rule: AssignmentRule,
-                  strict_arrivals: bool = False, cache: bool = True) -> VolumeTable:
-    """Solve (or fetch) the full set of tagged-user volume tables for a rule.
-
-    Cached per space, keyed by the rule fingerprint and the arrival mode.
-    """
-    store = getattr(space, "_volume_cache", None)
-    if store is None:
-        store = space._volume_cache = {}
-    key = (rule.fingerprint(), strict_arrivals)
-    if cache and key in store:
-        return store[key]
+                  strict_arrivals: bool = False) -> VolumeTable:
+    """Solve the full set of tagged-user volume tables for a rule."""
     tables = chain_tables(space)
-    config = space.config
     q = assemble_dense(tables, rule.choice_table(space), strict=strict_arrivals)
-    volumes = np.full((config.num_classes, config.num_systems, space.num_states), np.nan)
-    for n in range(config.num_classes):
-        for s in range(config.num_systems):
-            volumes[n, s] = solve_volume_from_matrix(tables, q, n, s)
-    table = VolumeTable(space=space, volumes=volumes, rule_key=key)
-    if cache:
-        store[key] = table
-    return table
+    return VolumeTable(space=space, volumes=tagged_volumes(tables, q))
 
 
 def arrival_utility(table: VolumeTable, occ: Occupancy, user_class: int,

@@ -66,7 +66,7 @@ def test_criterion_1_erlang_oracle(erlang_config, erlang_rule):
 
 def test_criterion_2_transient_fixture(erlang_config, erlang_rule):
     space = enumerate_states(erlang_config)
-    table = volume_tables(space, erlang_rule, cache=False)
+    table = volume_tables(space, erlang_rule)
     i1, i2 = table.volumes[0, 0, 1], table.volumes[0, 0, 2]
     assert abs(i1 - 5.0 / 3.0) <= 1e-10
     assert abs(i2 - 4.0 / 3.0) <= 1e-10
@@ -98,7 +98,7 @@ def test_criterion_3_monte_carlo(erlang_config, erlang_rule):
     level_a = 1.0 - 0.01 / 5
     space = enumerate_states(erlang_config)
     ss = solve_steady_state(build_generator(space, erlang_rule))
-    table = volume_tables(space, erlang_rule, cache=False)
+    table = volume_tables(space, erlang_rule)
     report = simulate(erlang_config, erlang_rule, 1_000_000, seed=2024)
     est, half = report.blocking_estimate(0, level=level_a)
     assert abs(est - 0.2) <= half
@@ -119,7 +119,7 @@ def test_criterion_3_monte_carlo(erlang_config, erlang_rule):
     space2 = enumerate_states(config)
     ss2 = solve_steady_state(build_generator(space2, rule))
     tables2 = chain_tables(space2)
-    vt2 = volume_tables(space2, rule, cache=False)
+    vt2 = volume_tables(space2, rule)
     report2 = simulate(config, rule, 1_000_000, seed=77)
     analytic_blocking = per_class_blocking(space2, ss2)
     big = [i for i in range(space2.num_states) if ss2.pi[i] >= 0.01]

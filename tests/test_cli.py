@@ -254,6 +254,7 @@ def test_sweep_deterministic(tmp_path):
 @pytest.mark.parametrize("flags, golden", [
     ((), "sweep_golden.json"),
     (("--strict-eq2",), "sweep_golden_strict.json"),
+    (("--sharing", "network"), "sweep_golden_network.json"),
 ])
 def test_sweep_matches_golden_artifact(tmp_path, flags, golden):
     """The paper's sweep, best-response search included, reproduces a

@@ -211,7 +211,7 @@ def check_erlang_loss_chain(servers: int, offered: float) -> None:
     assert overall_blocking(space, ss) == pytest.approx(b, rel=1e-8)
 
     from hetassoc import volume_tables
-    table = volume_tables(space, rule, cache=False)
+    table = volume_tables(space, rule)
     vol = table.volumes[0, 0]
     finite = ~np.isnan(vol)
     assert finite.sum() == servers

@@ -7,8 +7,8 @@ import pytest
 
 from hetassoc import (AggregationScheme, InfeasibleTargetError, NetworkConfig,
                       Policy, PolicyRule, ResidualError, build_generator,
-                      build_tagged_generator, enumerate_states, solve_volume,
-                      volume_tables)
+                      build_tagged_generator, enumerate_states, evaluate_baseline,
+                      solve_volume, volume_tables)
 from hetassoc import transient
 from hetassoc.ctmc import ChainTables, assemble_dense, chain_tables
 from hetassoc.transient import SingularTaggedChainError, solve_volume_from_matrix
@@ -113,7 +113,7 @@ def test_first_step_decomposition():
         config, space, scheme = random_instance(rng)
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
         tables = chain_tables(space)
-        table = volume_tables(space, rule, cache=False)
+        table = volume_tables(space, rule)
         for n in range(config.num_classes):
             for s in range(config.num_systems):
                 chain = build_tagged_generator(space, rule, n, s)
@@ -134,21 +134,20 @@ def test_volume_bounds():
     for _ in range(10):
         config, space, scheme = random_instance(rng)
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
-        table = volume_tables(space, rule, cache=False)
+        table = volume_tables(space, rule)
         vol = table.volumes
         finite = ~np.isnan(vol)
         assert (vol[finite] > 0).all()
         assert (vol[finite] <= config.t_max / config.service_rate + 1e-9).all()
 
 
-def test_volume_cache_keyed_by_rule(erlang):
-    _, space, _, rule = erlang
-    a = volume_tables(space, rule)
-    b = volume_tables(space, rule)
-    assert a is b
-    other = PolicyRule(Policy(((0, 0, 0),)), AggregationScheme(((0.5, 1.0),)))
-    c = volume_tables(space, other)
-    assert c is not a
+def test_volume_tables_match_the_baseline_evaluation(hybrid_instance):
+    """volume_tables and the evaluation core share one tagged-volume loop."""
+    space = enumerate_states(hybrid_instance[0])
+    for which in ("peak_rate", "instantaneous_rate"):
+        report = evaluate_baseline(space, which)
+        table = volume_tables(space, report.rule)
+        assert np.array_equal(table.volumes, report.volumes, equal_nan=True)
 
 
 def test_tagged_state_ids_helper(erlang):
