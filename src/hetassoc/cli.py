@@ -159,6 +159,8 @@ def _parse_traffic(text: str) -> list[float]:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise ConfigError("--traffic must look like A:B:STEP") from exc
+    if not np.isfinite([a, b, step]).all():
+        raise ConfigError("--traffic needs finite A, B and STEP")
     if step <= 0 or b < a:
         raise ConfigError("--traffic needs A <= B and STEP > 0")
     points = []
@@ -216,7 +218,7 @@ def _cmd_steady(args) -> int:
     space = enumerate_states(config, max_states=args.max_states)
     rule = _make_rule(args, config, scheme)
     gen = build_generator(space, rule, strict_arrivals=args.strict_eq2)
-    ss = solve_steady_state(gen, scheme)
+    ss = solve_steady_state(gen)
     labels = label_array(scheme, space)
     rows = ([i, *space.states[i], f"{ss.pi[i]:.17g}", labels[i]]
             for i in range(space.num_states))

@@ -17,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -25,12 +24,6 @@ from .aggregation import label_array
 from .config import AggregationScheme
 from .rules import AssignmentRule
 from .states import StateSpace, occ_index, scope_count
-
-# Every generator is held as a band matrix in the SolvePlan's order, and the
-# stationary and tagged-volume solves are banded LUs at any state count. Only
-# the normalization-row fallback (_solve_normalized), taken when no pin
-# holds, reads this: up to it a dense LU, above it SuperLU.
-DENSE_SOLVE_LIMIT = 2000
 
 STEADY_RESIDUAL_TOL = 1e-10
 # A pinned stationary solve is trusted only where the pinned state holds
@@ -431,29 +424,26 @@ def build_generator(space: StateSpace, rule: AssignmentRule,
 
 @dataclass
 class SteadyState:
-    """Stationary distribution with optional per-label masses."""
+    """Stationary distribution and its balance residual max|pi Q|."""
 
     pi: np.ndarray
     residual: float
-    label_mass: np.ndarray | None = None
-    empty_labels: np.ndarray | None = None
-
-    def mass_of(self, label: int) -> float:
-        return float(self.label_mass[label])
 
 
 def _pinned_lu(gen: BandGenerator, r: int) -> np.ndarray:
     """Stationary distribution up to scale, in the band's order, by a banded
     LU with the balance equation of the state at position r of the order
     replaced by pinning its mass to 1; the pin row is scaled to |q_rr| like
-    the row it replaces. The LU works on a copy of the band with width rows
-    on top for its fill. Raises SingularChainError when the LU is singular.
+    the row it replaces, or to 1 where the pinned state has no way out (an
+    absorbing state, or the only one). The LU works on a copy of the band
+    with width rows on top for its fill. Raises SingularChainError when the
+    LU is singular, which happens exactly when pi_r = 0.
     """
     n, w = gen.shape[0], gen.width
     ab = np.zeros((3 * w + 1, n), order="F")
     band = ab[w:]
     band[...] = gen.band
-    scale = abs(band[w, r])
+    scale = abs(band[w, r]) or 1.0
     cols = np.arange(max(0, r - w), min(n, r + w + 1))
     band[w + r - cols, cols] = 0.0
     band[w, r] = scale
@@ -480,34 +470,8 @@ def _pinned_pi(gen: BandGenerator, x: np.ndarray, r: int) -> np.ndarray:
     return pi
 
 
-def _solve_normalized(matrix) -> np.ndarray:
-    """Solve pi Q = 0, sum(pi) = 1 with one balance row replaced by the
-    normalization; valid because the balance equations always sum to zero.
-    The last resort of stationary_vector: a dense LU up to
-    DENSE_SOLVE_LIMIT states, SuperLU above."""
-    n = matrix.shape[0]
-    if n == 1:
-        return np.ones(1)
-    if isinstance(matrix, BandGenerator):
-        matrix = matrix.tocoo()
-    b = np.zeros(n)
-    b[-1] = 1.0
-    if n <= DENSE_SOLVE_LIMIT:
-        a = np.array(matrix.T) if isinstance(matrix, np.ndarray) else matrix.toarray().T
-        a[-1, :] = 1.0
-        try:
-            return np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularChainError(f"stationary solve failed: {exc}") from exc
-    a = matrix.T.tolil()
-    a[-1, :] = 1.0
-    try:
-        return spla.spsolve(a.tocsc(), b)
-    except RuntimeError as exc:
-        raise SingularChainError(f"stationary solve failed: {exc}") from exc
-
-
-def _checked(pi: np.ndarray, matrix, residual_tol: float) -> tuple[np.ndarray, float]:
+def _checked(pi: np.ndarray, gen: BandGenerator, residual_tol: float
+             ) -> tuple[np.ndarray, float]:
     """Normalized pi and its balance residual max|pi Q|, after clamping
     roundoff-sized negative entries to zero; negative mass, non-finite
     values and a residual above residual_tol raise ResidualError."""
@@ -516,56 +480,53 @@ def _checked(pi: np.ndarray, matrix, residual_tol: float) -> tuple[np.ndarray, f
             f"stationary solve produced negative or non-finite mass {pi.min():.3e}")
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
-    residual = float(np.abs(pi @ matrix).max())
+    residual = float(np.abs(pi @ gen).max())
     if not residual <= residual_tol:
         raise ResidualError(
             f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}")
     return pi, residual
 
 
-def stationary_vector(matrix, residual_tol: float = STEADY_RESIDUAL_TOL
+def stationary_vector(gen: BandGenerator, residual_tol: float = STEADY_RESIDUAL_TOL
                       ) -> tuple[np.ndarray, float]:
-    """Stationary distribution of a generator (a BandGenerator, dense or
-    sparse) and its balance residual max|pi Q|, checked by _checked.
+    """Stationary distribution of a BandGenerator and its balance residual
+    max|pi Q|, checked by _checked.
 
-    A BandGenerator is solved pinned at each of its pins in turn, and the
-    first solution that passes its checks is kept. Where both decline, as
-    on mid-load chains whose mass sits far from either end, it is pinned
-    once more at the heaviest state of the first declined solution that
-    came back finite. If no pin holds, and for any other matrix, one
-    balance row is replaced by the normalization.
+    The chain is solved pinned at each of its pins in turn, and the first
+    solution that passes its checks is kept. Where both decline, as on
+    mid-load chains whose mass sits far from either end, it is pinned once
+    more at the heaviest state of the first declined solution that came
+    back finite. Every state drains to the empty state, so its pin is
+    singular on no chain. When every pin declines all the same, the error
+    names the states tried: ResidualError if any pin failed its checks,
+    SingularChainError if every LU was singular.
     """
-    if isinstance(matrix, BandGenerator):
-        pins, heaviest = list(matrix.pins), None
-        for r in pins:
-            try:
-                x = _pinned_lu(matrix, r)
-                return _checked(_pinned_pi(matrix, x, r), matrix, residual_tol)
-            except SingularChainError:
-                pass
-            except ResidualError:
-                if heaviest is None and np.isfinite(x).all():
-                    heaviest = int(x.argmax())
-                    if heaviest not in pins:
-                        pins.append(heaviest)
-    return _checked(_solve_normalized(matrix), matrix, residual_tol)
+    pins, heaviest, failed_check = list(gen.pins), None, False
+    for r in pins:
+        try:
+            x = _pinned_lu(gen, r)
+            return _checked(_pinned_pi(gen, x, r), gen, residual_tol)
+        except SingularChainError:
+            pass
+        except ResidualError:
+            failed_check = True
+            if heaviest is None and np.isfinite(x).all():
+                heaviest = int(x.argmax())
+                if heaviest not in pins:
+                    pins.append(heaviest)
+    error = ResidualError if failed_check else SingularChainError
+    tried = ", ".join(str(int(gen.order[r])) for r in dict.fromkeys(pins))
+    raise error(f"no stationary solve holds: pinned at states {tried}, each declined")
 
 
-def solve_steady_state(gen: Generator, scheme: AggregationScheme | None = None,
-                       residual_tol: float = STEADY_RESIDUAL_TOL) -> SteadyState:
+def solve_steady_state(gen: Generator, *, residual_tol: float = STEADY_RESIDUAL_TOL
+                       ) -> SteadyState:
     """Unique stationary distribution of the generator, checked by
-    stationary_vector. When a scheme is given, the conditional label masses
-    (and which labels carry no mass at all) are attached to the result.
-    """
+    stationary_vector."""
     plan = chain_tables(gen.space).solve_plan
     matrix = BandGenerator.from_matrix(gen.matrix, plan.order, plan.pins)
     pi, residual = stationary_vector(matrix, residual_tol)
-    ss = SteadyState(pi=pi, residual=residual)
-    if scheme is not None:
-        labels = label_array(scheme, gen.space)
-        ss.label_mass = np.bincount(labels, weights=pi, minlength=scheme.label_count)
-        ss.empty_labels = ss.label_mass <= EMPTY_LABEL_MASS
-    return ss
+    return SteadyState(pi=pi, residual=residual)
 
 
 def blocking_by_label(space: StateSpace, scheme: AggregationScheme,

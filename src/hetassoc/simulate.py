@@ -32,7 +32,7 @@ from itertools import accumulate, islice
 import numpy as np
 from scipy import stats
 
-from .config import NETWORK_WIDE, NetworkConfig
+from .config import NETWORK_WIDE, ConfigError, NetworkConfig
 from .rules import AssignmentRule
 
 CI_LEVEL = 0.99
@@ -220,9 +220,9 @@ def simulate(config: NetworkConfig, rule: AssignmentRule, num_events: int,
     issued below 10^5.
     """
     if num_events < 1:
-        raise ValueError("num_events must be positive")
+        raise ConfigError("num_events must be positive")
     if num_batches < 20:
-        raise ValueError("at least 20 batches are required for the CIs")
+        raise ConfigError("at least 20 batches are required for the CIs")
     if num_events < MIN_EVENTS_FOR_CI:
         warnings.warn(f"fewer than {MIN_EVENTS_FOR_CI} events; "
                       "confidence intervals may be unreliable", stacklevel=2)

@@ -239,8 +239,7 @@ def erlang_loss_chain(servers: int, offered: float):
 
 def pinned_solve_holds(band, r: int) -> bool:
     """Whether the stationary solve pinned at position r of the band's order
-    passes its checks; where it does not, the next pin or the
-    normalization-row solve takes over."""
+    passes its checks; where it does not, the next pin takes over."""
     from hetassoc.ctmc import (STEADY_RESIDUAL_TOL, ResidualError, SingularChainError,
                                _checked, _pinned_lu, _pinned_pi)
     try:
@@ -252,9 +251,10 @@ def pinned_solve_holds(band, r: int) -> bool:
 
 def check_band_generator(instances, rng, rel_tol: float = 1e-12) -> None:
     """In both arrival modes the band generator equals the sparse one entry
-    for entry, and its stationary vector matches a normalization-row solve
-    of the sparse generator; the pinned banded solve must carry at least
-    half of those solves rather than its normalization-row fallback."""
+    for entry, and its pinned banded stationary vector matches a dense
+    solve of the sparse generator with one balance row replaced by the
+    normalization; the empty-state or occupied-end pin must carry at least
+    half of those solves rather than the third pin."""
     from hetassoc import PolicyRule, build_generator
     from hetassoc.ctmc import assemble_dense, chain_tables, stationary_vector
     pinned = 0

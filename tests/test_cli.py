@@ -200,6 +200,16 @@ def test_sweep_rejects_unknown_analysis(capsys):
     assert "magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("traffic", ["nan:1:1", "1:inf:1", "-inf:1:1", "1:2:nan"])
+def test_sweep_rejects_non_finite_traffic(tmp_path, capsys, traffic):
+    """A NaN bound would give an empty sweep and an infinite one a loop
+    that never ends; both are refused before any point is run."""
+    assert run("sweep", "--config", HYBRID, f"--traffic={traffic}",
+               "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: --traffic needs finite A, B and STEP\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_parallel_jobs_match_serial(tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
@@ -222,6 +232,17 @@ def test_simulate_output(tmp_path):
     assert float(blocking[3]) == pytest.approx(0.2, abs=0.02)
     text = (out / "simulation.csv").read_text()
     assert '"seed": 7' in text
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--events", "0", "num_events must be positive"),
+    ("--batches", "5", "at least 20 batches"),
+], ids=["events", "batches"])
+def test_simulate_rejects_bad_run_lengths(tmp_path, capsys, flag, value, message):
+    assert run("simulate", "--config", ERLANG, "--rule", "policy", "--policy", "0,0,0",
+               flag, value, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_sharing_override_changes_the_space(tmp_path, capsys):

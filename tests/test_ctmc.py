@@ -7,15 +7,16 @@ import scipy.sparse.linalg as spla
 
 from hetassoc import (AggregationScheme, Generator, NetworkConfig, Policy,
                       PolicyRule, ResidualError, blocking_by_label, build_generator,
-                      enumerate_states, overall_blocking, per_class_blocking,
-                      solve_steady_state)
-from hetassoc import ctmc
-from hetassoc.ctmc import (DENSE_SOLVE_LIMIT, SingularChainError, assemble_dense,
+                      enumerate_states, evaluate_policy, overall_blocking,
+                      per_class_blocking, solve_steady_state)
+from hetassoc import cli, ctmc
+from hetassoc.ctmc import (BandGenerator, SingularChainError, assemble_dense,
                            chain_tables, stationary_vector)
 from hetassoc.game import _solve_pi
 from hetassoc.transient import solve_volume_from_matrix
 
-from conftest import erlang_loss_chain, pinned_solve_holds, random_instance, random_policy
+from conftest import (CONFIG_DIR, erlang_loss_chain, pinned_solve_holds, random_instance,
+                      random_policy)
 
 
 @pytest.fixture
@@ -35,10 +36,10 @@ def test_birth_death_generator(erlang):
 
 def test_erlang_steady_state(erlang):
     _, space, scheme, rule = erlang
-    ss = solve_steady_state(build_generator(space, rule), scheme)
+    ss = solve_steady_state(build_generator(space, rule))
     assert np.allclose(ss.pi, [0.4, 0.4, 0.2], atol=1e-12)
     assert ss.residual <= 1e-10
-    assert ss.label_mass is not None and ss.label_mass[0] == pytest.approx(1.0)
+    assert evaluate_policy(space, scheme, rule.policy).label_mass[0] == pytest.approx(1.0)
 
 
 def test_light_traffic_limit(erlang_scheme):
@@ -122,7 +123,7 @@ def test_redirection_conservation():
 
 def test_blocking_by_label_erlang(erlang):
     _, space, scheme, rule = erlang
-    ss = solve_steady_state(build_generator(space, rule), scheme)
+    ss = solve_steady_state(build_generator(space, rule))
     b = blocking_by_label(space, scheme, ss, 0)
     assert b[0] == pytest.approx(0.2, abs=1e-12)
 
@@ -133,7 +134,7 @@ def test_blocking_label_with_only_zero_state():
     space = enumerate_states(config)
     scheme = AggregationScheme(((0.0, 0.7),))  # empty system reads low, alone
     rule = PolicyRule(Policy(((0, 0, 0),)), scheme)
-    ss = solve_steady_state(build_generator(space, rule), scheme)
+    ss = solve_steady_state(build_generator(space, rule))
     b = blocking_by_label(space, scheme, ss, 0)
     assert b[0] == 0.0  # label "low" contains only the empty state
 
@@ -141,9 +142,8 @@ def test_blocking_label_with_only_zero_state():
 def test_blocking_empty_label_flagged(erlang):
     _, space, _, rule = erlang
     scheme = AggregationScheme(((0.0, 0.2),))  # "medium" label gets no state
-    ss = solve_steady_state(build_generator(space, rule), scheme)
-    assert ss.empty_labels is not None
-    assert ss.empty_labels[1]          # medium: loads are 0, .5, 1
+    ss = solve_steady_state(build_generator(space, rule))
+    assert evaluate_policy(space, scheme, rule.policy).empty_labels[1]  # loads are 0, .5, 1
     b = blocking_by_label(space, scheme, ss, 0)
     assert b[1] == 0.0
 
@@ -151,7 +151,7 @@ def test_blocking_empty_label_flagged(erlang):
 def test_unrestricted_numerator_variant(erlang):
     _, space, _, rule = erlang
     scheme = AggregationScheme(((0.0, 0.7),))  # labels: {0}, {1}, {2}
-    ss = solve_steady_state(build_generator(space, rule), scheme)
+    ss = solve_steady_state(build_generator(space, rule))
     restricted = blocking_by_label(space, scheme, ss, 0)
     verbatim = blocking_by_label(space, scheme, ss, 0, restrict_numerator=False)
     # blocking mass is pi(2) = .2; label "low" holds only the empty state
@@ -191,7 +191,7 @@ def test_row_sums_and_residual_random_instances():
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
         gen = build_generator(space, rule)
         assert gen.row_sum_error() <= 1e-12
-        ss = solve_steady_state(gen, scheme)
+        ss = solve_steady_state(gen)
         assert ss.residual <= 1e-10
         assert ss.pi.min() >= 0.0
         assert ss.pi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -202,7 +202,7 @@ def check_erlang_loss_chain(servers: int, offered: float) -> None:
     independently, and every tagged volume within its bounds."""
     config, space, scheme1, rule = erlang_loss_chain(servers, offered)
     gen = build_generator(space, rule)
-    ss = solve_steady_state(gen, scheme1)
+    ss = solve_steady_state(gen)
     assert ss.residual <= 1e-10
 
     b = 1.0
@@ -219,27 +219,48 @@ def check_erlang_loss_chain(servers: int, offered: float) -> None:
     assert (vol[finite] <= config.t_max / config.service_rate + 1e-9).all()
 
 
-def test_sparse_solver_path_matches_erlang_recursion(monkeypatch):
-    """The last-resort stationary solve above the cutoff: with every pin
-    made to fail, the normalization-row solve runs as a SuperLU
-    factorization, and the loss probability must still match the Erlang-B
-    recursion computed independently. (Left alone, this chain holds on its
-    third pin; see test_banded_solver_path_matches_erlang_recursion.)"""
-    assert 2500 + 1 > DENSE_SOLVE_LIMIT
-
+def test_every_pin_failing_raises_a_typed_error(monkeypatch, capsys, tmp_path):
+    """The pinned banded LU is the only stationary solve: where every pin
+    fails there is no other solve to fall back on, so the library raises
+    SingularChainError and the CLI reports it on one line with exit code 1."""
     def no_pin(gen, r):
         raise SingularChainError("pins disabled")
 
     monkeypatch.setattr(ctmc, "_pinned_lu", no_pin)
-    check_erlang_loss_chain(2500, 2000.0)
+    _, space, _, rule = erlang_loss_chain(2, 1.0)
+    with pytest.raises(SingularChainError, match="pinned at states"):
+        solve_steady_state(build_generator(space, rule))
+    config = str(CONFIG_DIR / "erlang_single.json")
+    assert cli.main(["steady", "--config", config, "--rule", "policy",
+                     "--policy", "0,0,0", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config, choice, expected", [
+    (NetworkConfig(peak_rate=((0.5, 0.5),), t_min=1.0, t_max=2.0,
+                   arrival_rate=(1.0,), service_rate=1.0),
+     [[0]], [1.0]),
+    (NetworkConfig(peak_rate=((1.584, 2.722), (2.353, 1.112)), t_min=1.0, t_max=1.078,
+                   arrival_rate=(0.089, 2.22), service_rate=0.777, scheduler_gain=(0.6,)),
+     [[0, 0, 0, 0], [1, 0, 0, 0]], [1.0, 0.0, 0.0, 0.0]),
+], ids=["one-state", "strict-absorbing-empty"])
+def test_pin_at_a_state_with_no_way_out_holds(config, choice, expected):
+    """A pinned state with no outgoing rate (the only state of a one-state
+    chain, or an empty state whose every arrival the strict mode drops)
+    still pins: its pin row is scaled to 1 rather than to q_rr = 0."""
+    space = enumerate_states(config)
+    band = assemble_dense(chain_tables(space), np.array(choice), strict=True)
+    assert pinned_solve_holds(band, band.pins[0])
+    pi, _ = stationary_vector(band)
+    assert pi == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize("servers, offered", [(300, 250.0), (1999, 1900.0),
                                              (1999, 500.0), (1999, 10.0)])
 def test_dense_solver_path_matches_erlang_recursion(servers, offered):
-    """At or below the cutoff: a banded stationary LU and banded tagged LUs,
-    the largest cases right at the cutoff."""
-    assert servers + 1 <= DENSE_SOLVE_LIMIT
+    """A banded stationary LU and banded tagged LUs, the largest cases on
+    1,999 servers."""
     check_erlang_loss_chain(servers, offered)
 
 
@@ -247,10 +268,9 @@ def test_dense_solver_path_matches_erlang_recursion(servers, offered):
                                                   (2500, 10.0, "empty"),
                                                   (2500, 2000.0, "third")])
 def test_banded_solver_path_matches_erlang_recursion(servers, offered, pin):
-    """Above the cutoff the solves are the same banded LUs as below it, on
+    """On 2,500 servers the solves are the same banded LUs as on fewer, on
     the full-state pin under heavy load, the empty-state pin under light
     load, and the third pin where neither end holds enough mass."""
-    assert servers + 1 > DENSE_SOLVE_LIMIT
     _, space, _, rule = erlang_loss_chain(servers, offered)
     band = assemble_dense(chain_tables(space), rule.choice_table(space))
     empty, full = band.pins
@@ -260,19 +280,13 @@ def test_banded_solver_path_matches_erlang_recursion(servers, offered, pin):
 
 
 @pytest.mark.parametrize("servers, offered", [(1999, 500.0), (300, 100.0)])
-def test_third_pin_solves_mid_load_chains(servers, offered, monkeypatch):
+def test_third_pin_solves_mid_load_chains(servers, offered):
     """Under mid load neither the empty nor the full state holds enough
     mass to pin. The third pin, at the heaviest state of the first
-    declined solution, must solve the chain without the normalization-row
-    fallback, which is made to fail here."""
+    declined solution, must solve the chain."""
     _, space, _, rule = erlang_loss_chain(servers, offered)
     band = assemble_dense(chain_tables(space), rule.choice_table(space))
     assert not any(pinned_solve_holds(band, r) for r in band.pins)
-
-    def no_fallback(matrix):
-        raise AssertionError("normalization-row fallback reached")
-
-    monkeypatch.setattr(ctmc, "_solve_normalized", no_fallback)
     check_erlang_loss_chain(servers, offered)
 
 
@@ -346,8 +360,9 @@ def test_nan_generator_is_rejected(erlang_space):
     with pytest.raises(ResidualError):
         solve_steady_state(Generator(matrix=sp.csr_matrix(q), space=erlang_space,
                                      rule_name="nan"))
+    plan = chain_tables(erlang_space).solve_plan
     with pytest.raises(ResidualError):
-        _solve_pi(erlang_space, q)
+        _solve_pi(erlang_space, BandGenerator.from_matrix(q, plan.order, plan.pins))
 
 
 def test_coo_triplets_only_offdiagonal(erlang):

@@ -189,8 +189,8 @@ def test_solve_plan_blocks_are_banded(hybrid_chain):
 
 @pytest.mark.parametrize("chain", ["shipped", "erlang-2501"])
 def test_corrupted_tagged_solve_raises(chain, request, monkeypatch):
-    """On the shipped chain and on one above DENSE_SOLVE_LIMIT, both banded,
-    a solve thrown off by one part in a million fails its residual check."""
+    """On the shipped chain and on a 2,501-state one, both banded, a solve
+    thrown off by one part in a million fails its residual check."""
     if chain == "shipped":
         tables, q = request.getfixturevalue("hybrid_chain")
     else:
