@@ -11,6 +11,7 @@ across parallel workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 PER_SYSTEM = "per_system"
@@ -79,6 +80,10 @@ class NetworkConfig:
             raise ConfigError("peak_rate rows must all have the same length")
         if widths == {0}:
             raise ConfigError("at least one system is required")
+        numbers = (*(d for row in self.peak_rate for d in row), self.t_min, self.t_max,
+                   *self.arrival_rate, self.service_rate, *self.scheduler_gain)
+        if not all(map(math.isfinite, numbers)):
+            raise ConfigError("rates, bounds and gains must be finite")
         if any(d <= 0 for row in self.peak_rate for d in row):
             raise ConfigError("peak rates must be positive")
         if not (0 < self.t_min):
@@ -258,9 +263,11 @@ def instance_from_dict(doc: dict) -> tuple[NetworkConfig, AggregationScheme]:
         raise ConfigError("each class needs arrival_rate and peak_rates") from exc
     if any(len(row) != len(systems) for row in peak_rate):
         raise ConfigError("peak_rates must list one rate per system")
+    gain = doc.get("scheduler_gain", [1.0])
+    if not isinstance(gain, list):
+        raise ConfigError("scheduler_gain must be an array")
     numbers = [x for row in peak_rate for x in row] + list(arrival)
-    numbers += [doc["t_min"], doc["t_max"], doc["service_rate"]]
-    numbers += list(doc.get("scheduler_gain", ()))
+    numbers += [doc["t_min"], doc["t_max"], doc["service_rate"], *gain]
     numbers += [x for sys_ in systems for x in sys_["thresholds"][:2]]
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                for x in numbers):
@@ -272,7 +279,7 @@ def instance_from_dict(doc: dict) -> tuple[NetworkConfig, AggregationScheme]:
         t_max=doc["t_max"],
         arrival_rate=arrival,
         service_rate=doc["service_rate"],
-        scheduler_gain=tuple(doc.get("scheduler_gain", (1.0,))),
+        scheduler_gain=tuple(gain),
         sharing_scope=doc.get("sharing_scope", PER_SYSTEM),
         system_names=system_names,
         class_names=class_names,

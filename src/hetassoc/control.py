@@ -74,8 +74,7 @@ def _select(equilibria: list[PolicyEvaluation], rule: str) -> PolicyEvaluation:
 
 def optimize_thresholds(config: NetworkConfig, grid, *,
                         selection_rule: str = "max_utility",
-                        nash_mode: str = "auto", restarts: int = 64,
-                        seed: int = 0, eps: float = 1e-9,
+                        restarts: int = 64, seed: int = 0,
                         strict_arrivals: bool = False,
                         space: StateSpace | None = None) -> ControlResult:
     """Evaluate every scheme in the grid and pick the blocking argmin.
@@ -94,7 +93,7 @@ def optimize_thresholds(config: NetworkConfig, grid, *,
     outcomes = []
     for scheme in grid:
         solver = PolicyGameSolver(space, scheme, strict_arrivals=strict_arrivals)
-        equilibria = solver.find_nash(nash_mode, eps=eps, restarts=restarts, seed=seed)
+        equilibria = solver.find_nash("auto", restarts=restarts, seed=seed)
         if not equilibria:
             outcomes.append(SchemeOutcome(
                 scheme=scheme, equilibria=[], selected=None, blocking=None,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,18 +126,6 @@ class ChainTables:
     def solve_plan(self) -> "SolvePlan":
         return SolvePlan(self)
 
-    def arrival_edges(self, choice: np.ndarray, strict: bool = False):
-        """Arrival triplets (src, dst, rate) for a preferred-system table of
-        shape (N, num_states)."""
-        config = self.space.config
-        N, nst = choice.shape
-        targets = self.strict_id if strict else self.admit_id
-        dst = targets[np.arange(N)[:, None], choice, np.arange(nst)]
-        ok = dst >= 0
-        rates = np.broadcast_to(np.asarray(config.arrival_rate, dtype=float)[:, None],
-                                dst.shape)
-        return np.nonzero(ok)[1], dst[ok], rates[ok]
-
 
 @dataclass(frozen=True)
 class TaggedPlan:
@@ -203,19 +192,6 @@ class BandGenerator:
         self.pins = pins
         self.shape = (n, n)
         self.band = data[:-1].reshape((2 * width + 1, n), order="F")
-
-    @classmethod
-    def from_matrix(cls, matrix, order: np.ndarray,
-                    pins: tuple[int, ...]) -> "BandGenerator":
-        """Band form of a dense or sparse generator, states taken in order."""
-        coo = sp.coo_matrix(matrix)
-        position = np.empty(len(order), dtype=np.int64)
-        position[order] = np.arange(len(order))
-        r, c = position[coo.col], position[coo.row]
-        width = int(np.abs(r - c).max(initial=0))
-        data = np.zeros((2 * width + 1) * len(order) + 1)
-        data[_band_position(width, r, c)] = coo.data
-        return cls(data, width, order, pins)
 
     @property
     def nnz(self) -> int:
@@ -350,9 +326,10 @@ def chain_tables(space: StateSpace) -> ChainTables:
 
 @dataclass
 class Generator:
-    """Sparse CTMC rate matrix over dense state ids; rows sum to zero."""
+    """CTMC rate matrix of one rule over dense state ids, held as the
+    BandGenerator of assemble_dense; rows sum to zero."""
 
-    matrix: sp.csr_matrix
+    matrix: BandGenerator
     space: StateSpace
     rule_name: str
 
@@ -364,37 +341,20 @@ class Generator:
         return self.matrix.toarray()
 
     def row_sum_error(self) -> float:
-        return float(np.abs(np.asarray(self.matrix.sum(axis=1)).ravel()).max())
+        return float(np.abs(self.matrix.dot(np.ones(self.num_states))).max())
 
     def coo_triplets(self):
-        """(row, col, rate) triplets of the off-diagonal transitions."""
+        """(row, col, rate) triplets of the off-diagonal transitions, in
+        (row, col) order."""
         coo = self.matrix.tocoo()
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            if r != c and v != 0.0:
-                yield int(r), int(c), float(v)
-
-
-def _outflow(tables: ChainTables, arr_src: np.ndarray, arr_rate: np.ndarray) -> np.ndarray:
-    """Total rate out of each state: its departures plus the arrivals
-    (src, rate) admitted there. Both assemblies take their diagonal from
-    here, so the band and CSR generators agree entry for entry."""
-    nst = tables.space.num_states
-    return tables.departure_out + np.bincount(arr_src, weights=arr_rate, minlength=nst)
-
-
-def assemble_generator(tables: ChainTables, choice: np.ndarray,
-                       strict: bool = False) -> sp.csr_matrix:
-    arr_src, arr_dst, arr_rate = tables.arrival_edges(choice, strict=strict)
-    rows = np.concatenate([arr_src, tables.dep_src])
-    cols = np.concatenate([arr_dst, tables.dep_dst])
-    rates = np.concatenate([arr_rate, tables.dep_rate])
-    nst = tables.space.num_states
-    q = sp.coo_matrix((rates, (rows, cols)), shape=(nst, nst)).tocsr()
-    return q - sp.diags(_outflow(tables, arr_src, arr_rate), format="csr")
+        off = coo.row != coo.col
+        rows, cols, rates = coo.row[off], coo.col[off], coo.data[off]
+        for k in np.lexsort((cols, rows)):
+            yield int(rows[k]), int(cols[k]), float(rates[k])
 
 
 def assemble_dense(tables: ChainTables, choice: np.ndarray,
-                   strict: bool = False):
+                   strict: bool = False) -> BandGenerator:
     """The generator of a preferred-system table in the form the solvers
     take, a BandGenerator, at any state count. Every solver assembles
     through here.
@@ -409,16 +369,22 @@ def assemble_dense(tables: ChainTables, choice: np.ndarray,
     # an arrival raises the population and a departure lowers it, so no
     # two edges share an entry
     data[where.take(picked)] = rate
-    data[plan.diagonal] = -_outflow(tables, plan.arrival_src, rate.ravel())
+    data[plan.diagonal] = -(tables.departure_out + np.bincount(
+        plan.arrival_src, weights=rate.ravel(), minlength=nst))
     return BandGenerator(data, plan.width, plan.order, plan.pins)
+
+
+# perfbench/tracer.py wraps the name assemble_generator in this module and
+# in game and transient; it stays bound to assemble_dense until the
+# benchmark stops wrapping it
+assemble_generator = assemble_dense
 
 
 def build_generator(space: StateSpace, rule: AssignmentRule,
                     strict_arrivals: bool = False) -> Generator:
     """Generator of the chain induced by an assignment rule."""
-    tables = chain_tables(space)
-    choice = rule.choice_table(space)
-    matrix = assemble_generator(tables, choice, strict=strict_arrivals)
+    matrix = assemble_dense(chain_tables(space), rule.choice_table(space),
+                            strict=strict_arrivals)
     return Generator(matrix=matrix, space=space, rule_name=rule.describe())
 
 
@@ -523,49 +489,62 @@ def solve_steady_state(gen: Generator, *, residual_tol: float = STEADY_RESIDUAL_
                        ) -> SteadyState:
     """Unique stationary distribution of the generator, checked by
     stationary_vector."""
-    plan = chain_tables(gen.space).solve_plan
-    matrix = BandGenerator.from_matrix(gen.matrix, plan.order, plan.pins)
-    pi, residual = stationary_vector(matrix, residual_tol)
+    pi, residual = stationary_vector(gen.matrix, residual_tol)
     return SteadyState(pi=pi, residual=residual)
 
 
-def blocking_by_label(space: StateSpace, scheme: AggregationScheme,
-                      steady: SteadyState, user_class: int,
-                      restrict_numerator: bool = True) -> np.ndarray:
-    """Conditional blocking probability of one class per load label.
+class CellBlocking(NamedTuple):
+    """Blocking of one stationary vector over an information partition."""
 
-    The numerator is restricted to the label's own states so the result is a
-    probability; restrict_numerator=False reproduces the unrestricted
-    variant (blocking mass over label mass) for comparison. Labels without
-    stationary mass report zero.
+    mass: np.ndarray                  # stationary mass per cell
+    empty: np.ndarray                 # cells without stationary mass
+    by_cell: np.ndarray               # (N, cells) blocking conditional on the cell
+    per_class: np.ndarray             # unconditional blocking per class
+    overall: float                    # arrival-rate weighted over the classes
+
+
+def cell_blocking(tables: ChainTables, pi: np.ndarray, cells: np.ndarray,
+                  ncells: int) -> CellBlocking:
+    """Blocking under pi over cells, a cell id per state (ncells in all).
+
+    A class is blocked at a state where every system is saturated. The
+    numerator of a cell's conditional blocking is restricted to the cell's
+    own states, so the result is a probability; cells without stationary
+    mass report zero.
     """
-    labels = label_array(scheme, space)
-    blocked = chain_tables(space).blocked[user_class]
-    L = scheme.label_count
-    mass = np.bincount(labels, weights=steady.pi, minlength=L)
-    if restrict_numerator:
-        num = np.bincount(labels[blocked], weights=steady.pi[blocked], minlength=L)
-    else:
-        num = np.full(L, steady.pi[blocked].sum())
-    out = np.zeros(L)
-    nonempty = mass > EMPTY_LABEL_MASS
-    out[nonempty] = num[nonempty] / mass[nonempty]
-    return out
+    blocked = tables.blocked
+    N = len(blocked)
+    mass = np.bincount(cells, weights=pi, minlength=ncells)
+    empty = mass <= EMPTY_LABEL_MASS
+    rates = tables.space.config.arrival_rate
+    weights = np.array(rates) / sum(rates)
+    bins = (np.arange(N)[:, None] * ncells + cells).ravel()
+    per_class = np.array([pi[b].sum() for b in blocked])
+    by_cell = np.zeros((N, ncells))
+    num = np.bincount(bins, weights=(blocked * pi).ravel(), minlength=N * ncells)
+    np.divide(num.reshape(N, ncells), mass, out=by_cell, where=~empty)
+    return CellBlocking(mass, empty, by_cell, per_class, float(weights @ per_class))
+
+
+def _one_cell(space: StateSpace, steady: SteadyState) -> CellBlocking:
+    return cell_blocking(chain_tables(space), steady.pi,
+                         np.zeros(space.num_states, dtype=np.int64), 1)
+
+
+def blocking_by_label(space: StateSpace, scheme: AggregationScheme,
+                      steady: SteadyState, user_class: int) -> np.ndarray:
+    """Conditional blocking probability of one class per load label (see
+    cell_blocking)."""
+    return cell_blocking(chain_tables(space), steady.pi, label_array(scheme, space),
+                         scheme.label_count).by_cell[user_class]
 
 
 def overall_blocking(space: StateSpace, steady: SteadyState) -> float:
     """Arrival-rate-weighted probability that a new call finds every system
     saturated."""
-    config = space.config
-    total = sum(config.arrival_rate)
-    blocked = chain_tables(space).blocked
-    b = 0.0
-    for n in range(config.num_classes):
-        weight = config.arrival_rate[n] / total
-        b += weight * steady.pi[blocked[n]].sum()
-    return b
+    return _one_cell(space, steady).overall
 
 
 def per_class_blocking(space: StateSpace, steady: SteadyState) -> np.ndarray:
     """Unconditional blocking probability per class."""
-    return np.array([steady.pi[blocked].sum() for blocked in chain_tables(space).blocked])
+    return _one_cell(space, steady).per_class

@@ -35,7 +35,7 @@ from .config import AggregationScheme, NetworkConfig, Policy
 # assemble_generator and solve_volume_from_matrix are not called here, but
 # perfbench/tracer.py wraps the names in this module, so they stay bound
 from .ctmc import (EMPTY_LABEL_MASS, ChainTables, assemble_dense,  # noqa: F401
-                   assemble_generator, chain_tables, stationary_vector)
+                   assemble_generator, cell_blocking, chain_tables, stationary_vector)
 from .rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 from .states import StateSpace
 from .transient import solve_volume_from_matrix, tagged_volumes  # noqa: F401
@@ -96,36 +96,28 @@ def _evaluate_chain(tables: ChainTables, choice: np.ndarray, cells: np.ndarray,
     """Solve the chain of a (N, num_states) preferred-system table and
     aggregate it over cells, a cell id per state (ncells in all).
 
-    outcome is _outcome_index(tables, strict). A cell's blocking is
-    conditional on the cell; the global utility weights each cell's chosen
+    outcome is _outcome_index(tables, strict). Blocking is
+    ctmc.cell_blocking's; the global utility weights each cell's chosen
     value by its non-blocking probability.
     """
     N, nst = choice.shape
     q = assemble_dense(tables, choice, strict=strict)
     pi, residual = _solve_pi(tables.space, q)
-    mass = np.bincount(cells, weights=pi, minlength=ncells)
-    empty = mass <= EMPTY_LABEL_MASS
+    b = cell_blocking(tables, pi, cells, ncells)
     volumes = tagged_volumes(tables, q)
 
     rates = tables.space.config.arrival_rate
     weights = np.array(rates) / sum(rates)
     bins = (np.arange(N)[:, None] * ncells + cells).ravel()
-    blocked = tables.blocked
-    per_class = np.array([pi[b].sum() for b in blocked])
-    blocking = np.zeros((N, ncells))
-    num = np.bincount(bins, weights=(blocked * pi).ravel(), minlength=N * ncells)
-    np.divide(num.reshape(N, ncells), mass, out=blocking, where=~empty)
-
     value = np.append(volumes, 0.0)[outcome]
     chosen = value[np.arange(N)[:, None], choice, np.arange(nst)]
     inner = np.bincount(bins, weights=(chosen * pi).ravel(),
                         minlength=N * ncells).reshape(N, ncells)
-    global_u = sum(weights * ((1.0 - blocking) * inner).sum(axis=1))
+    global_u = sum(weights * ((1.0 - b.by_cell) * inner).sum(axis=1))
     return ChainEvaluation(
-        pi=pi, residual=residual, label_mass=mass, empty_labels=empty,
-        blocking=blocking, global_utility=global_u,
-        overall_blocking=float(weights @ per_class), per_class_blocking=per_class,
-        volumes=volumes)
+        pi=pi, residual=residual, label_mass=b.mass, empty_labels=b.empty,
+        blocking=b.by_cell, global_utility=global_u, overall_blocking=b.overall,
+        per_class_blocking=b.per_class, volumes=volumes)
 
 
 @dataclass
@@ -445,8 +437,8 @@ class PolicyGameSolver:
     # ----- Nash equilibria --------------------------------------------
 
     def find_nash(self, mode: str = "auto", *, eps: float = NASH_EPS,
-                  restarts: int = 64, seed: int = 0, auto_cap: int = 4096,
-                  verify: bool = True) -> list[PolicyEvaluation]:
+                  restarts: int = 64, seed: int = 0,
+                  auto_cap: int = 4096) -> list[PolicyEvaluation]:
         """All (canonical) pure equilibria found under the requested mode.
 
         exhaustive checks every canonical policy, one representative per
@@ -469,7 +461,7 @@ class PolicyGameSolver:
             candidates = self._best_response_candidates(restarts=restarts,
                                                         seed=seed, eps=eps)
             candidates = self._expand_ties(candidates, eps)
-        checker = self.fresh_checker() if verify else None
+        checker = self.fresh_checker()
         found: dict[tuple, PolicyEvaluation] = {}
         for policy in candidates:
             canonical = self.canonicalize(policy, self.evaluate(policy))
@@ -478,7 +470,7 @@ class PolicyGameSolver:
             ev = self.evaluate(canonical)
             if not ev.is_nash(eps):
                 continue
-            if checker is not None and not checker.evaluate(canonical).is_nash(eps):
+            if not checker.evaluate(canonical).is_nash(eps):
                 continue
             found[canonical.choice] = ev
         return [found[key] for key in sorted(found)]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,14 +92,98 @@ def random_policy(rng: np.random.Generator, config, scheme):
                         for _ in range(config.num_classes)))
 
 
-# ----- property-family checks shared by the property and acceptance suites
+# ----- independent oracle: the chain from the primitive model definitions
+
+
+@functools.lru_cache(maxsize=2)
+def oracle_structure(config, scheme) -> SimpleNamespace:
+    """Everything the independent oracle needs that does not depend on the
+    rule, built once per config from the primitive model definitions in
+    plain loops: the enumerated states, their labels, every arrival outcome
+    under every preference, the departure edges and the tagged states with
+    their throughputs."""
+    from hetassoc.aggregation import label_of
+    from hetassoc.states import is_feasible, occ_index, user_throughput
+    space = enumerate_states(config)
+    states = space.states
+    N, S = config.num_classes, config.num_systems
+    labels = [label_of(scheme, config, occ) for occ in states]
+
+    def arrival_outcome(occ, n, pref):
+        for s in [pref] + [x for x in range(S) if x != pref]:
+            j = occ_index(config, n, s)
+            up = occ[:j] + (occ[j] + 1,) + occ[j + 1:]
+            if is_feasible(config, up):
+                return s, space.id_of(up)
+        return None
+
+    # outcome[i][n][pref]: (system joined, state id reached) when a class-n
+    # user preferring pref arrives at state i; None when no system admits
+    outcome = [[[arrival_outcome(occ, n, pref) for pref in range(S)]
+                for n in range(N)] for occ in states]
+    # departures[i]: (class, system, users present, state id after one leaves)
+    departures = []
+    for occ in states:
+        edges = []
+        for s in range(S):
+            for n in range(N):
+                j = occ_index(config, n, s)
+                if occ[j] > 0:
+                    down = occ[:j] + (occ[j] - 1,) + occ[j + 1:]
+                    edges.append((n, s, occ[j], space.id_of(down)))
+        departures.append(edges)
+    tagged, throughput = {}, {}
+    for n in range(N):
+        for s in range(S):
+            j = occ_index(config, n, s)
+            tagged[n, s] = [i for i, occ in enumerate(states) if occ[j] > 0]
+            throughput[n, s] = [user_throughput(config, states[i], n, s)
+                                for i in tagged[n, s]]
+    label_states = [[i for i in range(len(states)) if labels[i] == l]
+                    for l in range(scheme.label_count)]
+    return SimpleNamespace(nst=len(states), states=states, labels=labels,
+                           outcome=outcome, departures=departures, tagged=tagged,
+                           throughput=throughput, label_states=label_states)
+
+
+def reference_generator(config, scheme, rule, strict: bool = False) -> np.ndarray:
+    """Dense generator of a rule, entry by entry in plain loops: a class-n
+    arrival at a state goes where the network admits a user preferring
+    rule.choose there (under strict only into that preferred system), each
+    (n, s) user departs at rate mu, and the diagonal makes every row sum to
+    zero. Shares only the primitive model definitions with the library."""
+    o = oracle_structure(config, scheme)
+    lam, mu = config.arrival_rate, config.service_rate
+    q = np.zeros((o.nst, o.nst))
+    for i, occ in enumerate(o.states):
+        for n in range(config.num_classes):
+            pref = rule.choose(config, occ, n)
+            joined = o.outcome[i][n][pref]
+            if joined is not None and not (strict and joined[0] != pref):
+                q[i, joined[1]] += lam[n]
+        for _, _, count, down in o.departures[i]:
+            q[i, down] += count * mu
+    np.fill_diagonal(q, q.diagonal() - q.sum(axis=1))
+    return q
+
+
+def assert_matches_reference(q: np.ndarray, reference: np.ndarray) -> None:
+    """q equals the reference generator off the diagonal entry for entry;
+    on it each entry agrees to 1e-14 relative, since the two sum a row's
+    rates in different orders."""
+    off = ~np.eye(len(reference), dtype=bool)
+    assert np.array_equal(q[off], reference[off])
+    diag = np.diag(reference)
+    assert (np.abs(np.diag(q) - diag) <= 1e-14 * np.abs(diag)).all()
 
 
 def check_generator_row_sums(instances, rng) -> None:
     from hetassoc import PolicyRule, build_generator
     for config, space, scheme in instances:
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
-        assert build_generator(space, rule).row_sum_error() <= 1e-12
+        gen = build_generator(space, rule)
+        assert gen.row_sum_error() <= 1e-12
+        assert_matches_reference(gen.dense(), reference_generator(config, scheme, rule))
 
 
 def check_steady_residuals(instances, rng) -> None:
@@ -197,19 +283,18 @@ def reference_tagged_block(space, q_dense, user_class, system):
 
 
 def check_tagged_solves(instances, rng, rel_tol: float = 1e-12) -> None:
-    """In both arrival modes, every tagged block equals its entry-by-entry
-    reference and the volume solve matches a dense solve of that block; the
-    dense assembly matches the sparse one to roundoff."""
-    from hetassoc import (PolicyRule, build_generator, build_tagged_generator,
-                          solve_volume)
+    """In both arrival modes the band generator matches the independent
+    reference generator, every tagged block equals its entry-by-entry
+    gather from the band, and the volume solve matches a dense solve of
+    that block."""
+    from hetassoc import PolicyRule, build_tagged_generator, solve_volume
     from hetassoc.ctmc import assemble_dense, chain_tables
     for config, space, scheme in instances:
         tables = chain_tables(space)
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
         for strict in (False, True):
-            q = build_generator(space, rule, strict_arrivals=strict).dense()
-            dense = assemble_dense(tables, rule.choice_table(space), strict=strict).toarray()
-            assert np.abs(dense - q).max() <= 1e-13 * np.abs(q).max()
+            q = assemble_dense(tables, rule.choice_table(space), strict=strict).toarray()
+            assert_matches_reference(q, reference_generator(config, scheme, rule, strict))
             for n in range(config.num_classes):
                 for s in range(config.num_systems):
                     ids, block = reference_tagged_block(space, q, n, s)
@@ -250,21 +335,21 @@ def pinned_solve_holds(band, r: int) -> bool:
 
 
 def check_band_generator(instances, rng, rel_tol: float = 1e-12) -> None:
-    """In both arrival modes the band generator equals the sparse one entry
-    for entry, and its pinned banded stationary vector matches a dense
-    solve of the sparse generator with one balance row replaced by the
+    """In both arrival modes the band generator matches the independent
+    reference generator, and its pinned banded stationary vector matches a
+    dense solve of the reference with one balance row replaced by the
     normalization; the empty-state or occupied-end pin must carry at least
     half of those solves rather than the third pin."""
-    from hetassoc import PolicyRule, build_generator
+    from hetassoc import PolicyRule
     from hetassoc.ctmc import assemble_dense, chain_tables, stationary_vector
     pinned = 0
     for config, space, scheme in instances:
         tables = chain_tables(space)
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
         for strict in (False, True):
-            q = build_generator(space, rule, strict_arrivals=strict).dense()
+            q = reference_generator(config, scheme, rule, strict)
             band = assemble_dense(tables, rule.choice_table(space), strict=strict)
-            assert np.array_equal(band.toarray(), q)
+            assert_matches_reference(band.toarray(), q)
             a = q.T.copy()
             a[-1, :] = 1.0
             rhs = np.zeros(len(q))
@@ -274,4 +359,3 @@ def check_band_generator(instances, rng, rel_tol: float = 1e-12) -> None:
             assert np.abs(pi - reference).max() <= rel_tol * reference.max()
             pinned += any(pinned_solve_holds(band, r) for r in band.pins)
     assert pinned >= len(instances)
-

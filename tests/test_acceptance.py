@@ -6,9 +6,7 @@ acceptance is oracle- and property-based plus qualitative orderings, all
 at pinned tolerances.
 """
 
-import functools
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,16 +17,14 @@ from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyRule,
                       load_instance, optimize_thresholds, overall_blocking,
                       per_class_blocking, simulate, solve_steady_state,
                       volume_tables)
-from hetassoc.aggregation import label_of
 from hetassoc.cli import main as cli_main
 from hetassoc.ctmc import chain_tables
 from hetassoc.game import PolicyGameSolver
-from hetassoc.states import is_feasible, occ_index, user_throughput
 
 from conftest import (CONFIG_DIR, check_departure_closure,
                       check_generator_row_sums, check_label_totality,
                       check_relabel_equivariance, check_steady_residuals,
-                      random_instance)
+                      oracle_structure, random_instance, reference_generator)
 
 
 def _report(num: int, text: str) -> None:
@@ -160,55 +156,6 @@ def test_criterion_3_monte_carlo(erlang_config, erlang_rule):
 # ----- criterion 4: Nash certificate and mode agreement ---------------------
 
 
-@functools.lru_cache(maxsize=2)
-def _oracle_structure(config, scheme) -> SimpleNamespace:
-    """Everything the independent check needs that does not depend on the
-    policy, built once per config from the primitive model definitions in
-    plain loops: the enumerated states, their labels, every arrival outcome
-    under every preference, the departure edges and the tagged states with
-    their throughputs."""
-    space = enumerate_states(config)
-    states = space.states
-    N, S = config.num_classes, config.num_systems
-    labels = [label_of(scheme, config, occ) for occ in states]
-
-    def arrival_outcome(occ, n, pref):
-        for s in [pref] + [x for x in range(S) if x != pref]:
-            j = occ_index(config, n, s)
-            up = occ[:j] + (occ[j] + 1,) + occ[j + 1:]
-            if is_feasible(config, up):
-                return s, space.id_of(up)
-        return None
-
-    # outcome[i][n][pref]: (system joined, state id reached) when a class-n
-    # user preferring pref arrives at state i; None when no system admits
-    outcome = [[[arrival_outcome(occ, n, pref) for pref in range(S)]
-                for n in range(N)] for occ in states]
-    # departures[i]: (class, system, users present, state id after one leaves)
-    departures = []
-    for occ in states:
-        edges = []
-        for s in range(S):
-            for n in range(N):
-                j = occ_index(config, n, s)
-                if occ[j] > 0:
-                    down = occ[:j] + (occ[j] - 1,) + occ[j + 1:]
-                    edges.append((n, s, occ[j], space.id_of(down)))
-        departures.append(edges)
-    tagged, throughput = {}, {}
-    for n in range(N):
-        for s in range(S):
-            j = occ_index(config, n, s)
-            tagged[n, s] = [i for i, occ in enumerate(states) if occ[j] > 0]
-            throughput[n, s] = [user_throughput(config, states[i], n, s)
-                                for i in tagged[n, s]]
-    label_states = [[i for i in range(len(states)) if labels[i] == l]
-                    for l in range(scheme.label_count)]
-    return SimpleNamespace(nst=len(states), labels=labels, outcome=outcome,
-                           departures=departures, tagged=tagged,
-                           throughput=throughput, label_states=label_states)
-
-
 def _independent_equilibrium_check(config, scheme, policy: Policy,
                                    eps: float = 1e-9) -> bool:
     """Re-derive the no-profitable-deviation inequality from first
@@ -216,20 +163,11 @@ def _independent_equilibrium_check(config, scheme, policy: Policy,
     solve and direct evaluation of the conditional deviation payoffs.
     Shares only the primitive model definitions with the library.
     """
-    o = _oracle_structure(config, scheme)
+    o = oracle_structure(config, scheme)
     nst, labels, outcome = o.nst, o.labels, o.outcome
     N, S = config.num_classes, config.num_systems
     lam, mu = config.arrival_rate, config.service_rate
-
-    q = np.zeros((nst, nst))
-    for i in range(nst):
-        for n in range(N):
-            joined = outcome[i][n][policy.choice[n][labels[i]]]
-            if joined is not None:
-                q[i, joined[1]] += lam[n]
-        for _, _, count, down in o.departures[i]:
-            q[i, down] += count * mu
-    np.fill_diagonal(q, q.diagonal() - q.sum(axis=1))
+    q = reference_generator(config, scheme, PolicyRule(policy, scheme))
 
     # stationary distribution via least squares on the stacked system (a
     # pivoted QR, four times faster at this size than the default SVD)

@@ -254,6 +254,20 @@ def test_sharing_override_changes_the_space(tmp_path, capsys):
     assert "119 feasible states" in per_system
 
 
+def test_validate_rejects_an_infinite_peak_rate(tmp_path, capsys):
+    """An Infinity peak rate makes every state feasible; it is refused as a
+    config error before enumeration runs into --max-states."""
+    parsed = json.loads((CONFIG_DIR / "hybrid_example.json").read_text())
+    parsed["classes"][0]["peak_rates"][0] = float("inf")
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps(parsed))
+    assert "Infinity" in bad.read_text()
+    assert run("validate", "--config", str(bad), "--max-states", "1000") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err
+
+
 def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "hetassoc.cli", "--version"],
                           capture_output=True, text=True)
@@ -285,3 +299,18 @@ def test_sweep_matches_golden_artifact(tmp_path, flags, golden):
                "--out", str(tmp_path)) == 0
     assert (tmp_path / "sweep.json").read_bytes() == \
         (DATA_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize("flags, golden", [
+    (("--rule", "instant", "--strict-eq2"), "instant_strict"),
+    (("--rule", "peak", "--sharing", "network"), "peak_network"),
+])
+def test_steady_matches_golden_artifact(tmp_path, flags, golden):
+    """steady --export-q reproduces a recorded stationary vector and
+    generator listing byte for byte."""
+    assert run("steady", "--config", HYBRID, *flags, "--export-q",
+               "--out", str(tmp_path)) == 0
+    assert (tmp_path / "steady.csv").read_bytes() == \
+        (DATA_DIR / f"steady_golden_{golden}.csv").read_bytes()
+    assert (tmp_path / "generator.txt").read_bytes() == \
+        (DATA_DIR / f"generator_golden_{golden}.txt").read_bytes()

@@ -167,6 +167,31 @@ def test_non_numeric_fields_rejected():
         load_config(json.dumps(parsed))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("field", ["peak_rates", "arrival_rate", "t_min", "t_max",
+                                   "service_rate", "scheduler_gain"])
+def test_non_finite_numbers_rejected(field, value):
+    """JSON's NaN and Infinity are numbers to the parser; a non-finite rate
+    drops the t_max cap or makes every state feasible, so each is refused."""
+    parsed = json.loads(doc())
+    if field == "peak_rates":
+        parsed["classes"][0]["peak_rates"] = [value, 10.0]
+    elif field == "arrival_rate":
+        parsed["classes"][1]["arrival_rate"] = value
+    elif field == "scheduler_gain":
+        parsed["scheduler_gain"] = [1.0, value]
+    else:
+        parsed[field] = value
+    with pytest.raises(ConfigError, match="must be finite"):
+        load_config(json.dumps(parsed))
+
+
+@pytest.mark.parametrize("gain", [5, None])
+def test_scheduler_gain_must_be_an_array(gain):
+    with pytest.raises(ConfigError, match="scheduler_gain must be an array"):
+        load_config(doc(scheduler_gain=gain))
+
+
 def test_name_defaults():
     config = NetworkConfig(peak_rate=((2.0, 3.0),), t_min=1.0, t_max=2.0,
                            arrival_rate=(1.0,), service_rate=1.0)

@@ -15,8 +15,9 @@ from hetassoc.ctmc import (BandGenerator, SingularChainError, assemble_dense,
 from hetassoc.game import _solve_pi
 from hetassoc.transient import solve_volume_from_matrix
 
-from conftest import (CONFIG_DIR, erlang_loss_chain, pinned_solve_holds, random_instance,
-                      random_policy)
+from conftest import (CONFIG_DIR, assert_matches_reference, erlang_loss_chain,
+                      pinned_solve_holds, random_instance, random_policy,
+                      reference_generator)
 
 
 @pytest.fixture
@@ -26,12 +27,13 @@ def erlang(erlang_config, erlang_space, erlang_scheme):
 
 
 def test_birth_death_generator(erlang):
-    _, space, _, rule = erlang
+    config, space, scheme, rule = erlang
     q = build_generator(space, rule).dense()
     expected = np.array([[-1.0, 1.0, 0.0],
                          [1.0, -2.0, 1.0],
                          [0.0, 2.0, -2.0]])
     assert np.allclose(q, expected)
+    assert_matches_reference(q, reference_generator(config, scheme, rule))
 
 
 def test_erlang_steady_state(erlang):
@@ -86,6 +88,7 @@ def test_redirection_edge():
     scheme = AggregationScheme.uniform(2, 0.3, 0.7)
     rule = PolicyRule(Policy.constant(1, 9, 0), scheme)  # always prefer system 0
     q = build_generator(space, rule).dense()
+    assert_matches_reference(q, reference_generator(config, scheme, rule))
     full0 = space.id_of((2, 0))
     redirected = space.id_of((2, 1))
     assert q[full0, redirected] == pytest.approx(1.0)
@@ -103,6 +106,7 @@ def test_strict_mode_drops_instead_of_redirecting():
     scheme = AggregationScheme.uniform(2, 0.3, 0.7)
     rule = PolicyRule(Policy.constant(1, 9, 0), scheme)
     q = build_generator(space, rule, strict_arrivals=True).dense()
+    assert_matches_reference(q, reference_generator(config, scheme, rule, strict=True))
     full0 = space.id_of((2, 0))
     redirected = space.id_of((2, 1))
     assert q[full0, redirected] == 0.0
@@ -146,17 +150,6 @@ def test_blocking_empty_label_flagged(erlang):
     assert evaluate_policy(space, scheme, rule.policy).empty_labels[1]  # loads are 0, .5, 1
     b = blocking_by_label(space, scheme, ss, 0)
     assert b[1] == 0.0
-
-
-def test_unrestricted_numerator_variant(erlang):
-    _, space, _, rule = erlang
-    scheme = AggregationScheme(((0.0, 0.7),))  # labels: {0}, {1}, {2}
-    ss = solve_steady_state(build_generator(space, rule))
-    restricted = blocking_by_label(space, scheme, ss, 0)
-    verbatim = blocking_by_label(space, scheme, ss, 0, restrict_numerator=False)
-    # blocking mass is pi(2) = .2; label "low" holds only the empty state
-    assert restricted[0] == 0.0
-    assert verbatim[0] == pytest.approx(0.2 / 0.4)
 
 
 def test_overall_blocking_single_class(erlang):
@@ -293,9 +286,8 @@ def test_third_pin_solves_mid_load_chains(servers, offered):
 def test_banded_solves_match_superlu_reference():
     """A 3-system, 3-class instance with 3,600 states: the banded stationary
     vector and every banded tagged volume agree to 1e-10 relative with
-    SuperLU solves of the CSR generator (one balance row replaced by the
-    normalization) and of its CSR tagged blocks, the formulation the banded
-    solves replaced above the cutoff."""
+    SuperLU solves of the band copied to CSR (one balance row replaced by
+    the normalization) and of its CSR tagged blocks."""
     config = NetworkConfig(peak_rate=((5.4, 9.0, 7.2), (2.7, 4.5, 3.6), (1.35, 2.7, 1.8)),
                            t_min=1.0, t_max=2.0, arrival_rate=(1.0, 1.0, 1.0),
                            service_rate=1.0)
@@ -305,7 +297,7 @@ def test_banded_solves_match_superlu_reference():
     rule = PolicyRule(random_policy(np.random.default_rng(3600), config, scheme), scheme)
     tables = chain_tables(space)
     band = assemble_dense(tables, rule.choice_table(space))
-    q = build_generator(space, rule).matrix
+    q = band.tocoo().tocsr()
 
     a = q.T.tolil()
     a[-1, :] = 1.0
@@ -356,13 +348,12 @@ def test_each_pin_declines_when_its_state_is_negligible(servers, offered, empty_
 def test_nan_generator_is_rejected(erlang_space):
     """A NaN generator solves to an all-NaN vector, which every comparison
     with a tolerance lets through unless written to fail on NaN."""
-    q = np.full((3, 3), np.nan)
-    with pytest.raises(ResidualError):
-        solve_steady_state(Generator(matrix=sp.csr_matrix(q), space=erlang_space,
-                                     rule_name="nan"))
     plan = chain_tables(erlang_space).solve_plan
+    q = BandGenerator(np.full(plan.size, np.nan), plan.width, plan.order, plan.pins)
     with pytest.raises(ResidualError):
-        _solve_pi(erlang_space, BandGenerator.from_matrix(q, plan.order, plan.pins))
+        solve_steady_state(Generator(matrix=q, space=erlang_space, rule_name="nan"))
+    with pytest.raises(ResidualError):
+        _solve_pi(erlang_space, q)
 
 
 def test_coo_triplets_only_offdiagonal(erlang):
@@ -370,4 +361,5 @@ def test_coo_triplets_only_offdiagonal(erlang):
     gen = build_generator(space, rule)
     triplets = list(gen.coo_triplets())
     assert all(r != c for r, c, _ in triplets)
+    assert triplets == sorted(triplets)
     assert sum(1 for _ in triplets) == 4
