@@ -10,6 +10,7 @@ carrying a provenance header with the resolved instance.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -568,6 +569,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Everything alive when a command starts, mostly the tens of thousands
+    # of objects the imports create, outlives it. Freezing them keeps the
+    # cyclic collector from walking them in every full collection the
+    # command triggers (about 20 ms each); both calls are O(1) list splices.
+    gc.freeze()
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, CapacityError, FileNotFoundError, SearchCapError,
@@ -575,6 +581,8 @@ def main(argv=None) -> int:
             RankingMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ saturated. Rules are deterministic and total over feasible states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +48,20 @@ class PolicyRule(AssignmentRule):
 
     policy: Policy
     scheme: AggregationScheme
+    # (config, {occupancy: broadcast label}) of the config last passed to
+    # choose(); a call with another config object starts a new dict.
+    _labels: tuple = field(default=(None, None), init=False, compare=False,
+                           hash=False, repr=False)
 
     def choose(self, config, occ, user_class):
-        return self.policy.choice[user_class][label_of(self.scheme, config, occ)]
+        memo_config, labels = self._labels
+        if memo_config is not config:
+            labels = {}
+            object.__setattr__(self, "_labels", (config, labels))
+        label = labels.get(occ)
+        if label is None:
+            label = labels[occ] = label_of(self.scheme, config, occ)
+        return self.policy.choice[user_class][label]
 
     def choice_table(self, space):
         labels = label_array(self.scheme, space)

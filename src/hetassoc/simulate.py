@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .config import NETWORK_WIDE, ConfigError, NetworkConfig
 from .rules import AssignmentRule
@@ -76,8 +76,9 @@ class SimReport:
         total = sum(self.arrival_seen.values())
         return {occ: c / total for occ, c in self.arrival_seen.items()}
 
-    def _t_quantile(self, df: int, level: float) -> float:
-        return float(stats.t.ppf(0.5 + level / 2, df))
+    @staticmethod
+    def _t_quantile(df: int, level: float) -> float:
+        return float(stdtrit(df, 0.5 + level / 2))
 
     def blocking_estimate(self, user_class: int,
                           level: float = CI_LEVEL) -> tuple[float, float]:

@@ -1,6 +1,8 @@
 """CLI subcommands: artifacts, determinism, error reporting."""
 
+import gc
 import json
+import os
 import subprocess
 import sys
 
@@ -273,6 +275,41 @@ def test_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "hetassoc" in proc.stdout
+
+
+IMPORT_GUARD = """
+import sys
+import hetassoc.cli
+print("scipy.stats" in sys.modules)
+code = hetassoc.cli.main(["simulate", "--config", sys.argv[1],
+                          "--events", "100000", "--out", sys.argv[2]])
+print(code, "scipy.stats" in sys.modules)
+"""
+
+
+def test_cli_never_imports_scipy_stats(tmp_path):
+    """scipy.stats alone costs about a second of import; neither importing
+    the CLI nor a simulate run (which computes the t quantile) may load it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, ERLANG,
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    after_import, after_run = lines[0], lines[-1]
+    assert after_import == "False"
+    assert after_run == "0 False"
+    assert (tmp_path / "out" / "simulation.csv").exists()
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    """main() freezes the objects alive at its start only while a command
+    runs, also when the command fails."""
+    assert gc.get_freeze_count() == 0
+    assert run("validate", "--config", ERLANG) == 0
+    assert run("validate", "--config", str(tmp_path / "missing.json")) == 1
+    assert gc.get_freeze_count() == 0
 
 
 def test_sweep_deterministic(tmp_path):

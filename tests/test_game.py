@@ -1,11 +1,14 @@
 """Utilities, optimal policies, equilibria and baselines."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from hetassoc import (AggregationScheme, ConfigError, EmptyLabelError, NetworkConfig,
-                      Policy, SearchCapError, enumerate_states, evaluate_baseline,
-                      evaluate_policy)
+                      Policy, PolicyRule, SearchCapError, enumerate_states,
+                      evaluate_baseline, evaluate_policy)
+from hetassoc.aggregation import label_of
 from hetassoc.game import PolicyGameSolver
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
 
@@ -317,6 +320,27 @@ def test_peak_rule_tie_breaks_to_first_system():
     config = NetworkConfig(peak_rate=((2.0, 2.0),), t_min=1.0, t_max=2.0,
                            arrival_rate=(1.0,), service_rate=1.0)
     assert PeakRateRule().choose(config, (0, 0), 0) == 0
+
+
+def test_policy_rule_label_memo_follows_the_config():
+    """choose() memoises the broadcast label per occupancy for one config
+    object only, and the memo stays out of equality, hashing, repr and
+    pickling's round trip."""
+    scheme = AggregationScheme(((0.3, 0.7), (0.3, 0.7)))
+    rule = PolicyRule(Policy((tuple(range(9)),)), scheme)
+    slow, fast = (NetworkConfig(peak_rate=((peak, peak),), t_min=1.0, t_max=2.0,
+                                arrival_rate=(1.0,), service_rate=1.0)
+                  for peak in (2.0, 4.0))
+    occ = (1, 0)
+    assert label_of(scheme, slow, occ) != label_of(scheme, fast, occ)
+    for config in (slow, fast, slow):
+        assert rule.choose(config, occ, 0) == label_of(scheme, config, occ)
+    fresh = PolicyRule(Policy((tuple(range(9)),)), scheme)
+    assert rule == fresh and hash(rule) == hash(fresh)
+    assert repr(rule) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(rule))
+    assert copy == rule
+    assert copy.choose(fast, occ, 0) == label_of(scheme, fast, occ)
 
 
 def test_exclude_mode_nash_search_runs(asym_instance):

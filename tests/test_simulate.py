@@ -11,6 +11,7 @@ from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyRule,
                       build_generator, enumerate_states, simulate,
                       solve_steady_state, volume_tables)
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
+from hetassoc.simulate import SimReport
 
 GOLDEN = Path(__file__).parent / "data" / "simulate_golden.json"
 
@@ -214,3 +215,14 @@ def test_batches_split_events_like_the_index_formula(erlang_config, erlang_schem
                            minlength=batches)
     # every event is an arrival or a departure; departures are completed calls
     assert np.array_equal(per_batch, expected)
+
+
+def test_t_quantile_matches_scipy_stats_bit_for_bit():
+    """The confidence half-widths take the Student-t quantile from
+    scipy.special so that importing the package never loads scipy.stats;
+    the two must agree to the last bit, or half-widths would move."""
+    from scipy import stats
+    for level in (0.90, 0.95, 0.99):
+        for df in range(1, 500):
+            assert SimReport._t_quantile(df, level) \
+                == float(stats.t.ppf(0.5 + level / 2, df)), (df, level)
