@@ -221,8 +221,8 @@ def _cmd_steady(args) -> int:
     gen = build_generator(space, rule, strict_arrivals=args.strict_eq2)
     ss = solve_steady_state(gen)
     labels = label_array(scheme, space)
-    rows = ([i, *space.states[i], f"{ss.pi[i]:.17g}", labels[i]]
-            for i in range(space.num_states))
+    rows = ([i, *occ, f"{ss.pi[i]:.17g}", labels[i]]
+            for i, occ in enumerate(space.occ.tolist()))
     header = (["id"]
               + [f"occ_{config.class_name(n)}_{config.system_name(s)}"
                  for s in range(config.num_systems) for n in range(config.num_classes)]

@@ -22,9 +22,9 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .aggregation import label_array
-from .config import AggregationScheme
+from .config import AggregationScheme, ConfigError
 from .rules import AssignmentRule
-from .states import StateSpace, occ_index, scope_count
+from .states import StateSpace, throughput_array
 
 STEADY_RESIDUAL_TOL = 1e-10
 # A pinned stationary solve is trusted only where the pinned state holds
@@ -61,35 +61,28 @@ class ChainTables:
         occ = space.occ
         self.space = space
 
-        # occ_ns[n, s, i]: class-n users in system s at state i
-        self.occ_ns = np.empty((N, S, nst), dtype=np.int64)
-        # arrival_id[n, s, i]: id of the state with one more (n, s) user, -1
-        # if that state is infeasible
-        self.arrival_id = np.full((N, S, nst), -1, dtype=np.int64)
-        # departure_id[n, s, i]: id after one (n, s) departure, -1 if none
-        self.departure_id = np.full((N, S, nst), -1, dtype=np.int64)
-        # throughput of one (n, s) user present at state i (nan if absent)
-        self.throughput = np.full((N, S, nst), np.nan)
+        def by_pair(a: np.ndarray) -> np.ndarray:
+            # (nst, N*S) in occupancy order -> contiguous (N, S, nst)
+            return np.ascontiguousarray(a.T.reshape(S, N, nst).transpose(1, 0, 2))
 
-        index = space.index
-        for i, state in enumerate(space.states):
-            for s in range(S):
-                for n in range(N):
-                    j = occ_index(config, n, s)
-                    self.occ_ns[n, s, i] = state[j]
-                    up = state[:j] + (state[j] + 1,) + state[j + 1:]
-                    self.arrival_id[n, s, i] = index.get(up, -1)
-                    if state[j] > 0:
-                        down = state[:j] + (state[j] - 1,) + state[j + 1:]
-                        self.departure_id[n, s, i] = index[down]
-                k = scope_count(config, state, s)
-                if k > 0:
-                    g = config.gain(k)
-                    for n in range(N):
-                        if state[occ_index(config, n, s)] > 0:
-                            # same association order as user_throughput
-                            self.throughput[n, s, i] = min(
-                                config.peak_rate[n][s] * g / k, config.t_max)
+        keys = space.keys[:, None]
+        # occ_ns[n, s, i]: class-n users in system s at state i
+        self.occ_ns = by_pair(occ)
+        # arrival_id[n, s, i]: id of the state with one more (n, s) user, -1
+        # if that state is infeasible. A count at its bound would carry into
+        # the next digit of the key, so it is never looked up.
+        room = occ < space.bound
+        self.arrival_id = by_pair(space.ids_of_keys(
+            np.where(room, keys, 0) + space.weights, room))
+        # departure_id[n, s, i]: id after one (n, s) departure, -1 if none
+        present = occ > 0
+        self.departure_id = by_pair(space.ids_of_keys(
+            np.where(present, keys - space.weights, 0), present))
+        if (self.departure_id[self.occ_ns > 0] < 0).any():
+            raise ConfigError("the feasible space is not closed under departures: "
+                              "a scheduler gain per user rises with the user count")
+        # throughput of one (n, s) user present at state i (nan if absent)
+        self.throughput = np.ascontiguousarray(throughput_array(config, occ))
 
         feasible = self.arrival_id >= 0                      # (N, S, nst)
         self.blocked = ~feasible.any(axis=1)                 # (N, nst)

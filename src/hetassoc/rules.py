@@ -14,7 +14,7 @@ import numpy as np
 
 from .aggregation import label_array, label_of
 from .config import NETWORK_WIDE, AggregationScheme, NetworkConfig, Policy
-from .states import Occupancy, StateSpace
+from .states import Occupancy, StateSpace, scope_counts
 
 
 class AssignmentRule:
@@ -83,6 +83,11 @@ class PeakRateRule(AssignmentRule):
         rates = config.peak_rate[user_class]
         return max(range(config.num_systems), key=lambda s: (rates[s], -s))
 
+    def choice_table(self, space):
+        # argmax takes the first maximum, the lowest system, as choose() does
+        best = np.argmax(np.asarray(space.config.peak_rate), axis=1)
+        return np.repeat(best[:, None], space.num_states, axis=1)
+
     def information_partition(self, space):
         return np.zeros(space.num_states, dtype=np.int64), 1
 
@@ -111,6 +116,13 @@ class InstantaneousRateRule(AssignmentRule):
             return config.peak_rate[user_class][s] / (1 + k)
 
         return max(range(config.num_systems), key=lambda s: (estimate(s), -s))
+
+    def choice_table(self, space):
+        config = space.config
+        peak = np.asarray(config.peak_rate)                        # (N, S)
+        estimate = peak[:, None, :] / (1 + scope_counts(config, space.occ))
+        # argmax takes the first maximum, the lowest system, as choose() does
+        return np.argmax(estimate, axis=2)
 
     def information_partition(self, space):
         return np.arange(space.num_states, dtype=np.int64), space.num_states

@@ -92,6 +92,81 @@ def random_policy(rng: np.random.Generator, config, scheme):
                         for _ in range(config.num_classes)))
 
 
+# ----- reference structure: the state space and chain tables in plain loops
+
+
+def reference_states(config) -> list[tuple[int, ...]]:
+    """Feasible states by breadth-first closure from the empty network under
+    single arrivals, tested one by one with the scalar is_feasible, in
+    lexicographic order."""
+    from collections import deque
+    from hetassoc.states import is_feasible, zero_state
+    start = zero_state(config)
+    seen, queue = {start}, deque([start])
+    while queue:
+        occ = queue.popleft()
+        for j in range(len(occ)):
+            child = occ[:j] + (occ[j] + 1,) + occ[j + 1:]
+            if child not in seen and is_feasible(config, child):
+                seen.add(child)
+                queue.append(child)
+    return sorted(seen)
+
+
+def reference_tables(config, states) -> dict[str, np.ndarray]:
+    """ChainTables' arrays state by state: neighbours by dict lookup, the
+    throughput by the scalar user_throughput, and each arrival's outcome by
+    trying the preferred system and then the others in index order."""
+    from hetassoc.states import occ_index, user_throughput
+    N, S, nst = config.num_classes, config.num_systems, len(states)
+    index = {occ: i for i, occ in enumerate(states)}
+    t = {"occ_ns": np.zeros((N, S, nst), dtype=np.int64),
+         "arrival_id": np.full((N, S, nst), -1, dtype=np.int64),
+         "departure_id": np.full((N, S, nst), -1, dtype=np.int64),
+         "throughput": np.full((N, S, nst), np.nan),
+         "admit_sys": np.full((N, S, nst), -1, dtype=np.int64),
+         "admit_id": np.full((N, S, nst), -1, dtype=np.int64),
+         "blocked": np.zeros((N, nst), dtype=bool)}
+    for i, occ in enumerate(states):
+        for n in range(N):
+            for s in range(S):
+                j = occ_index(config, n, s)
+                t["occ_ns"][n, s, i] = occ[j]
+                t["arrival_id"][n, s, i] = index.get(occ[:j] + (occ[j] + 1,) + occ[j + 1:], -1)
+                if occ[j] > 0:
+                    t["departure_id"][n, s, i] = index[occ[:j] + (occ[j] - 1,) + occ[j + 1:]]
+                    t["throughput"][n, s, i] = user_throughput(config, occ, n, s)
+            open_systems = [s for s in range(S) if t["arrival_id"][n, s, i] >= 0]
+            t["blocked"][n, i] = not open_systems
+            for pref in range(S):
+                for s in [pref] + open_systems:
+                    if s in open_systems:
+                        t["admit_sys"][n, pref, i] = s
+                        t["admit_id"][n, pref, i] = t["arrival_id"][n, s, i]
+                        break
+    return t
+
+
+def assert_structure_matches_reference(config) -> None:
+    """The enumerated space and its ChainTables equal the plain-loop
+    reference exactly; throughputs bit for bit, nan positions included."""
+    from hetassoc.ctmc import ChainTables
+    states = reference_states(config)
+    space = enumerate_states(config)
+    assert space.states == tuple(states)
+    assert space.index == {occ: i for i, occ in enumerate(states)}
+    assert space.occ.dtype == np.int64
+    assert np.array_equal(space.occ, np.array(states, dtype=np.int64))
+    tables = ChainTables(space)
+    for name, expected in reference_tables(config, states).items():
+        got = getattr(tables, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        if name == "throughput":
+            assert got.tobytes() == expected.tobytes()
+        else:
+            assert np.array_equal(got, expected), name
+
+
 # ----- independent oracle: the chain from the primitive model definitions
 
 

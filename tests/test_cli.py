@@ -57,6 +57,21 @@ def test_enumerate_writes_state_table(tmp_path):
     assert '"t_min": 1.0' in text.splitlines()[1]
 
 
+def test_space_not_closed_under_departures_is_a_config_error(tmp_path, capsys):
+    """A gain table inside the validation tolerance can make two users of a
+    class feasible where one alone is not; the chain tables refuse that
+    space with a one-line error."""
+    path = tmp_path / "rising_gain.json"
+    path.write_text(json.dumps({
+        "systems": [{"thresholds": [0.3, 0.7]}],
+        "classes": [{"arrival_rate": 1.0, "peak_rates": [5.0]},
+                    {"arrival_rate": 1.0, "peak_rates": [1.0 - 1e-13]}],
+        "t_min": 1.0, "t_max": 2.0, "service_rate": 1.0,
+        "scheduler_gain": [1.0, 2.0 + 1e-12]}))
+    assert run("steady", "--config", str(path), "--out", str(tmp_path)) == 1
+    assert "not closed under departures" in capsys.readouterr().err
+
+
 def test_steady_and_generator_export(tmp_path):
     out = tmp_path / "o"
     assert run("steady", "--config", ERLANG, "--rule", "policy",
@@ -351,3 +366,14 @@ def test_steady_matches_golden_artifact(tmp_path, flags, golden):
         (DATA_DIR / f"steady_golden_{golden}.csv").read_bytes()
     assert (tmp_path / "generator.txt").read_bytes() == \
         (DATA_DIR / f"generator_golden_{golden}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("flags, golden", [
+    ((), "hybrid"),
+    (("--sharing", "network"), "hybrid_network"),
+])
+def test_enumerate_matches_golden_artifact(tmp_path, flags, golden):
+    """enumerate reproduces a recorded state table byte for byte."""
+    assert run("enumerate", "--config", HYBRID, *flags, "--out", str(tmp_path)) == 0
+    assert (tmp_path / "states.csv").read_bytes() == \
+        (DATA_DIR / f"enumerate_golden_{golden}.csv").read_bytes()

@@ -10,7 +10,7 @@ from hetassoc import (AggregationScheme, ConfigError, EmptyLabelError, NetworkCo
                       evaluate_baseline, evaluate_policy)
 from hetassoc.aggregation import label_of
 from hetassoc.game import PolicyGameSolver
-from hetassoc.rules import InstantaneousRateRule, PeakRateRule
+from hetassoc.rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 
 from conftest import random_instance, random_policy
 
@@ -320,6 +320,25 @@ def test_peak_rule_tie_breaks_to_first_system():
     config = NetworkConfig(peak_rate=((2.0, 2.0),), t_min=1.0, t_max=2.0,
                            arrival_rate=(1.0,), service_rate=1.0)
     assert PeakRateRule().choose(config, (0, 0), 0) == 0
+
+
+@pytest.mark.parametrize("rule", [PeakRateRule(), InstantaneousRateRule()],
+                         ids=["peak", "instant"])
+def test_baseline_choice_tables_match_the_generic_loop(rule, hybrid_instance,
+                                                       erlang_config):
+    """The array choice tables equal AssignmentRule's choose() loop, ties
+    included, on both shipped configs and random draws in both scopes."""
+    rng = np.random.default_rng(3)
+    tied = NetworkConfig(peak_rate=((2.0, 2.0), (1.5, 1.5)), t_min=1.0, t_max=2.0,
+                         arrival_rate=(1.0, 1.0), service_rate=1.0)
+    configs = [erlang_config, hybrid_instance[0], tied]
+    configs += [random_instance(rng)[0] for _ in range(20)]
+    for config in configs:
+        for scope in ("per_system", "network_wide"):
+            space = enumerate_states(config.with_sharing_scope(scope))
+            table = rule.choice_table(space)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, AssignmentRule.choice_table(rule, space))
 
 
 def test_policy_rule_label_memo_follows_the_config():

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from hetassoc import (CapacityError, NetworkConfig, enumerate_states,
-                      is_feasible, user_throughput)
-from hetassoc.states import occ_index, state_table_rows, zero_state
+                      is_feasible, load_instance, user_throughput)
+from hetassoc import states as states_module
+from hetassoc.ctmc import ChainTables
+from hetassoc.rules import InstantaneousRateRule, PeakRateRule
+from hetassoc.states import key_weights, occ_index, state_table_rows, zero_state
 
-from conftest import random_instance
+from conftest import (CONFIG_DIR, assert_structure_matches_reference, random_instance,
+                      reference_states)
 
 
 def single(D=2.0, t_min=1.0, t_max=2.0, gain=(1.0,), lam=(1.0,), mu=1.0):
@@ -153,3 +157,73 @@ def test_occ_index_order_is_system_major():
     assert occ_index(config, 1, 0) == 1
     assert occ_index(config, 0, 1) == 2
     assert zero_state(config) == (0, 0, 0, 0)
+
+
+def shipped_configs():
+    hybrid, _ = load_instance((CONFIG_DIR / "hybrid_example.json").read_text())
+    erlang, _ = load_instance((CONFIG_DIR / "erlang_single.json").read_text())
+    return [erlang, hybrid, hybrid.with_sharing_scope("network_wide")]
+
+
+def test_structure_matches_reference_on_shipped_configs(twin_config):
+    for config in shipped_configs() + [twin_config]:
+        assert_structure_matches_reference(config)
+
+
+def test_structure_matches_reference_on_random_instances():
+    rng = np.random.default_rng(12)
+    scopes = set()
+    for _ in range(40):
+        config, _, _ = random_instance(rng)
+        scopes.add(config.sharing_scope)
+        assert_structure_matches_reference(config)
+    assert scopes == {"network_wide", "per_system"}
+
+
+def test_capacity_ceiling_at_the_exact_count(twin_config):
+    configs = shipped_configs() + [twin_config, single(D=50.0, t_min=0.1)]
+    for config in configs:
+        count = len(reference_states(config))
+        assert enumerate_states(config, max_states=count).num_states == count
+        with pytest.raises(CapacityError):
+            enumerate_states(config, max_states=count - 1)
+
+
+def test_candidates_never_exceed_level_size_times_pairs(monkeypatch):
+    """Each level's candidate array has at most (level size) x N*S rows."""
+    config = shipped_configs()[1]
+    limits = [config.num_classes * config.num_systems]   # level 0: one state
+    real = states_module.throughput_array
+
+    def recording(config, occ):
+        thr = real(config, occ)
+        assert len(occ) <= limits[-1]
+        feasible = int((~(thr < config.t_min).any(axis=(0, 1))).sum())
+        limits.append(feasible * config.num_classes * config.num_systems)
+        return thr
+
+    monkeypatch.setattr(states_module, "throughput_array", recording)
+    assert enumerate_states(config).num_states == 119
+    assert len(limits) > 5
+
+
+def test_key_weights_are_mixed_radix_place_values():
+    assert key_weights([3, 4, 5]).tolist() == [20, 5, 1]
+    assert key_weights([2 ** 31, 2 ** 32]).tolist() == [2 ** 32, 1]
+    assert key_weights([2 ** 63]).tolist() == [1]
+
+
+@pytest.mark.parametrize("radix", [[2 ** 32, 2 ** 32], [2 ** 63 + 1], [256] * 8])
+def test_key_weights_refuse_keys_past_int64(radix):
+    with pytest.raises(CapacityError):
+        key_weights(radix)
+
+
+def test_structure_and_baseline_tables_never_build_state_tuples():
+    config = shipped_configs()[1]
+    space = enumerate_states(config)
+    ChainTables(space)
+    PeakRateRule().choice_table(space)
+    InstantaneousRateRule().choice_table(space)
+    assert "states" not in vars(space) and "index" not in vars(space)
+
