@@ -12,6 +12,7 @@ rate M_n^s * mu; diagonal entries make every row sum to zero.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -33,6 +34,12 @@ STEADY_RESIDUAL_TOL = 1e-10
 # one, and the vector is right only up to luck.
 PIN_MASS_FLOOR = 1e-12
 EMPTY_LABEL_MASS = 1e-12
+# Bytes of bands a chunk of generators may hold while it is solved, at
+# SolvePlan.policy_bytes per generator and at least one per chunk: 38
+# policies on 119 states (the fastest in a sweep from 0.125 to 16 MiB), and
+# one at a time, its tagged blocks gathered one by one, on spaces of a few
+# thousand states, whose bands take megabytes each.
+CHUNK_BYTES = 4 * 2 ** 20
 
 _gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
 _gbmv = get_blas_funcs("gbmv", dtype=np.float64)
@@ -86,6 +93,9 @@ class ChainTables:
 
         feasible = self.arrival_id >= 0                      # (N, S, nst)
         self.blocked = ~feasible.any(axis=1)                 # (N, nst)
+        self.blocked_ids = [np.flatnonzero(b) for b in self.blocked]
+        # each class's share of the arrivals
+        self.class_weight = np.array(config.arrival_rate) / sum(config.arrival_rate)
         first_open = np.argmax(feasible, axis=1)             # lowest open system
 
         # admit_sys / admit_id: outcome with redirection, indexed by the
@@ -124,19 +134,20 @@ class ChainTables:
 class TaggedPlan:
     """Where the entries of one tagged (class, system) block come from.
 
-    ids lists the tagged states in the solve order and rate the tagged
-    user's throughput in each, the right-hand side of every solve; norm
-    bounds |A|_inf of the block under any rule. rows and cols are the
-    local positions of every entry some rule can put in the block, diagonal
-    included; src is each entry's position in the data of the full
-    generator's BandGenerator, and band its flat position in LAPACK band
-    storage of shape band_shape (Fortran order, with kl spare rows on top
-    for the LU's fill). The shift_* arrays locate the tagged user's own
-    departures that stay in the block, the entries his absorption rate mu
-    is taken off.
+    ids lists the tagged states in the solve order, positions their
+    positions in it, and rate the tagged user's throughput in each, the
+    right-hand side of every solve; norm bounds |A|_inf of the block under
+    any rule. rows and cols are the local positions of every entry some
+    rule can put in the block, diagonal included; src is each entry's
+    position in the data of the full generator's BandGenerator, and band its
+    flat position in LAPACK band storage of shape band_shape (Fortran order,
+    with kl spare rows on top for the LU's fill). The shift_* arrays locate
+    the tagged user's own departures that stay in the block, the entries
+    his absorption rate mu is taken off.
     """
 
     ids: np.ndarray
+    positions: np.ndarray
     rate: np.ndarray
     norm: float
     kl: int
@@ -153,6 +164,58 @@ class TaggedPlan:
     def band_shape(self) -> tuple[int, int]:
         return (2 * self.kl + self.ku + 1, len(self.ids))
 
+    @property
+    def band_size(self) -> int:
+        return (2 * self.kl + self.ku + 1) * len(self.ids)
+
+
+class TaggedGroup:
+    """Non-empty tagged blocks that are gathered, solved and checked
+    together, their arrays laid end to end.
+
+    blocks holds, per block in (class, system) order, its TaggedPlan, its
+    band_shape and the slices of its band storage and of its values in the
+    group's; size is the group's band slots in all. src, band and
+    shift_band are the plans' arrays over the group's band storage,
+    shift_rows and shift_cols over its values, and rate the right-hand sides
+    end to end. starts is where each block's values start, norm its bound
+    on |A|_inf, targets the position of each value in a flattened (N, S,
+    num_states) volume table, and slots its position in the band's order
+    among the group's blocks laid end to end, num_states each. A group of
+    one block shares its plan's arrays.
+    """
+
+    def __init__(self, blocks: list[tuple[int, TaggedPlan]], num_states: int):
+        self.blocks = []
+        band_at = value_at = 0
+        band, shift_band, shift_rows, shift_cols, starts = [], [], [], [], []
+        for k, plan in blocks:
+            self.blocks.append((plan, plan.band_shape,
+                                slice(band_at, band_at + plan.band_size),
+                                slice(value_at, value_at + len(plan.ids))))
+            band.append(plan.band + band_at if band_at else plan.band)
+            shift_band.append(plan.shift_band + band_at if band_at else plan.shift_band)
+            shift_rows.append(plan.shift_rows + value_at if value_at else plan.shift_rows)
+            shift_cols.append(plan.shift_cols + value_at if value_at else plan.shift_cols)
+            starts.append(value_at)
+            band_at += plan.band_size
+            value_at += len(plan.ids)
+        plans = [plan for _, plan in blocks]
+
+        def joined(arrays):
+            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+        self.size = band_at
+        self.src = joined([plan.src for plan in plans])
+        self.band, self.shift_band = joined(band), joined(shift_band)
+        self.shift_rows, self.shift_cols = joined(shift_rows), joined(shift_cols)
+        self.rate = joined([plan.rate for plan in plans])
+        self.starts = np.array(starts)
+        self.norm = np.array([plan.norm for plan in plans])
+        self.targets = np.concatenate([k * num_states + plan.ids for k, plan in blocks])
+        self.slots = np.concatenate([j * num_states + plan.positions
+                                     for j, plan in enumerate(plans)])
+
 
 def _band_position(width: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Flat (Fortran-order) position of entry (r, c) of a matrix with
@@ -165,12 +228,15 @@ class BandGenerator:
     """A generator Q held as its transpose in LAPACK band storage.
 
     The states are taken in `order`; band holds Q^T with half-bandwidth
-    width in the layout of _band_position, shape (2 width + 1, n). data is
-    band flattened plus one slot past its end, which takes the writes of
-    arrivals that are lost. pins lists the positions in the order where the
-    stationary solve tries to pin pi, in turn. shape and nnz describe Q;
-    q.dot(x) is Q x and x @ q is x Q, both by BLAS gbmv on the unfactored
-    band.
+    width in the layout of _band_position, shape (2 width + 1, n), and data
+    is band flattened. Every entry of the band out of range of the matrix is
+    zero. pins lists the positions in the order where the stationary solve
+    tries to pin pi, in turn. shape and nnz describe Q; q.dot(x) is Q x and
+    x @ q is x Q, both by band_gbmv on the unfactored band.
+
+    A stack of B generators of one SolvePlan is a (B, size) array whose rows
+    are their data; the stacked functions below take one with a layout, the
+    plan or a BandGenerator, that supplies width, order and pins.
     """
 
     # numpy defers `x @ q` to __rmatmul__ instead of coercing q to an array
@@ -184,7 +250,7 @@ class BandGenerator:
         self.order = order
         self.pins = pins
         self.shape = (n, n)
-        self.band = data[:-1].reshape((2 * width + 1, n), order="F")
+        self.band = data.reshape((2 * width + 1, n), order="F")
 
     @property
     def nnz(self) -> int:
@@ -199,15 +265,8 @@ class BandGenerator:
         return self.tocoo().toarray()
 
     def _gbmv(self, x: np.ndarray, trans: int) -> np.ndarray:
-        # scipy's gbmv wrapper wants at least as many rows as the band has,
-        # so a short matrix gets zero rows below it (the band holds zeros
-        # wherever a row past the end would be read).
-        n, w = self.shape[0], self.width
-        m = max(n, 2 * w + 1)
-        xs = np.zeros(m if trans else n)
-        xs[:n] = x[self.order]
-        y = np.empty(n)
-        y[self.order] = _gbmv(m, n, w, w, 1.0, self.band, xs, trans=trans)[:n]
+        y = np.empty(len(x))
+        y[self.order] = band_gbmv(self.band, self.width, x[self.order][None], trans)[0]
         return y
 
     def dot(self, x: np.ndarray) -> np.ndarray:
@@ -215,6 +274,32 @@ class BandGenerator:
 
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
         return self._gbmv(x, 0)
+
+
+def stack_band(data: np.ndarray, width: int) -> np.ndarray:
+    """The bands of a stack laid side by side, a view of shape
+    (2 width + 1, B n) in Fortran order: the band of the block-diagonal
+    matrix of the stack's generators, because every band entry out of range
+    of its own matrix is zero."""
+    return data.reshape(-1).reshape((2 * width + 1, -1), order="F")
+
+
+def band_gbmv(band: np.ndarray, width: int, x: np.ndarray, trans: int) -> np.ndarray:
+    """Q_b x_b (trans 1) or x_b Q_b (trans 0) for every generator Q_b of a
+    stack, given as its stack_band, and vector x_b, a row of x (B, n) in the
+    band's order, by one BLAS gbmv over the block-diagonal matrix. Entry by
+    entry, x Q adds the same products in the same order as for one
+    generator alone.
+    """
+    total = x.size
+    # scipy's gbmv wrapper wants at least as many rows as the band has, so a
+    # short matrix gets zero rows below it (the band holds zeros wherever a
+    # row past the end would be read)
+    m = max(total, 2 * width + 1)
+    xs = x.ravel()
+    if trans and m > total:
+        xs = np.concatenate([xs, np.zeros(m - total)])
+    return _gbmv(m, total, width, width, 1.0, band, xs, trans=trans)[:total].reshape(x.shape)
 
 
 class SolvePlan:
@@ -230,14 +315,18 @@ class SolvePlan:
     most under light load, then the end of the order with more users, whose
     states hold the most under heavy load.
 
-    The plan also holds what assemble_dense scatters: size, the length of
+    The plan also holds what assemble_stack scatters: size, the length of
     a BandGenerator's data; departures, the data position of each departure
     edge of the ChainTables (rates dep_rate); diagonal, the data position of
     each state's diagonal entry; arrivals[strict], per (class, preferred
     system, state), the data position and rate of the arrival the network
-    admits (the slot past the band and rate 0 when it is lost); and
-    arrival_src, the state of each entry of a (class, state) table,
-    flattened.
+    admits (the state's own diagonal, which is written last, and rate 0 when
+    it is lost); arrival_src, the state of each entry of a (class, state)
+    table, flattened; and entry, the flat position of (class, system 0,
+    state) in a (class, system, state) table. tagged_bytes is what the
+    bands of one generator's tagged blocks take, and policy_bytes what one
+    policy's bands take while a stack is solved: its generator, the copy
+    the stationary LU factors and its tagged blocks.
     """
 
     def __init__(self, tables: ChainTables):
@@ -259,21 +348,51 @@ class SolvePlan:
         coo = graph.tocoo()
         self.width = int(np.abs(self.position[coo.row] - self.position[coo.col]).max())
 
-        sink = (2 * self.width + 1) * nst
-        self.size = sink + 1
+        self.size = (2 * self.width + 1) * nst
         self.diagonal = self.band_position(loops, loops)
         self.departures = self.band_position(tables.dep_src, tables.dep_dst)
         rate = np.asarray(config.arrival_rate, dtype=float)[:, None, None]
         self.arrival_src = np.tile(loops, config.num_classes)
+        S = config.num_systems
+        self.entry = np.arange(config.num_classes)[:, None] * S * nst + loops
         self.arrivals = {}
         for strict, target in ((False, tables.admit_id), (True, tables.strict_id)):
             admitted = target >= 0
             self.arrivals[strict] = (
-                np.where(admitted, self.band_position(state, target), sink),
+                np.where(admitted, self.band_position(state, target),
+                         self.diagonal[state]),
                 np.where(admitted, rate, 0.0))
         self.tagged = [[self._tagged(tables, coo.row, coo.col, n, s)
                         for s in range(config.num_systems)]
                        for n in range(config.num_classes)]
+        self.tagged_bytes = 8 * sum(t.band_size for row in self.tagged for t in row)
+        self.policy_bytes = 8 * (self.size + (3 * self.width + 1) * nst) + self.tagged_bytes
+
+    def chunk_size(self) -> int:
+        """Generators per chunk: as many as CHUNK_BYTES holds at
+        policy_bytes each, and at least one."""
+        return max(1, CHUNK_BYTES // self.policy_bytes)
+
+    def tagged_groups(self, count: int) -> list[TaggedGroup]:
+        """How the tagged blocks of a stack of `count` generators are
+        gathered: all in one group where their bands fit in CHUNK_BYTES,
+        else block by block."""
+        return self._all_tagged if count * self.tagged_bytes <= CHUNK_BYTES \
+            else self._each_tagged
+
+    @cached_property
+    def _nonempty_tagged(self) -> list[tuple[int, TaggedPlan]]:
+        return [(k, plan) for k, plan in enumerate(itertools.chain.from_iterable(self.tagged))
+                if len(plan.ids)]
+
+    @cached_property
+    def _all_tagged(self) -> list[TaggedGroup]:
+        blocks = self._nonempty_tagged
+        return [TaggedGroup(blocks, len(self.order))] if blocks else []
+
+    @cached_property
+    def _each_tagged(self) -> list[TaggedGroup]:
+        return [TaggedGroup([block], len(self.order)) for block in self._nonempty_tagged]
 
     def band_position(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Data position of the generator entry q[src, dst]."""
@@ -284,7 +403,8 @@ class SolvePlan:
         config = tables.space.config
         nst = tables.space.num_states
         present = tables.occ_ns[n, s] > 0
-        ids = self.order[present[self.order]]
+        positions = np.flatnonzero(present[self.order])
+        ids = self.order[positions]
         m = len(ids)
         local = np.full(nst, -1, dtype=np.int64)
         local[ids] = np.arange(m)
@@ -300,7 +420,8 @@ class SolvePlan:
         users = tables.space.occ[ids].sum(axis=1)
         outflow = sum(config.arrival_rate) + config.service_rate * users.max(initial=0)
         return TaggedPlan(
-            ids=ids, rate=tables.throughput[n, s, ids], norm=2.0 * outflow,
+            ids=ids, positions=positions, rate=tables.throughput[n, s, ids],
+            norm=2.0 * outflow,
             kl=kl, ku=ku, rows=rows, cols=cols,
             src=self.band_position(g_rows[keep], g_cols[keep]),
             band=cols * ldab + kl + ku + rows - cols,
@@ -346,25 +467,36 @@ class Generator:
             yield int(rows[k]), int(cols[k]), float(rates[k])
 
 
-def assemble_dense(tables: ChainTables, choice: np.ndarray,
-                   strict: bool = False) -> BandGenerator:
-    """The generator of a preferred-system table in the form the solvers
-    take, a BandGenerator, at any state count. Every solver assembles
-    through here.
+def assemble_stack(tables: ChainTables, choices: np.ndarray,
+                   strict: bool = False) -> np.ndarray:
+    """The generators of a stack of preferred-system tables, choices of
+    shape (B, N, num_states), as a (B, size) stack of BandGenerator data in
+    the layout of tables.solve_plan. Every solver assembles through here.
     """
     plan = tables.solve_plan
-    N, S, nst = tables.arrival_id.shape
+    B, nst = len(choices), tables.space.num_states
     where, rates = plan.arrivals[strict]
-    picked = (np.arange(N)[:, None] * S + choice) * nst + np.arange(nst)
+    picked = choices * nst + plan.entry
     rate = rates.take(picked)
-    data = np.zeros(plan.size)
-    data[plan.departures] = tables.dep_rate
+    data = np.zeros((B, plan.size))
+    data[:, plan.departures] = tables.dep_rate
     # an arrival raises the population and a departure lowers it, so no
-    # two edges share an entry
-    data[where.take(picked)] = rate
-    data[plan.diagonal] = -(tables.departure_out + np.bincount(
-        plan.arrival_src, weights=rate.ravel(), minlength=nst))
-    return BandGenerator(data, plan.width, plan.order, plan.pins)
+    # two edges share an entry; a lost arrival writes its zero on the
+    # diagonal, which is set below
+    offset = np.arange(0, B * plan.size, plan.size)[:, None, None]
+    data.reshape(-1)[where.take(picked) + offset] = rate
+    src = (np.arange(0, B * nst, nst)[:, None] + plan.arrival_src).ravel()
+    data[:, plan.diagonal] = -(tables.departure_out + np.bincount(
+        src, weights=rate.ravel(), minlength=B * nst).reshape(B, nst))
+    return data
+
+
+def assemble_dense(tables: ChainTables, choice: np.ndarray,
+                   strict: bool = False) -> BandGenerator:
+    """The BandGenerator of one preferred-system table, a stack of one."""
+    plan = tables.solve_plan
+    return BandGenerator(assemble_stack(tables, np.asarray(choice)[None], strict)[0],
+                         plan.width, plan.order, plan.pins)
 
 
 # perfbench/tracer.py wraps the name assemble_generator in this module and
@@ -389,65 +521,124 @@ class SteadyState:
     residual: float
 
 
-def _pinned_lu(gen: BandGenerator, r: int) -> np.ndarray:
-    """Stationary distribution up to scale, in the band's order, by a banded
-    LU with the balance equation of the state at position r of the order
-    replaced by pinning its mass to 1; the pin row is scaled to |q_rr| like
-    the row it replaces, or to 1 where the pinned state has no way out (an
-    absorbing state, or the only one). The LU works on a copy of the band
-    with width rows on top for its fill. Raises SingularChainError when the
-    LU is singular, which happens exactly when pi_r = 0.
+def _pinned_lus(data: np.ndarray, layout, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary distributions up to scale of a stack of generators, in
+    the band's order, and the LAPACK info of each solve: one banded LU per
+    generator, with the balance equation of the state at position r of the
+    order replaced by pinning its mass to 1. The pin row is scaled to |q_rr|
+    like the row it replaces, or to 1 where the pinned state has no way out
+    (an absorbing state, or the only one). The LUs work on copies of the
+    bands with width rows on top for their fill. A nonzero info means the LU
+    was singular, which happens exactly when pi_r = 0.
     """
-    n, w = gen.shape[0], gen.width
-    ab = np.zeros((3 * w + 1, n), order="F")
-    band = ab[w:]
-    band[...] = gen.band
-    scale = abs(band[w, r]) or 1.0
+    B, w, n = len(data), layout.width, len(layout.order)
+    # ab[b].T is generator b's LU band in Fortran order: entry (r, c) of
+    # the matrix sits at ab[b, c, 2 w + r - c]
+    ab = np.zeros((B, n, 3 * w + 1))
+    ab[:, :, w:] = data.reshape(B, n, 2 * w + 1)
+    diagonal = ab[:, r, 2 * w]
+    scale = np.where(diagonal == 0.0, 1.0, np.abs(diagonal))
     cols = np.arange(max(0, r - w), min(n, r + w + 1))
-    band[w + r - cols, cols] = 0.0
-    band[w, r] = scale
-    rhs = np.zeros(n)
-    rhs[r] = scale
-    _, _, x, info = _gbsv(w, w, ab, rhs, overwrite_ab=1, overwrite_b=1)
-    if info != 0:
-        raise SingularChainError(f"pinned banded LU failed (info {info})")
-    return x
+    ab[:, cols, 2 * w + r - cols] = 0.0
+    ab[:, r, 2 * w] = scale
+    x = np.zeros((B, n))
+    x[:, r] = scale
+    info = np.empty(B, dtype=np.int64)
+    for b in range(B):
+        _, _, x[b], info[b] = _gbsv(w, w, ab[b].T, x[b], overwrite_ab=1, overwrite_b=1)
+    return x, info
+
+
+def _pinned_lu(gen: BandGenerator, r: int) -> np.ndarray:
+    """_pinned_lus of one generator; raises SingularChainError when its LU
+    is singular."""
+    x, info = _pinned_lus(gen.data[None], gen, r)
+    if info[0] != 0:
+        raise SingularChainError(f"pinned banded LU failed (info {info[0]})")
+    return x[0]
+
+
+def _pinned_pis(x: np.ndarray, layout, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The solutions x (B, n) of _pinned_lus at pin r as distributions over
+    state ids, each scaled to its largest entry, and whether each pin holds:
+    it does not where the pinned entry is not finite or holds at most
+    PIN_MASS_FLOOR of the largest, since a pinned state with that little
+    mass is lost in rounding, or lets the others overflow. Rows whose pin
+    does not hold are scaled by 1.
+    """
+    top = x.max(axis=1)
+    held = (top < np.inf) & (x[:, r] > PIN_MASS_FLOOR * top)
+    pi = np.empty(x.shape)
+    pi[:, layout.order] = x / np.where(held, top, 1.0)[:, None]
+    return pi, held
 
 
 def _pinned_pi(gen: BandGenerator, x: np.ndarray, r: int) -> np.ndarray:
-    """The solution x of _pinned_lu at pin r as a distribution over state
-    ids, scaled to its largest entry. Raises ResidualError when the pinned
-    entry is not finite or holds at most PIN_MASS_FLOOR of the largest: a
-    pinned state with that little mass is lost in rounding, or lets the
-    others overflow.
+    """_pinned_pis of one solution; raises ResidualError when its pin does
+    not hold."""
+    pi, held = _pinned_pis(x[None], gen, r)
+    if not held[0]:
+        raise ResidualError(f"pinned entry {x[r]:.3e} is negligible next to {x.max():.3e}")
+    return pi[0]
+
+
+def _balanced(pi: np.ndarray, held: np.ndarray, data: np.ndarray, layout,
+              residual_tol: float) -> tuple[np.ndarray, ...]:
+    """Each row of pi (B, n) with roundoff-sized negative entries clamped
+    to zero and normalized, its balance residual max|pi Q| against its
+    generator of the stack, its smallest entry before the clamp, and
+    whether it holds: held on entry, no entry below -1e-9 and the residual
+    within residual_tol.
+
+    Rows not held, or with an entry below -1e-9 or not finite, come back as
+    zeros: by the block-diagonal gbmv a NaN would reach the residuals of
+    their neighbours. Each row is summed on its own, as one vector is.
     """
-    top = x.max()
-    if not (top < np.inf and x[r] > PIN_MASS_FLOOR * top):
-        raise ResidualError(f"pinned entry {x[r]:.3e} is negligible next to {top:.3e}")
-    pi = np.empty(len(x))
-    pi[gen.order] = x / top
-    return pi
+    low = pi.min(axis=1)
+    keep = held & (low >= -1e-9)
+    pi = np.clip(pi, 0.0, None)
+    total = np.array([np.add.reduce(row) for row in pi])
+    if not keep.all():
+        pi[~keep] = 0.0
+        total[~keep] = 1.0
+    pi /= total[:, None]
+    xq = band_gbmv(stack_band(data, layout.width), layout.width,
+                   pi.take(layout.order, axis=1), 0)
+    residual = np.abs(xq).max(axis=1)
+    return pi, residual, low, keep & (residual <= residual_tol)
 
 
 def _checked(pi: np.ndarray, gen: BandGenerator, residual_tol: float
              ) -> tuple[np.ndarray, float]:
-    """Normalized pi and its balance residual max|pi Q|, after clamping
-    roundoff-sized negative entries to zero; negative mass, non-finite
-    values and a residual above residual_tol raise ResidualError."""
-    if not pi.min() >= -1e-9:
+    """Normalized pi and its balance residual max|pi Q|, as _balanced
+    gives them; negative mass, non-finite values and a residual above
+    residual_tol raise ResidualError."""
+    pi, residual, low, _ = _balanced(pi[None], np.ones(1, dtype=bool), gen.data[None], gen,
+                                     residual_tol)
+    if not low[0] >= -1e-9:
         raise ResidualError(
-            f"stationary solve produced negative or non-finite mass {pi.min():.3e}")
-    pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
-    residual = float(np.abs(pi @ gen).max())
-    if not residual <= residual_tol:
+            f"stationary solve produced negative or non-finite mass {low[0]:.3e}")
+    if not residual[0] <= residual_tol:
         raise ResidualError(
-            f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}")
-    return pi, residual
+            f"stationary residual {residual[0]:.3e} exceeds {residual_tol:.1e}")
+    return pi[0], float(residual[0])
 
 
-def stationary_vector(gen: BandGenerator, residual_tol: float = STEADY_RESIDUAL_TOL
-                      ) -> tuple[np.ndarray, float]:
+def _try_pin(gen: BandGenerator, r: int, residual_tol: float):
+    """(x, (pi, residual)) when the solve pinned at r holds, (x, None) when
+    it failed its checks and (None, None) when its LU was singular."""
+    try:
+        x = _pinned_lu(gen, r)
+    except SingularChainError:
+        return None, None
+    try:
+        return x, _checked(_pinned_pi(gen, x, r), gen, residual_tol)
+    except ResidualError:
+        return x, None
+
+
+def stationary_vector(gen: BandGenerator, residual_tol: float = STEADY_RESIDUAL_TOL,
+                      first=None) -> tuple[np.ndarray, float]:
     """Stationary distribution of a BandGenerator and its balance residual
     max|pi Q|, checked by _checked.
 
@@ -459,15 +650,17 @@ def stationary_vector(gen: BandGenerator, residual_tol: float = STEADY_RESIDUAL_
     singular on no chain. When every pin declines all the same, the error
     names the states tried: ResidualError if any pin failed its checks,
     SingularChainError if every LU was singular.
+
+    first is the outcome of the first pin, as _try_pin gives it, where a
+    caller has tried that pin already.
     """
     pins, heaviest, failed_check = list(gen.pins), None, False
-    for r in pins:
-        try:
-            x = _pinned_lu(gen, r)
-            return _checked(_pinned_pi(gen, x, r), gen, residual_tol)
-        except SingularChainError:
-            pass
-        except ResidualError:
+    for k, r in enumerate(pins):
+        x, solved = first if k == 0 and first is not None else \
+            _try_pin(gen, r, residual_tol)
+        if solved is not None:
+            return solved
+        if x is not None:
             failed_check = True
             if heaviest is None and np.isfinite(x).all():
                 heaviest = int(x.argmax())
@@ -476,6 +669,28 @@ def stationary_vector(gen: BandGenerator, residual_tol: float = STEADY_RESIDUAL_
     error = ResidualError if failed_check else SingularChainError
     tried = ", ".join(str(int(gen.order[r])) for r in dict.fromkeys(pins))
     raise error(f"no stationary solve holds: pinned at states {tried}, each declined")
+
+
+def stationary_vectors(data: np.ndarray, layout, residual_tol: float = STEADY_RESIDUAL_TOL
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """stationary_vector of every generator of a stack: the distributions
+    (B, n) and their residuals (B,).
+
+    The first pin is tried on the whole stack at once, each generator by
+    its own LU; a generator whose first pin declines goes on alone through
+    stationary_vector's remaining pins, so its pi is the one
+    stationary_vector gives it.
+    """
+    r = layout.pins[0]
+    x, info = _pinned_lus(data, layout, r)
+    pi, held = _pinned_pis(x, layout, r)
+    pi, residual, _, held = _balanced(pi, held & (info == 0), data, layout, residual_tol)
+    if not held.all():
+        for b in np.flatnonzero(~held):
+            gen = BandGenerator(data[b], layout.width, layout.order, layout.pins)
+            first = (x[b], None) if info[b] == 0 else (None, None)
+            pi[b], residual[b] = stationary_vector(gen, residual_tol, first)
+    return pi, residual
 
 
 def solve_steady_state(gen: Generator, *, residual_tol: float = STEADY_RESIDUAL_TOL
@@ -487,57 +702,75 @@ def solve_steady_state(gen: Generator, *, residual_tol: float = STEADY_RESIDUAL_
 
 
 class CellBlocking(NamedTuple):
-    """Blocking of one stationary vector over an information partition."""
+    """Blocking of a stack of B stationary vectors over an information
+    partition."""
 
-    mass: np.ndarray                  # stationary mass per cell
-    empty: np.ndarray                 # cells without stationary mass
-    by_cell: np.ndarray               # (N, cells) blocking conditional on the cell
-    per_class: np.ndarray             # unconditional blocking per class
-    overall: float                    # arrival-rate weighted over the classes
+    mass: np.ndarray                  # (B, cells) stationary mass per cell
+    empty: np.ndarray                 # (B, cells) cells without stationary mass
+    by_cell: np.ndarray               # (B, N, cells) blocking conditional on the cell
+    per_class: np.ndarray             # (B, N) unconditional blocking per class
+    overall: np.ndarray               # (B,) arrival-rate weighted over the classes
 
 
-def cell_blocking(tables: ChainTables, pi: np.ndarray, cells: np.ndarray,
-                  ncells: int) -> CellBlocking:
-    """Blocking under pi over cells, a cell id per state (ncells in all).
+class Partition:
+    """An information partition of a space: cells, a cell id per state, and
+    ncells cells in all, with the bins of per-cell sums over a stack of up
+    to `stack` vectors: cell_bins[b * num_states + i] is the (vector, cell)
+    bin of state i, class_bins[(b * N + n) * num_states + i] its (vector,
+    class, cell) bin."""
+
+    def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int, stack: int = 1):
+        N = len(tables.blocked)
+        self.cells, self.ncells = cells, ncells
+        self.cell_bins = (np.arange(0, stack * ncells, ncells)[:, None] + cells).ravel()
+        self.class_bins = (np.arange(0, stack * N * ncells, ncells)[:, None] + cells).ravel()
+
+
+def cell_blocking(tables: ChainTables, pi: np.ndarray, partition: Partition) -> CellBlocking:
+    """Blocking under each row of pi (B, num_states) over a partition.
 
     A class is blocked at a state where every system is saturated. The
     numerator of a cell's conditional blocking is restricted to the cell's
     own states, so the result is a probability; cells without stationary
-    mass report zero.
+    mass report zero. The per-class sums and their weighting are taken row
+    by row, as for one vector alone.
     """
     blocked = tables.blocked
-    N = len(blocked)
-    mass = np.bincount(cells, weights=pi, minlength=ncells)
+    (B, nst), N, ncells = pi.shape, len(blocked), partition.ncells
+    mass = np.bincount(partition.cell_bins[:B * nst], weights=pi.ravel(),
+                       minlength=B * ncells).reshape(B, ncells)
     empty = mass <= EMPTY_LABEL_MASS
-    rates = tables.space.config.arrival_rate
-    weights = np.array(rates) / sum(rates)
-    bins = (np.arange(N)[:, None] * ncells + cells).ravel()
-    per_class = np.array([pi[b].sum() for b in blocked])
-    by_cell = np.zeros((N, ncells))
-    num = np.bincount(bins, weights=(blocked * pi).ravel(), minlength=N * ncells)
-    np.divide(num.reshape(N, ncells), mass, out=by_cell, where=~empty)
-    return CellBlocking(mass, empty, by_cell, per_class, float(weights @ per_class))
+    per_class = np.array([[np.add.reduce(row.take(ids)) for ids in tables.blocked_ids]
+                          for row in pi])
+    by_cell = np.zeros((B, N, ncells))
+    num = np.bincount(partition.class_bins[:B * N * nst],
+                      weights=(blocked * pi[:, None]).ravel(), minlength=B * N * ncells)
+    np.divide(num.reshape(B, N, ncells), mass[:, None], out=by_cell, where=~empty[:, None])
+    overall = np.array([tables.class_weight @ p for p in per_class])
+    return CellBlocking(mass, empty, by_cell, per_class, overall)
 
 
 def _one_cell(space: StateSpace, steady: SteadyState) -> CellBlocking:
-    return cell_blocking(chain_tables(space), steady.pi,
-                         np.zeros(space.num_states, dtype=np.int64), 1)
+    tables = chain_tables(space)
+    one = Partition(tables, np.zeros(space.num_states, dtype=np.int64), 1)
+    return cell_blocking(tables, steady.pi[None], one)
 
 
 def blocking_by_label(space: StateSpace, scheme: AggregationScheme,
                       steady: SteadyState, user_class: int) -> np.ndarray:
     """Conditional blocking probability of one class per load label (see
     cell_blocking)."""
-    return cell_blocking(chain_tables(space), steady.pi, label_array(scheme, space),
-                         scheme.label_count).by_cell[user_class]
+    tables = chain_tables(space)
+    labels = Partition(tables, label_array(scheme, space), scheme.label_count)
+    return cell_blocking(tables, steady.pi[None], labels).by_cell[0, user_class]
 
 
 def overall_blocking(space: StateSpace, steady: SteadyState) -> float:
     """Arrival-rate-weighted probability that a new call finds every system
     saturated."""
-    return _one_cell(space, steady).overall
+    return float(_one_cell(space, steady).overall[0])
 
 
 def per_class_blocking(space: StateSpace, steady: SteadyState) -> np.ndarray:
     """Unconditional blocking probability per class."""
-    return _one_cell(space, steady).per_class
+    return _one_cell(space, steady).per_class[0]

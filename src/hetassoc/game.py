@@ -21,27 +21,42 @@ solver groups policies into fibres, the sets of policies that induce the
 same chain and the same payoffs bit for bit (the reduced normal form of the
 game). Exhaustive scans solve one representative per fibre, and the
 evaluation cache serves every member from it.
+
+The core evaluates a chunk of choice tables at once: one assembly into a
+stack of bands, the stationary and tagged solves with their checks, and the
+aggregation, each over a leading batch axis, with one LAPACK solve per
+policy and block. Exhaustive scans, and the start fibres of the
+best-response paths, go through evaluate_many a chunk at a time
+(ctmc.CHUNK_BYTES bounds a chunk); a single evaluation and the baselines
+are chunks of one. A policy's results have the same bits in any chunk.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .aggregation import label_array
 from .config import AggregationScheme, NetworkConfig, Policy
-# assemble_generator and solve_volume_from_matrix are not called here, but
-# perfbench/tracer.py wraps the names in this module, so they stay bound
-from .ctmc import (EMPTY_LABEL_MASS, ChainTables, assemble_dense,  # noqa: F401
-                   assemble_generator, cell_blocking, chain_tables, stationary_vector)
+# assemble_dense, assemble_generator and solve_volume_from_matrix are not
+# called here, but perfbench/tracer.py wraps the names in this module, so
+# they stay bound
+from .ctmc import (EMPTY_LABEL_MASS, ChainTables, Partition, ResidualError,  # noqa: F401
+                   SingularChainError, assemble_dense, assemble_generator,
+                   assemble_stack, cell_blocking, chain_tables, stationary_vector,
+                   stationary_vectors)
 from .rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 from .states import StateSpace
-from .transient import solve_volume_from_matrix, tagged_volumes  # noqa: F401
+from .transient import (SingularTaggedChainError, solve_volume_from_matrix,  # noqa: F401
+                        tagged_volumes)
 
 NASH_EPS = 1e-9
 TIE_TOL = 1e-9
+# what a chain solve raises when it cannot be trusted
+SOLVE_ERRORS = (ResidualError, SingularChainError, SingularTaggedChainError)
 
 
 class EmptyLabelError(ValueError):
@@ -91,33 +106,83 @@ class ChainEvaluation:
     volumes: np.ndarray               # (N, S, num_states) tagged expectations
 
 
-def _evaluate_chain(tables: ChainTables, choice: np.ndarray, cells: np.ndarray,
-                    ncells: int, outcome: np.ndarray, strict: bool) -> ChainEvaluation:
-    """Solve the chain of a (N, num_states) preferred-system table and
-    aggregate it over cells, a cell id per state (ncells in all).
+class _ChainCore:
+    """What _evaluate_chain reuses from chunk to chunk over one information
+    partition, for chunks of up to `chunk` choice tables: the tables, the
+    arrival mode, the outcome index, the Partition and where each table's
+    padded volumes start in the chunk's."""
 
-    outcome is _outcome_index(tables, strict). Blocking is
+    def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int,
+                 strict: bool, chunk: int):
+        N, S, nst = tables.occ_ns.shape
+        self.tables, self.strict = tables, strict
+        self.outcome = _outcome_index(tables, strict)
+        self.partition = Partition(tables, cells, ncells, chunk)
+        padded = N * S * nst + 1
+        self.padded_offset = np.arange(0, chunk * padded, padded)[:, None, None]
+
+
+class _ChainChunk(NamedTuple):
+    """_evaluate_chain's result: an evaluation per choice table, and the
+    stacked arrays the payoff tables of a policy chunk are built from."""
+
+    evaluations: list[ChainEvaluation]
+    pi: np.ndarray                    # (B, num_states)
+    padded: np.ndarray                # (B, N * S * num_states + 1): volumes, then 0
+    empty: np.ndarray                 # (B, cells) cells without stationary mass
+
+
+def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
+    """Solve the chains of a chunk of preferred-system tables, choices of
+    shape (B, N, num_states), and aggregate each over the core's cells.
+
+    Every step runs once for the chunk: assembly, the stationary solves,
+    blocking, the tagged volumes and the global utility. Blocking is
     ctmc.cell_blocking's; the global utility weights each cell's chosen
-    value by its non-blocking probability.
+    value by its non-blocking probability. A table's results have the bits
+    they have in a chunk of one: sums whose order numpy picks by shape are
+    taken table by table.
     """
-    N, nst = choice.shape
-    q = assemble_dense(tables, choice, strict=strict)
-    pi, residual = _solve_pi(tables.space, q)
-    b = cell_blocking(tables, pi, cells, ncells)
-    volumes = tagged_volumes(tables, q)
+    tables, ncells = core.tables, core.partition.ncells
+    plan = tables.solve_plan
+    B, N, nst = choices.shape
+    data = assemble_stack(tables, choices, core.strict)
+    pi, residual = stationary_vectors(data, plan)
+    b = cell_blocking(tables, pi, core.partition)
+    volumes = tagged_volumes(tables, data)
+    padded = np.zeros((B, volumes[0].size + 1))
+    padded[:, :-1] = volumes.reshape(B, -1)
+    chosen = padded.take(core.outcome.take(choices * nst + plan.entry)
+                         + core.padded_offset[:B])
+    inner = np.bincount(core.partition.class_bins[:B * N * nst],
+                        weights=(chosen * pi[:, None]).ravel(),
+                        minlength=B * N * ncells).reshape(B, N, ncells)
+    share = (1.0 - b.by_cell) * inner
+    evaluations = [ChainEvaluation(
+        pi=pi[k], residual=float(residual[k]), label_mass=b.mass[k],
+        empty_labels=b.empty[k], blocking=b.by_cell[k],
+        global_utility=sum(tables.class_weight * share[k].sum(axis=1)),
+        overall_blocking=float(b.overall[k]), per_class_blocking=b.per_class[k],
+        volumes=volumes[k]) for k in range(B)]
+    return _ChainChunk(evaluations, pi, padded, b.empty)
 
-    rates = tables.space.config.arrival_rate
-    weights = np.array(rates) / sum(rates)
-    bins = (np.arange(N)[:, None] * ncells + cells).ravel()
-    value = np.append(volumes, 0.0)[outcome]
-    chosen = value[np.arange(N)[:, None], choice, np.arange(nst)]
-    inner = np.bincount(bins, weights=(chosen * pi).ravel(),
-                        minlength=N * ncells).reshape(N, ncells)
-    global_u = sum(weights * ((1.0 - b.by_cell) * inner).sum(axis=1))
-    return ChainEvaluation(
-        pi=pi, residual=residual, label_mass=b.mass, empty_labels=b.empty,
-        blocking=b.by_cell, global_utility=global_u, overall_blocking=b.overall,
-        per_class_blocking=b.per_class, volumes=volumes)
+
+def _nash_gaps(individual: np.ndarray, choice: np.ndarray, empty: np.ndarray) -> np.ndarray:
+    """PolicyEvaluation.nash_gap of a stack: payoff tables (B, N, L, S),
+    policies (B, N, L) and empty labels (B, L)."""
+    B, N, L, S = individual.shape
+    current = individual.reshape(-1, S)[np.arange(B * N * L), choice.ravel()]
+    forgone = np.fmax.reduce(individual, axis=3).ravel() - current
+    valid = ~np.isnan(forgone) & ~np.repeat(empty, N, axis=0).ravel()
+    return np.where(valid, forgone, -np.inf).reshape(B, -1).max(axis=1, initial=0.0)
+
+
+def nash_gaps(evaluations: list["PolicyEvaluation"]) -> np.ndarray:
+    """PolicyEvaluation.nash_gap of each evaluation, in one pass over their
+    stacked payoff tables."""
+    return _nash_gaps(np.stack([ev.individual for ev in evaluations]),
+                      np.array([ev.policy.choice for ev in evaluations]),
+                      np.stack([ev.empty_labels for ev in evaluations]))
 
 
 @dataclass
@@ -136,12 +201,8 @@ class PolicyEvaluation(ChainEvaluation):
         never profitable; a policy entry without a defined payoff leaves
         that group unconstrained.
         """
-        choice = np.asarray(self.policy.choice)
-        N, L = choice.shape
-        current = self.individual[np.arange(N)[:, None], np.arange(L), choice]
-        forgone = np.fmax.reduce(self.individual, axis=2) - current
-        valid = ~np.isnan(forgone) & ~self.empty_labels
-        return float(forgone[valid].max(initial=0.0))
+        return float(_nash_gaps(self.individual[None], np.asarray(self.policy.choice),
+                                self.empty_labels[None])[0])
 
     def is_nash(self, eps: float = NASH_EPS) -> bool:
         return self.nash_gap() <= eps
@@ -210,7 +271,10 @@ class PolicyGameSolver:
         self.structurally_empty = self.state_counts == 0
 
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
-        self._outcome = _outcome_index(self.tables, strict_arrivals)
+        # policies per chunk of the exhaustive scans and evaluate_many
+        self.chunk = self.tables.solve_plan.chunk_size()
+        self._core = _ChainCore(self.tables, self.labels, L, strict_arrivals, self.chunk)
+        self._outcome = self._core.outcome
         # U[n, l, s] averages payoff[n, s, i] over the label's states with
         # weight payoff_weight[n, s, i] * pi[i]: the admission outcome over
         # every state, or under "exclude" the volume in system s itself over
@@ -221,9 +285,10 @@ class PolicyGameSolver:
         else:
             self._payoff = _outcome_index(self.tables, strict=True)
             self._payoff_weight = (self.tables.arrival_id >= 0).astype(float)
-        # bins of the (n, label, s) payoff table
+        # bins of the (n, label, s) payoff tables of a chunk
         n_idx, s_idx = np.arange(N)[:, None, None], np.arange(S)[:, None]
-        self._nls_bin = ((n_idx * L + self.labels) * S + s_idx).ravel()
+        self._nls_bin = (np.arange(0, self.chunk * N * L * S, N * L * S)[:, None]
+                         + ((n_idx * L + self.labels) * S + s_idx).ravel()).ravel()
         self.rep = self._interchangeable_systems()
         self._rep_entries = self.rep.reshape(N * L, S).tolist()
         self._cache: dict[tuple, PolicyEvaluation] | None = {} if use_cache else None
@@ -322,25 +387,74 @@ class PolicyGameSolver:
         evaluation = self._cache.get(key)
         if evaluation is None:
             evaluation = self._cache[key] = self._evaluate(policy)
-        elif evaluation.policy.choice != policy.choice:
+        return self._served(evaluation, policy)
+
+    @staticmethod
+    def _served(evaluation: PolicyEvaluation, policy: Policy) -> PolicyEvaluation:
+        """A fibre's cached evaluation, reported under policy."""
+        if evaluation.policy.choice != policy.choice:
             evaluation = replace(evaluation, policy=policy)
         return evaluation
 
+    def evaluate_many(self, policies) -> list[PolicyEvaluation]:
+        """evaluate() of each policy, in order, with the missing chains
+        solved in chunks of up to self.chunk policies (see ctmc.CHUNK_BYTES);
+        with the cache on, one policy per missing fibre is solved."""
+        policies = list(policies)
+        for policy in policies:
+            policy.validate_for(self.config, self.scheme)
+        if self._cache is None:
+            return list(self._solved(policies))
+        keys = [self._fibre_key(policy) for policy in policies]
+        missing: dict[tuple, Policy] = {}
+        for key, policy in zip(keys, policies):
+            if key not in self._cache:
+                missing.setdefault(key, policy)
+        for key, evaluation in zip(missing, self._solved(list(missing.values()))):
+            self._cache[key] = evaluation
+        return [self._served(self._cache[key], policy) for key, policy in zip(keys, policies)]
+
+    def _chunks(self, policies):
+        """policies in lists of up to self.chunk, in order."""
+        it = iter(policies)
+        while chunk := list(itertools.islice(it, self.chunk)):
+            yield chunk
+
+    def _solved(self, policies: list[Policy]):
+        """Uncached evaluations of policies, in order, a chunk at a time. A
+        chunk in which a solve fails is solved again one policy at a time,
+        so the error raised is the first failing policy's, as evaluate()
+        raises it."""
+        for chunk in self._chunks(policies):
+            try:
+                yield from self._evaluate_chunk(chunk)
+            except SOLVE_ERRORS:
+                if len(chunk) == 1:
+                    raise
+                yield from map(self._evaluate, chunk)
+
     def _evaluate(self, policy: Policy) -> PolicyEvaluation:
+        return self._evaluate_chunk([policy])[0]
+
+    def _evaluate_chunk(self, policies: list[Policy]) -> list[PolicyEvaluation]:
+        """Uncached evaluations of a chunk of validated policies, solved
+        together by _evaluate_chain."""
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
-        choice = np.asarray(policy.choice, dtype=np.int64)[:, self.labels]
-        core = _evaluate_chain(self.tables, choice, self.labels, L, self._outcome,
-                               self.strict_arrivals)
-        weight = self._payoff_weight * core.pi
-        payoff = np.append(core.volumes, 0.0)[self._payoff]
-        num = np.bincount(self._nls_bin, weights=(payoff * weight).ravel(),
-                          minlength=N * L * S).reshape(N, L, S)
-        den = np.bincount(self._nls_bin, weights=weight.ravel(),
-                          minlength=N * L * S).reshape(N, L, S)
-        individual = np.full((N, L, S), np.nan)
+        B = len(policies)
+        choices = np.array([policy.choice for policy in policies], dtype=np.int64)
+        chunk = _evaluate_chain(self._core, choices.take(self.labels, axis=2))
+        weight = self._payoff_weight * chunk.pi[:, None, None]
+        payoff = chunk.padded[:, self._payoff]
+        bins = self._nls_bin[:B * weight[0].size]
+        num = np.bincount(bins, weights=(payoff * weight).ravel(),
+                          minlength=B * N * L * S).reshape(B, N, L, S)
+        den = np.bincount(bins, weights=weight.ravel(),
+                          minlength=B * N * L * S).reshape(B, N, L, S)
+        individual = np.full((B, N, L, S), np.nan)
         np.divide(num, den, out=individual,
-                  where=~core.empty_labels[:, None] & (den > EMPTY_LABEL_MASS))
-        return PolicyEvaluation(**vars(core), policy=policy, individual=individual)
+                  where=~chunk.empty[:, None, :, None] & (den > EMPTY_LABEL_MASS))
+        return [PolicyEvaluation(**vars(core), policy=policy, individual=individual[k])
+                for k, (policy, core) in enumerate(zip(policies, chunk.evaluations))]
 
     def individual_utility(self, evaluation: PolicyEvaluation, user_class: int,
                            label: int, system: int) -> float:
@@ -377,13 +491,14 @@ class PolicyGameSolver:
         is a tie, so policies_evaluated counts the canonical policies."""
         best_u = -np.inf
         best: list[Policy] = []
-        for policy in self.representatives():
-            utility = self.evaluate(policy).global_utility
-            if utility > best_u + TIE_TOL:
-                best_u = utility
-                best = [policy]
-            elif utility >= best_u - TIE_TOL:
-                best.append(policy)
+        for chunk in self._chunks(self.representatives()):
+            for policy, evaluation in zip(chunk, self.evaluate_many(chunk)):
+                utility = evaluation.global_utility
+                if utility > best_u + TIE_TOL:
+                    best_u = utility
+                    best = [policy]
+                elif utility >= best_u - TIE_TOL:
+                    best.append(policy)
         ties = sorted((member for policy in best for member in self.fibre(policy)),
                       key=Policy.flatten)
         return OptimalResult(policy=ties[0], evaluation=self.evaluate(ties[0]),
@@ -454,9 +569,9 @@ class PolicyGameSolver:
         if mode == "auto":
             mode = "exhaustive" if self.policy_space_size() <= auto_cap else "best_response"
         if mode == "exhaustive":
-            candidates = [member for policy in self.representatives()
-                          if self.evaluate(policy).is_nash(eps)
-                          for member in self.fibre(policy)]
+            candidates = [member for chunk in self._chunks(self.representatives())
+                          for policy, gap in zip(chunk, nash_gaps(self.evaluate_many(chunk)))
+                          if gap <= eps for member in self.fibre(policy)]
         else:
             candidates = self._best_response_candidates(restarts=restarts,
                                                         seed=seed, eps=eps)
@@ -519,8 +634,14 @@ class PolicyGameSolver:
     def _best_response_candidates(self, restarts: int, seed: int,
                                   eps: float) -> list[Policy]:
         rng = np.random.default_rng(seed)
+        starts = self._starting_policies(restarts, rng)
+        if self.positions():
+            # every path opens on its start's response table: solve those
+            # fibres in chunks first, as the table would, by representative
+            self.evaluate_many([self._representative(self._fibre_key(start))
+                                for start in starts])
         candidates = []
-        for start in self._starting_policies(restarts, rng):
+        for start in starts:
             policy, _ = self.best_response_path(start, eps=eps)
             if policy is not None:
                 candidates.append(policy)
@@ -643,8 +764,7 @@ def evaluate_baseline(space: StateSpace, which: str,
         rule = InstantaneousRateRule()
     else:
         raise ValueError("which must be 'peak_rate' or 'instantaneous_rate'")
-    tables = chain_tables(space)
-    core = _evaluate_chain(tables, rule.choice_table(space),
-                           *rule.information_partition(space),
-                           _outcome_index(tables, strict_arrivals), strict_arrivals)
-    return BaselineEvaluation(**vars(core), which=which, rule=rule)
+    core = _ChainCore(chain_tables(space), *rule.information_partition(space),
+                      strict_arrivals, chunk=1)
+    chunk = _evaluate_chain(core, rule.choice_table(space)[None])
+    return BaselineEvaluation(**vars(chunk.evaluations[0]), which=which, rule=rule)

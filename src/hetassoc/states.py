@@ -234,13 +234,8 @@ def state_table_rows(space: StateSpace):
     Throughput cells are empty for (class, system) pairs with no user in the
     state.
     """
-    config = space.config
-    for i, occ in enumerate(space.states):
-        row: list[object] = [i, *occ]
-        for s in range(config.num_systems):
-            for n in range(config.num_classes):
-                if occ[occ_index(config, n, s)] > 0:
-                    row.append(user_throughput(config, occ, n, s))
-                else:
-                    row.append("")
-        yield row
+    # (state, system, class), the occupancy's own order
+    rates = throughput_array(space.config, space.occ).transpose(2, 1, 0)
+    for i, (counts, rate) in enumerate(zip(space.occ.tolist(),
+                                           rates.reshape(space.num_states, -1).tolist())):
+        yield [i, *counts, *("" if c == 0 else r for c, r in zip(counts, rate))]

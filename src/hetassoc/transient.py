@@ -14,6 +14,12 @@ its own band storage and solved by a banded LU (gbsv); every block row leaks
 mu to absorption, so the block is strictly diagonally dominant and the
 banded LU is stable. Every solve is checked against the full generator
 afterwards, by BLAS gbmv on its unfactored band.
+
+The solves take a stack of generators (ctmc.assemble_stack) and a group of
+blocks at a time (ctmc.TaggedGroup): one gather of every block of the group
+from every generator, one LU per generator and block, and one stacked gbmv
+per block that checks it on every generator. The blocks of a stack go in
+one group where their bands fit in ctmc.CHUNK_BYTES, else one at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from scipy.linalg import get_lapack_funcs
 
 # assemble_generator is not called here, but perfbench/tracer.py wraps the
 # name in this module, so it stays bound
-from .ctmc import (ChainTables, ResidualError, TaggedPlan, assemble_dense,  # noqa: F401
-                   assemble_generator, chain_tables)
+from .ctmc import (ChainTables, ResidualError, TaggedGroup, TaggedPlan,  # noqa: F401
+                   assemble_dense, assemble_generator, band_gbmv, chain_tables,
+                   stack_band)
 from .rules import AssignmentRule
 from .states import Occupancy, StateSpace
 
@@ -72,20 +79,29 @@ def tagged_state_ids(space: StateSpace, user_class: int, system: int) -> np.ndar
     return np.nonzero(tables.occ_ns[user_class, system] > 0)[0]
 
 
-def _tagged_matrix(q, tables: ChainTables, user_class: int, system: int):
-    """Restrict a full generator to the tagged states and lower the tagged
-    departure rate by mu (the tagged user himself leaves toward absorption).
+def _tagged_matrix(data: np.ndarray, group: TaggedGroup, mu: float) -> np.ndarray:
+    """Restrict each generator of a stack to the tagged states of each block
+    of a group and lower the tagged departure rate by mu (the tagged user
+    himself leaves toward absorption).
 
     Diagonals are kept from the original generator, so each transient row
-    plus the mu absorption entry still sums to zero. Takes a BandGenerator
-    and returns the block's TaggedPlan and the block in LAPACK band storage,
-    gathered from the generator's band, in the plan's state order.
+    plus the mu absorption entry still sums to zero. Takes a (B, size)
+    stack of BandGenerator data and returns the blocks in LAPACK band
+    storage, gathered from the generators' bands in each plan's state
+    order: row b holds generator b's blocks end to end, each flattened in
+    Fortran order at its slice of group.blocks.
     """
-    plan = tables.solve_plan.tagged[user_class][system]
-    band = np.zeros(plan.band_shape[0] * plan.band_shape[1])
-    band[plan.band] = q.data.take(plan.src)
-    band[plan.shift_band] -= tables.space.config.service_rate
-    return plan, band.reshape(plan.band_shape, order="F")
+    bands = np.zeros((len(data), group.size))
+    bands[:, group.band] = data.take(group.src, axis=1)
+    bands[:, group.shift_band] -= mu
+    return bands
+
+
+def _absorption_rate(tables: ChainTables) -> float:
+    mu = tables.space.config.service_rate
+    if mu <= 0:
+        raise SingularTaggedChainError("absorption requires a positive service rate")
+    return mu
 
 
 def build_tagged_generator(space: StateSpace, rule: AssignmentRule,
@@ -95,9 +111,11 @@ def build_tagged_generator(space: StateSpace, rule: AssignmentRule,
     rule, over the tagged states in ascending id order."""
     tables = chain_tables(space)
     q = assemble_dense(tables, rule.choice_table(space), strict=strict_arrivals)
-    plan, band = _tagged_matrix(q, tables, user_class, system)
+    plan = tables.solve_plan.tagged[user_class][system]
+    band = _tagged_matrix(q.data[None], TaggedGroup([(0, plan)], space.num_states),
+                          space.config.service_rate)[0]
     block = np.zeros((len(plan.ids),) * 2)
-    block[plan.rows, plan.cols] = band.ravel(order="F")[plan.band]
+    block[plan.rows, plan.cols] = band[plan.band]
     ascending = np.argsort(plan.ids)
     return TaggedChain(state_ids=plan.ids[ascending],
                        matrix=block[ascending][:, ascending],
@@ -113,51 +131,89 @@ def _solve_tagged(plan: TaggedPlan, block: np.ndarray, rhs: np.ndarray) -> np.nd
     return values
 
 
-def _check_tagged(q, plan: TaggedPlan, values: np.ndarray, mu: float) -> None:
-    """Raise ResidualError unless A v = -r holds to TAGGED_RESIDUAL_TOL, for
-    the block A and the tagged user's rate r.
+def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarray,
+                  mu: float, singular: dict) -> None:
+    """Raise unless A v = -r holds to TAGGED_RESIDUAL_TOL for every block A
+    of the group of every generator of the stack, its solution v and the
+    tagged user's rate r. The error is that of the first generator with a
+    failing block, at its first such block: ResidualError, or the
+    SingularTaggedChainError held in singular[generator, block] when that
+    block's LU was singular.
 
-    A v is taken from the full generator rather than from the solved block,
-    so an entry the block's gather missed shows up in the residual.
+    A v is taken from the full generators rather than from the solved
+    blocks, by one band_gbmv per block over the whole stack, so an entry the
+    block's gather missed shows up in the residual.
     """
-    full = np.zeros(q.shape[0])
-    full[plan.ids] = values
-    av = q.dot(full)[plan.ids]
-    av[plan.shift_rows] -= mu * values[plan.shift_cols]
-    residual = np.abs(av + plan.rate).max()
-    scale = plan.norm * np.abs(values).max()
-    if not residual <= TAGGED_RESIDUAL_TOL * scale:
+    B, n, w = len(values), len(layout.order), layout.width
+    band = stack_band(data, w)
+    v = np.zeros((B, len(group.blocks) * n))
+    v[:, group.slots] = values
+    qv = np.empty(v.shape)
+    for k in range(0, v.shape[1], n):
+        qv[:, k:k + n] = band_gbmv(band, w, v[:, k:k + n], 1)
+    av = qv.take(group.slots, axis=1)
+    av[:, group.shift_rows] -= mu * values[:, group.shift_cols]
+    residual = np.maximum.reduceat(np.abs(av + group.rate), group.starts, axis=1)
+    scale = group.norm * np.maximum.reduceat(np.abs(values), group.starts, axis=1)
+    held = residual <= TAGGED_RESIDUAL_TOL * scale
+    for b, k in singular:
+        held[b, k] = False
+    if not held.all():
+        b, k = divmod(int(held.argmin()), held.shape[1])
+        if (b, k) in singular:
+            raise singular[b, k]
         raise ResidualError(
-            f"tagged residual {residual:.3e} exceeds {TAGGED_RESIDUAL_TOL:.0e} "
-            f"relative to |A| |v| = {scale:.3e}")
+            f"tagged residual {residual[b, k]:.3e} exceeds {TAGGED_RESIDUAL_TOL:.0e} "
+            f"relative to |A| |v| = {scale[b, k]:.3e}")
+
+
+def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup,
+                 mu: float) -> np.ndarray:
+    """Checked expected megabits of a tagged user, who leaves at rate mu,
+    for every block of a group and every generator of a stack: row b holds
+    generator b's values, each block's at its slice of group.blocks in its
+    plan's state order. Every LU runs before the checks, and the error
+    raised is that of solving block by block (see _check_tagged)."""
+    bands = _tagged_matrix(data, group, mu)
+    values = np.empty((len(data), len(group.rate)))
+    singular = {}
+    for b in range(len(data)):
+        for k, (plan, shape, band, value) in enumerate(group.blocks):
+            try:
+                values[b, value] = _solve_tagged(
+                    plan, bands[b, band].reshape(shape, order="F"), plan.rate)
+            except SingularTaggedChainError as error:
+                values[b, value] = 0.0
+                singular[b, k] = error
+    _check_tagged(data, tables.solve_plan, group, values, mu, singular)
+    return values
 
 
 def solve_volume_from_matrix(tables: ChainTables, q, user_class: int,
                              system: int) -> np.ndarray:
     """Expected megabits of a tagged user, indexed by dense state id (nan on
     states where he is absent). Takes an already assembled full generator."""
-    mu = tables.space.config.service_rate
-    if mu <= 0:
-        raise SingularTaggedChainError("absorption requires a positive service rate")
-    plan, block = _tagged_matrix(q, tables, user_class, system)
-    out = np.full(tables.space.num_states, np.nan)
-    if len(plan.ids) == 0:
-        return out
-    values = _solve_tagged(plan, block, plan.rate)
-    _check_tagged(q, plan, values, mu)
-    out[plan.ids] = values
+    mu = _absorption_rate(tables)
+    nst = tables.space.num_states
+    out = np.full(nst, np.nan)
+    plan = tables.solve_plan.tagged[user_class][system]
+    if len(plan.ids):
+        group = TaggedGroup([(0, plan)], nst)
+        out[plan.ids] = _solve_group(tables, q.data[None], group, mu)[0]
     return out
 
 
-def tagged_volumes(tables: ChainTables, q) -> np.ndarray:
-    """volumes[n, s, i]: solve_volume_from_matrix for every (class, system)
-    pair of an assembled generator."""
+def tagged_volumes(tables: ChainTables, data: np.ndarray) -> np.ndarray:
+    """volumes[b, n, s, i]: solve_volume_from_matrix for every (class,
+    system) pair of every generator of a (B, size) stack, the blocks
+    gathered together as SolvePlan.tagged_groups says."""
+    mu = _absorption_rate(tables)
     N, S, nst = tables.occ_ns.shape
-    volumes = np.empty((N, S, nst))
-    for n in range(N):
-        for s in range(S):
-            volumes[n, s] = solve_volume_from_matrix(tables, q, n, s)
-    return volumes
+    B = len(data)
+    volumes = np.full((B, N * S * nst), np.nan)
+    for group in tables.solve_plan.tagged_groups(B):
+        volumes[:, group.targets] = _solve_group(tables, data, group, mu)
+    return volumes.reshape(B, N, S, nst)
 
 
 def solve_volume(space: StateSpace, rule: AssignmentRule, user_class: int,
@@ -203,7 +259,7 @@ def volume_tables(space: StateSpace, rule: AssignmentRule,
     """Solve the full set of tagged-user volume tables for a rule."""
     tables = chain_tables(space)
     q = assemble_dense(tables, rule.choice_table(space), strict=strict_arrivals)
-    return VolumeTable(space=space, volumes=tagged_volumes(tables, q))
+    return VolumeTable(space=space, volumes=tagged_volumes(tables, q.data[None])[0])
 
 
 def arrival_utility(table: VolumeTable, occ: Occupancy, user_class: int,

@@ -377,3 +377,31 @@ def test_enumerate_matches_golden_artifact(tmp_path, flags, golden):
     assert run("enumerate", "--config", HYBRID, *flags, "--out", str(tmp_path)) == 0
     assert (tmp_path / "states.csv").read_bytes() == \
         (DATA_DIR / f"enumerate_golden_{golden}.csv").read_bytes()
+
+
+def _nash_exhaustive_instance(tmp_path) -> str:
+    """hybrid_example with system 1's thresholds at 0.5,0.5, scaled to 5
+    Erlangs: 119 states, 4,096 canonical policies in 2,048 fibres."""
+    doc = json.loads((CONFIG_DIR / "hybrid_example.json").read_text())
+    doc["systems"][1]["thresholds"] = [0.5, 0.5]
+    multiplier = 5.0 / (sum(c["arrival_rate"] for c in doc["classes"])
+                        / doc["service_rate"])
+    for c in doc["classes"]:
+        c["arrival_rate"] = c["arrival_rate"] * multiplier
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, artifact", [
+    (("nash", "--mode", "exhaustive"), "nash"),
+    (("optimal", "--method", "exhaustive"), "optimal"),
+])
+def test_exhaustive_scan_matches_golden_artifact(tmp_path, argv, artifact):
+    """Both exhaustive scans over every fibre reproduce a recorded artifact
+    byte for byte."""
+    out = tmp_path / "out"
+    assert run(*argv, "--config", _nash_exhaustive_instance(tmp_path),
+               "--out", str(out)) == 0
+    assert (out / f"{artifact}.json").read_bytes() == \
+        (DATA_DIR / f"{artifact}_golden_exhaustive.json").read_bytes()
