@@ -549,15 +549,6 @@ def _pinned_lus(data: np.ndarray, layout, r: int) -> tuple[np.ndarray, np.ndarra
     return x, info
 
 
-def _pinned_lu(gen: BandGenerator, r: int) -> np.ndarray:
-    """_pinned_lus of one generator; raises SingularChainError when its LU
-    is singular."""
-    x, info = _pinned_lus(gen.data[None], gen, r)
-    if info[0] != 0:
-        raise SingularChainError(f"pinned banded LU failed (info {info[0]})")
-    return x[0]
-
-
 def _pinned_pis(x: np.ndarray, layout, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The solutions x (B, n) of _pinned_lus at pin r as distributions over
     state ids, each scaled to its largest entry, and whether each pin holds:
@@ -573,29 +564,18 @@ def _pinned_pis(x: np.ndarray, layout, r: int) -> tuple[np.ndarray, np.ndarray]:
     return pi, held
 
 
-def _pinned_pi(gen: BandGenerator, x: np.ndarray, r: int) -> np.ndarray:
-    """_pinned_pis of one solution; raises ResidualError when its pin does
-    not hold."""
-    pi, held = _pinned_pis(x[None], gen, r)
-    if not held[0]:
-        raise ResidualError(f"pinned entry {x[r]:.3e} is negligible next to {x.max():.3e}")
-    return pi[0]
-
-
 def _balanced(pi: np.ndarray, held: np.ndarray, data: np.ndarray, layout,
-              residual_tol: float) -> tuple[np.ndarray, ...]:
+              residual_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of pi (B, n) with roundoff-sized negative entries clamped
     to zero and normalized, its balance residual max|pi Q| against its
-    generator of the stack, its smallest entry before the clamp, and
-    whether it holds: held on entry, no entry below -1e-9 and the residual
-    within residual_tol.
+    generator of the stack, and whether it holds: held on entry, no entry
+    below -1e-9 and the residual within residual_tol.
 
     Rows not held, or with an entry below -1e-9 or not finite, come back as
     zeros: by the block-diagonal gbmv a NaN would reach the residuals of
     their neighbours. Each row is summed on its own, as one vector is.
     """
-    low = pi.min(axis=1)
-    keep = held & (low >= -1e-9)
+    keep = held & (pi.min(axis=1) >= -1e-9)
     pi = np.clip(pi, 0.0, None)
     total = np.array([np.add.reduce(row) for row in pi])
     if not keep.all():
@@ -605,98 +585,94 @@ def _balanced(pi: np.ndarray, held: np.ndarray, data: np.ndarray, layout,
     xq = band_gbmv(stack_band(data, layout.width), layout.width,
                    pi.take(layout.order, axis=1), 0)
     residual = np.abs(xq).max(axis=1)
-    return pi, residual, low, keep & (residual <= residual_tol)
+    return pi, residual, keep & (residual <= residual_tol)
 
 
-def _checked(pi: np.ndarray, gen: BandGenerator, residual_tol: float
-             ) -> tuple[np.ndarray, float]:
-    """Normalized pi and its balance residual max|pi Q|, as _balanced
-    gives them; negative mass, non-finite values and a residual above
-    residual_tol raise ResidualError."""
-    pi, residual, low, _ = _balanced(pi[None], np.ones(1, dtype=bool), gen.data[None], gen,
-                                     residual_tol)
-    if not low[0] >= -1e-9:
-        raise ResidualError(
-            f"stationary solve produced negative or non-finite mass {low[0]:.3e}")
-    if not residual[0] <= residual_tol:
-        raise ResidualError(
-            f"stationary residual {residual[0]:.3e} exceeds {residual_tol:.1e}")
-    return pi[0], float(residual[0])
+def _pinned_step(data: np.ndarray, layout, r: int, residual_tol: float
+                 ) -> tuple[np.ndarray, ...]:
+    """_pinned_lus, _pinned_pis and _balanced of a stack pinned at r: the
+    solutions x, their infos, the distributions, residuals and holds."""
+    x, info = _pinned_lus(data, layout, r)
+    pi, held = _pinned_pis(x, layout, r)
+    return (x, info, *_balanced(pi, held & (info == 0), data, layout, residual_tol))
 
 
-def _try_pin(gen: BandGenerator, r: int, residual_tol: float):
-    """(x, (pi, residual)) when the solve pinned at r holds, (x, None) when
-    it failed its checks and (None, None) when its LU was singular."""
-    try:
-        x = _pinned_lu(gen, r)
-    except SingularChainError:
-        return None, None
-    try:
-        return x, _checked(_pinned_pi(gen, x, r), gen, residual_tol)
-    except ResidualError:
-        return x, None
+class _Declined:
+    """A generator whose pins declined so far: its pins, how many it tried,
+    whether one failed its checks (rather than its LU being singular) and
+    whether a finite declined solution has been weighed for a further pin."""
 
+    def __init__(self, pins: tuple[int, ...], x: np.ndarray, info: int):
+        self.pins, self.tried, self.failed_check, self.weighed = list(pins), 0, False, False
+        self.decline(x, info)
 
-def stationary_vector(gen: BandGenerator, residual_tol: float = STEADY_RESIDUAL_TOL,
-                      first=None) -> tuple[np.ndarray, float]:
-    """Stationary distribution of a BandGenerator and its balance residual
-    max|pi Q|, checked by _checked.
-
-    The chain is solved pinned at each of its pins in turn, and the first
-    solution that passes its checks is kept. Where both decline, as on
-    mid-load chains whose mass sits far from either end, it is pinned once
-    more at the heaviest state of the first declined solution that came
-    back finite. Every state drains to the empty state, so its pin is
-    singular on no chain. When every pin declines all the same, the error
-    names the states tried: ResidualError if any pin failed its checks,
-    SingularChainError if every LU was singular.
-
-    first is the outcome of the first pin, as _try_pin gives it, where a
-    caller has tried that pin already.
-    """
-    pins, heaviest, failed_check = list(gen.pins), None, False
-    for k, r in enumerate(pins):
-        x, solved = first if k == 0 and first is not None else \
-            _try_pin(gen, r, residual_tol)
-        if solved is not None:
-            return solved
-        if x is not None:
-            failed_check = True
-            if heaviest is None and np.isfinite(x).all():
+    def decline(self, x: np.ndarray, info: int) -> None:
+        self.tried += 1
+        if info == 0:
+            self.failed_check = True
+            if not self.weighed and np.isfinite(x).all():
+                self.weighed = True
                 heaviest = int(x.argmax())
-                if heaviest not in pins:
-                    pins.append(heaviest)
-    error = ResidualError if failed_check else SingularChainError
-    tried = ", ".join(str(int(gen.order[r])) for r in dict.fromkeys(pins))
-    raise error(f"no stationary solve holds: pinned at states {tried}, each declined")
+                if heaviest not in self.pins:
+                    self.pins.append(heaviest)
 
 
 def stationary_vectors(data: np.ndarray, layout, residual_tol: float = STEADY_RESIDUAL_TOL
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """stationary_vector of every generator of a stack: the distributions
-    (B, n) and their residuals (B,).
+    """Stationary distributions (B, n) of a stack of generators and their
+    balance residuals max|pi Q| (B,).
 
-    The first pin is tried on the whole stack at once, each generator by
-    its own LU; a generator whose first pin declines goes on alone through
-    stationary_vector's remaining pins, so its pi is the one
-    stationary_vector gives it.
+    Each chain is pinned at each of its pins in turn and keeps the first
+    solution that passes its checks. Where both decline, as on mid-load
+    chains whose mass sits far from either end, it is pinned once more at
+    the heaviest state of its first declined solution that came back
+    finite. Every state drains to the empty state, so its pin is singular on
+    no chain. If every pin declines all the same, the first such generator
+    raises, naming the states tried: ResidualError if a pin failed its
+    checks, SingularChainError if every LU was singular.
+
+    The whole stack is pinned at the first pin at once. The generators it
+    declines go on round by round, each to its next pin, and those pinned at
+    the same state are solved together; each keeps the bits it has alone.
     """
-    r = layout.pins[0]
-    x, info = _pinned_lus(data, layout, r)
-    pi, held = _pinned_pis(x, layout, r)
-    pi, residual, _, held = _balanced(pi, held & (info == 0), data, layout, residual_tol)
-    if not held.all():
-        for b in np.flatnonzero(~held):
-            gen = BandGenerator(data[b], layout.width, layout.order, layout.pins)
-            first = (x[b], None) if info[b] == 0 else (None, None)
-            pi[b], residual[b] = stationary_vector(gen, residual_tol, first)
+    x, info, pi, residual, held = _pinned_step(data, layout, layout.pins[0], residual_tol)
+    if held.all():
+        return pi, residual
+    declined = {b: _Declined(layout.pins, x[b], info[b]) for b in np.flatnonzero(~held)}
+    while live := [(b, d) for b, d in declined.items() if d.tried < len(d.pins)]:
+        by_pin = {}
+        for b, d in live:
+            by_pin.setdefault(d.pins[d.tried], []).append(b)
+        for r, group in by_pin.items():
+            # one generator left is solved on a view: its band can take megabytes
+            rows = data[group[0]:group[0] + 1] if len(group) == 1 else data[group]
+            x, info, p, res, held = _pinned_step(rows, layout, r, residual_tol)
+            for j, b in enumerate(group):
+                if held[j]:
+                    pi[b], residual[b] = p[j], res[j]
+                    del declined[b]
+                else:
+                    declined[b].decline(x[j], info[j])
+    if declined:
+        first = declined[min(declined)]
+        error = ResidualError if first.failed_check else SingularChainError
+        tried = ", ".join(str(int(layout.order[r])) for r in dict.fromkeys(first.pins))
+        raise error(f"no stationary solve holds: pinned at states {tried}, each declined")
     return pi, residual
+
+
+def stationary_vector(gen: BandGenerator, residual_tol: float = STEADY_RESIDUAL_TOL
+                      ) -> tuple[np.ndarray, float]:
+    """Stationary distribution of one BandGenerator and its balance
+    residual: stationary_vectors of a stack of one."""
+    pi, residual = stationary_vectors(gen.data[None], gen, residual_tol)
+    return pi[0], float(residual[0])
 
 
 def solve_steady_state(gen: Generator, *, residual_tol: float = STEADY_RESIDUAL_TOL
                        ) -> SteadyState:
-    """Unique stationary distribution of the generator, checked by
-    stationary_vector."""
+    """Unique stationary distribution of the generator, checked as
+    stationary_vectors checks it."""
     pi, residual = stationary_vector(gen.matrix, residual_tol)
     return SteadyState(pi=pi, residual=residual)
 

@@ -123,22 +123,23 @@ def build_tagged_generator(space: StateSpace, rule: AssignmentRule,
                        user_class=user_class, system=system)
 
 
-def _solve_tagged(plan: TaggedPlan, block: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_tagged(plan: TaggedPlan, block: np.ndarray, rhs: np.ndarray
+                  ) -> tuple[np.ndarray, int]:
+    """The solution v of A v = -rhs for a tagged block A in band storage,
+    and LAPACK's info: nonzero when the LU is singular (v then is -rhs)."""
     _, _, values, info = _gbsv(plan.kl, plan.ku, block, -rhs, overwrite_ab=1,
                                overwrite_b=1)
-    if info != 0:
-        raise SingularTaggedChainError(f"banded LU of the tagged block failed (info {info})")
-    return values
+    return values, info
 
 
 def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarray,
-                  mu: float, singular: dict) -> None:
+                  mu: float, info: np.ndarray) -> None:
     """Raise unless A v = -r holds to TAGGED_RESIDUAL_TOL for every block A
     of the group of every generator of the stack, its solution v and the
     tagged user's rate r. The error is that of the first generator with a
-    failing block, at its first such block: ResidualError, or the
-    SingularTaggedChainError held in singular[generator, block] when that
-    block's LU was singular.
+    failing block, at its first such block: SingularTaggedChainError where
+    info[generator, block], the LAPACK info of that block's LU, is nonzero,
+    else ResidualError.
 
     A v is taken from the full generators rather than from the solved
     blocks, by one band_gbmv per block over the whole stack, so an entry the
@@ -155,13 +156,12 @@ def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarr
     av[:, group.shift_rows] -= mu * values[:, group.shift_cols]
     residual = np.maximum.reduceat(np.abs(av + group.rate), group.starts, axis=1)
     scale = group.norm * np.maximum.reduceat(np.abs(values), group.starts, axis=1)
-    held = residual <= TAGGED_RESIDUAL_TOL * scale
-    for b, k in singular:
-        held[b, k] = False
+    held = (residual <= TAGGED_RESIDUAL_TOL * scale) & (info == 0)
     if not held.all():
         b, k = divmod(int(held.argmin()), held.shape[1])
-        if (b, k) in singular:
-            raise singular[b, k]
+        if info[b, k]:
+            raise SingularTaggedChainError(
+                f"banded LU of the tagged block failed (info {info[b, k]})")
         raise ResidualError(
             f"tagged residual {residual[b, k]:.3e} exceeds {TAGGED_RESIDUAL_TOL:.0e} "
             f"relative to |A| |v| = {scale[b, k]:.3e}")
@@ -176,16 +176,12 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup,
     raised is that of solving block by block (see _check_tagged)."""
     bands = _tagged_matrix(data, group, mu)
     values = np.empty((len(data), len(group.rate)))
-    singular = {}
+    info = np.empty((len(data), len(group.blocks)), dtype=np.int64)
     for b in range(len(data)):
         for k, (plan, shape, band, value) in enumerate(group.blocks):
-            try:
-                values[b, value] = _solve_tagged(
-                    plan, bands[b, band].reshape(shape, order="F"), plan.rate)
-            except SingularTaggedChainError as error:
-                values[b, value] = 0.0
-                singular[b, k] = error
-    _check_tagged(data, tables.solve_plan, group, values, mu, singular)
+            values[b, value], info[b, k] = _solve_tagged(
+                plan, bands[b, band].reshape(shape, order="F"), plan.rate)
+    _check_tagged(data, tables.solve_plan, group, values, mu, info)
     return values
 
 

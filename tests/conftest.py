@@ -400,13 +400,9 @@ def erlang_loss_chain(servers: int, offered: float):
 def pinned_solve_holds(band, r: int) -> bool:
     """Whether the stationary solve pinned at position r of the band's order
     passes its checks; where it does not, the next pin takes over."""
-    from hetassoc.ctmc import (STEADY_RESIDUAL_TOL, ResidualError, SingularChainError,
-                               _checked, _pinned_lu, _pinned_pi)
-    try:
-        _checked(_pinned_pi(band, _pinned_lu(band, r), r), band, STEADY_RESIDUAL_TOL)
-    except (ResidualError, SingularChainError):
-        return False
-    return True
+    from hetassoc.ctmc import STEADY_RESIDUAL_TOL, _pinned_step
+    *_, held = _pinned_step(band.data[None], band, r, STEADY_RESIDUAL_TOL)
+    return bool(held[0])
 
 
 def check_band_generator(instances, rng, rel_tol: float = 1e-12) -> None:

@@ -14,7 +14,7 @@ from hetassoc.ctmc import (BandGenerator, assemble_dense, assemble_stack, chain_
 from hetassoc.game import (ChainEvaluation, PolicyEvaluation, PolicyGameSolver, _ChainCore,
                            _evaluate_chain, evaluate_baseline, nash_gaps)
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
-from hetassoc.transient import TaggedGroup, tagged_volumes
+from hetassoc.transient import SingularTaggedChainError, TaggedGroup, tagged_volumes
 
 from conftest import erlang_loss_chain, pinned_solve_holds, random_instance, random_policy
 
@@ -117,22 +117,134 @@ def _erlang_data(servers: int, offered: float):
     return tables.solve_plan, assemble_stack(tables, rule.choice_table(space)[None])[0]
 
 
-def test_declined_first_pin_inside_a_chunk_gets_the_lone_pi():
-    """On 300 servers at 250 Erlangs the empty-state pin declines; stacked
-    between two light-load chains of the same layout, that chain goes on
-    alone through the remaining pins and gets stationary_vector's pi and
-    residual, bit for bit, and so do its neighbours."""
-    plan, heavy = _erlang_data(300, 250.0)
-    light_plan, light = _erlang_data(300, 10.0)
-    assert np.array_equal(plan.order, light_plan.order) and plan.pins == light_plan.pins
-    gens = [BandGenerator(d, plan.width, plan.order, plan.pins) for d in (light, heavy)]
-    assert not pinned_solve_holds(gens[1], plan.pins[0])
-    assert pinned_solve_holds(gens[0], plan.pins[0])
-    pi, residual = stationary_vectors(np.stack([light, heavy, light]), plan)
-    for row, gen in zip(range(3), (gens[0], gens[1], gens[0])):
-        alone, alone_residual = stationary_vector(gen)
+def test_declined_first_pin_inside_a_chunk_gets_the_lone_pi(monkeypatch):
+    """On one 300-server layout, two light chains (the empty pin holds), a
+    heavy one (the full pin holds) and two mid-load chains with different
+    third pins, stacked in shuffled order: each row has the pi and residual
+    stationary_vector gives its chain alone, bit for bit, and each round
+    solves the generators that share a pin in one call, a lone one as a
+    view of the stack."""
+    loads = {"light": 10.0, "heavy": 250.0, "mid-100": 100.0, "mid-150": 150.0}
+    plans, chains = {}, {}
+    for name, offered in loads.items():
+        plans[name], chains[name] = _erlang_data(300, offered)
+    plan = plans["light"]
+    assert all(np.array_equal(p.order, plan.order) and p.pins == plan.pins
+               for p in plans.values())
+    empty, full = plan.pins
+    gens = {name: BandGenerator(d, plan.width, plan.order, plan.pins)
+            for name, d in chains.items()}
+    assert pinned_solve_holds(gens["light"], empty)
+    assert not pinned_solve_holds(gens["heavy"], empty)
+    assert pinned_solve_holds(gens["heavy"], full)
+    thirds = set()
+    for name in ("mid-100", "mid-150"):
+        assert not any(pinned_solve_holds(gens[name], r) for r in plan.pins)
+        x, _ = ctmc._pinned_lus(chains[name][None], plan, empty)
+        thirds.add(int(x[0].argmax()))
+    assert len(thirds | {empty, full}) == 4
+    order = list(np.random.default_rng(4).permutation([*loads, "light"]))
+    stack = np.stack([chains[name] for name in order])
+
+    calls = []
+    lus = ctmc._pinned_lus
+
+    def spy(data, layout, r):
+        calls.append((r, len(data), np.shares_memory(data, stack)))
+        return lus(data, layout, r)
+
+    monkeypatch.setattr(ctmc, "_pinned_lus", spy)
+    pi, residual = stationary_vectors(stack, plan)
+    assert calls[:2] == [(empty, 5, True), (full, 3, False)]
+    assert sorted(calls[2:]) == sorted((r, 1, True) for r in thirds)
+    for row, name in enumerate(order):
+        alone, alone_residual = stationary_vector(gens[name])
         assert bits(pi[row]) == bits(alone)
         assert residual[row] == alone_residual
+
+
+def _decline_every_pin(monkeypatch, singular: np.ndarray, unchecked: np.ndarray) -> None:
+    """Make every pinned LU of the generator whose data is `singular` report
+    info 1, and every solution of the one whose data is `unchecked` fail its
+    residual check."""
+    lus = ctmc._pinned_lus
+    noise = 1e-3 * np.random.default_rng(0).random(len(singular) // 3)
+
+    def pinned_lus(data, layout, r):
+        x, info = lus(data, layout, r)
+        for j, row in enumerate(data):
+            if np.array_equal(row, singular):
+                info[j] = 1
+            elif np.array_equal(row, unchecked):
+                x[j] *= 1.0 + noise[:x.shape[1]]
+        return x, info
+
+    monkeypatch.setattr(ctmc, "_pinned_lus", pinned_lus)
+
+
+@pytest.mark.parametrize("first", [SingularChainError, ResidualError])
+def test_first_generator_declining_every_pin_raises(monkeypatch, first):
+    """Generators 1 and 3 of a stack of four decline every pin, one by a
+    singular LU and one by failing its checks; the stack raises generator
+    1's error, as stationary_vector raises it for that generator alone."""
+    chains = [_erlang_data(300, offered) for offered in (10.0, 20.0, 30.0, 40.0)]
+    plan = chains[0][0]
+    data = [d for _, d in chains]
+    if first is SingularChainError:
+        _decline_every_pin(monkeypatch, singular=data[1], unchecked=data[3])
+    else:
+        _decline_every_pin(monkeypatch, singular=data[3], unchecked=data[1])
+    with pytest.raises(first) as alone:
+        stationary_vector(BandGenerator(data[1], plan.width, plan.order, plan.pins))
+    other = ResidualError if first is SingularChainError else SingularChainError
+    with pytest.raises(other) as third:
+        stationary_vector(BandGenerator(data[3], plan.width, plan.order, plan.pins))
+    assert str(third.value) != str(alone.value)
+    with pytest.raises(first) as stacked:
+        stationary_vectors(np.stack(data), plan)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_singular_tagged_block_raises_the_chunk_of_one_error(hybrid_instance, monkeypatch):
+    """Two tagged blocks of policy 2 and one of policy 3 report a nonzero
+    LAPACK info; a chunk of four raises the SingularTaggedChainError that a
+    chunk of policy 2 alone raises, at its first such block."""
+    config, scheme = hybrid_instance
+    space = enumerate_states(config)
+    tables = chain_tables(space)
+    solver = PolicyGameSolver(space, scheme)
+    rng = np.random.default_rng(21)
+    policies = [random_policy(rng, config, scheme) for _ in range(4)]
+    choices = np.array([p.choice for p in policies]).take(solver.labels, axis=2)
+    data = assemble_stack(tables, choices)
+    nonempty = [p for row in tables.solve_plan.tagged for p in row if len(p.ids)]
+    bands = [[transient._tagged_matrix(d[None], TaggedGroup([(0, p)], space.num_states),
+                                       config.service_rate)[0] for p in nonempty]
+             for d in data]
+
+    def unique(b):
+        return [k for k in range(len(nonempty)) if not any(
+            np.array_equal(bands[b][k], bands[o][k]) for o in range(4) if o != b)]
+
+    k2, k3 = unique(2), unique(3)
+    assert len(k2) >= 2 and k3
+    infos = [(bands[2][k2[0]], 7), (bands[2][k2[-1]], 8), (bands[3][k3[0]], 9)]
+    solve = transient._solve_tagged
+
+    def solve_tagged(plan, block, rhs):
+        flat = block.ravel(order="F")
+        forced = [f for band, f in infos if flat.size == band.size and np.array_equal(flat, band)]
+        values, info = solve(plan, block, rhs)
+        return values, forced[0] if forced else info
+
+    monkeypatch.setattr(transient, "_solve_tagged", solve_tagged)
+    core = _ChainCore(tables, solver.labels, solver.num_labels, False, chunk=4)
+    with pytest.raises(SingularTaggedChainError) as alone:
+        _evaluate_chain(core, choices[2:3])
+    assert "info 7" in str(alone.value)
+    with pytest.raises(SingularTaggedChainError) as chunked:
+        _evaluate_chain(core, choices)
+    assert str(chunked.value) == str(alone.value)
 
 
 def test_corrupted_tagged_src_raises_from_the_chunked_check(hybrid_instance):
@@ -188,26 +300,20 @@ def test_failing_policy_raises_the_one_at_a_time_error(hybrid_instance, monkeypa
     poisoned = bands[3][k]
     bad_pi = data_of(policies[5])
     assert not any(np.array_equal(bad_pi, data_of(p)) for p in policies[:5] + policies[6:])
-    solve, lus, lu = transient._solve_tagged, ctmc._pinned_lus, ctmc._pinned_lu
+    solve, lus = transient._solve_tagged, ctmc._pinned_lus
 
     def solve_tagged(plan, block, rhs):
         hit = block.size == poisoned.size and np.array_equal(block.ravel(order="F"), poisoned)
-        values = solve(plan, block, rhs)
-        return values * (1 + 1e-6) if hit else values
+        values, info = solve(plan, block, rhs)
+        return (values * (1 + 1e-6) if hit else values), info
 
     def pinned_lus(data, layout, r):
         x, info = lus(data, layout, r)
         info[[np.array_equal(row, bad_pi) for row in data]] = 1
         return x, info
 
-    def pinned_lu(gen, r):
-        if np.array_equal(gen.data, bad_pi):
-            raise SingularChainError("pinned banded LU failed (info 1)")
-        return lu(gen, r)
-
     monkeypatch.setattr(transient, "_solve_tagged", solve_tagged)
     monkeypatch.setattr(ctmc, "_pinned_lus", pinned_lus)
-    monkeypatch.setattr(ctmc, "_pinned_lu", pinned_lu)
 
     one = PolicyGameSolver(space, scheme)
     with pytest.raises(ResidualError) as alone:

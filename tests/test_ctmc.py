@@ -216,10 +216,10 @@ def test_every_pin_failing_raises_a_typed_error(monkeypatch, capsys, tmp_path):
     """The pinned banded LU is the only stationary solve: where every pin
     fails there is no other solve to fall back on, so the library raises
     SingularChainError and the CLI reports it on one line with exit code 1."""
-    def no_pin(gen, r):
-        raise SingularChainError("pins disabled")
+    def no_pin(data, layout, r):
+        return np.zeros((len(data), len(layout.order))), np.ones(len(data), dtype=np.int64)
 
-    monkeypatch.setattr(ctmc, "_pinned_lu", no_pin)
+    monkeypatch.setattr(ctmc, "_pinned_lus", no_pin)
     _, space, _, rule = erlang_loss_chain(2, 1.0)
     with pytest.raises(SingularChainError, match="pinned at states"):
         solve_steady_state(build_generator(space, rule))

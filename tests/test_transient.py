@@ -199,8 +199,12 @@ def test_corrupted_tagged_solve_raises(chain, request, monkeypatch):
         q = assemble_dense(tables, rule.choice_table(space))
     solve_volume_from_matrix(tables, q, 0, 0)
     original = transient._solve_tagged
-    monkeypatch.setattr(transient, "_solve_tagged",
-                        lambda *args: original(*args) * (1.0 + 1e-6))
+
+    def perturbed(*args):
+        values, info = original(*args)
+        return values * (1.0 + 1e-6), info
+
+    monkeypatch.setattr(transient, "_solve_tagged", perturbed)
     with pytest.raises(ResidualError):
         solve_volume_from_matrix(tables, q, 0, 0)
 
@@ -217,8 +221,16 @@ def test_tagged_block_missing_an_entry_raises(hybrid_chain):
         solve_volume_from_matrix(tables, q, 0, 0)
 
 
-def test_singular_banded_block_raises(hybrid_chain):
-    tables, _ = hybrid_chain
+def test_singular_banded_block_raises(hybrid_chain, monkeypatch):
+    """A singular tagged LU reports its info, and the solve raises
+    SingularTaggedChainError for it."""
+    tables, q = hybrid_chain
     plan = tables.solve_plan.tagged[0][0]
-    with pytest.raises(SingularTaggedChainError):
-        transient._solve_tagged(plan, np.zeros(plan.band_shape, order="F"), plan.rate)
+    zero = np.zeros(plan.band_shape, order="F")
+    _, info = transient._solve_tagged(plan, zero, plan.rate)
+    assert info != 0
+    original = transient._solve_tagged
+    monkeypatch.setattr(transient, "_solve_tagged",
+                        lambda plan, block, rhs: original(plan, block * 0.0, rhs))
+    with pytest.raises(SingularTaggedChainError, match="banded LU of the tagged block failed"):
+        solve_volume_from_matrix(tables, q, 0, 0)
