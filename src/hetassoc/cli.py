@@ -575,10 +575,9 @@ def main(argv=None) -> int:
     # command triggers (about 20 ms each); both calls are O(1) list splices.
     gc.freeze()
     try:
-        # below 1, a search would still run one start and a sweep one worker
-        for name in ("restarts", "jobs"):
-            if (value := getattr(args, name, 1)) < 1:
-                raise ConfigError(f"--{name} must be at least 1, got {value}")
+        # below 1, a sweep or validation would still run one worker
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except (ConfigError, CapacityError, FileNotFoundError, SearchCapError,
             ResidualError, SingularChainError, SingularTaggedChainError,

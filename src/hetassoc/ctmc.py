@@ -597,26 +597,6 @@ def _pinned_step(data: np.ndarray, layout, r: int, residual_tol: float
     return (x, info, *_balanced(pi, held & (info == 0), data, layout, residual_tol))
 
 
-class _Declined:
-    """A generator whose pins declined so far: its pins, how many it tried,
-    whether one failed its checks (rather than its LU being singular) and
-    whether a finite declined solution has been weighed for a further pin."""
-
-    def __init__(self, pins: tuple[int, ...], x: np.ndarray, info: int):
-        self.pins, self.tried, self.failed_check, self.weighed = list(pins), 0, False, False
-        self.decline(x, info)
-
-    def decline(self, x: np.ndarray, info: int) -> None:
-        self.tried += 1
-        if info == 0:
-            self.failed_check = True
-            if not self.weighed and np.isfinite(x).all():
-                self.weighed = True
-                heaviest = int(x.argmax())
-                if heaviest not in self.pins:
-                    self.pins.append(heaviest)
-
-
 def stationary_vectors(data: np.ndarray, layout, residual_tol: float = STEADY_RESIDUAL_TOL
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Stationary distributions (B, n) of a stack of generators and their
@@ -631,33 +611,31 @@ def stationary_vectors(data: np.ndarray, layout, residual_tol: float = STEADY_RE
     raises, naming the states tried: ResidualError if a pin failed its
     checks, SingularChainError if every LU was singular.
 
-    The whole stack is pinned at the first pin at once. The generators it
-    declines go on round by round, each to its next pin, and those pinned at
-    the same state are solved together; each keeps the bits it has alone.
+    The whole stack is pinned at the first pin at once. Each generator it
+    declines goes on alone through its remaining pins, as a stack of one on
+    a view of the stack (its band can take megabytes), so it keeps the bits
+    it has alone.
     """
     x, info, pi, residual, held = _pinned_step(data, layout, layout.pins[0], residual_tol)
-    if held.all():
-        return pi, residual
-    declined = {b: _Declined(layout.pins, x[b], info[b]) for b in np.flatnonzero(~held)}
-    while live := [(b, d) for b, d in declined.items() if d.tried < len(d.pins)]:
-        by_pin = {}
-        for b, d in live:
-            by_pin.setdefault(d.pins[d.tried], []).append(b)
-        for r, group in by_pin.items():
-            # one generator left is solved on a view: its band can take megabytes
-            rows = data[group[0]:group[0] + 1] if len(group) == 1 else data[group]
-            x, info, p, res, held = _pinned_step(rows, layout, r, residual_tol)
-            for j, b in enumerate(group):
-                if held[j]:
-                    pi[b], residual[b] = p[j], res[j]
-                    del declined[b]
-                else:
-                    declined[b].decline(x[j], info[j])
-    if declined:
-        first = declined[min(declined)]
-        error = ResidualError if first.failed_check else SingularChainError
-        tried = ", ".join(str(int(layout.order[r])) for r in dict.fromkeys(first.pins))
-        raise error(f"no stationary solve holds: pinned at states {tried}, each declined")
+    for b in np.flatnonzero(~held):
+        pins, heaviest, failed_check = list(layout.pins), None, False
+        for k, r in enumerate(pins):
+            if k:
+                xs, infos, p, res, ok = _pinned_step(data[b:b + 1], layout, r, residual_tol)
+                if ok[0]:
+                    pi[b], residual[b] = p[0], res[0]
+                    break
+                x[b], info[b] = xs[0], infos[0]
+            if info[b] == 0:
+                failed_check = True
+                if heaviest is None and np.isfinite(x[b]).all():
+                    heaviest = int(x[b].argmax())
+                    if heaviest not in pins:
+                        pins.append(heaviest)
+        else:
+            error = ResidualError if failed_check else SingularChainError
+            tried = ", ".join(str(int(layout.order[r])) for r in dict.fromkeys(pins))
+            raise error(f"no stationary solve holds: pinned at states {tried}, each declined")
     return pi, residual
 
 

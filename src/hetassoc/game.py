@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .aggregation import label_array
-from .config import AggregationScheme, NetworkConfig, Policy
+from .config import AggregationScheme, ConfigError, NetworkConfig, Policy
 # assemble_dense, assemble_generator and solve_volume_from_matrix are not
 # called here, but perfbench/tracer.py wraps the names in this module, so
 # they stay bound
@@ -538,6 +538,8 @@ class PolicyGameSolver:
                              policies_evaluated=count)
 
     def _starting_policies(self, restarts: int, rng) -> list[Policy]:
+        if restarts < 1:
+            raise ConfigError(f"restarts must be at least 1, got {restarts}")
         S = self.config.num_systems
         N, L = self.config.num_classes, self.num_labels
         starts = [Policy.constant(N, L, s) for s in range(S)]
@@ -547,7 +549,7 @@ class PolicyGameSolver:
             for (n, l) in positions:
                 rows[n][l] = int(rng.integers(S))
             starts.append(Policy(tuple(tuple(r) for r in rows)))
-        return starts[:max(restarts, 1)]
+        return starts[:restarts]
 
     # ----- Nash equilibria --------------------------------------------
 

@@ -121,9 +121,10 @@ def test_declined_first_pin_inside_a_chunk_gets_the_lone_pi(monkeypatch):
     """On one 300-server layout, two light chains (the empty pin holds), a
     heavy one (the full pin holds) and two mid-load chains with different
     third pins, stacked in shuffled order: each row has the pi and residual
-    stationary_vector gives its chain alone, bit for bit, and each round
-    solves the generators that share a pin in one call, a lone one as a
-    view of the stack."""
+    stationary_vector gives its chain alone, bit for bit. The stack is
+    solved at the first pin in one call; each declined generator then goes
+    on alone, in stack order, one call per further pin on a view of the
+    stack."""
     loads = {"light": 10.0, "heavy": 250.0, "mid-100": 100.0, "mid-150": 150.0}
     plans, chains = {}, {}
     for name, offered in loads.items():
@@ -137,12 +138,12 @@ def test_declined_first_pin_inside_a_chunk_gets_the_lone_pi(monkeypatch):
     assert pinned_solve_holds(gens["light"], empty)
     assert not pinned_solve_holds(gens["heavy"], empty)
     assert pinned_solve_holds(gens["heavy"], full)
-    thirds = set()
+    third = {}
     for name in ("mid-100", "mid-150"):
         assert not any(pinned_solve_holds(gens[name], r) for r in plan.pins)
         x, _ = ctmc._pinned_lus(chains[name][None], plan, empty)
-        thirds.add(int(x[0].argmax()))
-    assert len(thirds | {empty, full}) == 4
+        third[name] = int(x[0].argmax())
+    assert len({empty, full, *third.values()}) == 4
     order = list(np.random.default_rng(4).permutation([*loads, "light"]))
     stack = np.stack([chains[name] for name in order])
 
@@ -155,8 +156,10 @@ def test_declined_first_pin_inside_a_chunk_gets_the_lone_pi(monkeypatch):
 
     monkeypatch.setattr(ctmc, "_pinned_lus", spy)
     pi, residual = stationary_vectors(stack, plan)
-    assert calls[:2] == [(empty, 5, True), (full, 3, False)]
-    assert sorted(calls[2:]) == sorted((r, 1, True) for r in thirds)
+    declined = [name for name in order if name != "light"]
+    assert calls[0] == (empty, 5, True)
+    assert calls[1:] == [(r, 1, True) for name in declined
+                         for r in ([full] if name == "heavy" else [full, third[name]])]
     for row, name in enumerate(order):
         alone, alone_residual = stationary_vector(gens[name])
         assert bits(pi[row]) == bits(alone)

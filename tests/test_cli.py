@@ -231,17 +231,20 @@ def test_sweep_rejects_non_finite_traffic(tmp_path, capsys, traffic):
     ["nash", "--restarts", "-3", "--mode", "best_response"],
     ["optimal", "--restarts", "0", "--method", "search"],
     ["control", "--restarts", "0"],
-    ["sweep", "--restarts", "0", "--analyses", "baselines"],
+    ["sweep", "--restarts", "0", "--traffic", "5:5:1", "--analyses", "nash"],
     ["sweep", "--jobs", "0", "--analyses", "baselines"],
     ["validate", "--jobs", "-2"],
 ], ids=["nash-restarts", "optimal-restarts", "control-restarts", "sweep-restarts",
         "sweep-jobs", "validate-jobs"])
 def test_counts_below_one_are_refused(tmp_path, capsys, argv):
-    """A restart or job count below 1 is refused on one line before the
-    command runs, rather than silently run as one start or one worker."""
+    """A restart or job count below 1 is refused on one line before any
+    output is written, rather than silently run as one start or one worker:
+    the job count by the CLI, the restart count by the search that takes
+    its starts."""
     assert run(*argv, "--config", HYBRID, "--out", str(tmp_path)) == 1
     flag, value = next((a, b) for a, b in zip(argv, argv[1:]) if a in ("--restarts", "--jobs"))
-    assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+    name = flag if flag == "--jobs" else "restarts"
+    assert capsys.readouterr().err == f"error: {name} must be at least 1, got {value}\n"
     assert not any(tmp_path.iterdir())
 
 

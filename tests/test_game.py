@@ -156,6 +156,17 @@ def test_search_optimum_certified_against_random_sampling():
         assert result.evaluation.global_utility >= ev.global_utility - 1e-9
 
 
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_restart_counts_below_one_are_refused(erlang_solver, restarts):
+    """A search with fewer than one start raises rather than silently run
+    one; the exhaustive modes take no starts and ignore the count."""
+    with pytest.raises(ConfigError, match=f"restarts must be at least 1, got {restarts}"):
+        erlang_solver.find_nash("best_response", restarts=restarts)
+    with pytest.raises(ConfigError, match=f"restarts must be at least 1, got {restarts}"):
+        erlang_solver.optimal_policy(method="search", restarts=restarts)
+    assert erlang_solver.find_nash("exhaustive", restarts=restarts)
+
+
 def test_nash_single_system_trivial(erlang_solver):
     result = erlang_solver.find_nash("exhaustive")
     assert len(result) == 1
