@@ -25,10 +25,12 @@ evaluation cache serves every member from it.
 The core evaluates a chunk of choice tables at once: one assembly into a
 stack of bands, the stationary and tagged solves with their checks, and the
 aggregation, each over a leading batch axis, with one LAPACK solve per
-policy and block. Exhaustive scans, and the start fibres of the
-best-response paths, go through evaluate_many a chunk at a time
-(ctmc.CHUNK_BYTES bounds a chunk); a single evaluation and the baselines
-are chunks of one. A policy's results have the same bits in any chunk.
+policy and block. Exhaustive scans, the best-response search and the
+fresh re-verification go through evaluate_many a chunk at a time
+(ctmc.CHUNK_BYTES bounds a chunk): the best-response paths of all
+restarts advance in lockstep, and each round solves the fibres the paused
+paths wait for together. A single evaluation and the baselines are chunks
+of one. A policy's results have the same bits in any chunk.
 """
 
 from __future__ import annotations
@@ -546,8 +548,8 @@ class PolicyGameSolver:
         positions = self.positions()
         while len(starts) < restarts:
             rows = [[0] * L for _ in range(N)]
-            for (n, l) in positions:
-                rows[n][l] = int(rng.integers(S))
+            for (n, l), s in zip(positions, rng.integers(S, size=len(positions)).tolist()):
+                rows[n][l] = s
             starts.append(Policy(tuple(tuple(r) for r in rows)))
         return starts[:restarts]
 
@@ -563,8 +565,9 @@ class PolicyGameSolver:
         Gauss-Seidel argmax dynamics from several starts, keeps the fixed
         points and closes them under payoff ties. Every candidate is
         re-verified before being returned, against its own choice, on a
-        table a fresh checker solved for its fibre. An empty list means no
-        pure equilibrium was found.
+        table a fresh checker solved for its fibre; the checker evaluates
+        every distinct canonical candidate that passes its own check in one
+        evaluate_many. An empty list means no pure equilibrium was found.
         """
         if mode not in ("auto", "exhaustive", "best_response"):
             raise ValueError("mode must be auto, exhaustive or best_response")
@@ -578,18 +581,13 @@ class PolicyGameSolver:
             candidates = self._best_response_candidates(restarts=restarts,
                                                         seed=seed, eps=eps)
             candidates = self._expand_ties(candidates, eps)
-        checker = self.fresh_checker()
-        found: dict[tuple, PolicyEvaluation] = {}
-        for policy in candidates:
-            canonical = self.canonicalize(policy, self.evaluate(policy))
-            if canonical.choice in found:
-                continue
-            ev = self.evaluate(canonical)
-            if not ev.is_nash(eps):
-                continue
-            if not checker.evaluate(canonical).is_nash(eps):
-                continue
-            found[canonical.choice] = ev
+        canonical: dict[tuple, Policy] = {}
+        for policy, ev in zip(candidates, self.evaluate_many(candidates)):
+            reported = self.canonicalize(policy, ev)
+            canonical.setdefault(reported.choice, reported)
+        passed = [ev for ev in self.evaluate_many(canonical.values()) if ev.is_nash(eps)]
+        checks = self.fresh_checker().evaluate_many(ev.policy for ev in passed)
+        found = {ev.policy.choice: ev for ev, check in zip(passed, checks) if check.is_nash(eps)}
         return [found[key] for key in sorted(found)]
 
     def _expand_ties(self, candidates: list[Policy], eps: float) -> list[Policy]:
@@ -602,17 +600,20 @@ class PolicyGameSolver:
         passes the tie test, so breadth-first exploration of single-entry
         swaps to another fibre, whose payoff is within 2 * eps of the
         entry's best (entries on empty or all-NaN rows stay put), reaches
-        the tie class; every member of each fibre reached is returned.
+        the tie class; every member of each fibre reached is returned. The
+        unseen neighbours of each fibre popped are evaluated together.
         """
         L = self.num_labels
         entries = [n * L + l for n, l in self.positions()]
-        queue = list(dict.fromkeys(self._fibre_key(p) for p in candidates
-                                   if self.evaluate(p).is_nash(eps)))
+        queue = list(dict.fromkeys(self._fibre_key(p) for p, ev
+                                   in zip(candidates, self.evaluate_many(candidates))
+                                   if ev.is_nash(eps)))
         seen = set(queue)
         reached = list(queue)
         while queue:
             key = queue.pop()
-            table = self._response_table(key)
+            table, = self._response_tables([key])
+            neighbors = []
             for k in entries:
                 if table[k] is None:
                     continue
@@ -624,62 +625,83 @@ class PolicyGameSolver:
                     if target == key[k] or payoff < top - 2 * eps:
                         continue
                     neighbor = key[:k] + (target,) + key[k + 1:]
-                    if neighbor in seen:
-                        continue
-                    seen.add(neighbor)
-                    if self.evaluate(self._representative(neighbor)).is_nash(eps):
-                        queue.append(neighbor)
-                        reached.append(neighbor)
+                    if neighbor not in seen:
+                        seen.add(neighbor)
+                        neighbors.append(neighbor)
+            evaluations = self.evaluate_many(map(self._representative, neighbors))
+            tied = [neighbor for neighbor, ev in zip(neighbors, evaluations) if ev.is_nash(eps)]
+            queue += tied
+            reached += tied
         return [member for key in reached
                 for member in self.fibre(self._representative(key))]
 
     def _best_response_candidates(self, restarts: int, seed: int,
                                   eps: float) -> list[Policy]:
+        """Fixed points of the best-response paths from each start, in
+        start order; the paths advance in lockstep (see _lockstep)."""
         rng = np.random.default_rng(seed)
-        starts = self._starting_policies(restarts, rng)
-        if self.positions():
-            # every path opens on its start's response table: solve those
-            # fibres in chunks first, as the table would, by representative
-            self.evaluate_many([self._representative(self._fibre_key(start))
-                                for start in starts])
-        candidates = []
-        for start in starts:
-            policy, _ = self.best_response_path(start, eps=eps)
-            if policy is not None:
-                candidates.append(policy)
-        return candidates
+        walks = [self._walk(start, eps) for start in self._starting_policies(restarts, rng)]
+        return [policy for policy, _ in self._lockstep(walks) if policy is not None]
 
-    def _response_table(self, choice) -> list:
-        """Best-response table of the fibre of a flattened choice, built
-        once per fibre: for each flat entry n * L + l, None when the label
-        is empty or its payoff row all NaN, else the row as floats and its
-        NaN-aware argmax."""
+    def _response_table(self, choice):
+        """Best-response table of the fibre of a flattened choice, as a walk
+        reads it: a generator that yields the fibre's key when the table is
+        missing, and returns the table once it is built."""
         key = self._flat_key(choice)
-        table = self._responses.get(key)
-        if table is None:
-            ev = self.evaluate(self._representative(key))
-            N, L, S = ev.individual.shape
-            payoffs = ev.individual.reshape(N * L, S)
-            skip = (np.isnan(ev.individual).all(axis=2) | ev.empty_labels).ravel()
+        if key not in self._responses:
+            yield key
+        return self._responses[key]
+
+    def _response_tables(self, keys) -> list[list]:
+        """Best-response table of each fibre key, in order, built once per
+        fibre: for each flat entry n * L + l, None when the label is empty
+        or its payoff row all NaN, else the row as floats and its NaN-aware
+        argmax. The fibres without a table are evaluated by representative
+        through one evaluate_many."""
+        keys = list(keys)
+        missing = [key for key in dict.fromkeys(keys) if key not in self._responses]
+        if missing:
+            evaluations = self.evaluate_many(map(self._representative, missing))
+            individual = np.stack([ev.individual for ev in evaluations])
+            empty = np.stack([ev.empty_labels for ev in evaluations])
+            payoffs = individual.reshape(len(missing), -1, individual.shape[3])
+            skip = (np.isnan(individual).all(axis=3) | empty[:, None]).reshape(len(missing), -1)
             # np.nanargmax is argmax with NaN read as -inf
-            best = np.where(np.isnan(payoffs), -np.inf, payoffs).argmax(axis=1)
-            table = self._responses[key] = [
-                None if skipped else (row, b)
-                for row, b, skipped in zip(payoffs.tolist(), best.tolist(),
-                                           skip.tolist())]
-        return table
+            best = np.where(np.isnan(payoffs), -np.inf, payoffs).argmax(axis=2)
+            for key, rows, bests, skips in zip(missing, payoffs.tolist(), best.tolist(),
+                                               skip.tolist()):
+                self._responses[key] = [None if skipped else (row, b)
+                                        for row, b, skipped in zip(rows, bests, skips)]
+        return [self._responses[key] for key in keys]
 
-    def best_response_path(self, start: Policy, *, eps: float = NASH_EPS,
-                           max_iters: int = 2000
-                           ) -> tuple[Policy | None, list[BestResponseStep]]:
-        """Gauss-Seidel best-response dynamics from one starting policy.
+    def _lockstep(self, walks: list) -> list:
+        """Results of best-response walks (generators from _walk), in order.
 
-        Positions are visited cyclically in lexicographic (class, label)
-        order and at most one entry changes per iteration; the path stops at
-        a fixed point (returned with the recorded steps) or when a
-        (policy, position) pair repeats, which means a cycle (returns None).
-        Payoffs come from the response table of the current fibre.
+        The walks advance in rounds. Each round resumes every paused walk
+        until it ends or pauses on a fibre without a response table; the
+        distinct missing fibres of the round, in walk order, are then
+        evaluated through one evaluate_many and tabulated. A walk takes the
+        steps it takes alone, since tables have the same bits in any chunk.
+        If solves fail, the error raised is that of the first failing fibre
+        in round order, and no table is built for that round's fibres.
         """
+        results: list = [None] * len(walks)
+        paused = dict(enumerate(walks))
+        while paused:
+            waiting = {}
+            for i, walk in paused.items():
+                try:
+                    waiting[i] = next(walk)
+                except StopIteration as stop:
+                    results[i] = stop.value
+            self._response_tables(waiting.values())
+            paused = {i: paused[i] for i in waiting}
+        return results
+
+    def _walk(self, start: Policy, eps: float = NASH_EPS, max_iters: int = 2000):
+        """best_response_path's walk as a generator for _lockstep: it yields
+        the key of each fibre whose response table it lacks, resumes once
+        the table is built, and returns the path's result."""
         start.validate_for(self.config, self.scheme)
         positions = self.positions()
         if not positions:
@@ -687,7 +709,7 @@ class PolicyGameSolver:
         L = self.num_labels
         entries = [n * L + l for n, l in positions]
         choice = list(itertools.chain.from_iterable(start.choice))
-        table = self._response_table(choice)
+        table = yield from self._response_table(choice)
         steps: list[BestResponseStep] = []
         visited: set[tuple] = set()
         stale = 0
@@ -710,13 +732,27 @@ class PolicyGameSolver:
                         new_system=best, old_payoff=payoffs[current],
                         new_payoff=payoffs[best]))
                     choice[k] = best
-                    table = self._response_table(choice)
+                    table = yield from self._response_table(choice)
                     updated = True
             stale = 0 if updated else stale + 1
             if stale >= len(positions):
                 return Policy.from_flat(choice, self.config.num_classes, L), steps
             ptr = (ptr + 1) % len(positions)
         return None, steps
+
+    def best_response_path(self, start: Policy, *, eps: float = NASH_EPS,
+                           max_iters: int = 2000
+                           ) -> tuple[Policy | None, list[BestResponseStep]]:
+        """Gauss-Seidel best-response dynamics from one starting policy.
+
+        Positions are visited cyclically in lexicographic (class, label)
+        order and at most one entry changes per iteration; the path stops at
+        a fixed point (returned with the recorded steps) or when a
+        (policy, position) pair repeats, which means a cycle (returns None).
+        Payoffs come from the response table of the current fibre. The path
+        is a lockstep of one walk.
+        """
+        return self._lockstep([self._walk(start, eps, max_iters)])[0]
 
     def fresh_checker(self) -> "PolicyGameSolver":
         """Solver with its own empty fibre cache and its own partition,

@@ -350,13 +350,9 @@ def test_tagged_blocks_go_one_at_a_time_past_the_budget(monkeypatch):
     assert [len(plan.tagged_groups(b)) for b in (1, 2, 3)] == [1, 1, blocks]
 
 
-def test_scans_take_chunks_through_evaluate_many(hybrid_instance, monkeypatch):
-    """Both exhaustive scans solve their fibres through evaluate_many, in
-    chunks of at most solver.chunk policies."""
-    config, scheme = hybrid_instance
-    space = enumerate_states(config)
+def _watch_chunks(solver, monkeypatch) -> list[int]:
+    """The size of every chunk the solver itself solves, in order."""
     sizes = []
-    solver = PolicyGameSolver(space, scheme)
     chunk = solver._evaluate_chunk
 
     def watch(policies):
@@ -364,6 +360,18 @@ def test_scans_take_chunks_through_evaluate_many(hybrid_instance, monkeypatch):
         return chunk(policies)
 
     monkeypatch.setattr(solver, "_evaluate_chunk", watch)
+    return sizes
+
+
+def test_scans_take_chunks_through_evaluate_many(hybrid_instance, monkeypatch):
+    """Both exhaustive scans solve their fibres through evaluate_many, in
+    chunks of at most solver.chunk policies; the best-response search
+    solves the fibres of each lockstep round together, with at most one
+    chunk of one (the fresh checker is another solver, not counted)."""
+    config, scheme = hybrid_instance
+    space = enumerate_states(config)
+    solver = PolicyGameSolver(space, scheme)
+    sizes = _watch_chunks(solver, monkeypatch)
     solver.find_nash("exhaustive")
     fibres = sum(1 for _ in solver.representatives())
     assert max(sizes) == solver.chunk > 1
@@ -372,3 +380,9 @@ def test_scans_take_chunks_through_evaluate_many(hybrid_instance, monkeypatch):
     solver.optimal_policy(method="exhaustive", cap=solver.policy_space_size())
     assert sizes == []                 # every fibre is cached by now
     assert isinstance(solver.evaluate(next(solver.representatives())), PolicyEvaluation)
+    searcher = PolicyGameSolver(space, scheme)
+    sizes = _watch_chunks(searcher, monkeypatch)
+    searcher.find_nash("best_response")
+    assert sizes.count(1) <= 1
+    assert max(sizes) == searcher.chunk
+    assert sum(sizes) == len(searcher._responses)

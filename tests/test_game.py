@@ -612,16 +612,17 @@ def _watch_checkers(solver, monkeypatch, perturb=None):
 
     def fresh_checker():
         checker = make()
-        solve = checker._evaluate
+        solve = checker._evaluate_chunk
 
-        def _evaluate(policy):
-            solved.append(policy)
-            ev = solve(policy)
+        def _evaluate_chunk(policies):
+            solved.extend(policies)
+            evaluations = solve(policies)
             if perturb is not None:
-                perturb(ev)
-            return ev
+                for ev in evaluations:
+                    perturb(ev)
+            return evaluations
 
-        checker._evaluate = _evaluate
+        checker._evaluate_chunk = _evaluate_chunk
         return checker
 
     monkeypatch.setattr(solver, "fresh_checker", fresh_checker)

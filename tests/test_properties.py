@@ -15,7 +15,7 @@ best-response walk and tie closure checks the fibre-level search.
 import numpy as np
 import pytest
 
-from hetassoc import AggregationScheme, NetworkConfig, Policy, enumerate_states
+from hetassoc import AggregationScheme, NetworkConfig, Policy, ResidualError, enumerate_states
 from hetassoc.game import NASH_EPS, BestResponseStep, PolicyGameSolver
 
 from conftest import (check_band_generator, check_departure_closure,
@@ -335,3 +335,114 @@ def test_three_system_paths_match_the_reference_walk(strict, mode):
             assert solver.best_response_path(start) == expected
             walked += len(expected[1])
     assert walked >= 30
+
+
+# ----- lockstep: every restart's path advanced together --------------------
+
+
+def _shipped_space(hybrid_instance, erlangs):
+    config, scheme = hybrid_instance
+    return enumerate_states(config.scale_traffic(erlangs / config.offered_erlangs)), scheme
+
+
+def _solved_keys(solver, monkeypatch) -> list[tuple]:
+    """The fibre key of every policy the solver itself solves, in order."""
+    keys = []
+    chunk = solver._evaluate_chunk
+
+    def watch(policies):
+        keys.extend(solver._fibre_key(p) for p in policies)
+        return chunk(policies)
+
+    monkeypatch.setattr(solver, "_evaluate_chunk", watch)
+    return keys
+
+
+@pytest.mark.parametrize("strict, mode, use_cache", [
+    (False, "redirect", True), (False, "exclude", True), (True, "redirect", True),
+    (True, "exclude", True), (False, "redirect", False), (True, "exclude", False)])
+@pytest.mark.parametrize("instance", ["shipped-1", "shipped-5", "shipped-10", "three-system"])
+def test_lockstep_matches_one_path_at_a_time(hybrid_instance, monkeypatch, instance, strict,
+                                             mode, use_cache):
+    """The restarts advanced in lockstep end where each path ends alone on
+    a fresh solver, in start order with cycles dropped, and no fibre is
+    solved twice. With redirected arrivals, every path of the shipped
+    instance cycles at 1 Erlang and several end at 5 and 10 Erlangs."""
+    if instance == "three-system":
+        rng = np.random.default_rng(6161)
+        cases = [(*_three_system_instance(rng)[1:], 8) for _ in range(2)]
+    else:
+        cases = [(*_shipped_space(hybrid_instance, int(instance.split("-")[1])), 24)]
+    options = dict(strict_arrivals=strict, deviation_payoff=mode, use_cache=use_cache)
+    for space, scheme, restarts in cases:
+        solver = PolicyGameSolver(space, scheme, **options)
+        solved = _solved_keys(solver, monkeypatch)
+        candidates = solver._best_response_candidates(restarts=restarts, seed=11, eps=NASH_EPS)
+        reference = PolicyGameSolver(space, scheme, **options)
+        starts = reference._starting_policies(restarts, np.random.default_rng(11))
+        expected = [reference.best_response_path(start)[0] for start in starts]
+        assert candidates == [policy for policy in expected if policy is not None]
+        assert len(solved) == len(set(solved)) == len(solver._responses)
+        if instance == "shipped-1" and not strict:
+            assert candidates == []
+        elif instance.startswith("shipped") and not strict:
+            assert len(candidates) > 1
+
+
+def test_failing_solve_in_a_lockstep_round_builds_no_table(hybrid_instance, monkeypatch):
+    """A fibre first needed after the start round fails its solve: the
+    search raises the error its evaluation raises alone, and that fibre
+    gets no response table, though the start round's fibres have theirs."""
+    space, scheme = _shipped_space(hybrid_instance, 5)
+    spy = PolicyGameSolver(space, scheme)
+    solved = _solved_keys(spy, monkeypatch)
+    spy._best_response_candidates(restarts=64, seed=0, eps=NASH_EPS)
+    starts = spy._starting_policies(64, np.random.default_rng(0))
+    start_keys = {spy._fibre_key(start) for start in starts}
+    poisoned = next(key for key in solved if key not in start_keys)
+
+    solver = PolicyGameSolver(space, scheme)
+    chunk = solver._evaluate_chunk
+
+    def evaluate_chunk(policies):
+        if any(solver._fibre_key(p) == poisoned for p in policies):
+            raise ResidualError(f"poisoned fibre {poisoned}")
+        return chunk(policies)
+
+    monkeypatch.setattr(solver, "_evaluate_chunk", evaluate_chunk)
+    with pytest.raises(ResidualError) as alone:
+        solver.evaluate(solver._representative(poisoned))
+    with pytest.raises(ResidualError) as searched:
+        solver._best_response_candidates(restarts=64, seed=0, eps=NASH_EPS)
+    assert str(searched.value) == str(alone.value)
+    assert poisoned not in solver._responses
+    assert start_keys <= set(solver._responses)
+
+
+def _scalar_starts(solver, restarts, rng):
+    """_starting_policies with one scalar draw per free entry."""
+    S = solver.config.num_systems
+    N, L = solver.config.num_classes, solver.num_labels
+    starts = [Policy.constant(N, L, s) for s in range(S)]
+    while len(starts) < restarts:
+        rows = [[0] * L for _ in range(N)]
+        for n, l in solver.positions():
+            rows[n][l] = int(rng.integers(S))
+        starts.append(Policy(tuple(tuple(row) for row in rows)))
+    return starts[:restarts]
+
+
+@pytest.mark.parametrize("systems", [2, 3])
+def test_starts_match_scalar_draws(hybrid_instance, systems):
+    """Each random start's entries, drawn in one call, are the ones one
+    scalar draw per entry gives, for restart seeds 0-7."""
+    if systems == 2:
+        space, scheme = _shipped_space(hybrid_instance, 5)
+    else:
+        _, space, scheme = _three_system_instance(np.random.default_rng(9090))
+    solver = PolicyGameSolver(space, scheme)
+    assert solver.config.num_systems == systems and solver.positions()
+    for seed in range(8):
+        drawn = solver._starting_policies(64, np.random.default_rng(seed))
+        assert drawn == _scalar_starts(solver, 64, np.random.default_rng(seed))
+        assert len(set(drawn)) > 60
