@@ -44,7 +44,7 @@ class NetworkConfig:
     scheduler_gain[k-1] is the multi-user scheduler gain with k users in
     the sharing scope; the table is extended by its last value for larger
     occupancies. sharing_scope selects whether the rate of a user is shared
-    over the users of his own system only (per_system) or over all users in
+    over the users of their own system only (per_system) or over all users in
     the network (network_wide).
     """
 

@@ -143,7 +143,7 @@ class TaggedPlan:
     flat position in LAPACK band storage of shape band_shape (Fortran order,
     with kl spare rows on top for the LU's fill). The shift_* arrays locate
     the tagged user's own departures that stay in the block, the entries
-    his absorption rate mu is taken off.
+    their absorption rate mu is taken off.
     """
 
     ids: np.ndarray

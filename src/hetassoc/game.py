@@ -22,11 +22,19 @@ same chain and the same payoffs bit for bit (the reduced normal form of the
 game). Exhaustive scans solve one representative per fibre, and the
 evaluation cache serves every member from it.
 
+Inside the solver a policy is a flat row of its choices, entry n * L + l
+for class n and label l, and a fibre is keyed by the bytes of its
+representative's row as int8. The searches run on rows and keys; a Policy
+is built only where one leaves the solver: the equilibria find_nash
+reports, optimal_policy's ties, best_response_path's end, and what
+representatives() and fibre() return. Each solved fibre keeps its Nash gap
+with its evaluation, so no search recomputes it.
+
 The core evaluates a chunk of choice tables at once: one assembly into a
 stack of bands, the stationary and tagged solves with their checks, and the
 aggregation, each over a leading batch axis, with one LAPACK solve per
 policy and block. Exhaustive scans, the best-response search and the
-fresh re-verification go through evaluate_many a chunk at a time
+fresh re-verification solve their missing fibres a chunk at a time
 (ctmc.CHUNK_BYTES bounds a chunk): the best-response paths of all
 restarts advance in lockstep, and each round solves the fibres the paused
 paths wait for together. A single evaluation and the baselines are chunks
@@ -171,7 +179,7 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
 
 def _nash_gaps(individual: np.ndarray, choice: np.ndarray, empty: np.ndarray) -> np.ndarray:
     """PolicyEvaluation.nash_gap of a stack: payoff tables (B, N, L, S),
-    policies (B, N, L) and empty labels (B, L)."""
+    choices (B, N, L) or flat (B, N * L) and empty labels (B, L)."""
     B, N, L, S = individual.shape
     current = individual.reshape(-1, S)[np.arange(B * N * L), choice.ravel()]
     forgone = np.fmax.reduce(individual, axis=3).ravel() - current
@@ -179,20 +187,13 @@ def _nash_gaps(individual: np.ndarray, choice: np.ndarray, empty: np.ndarray) ->
     return np.where(valid, forgone, -np.inf).reshape(B, -1).max(axis=1, initial=0.0)
 
 
-def nash_gaps(evaluations: list["PolicyEvaluation"]) -> np.ndarray:
-    """PolicyEvaluation.nash_gap of each evaluation, in one pass over their
-    stacked payoff tables."""
-    return _nash_gaps(np.stack([ev.individual for ev in evaluations]),
-                      np.array([ev.policy.choice for ev in evaluations]),
-                      np.stack([ev.empty_labels for ev in evaluations]))
-
-
 @dataclass
 class PolicyEvaluation(ChainEvaluation):
     """Everything one policy induces: chain, blocking, utilities."""
 
-    policy: Policy
+    policy: Policy | None             # None in the solver's fibre cache
     individual: np.ndarray            # (N, L, S), nan on empty labels
+    gap: float                        # nash_gap(), set when the chain is solved
 
     def nash_gap(self) -> float:
         """Largest payoff any (class, label) group forgoes by following the
@@ -201,13 +202,14 @@ class PolicyEvaluation(ChainEvaluation):
         Deviations without a defined payoff (possible under the exclude
         averaging mode when a system is never feasible within a label) are
         never profitable; a policy entry without a defined payoff leaves
-        that group unconstrained.
+        that group unconstrained. Interchangeable systems have bit-equal
+        payoffs, so the gap, computed once when the fibre is solved, is
+        every member's.
         """
-        return float(_nash_gaps(self.individual[None], np.asarray(self.policy.choice),
-                                self.empty_labels[None])[0])
+        return self.gap
 
     def is_nash(self, eps: float = NASH_EPS) -> bool:
-        return self.nash_gap() <= eps
+        return self.gap <= eps
 
 
 @dataclass
@@ -251,9 +253,10 @@ class PolicyGameSolver:
     numerator and the denominator.
 
     rep[n, l, s] is the lowest system interchangeable with s at the entry
-    (n, l); a policy's fibre is the set of canonical policies with the same
-    image under rep, and the evaluation cache and the best-response tables
-    are keyed by that image.
+    (n, l). A policy's fibre is the set of canonical policies whose flat
+    rows rep maps to the same row, the fibre's representative; the
+    evaluation cache and the best-response tables are keyed by the bytes
+    of that row as int8.
     """
 
     def __init__(self, space: StateSpace, scheme: AggregationScheme, *,
@@ -273,6 +276,10 @@ class PolicyGameSolver:
         self.structurally_empty = self.state_counts == 0
 
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
+        # free entries as (class, label) pairs and as flat row entries
+        self._positions = tuple((n, l) for n in range(N) for l in range(L)
+                                if not self.structurally_empty[l])
+        self._entries = tuple(n * L + l for n, l in self._positions)
         # policies per chunk of the exhaustive scans and evaluate_many
         self.chunk = self.tables.solve_plan.chunk_size()
         self._core = _ChainCore(self.tables, self.labels, L, strict_arrivals, self.chunk)
@@ -292,10 +299,13 @@ class PolicyGameSolver:
         self._nls_bin = (np.arange(0, self.chunk * N * L * S, N * L * S)[:, None]
                          + ((n_idx * L + self.labels) * S + s_idx).ravel()).ravel()
         self.rep = self._interchangeable_systems()
-        self._rep_entries = self.rep.reshape(N * L, S).tolist()
-        self._cache: dict[tuple, PolicyEvaluation] | None = {} if use_cache else None
+        # rep per flat entry; a system index fits in int8, since a state
+        # space with over 127 systems could not be enumerated
+        self._rep_rows = self.rep.reshape(N * L, S).astype(np.int8)
+        self._rep_entries = self._rep_rows.tolist()
+        self._cache: dict[bytes, PolicyEvaluation] | None = {} if use_cache else None
         # best-response table of each fibre the search has visited
-        self._responses: dict[tuple, list] = {}
+        self._responses: dict[bytes, list] = {}
 
     def _interchangeable_systems(self) -> np.ndarray:
         """rep[n, l, s]: the lowest system interchangeable with s at the
@@ -320,130 +330,139 @@ class PolicyGameSolver:
         agree = clash.reshape(N, S, S, L).transpose(0, 3, 1, 2) == 0
         return agree.argmax(axis=3)
 
-    # ----- evaluation -------------------------------------------------
+    # ----- rows and fibre keys ----------------------------------------
 
-    def positions(self) -> list[tuple[int, int]]:
+    def positions(self) -> tuple[tuple[int, int], ...]:
         """Free policy entries in lexicographic (class, label) order; labels
         without any feasible state are pinned to system 0 and skipped."""
-        return [(n, l)
-                for n in range(self.config.num_classes)
-                for l in range(self.num_labels)
-                if not self.structurally_empty[l]]
+        return self._positions
 
     def policy_space_size(self) -> int:
         """Number of canonical policies (free entries only), fibres unmerged."""
-        return self.config.num_systems ** len(self.positions())
+        return self.config.num_systems ** len(self._positions)
 
-    def _product(self, options: list[np.ndarray]):
-        """Policies whose k-th free entry (in positions() order) takes each
-        system of options[k] in turn, lexicographically; entries off
-        positions() stay at system 0."""
-        positions = self.positions()
-        base = [[0] * self.num_labels for _ in range(self.config.num_classes)]
-        for combo in itertools.product(*options):
-            rows = [row[:] for row in base]
-            for (n, l), s in zip(positions, combo):
-                rows[n][l] = s
-            yield Policy(tuple(tuple(row) for row in rows))
+    def _policy_rows(self, policies: list[Policy]) -> np.ndarray:
+        """Flat int8 rows (B, N * L) of validated policies."""
+        return np.array([p.choice for p in policies], dtype=np.int8).reshape(
+            -1, len(self._rep_rows))
+
+    def _policy(self, row) -> Policy:
+        """The Policy of a flat row."""
+        return Policy.from_flat(row, self.config.num_classes, self.num_labels)
+
+    def _key(self, choice) -> bytes:
+        """Fibre key of a flat row given as a sequence of ints: the bytes of
+        its image under rep, the representative's row as int8."""
+        return bytes(map(list.__getitem__, self._rep_entries, choice))
+
+    def _keys(self, rows: np.ndarray) -> list[bytes]:
+        """Fibre key of each flat row of an array."""
+        return list(map(self._key, rows.tolist()))
+
+    def _key_rows(self, keys: list[bytes]) -> np.ndarray:
+        """The int8 rows (B, N * L) whose bytes are listed (fibre keys or
+        rows' own bytes), read-only."""
+        return np.frombuffer(b"".join(keys), dtype=np.int8).reshape(-1, len(self._rep_rows))
+
+    def _product(self, options):
+        """Flat rows whose k-th free entry (in positions() order) takes each
+        system of options[k] in turn, lexicographically, in arrays of up to
+        self.chunk rows; entries off positions() stay at system 0."""
+        entries = list(self._entries)
+        combos = itertools.product(*options)
+        while block := list(itertools.islice(combos, self.chunk)):
+            rows = np.zeros((len(block), len(self._rep_rows)), dtype=np.int8)
+            rows[:, entries] = block
+            yield rows
+
+    def _representatives(self):
+        """The representative rows of every fibre (each its own key), in
+        arrays of up to self.chunk rows."""
+        systems = np.arange(self.config.num_systems)
+        return self._product([np.flatnonzero(self.rep[n, l] == systems)
+                              for n, l in self._positions])
+
+    def _members(self, key: bytes) -> np.ndarray:
+        """The rows of every canonical policy in the fibre of key, in
+        lexicographic order."""
+        return np.concatenate(list(self._product(
+            [np.flatnonzero(self._rep_rows[k] == key[k]) for k in self._entries])))
 
     def representatives(self):
         """One canonical policy per fibre, its lowest member."""
-        systems = np.arange(self.config.num_systems)
-        return self._product([np.flatnonzero(self.rep[n, l] == systems)
-                              for n, l in self.positions()])
+        return (self._policy(row) for rows in self._representatives() for row in rows)
 
     def fibre(self, policy: Policy) -> list[Policy]:
         """Every canonical policy that shares policy's fibre."""
-        return list(self._product(
-            [np.flatnonzero(self.rep[n, l] == self.rep[n, l, policy.choice[n][l]])
-             for n, l in self.positions()]))
+        return [self._policy(row) for row in self._members(self._key(policy.flatten()))]
 
-    def _fibre_key(self, policy: Policy) -> tuple:
-        """rep's image of a validated policy, entry by entry."""
-        return self._flat_key(itertools.chain.from_iterable(policy.choice))
-
-    def _flat_key(self, flat) -> tuple:
-        """rep's image of a flattened (class-major) choice; it is also the
-        flattened choice of the fibre's representative."""
-        return tuple(map(list.__getitem__, self._rep_entries, flat))
-
-    def _representative(self, key: tuple) -> Policy:
-        return Policy.from_flat(key, self.config.num_classes, self.num_labels)
-
-    def canonicalize(self, policy: Policy, evaluation: PolicyEvaluation) -> Policy:
-        """Pin entries on zero-mass labels to system 0 for reporting."""
-        rows = [list(row) for row in policy.choice]
-        for l in range(self.num_labels):
-            if evaluation.empty_labels[l]:
-                for n in range(self.config.num_classes):
-                    rows[n][l] = 0
-        return Policy(tuple(tuple(row) for row in rows))
+    # ----- evaluation -------------------------------------------------
 
     def evaluate(self, policy: Policy) -> PolicyEvaluation:
         """Evaluation of a policy; with the cache on, one chain is solved
         per fibre and every member is served from it."""
-        policy.validate_for(self.config, self.scheme)
-        if self._cache is None:
-            return self._evaluate(policy)
-        key = self._fibre_key(policy)
-        evaluation = self._cache.get(key)
-        if evaluation is None:
-            evaluation = self._cache[key] = self._evaluate(policy)
-        return self._served(evaluation, policy)
-
-    @staticmethod
-    def _served(evaluation: PolicyEvaluation, policy: Policy) -> PolicyEvaluation:
-        """A fibre's cached evaluation, reported under policy."""
-        if evaluation.policy.choice != policy.choice:
-            evaluation = replace(evaluation, policy=policy)
-        return evaluation
+        return self.evaluate_many([policy])[0]
 
     def evaluate_many(self, policies) -> list[PolicyEvaluation]:
         """evaluate() of each policy, in order, with the missing chains
         solved in chunks of up to self.chunk policies (see ctmc.CHUNK_BYTES);
-        with the cache on, one policy per missing fibre is solved."""
+        with the cache on, one representative per missing fibre is solved.
+        Each evaluation is reported under its own policy."""
         policies = list(policies)
         for policy in policies:
             policy.validate_for(self.config, self.scheme)
+        return [replace(evaluation, policy=policy) for policy, evaluation
+                in zip(policies, self._evaluations(self._policy_rows(policies)))]
+
+    def _evaluations(self, rows: np.ndarray) -> list[PolicyEvaluation]:
+        """Evaluation of each flat row, in order: with the cache on, its
+        fibre's; with it off, solved for the row itself."""
         if self._cache is None:
-            return list(self._solved(policies))
-        keys = [self._fibre_key(policy) for policy in policies]
-        missing: dict[tuple, Policy] = {}
-        for key, policy in zip(keys, policies):
-            if key not in self._cache:
-                missing.setdefault(key, policy)
-        for key, evaluation in zip(missing, self._solved(list(missing.values()))):
+            return list(self._solved(rows))
+        return self._fibres(self._keys(rows))
+
+    def _fibres(self, keys: list[bytes]) -> list[PolicyEvaluation]:
+        """Evaluation of each fibre key, in order, solved by representative.
+        With the cache on, each missing fibre is solved once and cached as
+        soon as its chain is solved."""
+        if self._cache is None:
+            return list(self._solved(self._key_rows(keys)))
+        missing = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        for key, evaluation in zip(missing, self._solved(self._key_rows(missing))):
             self._cache[key] = evaluation
-        return [self._served(self._cache[key], policy) for key, policy in zip(keys, policies)]
+        return [self._cache[key] for key in keys]
 
-    def _chunks(self, policies):
-        """policies in lists of up to self.chunk, in order."""
-        it = iter(policies)
-        while chunk := list(itertools.islice(it, self.chunk)):
-            yield chunk
-
-    def _solved(self, policies: list[Policy]):
-        """Uncached evaluations of policies, in order, a chunk at a time. A
-        chunk in which a solve fails is solved again one policy at a time,
-        so the error raised is the first failing policy's, as evaluate()
-        raises it."""
-        for chunk in self._chunks(policies):
+    def _solved(self, rows: np.ndarray):
+        """Uncached evaluations of flat rows, in order, a chunk at a time,
+        each with its Nash gap under its own row. A chunk in which a solve
+        fails is solved again one row at a time, so the error raised is the
+        first failing row's, as its lone evaluation raises it."""
+        for start in range(0, len(rows), self.chunk):
+            chunk = rows[start:start + self.chunk]
             try:
-                yield from self._evaluate_chunk(chunk)
+                evaluations = self._evaluate_chunk(chunk)
             except SOLVE_ERRORS:
                 if len(chunk) == 1:
                     raise
                 yield from map(self._evaluate, chunk)
+                continue
+            # each gap is computed from the table stored with it
+            gaps = _nash_gaps(np.stack([ev.individual for ev in evaluations]), chunk,
+                              np.stack([ev.empty_labels for ev in evaluations]))
+            for evaluation, gap in zip(evaluations, gaps.tolist()):
+                evaluation.gap = gap
+            yield from evaluations
 
-    def _evaluate(self, policy: Policy) -> PolicyEvaluation:
-        return self._evaluate_chunk([policy])[0]
+    def _evaluate(self, row: np.ndarray) -> PolicyEvaluation:
+        """Uncached evaluation of one flat row, a chunk of one."""
+        return next(self._solved(row[None]))
 
-    def _evaluate_chunk(self, policies: list[Policy]) -> list[PolicyEvaluation]:
-        """Uncached evaluations of a chunk of validated policies, solved
-        together by _evaluate_chain."""
+    def _evaluate_chunk(self, rows: np.ndarray) -> list[PolicyEvaluation]:
+        """Uncached evaluations of a chunk of flat rows (B, N * L), solved
+        together by _evaluate_chain; their gaps are left for _solved."""
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
-        B = len(policies)
-        choices = np.array([policy.choice for policy in policies], dtype=np.int64)
+        B = len(rows)
+        choices = rows.astype(np.int64).reshape(B, N, L)
         chunk = _evaluate_chain(self._core, choices.take(self.labels, axis=2))
         weight = self._payoff_weight * chunk.pi[:, None, None]
         payoff = chunk.padded[:, self._payoff]
@@ -455,8 +474,9 @@ class PolicyGameSolver:
         individual = np.full((B, N, L, S), np.nan)
         np.divide(num, den, out=individual,
                   where=~chunk.empty[:, None, :, None] & (den > EMPTY_LABEL_MASS))
-        return [PolicyEvaluation(**vars(core), policy=policy, individual=individual[k])
-                for k, (policy, core) in enumerate(zip(policies, chunk.evaluations))]
+        return [PolicyEvaluation(**vars(core), policy=None, individual=individual[k],
+                                 gap=np.nan)
+                for k, core in enumerate(chunk.evaluations)]
 
     def individual_utility(self, evaluation: PolicyEvaluation, user_class: int,
                            label: int, system: int) -> float:
@@ -492,35 +512,34 @@ class PolicyGameSolver:
         """Scan one representative per fibre; every member of a tied fibre
         is a tie, so policies_evaluated counts the canonical policies."""
         best_u = -np.inf
-        best: list[Policy] = []
-        for chunk in self._chunks(self.representatives()):
-            for policy, evaluation in zip(chunk, self.evaluate_many(chunk)):
+        best: list[bytes] = []
+        for rows in self._representatives():
+            for key, evaluation in zip(self._keys(rows), self._evaluations(rows)):
                 utility = evaluation.global_utility
                 if utility > best_u + TIE_TOL:
                     best_u = utility
-                    best = [policy]
+                    best = [key]
                 elif utility >= best_u - TIE_TOL:
-                    best.append(policy)
-        ties = sorted((member for policy in best for member in self.fibre(policy)),
-                      key=Policy.flatten)
+                    best.append(key)
+        ties = [self._policy(row) for row in sorted(
+            row.tobytes() for key in best for row in self._members(key))]
         return OptimalResult(policy=ties[0], evaluation=self.evaluate(ties[0]),
                              ties=ties, method="exhaustive", policies_evaluated=size)
 
     def _optimal_search(self, restarts: int, seed: int) -> OptimalResult:
         rng = np.random.default_rng(seed)
         S = self.config.num_systems
-        positions = self.positions()
         count = 0
         best_policy = None
         best_ev = None
         for start in self._starting_policies(restarts, rng):
-            policy = start
+            policy = self._policy(start)
             ev = self.evaluate(policy)
             count += 1
             improved = True
             while improved:
                 improved = False
-                for (n, l) in positions:
+                for (n, l) in self._positions:
                     current = policy.choice[n][l]
                     for s in range(S):
                         if s == current:
@@ -539,19 +558,18 @@ class PolicyGameSolver:
                              ties=[best_policy], method="search",
                              policies_evaluated=count)
 
-    def _starting_policies(self, restarts: int, rng) -> list[Policy]:
+    def _starting_policies(self, restarts: int, rng) -> np.ndarray:
+        """Flat rows (restarts, N * L) of the search's starts: each constant
+        policy, then random draws on the free entries."""
         if restarts < 1:
             raise ConfigError(f"restarts must be at least 1, got {restarts}")
         S = self.config.num_systems
-        N, L = self.config.num_classes, self.num_labels
-        starts = [Policy.constant(N, L, s) for s in range(S)]
-        positions = self.positions()
-        while len(starts) < restarts:
-            rows = [[0] * L for _ in range(N)]
-            for (n, l), s in zip(positions, rng.integers(S, size=len(positions)).tolist()):
-                rows[n][l] = s
-            starts.append(Policy(tuple(tuple(r) for r in rows)))
-        return starts[:restarts]
+        entries = list(self._entries)
+        starts = np.zeros((restarts, len(self._rep_rows)), dtype=np.int8)
+        starts[:S] = np.arange(min(S, restarts))[:, None]
+        for row in starts[S:]:
+            row[entries] = rng.integers(S, size=len(entries))
+        return starts
 
     # ----- Nash equilibria --------------------------------------------
 
@@ -563,35 +581,39 @@ class PolicyGameSolver:
         exhaustive checks every canonical policy, one representative per
         fibre, and expands each equilibrium into its fibre; best_response runs
         Gauss-Seidel argmax dynamics from several starts, keeps the fixed
-        points and closes them under payoff ties. Every candidate is
-        re-verified before being returned, against its own choice, on a
-        table a fresh checker solved for its fibre; the checker evaluates
-        every distinct canonical candidate that passes its own check in one
-        evaluate_many. An empty list means no pure equilibrium was found.
+        points and closes them under payoff ties. Every member of each fibre
+        found, with its empty labels pinned to system 0, is re-verified
+        before being returned, on a table a fresh checker solved for its
+        fibre; the checker evaluates every distinct canonical candidate
+        that passes its own check in one batch. An empty list means no pure
+        equilibrium was found.
         """
         if mode not in ("auto", "exhaustive", "best_response"):
             raise ValueError("mode must be auto, exhaustive or best_response")
         if mode == "auto":
             mode = "exhaustive" if self.policy_space_size() <= auto_cap else "best_response"
         if mode == "exhaustive":
-            candidates = [member for chunk in self._chunks(self.representatives())
-                          for policy, gap in zip(chunk, nash_gaps(self.evaluate_many(chunk)))
-                          if gap <= eps for member in self.fibre(policy)]
+            keys = [key for rows in self._representatives()
+                    for key, ev in zip(self._keys(rows), self._evaluations(rows))
+                    if ev.gap <= eps]
         else:
-            candidates = self._best_response_candidates(restarts=restarts,
-                                                        seed=seed, eps=eps)
-            candidates = self._expand_ties(candidates, eps)
-        canonical: dict[tuple, Policy] = {}
-        for policy, ev in zip(candidates, self.evaluate_many(candidates)):
-            reported = self.canonicalize(policy, ev)
-            canonical.setdefault(reported.choice, reported)
-        passed = [ev for ev in self.evaluate_many(canonical.values()) if ev.is_nash(eps)]
-        checks = self.fresh_checker().evaluate_many(ev.policy for ev in passed)
-        found = {ev.policy.choice: ev for ev, check in zip(passed, checks) if check.is_nash(eps)}
-        return [found[key] for key in sorted(found)]
+            keys = self._expand_ties(
+                self._best_response_candidates(restarts=restarts, seed=seed, eps=eps), eps)
+        # each member, canonicalized, keyed by the bytes of its own row
+        canonical: dict[bytes, None] = {}
+        for key, ev in zip(keys, self._fibres(keys)):
+            members = self._members(key)
+            members[:, np.tile(ev.empty_labels, self.config.num_classes)] = 0
+            canonical.update(dict.fromkeys(row.tobytes() for row in members))
+        evaluations = dict(zip(canonical, self._evaluations(self._key_rows(list(canonical)))))
+        passed = [row for row, ev in evaluations.items() if ev.gap <= eps]
+        checks = self.fresh_checker()._evaluations(self._key_rows(passed))
+        found = sorted(row for row, check in zip(passed, checks) if check.gap <= eps)
+        return [replace(evaluations[row], policy=self._policy(row)) for row in found]
 
-    def _expand_ties(self, candidates: list[Policy], eps: float) -> list[Policy]:
-        """Close a set of equilibrium candidates under near-tie entry swaps.
+    def _expand_ties(self, candidates: list[list[int]], eps: float) -> list[bytes]:
+        """Close a set of equilibrium candidates, flat rows, under near-tie
+        entry swaps; returns the keys of the fibres reached.
 
         Argmax dynamics never move along payoff ties, yet every tie variant
         is its own equilibrium under the reporting convention. The closure
@@ -600,21 +622,18 @@ class PolicyGameSolver:
         passes the tie test, so breadth-first exploration of single-entry
         swaps to another fibre, whose payoff is within 2 * eps of the
         entry's best (entries on empty or all-NaN rows stay put), reaches
-        the tie class; every member of each fibre reached is returned. The
-        unseen neighbours of each fibre popped are evaluated together.
+        the tie class. The unseen neighbours of each fibre popped are
+        evaluated together.
         """
-        L = self.num_labels
-        entries = [n * L + l for n, l in self.positions()]
-        queue = list(dict.fromkeys(self._fibre_key(p) for p, ev
-                                   in zip(candidates, self.evaluate_many(candidates))
-                                   if ev.is_nash(eps)))
+        keys = list(dict.fromkeys(map(self._key, candidates)))
+        queue = [key for key, ev in zip(keys, self._fibres(keys)) if ev.gap <= eps]
         seen = set(queue)
         reached = list(queue)
         while queue:
             key = queue.pop()
             table, = self._response_tables([key])
             neighbors = []
-            for k in entries:
+            for k in self._entries:
                 if table[k] is None:
                     continue
                 payoffs, best = table[k]
@@ -624,30 +643,31 @@ class PolicyGameSolver:
                     # a NaN payoff is not below the top, so it is not skipped
                     if target == key[k] or payoff < top - 2 * eps:
                         continue
-                    neighbor = key[:k] + (target,) + key[k + 1:]
+                    neighbor = key[:k] + bytes((target,)) + key[k + 1:]
                     if neighbor not in seen:
                         seen.add(neighbor)
                         neighbors.append(neighbor)
-            evaluations = self.evaluate_many(map(self._representative, neighbors))
-            tied = [neighbor for neighbor, ev in zip(neighbors, evaluations) if ev.is_nash(eps)]
+            tied = [neighbor for neighbor, ev in zip(neighbors, self._fibres(neighbors))
+                    if ev.gap <= eps]
             queue += tied
             reached += tied
-        return [member for key in reached
-                for member in self.fibre(self._representative(key))]
+        return reached
 
     def _best_response_candidates(self, restarts: int, seed: int,
-                                  eps: float) -> list[Policy]:
-        """Fixed points of the best-response paths from each start, in
-        start order; the paths advance in lockstep (see _lockstep)."""
+                                  eps: float) -> list[list[int]]:
+        """Fixed points, as flat rows, of the best-response paths from each
+        start, in start order; the paths advance in lockstep (see
+        _lockstep)."""
         rng = np.random.default_rng(seed)
-        walks = [self._walk(start, eps) for start in self._starting_policies(restarts, rng)]
-        return [policy for policy, _ in self._lockstep(walks) if policy is not None]
+        walks = [self._walk(start, eps)
+                 for start in self._starting_policies(restarts, rng).tolist()]
+        return [choice for choice in self._lockstep(walks) if choice is not None]
 
-    def _response_table(self, choice):
-        """Best-response table of the fibre of a flattened choice, as a walk
-        reads it: a generator that yields the fibre's key when the table is
+    def _response_table(self, choice: list[int]):
+        """Best-response table of the fibre of a flat row, as a walk reads
+        it: a generator that yields the fibre's key when the table is
         missing, and returns the table once it is built."""
-        key = self._flat_key(choice)
+        key = self._key(choice)
         if key not in self._responses:
             yield key
         return self._responses[key]
@@ -656,12 +676,11 @@ class PolicyGameSolver:
         """Best-response table of each fibre key, in order, built once per
         fibre: for each flat entry n * L + l, None when the label is empty
         or its payoff row all NaN, else the row as floats and its NaN-aware
-        argmax. The fibres without a table are evaluated by representative
-        through one evaluate_many."""
+        argmax. The fibres without a table are evaluated together."""
         keys = list(keys)
         missing = [key for key in dict.fromkeys(keys) if key not in self._responses]
         if missing:
-            evaluations = self.evaluate_many(map(self._representative, missing))
+            evaluations = self._fibres(missing)
             individual = np.stack([ev.individual for ev in evaluations])
             empty = np.stack([ev.empty_labels for ev in evaluations])
             payoffs = individual.reshape(len(missing), -1, individual.shape[3])
@@ -680,10 +699,10 @@ class PolicyGameSolver:
         The walks advance in rounds. Each round resumes every paused walk
         until it ends or pauses on a fibre without a response table; the
         distinct missing fibres of the round, in walk order, are then
-        evaluated through one evaluate_many and tabulated. A walk takes the
-        steps it takes alone, since tables have the same bits in any chunk.
-        If solves fail, the error raised is that of the first failing fibre
-        in round order, and no table is built for that round's fibres.
+        evaluated together and tabulated. A walk takes the steps it takes
+        alone, since tables have the same bits in any chunk. If solves
+        fail, the error raised is that of the first failing fibre in round
+        order, and no table is built for that round's fibres.
         """
         results: list = [None] * len(walks)
         paused = dict(enumerate(walks))
@@ -698,26 +717,24 @@ class PolicyGameSolver:
             paused = {i: paused[i] for i in waiting}
         return results
 
-    def _walk(self, start: Policy, eps: float = NASH_EPS, max_iters: int = 2000):
-        """best_response_path's walk as a generator for _lockstep: it yields
-        the key of each fibre whose response table it lacks, resumes once
-        the table is built, and returns the path's result."""
-        start.validate_for(self.config, self.scheme)
-        positions = self.positions()
+    def _walk(self, choice: list[int], eps: float = NASH_EPS, max_iters: int = 2000,
+              steps: list | None = None):
+        """best_response_path's walk from a flat row, as a generator for
+        _lockstep: it yields the key of each fibre whose response table it
+        lacks, resumes once the table is built, and returns the fixed point
+        (choice, updated in place) or None on a cycle. Steps are appended to
+        steps when a list is given."""
+        positions, entries = self._positions, self._entries
         if not positions:
-            return start, []
-        L = self.num_labels
-        entries = [n * L + l for n, l in positions]
-        choice = list(itertools.chain.from_iterable(start.choice))
+            return choice
         table = yield from self._response_table(choice)
-        steps: list[BestResponseStep] = []
         visited: set[tuple] = set()
         stale = 0
         ptr = 0
         for _ in range(max_iters):
             state_key = (tuple(choice), ptr)
             if state_key in visited:
-                return None, steps
+                return None
             visited.add(state_key)
             k = entries[ptr]
             response = table[k]
@@ -726,19 +743,20 @@ class PolicyGameSolver:
                 payoffs, best = response
                 current = choice[k]
                 if payoffs[best] > payoffs[current] + eps:
-                    n, l = positions[ptr]
-                    steps.append(BestResponseStep(
-                        user_class=n, label=l, old_system=current,
-                        new_system=best, old_payoff=payoffs[current],
-                        new_payoff=payoffs[best]))
+                    if steps is not None:
+                        n, l = positions[ptr]
+                        steps.append(BestResponseStep(
+                            user_class=n, label=l, old_system=current,
+                            new_system=best, old_payoff=payoffs[current],
+                            new_payoff=payoffs[best]))
                     choice[k] = best
                     table = yield from self._response_table(choice)
                     updated = True
             stale = 0 if updated else stale + 1
             if stale >= len(positions):
-                return Policy.from_flat(choice, self.config.num_classes, L), steps
+                return choice
             ptr = (ptr + 1) % len(positions)
-        return None, steps
+        return None
 
     def best_response_path(self, start: Policy, *, eps: float = NASH_EPS,
                            max_iters: int = 2000
@@ -752,13 +770,16 @@ class PolicyGameSolver:
         Payoffs come from the response table of the current fibre. The path
         is a lockstep of one walk.
         """
-        return self._lockstep([self._walk(start, eps, max_iters)])[0]
+        start.validate_for(self.config, self.scheme)
+        steps: list[BestResponseStep] = []
+        end, = self._lockstep([self._walk(list(start.flatten()), eps, max_iters, steps)])
+        return (None if end is None else self._policy(end)), steps
 
     def fresh_checker(self) -> "PolicyGameSolver":
         """Solver with its own empty fibre cache and its own partition,
         reusing none of this solver's evaluations: it solves one chain and
         utility table per fibre, as its rep groups them, and judges every
-        member against that table under the member's own choice."""
+        member by that table's Nash gap, which is every member's."""
         return PolicyGameSolver(self.space, self.scheme,
                                 strict_arrivals=self.strict_arrivals,
                                 deviation_payoff=self.deviation_payoff)

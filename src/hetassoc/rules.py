@@ -1,9 +1,9 @@
-"""Assignment rules: how an arriving user picks his preferred system.
+"""Assignment rules: how an arriving user picks their preferred system.
 
 A rule returns the preferred system for a (class, state) pair; whether the
 user actually enters it is decided by the admission engine, which redirects
-him to another system with room (or blocks him) when the preference is
-saturated. Rules are deterministic and total over feasible states.
+the user to another system with room (or blocks the user) when the
+preference is saturated. Rules are deterministic and total over feasible states.
 """
 
 from __future__ import annotations

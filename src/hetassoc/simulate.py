@@ -2,8 +2,8 @@
 
 Independent oracle for the analytic pipeline: arrivals, admissions,
 redirections and departures are replayed event by event with exponential
-clocks, and every user's delivered volume integrates his instantaneous
-rate over his sojourn (piecewise-constant between events, which is exact
+clocks, and every user's delivered volume integrates their instantaneous
+rate over their sojourn (piecewise-constant between events, which is exact
 for this model). Admission decisions are recomputed from the throughput
 definition rather than read from the chain engine's tables.
 

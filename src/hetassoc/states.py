@@ -49,7 +49,7 @@ def user_throughput(config: NetworkConfig, occ: Occupancy,
     """Instantaneous rate of one class-`user_class` user present in `system`.
 
     The state must already count the user; callers probing a hypothetical
-    admission add him first.
+    admission add the user first.
     """
     if occ[occ_index(config, user_class, system)] < 1:
         raise ValueError("state does not contain the probed user")

@@ -1,7 +1,7 @@
 """Expected per-call transmitted volume via absorbing-chain solves.
 
 To value one tagged (class, system) user, the chain is restricted to the
-states containing him, his own departure is split off into an absorbing
+states containing the user, their own departure is split off into an absorbing
 state reached at rate mu, and the remaining dynamics (everyone else's
 arrivals and departures, under the same assignment rule) are kept. The
 expected volume sent before absorption solves a linear system whose right
@@ -188,7 +188,7 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup,
 def solve_volume_from_matrix(tables: ChainTables, q, user_class: int,
                              system: int) -> np.ndarray:
     """Expected megabits of a tagged user, indexed by dense state id (nan on
-    states where he is absent). Takes an already assembled full generator."""
+    states where the user is absent). Takes an already assembled full generator."""
     mu = _absorption_rate(tables)
     nst = tables.space.num_states
     out = np.full(nst, np.nan)
@@ -215,7 +215,7 @@ def tagged_volumes(tables: ChainTables, data: np.ndarray) -> np.ndarray:
 def solve_volume(space: StateSpace, rule: AssignmentRule, user_class: int,
                  system: int, strict_arrivals: bool = False) -> np.ndarray:
     """Expected megabits sent by a tagged (class, system) user from every
-    state containing him; nan elsewhere."""
+    state containing the user; nan elsewhere."""
     tables = chain_tables(space)
     q = assemble_dense(tables, rule.choice_table(space), strict=strict_arrivals)
     return solve_volume_from_matrix(tables, q, user_class, system)

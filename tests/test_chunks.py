@@ -12,7 +12,7 @@ from hetassoc.config import NetworkConfig
 from hetassoc.ctmc import (BandGenerator, assemble_dense, assemble_stack, chain_tables,
                            stationary_vector, stationary_vectors)
 from hetassoc.game import (ChainEvaluation, PolicyEvaluation, PolicyGameSolver, _ChainCore,
-                           _evaluate_chain, evaluate_baseline, nash_gaps)
+                           _evaluate_chain, _nash_gaps, evaluate_baseline)
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
 from hetassoc.transient import SingularTaggedChainError, TaggedGroup, tagged_volumes
 
@@ -56,7 +56,8 @@ def _budget(monkeypatch, space, budget: str) -> None:
 def test_evaluate_many_matches_one_at_a_time(instances, monkeypatch, budget, mode, strict):
     """Every field of every PolicyEvaluation, and the Nash gaps, come out
     of evaluate_many bit for bit as from a chunk of one: with chunks of
-    one, with chunks of 3 over 10 policies, and at the default budget."""
+    one, with chunks of 3 over 10 policies, and at the default budget. Each
+    stored gap is the one recomputed from its evaluation's own table."""
     rng = np.random.default_rng(99)
     chunks = set()
     for config, space, scheme in instances:
@@ -68,8 +69,11 @@ def test_evaluate_many_matches_one_at_a_time(instances, monkeypatch, budget, mod
         many = solver.evaluate_many(policies)
         for policy, ev in zip(policies, many):
             assert ev.policy == policy
-            assert_same_bits(ev, alone._evaluate(policy))
-        assert bits(nash_gaps(many)) == bits(np.array([ev.nash_gap() for ev in many]))
+            assert_same_bits(ev, alone.evaluate(policy))
+        recomputed = _nash_gaps(np.stack([ev.individual for ev in many]),
+                                np.array([ev.policy.choice for ev in many]),
+                                np.stack([ev.empty_labels for ev in many]))
+        assert bits(recomputed) == bits(np.array([ev.nash_gap() for ev in many]))
         chunks.add(solver.chunk)
     assert chunks == {1} if budget == "below-one-band" else \
         chunks == {3} if budget == "uneven" else max(chunks) > 3
@@ -283,7 +287,7 @@ def test_failing_policy_raises_the_one_at_a_time_error(hybrid_instance, monkeypa
     solver = PolicyGameSolver(space, scheme)
     rng = np.random.default_rng(8)
     policies = [random_policy(rng, config, scheme) for _ in range(8)]
-    keys = [solver._fibre_key(p) for p in policies]
+    keys = [solver._key(p.flatten()) for p in policies]
     assert len(set(keys)) == len(keys)
 
     def data_of(policy):
@@ -355,9 +359,9 @@ def _watch_chunks(solver, monkeypatch) -> list[int]:
     sizes = []
     chunk = solver._evaluate_chunk
 
-    def watch(policies):
-        sizes.append(len(policies))
-        return chunk(policies)
+    def watch(rows):
+        sizes.append(len(rows))
+        return chunk(rows)
 
     monkeypatch.setattr(solver, "_evaluate_chunk", watch)
     return sizes

@@ -614,9 +614,9 @@ def _watch_checkers(solver, monkeypatch, perturb=None):
         checker = make()
         solve = checker._evaluate_chunk
 
-        def _evaluate_chunk(policies):
-            solved.extend(policies)
-            evaluations = solve(policies)
+        def _evaluate_chunk(rows):
+            solved.extend(rows)
+            evaluations = solve(rows)
             if perturb is not None:
                 for ev in evaluations:
                     perturb(ev)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from hetassoc import AggregationScheme, NetworkConfig, Policy, ResidualError, enumerate_states
-from hetassoc.game import NASH_EPS, BestResponseStep, PolicyGameSolver
+from hetassoc.game import NASH_EPS, BestResponseStep, PolicyGameSolver, _nash_gaps
 
 from conftest import (check_band_generator, check_departure_closure,
                       check_generator_row_sums, check_label_totality,
@@ -226,11 +226,26 @@ def _reference_ties(solver, candidates, eps=NASH_EPS):
     return out
 
 
+def _canonicalize(solver, policy, evaluation):
+    """Pin entries on zero-mass labels to system 0 for reporting."""
+    rows = [list(row) for row in policy.choice]
+    for l in range(solver.num_labels):
+        if evaluation.empty_labels[l]:
+            for n in range(solver.config.num_classes):
+                rows[n][l] = 0
+    return Policy(tuple(tuple(row) for row in rows))
+
+
+def _starts(solver, restarts, rng) -> list[Policy]:
+    """The search's starting rows as policies."""
+    return [solver._policy(row) for row in solver._starting_policies(restarts, rng)]
+
+
 def _reference_equilibria(solver, restarts, seed, eps=NASH_EPS):
     """Canonical equilibrium set of find_nash("best_response") with the
     reference walk, each member re-checked on a chain solved for it alone."""
     rng = np.random.default_rng(seed)
-    candidates = [fixed for start in solver._starting_policies(restarts, rng)
+    candidates = [fixed for start in _starts(solver, restarts, rng)
                   for fixed in [_reference_path(solver, start, eps)[0]]
                   if fixed is not None]
     checker = PolicyGameSolver(solver.space, solver.scheme,
@@ -239,7 +254,7 @@ def _reference_equilibria(solver, restarts, seed, eps=NASH_EPS):
                                use_cache=False)
     found = set()
     for policy in _reference_ties(solver, candidates, eps):
-        canonical = solver.canonicalize(policy, solver.evaluate(policy))
+        canonical = _canonicalize(solver, policy, solver.evaluate(policy))
         if (canonical.choice not in found and solver.evaluate(canonical).is_nash(eps)
                 and checker.evaluate(canonical).is_nash(eps)):
             found.add(canonical.choice)
@@ -294,11 +309,14 @@ def test_tie_closure_matches_the_reference_walk_on_the_shipped_instance(hybrid_i
     space = enumerate_states(config.scale_traffic(erlangs / config.offered_erlangs))
     solver = PolicyGameSolver(space, scheme)
     candidates = solver._best_response_candidates(restarts=64, seed=3, eps=NASH_EPS)
-    assert len({p.choice for p in candidates}) < len(candidates)
-    ties = [p.choice for p in solver._expand_ties(candidates, NASH_EPS)]
-    reached = _reference_ties(PolicyGameSolver(space, scheme), candidates)
+    assert len({tuple(c) for c in candidates}) < len(candidates)
+    keys = solver._expand_ties(candidates, NASH_EPS)
+    assert len(keys) == len(set(keys))
+    ties = [tuple(row) for key in keys for row in solver._members(key).tolist()]
+    reached = _reference_ties(PolicyGameSolver(space, scheme),
+                              [solver._policy(c) for c in candidates])
     assert len(ties) == len(set(ties)) == 128
-    assert set(ties) == {p.choice for p in reached}
+    assert set(ties) == {p.flatten() for p in reached}
 
 
 def _three_system_instance(rng):
@@ -350,9 +368,9 @@ def _solved_keys(solver, monkeypatch) -> list[tuple]:
     keys = []
     chunk = solver._evaluate_chunk
 
-    def watch(policies):
-        keys.extend(solver._fibre_key(p) for p in policies)
-        return chunk(policies)
+    def watch(rows):
+        keys.extend(solver._keys(rows))
+        return chunk(rows)
 
     monkeypatch.setattr(solver, "_evaluate_chunk", watch)
     return keys
@@ -379,9 +397,10 @@ def test_lockstep_matches_one_path_at_a_time(hybrid_instance, monkeypatch, insta
         solved = _solved_keys(solver, monkeypatch)
         candidates = solver._best_response_candidates(restarts=restarts, seed=11, eps=NASH_EPS)
         reference = PolicyGameSolver(space, scheme, **options)
-        starts = reference._starting_policies(restarts, np.random.default_rng(11))
+        starts = _starts(reference, restarts, np.random.default_rng(11))
         expected = [reference.best_response_path(start)[0] for start in starts]
-        assert candidates == [policy for policy in expected if policy is not None]
+        assert candidates == [list(policy.flatten()) for policy in expected
+                              if policy is not None]
         assert len(solved) == len(set(solved)) == len(solver._responses)
         if instance == "shipped-1" and not strict:
             assert candidates == []
@@ -397,26 +416,74 @@ def test_failing_solve_in_a_lockstep_round_builds_no_table(hybrid_instance, monk
     spy = PolicyGameSolver(space, scheme)
     solved = _solved_keys(spy, monkeypatch)
     spy._best_response_candidates(restarts=64, seed=0, eps=NASH_EPS)
-    starts = spy._starting_policies(64, np.random.default_rng(0))
-    start_keys = {spy._fibre_key(start) for start in starts}
+    start_keys = set(spy._keys(spy._starting_policies(64, np.random.default_rng(0))))
     poisoned = next(key for key in solved if key not in start_keys)
 
     solver = PolicyGameSolver(space, scheme)
     chunk = solver._evaluate_chunk
 
-    def evaluate_chunk(policies):
-        if any(solver._fibre_key(p) == poisoned for p in policies):
+    def evaluate_chunk(rows):
+        if poisoned in solver._keys(rows):
             raise ResidualError(f"poisoned fibre {poisoned}")
-        return chunk(policies)
+        return chunk(rows)
 
     monkeypatch.setattr(solver, "_evaluate_chunk", evaluate_chunk)
     with pytest.raises(ResidualError) as alone:
-        solver.evaluate(solver._representative(poisoned))
+        solver.evaluate(solver._policy(poisoned))
     with pytest.raises(ResidualError) as searched:
         solver._best_response_candidates(restarts=64, seed=0, eps=NASH_EPS)
     assert str(searched.value) == str(alone.value)
     assert poisoned not in solver._responses
     assert start_keys <= set(solver._responses)
+
+
+@pytest.mark.parametrize("instance", ["shipped-5", "three-system-exclude"])
+def test_cached_gap_is_every_members_gap(hybrid_instance, instance):
+    """After a best-response search, the Nash gap cached with each fibre's
+    evaluation is, bit for bit, the gap recomputed from its table under
+    the own choice of every member of the fibre."""
+    if instance == "shipped-5":
+        (space, scheme), options = _shipped_space(hybrid_instance, 5), {}
+    else:
+        # the third instance of the lockstep test's draws; on the first, the
+        # exclude mode's tie closure runs for more than 30 s
+        rng = np.random.default_rng(6161)
+        for _ in range(3):
+            _, space, scheme = _three_system_instance(rng)
+        options = dict(deviation_payoff="exclude")
+    solver = PolicyGameSolver(space, scheme, **options)
+    solver.find_nash("best_response", restarts=16, seed=0)
+    members = 0
+    for key, ev in solver._cache.items():
+        rows = solver._members(key)
+        B = len(rows)
+        recomputed = _nash_gaps(np.broadcast_to(ev.individual, (B, *ev.individual.shape)), rows,
+                                np.broadcast_to(ev.empty_labels, (B, solver.num_labels)))
+        assert recomputed.tobytes() == np.full(B, ev.gap).tobytes()
+        members += B
+    # fibres with several members, and gaps on both sides of zero
+    assert members > 2 * len(solver._cache)
+    gaps = [ev.gap for ev in solver._cache.values()]
+    assert min(gaps) <= NASH_EPS < max(gaps)
+
+
+def test_search_builds_a_policy_only_per_reported_equilibrium(hybrid_instance, monkeypatch):
+    """A best-response search at 5 Erlangs constructs one Policy per
+    equilibrium it reports and no other."""
+    space, scheme = _shipped_space(hybrid_instance, 5)
+    solver = PolicyGameSolver(space, scheme)
+    built = []
+    init = Policy.__post_init__
+
+    def counted(policy):
+        built.append(policy.choice)
+        init(policy)
+
+    monkeypatch.setattr(Policy, "__post_init__", counted)
+    found = solver.find_nash("best_response", restarts=64, seed=0)
+    assert len(found) == 128
+    assert len(built) == len(found)
+    assert built == [ev.policy.choice for ev in found]
 
 
 def _scalar_starts(solver, restarts, rng):
@@ -443,6 +510,6 @@ def test_starts_match_scalar_draws(hybrid_instance, systems):
     solver = PolicyGameSolver(space, scheme)
     assert solver.config.num_systems == systems and solver.positions()
     for seed in range(8):
-        drawn = solver._starting_policies(64, np.random.default_rng(seed))
+        drawn = _starts(solver, 64, np.random.default_rng(seed))
         assert drawn == _scalar_starts(solver, 64, np.random.default_rng(seed))
         assert len(set(drawn)) > 60
