@@ -29,7 +29,7 @@ from .ctmc import (ResidualError, SingularChainError, build_generator,
 from .game import PolicyGameSolver, SearchCapError, evaluate_baseline
 from .output import write_csv, write_json
 from .rules import InstantaneousRateRule, PeakRateRule, PolicyRule
-from .simulate import simulate
+from .simulate import REPLICAS_PER_BATCH, simulate
 from .states import CapacityError, enumerate_states, state_table_rows
 from .transient import SingularTaggedChainError, volume_tables
 
@@ -125,8 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="discrete-event validation run")
     _add_common(p)
     _add_rule_args(p)
-    p.add_argument("--events", type=int, default=1_000_000)
-    p.add_argument("--batches", type=int, default=25)
+    p.add_argument("--events", type=int, default=1_000_000,
+                   help="events over all replicas, warm-up included")
+    p.add_argument("--batches", type=int, default=25,
+                   help="confidence-interval batches (at least 20), each pooling "
+                        f"{REPLICAS_PER_BATCH} independent replicas")
     return parser
 
 
@@ -549,7 +552,8 @@ def _cmd_simulate(args) -> int:
     path = write_csv(Path(args.out) / "simulation.csv",
                      ["metric", "class", "system", "estimate", "ci99_half_width"],
                      rows, config, scheme, params)
-    print(f"wrote {path} (total simulated time {report.total_time:.6g})")
+    print(f"wrote {path} (measured time {report.total_time:.6g}, "
+          f"summed over {report.replicas} replicas)")
     return 0
 
 

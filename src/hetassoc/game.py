@@ -527,36 +527,56 @@ class PolicyGameSolver:
                              ties=ties, method="exhaustive", policies_evaluated=size)
 
     def _optimal_search(self, restarts: int, seed: int) -> OptimalResult:
+        """Coordinate ascent from every start, the starts in lockstep: each
+        round solves the trials every unfinished ascent asks for with one
+        evaluate_many. An ascent takes the moves it takes alone, since
+        evaluations have the same bits in any chunk."""
         rng = np.random.default_rng(seed)
-        S = self.config.num_systems
-        count = 0
-        best_policy = None
-        best_ev = None
-        for start in self._starting_policies(restarts, rng):
-            policy = self._policy(start)
-            ev = self.evaluate(policy)
-            count += 1
-            improved = True
-            while improved:
-                improved = False
-                for (n, l) in self._positions:
-                    current = policy.choice[n][l]
-                    for s in range(S):
-                        if s == current:
-                            continue
-                        trial = policy.with_entry(n, l, s)
-                        trial_ev = self.evaluate(trial)
-                        count += 1
-                        if trial_ev.global_utility > ev.global_utility + 1e-12:
-                            policy, ev = trial, trial_ev
-                            improved = True
-                if not improved:
-                    break
-            if best_ev is None or ev.global_utility > best_ev.global_utility:
+        ascents = [self._ascent(start) for start in self._starting_policies(restarts, rng)]
+        results: list = [None] * len(ascents)
+        asks = {i: next(ascent) for i, ascent in enumerate(ascents)}
+        while asks:
+            evaluations = iter(self.evaluate_many(
+                [trial for trials in asks.values() for trial in trials]))
+            answered = {}
+            for i, trials in asks.items():
+                try:
+                    answered[i] = ascents[i].send([next(evaluations) for _ in trials])
+                except StopIteration as stop:
+                    results[i] = stop.value
+            asks = answered
+        best_policy, best_ev = results[0][:2]
+        for policy, ev, _ in results[1:]:
+            if ev.global_utility > best_ev.global_utility:
                 best_policy, best_ev = policy, ev
         return OptimalResult(policy=best_policy, evaluation=best_ev,
                              ties=[best_policy], method="search",
-                             policies_evaluated=count)
+                             policies_evaluated=sum(count for *_, count in results))
+
+    def _ascent(self, start: np.ndarray):
+        """Coordinate ascent from a flat row, as a generator for
+        _optimal_search: it yields the policies it needs evaluated (the
+        start, then each position's trials), is sent their evaluations, and
+        returns (policy, evaluation, policies evaluated)."""
+        S = self.config.num_systems
+        policy = self._policy(start)
+        [ev] = yield [policy]
+        count = 1
+        improved = True
+        while improved:
+            improved = False
+            for (n, l) in self._positions:
+                current = policy.choice[n][l]
+                # an accepted trial changes entry (n, l) alone, so every
+                # trial here is known before the scan
+                trials = [policy.with_entry(n, l, s) for s in range(S) if s != current]
+                trial_evs = yield trials
+                for trial, trial_ev in zip(trials, trial_evs):
+                    count += 1
+                    if trial_ev.global_utility > ev.global_utility + 1e-12:
+                        policy, ev = trial, trial_ev
+                        improved = True
+        return policy, ev, count
 
     def _starting_policies(self, restarts: int, rng) -> np.ndarray:
         """Flat rows (restarts, N * L) of the search's starts: each constant

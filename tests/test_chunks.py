@@ -390,3 +390,53 @@ def test_scans_take_chunks_through_evaluate_many(hybrid_instance, monkeypatch):
     assert sizes.count(1) <= 1
     assert max(sizes) == searcher.chunk
     assert sum(sizes) == len(searcher._responses)
+
+
+def _one_at_a_time_search(solver, restarts: int, seed: int):
+    """optimal_policy(method="search") with each trial solved alone, as
+    coordinate ascent reads: the reference for the batched trials."""
+    rng = np.random.default_rng(seed)
+    S = solver.config.num_systems
+    count, best_policy, best_ev = 0, None, None
+    for start in solver._starting_policies(restarts, rng):
+        policy = solver._policy(start)
+        ev = solver.evaluate(policy)
+        count += 1
+        improved = True
+        while improved:
+            improved = False
+            for (n, l) in solver._positions:
+                current = policy.choice[n][l]
+                for s in range(S):
+                    if s == current:
+                        continue
+                    trial = policy.with_entry(n, l, s)
+                    trial_ev = solver.evaluate(trial)
+                    count += 1
+                    if trial_ev.global_utility > ev.global_utility + 1e-12:
+                        policy, ev = trial, trial_ev
+                        improved = True
+        if best_ev is None or ev.global_utility > best_ev.global_utility:
+            best_policy, best_ev = policy, ev
+    return best_policy, best_ev, count
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_search_solves_each_positions_trials_together(hybrid_instance, monkeypatch, seed):
+    """Coordinate ascent solves a position's trials with one evaluate_many:
+    the same accepted moves, result bits and policies_evaluated as solving
+    them one at a time, in fewer chunks."""
+    config, scheme = hybrid_instance
+    space = enumerate_states(config.scale_traffic(5.0 / config.offered_erlangs))
+    reference = PolicyGameSolver(space, scheme)
+    ref_sizes = _watch_chunks(reference, monkeypatch)
+    policy, evaluation, count = _one_at_a_time_search(reference, restarts=4, seed=seed)
+    solver = PolicyGameSolver(space, scheme)
+    sizes = _watch_chunks(solver, monkeypatch)
+    result = solver.optimal_policy(method="search", restarts=4, seed=seed)
+    assert result.policy == policy and result.ties == [policy]
+    assert result.policies_evaluated == count
+    assert result.evaluation.global_utility == evaluation.global_utility
+    assert np.array_equal(result.evaluation.pi, evaluation.pi)
+    assert sum(sizes) == sum(ref_sizes)
+    assert len(sizes) < len(ref_sizes)

@@ -1,6 +1,9 @@
 """Discrete-event simulator against the analytic chain (and itself)."""
 
 import json
+import math
+import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -164,12 +167,15 @@ class CountingPolicyRule(PolicyRule):
 
 
 def test_rule_asked_once_per_visited_occupancy(hybrid_instance):
+    """Visited occupancies include those reached only during a replica's
+    warm-up, which the measured state times leave out."""
     config, scheme = hybrid_instance
     rule = CountingPolicyRule(Policy(((1,) * 9, (0, 1) * 4 + (0,))), scheme)
     report = simulate(config.scale_traffic(5.0), rule, 100_000, seed=8)
     assert max(rule.calls.values()) == 1
     asked = {occ for occ, _ in rule.calls}
-    assert set(report.arrival_seen) <= asked <= set(report.state_time)
+    assert set(report.arrival_seen) <= asked <= report.visited
+    assert set(report.state_time) <= report.visited
 
 
 def _integer_outputs(report) -> dict:
@@ -181,15 +187,21 @@ def _integer_outputs(report) -> dict:
                                    for occ, count in report.arrival_seen.items())}
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_integer_outputs_match_golden(hybrid_instance):
-    """Counts and admission decisions for a fixed seed, recorded with the
-    per-event implementation of the loop. They depend only on the uniform
-    stream and the admission logic, so they hold on every platform."""
+def _golden_text(runs: dict) -> str:
+    """simulate_golden.json's layout: one line per field of each run."""
+    blocks = []
+    for name, report in runs.items():
+        fields = [f'    "{key}": {json.dumps(value, separators=(",", ":"))}'
+                  for key, value in _integer_outputs(report).items()]
+        blocks.append(f'  "{name}": {{\n' + ",\n".join(fields) + "\n  }")
+    return "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
+def _golden_runs(hybrid_instance) -> dict:
     config, scheme = hybrid_instance
     config = config.scale_traffic(5.0)
     rule = PolicyRule(Policy(((1,) * 9, (0, 1) * 4 + (0,))), scheme)
-    runs = {
+    return {
         "redirect": simulate(config, rule, 30_000, seed=2024, num_batches=20),
         "strict": simulate(config, rule, 30_000, seed=2024, num_batches=20,
                            strict_arrivals=True),
@@ -197,6 +209,24 @@ def test_integer_outputs_match_golden(hybrid_instance):
                                     InstantaneousRateRule(), 30_000, seed=2024,
                                     num_batches=20),
     }
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_integer_outputs_match_golden(hybrid_instance):
+    """Counts and admission decisions for a fixed seed, recorded with the
+    lockstep replicas (200 of 150 events each). They depend only on the
+    seeded draws and the admission logic, so they hold on every platform.
+
+    To re-record after a deliberate change to the engine's draws or event
+    order, from the repository root:
+
+        PYTHONPATH=src:tests python -W ignore -c "import test_simulate as t; \\
+        from hetassoc import load_instance; \\
+        inst = load_instance(open('configs/hybrid_example.json').read()); \\
+        print(t._golden_text(t._golden_runs(inst)), end='')" \\
+        > tests/data/simulate_golden.json
+    """
+    runs = _golden_runs(hybrid_instance)
     golden = json.loads(GOLDEN.read_text())
     assert set(golden) == set(runs)
     for name, report in runs.items():
@@ -204,17 +234,95 @@ def test_integer_outputs_match_golden(hybrid_instance):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("events,batches", [(13, 20), (1_001, 23)])
-def test_batches_split_events_like_the_index_formula(erlang_config, erlang_scheme,
-                                                     events, batches):
-    """Event ev falls in batch ev * batches // events."""
+@pytest.mark.parametrize("events,batches", [(13, 20), (1_001, 23), (5_111, 20)])
+def test_events_split_over_replicas_and_batches(erlang_config, erlang_scheme,
+                                                events, batches):
+    """Replica r of R = 10 * batches simulates events // R events, one more
+    when r < events % R, and reports into batch r % batches; each replica
+    discards its first (events // R) // 10 events as warm-up."""
     rule = PolicyRule(Policy(((0, 0, 0),)), erlang_scheme)
     report = simulate(erlang_config, rule, events, seed=5, num_batches=batches)
-    per_batch = report.arrivals.sum(axis=1) + report.volume_count.sum(axis=(1, 2))
-    expected = np.bincount([ev * batches // events for ev in range(events)],
-                           minlength=batches)
+    R = 10 * batches
+    per_replica = events // R + (np.arange(R) < events % R)
+    assert report.replicas == R and per_replica.sum() == events
+    assert report.warmup == events // R // 10
+    measured = np.bincount(np.arange(R) % batches, weights=per_replica - report.warmup)
     # every event is an arrival or a departure; departures are completed calls
-    assert np.array_equal(per_batch, expected)
+    per_batch = report.arrivals.sum(axis=1) + report.volume_count.sum(axis=(1, 2))
+    assert np.array_equal(per_batch, measured)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("events", [1, 13])
+def test_estimates_of_short_runs_are_nan_without_warnings(erlang_config, erlang_scheme,
+                                                          events):
+    """Each of the first `events` replicas makes one arrival into the empty
+    system and reports into its own batch; the other batches hold nothing.
+    A half-width over fewer than two batches with data is nan, an estimate
+    without data is nan, and numpy warns of neither."""
+    rule = PolicyRule(Policy(((0, 0, 0),)), erlang_scheme)
+    report = simulate(erlang_config, rule, events, seed=3)
+    half = float("nan") if events == 1 else 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert report.blocking_estimate(0) == pytest.approx((0.0, half), nan_ok=True)
+        assert report.state_probability_estimate((0,)) == pytest.approx((1.0, half),
+                                                                       nan_ok=True)
+        assert report.state_probability_estimate((2,)) == pytest.approx((0.0, half),
+                                                                       nan_ok=True)
+        est, vol_half, count = report.volume_estimate(0, 0)
+    assert math.isnan(est) and math.isnan(vol_half) and count == 0
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_replicas_without_events_take_no_memory(erlang_config, erlang_scheme):
+    """200,000 replicas for 13 events: only the 13 that simulate one hold
+    user arrays (all of them would take about 77 MB)."""
+    rule = PolicyRule(Policy(((0, 0, 0),)), erlang_scheme)
+    tracemalloc.start()
+    try:
+        report = simulate(erlang_config, rule, 13, seed=1, num_batches=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.replicas == 200_000 and report.arrivals.sum() == 13
+    assert peak < 32 * 2 ** 20
+
+
+COVERAGE_SEEDS = range(60)
+COVERAGE_EVENTS = 50_000
+
+
+def erlang_blocking_runs(config, rule) -> np.ndarray:
+    """(estimate, 99% half-width) of the Erlang fixture's blocking, one row
+    per seed of COVERAGE_SEEDS, each run COVERAGE_EVENTS events long."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.array([simulate(config, rule, COVERAGE_EVENTS, seed=seed).blocking_estimate(0)
+                         for seed in COVERAGE_SEEDS])
+
+
+@pytest.fixture(scope="module")
+def coverage_runs(erlang_config, erlang_scheme):
+    return erlang_blocking_runs(erlang_config, PolicyRule(Policy(((0, 0, 0),)), erlang_scheme))
+
+
+def test_replicated_interval_covers_erlang_b(coverage_runs):
+    """The 99% interval of the replicated runs (250 replicas of 200 events)
+    covers the exact Erlang-B blocking 0.2 in at least 57 of 60 seeds; a
+    calibrated interval misses four or more with probability about 0.3%."""
+    est, half = coverage_runs.T
+    assert (np.abs(est - 0.2) <= half).sum() >= 57
+
+
+def test_replicated_estimate_is_unbiased(coverage_runs):
+    """The mean estimate over the seeds lies within three standard errors
+    of 0.2, which an unbiased engine exceeds with probability about 0.3%.
+    Each replica starts empty, where blocking is lowest: with no warm-up
+    these seeds read 5.75 standard errors low."""
+    est = coverage_runs[:, 0]
+    se = est.std(ddof=1) / math.sqrt(len(est))
+    assert abs(est.mean() - 0.2) <= 3 * se
 
 
 def test_t_quantile_matches_scipy_stats_bit_for_bit():
