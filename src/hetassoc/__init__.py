@@ -14,15 +14,13 @@ from .config import (AggregationScheme, ConfigError, NetworkConfig, ParseError,
                      Policy, load_config, load_instance, serialize_instance)
 from .control import ControlResult, optimize_thresholds, threshold_lattice
 from .ctmc import (Generator, ResidualError, SingularChainError, SteadyState,
-                   blocking_by_label, build_generator, overall_blocking,
-                   per_class_blocking, solve_steady_state)
+                   build_generator, per_class_blocking, solve_steady_state)
 from .game import (BaselineEvaluation, EmptyLabelError, OptimalResult,
                    PolicyEvaluation, PolicyGameSolver, SearchCapError,
-                   evaluate_baseline, evaluate_policy, find_nash, optimal_policy)
+                   evaluate_baseline, evaluate_policy, evaluate_rule, find_nash,
+                   optimal_policy)
 from .rules import (AssignmentRule, InstantaneousRateRule, PeakRateRule,
                     PolicyRule)
 from .simulate import SimReport, simulate
 from .states import (CapacityError, StateSpace, enumerate_states, is_feasible,
                      user_throughput)
-from .transient import (InfeasibleTargetError, VolumeTable, arrival_utility,
-                        build_tagged_generator, solve_volume, volume_tables)

@@ -26,12 +26,12 @@ from .config import (NETWORK_WIDE, PER_SYSTEM, AggregationScheme, ConfigError,
 from .control import RankingMismatchError, optimize_thresholds
 from .ctmc import (ResidualError, SingularChainError, build_generator,
                    solve_steady_state)
-from .game import PolicyGameSolver, SearchCapError, evaluate_baseline
+from .game import PolicyGameSolver, SearchCapError, evaluate_baseline, evaluate_rule
 from .output import write_csv, write_json
 from .rules import InstantaneousRateRule, PeakRateRule, PolicyRule
 from .simulate import REPLICAS_PER_BATCH, simulate
 from .states import CapacityError, enumerate_states, state_table_rows
-from .transient import SingularTaggedChainError, volume_tables
+from .transient import SingularTaggedChainError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -159,6 +159,10 @@ def _make_rule(args, config, scheme):
 
 
 def _parse_traffic(text: str) -> list[float]:
+    """The points A, A + STEP, ... of A:B:STEP, each rounded to 9 decimals,
+    up to B. A point that rounds above B, or onto the point before it, is
+    dropped; a STEP below 1e-9 would collapse points in the rounding and
+    is refused."""
     try:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
@@ -167,10 +171,13 @@ def _parse_traffic(text: str) -> list[float]:
         raise ConfigError("--traffic needs finite A, B and STEP")
     if step <= 0 or b < a:
         raise ConfigError("--traffic needs A <= B and STEP > 0")
+    if step < 1e-9:
+        raise ConfigError("--traffic needs STEP >= 1e-9, the rounding of its points")
     points = []
     value = a
-    while value <= b + 1e-9:
-        points.append(round(value, 9))
+    while (point := round(value, 9)) <= b:
+        if not points or point != points[-1]:
+            points.append(point)
         value += step
     return points
 
@@ -246,12 +253,12 @@ def _cmd_utility(args) -> int:
     config, scheme = _load(args)
     space = enumerate_states(config, max_states=args.max_states)
     rule = _make_rule(args, config, scheme)
-    table = volume_tables(space, rule, strict_arrivals=args.strict_eq2)
+    volumes = evaluate_rule(space, rule, strict_arrivals=args.strict_eq2).volumes
 
     def rows():
         for n in range(config.num_classes):
             for s in range(config.num_systems):
-                vol = table.volumes[n, s]
+                vol = volumes[n, s]
                 for i in np.nonzero(~np.isnan(vol))[0]:
                     yield [int(i), n, s, f"{vol[i]:.17g}"]
 

@@ -22,8 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .aggregation import label_array
-from .config import AggregationScheme, ConfigError
+from .config import ConfigError
 from .rules import AssignmentRule
 from .states import StateSpace, throughput_array
 
@@ -704,27 +703,8 @@ def cell_blocking(tables: ChainTables, pi: np.ndarray, partition: Partition) -> 
     return CellBlocking(mass, empty, by_cell, per_class, overall)
 
 
-def _one_cell(space: StateSpace, steady: SteadyState) -> CellBlocking:
-    tables = chain_tables(space)
-    one = Partition(tables, np.zeros(space.num_states, dtype=np.int64), 1)
-    return cell_blocking(tables, steady.pi[None], one)
-
-
-def blocking_by_label(space: StateSpace, scheme: AggregationScheme,
-                      steady: SteadyState, user_class: int) -> np.ndarray:
-    """Conditional blocking probability of one class per load label (see
-    cell_blocking)."""
-    tables = chain_tables(space)
-    labels = Partition(tables, label_array(scheme, space), scheme.label_count)
-    return cell_blocking(tables, steady.pi[None], labels).by_cell[0, user_class]
-
-
-def overall_blocking(space: StateSpace, steady: SteadyState) -> float:
-    """Arrival-rate-weighted probability that a new call finds every system
-    saturated."""
-    return float(_one_cell(space, steady).overall[0])
-
-
 def per_class_blocking(space: StateSpace, steady: SteadyState) -> np.ndarray:
     """Unconditional blocking probability per class."""
-    return _one_cell(space, steady).per_class[0]
+    tables = chain_tables(space)
+    one = Partition(tables, np.zeros(space.num_states, dtype=np.int64), 1)
+    return cell_blocking(tables, steady.pi[None], one).per_class[0]

@@ -1,12 +1,14 @@
 """Global and individual utilities, optimal policies, Nash equilibria and
 the two information baselines.
 
-Policies and baselines share one evaluation core: it solves the chain a
-choice table induces once, derives every tagged volume table, and
+Every assignment rule is valued by one evaluation core: it solves the
+chain a choice table induces once, derives every tagged volume table, and
 aggregates the blocking table and the global utility (traffic weighted,
 cell by cell, not normalized by cell mass) over an information partition.
-A policy's cells are the broadcast load labels; the peak-rate baseline has
-a single cell and the instantaneous-rate baseline one cell per state. A
+evaluate_rule runs it for any rule over the rule's own partition: a
+policy's cells are the broadcast load labels; the peak-rate baseline has
+a single cell and the instantaneous-rate baseline one cell per state. The
+solver, evaluate_baseline and the CLI's utility table all read it. A
 policy evaluation adds the individual deviation payoffs U[n, l, s]
 (normalized by label mass). Deviating to a saturated system is valued at
 the outcome the network actually produces: the redirected system's
@@ -37,7 +39,7 @@ policy and block. Exhaustive scans, the best-response search and the
 fresh re-verification solve their missing fibres a chunk at a time
 (ctmc.CHUNK_BYTES bounds a chunk): the best-response paths of all
 restarts advance in lockstep, and each round solves the fibres the paused
-paths wait for together. A single evaluation and the baselines are chunks
+paths wait for together. A single evaluation and evaluate_rule are chunks
 of one. A policy's results have the same bits in any chunk.
 """
 
@@ -828,22 +830,29 @@ def optimal_policy(space: StateSpace, scheme: AggregationScheme,
     return PolicyGameSolver(space, scheme).optimal_policy(**kwargs)
 
 
+def evaluate_rule(space: StateSpace, rule: AssignmentRule,
+                  strict_arrivals: bool = False) -> ChainEvaluation:
+    """Evaluate any assignment rule through the shared core, a chunk of one.
+
+    Blocking and the global utility are aggregated over the rule's own
+    information partition: a policy's broadcast labels, a single cell for
+    peak-rate users (they know nothing), one cell per state for
+    instantaneous-rate users (they know everything). volumes holds every
+    tagged-user volume table of the rule's chain.
+    """
+    core = _ChainCore(chain_tables(space), *rule.information_partition(space),
+                      strict_arrivals, chunk=1)
+    return _evaluate_chain(core, rule.choice_table(space)[None]).evaluations[0]
+
+
 def evaluate_baseline(space: StateSpace, which: str,
                       strict_arrivals: bool = False) -> BaselineEvaluation:
-    """Run a no-policy baseline through the same chain and utility pipeline.
-
-    The global utility uses the rule's own information pattern in place of
-    the broadcast labels: a single cell for peak-rate users (they know
-    nothing), one cell per state for instantaneous-rate users (they know
-    everything).
-    """
+    """evaluate_rule of a no-policy baseline, named by `which`."""
     if which == "peak_rate":
         rule: AssignmentRule = PeakRateRule()
     elif which == "instantaneous_rate":
         rule = InstantaneousRateRule()
     else:
         raise ValueError("which must be 'peak_rate' or 'instantaneous_rate'")
-    core = _ChainCore(chain_tables(space), *rule.information_partition(space),
-                      strict_arrivals, chunk=1)
-    chunk = _evaluate_chain(core, rule.choice_table(space)[None])
-    return BaselineEvaluation(**vars(chunk.evaluations[0]), which=which, rule=rule)
+    return BaselineEvaluation(**vars(evaluate_rule(space, rule, strict_arrivals)),
+                              which=which, rule=rule)

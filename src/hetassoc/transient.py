@@ -20,11 +20,14 @@ blocks at a time (ctmc.TaggedGroup): one gather of every block of the group
 from every generator, one LU per generator and block, and one stacked gbmv
 per block that checks it on every generator. The blocks of a stack go in
 one group where their bands fit in ctmc.CHUNK_BYTES, else one at a time.
+
+The module has no per-rule entry point: game.evaluate_rule values any rule,
+its tagged volumes included, through tagged_volumes, the same path every
+policy evaluation takes. solve_volume_from_matrix solves one block of one
+assembled generator.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -32,10 +35,7 @@ from scipy.linalg import get_lapack_funcs
 # assemble_generator is not called here, but perfbench/tracer.py wraps the
 # name in this module, so it stays bound
 from .ctmc import (ChainTables, ResidualError, TaggedGroup, TaggedPlan,  # noqa: F401
-                   assemble_dense, assemble_generator, band_gbmv, chain_tables,
-                   stack_band)
-from .rules import AssignmentRule
-from .states import Occupancy, StateSpace
+                   assemble_generator, band_gbmv, stack_band)
 
 # Largest accepted |A v + r|_inf / (|A|_inf |v|_inf) of a tagged solve, with
 # |A|_inf taken as the plan's bound; backward-stable LUs stay near 1e-16.
@@ -44,39 +44,8 @@ TAGGED_RESIDUAL_TOL = 1e-10
 _gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
 
 
-class InfeasibleTargetError(LookupError):
-    """The probed admission leads outside the feasible space."""
-
-
 class SingularTaggedChainError(RuntimeError):
     """The tagged chain cannot reach absorption (requires mu > 0)."""
-
-
-@dataclass
-class TaggedChain:
-    """Absorbing chain of one tagged (class, system) user.
-
-    matrix is the dense transient-to-transient block (diagonal included) at
-    any state count; the absorption column is the constant rate mu from
-    every transient state. state_ids maps local rows back to dense space ids.
-    """
-
-    state_ids: np.ndarray
-    matrix: np.ndarray
-    absorb_rate: float
-    user_class: int
-    system: int
-
-    def row_sum_error(self) -> float:
-        """Deviation of (transient rows + absorption column) from the original
-        zero row sums."""
-        return float(np.abs(self.matrix.sum(axis=1) + self.absorb_rate).max())
-
-
-def tagged_state_ids(space: StateSpace, user_class: int, system: int) -> np.ndarray:
-    """Ids of the states containing at least one (user_class, system) user."""
-    tables = chain_tables(space)
-    return np.nonzero(tables.occ_ns[user_class, system] > 0)[0]
 
 
 def _tagged_matrix(data: np.ndarray, group: TaggedGroup, mu: float) -> np.ndarray:
@@ -102,25 +71,6 @@ def _absorption_rate(tables: ChainTables) -> float:
     if mu <= 0:
         raise SingularTaggedChainError("absorption requires a positive service rate")
     return mu
-
-
-def build_tagged_generator(space: StateSpace, rule: AssignmentRule,
-                           user_class: int, system: int,
-                           strict_arrivals: bool = False) -> TaggedChain:
-    """Absorbing-chain generator for a tagged (class, system) user under a
-    rule, over the tagged states in ascending id order."""
-    tables = chain_tables(space)
-    q = assemble_dense(tables, rule.choice_table(space), strict=strict_arrivals)
-    plan = tables.solve_plan.tagged[user_class][system]
-    band = _tagged_matrix(q.data[None], TaggedGroup([(0, plan)], space.num_states),
-                          space.config.service_rate)[0]
-    block = np.zeros((len(plan.ids),) * 2)
-    block[plan.rows, plan.cols] = band[plan.band]
-    ascending = np.argsort(plan.ids)
-    return TaggedChain(state_ids=plan.ids[ascending],
-                       matrix=block[ascending][:, ascending],
-                       absorb_rate=space.config.service_rate,
-                       user_class=user_class, system=system)
 
 
 def _solve_tagged(plan: TaggedPlan, block: np.ndarray, rhs: np.ndarray
@@ -210,55 +160,3 @@ def tagged_volumes(tables: ChainTables, data: np.ndarray) -> np.ndarray:
     for group in tables.solve_plan.tagged_groups(B):
         volumes[:, group.targets] = _solve_group(tables, data, group, mu)
     return volumes.reshape(B, N, S, nst)
-
-
-def solve_volume(space: StateSpace, rule: AssignmentRule, user_class: int,
-                 system: int, strict_arrivals: bool = False) -> np.ndarray:
-    """Expected megabits sent by a tagged (class, system) user from every
-    state containing the user; nan elsewhere."""
-    tables = chain_tables(space)
-    q = assemble_dense(tables, rule.choice_table(space), strict=strict_arrivals)
-    return solve_volume_from_matrix(tables, q, user_class, system)
-
-
-@dataclass
-class VolumeTable:
-    """Expected volumes for every (class, system) pair under one rule.
-
-    volumes[n, s, i] is the tagged-user expectation from state i, nan where
-    state i holds no (n, s) user.
-    """
-
-    space: StateSpace
-    volumes: np.ndarray
-
-    def arrival_utility(self, occ_or_id, user_class: int, system: int) -> float:
-        """Expected volume of a user who finds the network in the given state
-        and joins `system`: the tagged expectation from the post-admission
-        state."""
-        space = self.space
-        if isinstance(occ_or_id, (int, np.integer)):
-            state_id = int(occ_or_id)
-        else:
-            state_id = space.id_of(tuple(occ_or_id))
-        tables = chain_tables(space)
-        target = tables.arrival_id[user_class, system, state_id]
-        if target < 0:
-            raise InfeasibleTargetError(
-                f"system {system} cannot admit a class-{user_class} user from state "
-                f"{space.states[state_id]}")
-        return float(self.volumes[user_class, system, target])
-
-
-def volume_tables(space: StateSpace, rule: AssignmentRule,
-                  strict_arrivals: bool = False) -> VolumeTable:
-    """Solve the full set of tagged-user volume tables for a rule."""
-    tables = chain_tables(space)
-    q = assemble_dense(tables, rule.choice_table(space), strict=strict_arrivals)
-    return VolumeTable(space=space, volumes=tagged_volumes(tables, q.data[None])[0])
-
-
-def arrival_utility(table: VolumeTable, occ: Occupancy, user_class: int,
-                    system: int) -> float:
-    """Module-level convenience wrapper around VolumeTable.arrival_utility."""
-    return table.arrival_utility(occ, user_class, system)

@@ -357,27 +357,44 @@ def reference_tagged_block(space, q_dense, user_class, system):
     return ids, block
 
 
+def gathered_tagged_block(space, q, user_class, system):
+    """The tagged block transient._tagged_matrix gathers from a band
+    generator q, unpacked through its TaggedPlan into a dense matrix over
+    the tagged states in ascending id order, as reference_tagged_block
+    lays it out."""
+    from hetassoc.ctmc import TaggedGroup, chain_tables
+    from hetassoc.transient import _tagged_matrix
+    plan = chain_tables(space).solve_plan.tagged[user_class][system]
+    band = _tagged_matrix(q.data[None], TaggedGroup([(0, plan)], space.num_states),
+                          space.config.service_rate)[0]
+    block = np.zeros((len(plan.ids),) * 2)
+    block[plan.rows, plan.cols] = band[plan.band]
+    ascending = np.argsort(plan.ids)
+    return plan.ids[ascending], block[np.ix_(ascending, ascending)]
+
+
 def check_tagged_solves(instances, rng, rel_tol: float = 1e-12) -> None:
     """In both arrival modes the band generator matches the independent
-    reference generator, every tagged block equals its entry-by-entry
-    gather from the band, and the volume solve matches a dense solve of
-    that block."""
-    from hetassoc import PolicyRule, build_tagged_generator, solve_volume
+    reference generator, every tagged block gathered from the band equals
+    its entry-by-entry reference, and the rule's volumes match a dense
+    solve of that block."""
+    from hetassoc import PolicyRule, evaluate_rule
     from hetassoc.ctmc import assemble_dense, chain_tables
     for config, space, scheme in instances:
         tables = chain_tables(space)
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
         for strict in (False, True):
-            q = assemble_dense(tables, rule.choice_table(space), strict=strict).toarray()
+            band = assemble_dense(tables, rule.choice_table(space), strict=strict)
+            q = band.toarray()
             assert_matches_reference(q, reference_generator(config, scheme, rule, strict))
+            volumes = evaluate_rule(space, rule, strict_arrivals=strict).volumes
             for n in range(config.num_classes):
                 for s in range(config.num_systems):
                     ids, block = reference_tagged_block(space, q, n, s)
-                    chain = build_tagged_generator(space, rule, n, s,
-                                                   strict_arrivals=strict)
-                    assert np.array_equal(chain.state_ids, ids)
-                    assert np.array_equal(np.asarray(chain.matrix), block)
-                    vol = solve_volume(space, rule, n, s, strict_arrivals=strict)
+                    gathered_ids, gathered = gathered_tagged_block(space, band, n, s)
+                    assert np.array_equal(gathered_ids, ids)
+                    assert np.array_equal(gathered, block)
+                    vol = volumes[n, s]
                     assert np.isnan(np.delete(vol, ids)).all()
                     if len(ids) == 0:
                         continue

@@ -14,9 +14,8 @@ import scipy.linalg
 
 from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyRule,
                       build_generator, enumerate_states, evaluate_baseline,
-                      load_instance, optimize_thresholds, overall_blocking,
-                      per_class_blocking, simulate, solve_steady_state,
-                      volume_tables)
+                      evaluate_rule, load_instance, optimize_thresholds,
+                      per_class_blocking, simulate, solve_steady_state)
 from hetassoc.cli import main as cli_main
 from hetassoc.ctmc import chain_tables
 from hetassoc.game import PolicyGameSolver
@@ -48,7 +47,7 @@ def test_criterion_1_erlang_oracle(erlang_config, erlang_rule):
     t0 = time.perf_counter()
     space = enumerate_states(erlang_config)
     ss = solve_steady_state(build_generator(space, erlang_rule))
-    blocking = overall_blocking(space, ss)
+    blocking = evaluate_rule(space, erlang_rule).overall_blocking
     elapsed = time.perf_counter() - t0
     assert np.abs(ss.pi - np.array([0.4, 0.4, 0.2])).max() <= 1e-10
     assert abs(blocking - 0.2) <= 1e-10
@@ -62,8 +61,8 @@ def test_criterion_1_erlang_oracle(erlang_config, erlang_rule):
 
 def test_criterion_2_transient_fixture(erlang_config, erlang_rule):
     space = enumerate_states(erlang_config)
-    table = volume_tables(space, erlang_rule)
-    i1, i2 = table.volumes[0, 0, 1], table.volumes[0, 0, 2]
+    volumes = evaluate_rule(space, erlang_rule).volumes
+    i1, i2 = volumes[0, 0, 1], volumes[0, 0, 2]
     assert abs(i1 - 5.0 / 3.0) <= 1e-10
     assert abs(i2 - 4.0 / 3.0) <= 1e-10
     _report(2, "tagged-user volumes I(1)=5/3, I(2)=4/3 within 1e-10 "
@@ -94,7 +93,7 @@ def test_criterion_3_monte_carlo(erlang_config, erlang_rule):
     level_a = 1.0 - 0.01 / 5
     space = enumerate_states(erlang_config)
     ss = solve_steady_state(build_generator(space, erlang_rule))
-    table = volume_tables(space, erlang_rule)
+    volumes = evaluate_rule(space, erlang_rule).volumes
     report = simulate(erlang_config, erlang_rule, 1_000_000, seed=2024)
     est, half = report.blocking_estimate(0, level=level_a)
     assert abs(est - 0.2) <= half
@@ -104,7 +103,7 @@ def test_criterion_3_monte_carlo(erlang_config, erlang_rule):
         assert abs(p_est - ss.pi[space.id_of(occ)]) <= p_half
         checks += 1
     vol_est, vol_half, count = report.volume_estimate(0, 0, level=level_a)
-    analytic = (ss.pi[0] * table.volumes[0, 0, 1] + ss.pi[1] * table.volumes[0, 0, 2]) \
+    analytic = (ss.pi[0] * volumes[0, 0, 1] + ss.pi[1] * volumes[0, 0, 2]) \
         / (ss.pi[0] + ss.pi[1])
     assert count > 100_000
     assert abs(vol_est - analytic) <= vol_half
@@ -115,7 +114,7 @@ def test_criterion_3_monte_carlo(erlang_config, erlang_rule):
     space2 = enumerate_states(config)
     ss2 = solve_steady_state(build_generator(space2, rule))
     tables2 = chain_tables(space2)
-    vt2 = volume_tables(space2, rule)
+    volumes2 = evaluate_rule(space2, rule).volumes
     report2 = simulate(config, rule, 1_000_000, seed=77)
     analytic_blocking = per_class_blocking(space2, ss2)
     big = [i for i in range(space2.num_states) if ss2.pi[i] >= 0.01]
@@ -139,7 +138,7 @@ def test_criterion_3_monte_carlo(erlang_config, erlang_rule):
                 continue
             targets = tables2.admit_id[n, choice[n], np.arange(space2.num_states)]
             analytic_vol = float(
-                (ss2.pi[mask] * vt2.volumes[n, s, targets[mask]]).sum()
+                (ss2.pi[mask] * volumes2[n, s, targets[mask]]).sum()
                 / ss2.pi[mask].sum())
             est, half, count = report2.volume_estimate(n, s, level=level_b)
             if count < 1000:

@@ -227,6 +227,29 @@ def test_sweep_rejects_non_finite_traffic(tmp_path, capsys, traffic):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("traffic", ["1:1.000000001:1e-10", "5:5:1e-12", "0:1:9.99e-10"])
+def test_sweep_rejects_traffic_steps_below_the_rounding(tmp_path, capsys, traffic):
+    """Points are rounded to 9 decimals, so a STEP below 1e-9 would repeat
+    them; it is refused before any point is run."""
+    assert run("sweep", "--config", HYBRID, f"--traffic={traffic}",
+               "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == \
+        "error: --traffic needs STEP >= 1e-9, the rounding of its points\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("traffic, points", [
+    ("1:10:3", [1.0, 4.0, 7.0, 10.0]),
+    ("0.1:0.3:0.1", [0.1, 0.2, 0.3]),
+    ("5:5.000000001:1e-9", [5.0, 5.000000001]),
+    ("0.0000000005:0.000000005:1e-9", [1e-9, 2e-9, 3e-9, 4e-9, 5e-9]),
+])
+def test_traffic_points_stay_within_b_without_repeats(traffic, points):
+    """A sum that overshoots B by rounding error still ends on B, and no
+    point lies above B or repeats the one before it."""
+    assert cli._parse_traffic(traffic) == points
+
+
 @pytest.mark.parametrize("argv", [
     ["nash", "--restarts", "-3", "--mode", "best_response"],
     ["optimal", "--restarts", "0", "--method", "search"],
@@ -387,6 +410,26 @@ def test_steady_matches_golden_artifact(tmp_path, flags, golden):
         (DATA_DIR / f"steady_golden_{golden}.csv").read_bytes()
     assert (tmp_path / "generator.txt").read_bytes() == \
         (DATA_DIR / f"generator_golden_{golden}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("flags, golden", [
+    (("--rule", "instant", "--strict-eq2"), "instant_strict"),
+    (("--rule", "peak", "--sharing", "network"), "peak_network"),
+])
+def test_utility_matches_golden_artifact(tmp_path, flags, golden):
+    """utility reproduces a recorded volume table byte for byte."""
+    assert run("utility", "--config", HYBRID, *flags, "--out", str(tmp_path)) == 0
+    assert (tmp_path / "utility.csv").read_bytes() == \
+        (DATA_DIR / f"utility_golden_{golden}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("which", ["peak_rate", "instantaneous_rate"])
+def test_baseline_matches_golden_artifact(tmp_path, which):
+    """baseline reproduces a recorded report byte for byte."""
+    assert run("baseline", "--config", HYBRID, "--which", which,
+               "--out", str(tmp_path)) == 0
+    assert (tmp_path / f"baseline_{which}.csv").read_bytes() == \
+        (DATA_DIR / f"baseline_golden_{which}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("flags, golden", [

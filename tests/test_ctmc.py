@@ -6,9 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hetassoc import (AggregationScheme, Generator, NetworkConfig, Policy,
-                      PolicyRule, ResidualError, blocking_by_label, build_generator,
-                      enumerate_states, evaluate_policy, overall_blocking,
-                      per_class_blocking, solve_steady_state)
+                      PolicyRule, ResidualError, build_generator, enumerate_states,
+                      evaluate_policy, evaluate_rule, per_class_blocking,
+                      solve_steady_state)
 from hetassoc import cli, ctmc
 from hetassoc.ctmc import (BandGenerator, SingularChainError, assemble_dense,
                            chain_tables, stationary_vector)
@@ -51,7 +51,7 @@ def test_light_traffic_limit(erlang_scheme):
     rule = PolicyRule(Policy(((0, 0, 0),)), erlang_scheme)
     ss = solve_steady_state(build_generator(space, rule))
     assert ss.pi[0] == pytest.approx(1.0, abs=1e-8)
-    assert overall_blocking(space, ss) == pytest.approx(0.0, abs=1e-8)
+    assert evaluate_rule(space, rule).overall_blocking == pytest.approx(0.0, abs=1e-8)
 
 
 def test_product_form_of_independent_systems(twin_config):
@@ -126,9 +126,8 @@ def test_redirection_conservation():
 
 
 def test_blocking_by_label_erlang(erlang):
-    _, space, scheme, rule = erlang
-    ss = solve_steady_state(build_generator(space, rule))
-    b = blocking_by_label(space, scheme, ss, 0)
+    _, space, _, rule = erlang
+    b = evaluate_rule(space, rule).blocking[0]
     assert b[0] == pytest.approx(0.2, abs=1e-12)
 
 
@@ -138,24 +137,21 @@ def test_blocking_label_with_only_zero_state():
     space = enumerate_states(config)
     scheme = AggregationScheme(((0.0, 0.7),))  # empty system reads low, alone
     rule = PolicyRule(Policy(((0, 0, 0),)), scheme)
-    ss = solve_steady_state(build_generator(space, rule))
-    b = blocking_by_label(space, scheme, ss, 0)
+    b = evaluate_rule(space, rule).blocking[0]
     assert b[0] == 0.0  # label "low" contains only the empty state
 
 
 def test_blocking_empty_label_flagged(erlang):
     _, space, _, rule = erlang
     scheme = AggregationScheme(((0.0, 0.2),))  # "medium" label gets no state
-    ss = solve_steady_state(build_generator(space, rule))
-    assert evaluate_policy(space, scheme, rule.policy).empty_labels[1]  # loads are 0, .5, 1
-    b = blocking_by_label(space, scheme, ss, 0)
-    assert b[1] == 0.0
+    ev = evaluate_policy(space, scheme, rule.policy)
+    assert ev.empty_labels[1]  # loads are 0, .5, 1
+    assert ev.blocking[0, 1] == 0.0
 
 
 def test_overall_blocking_single_class(erlang):
-    _, space, scheme, rule = erlang
-    ss = solve_steady_state(build_generator(space, rule))
-    assert overall_blocking(space, ss) == pytest.approx(0.2, abs=1e-12)
+    _, space, _, rule = erlang
+    assert evaluate_rule(space, rule).overall_blocking == pytest.approx(0.2, abs=1e-12)
 
 
 def test_symmetric_classes_match_pooled_chain():
@@ -170,8 +166,8 @@ def test_symmetric_classes_match_pooled_chain():
     space_s = enumerate_states(split)
     rule_p = PolicyRule(Policy(((0,) * 3,)), scheme1)
     rule_s = PolicyRule(Policy(((0,) * 3, (0,) * 3)), scheme1)
-    b_pooled = overall_blocking(space_p, solve_steady_state(build_generator(space_p, rule_p)))
-    b_split = overall_blocking(space_s, solve_steady_state(build_generator(space_s, rule_s)))
+    b_pooled = evaluate_rule(space_p, rule_p).overall_blocking
+    b_split = evaluate_rule(space_s, rule_s).overall_blocking
     assert b_split == pytest.approx(b_pooled, abs=1e-12)
     per = per_class_blocking(space_s, solve_steady_state(build_generator(space_s, rule_s)))
     assert per[0] == pytest.approx(per[1], abs=1e-12)
@@ -194,18 +190,15 @@ def check_erlang_loss_chain(servers: int, offered: float) -> None:
     """Loss probability against the Erlang-B recursion computed
     independently, and every tagged volume within its bounds."""
     config, space, scheme1, rule = erlang_loss_chain(servers, offered)
-    gen = build_generator(space, rule)
-    ss = solve_steady_state(gen)
-    assert ss.residual <= 1e-10
+    ev = evaluate_rule(space, rule)
+    assert ev.residual <= 1e-10
 
     b = 1.0
     for k in range(1, servers + 1):
         b = offered * b / (k + offered * b)
-    assert overall_blocking(space, ss) == pytest.approx(b, rel=1e-8)
+    assert ev.overall_blocking == pytest.approx(b, rel=1e-8)
 
-    from hetassoc import volume_tables
-    table = volume_tables(space, rule)
-    vol = table.volumes[0, 0]
+    vol = ev.volumes[0, 0]
     finite = ~np.isnan(vol)
     assert finite.sum() == servers
     assert (vol[finite] > 0).all()

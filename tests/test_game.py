@@ -1,15 +1,17 @@
 """Utilities, optimal policies, equilibria and baselines."""
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
 from hetassoc import (AggregationScheme, ConfigError, EmptyLabelError, NetworkConfig,
-                      Policy, PolicyRule, SearchCapError, enumerate_states,
-                      evaluate_baseline, evaluate_policy)
+                      Policy, PolicyRule, SearchCapError, build_generator,
+                      enumerate_states, evaluate_baseline, evaluate_policy, evaluate_rule,
+                      per_class_blocking, solve_steady_state)
 from hetassoc.aggregation import label_of
-from hetassoc.game import PolicyGameSolver
+from hetassoc.game import ChainEvaluation, PolicyGameSolver
 from hetassoc.rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 
 from conftest import random_instance, random_policy
@@ -432,6 +434,28 @@ def test_baseline_report_fields(erlang_space):
     with pytest.raises(ValueError):
         evaluate_baseline(erlang_space, "nonsense")
 
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_evaluate_rule_is_the_policy_evaluation(hybrid_instance, strict):
+    """A PolicyRule's evaluate_rule has evaluate_policy's chain fields bit
+    for bit, and the stationary vector, residual and per-class blocking of
+    the public generator and steady-state solve."""
+    config, scheme = hybrid_instance
+    space = enumerate_states(config)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        policy = random_policy(rng, config, scheme)
+        rule = PolicyRule(policy, scheme)
+        by_rule = evaluate_rule(space, rule, strict_arrivals=strict)
+        by_policy = evaluate_policy(space, scheme, policy, strict_arrivals=strict)
+        for field in dataclasses.fields(ChainEvaluation):
+            a, b = getattr(by_rule, field.name), getattr(by_policy, field.name)
+            assert np.array_equal(a, b, equal_nan=True), field.name
+        steady = solve_steady_state(build_generator(space, rule, strict_arrivals=strict))
+        assert np.array_equal(by_rule.pi, steady.pi)
+        assert by_rule.residual == steady.residual
+        assert np.array_equal(by_rule.per_class_blocking, per_class_blocking(space, steady))
 
 def loop_payoffs(solver, ev):
     """Deviation payoffs U[n, l, s] and Nash gap recomputed state by state

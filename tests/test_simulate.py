@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyRule,
-                      build_generator, enumerate_states, simulate,
-                      solve_steady_state, volume_tables)
+                      build_generator, enumerate_states, evaluate_rule, simulate,
+                      solve_steady_state)
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
 from hetassoc.simulate import SimReport
 
@@ -106,9 +106,7 @@ def test_two_system_redirection_blocking():
     space = enumerate_states(config)
     scheme = AggregationScheme.uniform(2, 0.3, 0.7)
     rule = PeakRateRule()
-    ss = solve_steady_state(build_generator(space, rule))
-    from hetassoc import overall_blocking
-    analytic = overall_blocking(space, ss)
+    analytic = evaluate_rule(space, rule).overall_blocking
     report = simulate(config, rule, 200_000, seed=5)
     est, half = report.blocking_estimate(0)
     assert abs(est - analytic) <= max(4 * half, 0.01)
@@ -134,11 +132,10 @@ def test_network_wide_scope_cross_validates():
     space = enumerate_states(config)
     scheme = AggregationScheme.uniform(2, 0.3, 0.7)
     rule = PolicyRule(Policy.constant(1, 9, 0), scheme)
-    from hetassoc import overall_blocking
     ss = solve_steady_state(build_generator(space, rule))
     report = simulate(config, rule, 150_000, seed=21)
     est, half = report.blocking_estimate(0)
-    assert abs(est - overall_blocking(space, ss)) <= max(4 * half, 0.01)
+    assert abs(est - evaluate_rule(space, rule).overall_blocking) <= max(4 * half, 0.01)
     for occ, p in report.state_distribution().items():
         assert occ in space
     top = max(space.states, key=lambda occ: ss.pi[space.id_of(occ)])

@@ -5,15 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hetassoc import (AggregationScheme, InfeasibleTargetError, NetworkConfig,
-                      Policy, PolicyRule, ResidualError, build_generator,
-                      build_tagged_generator, enumerate_states, evaluate_baseline,
-                      solve_volume, volume_tables)
+from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyRule,
+                      ResidualError, build_generator, enumerate_states, evaluate_rule)
 from hetassoc import transient
 from hetassoc.ctmc import ChainTables, assemble_dense, chain_tables
 from hetassoc.transient import SingularTaggedChainError, solve_volume_from_matrix
 
-from conftest import erlang_loss_chain, random_instance, random_policy
+from conftest import (erlang_loss_chain, gathered_tagged_block, random_instance,
+                      random_policy, reference_tagged_block)
 
 
 @pytest.fixture
@@ -22,37 +21,60 @@ def erlang(erlang_config, erlang_space, erlang_scheme):
     return erlang_config, erlang_space, erlang_scheme, rule
 
 
+def tagged_block(space, rule, user_class, system):
+    """The gathered tagged block of a rule's generator, in ascending id
+    order, checked against the entry-by-entry reference."""
+    q = build_generator(space, rule).matrix
+    ids, block = gathered_tagged_block(space, q, user_class, system)
+    ref_ids, reference = reference_tagged_block(space, q.toarray(), user_class, system)
+    assert np.array_equal(ids, ref_ids)
+    assert np.array_equal(block, reference)
+    return ids, block
+
+
+def arrival_volume(space, volumes, occ, user_class, system):
+    """Expected volume of a user who finds the network in occ and joins
+    system: the tagged expectation from the post-admission state."""
+    target = chain_tables(space).arrival_id[user_class, system, space.id_of(occ)]
+    assert target >= 0
+    return volumes[user_class, system, target]
+
+
 def test_tagged_generator_hand_rates(erlang):
     """Tagged chain over {1, 2}: 1->2 at lambda, 2->1 at (2-1) mu, absorption
     mu everywhere, diagonals copied from the original generator."""
-    _, space, _, rule = erlang
-    chain = build_tagged_generator(space, rule, 0, 0)
-    assert list(chain.state_ids) == [1, 2]
-    m = np.asarray(chain.matrix)
+    config, space, _, rule = erlang
+    ids, m = tagged_block(space, rule, 0, 0)
+    assert list(ids) == [1, 2]
     assert m[0, 1] == pytest.approx(1.0)       # another user arrives
     assert m[1, 0] == pytest.approx(1.0)       # the other user leaves
     assert m[0, 0] == pytest.approx(-2.0)
     assert m[1, 1] == pytest.approx(-2.0)
-    assert chain.absorb_rate == pytest.approx(1.0)
+    assert np.allclose(m.sum(axis=1), -config.service_rate)
 
 
 def test_single_tagged_user_departure_rate_zero(erlang):
     """With M_n^s = 1 the tagged departure rate drops to zero; the only way
     down is absorption."""
-    _, space, _, rule = erlang
-    chain = build_tagged_generator(space, rule, 0, 0)
-    m = np.asarray(chain.matrix)
+    config, space, _, rule = erlang
+    _, m = tagged_block(space, rule, 0, 0)
     # from state (1,), no transition to a state without the tagged user
     assert m[0, 0] == pytest.approx(-2.0)
     assert m[0, 1] == pytest.approx(1.0)
     # off-diagonal sum + absorption == -diagonal
-    assert m[0, 1] + chain.absorb_rate == pytest.approx(-m[0, 0])
+    assert m[0, 1] + config.service_rate == pytest.approx(-m[0, 0])
+
+
+def row_sum_error(space, block) -> float:
+    """Deviation of (transient rows + absorption column) from the original
+    zero row sums."""
+    return float(np.abs(block.sum(axis=1) + space.config.service_rate).max())
 
 
 def test_row_sums_match_original(erlang):
     _, space, _, rule = erlang
-    chain = build_tagged_generator(space, rule, 0, 0)
-    assert chain.row_sum_error() <= 1e-12
+    _, block = tagged_block(space, rule, 0, 0)
+    assert row_sum_error(space, block) <= 1e-12
 
 
 def test_row_sums_match_original_random():
@@ -62,15 +84,15 @@ def test_row_sums_match_original_random():
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
         for n in range(config.num_classes):
             for s in range(config.num_systems):
-                chain = build_tagged_generator(space, rule, n, s)
-                if len(chain.state_ids):
-                    assert chain.row_sum_error() <= 1e-10
+                ids, block = tagged_block(space, rule, n, s)
+                if len(ids):
+                    assert row_sum_error(space, block) <= 1e-10
 
 
 def test_erlang_volumes_hand_solved(erlang):
     """-2 I(1) + I(2) = -2 and I(1) - 2 I(2) = -1 give I = (5/3, 4/3)."""
     _, space, _, rule = erlang
-    vol = solve_volume(space, rule, 0, 0)
+    vol = evaluate_rule(space, rule).volumes[0, 0]
     assert np.isnan(vol[0])
     assert vol[1] == pytest.approx(5.0 / 3.0, abs=1e-10)
     assert vol[2] == pytest.approx(4.0 / 3.0, abs=1e-10)
@@ -81,28 +103,22 @@ def test_zero_arrivals_volume_is_rate_over_mu():
                            arrival_rate=(1e-12,), service_rate=0.5)
     space = enumerate_states(config)
     rule = PolicyRule(Policy(((0, 0, 0),)), AggregationScheme(((1.0, 1.0),)))
-    vol = solve_volume(space, rule, 0, 0)
+    vol = evaluate_rule(space, rule).volumes[0, 0]
     # alone forever: throughput 2 for 1/mu = 2 expected seconds
     assert vol[1] == pytest.approx(2.0 / 0.5, rel=1e-9)
 
 
 def test_arrival_utility_from_empty(erlang):
     _, space, _, rule = erlang
-    table = volume_tables(space, rule)
-    assert table.arrival_utility((0,), 0, 0) == pytest.approx(5.0 / 3.0, abs=1e-10)
-
-
-def test_arrival_utility_at_capacity_raises(erlang):
-    _, space, _, rule = erlang
-    table = volume_tables(space, rule)
-    with pytest.raises(InfeasibleTargetError):
-        table.arrival_utility((2,), 0, 0)
+    volumes = evaluate_rule(space, rule).volumes
+    assert arrival_volume(space, volumes, (0,), 0, 0) == pytest.approx(5.0 / 3.0, abs=1e-10)
 
 
 def test_busier_entry_not_better(erlang):
     _, space, _, rule = erlang
-    table = volume_tables(space, rule)
-    assert table.arrival_utility((1,), 0, 0) <= table.arrival_utility((0,), 0, 0)
+    volumes = evaluate_rule(space, rule).volumes
+    assert arrival_volume(space, volumes, (1,), 0, 0) <= \
+        arrival_volume(space, volumes, (0,), 0, 0)
 
 
 def test_first_step_decomposition():
@@ -113,16 +129,15 @@ def test_first_step_decomposition():
         config, space, scheme = random_instance(rng)
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
         tables = chain_tables(space)
-        table = volume_tables(space, rule)
+        volumes = evaluate_rule(space, rule).volumes
         for n in range(config.num_classes):
             for s in range(config.num_systems):
-                chain = build_tagged_generator(space, rule, n, s)
-                if not len(chain.state_ids):
+                ids, m = tagged_block(space, rule, n, s)
+                if not len(ids):
                     continue
-                m = np.asarray(chain.matrix)
-                vol = table.volumes[n, s, chain.state_ids]
-                thr = tables.throughput[n, s, chain.state_ids]
-                for i in range(len(chain.state_ids)):
+                vol = volumes[n, s, ids]
+                thr = tables.throughput[n, s, ids]
+                for i in range(len(ids)):
                     others = m[i] @ vol - m[i, i] * vol[i]
                     recomposed = (thr[i] + others) / (-m[i, i])
                     assert recomposed == pytest.approx(vol[i], abs=1e-10)
@@ -134,33 +149,10 @@ def test_volume_bounds():
     for _ in range(10):
         config, space, scheme = random_instance(rng)
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
-        table = volume_tables(space, rule)
-        vol = table.volumes
+        vol = evaluate_rule(space, rule).volumes
         finite = ~np.isnan(vol)
         assert (vol[finite] > 0).all()
         assert (vol[finite] <= config.t_max / config.service_rate + 1e-9).all()
-
-
-def test_volume_tables_match_the_baseline_evaluation(hybrid_instance):
-    """volume_tables and the evaluation core share one tagged-volume loop."""
-    space = enumerate_states(hybrid_instance[0])
-    for which in ("peak_rate", "instantaneous_rate"):
-        report = evaluate_baseline(space, which)
-        table = volume_tables(space, report.rule)
-        assert np.array_equal(table.volumes, report.volumes, equal_nan=True)
-
-
-def test_tagged_state_ids_helper(erlang):
-    from hetassoc.transient import tagged_state_ids
-    _, space, _, _ = erlang
-    assert list(tagged_state_ids(space, 0, 0)) == [1, 2]
-
-
-def test_module_level_arrival_utility(erlang):
-    from hetassoc import arrival_utility
-    _, space, _, rule = erlang
-    table = volume_tables(space, rule)
-    assert arrival_utility(table, (0,), 0, 0) == pytest.approx(5.0 / 3.0)
 
 
 @pytest.fixture
