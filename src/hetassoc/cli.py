@@ -162,7 +162,8 @@ def _parse_traffic(text: str) -> list[float]:
     """The points A, A + STEP, ... of A:B:STEP, each rounded to 9 decimals,
     up to B. A point that rounds above B, or onto the point before it, is
     dropped; a STEP below 1e-9 would collapse points in the rounding and
-    is refused."""
+    is refused, as is a string that leaves no point (A within 5e-10 below
+    B rounds above it)."""
     try:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
@@ -179,6 +180,8 @@ def _parse_traffic(text: str) -> list[float]:
         if not points or point != points[-1]:
             points.append(point)
         value += step
+    if not points:
+        raise ConfigError("--traffic gives no point: A rounds above B at 9 decimals")
     return points
 
 

@@ -26,6 +26,7 @@ from .config import ConfigError
 from .rules import AssignmentRule
 from .states import StateSpace, throughput_array
 
+# largest balance residual max|pi Q| a stationary solve may keep
 STEADY_RESIDUAL_TOL = 1e-10
 # A pinned stationary solve is trusted only where the pinned state holds
 # more than this fraction of the largest entry. Below it the pin is lost in
@@ -563,12 +564,12 @@ def _pinned_pis(x: np.ndarray, layout, r: int) -> tuple[np.ndarray, np.ndarray]:
     return pi, held
 
 
-def _balanced(pi: np.ndarray, held: np.ndarray, data: np.ndarray, layout,
-              residual_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _balanced(pi: np.ndarray, held: np.ndarray, data: np.ndarray, layout
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row of pi (B, n) with roundoff-sized negative entries clamped
     to zero and normalized, its balance residual max|pi Q| against its
     generator of the stack, and whether it holds: held on entry, no entry
-    below -1e-9 and the residual within residual_tol.
+    below -1e-9 and the residual within STEADY_RESIDUAL_TOL.
 
     Rows not held, or with an entry below -1e-9 or not finite, come back as
     zeros: by the block-diagonal gbmv a NaN would reach the residuals of
@@ -584,20 +585,18 @@ def _balanced(pi: np.ndarray, held: np.ndarray, data: np.ndarray, layout,
     xq = band_gbmv(stack_band(data, layout.width), layout.width,
                    pi.take(layout.order, axis=1), 0)
     residual = np.abs(xq).max(axis=1)
-    return pi, residual, keep & (residual <= residual_tol)
+    return pi, residual, keep & (residual <= STEADY_RESIDUAL_TOL)
 
 
-def _pinned_step(data: np.ndarray, layout, r: int, residual_tol: float
-                 ) -> tuple[np.ndarray, ...]:
+def _pinned_step(data: np.ndarray, layout, r: int) -> tuple[np.ndarray, ...]:
     """_pinned_lus, _pinned_pis and _balanced of a stack pinned at r: the
     solutions x, their infos, the distributions, residuals and holds."""
     x, info = _pinned_lus(data, layout, r)
     pi, held = _pinned_pis(x, layout, r)
-    return (x, info, *_balanced(pi, held & (info == 0), data, layout, residual_tol))
+    return (x, info, *_balanced(pi, held & (info == 0), data, layout))
 
 
-def stationary_vectors(data: np.ndarray, layout, residual_tol: float = STEADY_RESIDUAL_TOL
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def stationary_vectors(data: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray]:
     """Stationary distributions (B, n) of a stack of generators and their
     balance residuals max|pi Q| (B,).
 
@@ -615,12 +614,12 @@ def stationary_vectors(data: np.ndarray, layout, residual_tol: float = STEADY_RE
     a view of the stack (its band can take megabytes), so it keeps the bits
     it has alone.
     """
-    x, info, pi, residual, held = _pinned_step(data, layout, layout.pins[0], residual_tol)
+    x, info, pi, residual, held = _pinned_step(data, layout, layout.pins[0])
     for b in np.flatnonzero(~held):
         pins, heaviest, failed_check = list(layout.pins), None, False
         for k, r in enumerate(pins):
             if k:
-                xs, infos, p, res, ok = _pinned_step(data[b:b + 1], layout, r, residual_tol)
+                xs, infos, p, res, ok = _pinned_step(data[b:b + 1], layout, r)
                 if ok[0]:
                     pi[b], residual[b] = p[0], res[0]
                     break
@@ -638,19 +637,17 @@ def stationary_vectors(data: np.ndarray, layout, residual_tol: float = STEADY_RE
     return pi, residual
 
 
-def stationary_vector(gen: BandGenerator, residual_tol: float = STEADY_RESIDUAL_TOL
-                      ) -> tuple[np.ndarray, float]:
+def stationary_vector(gen: BandGenerator) -> tuple[np.ndarray, float]:
     """Stationary distribution of one BandGenerator and its balance
     residual: stationary_vectors of a stack of one."""
-    pi, residual = stationary_vectors(gen.data[None], gen, residual_tol)
+    pi, residual = stationary_vectors(gen.data[None], gen)
     return pi[0], float(residual[0])
 
 
-def solve_steady_state(gen: Generator, *, residual_tol: float = STEADY_RESIDUAL_TOL
-                       ) -> SteadyState:
+def solve_steady_state(gen: Generator) -> SteadyState:
     """Unique stationary distribution of the generator, checked as
     stationary_vectors checks it."""
-    pi, residual = stationary_vector(gen.matrix, residual_tol)
+    pi, residual = stationary_vector(gen.matrix)
     return SteadyState(pi=pi, residual=residual)
 
 

@@ -22,25 +22,31 @@ system is the same as preferring the one the network picks instead. The
 solver groups policies into fibres, the sets of policies that induce the
 same chain and the same payoffs bit for bit (the reduced normal form of the
 game). Exhaustive scans solve one representative per fibre, and the
-evaluation cache serves every member from it.
+evaluation cache, which has no off switch, serves every member from it.
 
 Inside the solver a policy is a flat row of its choices, entry n * L + l
 for class n and label l, and a fibre is keyed by the bytes of its
 representative's row as int8. The searches run on rows and keys; a Policy
 is built only where one leaves the solver: the equilibria find_nash
-reports, optimal_policy's ties, best_response_path's end, and what
-representatives() and fibre() return. Each solved fibre keeps its Nash gap
-with its evaluation, so no search recomputes it.
+reports, optimal_policy's result and ties, best_response_path's end, and
+what representatives() and fibre() return. Each solved fibre keeps its
+Nash gap with its evaluation, so no search recomputes it.
 
 The core evaluates a chunk of choice tables at once: one assembly into a
 stack of bands, the stationary and tagged solves with their checks, and the
 aggregation, each over a leading batch axis, with one LAPACK solve per
-policy and block. Exhaustive scans, the best-response search and the
-fresh re-verification solve their missing fibres a chunk at a time
-(ctmc.CHUNK_BYTES bounds a chunk): the best-response paths of all
-restarts advance in lockstep, and each round solves the fibres the paused
-paths wait for together. A single evaluation and evaluate_rule are chunks
-of one. A policy's results have the same bits in any chunk.
+policy and block. Exhaustive scans, both searches and the fresh
+re-verification solve their missing fibres a chunk at a time
+(ctmc.CHUNK_BYTES bounds a chunk): the best-response paths, or the
+coordinate ascents, of all restarts advance in lockstep under one driver,
+and each round solves the fibres the paused walks wait for together. A
+single evaluation and evaluate_rule are chunks of one. A policy's results
+have the same bits in any chunk.
+
+The tolerances are constants: NASH_EPS for equilibrium tests and the
+best-response steps, TIE_TOL for the exhaustive optimum's ties,
+MAX_PATH_STEPS for a best-response path, and ctmc.STEADY_RESIDUAL_TOL for
+the stationary solves.
 """
 
 from __future__ import annotations
@@ -67,6 +73,8 @@ from .transient import (SingularTaggedChainError, solve_volume_from_matrix,  # n
 
 NASH_EPS = 1e-9
 TIE_TOL = 1e-9
+# steps after which a best-response path counts as a cycle
+MAX_PATH_STEPS = 2000
 # what a chain solve raises when it cannot be trusted
 SOLVE_ERRORS = (ResidualError, SingularChainError, SingularTaggedChainError)
 
@@ -210,8 +218,8 @@ class PolicyEvaluation(ChainEvaluation):
         """
         return self.gap
 
-    def is_nash(self, eps: float = NASH_EPS) -> bool:
-        return self.gap <= eps
+    def is_nash(self) -> bool:
+        return self.gap <= NASH_EPS
 
 
 @dataclass
@@ -262,8 +270,7 @@ class PolicyGameSolver:
     """
 
     def __init__(self, space: StateSpace, scheme: AggregationScheme, *,
-                 strict_arrivals: bool = False, deviation_payoff: str = "redirect",
-                 use_cache: bool = True):
+                 strict_arrivals: bool = False, deviation_payoff: str = "redirect"):
         if deviation_payoff not in ("redirect", "exclude"):
             raise ValueError("deviation_payoff must be 'redirect' or 'exclude'")
         self.space = space
@@ -305,7 +312,7 @@ class PolicyGameSolver:
         # space with over 127 systems could not be enumerated
         self._rep_rows = self.rep.reshape(N * L, S).astype(np.int8)
         self._rep_entries = self._rep_rows.tolist()
-        self._cache: dict[bytes, PolicyEvaluation] | None = {} if use_cache else None
+        self._cache: dict[bytes, PolicyEvaluation] = {}
         # best-response table of each fibre the search has visited
         self._responses: dict[bytes, list] = {}
 
@@ -401,15 +408,15 @@ class PolicyGameSolver:
     # ----- evaluation -------------------------------------------------
 
     def evaluate(self, policy: Policy) -> PolicyEvaluation:
-        """Evaluation of a policy; with the cache on, one chain is solved
-        per fibre and every member is served from it."""
+        """Evaluation of a policy; one chain is solved per fibre and every
+        member is served from it."""
         return self.evaluate_many([policy])[0]
 
     def evaluate_many(self, policies) -> list[PolicyEvaluation]:
         """evaluate() of each policy, in order, with the missing chains
-        solved in chunks of up to self.chunk policies (see ctmc.CHUNK_BYTES);
-        with the cache on, one representative per missing fibre is solved.
-        Each evaluation is reported under its own policy."""
+        solved in chunks of up to self.chunk policies (see ctmc.CHUNK_BYTES),
+        one representative per missing fibre. Each evaluation is reported
+        under its own policy."""
         policies = list(policies)
         for policy in policies:
             policy.validate_for(self.config, self.scheme)
@@ -417,18 +424,13 @@ class PolicyGameSolver:
                 in zip(policies, self._evaluations(self._policy_rows(policies)))]
 
     def _evaluations(self, rows: np.ndarray) -> list[PolicyEvaluation]:
-        """Evaluation of each flat row, in order: with the cache on, its
-        fibre's; with it off, solved for the row itself."""
-        if self._cache is None:
-            return list(self._solved(rows))
+        """Evaluation of each flat row's fibre, in order."""
         return self._fibres(self._keys(rows))
 
     def _fibres(self, keys: list[bytes]) -> list[PolicyEvaluation]:
-        """Evaluation of each fibre key, in order, solved by representative.
-        With the cache on, each missing fibre is solved once and cached as
-        soon as its chain is solved."""
-        if self._cache is None:
-            return list(self._solved(self._key_rows(keys)))
+        """Evaluation of each fibre key, in order, solved by representative:
+        each missing fibre is solved once and cached as soon as its chain
+        is solved."""
         missing = [key for key in dict.fromkeys(keys) if key not in self._cache]
         for key, evaluation in zip(missing, self._solved(self._key_rows(missing))):
             self._cache[key] = evaluation
@@ -436,7 +438,8 @@ class PolicyGameSolver:
 
     def _solved(self, rows: np.ndarray):
         """Uncached evaluations of flat rows, in order, a chunk at a time,
-        each with its Nash gap under its own row. A chunk in which a solve
+        each with its Nash gap under its own row: the cache's miss path, and
+        the reference that solves a row's own chain. A chunk in which a solve
         fails is solved again one row at a time, so the error raised is the
         first failing row's, as its lone evaluation raises it."""
         for start in range(0, len(rows), self.chunk):
@@ -529,56 +532,46 @@ class PolicyGameSolver:
                              ties=ties, method="exhaustive", policies_evaluated=size)
 
     def _optimal_search(self, restarts: int, seed: int) -> OptimalResult:
-        """Coordinate ascent from every start, the starts in lockstep: each
-        round solves the trials every unfinished ascent asks for with one
-        evaluate_many. An ascent takes the moves it takes alone, since
-        evaluations have the same bits in any chunk."""
+        """Coordinate ascent from every start, the starts in lockstep (see
+        _lockstep): each round solves the trials every unfinished ascent
+        waits for together. A Policy is built only for the result."""
         rng = np.random.default_rng(seed)
-        ascents = [self._ascent(start) for start in self._starting_policies(restarts, rng)]
-        results: list = [None] * len(ascents)
-        asks = {i: next(ascent) for i, ascent in enumerate(ascents)}
-        while asks:
-            evaluations = iter(self.evaluate_many(
-                [trial for trials in asks.values() for trial in trials]))
-            answered = {}
-            for i, trials in asks.items():
-                try:
-                    answered[i] = ascents[i].send([next(evaluations) for _ in trials])
-                except StopIteration as stop:
-                    results[i] = stop.value
-            asks = answered
-        best_policy, best_ev = results[0][:2]
-        for policy, ev, _ in results[1:]:
-            if ev.global_utility > best_ev.global_utility:
-                best_policy, best_ev = policy, ev
-        return OptimalResult(policy=best_policy, evaluation=best_ev,
-                             ties=[best_policy], method="search",
+        results = self._lockstep([self._ascent(start.tolist()) for start
+                                  in self._starting_policies(restarts, rng)], self._fibres)
+        choice, evaluation, _ = max(results, key=lambda result: result[1].global_utility)
+        policy = self._policy(choice)
+        return OptimalResult(policy=policy, evaluation=replace(evaluation, policy=policy),
+                             ties=[policy], method="search",
                              policies_evaluated=sum(count for *_, count in results))
 
-    def _ascent(self, start: np.ndarray):
-        """Coordinate ascent from a flat row, as a generator for
-        _optimal_search: it yields the policies it needs evaluated (the
-        start, then each position's trials), is sent their evaluations, and
-        returns (policy, evaluation, policies evaluated)."""
+    def _ascent(self, choice: list[int]):
+        """Coordinate ascent from a flat row, as a generator for _lockstep:
+        it yields the fibre keys it needs evaluated (the start's, then each
+        position's S - 1 trials'), resumes once they are cached, and returns
+        the final choice (updated in place), its evaluation and the count of
+        policies evaluated."""
         S = self.config.num_systems
-        policy = self._policy(start)
-        [ev] = yield [policy]
+        key = self._key(choice)
+        yield [key]
+        evaluation = self._cache[key]
         count = 1
         improved = True
         while improved:
             improved = False
-            for (n, l) in self._positions:
-                current = policy.choice[n][l]
-                # an accepted trial changes entry (n, l) alone, so every
-                # trial here is known before the scan
-                trials = [policy.with_entry(n, l, s) for s in range(S) if s != current]
-                trial_evs = yield trials
-                for trial, trial_ev in zip(trials, trial_evs):
+            for k in self._entries:
+                # an accepted trial changes entry k alone, so every trial
+                # here is known before the scan
+                trials = [s for s in range(S) if s != choice[k]]
+                keys = [key[:k] + bytes((self._rep_entries[k][s],)) + key[k + 1:]
+                        for s in trials]
+                yield keys
+                for s, trial_key in zip(trials, keys):
                     count += 1
-                    if trial_ev.global_utility > ev.global_utility + 1e-12:
-                        policy, ev = trial, trial_ev
+                    trial = self._cache[trial_key]
+                    if trial.global_utility > evaluation.global_utility + 1e-12:
+                        choice[k], key, evaluation = s, trial_key, trial
                         improved = True
-        return policy, ev, count
+        return choice, evaluation, count
 
     def _starting_policies(self, restarts: int, rng) -> np.ndarray:
         """Flat rows (restarts, N * L) of the search's starts: each constant
@@ -595,8 +588,7 @@ class PolicyGameSolver:
 
     # ----- Nash equilibria --------------------------------------------
 
-    def find_nash(self, mode: str = "auto", *, eps: float = NASH_EPS,
-                  restarts: int = 64, seed: int = 0,
+    def find_nash(self, mode: str = "auto", *, restarts: int = 64, seed: int = 0,
                   auto_cap: int = 4096) -> list[PolicyEvaluation]:
         """All (canonical) pure equilibria found under the requested mode.
 
@@ -617,10 +609,9 @@ class PolicyGameSolver:
         if mode == "exhaustive":
             keys = [key for rows in self._representatives()
                     for key, ev in zip(self._keys(rows), self._evaluations(rows))
-                    if ev.gap <= eps]
+                    if ev.gap <= NASH_EPS]
         else:
-            keys = self._expand_ties(
-                self._best_response_candidates(restarts=restarts, seed=seed, eps=eps), eps)
+            keys = self._expand_ties(self._best_response_candidates(restarts=restarts, seed=seed))
         # each member, canonicalized, keyed by the bytes of its own row
         canonical: dict[bytes, None] = {}
         for key, ev in zip(keys, self._fibres(keys)):
@@ -628,12 +619,12 @@ class PolicyGameSolver:
             members[:, np.tile(ev.empty_labels, self.config.num_classes)] = 0
             canonical.update(dict.fromkeys(row.tobytes() for row in members))
         evaluations = dict(zip(canonical, self._evaluations(self._key_rows(list(canonical)))))
-        passed = [row for row, ev in evaluations.items() if ev.gap <= eps]
+        passed = [row for row, ev in evaluations.items() if ev.gap <= NASH_EPS]
         checks = self.fresh_checker()._evaluations(self._key_rows(passed))
-        found = sorted(row for row, check in zip(passed, checks) if check.gap <= eps)
+        found = sorted(row for row, check in zip(passed, checks) if check.gap <= NASH_EPS)
         return [replace(evaluations[row], policy=self._policy(row)) for row in found]
 
-    def _expand_ties(self, candidates: list[list[int]], eps: float) -> list[bytes]:
+    def _expand_ties(self, candidates: list[list[int]]) -> list[bytes]:
         """Close a set of equilibrium candidates, flat rows, under near-tie
         entry swaps; returns the keys of the fibres reached.
 
@@ -642,13 +633,13 @@ class PolicyGameSolver:
         walks fibres, not policies: every member of a fibre has the same
         payoff table and Nash status, and a swap inside the fibre always
         passes the tie test, so breadth-first exploration of single-entry
-        swaps to another fibre, whose payoff is within 2 * eps of the
+        swaps to another fibre, whose payoff is within 2 * NASH_EPS of the
         entry's best (entries on empty or all-NaN rows stay put), reaches
         the tie class. The unseen neighbours of each fibre popped are
         evaluated together.
         """
         keys = list(dict.fromkeys(map(self._key, candidates)))
-        queue = [key for key, ev in zip(keys, self._fibres(keys)) if ev.gap <= eps]
+        queue = [key for key, ev in zip(keys, self._fibres(keys)) if ev.gap <= NASH_EPS]
         seen = set(queue)
         reached = list(queue)
         while queue:
@@ -663,35 +654,34 @@ class PolicyGameSolver:
                 for s, payoff in enumerate(payoffs):
                     target = self._rep_entries[k][s]
                     # a NaN payoff is not below the top, so it is not skipped
-                    if target == key[k] or payoff < top - 2 * eps:
+                    if target == key[k] or payoff < top - 2 * NASH_EPS:
                         continue
                     neighbor = key[:k] + bytes((target,)) + key[k + 1:]
                     if neighbor not in seen:
                         seen.add(neighbor)
                         neighbors.append(neighbor)
             tied = [neighbor for neighbor, ev in zip(neighbors, self._fibres(neighbors))
-                    if ev.gap <= eps]
+                    if ev.gap <= NASH_EPS]
             queue += tied
             reached += tied
         return reached
 
-    def _best_response_candidates(self, restarts: int, seed: int,
-                                  eps: float) -> list[list[int]]:
+    def _best_response_candidates(self, restarts: int, seed: int) -> list[list[int]]:
         """Fixed points, as flat rows, of the best-response paths from each
         start, in start order; the paths advance in lockstep (see
         _lockstep)."""
         rng = np.random.default_rng(seed)
-        walks = [self._walk(start, eps)
-                 for start in self._starting_policies(restarts, rng).tolist()]
-        return [choice for choice in self._lockstep(walks) if choice is not None]
+        walks = [self._walk(start) for start in self._starting_policies(restarts, rng).tolist()]
+        return [choice for choice in self._lockstep(walks, self._response_tables)
+                if choice is not None]
 
     def _response_table(self, choice: list[int]):
         """Best-response table of the fibre of a flat row, as a walk reads
-        it: a generator that yields the fibre's key when the table is
+        it: a generator that yields [the fibre's key] when the table is
         missing, and returns the table once it is built."""
         key = self._key(choice)
         if key not in self._responses:
-            yield key
+            yield [key]
         return self._responses[key]
 
     def _response_tables(self, keys) -> list[list]:
@@ -715,16 +705,19 @@ class PolicyGameSolver:
                                         for row, b, skipped in zip(rows, bests, skips)]
         return [self._responses[key] for key in keys]
 
-    def _lockstep(self, walks: list) -> list:
-        """Results of best-response walks (generators from _walk), in order.
+    def _lockstep(self, walks: list, fill) -> list:
+        """Results of walks over fibres, in order: best-response paths
+        (generators from _walk, filled by _response_tables) or coordinate
+        ascents (from _ascent, filled by _fibres).
 
         The walks advance in rounds. Each round resumes every paused walk
-        until it ends or pauses on a fibre without a response table; the
-        distinct missing fibres of the round, in walk order, are then
-        evaluated together and tabulated. A walk takes the steps it takes
-        alone, since tables have the same bits in any chunk. If solves
-        fail, the error raised is that of the first failing fibre in round
-        order, and no table is built for that round's fibres.
+        until it ends or pauses on the list of fibre keys it needs; fill is
+        then called once with the round's keys, in walk order, and solves
+        the distinct missing fibres together. A walk takes the steps it
+        takes alone, since evaluations have the same bits in any chunk. If
+        solves fail, the error raised is that of the first failing fibre in
+        round order, and no response table is built for that round's
+        fibres.
         """
         results: list = [None] * len(walks)
         paused = dict(enumerate(walks))
@@ -735,14 +728,13 @@ class PolicyGameSolver:
                     waiting[i] = next(walk)
                 except StopIteration as stop:
                     results[i] = stop.value
-            self._response_tables(waiting.values())
+            fill([key for keys in waiting.values() for key in keys])
             paused = {i: paused[i] for i in waiting}
         return results
 
-    def _walk(self, choice: list[int], eps: float = NASH_EPS, max_iters: int = 2000,
-              steps: list | None = None):
+    def _walk(self, choice: list[int], steps: list | None = None):
         """best_response_path's walk from a flat row, as a generator for
-        _lockstep: it yields the key of each fibre whose response table it
+        _lockstep: it yields [the key] of each fibre whose response table it
         lacks, resumes once the table is built, and returns the fixed point
         (choice, updated in place) or None on a cycle. Steps are appended to
         steps when a list is given."""
@@ -753,7 +745,7 @@ class PolicyGameSolver:
         visited: set[tuple] = set()
         stale = 0
         ptr = 0
-        for _ in range(max_iters):
+        for _ in range(MAX_PATH_STEPS):
             state_key = (tuple(choice), ptr)
             if state_key in visited:
                 return None
@@ -764,7 +756,7 @@ class PolicyGameSolver:
             if response is not None:
                 payoffs, best = response
                 current = choice[k]
-                if payoffs[best] > payoffs[current] + eps:
+                if payoffs[best] > payoffs[current] + NASH_EPS:
                     if steps is not None:
                         n, l = positions[ptr]
                         steps.append(BestResponseStep(
@@ -780,21 +772,21 @@ class PolicyGameSolver:
             ptr = (ptr + 1) % len(positions)
         return None
 
-    def best_response_path(self, start: Policy, *, eps: float = NASH_EPS,
-                           max_iters: int = 2000
+    def best_response_path(self, start: Policy
                            ) -> tuple[Policy | None, list[BestResponseStep]]:
         """Gauss-Seidel best-response dynamics from one starting policy.
 
         Positions are visited cyclically in lexicographic (class, label)
         order and at most one entry changes per iteration; the path stops at
         a fixed point (returned with the recorded steps) or when a
-        (policy, position) pair repeats, which means a cycle (returns None).
+        (policy, position) pair repeats, which means a cycle (returns None),
+        as does a path still moving after MAX_PATH_STEPS steps.
         Payoffs come from the response table of the current fibre. The path
         is a lockstep of one walk.
         """
         start.validate_for(self.config, self.scheme)
         steps: list[BestResponseStep] = []
-        end, = self._lockstep([self._walk(list(start.flatten()), eps, max_iters, steps)])
+        end, = self._lockstep([self._walk(list(start.flatten()), steps)], self._response_tables)
         return (None if end is None else self._policy(end)), steps
 
     def fresh_checker(self) -> "PolicyGameSolver":
@@ -806,12 +798,12 @@ class PolicyGameSolver:
                                 strict_arrivals=self.strict_arrivals,
                                 deviation_payoff=self.deviation_payoff)
 
-    def verify_equilibrium(self, policy: Policy, eps: float = NASH_EPS) -> bool:
+    def verify_equilibrium(self, policy: Policy) -> bool:
         """Re-check the no-profitable-deviation inequality for policy on a
         chain and utility table a fresh checker solves for its fibre
         (structural transition indexes are shared; they contain no solved
         quantities)."""
-        return self.fresh_checker().evaluate(policy).is_nash(eps)
+        return self.fresh_checker().evaluate(policy).is_nash()
 
 
 def evaluate_policy(space: StateSpace, scheme: AggregationScheme, policy: Policy,

@@ -417,8 +417,8 @@ def erlang_loss_chain(servers: int, offered: float):
 def pinned_solve_holds(band, r: int) -> bool:
     """Whether the stationary solve pinned at position r of the band's order
     passes its checks; where it does not, the next pin takes over."""
-    from hetassoc.ctmc import STEADY_RESIDUAL_TOL, _pinned_step
-    *_, held = _pinned_step(band.data[None], band, r, STEADY_RESIDUAL_TOL)
+    from hetassoc.ctmc import _pinned_step
+    *_, held = _pinned_step(band.data[None], band, r)
     return bool(held[0])
 
 

@@ -55,21 +55,23 @@ def _budget(monkeypatch, space, budget: str) -> None:
 @pytest.mark.parametrize("strict", [False, True])
 def test_evaluate_many_matches_one_at_a_time(instances, monkeypatch, budget, mode, strict):
     """Every field of every PolicyEvaluation, and the Nash gaps, come out
-    of evaluate_many bit for bit as from a chunk of one: with chunks of
-    one, with chunks of 3 over 10 policies, and at the default budget. Each
-    stored gap is the one recomputed from its evaluation's own table."""
+    of evaluate_many bit for bit as from solving the policy's own chain in
+    a chunk of one (_solved on its row alone): with chunks of one, with
+    chunks of 3 over 10 policies, and at the default budget. Each stored
+    gap is the one recomputed from its evaluation's own table."""
     rng = np.random.default_rng(99)
     chunks = set()
     for config, space, scheme in instances:
         _budget(monkeypatch, space, budget)
         options = dict(strict_arrivals=strict, deviation_payoff=mode)
-        solver = PolicyGameSolver(space, scheme, use_cache=False, **options)
-        alone = PolicyGameSolver(space, scheme, use_cache=False, **options)
+        solver = PolicyGameSolver(space, scheme, **options)
+        alone = PolicyGameSolver(space, scheme, **options)
         policies = [random_policy(rng, config, scheme) for _ in range(10)]
         many = solver.evaluate_many(policies)
         for policy, ev in zip(policies, many):
             assert ev.policy == policy
-            assert_same_bits(ev, alone.evaluate(policy))
+            own, = alone._solved(alone._policy_rows([policy]))
+            assert_same_bits(ev, dataclasses.replace(own, policy=policy))
         recomputed = _nash_gaps(np.stack([ev.individual for ev in many]),
                                 np.array([ev.policy.choice for ev in many]),
                                 np.stack([ev.empty_labels for ev in many]))

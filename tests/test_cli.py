@@ -238,6 +238,18 @@ def test_sweep_rejects_traffic_steps_below_the_rounding(tmp_path, capsys, traffi
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["sweep", "control"])
+def test_traffic_without_points_is_refused(tmp_path, capsys, command):
+    """A lies within 5e-10 of B and rounds above it, so no point is left;
+    both commands that take --traffic refuse it before any output is
+    written, rather than run an empty sweep."""
+    assert run(command, "--config", HYBRID, "--traffic=1.0000000006:1.0000000006:1",
+               "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == \
+        "error: --traffic gives no point: A rounds above B at 9 decimals\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("traffic, points", [
     ("1:10:3", [1.0, 4.0, 7.0, 10.0]),
     ("0.1:0.3:0.1", [0.1, 0.2, 0.3]),
@@ -386,10 +398,13 @@ def test_sweep_deterministic(tmp_path):
     ((), "sweep_golden.json"),
     (("--strict-eq2",), "sweep_golden_strict.json"),
     (("--sharing", "network"), "sweep_golden_network.json"),
+    # a later --analyses replaces the default one
+    (("--analyses", "optimal"), "sweep_golden_optimal.json"),
 ])
 def test_sweep_matches_golden_artifact(tmp_path, flags, golden):
     """The paper's sweep, best-response search included, reproduces a
-    recorded sweep.json byte for byte."""
+    recorded sweep.json byte for byte; so does the optimal policy's sweep,
+    which runs coordinate ascent at every point."""
     assert run("sweep", "--config", HYBRID, "--traffic", "1:10:3",
                "--analyses", "nash,baselines", "--jobs", "1", *flags,
                "--out", str(tmp_path)) == 0
@@ -445,7 +460,7 @@ def test_enumerate_matches_golden_artifact(tmp_path, flags, golden):
 
 def _nash_exhaustive_instance(tmp_path) -> str:
     """hybrid_example with system 1's thresholds at 0.5,0.5, scaled to 5
-    Erlangs: 119 states, 4,096 canonical policies in 2,048 fibres."""
+    Erlangs: 119 states, 4,096 canonical policies in 256 fibres."""
     doc = json.loads((CONFIG_DIR / "hybrid_example.json").read_text())
     doc["systems"][1]["thresholds"] = [0.5, 0.5]
     multiplier = 5.0 / (sum(c["arrival_rate"] for c in doc["classes"])
@@ -460,12 +475,14 @@ def _nash_exhaustive_instance(tmp_path) -> str:
 @pytest.mark.parametrize("argv, artifact", [
     (("nash", "--mode", "exhaustive"), "nash"),
     (("optimal", "--method", "exhaustive"), "optimal"),
+    (("optimal", "--method", "search", "--restarts", "8", "--seed", "3"), "optimal"),
 ])
 def test_exhaustive_scan_matches_golden_artifact(tmp_path, argv, artifact):
-    """Both exhaustive scans over every fibre reproduce a recorded artifact
-    byte for byte."""
+    """Both exhaustive scans over every fibre, and coordinate ascent on the
+    shipped instance, reproduce a recorded artifact byte for byte."""
     out = tmp_path / "out"
-    assert run(*argv, "--config", _nash_exhaustive_instance(tmp_path),
-               "--out", str(out)) == 0
+    mode = argv[2]
+    config = _nash_exhaustive_instance(tmp_path) if mode == "exhaustive" else HYBRID
+    assert run(*argv, "--config", config, "--out", str(out)) == 0
     assert (out / f"{artifact}.json").read_bytes() == \
-        (DATA_DIR / f"{artifact}_golden_exhaustive.json").read_bytes()
+        (DATA_DIR / f"{artifact}_golden_{mode}.json").read_bytes()

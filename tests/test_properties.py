@@ -9,14 +9,20 @@ band generator with its stationary solve. The check bodies live in conftest
 so the acceptance suite can time the very same assertions. A last family
 checks that every member of a fibre of the policy space evaluates exactly
 like its representative, and a reference copy of the per-policy
-best-response walk and tie closure checks the fibre-level search.
+best-response walk and tie closure checks the fibre-level search. A
+reference evaluation solves a policy's own chain through the solver's
+uncached path, _solved.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hetassoc import AggregationScheme, NetworkConfig, Policy, ResidualError, enumerate_states
-from hetassoc.game import NASH_EPS, BestResponseStep, PolicyGameSolver, _nash_gaps
+from hetassoc import (AggregationScheme, NetworkConfig, Policy, ResidualError, ctmc,
+                      enumerate_states)
+from hetassoc.game import (MAX_PATH_STEPS, NASH_EPS, BestResponseStep, PolicyGameSolver,
+                           _nash_gaps)
 
 from conftest import (check_band_generator, check_departure_closure,
                       check_generator_row_sums, check_label_totality,
@@ -113,6 +119,13 @@ def _random_member(rng, solver, policy: Policy) -> Policy:
         for n, row in enumerate(policy.choice)))
 
 
+def _own_chain(solver, policy: Policy):
+    """The evaluation of policy's own chain, solved for its row alone and
+    reported under it, served by no cache."""
+    ev, = solver._solved(solver._policy_rows([policy]))
+    return replace(ev, policy=policy)
+
+
 def _own_payoffs(ev) -> np.ndarray:
     """U[n, l, choice[n][l]]: each group's payoff under its own entry."""
     choice = np.asarray(ev.policy.choice)
@@ -132,19 +145,19 @@ def test_fibre_members_evaluate_like_their_representative(instances_by_scope, sc
     merged = 0
     for config, space, scheme in instances_by_scope[scope]:
         options = dict(strict_arrivals=strict, deviation_payoff=mode)
-        fresh = PolicyGameSolver(space, scheme, use_cache=False, **options)
+        fresh = PolicyGameSolver(space, scheme, **options)
         warm = PolicyGameSolver(space, scheme, **options)
         policy = random_policy(rng, config, scheme)
         rep = Policy(tuple(tuple(int(fresh.rep[n, l, s]) for l, s in enumerate(row))
                            for n, row in enumerate(policy.choice)))
-        expected = fresh.evaluate(rep)
+        expected = _own_chain(fresh, rep)
         warm.evaluate(rep)
         for _ in range(3):
             member = _random_member(rng, fresh, policy)
             merged += sum(a != b and not fresh.structurally_empty[l]
                           for row, rrow in zip(member.choice, rep.choice)
                           for l, (a, b) in enumerate(zip(row, rrow)))
-            ev = fresh.evaluate(member)
+            ev = _own_chain(fresh, member)
             assert np.array_equal(ev.pi, expected.pi)
             assert np.array_equal(ev.individual, expected.individual, equal_nan=True)
             assert np.array_equal(ev.blocking, expected.blocking)
@@ -162,7 +175,7 @@ def test_fibre_members_evaluate_like_their_representative(instances_by_scope, sc
 # ----- reference walk: the search one policy at a time ---------------------
 
 
-def _reference_path(solver, start, eps=NASH_EPS, max_iters=2000):
+def _reference_path(solver, start):
     """Gauss-Seidel best-response dynamics, one Policy per step, every
     payoff read from solver.evaluate."""
     positions = solver.positions()
@@ -173,7 +186,7 @@ def _reference_path(solver, start, eps=NASH_EPS, max_iters=2000):
     visited = set()
     stale = 0
     ptr = 0
-    for _ in range(max_iters):
+    for _ in range(MAX_PATH_STEPS):
         state_key = (policy.choice, ptr)
         if state_key in visited:
             return None, steps
@@ -185,7 +198,7 @@ def _reference_path(solver, start, eps=NASH_EPS, max_iters=2000):
             payoffs = ev.individual[n, l]
             best = int(np.nanargmax(payoffs))
             current = policy.choice[n][l]
-            if payoffs[best] > payoffs[current] + eps:
+            if payoffs[best] > payoffs[current] + NASH_EPS:
                 steps.append(BestResponseStep(
                     user_class=n, label=l, old_system=current,
                     new_system=best, old_payoff=float(payoffs[current]),
@@ -199,10 +212,10 @@ def _reference_path(solver, start, eps=NASH_EPS, max_iters=2000):
     return None, steps
 
 
-def _reference_ties(solver, candidates, eps=NASH_EPS):
+def _reference_ties(solver, candidates):
     """Breadth-first closure of equilibrium candidates under single-entry
-    swaps whose payoff is within 2 * eps of the entry's best."""
-    queue = [p for p in candidates if solver.evaluate(p).is_nash(eps)]
+    swaps whose payoff is within 2 * NASH_EPS of the entry's best."""
+    queue = [p for p in candidates if solver.evaluate(p).is_nash()]
     seen = {p.choice for p in queue}
     out = list(queue)
     while queue:
@@ -214,13 +227,13 @@ def _reference_ties(solver, candidates, eps=NASH_EPS):
             payoffs = ev.individual[n, l]
             top = np.nanmax(payoffs)
             for s in range(solver.config.num_systems):
-                if s == policy.choice[n][l] or payoffs[s] < top - 2 * eps:
+                if s == policy.choice[n][l] or payoffs[s] < top - 2 * NASH_EPS:
                     continue
                 neighbor = policy.with_entry(n, l, s)
                 if neighbor.choice in seen:
                     continue
                 seen.add(neighbor.choice)
-                if solver.evaluate(neighbor).is_nash(eps):
+                if solver.evaluate(neighbor).is_nash():
                     queue.append(neighbor)
                     out.append(neighbor)
     return out
@@ -241,22 +254,21 @@ def _starts(solver, restarts, rng) -> list[Policy]:
     return [solver._policy(row) for row in solver._starting_policies(restarts, rng)]
 
 
-def _reference_equilibria(solver, restarts, seed, eps=NASH_EPS):
+def _reference_equilibria(solver, restarts, seed):
     """Canonical equilibrium set of find_nash("best_response") with the
     reference walk, each member re-checked on a chain solved for it alone."""
     rng = np.random.default_rng(seed)
     candidates = [fixed for start in _starts(solver, restarts, rng)
-                  for fixed in [_reference_path(solver, start, eps)[0]]
+                  for fixed in [_reference_path(solver, start)[0]]
                   if fixed is not None]
     checker = PolicyGameSolver(solver.space, solver.scheme,
                                strict_arrivals=solver.strict_arrivals,
-                               deviation_payoff=solver.deviation_payoff,
-                               use_cache=False)
+                               deviation_payoff=solver.deviation_payoff)
     found = set()
-    for policy in _reference_ties(solver, candidates, eps):
+    for policy in _reference_ties(solver, candidates):
         canonical = _canonicalize(solver, policy, solver.evaluate(policy))
-        if (canonical.choice not in found and solver.evaluate(canonical).is_nash(eps)
-                and checker.evaluate(canonical).is_nash(eps)):
+        if (canonical.choice not in found and solver.evaluate(canonical).is_nash()
+                and _own_chain(checker, canonical).is_nash()):
             found.add(canonical.choice)
     return sorted(found)
 
@@ -308,9 +320,9 @@ def test_tie_closure_matches_the_reference_walk_on_the_shipped_instance(hybrid_i
     config, scheme = hybrid_instance
     space = enumerate_states(config.scale_traffic(erlangs / config.offered_erlangs))
     solver = PolicyGameSolver(space, scheme)
-    candidates = solver._best_response_candidates(restarts=64, seed=3, eps=NASH_EPS)
+    candidates = solver._best_response_candidates(restarts=64, seed=3)
     assert len({tuple(c) for c in candidates}) < len(candidates)
-    keys = solver._expand_ties(candidates, NASH_EPS)
+    keys = solver._expand_ties(candidates)
     assert len(keys) == len(set(keys))
     ties = [tuple(row) for key in keys for row in solver._members(key).tolist()]
     reached = _reference_ties(PolicyGameSolver(space, scheme),
@@ -376,26 +388,31 @@ def _solved_keys(solver, monkeypatch) -> list[tuple]:
     return keys
 
 
-@pytest.mark.parametrize("strict, mode, use_cache", [
+@pytest.mark.parametrize("strict, mode, whole_chunks", [
     (False, "redirect", True), (False, "exclude", True), (True, "redirect", True),
     (True, "exclude", True), (False, "redirect", False), (True, "exclude", False)])
 @pytest.mark.parametrize("instance", ["shipped-1", "shipped-5", "shipped-10", "three-system"])
 def test_lockstep_matches_one_path_at_a_time(hybrid_instance, monkeypatch, instance, strict,
-                                             mode, use_cache):
+                                             mode, whole_chunks):
     """The restarts advanced in lockstep end where each path ends alone on
     a fresh solver, in start order with cycles dropped, and no fibre is
     solved twice. With redirected arrivals, every path of the shipped
-    instance cycles at 1 Erlang and several end at 5 and 10 Erlangs."""
+    instance cycles at 1 Erlang and several end at 5 and 10 Erlangs.
+    Without whole chunks every fibre is solved in a chunk of one, and the
+    paths end where they end with a round's fibres solved together."""
+    if not whole_chunks:
+        monkeypatch.setattr(ctmc, "CHUNK_BYTES", 0)
     if instance == "three-system":
         rng = np.random.default_rng(6161)
         cases = [(*_three_system_instance(rng)[1:], 8) for _ in range(2)]
     else:
         cases = [(*_shipped_space(hybrid_instance, int(instance.split("-")[1])), 24)]
-    options = dict(strict_arrivals=strict, deviation_payoff=mode, use_cache=use_cache)
+    options = dict(strict_arrivals=strict, deviation_payoff=mode)
     for space, scheme, restarts in cases:
         solver = PolicyGameSolver(space, scheme, **options)
+        assert (solver.chunk == 1) != whole_chunks
         solved = _solved_keys(solver, monkeypatch)
-        candidates = solver._best_response_candidates(restarts=restarts, seed=11, eps=NASH_EPS)
+        candidates = solver._best_response_candidates(restarts=restarts, seed=11)
         reference = PolicyGameSolver(space, scheme, **options)
         starts = _starts(reference, restarts, np.random.default_rng(11))
         expected = [reference.best_response_path(start)[0] for start in starts]
@@ -415,7 +432,7 @@ def test_failing_solve_in_a_lockstep_round_builds_no_table(hybrid_instance, monk
     space, scheme = _shipped_space(hybrid_instance, 5)
     spy = PolicyGameSolver(space, scheme)
     solved = _solved_keys(spy, monkeypatch)
-    spy._best_response_candidates(restarts=64, seed=0, eps=NASH_EPS)
+    spy._best_response_candidates(restarts=64, seed=0)
     start_keys = set(spy._keys(spy._starting_policies(64, np.random.default_rng(0))))
     poisoned = next(key for key in solved if key not in start_keys)
 
@@ -431,7 +448,7 @@ def test_failing_solve_in_a_lockstep_round_builds_no_table(hybrid_instance, monk
     with pytest.raises(ResidualError) as alone:
         solver.evaluate(solver._policy(poisoned))
     with pytest.raises(ResidualError) as searched:
-        solver._best_response_candidates(restarts=64, seed=0, eps=NASH_EPS)
+        solver._best_response_candidates(restarts=64, seed=0)
     assert str(searched.value) == str(alone.value)
     assert poisoned not in solver._responses
     assert start_keys <= set(solver._responses)
@@ -467,11 +484,8 @@ def test_cached_gap_is_every_members_gap(hybrid_instance, instance):
     assert min(gaps) <= NASH_EPS < max(gaps)
 
 
-def test_search_builds_a_policy_only_per_reported_equilibrium(hybrid_instance, monkeypatch):
-    """A best-response search at 5 Erlangs constructs one Policy per
-    equilibrium it reports and no other."""
-    space, scheme = _shipped_space(hybrid_instance, 5)
-    solver = PolicyGameSolver(space, scheme)
+def _built_policies(monkeypatch) -> list[tuple]:
+    """The choice of every Policy constructed from here on, in order."""
     built = []
     init = Policy.__post_init__
 
@@ -480,10 +494,31 @@ def test_search_builds_a_policy_only_per_reported_equilibrium(hybrid_instance, m
         init(policy)
 
     monkeypatch.setattr(Policy, "__post_init__", counted)
+    return built
+
+
+def test_search_builds_a_policy_only_per_reported_equilibrium(hybrid_instance, monkeypatch):
+    """A best-response search at 5 Erlangs constructs one Policy per
+    equilibrium it reports and no other."""
+    space, scheme = _shipped_space(hybrid_instance, 5)
+    solver = PolicyGameSolver(space, scheme)
+    built = _built_policies(monkeypatch)
     found = solver.find_nash("best_response", restarts=64, seed=0)
     assert len(found) == 128
     assert len(built) == len(found)
     assert built == [ev.policy.choice for ev in found]
+
+
+def test_coordinate_ascent_builds_one_policy(hybrid_instance, monkeypatch):
+    """Coordinate ascent at 5 Erlangs with 16 restarts constructs one
+    Policy, the one it reports, though it evaluates hundreds of trials."""
+    space, scheme = _shipped_space(hybrid_instance, 5)
+    solver = PolicyGameSolver(space, scheme)
+    built = _built_policies(monkeypatch)
+    result = solver.optimal_policy(method="search", restarts=16, seed=0)
+    assert result.policies_evaluated > 100
+    assert built == [result.policy.choice]
+    assert result.ties == [result.policy] and result.evaluation.policy is result.policy
 
 
 def _scalar_starts(solver, restarts, rng):
