@@ -17,8 +17,7 @@ from .ctmc import (Generator, ResidualError, SingularChainError, SteadyState,
                    build_generator, per_class_blocking, solve_steady_state)
 from .game import (BaselineEvaluation, EmptyLabelError, OptimalResult,
                    PolicyEvaluation, PolicyGameSolver, SearchCapError,
-                   evaluate_baseline, evaluate_policy, evaluate_rule, find_nash,
-                   optimal_policy)
+                   evaluate_baseline, evaluate_policy, evaluate_rule)
 from .rules import (AssignmentRule, InstantaneousRateRule, PeakRateRule,
                     PolicyRule)
 from .simulate import SimReport, simulate

@@ -22,7 +22,8 @@ from . import __version__
 from .aggregation import label_array
 from .charts import line_chart
 from .config import (NETWORK_WIDE, PER_SYSTEM, AggregationScheme, ConfigError,
-                     NetworkConfig, Policy, load_instance, serialize_instance)
+                     NetworkConfig, ParseError, Policy, load_instance,
+                     serialize_instance)
 from .control import RankingMismatchError, optimize_thresholds
 from .ctmc import (ResidualError, SingularChainError, build_generator,
                    solve_steady_state)
@@ -134,7 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> tuple[NetworkConfig, AggregationScheme]:
-    text = Path(args.config).read_text()
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.config} is not UTF-8 text: {exc}") from exc
     config, scheme = load_instance(text)
     if args.sharing:
         config = config.with_sharing_scope(
@@ -593,7 +597,7 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         return _COMMANDS[args.command](args)
-    except (ConfigError, CapacityError, FileNotFoundError, SearchCapError,
+    except (ConfigError, CapacityError, OSError, SearchCapError,
             ResidualError, SingularChainError, SingularTaggedChainError,
             RankingMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

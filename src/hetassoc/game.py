@@ -62,10 +62,9 @@ from .config import AggregationScheme, ConfigError, NetworkConfig, Policy
 # assemble_dense, assemble_generator and solve_volume_from_matrix are not
 # called here, but perfbench/tracer.py wraps the names in this module, so
 # they stay bound
-from .ctmc import (EMPTY_LABEL_MASS, ChainTables, Partition, ResidualError,  # noqa: F401
-                   SingularChainError, assemble_dense, assemble_generator,
-                   assemble_stack, cell_blocking, chain_tables, stationary_vector,
-                   stationary_vectors)
+from .ctmc import (ChainTables, Partition, ResidualError, SingularChainError,  # noqa: F401
+                   assemble_dense, assemble_generator, assemble_stack, cell_blocking,
+                   chain_tables, stationary_vector, stationary_vectors)
 from .rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 from .states import StateSpace
 from .transient import (SingularTaggedChainError, solve_volume_from_matrix,  # noqa: F401
@@ -149,6 +148,7 @@ class _ChainChunk(NamedTuple):
     evaluations: list[ChainEvaluation]
     pi: np.ndarray                    # (B, num_states)
     padded: np.ndarray                # (B, N * S * num_states + 1): volumes, then 0
+    mass: np.ndarray                  # (B, cells) stationary mass per cell
     empty: np.ndarray                 # (B, cells) cells without stationary mass
 
 
@@ -184,7 +184,7 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
         global_utility=sum(tables.class_weight * share[k].sum(axis=1)),
         overall_blocking=float(b.overall[k]), per_class_blocking=b.per_class[k],
         volumes=volumes[k]) for k in range(B)]
-    return _ChainChunk(evaluations, pi, padded, b.empty)
+    return _ChainChunk(evaluations, pi, padded, b.mass, b.empty)
 
 
 def _nash_gaps(individual: np.ndarray, choice: np.ndarray, empty: np.ndarray) -> np.ndarray:
@@ -192,9 +192,9 @@ def _nash_gaps(individual: np.ndarray, choice: np.ndarray, empty: np.ndarray) ->
     choices (B, N, L) or flat (B, N * L) and empty labels (B, L)."""
     B, N, L, S = individual.shape
     current = individual.reshape(-1, S)[np.arange(B * N * L), choice.ravel()]
-    forgone = np.fmax.reduce(individual, axis=3).ravel() - current
-    valid = ~np.isnan(forgone) & ~np.repeat(empty, N, axis=0).ravel()
-    return np.where(valid, forgone, -np.inf).reshape(B, -1).max(axis=1, initial=0.0)
+    forgone = individual.max(axis=3).ravel() - current
+    masked = np.repeat(empty, N, axis=0).ravel()
+    return np.where(masked, -np.inf, forgone).reshape(B, -1).max(axis=1, initial=0.0)
 
 
 @dataclass
@@ -209,12 +209,9 @@ class PolicyEvaluation(ChainEvaluation):
         """Largest payoff any (class, label) group forgoes by following the
         policy; <= 0 means no profitable unilateral deviation exists.
 
-        Deviations without a defined payoff (possible under the exclude
-        averaging mode when a system is never feasible within a label) are
-        never profitable; a policy entry without a defined payoff leaves
-        that group unconstrained. Interchangeable systems have bit-equal
-        payoffs, so the gap, computed once when the fibre is solved, is
-        every member's.
+        Labels without mass are left out. Interchangeable systems have
+        bit-equal payoffs, so the gap, computed once when the fibre is
+        solved, is every member's.
         """
         return self.gap
 
@@ -257,11 +254,6 @@ class PolicyGameSolver:
     """Evaluates policies over one (space, scheme) pair and searches the
     policy space.
 
-    deviation_payoff selects how a deviation to a saturated system is
-    averaged in U[n, l, s]: "redirect" substitutes the redirection outcome
-    (zero when fully blocked), "exclude" drops those states from both the
-    numerator and the denominator.
-
     rep[n, l, s] is the lowest system interchangeable with s at the entry
     (n, l). A policy's fibre is the set of canonical policies whose flat
     rows rep maps to the same row, the fibre's representative; the
@@ -270,19 +262,18 @@ class PolicyGameSolver:
     """
 
     def __init__(self, space: StateSpace, scheme: AggregationScheme, *,
-                 strict_arrivals: bool = False, deviation_payoff: str = "redirect"):
-        if deviation_payoff not in ("redirect", "exclude"):
-            raise ValueError("deviation_payoff must be 'redirect' or 'exclude'")
+                 strict_arrivals: bool = False):
+        if scheme.num_systems != space.config.num_systems:
+            raise ConfigError(f"the scheme needs one threshold pair per system: got "
+                              f"{scheme.num_systems} for {space.config.num_systems} systems")
         self.space = space
         self.scheme = scheme
         self.config: NetworkConfig = space.config
         self.strict_arrivals = strict_arrivals
-        self.deviation_payoff = deviation_payoff
         self.tables: ChainTables = chain_tables(space)
         self.labels = label_array(scheme, space)
         self.num_labels = scheme.label_count
-        self.state_counts = np.bincount(self.labels, minlength=self.num_labels)
-        self.structurally_empty = self.state_counts == 0
+        self.structurally_empty = np.bincount(self.labels, minlength=self.num_labels) == 0
 
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
         # free entries as (class, label) pairs and as flat row entries
@@ -292,17 +283,9 @@ class PolicyGameSolver:
         # policies per chunk of the exhaustive scans and evaluate_many
         self.chunk = self.tables.solve_plan.chunk_size()
         self._core = _ChainCore(self.tables, self.labels, L, strict_arrivals, self.chunk)
+        # U[n, l, s] averages the admission outcome of preferring s over the
+        # label's states, weighted by pi
         self._outcome = self._core.outcome
-        # U[n, l, s] averages payoff[n, s, i] over the label's states with
-        # weight payoff_weight[n, s, i] * pi[i]: the admission outcome over
-        # every state, or under "exclude" the volume in system s itself over
-        # the states where s can admit the user
-        if deviation_payoff == "redirect":
-            self._payoff = self._outcome
-            self._payoff_weight = np.ones(self._outcome.shape)
-        else:
-            self._payoff = _outcome_index(self.tables, strict=True)
-            self._payoff_weight = (self.tables.arrival_id >= 0).astype(float)
         # bins of the (n, label, s) payoff tables of a chunk
         n_idx, s_idx = np.arange(N)[:, None, None], np.arange(S)[:, None]
         self._nls_bin = (np.arange(0, self.chunk * N * L * S, N * L * S)[:, None]
@@ -322,16 +305,16 @@ class PolicyGameSolver:
 
         Two systems are interchangeable there when, at every state of label
         l, every array the evaluation gathers through the choice agrees: the
-        band position and rate of the admitted arrival, the outcome index of
-        the chosen value, and the payoff index and weight of the deviation
-        table. Policies with the same image under rep (one fibre) then
-        assemble the same generator and the same payoff table, bit for bit.
+        band position and rate of the admitted arrival, and the outcome
+        index of the chosen value, which is also the deviation payoff's.
+        Policies with the same image under rep (one fibre) then assemble the
+        same generator and the same payoff table, bit for bit.
         A structurally empty label maps every system to 0.
         """
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
         where, rate = self.tables.solve_plan.arrivals[self.strict_arrivals]
         differ = np.zeros((N, S, S, self.space.num_states), dtype=bool)
-        for gathered in (where, rate, self._outcome, self._payoff, self._payoff_weight):
+        for gathered in (where, rate, self._outcome):
             differ |= gathered[:, :, None] != gathered[:, None]
         # clash[n, s, t, l]: s and t disagree at some state of label l
         bins = (np.arange(N * S * S)[:, None] * L + self.labels).ravel()
@@ -469,16 +452,14 @@ class PolicyGameSolver:
         B = len(rows)
         choices = rows.astype(np.int64).reshape(B, N, L)
         chunk = _evaluate_chain(self._core, choices.take(self.labels, axis=2))
-        weight = self._payoff_weight * chunk.pi[:, None, None]
-        payoff = chunk.padded[:, self._payoff]
-        bins = self._nls_bin[:B * weight[0].size]
-        num = np.bincount(bins, weights=(payoff * weight).ravel(),
-                          minlength=B * N * L * S).reshape(B, N, L, S)
-        den = np.bincount(bins, weights=weight.ravel(),
+        # the denominator of U is the label mass: cell_blocking sums the
+        # same pi[i] in the same state order
+        weighted = chunk.padded[:, self._outcome] * chunk.pi[:, None, None]
+        num = np.bincount(self._nls_bin[:weighted.size], weights=weighted.ravel(),
                           minlength=B * N * L * S).reshape(B, N, L, S)
         individual = np.full((B, N, L, S), np.nan)
-        np.divide(num, den, out=individual,
-                  where=~chunk.empty[:, None, :, None] & (den > EMPTY_LABEL_MASS))
+        np.divide(num, chunk.mass[:, None, :, None], out=individual,
+                  where=~chunk.empty[:, None, :, None])
         return [PolicyEvaluation(**vars(core), policy=None, individual=individual[k],
                                  gap=np.nan)
                 for k, core in enumerate(chunk.evaluations)]
@@ -634,9 +615,9 @@ class PolicyGameSolver:
         payoff table and Nash status, and a swap inside the fibre always
         passes the tie test, so breadth-first exploration of single-entry
         swaps to another fibre, whose payoff is within 2 * NASH_EPS of the
-        entry's best (entries on empty or all-NaN rows stay put), reaches
-        the tie class. The unseen neighbours of each fibre popped are
-        evaluated together.
+        entry's best (entries on empty labels stay put), reaches the tie
+        class. The unseen neighbours of each fibre popped are evaluated
+        together.
         """
         keys = list(dict.fromkeys(map(self._key, candidates)))
         queue = [key for key, ev in zip(keys, self._fibres(keys)) if ev.gap <= NASH_EPS]
@@ -653,7 +634,6 @@ class PolicyGameSolver:
                 top = payoffs[best]
                 for s, payoff in enumerate(payoffs):
                     target = self._rep_entries[k][s]
-                    # a NaN payoff is not below the top, so it is not skipped
                     if target == key[k] or payoff < top - 2 * NASH_EPS:
                         continue
                     neighbor = key[:k] + bytes((target,)) + key[k + 1:]
@@ -686,9 +666,9 @@ class PolicyGameSolver:
 
     def _response_tables(self, keys) -> list[list]:
         """Best-response table of each fibre key, in order, built once per
-        fibre: for each flat entry n * L + l, None when the label is empty
-        or its payoff row all NaN, else the row as floats and its NaN-aware
-        argmax. The fibres without a table are evaluated together."""
+        fibre: for each flat entry n * L + l, None when the label is empty,
+        else the payoff row as floats and its argmax. The fibres without a
+        table are evaluated together."""
         keys = list(keys)
         missing = [key for key in dict.fromkeys(keys) if key not in self._responses]
         if missing:
@@ -696,9 +676,8 @@ class PolicyGameSolver:
             individual = np.stack([ev.individual for ev in evaluations])
             empty = np.stack([ev.empty_labels for ev in evaluations])
             payoffs = individual.reshape(len(missing), -1, individual.shape[3])
-            skip = (np.isnan(individual).all(axis=3) | empty[:, None]).reshape(len(missing), -1)
-            # np.nanargmax is argmax with NaN read as -inf
-            best = np.where(np.isnan(payoffs), -np.inf, payoffs).argmax(axis=2)
+            skip = np.tile(empty, self.config.num_classes)
+            best = payoffs.argmax(axis=2)
             for key, rows, bests, skips in zip(missing, payoffs.tolist(), best.tolist(),
                                                skip.tolist()):
                 self._responses[key] = [None if skipped else (row, b)
@@ -795,8 +774,7 @@ class PolicyGameSolver:
         utility table per fibre, as its rep groups them, and judges every
         member by that table's Nash gap, which is every member's."""
         return PolicyGameSolver(self.space, self.scheme,
-                                strict_arrivals=self.strict_arrivals,
-                                deviation_payoff=self.deviation_payoff)
+                                strict_arrivals=self.strict_arrivals)
 
     def verify_equilibrium(self, policy: Policy) -> bool:
         """Re-check the no-profitable-deviation inequality for policy on a
@@ -810,16 +788,6 @@ def evaluate_policy(space: StateSpace, scheme: AggregationScheme, policy: Policy
                     **kwargs) -> PolicyEvaluation:
     """One-shot policy evaluation (see PolicyGameSolver for options)."""
     return PolicyGameSolver(space, scheme, **kwargs).evaluate(policy)
-
-
-def find_nash(space: StateSpace, scheme: AggregationScheme, mode: str = "auto",
-              **kwargs) -> list[PolicyEvaluation]:
-    return PolicyGameSolver(space, scheme).find_nash(mode, **kwargs)
-
-
-def optimal_policy(space: StateSpace, scheme: AggregationScheme,
-                   **kwargs) -> OptimalResult:
-    return PolicyGameSolver(space, scheme).optimal_policy(**kwargs)
 
 
 def evaluate_rule(space: StateSpace, rule: AssignmentRule,

@@ -50,10 +50,10 @@ def _budget(monkeypatch, space, budget: str) -> None:
     }[budget])
 
 
-@pytest.mark.parametrize("budget", ["below-one-band", "uneven", "default"])
-@pytest.mark.parametrize("mode", ["redirect", "exclude"])
+@pytest.mark.parametrize("budget", ["below-one-band", "uneven", "default"],
+                         ids=lambda budget: f"redirect-{budget}")
 @pytest.mark.parametrize("strict", [False, True])
-def test_evaluate_many_matches_one_at_a_time(instances, monkeypatch, budget, mode, strict):
+def test_evaluate_many_matches_one_at_a_time(instances, monkeypatch, budget, strict):
     """Every field of every PolicyEvaluation, and the Nash gaps, come out
     of evaluate_many bit for bit as from solving the policy's own chain in
     a chunk of one (_solved on its row alone): with chunks of one, with
@@ -63,9 +63,8 @@ def test_evaluate_many_matches_one_at_a_time(instances, monkeypatch, budget, mod
     chunks = set()
     for config, space, scheme in instances:
         _budget(monkeypatch, space, budget)
-        options = dict(strict_arrivals=strict, deviation_payoff=mode)
-        solver = PolicyGameSolver(space, scheme, **options)
-        alone = PolicyGameSolver(space, scheme, **options)
+        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
+        alone = PolicyGameSolver(space, scheme, strict_arrivals=strict)
         policies = [random_policy(rng, config, scheme) for _ in range(10)]
         many = solver.evaluate_many(policies)
         for policy, ev in zip(policies, many):

@@ -43,7 +43,24 @@ def test_validate_bad_config(tmp_path, capsys):
 
 def test_validate_missing_file(capsys):
     assert run("validate", "--config", "/nonexistent.json") == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["directory", "binary", "out-under-a-file"])
+def test_unreadable_input_is_one_error_line(tmp_path, capsys, case):
+    """A config file that is a directory or not UTF-8 text, and an --out
+    below a regular file, are one-line errors like a missing file."""
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    (tmp_path / "file").write_text("")
+    argv = {"directory": ["validate", "--config", str(CONFIG_DIR)],
+            "binary": ["validate", "--config", str(binary)],
+            "out-under-a-file": ["enumerate", "--config", ERLANG,
+                                 "--out", str(tmp_path / "file" / "o")]}[case]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_enumerate_writes_state_table(tmp_path):
@@ -210,6 +227,20 @@ def test_numerical_failures_are_one_line_errors(monkeypatch, capsys, error):
 def test_control_rejects_bad_scheme_text(capsys):
     assert run("control", "--config", HYBRID, "--scheme", "0.3;0.7") == 1
     assert "low,high" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["0.3,0.7", "0.3,0.7;0.3,0.7;0.3,0.7"],
+                         ids=["too-few-pairs", "too-many-pairs"])
+@pytest.mark.parametrize("command", [["control"], ["sweep", "--analyses", "control"]],
+                         ids=["control", "sweep"])
+def test_scheme_needs_a_threshold_pair_per_system(tmp_path, capsys, command, scheme):
+    """A scheme for another number of systems than the config's is a
+    one-line error, not an IndexError nor rows without equilibria."""
+    assert run(*command, "--config", HYBRID, "--scheme", scheme, "--traffic", "2:2:1",
+               "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "threshold pair per system" in err
 
 
 def test_sweep_rejects_unknown_analysis(capsys):

@@ -54,15 +54,6 @@ def test_individual_utility_erlang_default_redirect(erlang_solver):
     assert ev.individual[0, 0, 0] == pytest.approx(1.2, abs=1e-10)
 
 
-def test_individual_utility_erlang_exclude_mode(erlang_space, erlang_scheme):
-    """The exclude variant averages only over states that can admit, giving
-    the spec's hand value (0.4*5/3 + 0.4*4/3) / 0.8 = 1.5."""
-    solver = PolicyGameSolver(erlang_space, erlang_scheme,
-                              deviation_payoff="exclude")
-    ev = solver.evaluate(Policy(((0, 0, 0),)))
-    assert ev.individual[0, 0, 0] == pytest.approx(1.5, abs=1e-10)
-
-
 def test_individual_utility_single_label_is_unconditional_average(erlang_solver):
     ev = erlang_solver.evaluate(Policy(((0, 0, 0),)))
     pi = ev.pi
@@ -375,16 +366,6 @@ def test_policy_rule_label_memo_follows_the_config():
     assert copy.choose(fast, occ, 0) == label_of(scheme, fast, occ)
 
 
-def test_exclude_mode_nash_search_runs(asym_instance):
-    """The exclude averaging mode can leave deviation payoffs undefined on
-    some labels; search and verification must handle that."""
-    _, space, scheme = asym_instance
-    solver = PolicyGameSolver(space, scheme, deviation_payoff="exclude")
-    exact = solver.find_nash("exhaustive")
-    br = solver.find_nash("best_response", restarts=16, seed=2)
-    assert [e.policy.choice for e in exact] == [e.policy.choice for e in br]
-
-
 def test_class_with_no_feasible_system():
     """A class whose peak rates sit below t_min everywhere is always
     blocked; the game still evaluates and the group is payoff-neutral."""
@@ -467,17 +448,13 @@ def loop_payoffs(solver, ev):
     for n in range(N):
         for s in range(S):
             for i in range(solver.space.num_states):
-                if solver.deviation_payoff == "exclude":
-                    target, sys_in = tables.arrival_id[n, s, i], s
-                    weight = 1.0 if target >= 0 else 0.0
-                elif solver.strict_arrivals:
-                    target, sys_in, weight = tables.strict_id[n, s, i], s, 1.0
+                if solver.strict_arrivals:
+                    target, sys_in = tables.strict_id[n, s, i], s
                 else:
                     target, sys_in = tables.admit_id[n, s, i], tables.admit_sys[n, s, i]
-                    weight = 1.0
                 value = ev.volumes[n, sys_in, target] if target >= 0 else 0.0
-                num[n, labels[i], s] += value * weight * pi[i]
-                den[n, labels[i], s] += weight * pi[i]
+                num[n, labels[i], s] += value * pi[i]
+                den[n, labels[i], s] += pi[i]
     individual = np.full((N, L, S), np.nan)
     gap = 0.0
     for n in range(N):
@@ -486,24 +463,25 @@ def loop_payoffs(solver, ev):
                 if not ev.empty_labels[l] and den[n, l, s] > 1e-12:
                     individual[n, l, s] = num[n, l, s] / den[n, l, s]
             payoffs = individual[n, l]
-            current = payoffs[ev.policy.choice[n][l]]
-            if not ev.empty_labels[l] and not np.isnan(current):
-                gap = max(gap, float(np.nanmax(payoffs) - current))
+            if not ev.empty_labels[l]:
+                gap = max(gap, float(payoffs.max() - payoffs[ev.policy.choice[n][l]]))
     return individual, gap
 
 
-@pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("mode", ["redirect", "exclude"])
-def test_payoff_table_and_gap_match_state_loop(strict, mode):
+@pytest.mark.parametrize("strict", [False, True], ids=lambda strict: f"redirect-{strict}")
+def test_payoff_table_and_gap_match_state_loop(strict):
+    """The payoff table and gap match a state-by-state loop, and a payoff
+    is undefined exactly on the labels without mass."""
     rng = np.random.default_rng(23)
     for _ in range(6):
         config, space, scheme = random_instance(rng, max_space=120)
-        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict,
-                                  deviation_payoff=mode)
+        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
         ev = solver.evaluate(random_policy(rng, config, scheme))
         individual, gap = loop_payoffs(solver, ev)
         np.testing.assert_allclose(ev.individual, individual, rtol=1e-13, atol=0)
         assert ev.nash_gap() == pytest.approx(gap, rel=1e-12, abs=1e-15)
+        assert np.array_equal(np.isnan(ev.individual),
+                              np.broadcast_to(ev.empty_labels[:, None], ev.individual.shape))
 
 
 # ----- the quotient by fibres ----------------------------------------------
@@ -527,7 +505,7 @@ def shipped_spaces(hybrid_instance):
 @pytest.mark.parametrize("erlangs", [1, 5, 10])
 def test_quotient_counts_on_shipped_instance(hybrid_instance, shipped_spaces, erlangs):
     """Redirection merges 2^18 canonical policies into 2^11 fibres; strict
-    arrivals and the exclude payoff mode each keep 2^16 apart."""
+    arrivals keep 2^16 apart."""
     _, scheme = hybrid_instance
     space = shipped_spaces[erlangs]
     solver = PolicyGameSolver(space, scheme)
@@ -536,8 +514,6 @@ def test_quotient_counts_on_shipped_instance(hybrid_instance, shipped_spaces, er
     assert sum(1 for _ in solver.representatives()) == 2_048
     strict = PolicyGameSolver(space, scheme, strict_arrivals=True)
     assert representative_count(strict) == 65_536
-    exclude = PolicyGameSolver(space, scheme, deviation_payoff="exclude")
-    assert representative_count(exclude) == 65_536
 
 
 def test_quotient_count_on_exhaustive_benchmark_instance(hybrid_instance):
