@@ -596,6 +596,9 @@ def main(argv=None) -> int:
         # below 1, a sweep or validation would still run one worker
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        # numpy's generators take no negative seed
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (ConfigError, CapacityError, OSError, SearchCapError,
             ResidualError, SingularChainError, SingularTaggedChainError,

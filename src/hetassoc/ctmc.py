@@ -173,16 +173,16 @@ class TaggedGroup:
     """Non-empty tagged blocks that are gathered, solved and checked
     together, their arrays laid end to end.
 
-    blocks holds, per block in (class, system) order, its TaggedPlan, its
-    band_shape and the slices of its band storage and of its values in the
-    group's; size is the group's band slots in all. src, band and
-    shift_band are the plans' arrays over the group's band storage,
-    shift_rows and shift_cols over its values, and rate the right-hand sides
-    end to end. starts is where each block's values start, norm its bound
-    on |A|_inf, targets the position of each value in a flattened (N, S,
-    num_states) volume table, and slots its position in the band's order
-    among the group's blocks laid end to end, num_states each. A group of
-    one block shares its plan's arrays.
+    blocks holds, per block in (class, system) order, its index k in that
+    order, its TaggedPlan, its band_shape and the slices of its band storage
+    and of its values in the group's; size is the group's band slots in
+    all. src, band and shift_band are the plans' arrays over the group's
+    band storage, shift_rows and shift_cols over its values, and rate the
+    right-hand sides end to end. starts is where each block's values start,
+    norm its bound on |A|_inf, targets the position of each value in a
+    flattened (N, S, num_states) volume table, and slots its position in
+    the band's order among the group's blocks laid end to end, num_states
+    each. A group of one block shares its plan's arrays.
     """
 
     def __init__(self, blocks: list[tuple[int, TaggedPlan]], num_states: int):
@@ -190,7 +190,7 @@ class TaggedGroup:
         band_at = value_at = 0
         band, shift_band, shift_rows, shift_cols, starts = [], [], [], [], []
         for k, plan in blocks:
-            self.blocks.append((plan, plan.band_shape,
+            self.blocks.append((k, plan, plan.band_shape,
                                 slice(band_at, band_at + plan.band_size),
                                 slice(value_at, value_at + len(plan.ids))))
             band.append(plan.band + band_at if band_at else plan.band)

@@ -35,13 +35,24 @@ Nash gap with its evaluation, so no search recomputes it.
 The core evaluates a chunk of choice tables at once: one assembly into a
 stack of bands, the stationary and tagged solves with their checks, and the
 aggregation, each over a leading batch axis, with one LAPACK solve per
-policy and block. Exhaustive scans, both searches and the fresh
-re-verification solve their missing fibres a chunk at a time
-(ctmc.CHUNK_BYTES bounds a chunk): the best-response paths, or the
-coordinate ascents, of all restarts advance in lockstep under one driver,
-and each round solves the fibres the paused walks wait for together. A
-single evaluation and evaluate_rule are chunks of one. A policy's results
-have the same bits in any chunk.
+policy for the stationary vector and one per distinct tagged block.
+Exhaustive scans, both searches and the fresh re-verification solve their
+missing fibres a chunk at a time (ctmc.CHUNK_BYTES bounds a chunk): the
+best-response paths, or the coordinate ascents, of all restarts advance in
+lockstep under one driver, and each round solves the fibres the paused
+walks wait for together. A single evaluation and evaluate_rule are chunks
+of one. A policy's results have the same bits in any chunk.
+
+A tagged (n, s) block depends only on the choices at the states holding an
+(n, s) user. So a solver keys each block by a row's image under that
+block's own interchangeability map, which is coarser than rep, and keeps
+the checked values of every block it solved. A block whose key it has seen,
+in an earlier chunk or earlier in the same one, is copied, not factored,
+and checked like a solved one. The maps are built on first use, by the
+first chunk of several rows or once a fibre is cached, so a lone
+evaluation, evaluate_rule and the baselines key nothing. The block cache
+belongs to the solver's core, so the fresh checker starts with an empty
+one and reads none of its parent's blocks.
 
 The tolerances are constants: NASH_EPS for equilibrium tests and the
 best-response steps, TIE_TOL for the exhaustive optimum's ties,
@@ -53,6 +64,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -128,8 +140,10 @@ class ChainEvaluation:
 class _ChainCore:
     """What _evaluate_chain reuses from chunk to chunk over one information
     partition, for chunks of up to `chunk` choice tables: the tables, the
-    arrival mode, the outcome index, the Partition and where each table's
-    padded volumes start in the chunk's."""
+    arrival mode, the outcome index, the Partition, where each table's
+    padded volumes start in the chunk's, and solved, the checked values of
+    every tagged block solved under a key (see transient._solve_group). A
+    core belongs to one solver, so no other solver reads its blocks."""
 
     def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int,
                  strict: bool, chunk: int):
@@ -139,6 +153,7 @@ class _ChainCore:
         self.partition = Partition(tables, cells, ncells, chunk)
         padded = N * S * nst + 1
         self.padded_offset = np.arange(0, chunk * padded, padded)[:, None, None]
+        self.solved: dict[tuple[int, bytes], np.ndarray] = {}
 
 
 class _ChainChunk(NamedTuple):
@@ -152,9 +167,11 @@ class _ChainChunk(NamedTuple):
     empty: np.ndarray                 # (B, cells) cells without stationary mass
 
 
-def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
+def _evaluate_chain(core: _ChainCore, choices: np.ndarray, keys=None) -> _ChainChunk:
     """Solve the chains of a chunk of preferred-system tables, choices of
     shape (B, N, num_states), and aggregate each over the core's cells.
+    keys[k][b], when given, keys tagged block k of table b: a block whose
+    key the core has solved is copied, not factored (see tagged_volumes).
 
     Every step runs once for the chunk: assembly, the stationary solves,
     blocking, the tagged volumes and the global utility. Blocking is
@@ -169,7 +186,7 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
     data = assemble_stack(tables, choices, core.strict)
     pi, residual = stationary_vectors(data, plan)
     b = cell_blocking(tables, pi, core.partition)
-    volumes = tagged_volumes(tables, data)
+    volumes = tagged_volumes(tables, data, keys, core.solved)
     padded = np.zeros((B, volumes[0].size + 1))
     padded[:, :-1] = volumes.reshape(B, -1)
     chosen = padded.take(core.outcome.take(choices * nst + plan.entry)
@@ -311,16 +328,53 @@ class PolicyGameSolver:
         same generator and the same payoff table, bit for bit.
         A structurally empty label maps every system to 0.
         """
-        N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
         where, rate = self.tables.solve_plan.arrivals[self.strict_arrivals]
+        return self._lowest_agreeing((where, rate, self._outcome))
+
+    def _lowest_agreeing(self, gathered, states=None) -> np.ndarray:
+        """image[n, l, s]: the lowest system t such that every (N, S,
+        num_states) array of gathered holds at [n, t, i] what it holds at
+        [n, s, i], at every state i of label l (of those in the mask states,
+        when given); 0 on a label without such states."""
+        N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
         differ = np.zeros((N, S, S, self.space.num_states), dtype=bool)
-        for gathered in (where, rate, self._outcome):
-            differ |= gathered[:, :, None] != gathered[:, None]
+        for array in gathered:
+            differ |= array[:, :, None] != array[:, None]
+        if states is not None:
+            differ &= states
         # clash[n, s, t, l]: s and t disagree at some state of label l
         bins = (np.arange(N * S * S)[:, None] * L + self.labels).ravel()
         clash = np.bincount(bins, weights=differ.ravel(), minlength=N * S * S * L)
         agree = clash.reshape(N, S, S, L).transpose(0, 3, 1, 2) == 0
         return agree.argmax(axis=3)
+
+    @cached_property
+    def _block_images(self) -> tuple[list[int], np.ndarray]:
+        """The index k = n * S + s of every non-empty tagged (n, s) block,
+        and images[j] (N * L * S), int8, the image under which block j is
+        keyed: entry e * S + t is the lowest system that puts the same
+        arrivals as t (band position and rate) at every state of entry e's
+        label holding an (n, s) user. Every entry of the block's band is an
+        arrival or departure at such a state, and an arrival from one lands
+        on another, so rows with the same image gather the same band, bit
+        for bit. Built on first use: a lone evaluation never needs it."""
+        where, rate = self.tables.solve_plan.arrivals[self.strict_arrivals]
+        occupied = self.tables.occ_ns.reshape(-1, self.space.num_states) > 0
+        blocks = np.flatnonzero(occupied.any(axis=1))
+        images = [self._lowest_agreeing((where, rate), occupied[k]) for k in blocks]
+        return blocks.tolist(), np.array(images, dtype=np.int8).reshape(len(blocks), -1)
+
+    def _block_keys(self, rows: np.ndarray) -> dict[int, list[bytes]]:
+        """keys[k][b]: the bytes of flat row b's image under non-empty
+        tagged block k's (see _block_images), which keys its band."""
+        blocks, images = self._block_images
+        E, S = rows.shape[1], self.config.num_systems
+        picked = images.take(rows.astype(np.intp) + np.arange(0, E * S, S), axis=1)
+        keys = {}
+        for k, image in zip(blocks, picked):
+            data = image.tobytes()
+            keys[k] = [data[i:i + E] for i in range(0, len(data), E)]
+        return keys
 
     # ----- rows and fibre keys ----------------------------------------
 
@@ -451,7 +505,10 @@ class PolicyGameSolver:
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
         B = len(rows)
         choices = rows.astype(np.int64).reshape(B, N, L)
-        chunk = _evaluate_chain(self._core, choices.take(self.labels, axis=2))
+        # blocks can repeat once a chunk holds several rows or a fibre was
+        # solved before; a lone first evaluation keys none
+        keys = self._block_keys(rows) if B > 1 or self._cache else None
+        chunk = _evaluate_chain(self._core, choices.take(self.labels, axis=2), keys)
         # the denominator of U is the label mass: cell_blocking sums the
         # same pi[i] in the same state order
         weighted = chunk.padded[:, self._outcome] * chunk.pi[:, None, None]

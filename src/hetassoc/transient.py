@@ -17,9 +17,18 @@ afterwards, by BLAS gbmv on its unfactored band.
 
 The solves take a stack of generators (ctmc.assemble_stack) and a group of
 blocks at a time (ctmc.TaggedGroup): one gather of every block of the group
-from every generator, one LU per generator and block, and one stacked gbmv
-per block that checks it on every generator. The blocks of a stack go in
-one group where their bands fit in ctmc.CHUNK_BYTES, else one at a time.
+from every generator, one LU per distinct block (below), and one stacked
+gbmv per block that checks it on every generator. The blocks of a stack go
+in one group where their bands fit in ctmc.CHUNK_BYTES, else one at a time.
+
+A caller that can recognise equal blocks without gathering them passes a
+key per generator and block, and a dict of the checked values of the keys
+it solved before (game keys a block by the choices at its states). A block
+whose key is in that dict, or was solved for an earlier generator of the
+stack, is not factored again: its values are copied. Equal keys must mean
+bit-equal bands, so a copy has the bits its own LU would give. Every block
+is still gathered and checked, a copied one included, and the dict gains
+the new keys only once their check has passed.
 
 The module has no per-rule entry point: game.evaluate_rule values any rule,
 its tagged volumes included, through tagged_volumes, the same path every
@@ -118,20 +127,39 @@ def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarr
 
 
 def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup,
-                 mu: float) -> np.ndarray:
+                 mu: float, keys=None, solved: dict | None = None) -> np.ndarray:
     """Checked expected megabits of a tagged user, who leaves at rate mu,
     for every block of a group and every generator of a stack: row b holds
     generator b's values, each block's at its slice of group.blocks in its
     plan's state order. Every LU runs before the checks, and the error
-    raised is that of solving block by block (see _check_tagged)."""
+    raised is that of solving block by block (see _check_tagged).
+
+    With keys, keys[k][b] is generator b's key of the block with index k
+    in (class, system) order, and solved maps (k, key) to checked values.
+    One LU runs per key not in solved, at the first generator that has it;
+    every later generator with that key gets a copy, and so does a key in
+    solved. A copy's info is 0: had its LU failed, it failed at that first
+    generator, which the check reaches earlier. The keys solved here join
+    solved once the whole group has passed its check."""
     bands = _tagged_matrix(data, group, mu)
     values = np.empty((len(data), len(group.rate)))
-    info = np.empty((len(data), len(group.blocks)), dtype=np.int64)
+    info = np.zeros((len(data), len(group.blocks)), dtype=np.int64)
+    # (k, key) -> the values of the generator whose LU solved it here
+    fresh: dict = {}
     for b in range(len(data)):
-        for k, (plan, shape, band, value) in enumerate(group.blocks):
-            values[b, value], info[b, k] = _solve_tagged(
+        for j, (k, plan, shape, band, value) in enumerate(group.blocks):
+            if keys is not None:
+                key = (k, keys[k][b])
+                known = solved.get(key, fresh.get(key))
+                if known is not None:
+                    values[b, value] = known
+                    continue
+                fresh[key] = values[b, value]
+            values[b, value], info[b, j] = _solve_tagged(
                 plan, bands[b, band].reshape(shape, order="F"), plan.rate)
     _check_tagged(data, tables.solve_plan, group, values, mu, info)
+    for key, known in fresh.items():
+        solved[key] = known.copy()
     return values
 
 
@@ -149,14 +177,16 @@ def solve_volume_from_matrix(tables: ChainTables, q, user_class: int,
     return out
 
 
-def tagged_volumes(tables: ChainTables, data: np.ndarray) -> np.ndarray:
+def tagged_volumes(tables: ChainTables, data: np.ndarray, keys=None,
+                   solved: dict | None = None) -> np.ndarray:
     """volumes[b, n, s, i]: solve_volume_from_matrix for every (class,
     system) pair of every generator of a (B, size) stack, the blocks
-    gathered together as SolvePlan.tagged_groups says."""
+    gathered together as SolvePlan.tagged_groups says. keys and solved,
+    when given, spare the LUs of repeated blocks (see _solve_group)."""
     mu = _absorption_rate(tables)
     N, S, nst = tables.occ_ns.shape
     B = len(data)
     volumes = np.full((B, N * S * nst), np.nan)
     for group in tables.solve_plan.tagged_groups(B):
-        volumes[:, group.targets] = _solve_group(tables, data, group, mu)
+        volumes[:, group.targets] = _solve_group(tables, data, group, mu, keys, solved)
     return volumes.reshape(B, N, S, nst)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hetassoc import ResidualError, SingularChainError, ctmc, enumerate_states, transient
-from hetassoc.config import NetworkConfig
+from hetassoc.config import AggregationScheme, NetworkConfig
 from hetassoc.ctmc import (BandGenerator, assemble_dense, assemble_stack, chain_tables,
                            stationary_vector, stationary_vectors)
 from hetassoc.game import (ChainEvaluation, PolicyEvaluation, PolicyGameSolver, _ChainCore,
@@ -56,19 +56,20 @@ def _budget(monkeypatch, space, budget: str) -> None:
 def test_evaluate_many_matches_one_at_a_time(instances, monkeypatch, budget, strict):
     """Every field of every PolicyEvaluation, and the Nash gaps, come out
     of evaluate_many bit for bit as from solving the policy's own chain in
-    a chunk of one (_solved on its row alone): with chunks of one, with
-    chunks of 3 over 10 policies, and at the default budget. Each stored
-    gap is the one recomputed from its evaluation's own table."""
+    a chunk of one (_solved on its row alone, by a fresh solver, whose
+    tagged blocks all run their own LU): with chunks of one, with chunks of
+    3 over 10 policies, and at the default budget. Each stored gap is the
+    one recomputed from its evaluation's own table."""
     rng = np.random.default_rng(99)
     chunks = set()
     for config, space, scheme in instances:
         _budget(monkeypatch, space, budget)
         solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
-        alone = PolicyGameSolver(space, scheme, strict_arrivals=strict)
         policies = [random_policy(rng, config, scheme) for _ in range(10)]
         many = solver.evaluate_many(policies)
         for policy, ev in zip(policies, many):
             assert ev.policy == policy
+            alone = PolicyGameSolver(space, scheme, strict_arrivals=strict)
             own, = alone._solved(alone._policy_rows([policy]))
             assert_same_bits(ev, dataclasses.replace(own, policy=policy))
         recomputed = _nash_gaps(np.stack([ev.individual for ev in many]),
@@ -353,6 +354,75 @@ def test_tagged_blocks_go_one_at_a_time_past_the_budget(monkeypatch):
     assert plan.chunk_size() == 1
     monkeypatch.setattr(ctmc, "CHUNK_BYTES", 2 * plan.tagged_bytes)
     assert [len(plan.tagged_groups(b)) for b in (1, 2, 3)] == [1, 1, blocks]
+
+
+def test_reused_tagged_block_is_checked_again(hybrid_instance):
+    """A tagged block served from a solver's block cache goes through the
+    same residual check as a solved one: with one cached value thrown off
+    by one part in a million, a new fibre whose block key hits that entry
+    raises ResidualError, while a fresh solver evaluates it."""
+    config, scheme = hybrid_instance
+    space = enumerate_states(config)
+    solver = PolicyGameSolver(space, scheme)
+    rng = np.random.default_rng(4)
+    solver.evaluate_many([random_policy(rng, config, scheme) for _ in range(4)])
+    for _ in range(1000):
+        policy = random_policy(rng, config, scheme)
+        row = solver._policy_rows([policy])
+        hits = [(k, keys[0]) for k, keys in solver._block_keys(row).items()
+                if (k, keys[0]) in solver._core.solved]
+        if hits and solver._key(row[0].tolist()) not in solver._cache:
+            break
+    else:
+        pytest.fail("no new fibre shares a block key with the cached ones")
+    assert PolicyGameSolver(space, scheme).evaluate(policy).policy == policy
+    solver._core.solved[hits[0]][0] *= 1 + 1e-6
+    with pytest.raises(ResidualError, match="tagged residual"):
+        solver.evaluate(policy)
+
+
+def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeypatch):
+    """On the nash-exhaustive benchmark instance, find_nash("exhaustive")
+    runs one tagged LU per distinct band the search solver gathers: 449
+    for the 1,024 blocks of its 256 fibres, the distinct bands counted here
+    by hashing _tagged_matrix's output. The fresh checker starts with an
+    empty block cache of its own and reads none of the search's blocks: it
+    factors every block of the one fibre it verifies."""
+    config, scheme = hybrid_instance
+    scheme = AggregationScheme((scheme.thresholds[0], (0.5, 0.5)))
+    space = enumerate_states(config.scale_traffic(5.0 / config.offered_erlangs))
+    solver = PolicyGameSolver(space, scheme)
+    calls = [0]
+    solve, fresh_checker = transient._solve_tagged, PolicyGameSolver.fresh_checker
+
+    def solve_tagged(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    checkers = []
+
+    def checker_of(parent):
+        checker = fresh_checker(parent)
+        checkers.append((checker, calls[0], dict(checker._core.solved)))
+        return checker
+
+    monkeypatch.setattr(transient, "_solve_tagged", solve_tagged)
+    monkeypatch.setattr(PolicyGameSolver, "fresh_checker", checker_of)
+    assert solver.find_nash("exhaustive")
+    (checker, searched, at_start), = checkers
+    tables = chain_tables(space)
+    N, L = config.num_classes, solver.num_labels
+    rows = solver._key_rows(list(solver._cache))
+    data = assemble_stack(tables, rows.astype(np.int64).reshape(-1, N, L)
+                          .take(solver.labels, axis=2))
+    blocks = [(k, plan) for k, plan in enumerate(p for row in tables.solve_plan.tagged
+                                                 for p in row) if len(plan.ids)]
+    bands = {(k, band.tobytes()) for k, plan in blocks for band in transient._tagged_matrix(
+        data, TaggedGroup([(k, plan)], space.num_states), config.service_rate)}
+    assert (len(rows), len(rows) * len(blocks)) == (256, 1_024)
+    assert searched == len(bands) == len(solver._core.solved) == 449
+    assert at_start == {} and checker._core.solved is not solver._core.solved
+    assert calls[0] - searched == len(blocks) * len(checker._cache) == 4
 
 
 def _watch_chunks(solver, monkeypatch) -> list[int]:

@@ -314,6 +314,22 @@ def test_counts_below_one_are_refused(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["nash"],
+    ["optimal"],
+    ["sweep", "--traffic", "2:2:1"],
+    ["control", "--traffic", "2:2:1"],
+    ["simulate", "--events", "1000"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_refused(tmp_path, capsys, argv):
+    """Every command that draws from a seeded generator refuses a negative
+    --seed on one line before writing anything, instead of ending in
+    numpy's ValueError."""
+    assert run(*argv, "--config", HYBRID, "--seed", "-1", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_parallel_jobs_match_serial(tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
