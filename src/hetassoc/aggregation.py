@@ -41,7 +41,7 @@ def load_levels(scheme: AggregationScheme, config: NetworkConfig,
                  for s in range(config.num_systems))
 
 
-def label_index(scheme: AggregationScheme, levels) -> int:
+def label_index(levels) -> int:
     """Dense label id of a per-system level vector (system 0 most significant)."""
     label = 0
     for lv in levels:
@@ -64,7 +64,7 @@ def label_name(scheme: AggregationScheme, label: int) -> str:
 
 def label_of(scheme: AggregationScheme, config: NetworkConfig, occ: Occupancy) -> int:
     """Joint load label broadcast for state `occ`."""
-    return label_index(scheme, load_levels(scheme, config, occ))
+    return label_index(load_levels(scheme, config, occ))
 
 
 def label_array(scheme: AggregationScheme, space: StateSpace) -> np.ndarray:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,7 @@ from . import __version__
 from .aggregation import label_array
 from .charts import line_chart
 from .config import (NETWORK_WIDE, PER_SYSTEM, AggregationScheme, ConfigError,
-                     NetworkConfig, ParseError, Policy, load_instance,
-                     serialize_instance)
+                     NetworkConfig, ParseError, Policy, load_instance)
 from .control import RankingMismatchError, optimize_thresholds
 from .ctmc import (ResidualError, SingularChainError, build_generator,
                    solve_steady_state)
@@ -200,12 +199,6 @@ def _parse_scheme(text: str) -> AggregationScheme:
     return AggregationScheme(tuple(pairs))
 
 
-def _scaled(config: NetworkConfig, erlangs: float) -> NetworkConfig:
-    """Scale arrival rates so the total offered traffic hits `erlangs`,
-    preserving the configured per-class proportions."""
-    return config.scale_traffic(erlangs / config.offered_erlangs)
-
-
 # ----- subcommand bodies ----------------------------------------------
 
 
@@ -285,7 +278,7 @@ def _policy_header(config, scheme):
                for l in range(scheme.label_count)])
 
 
-def _policy_rows(config, scheme, evaluations):
+def _policy_rows(config, evaluations):
     for ev in evaluations:
         yield ([",".join(str(s) for s in ev.policy.flatten()),
                 f"{ev.global_utility:.12g}", f"{ev.overall_blocking:.12g}"]
@@ -309,7 +302,7 @@ def _cmd_nash(args) -> int:
     }
     path = write_json(Path(args.out) / "nash.json", payload, config, scheme, params)
     write_csv(Path(args.out) / "nash.csv", _policy_header(config, scheme),
-              _policy_rows(config, scheme, result), config, scheme, params)
+              _policy_rows(config, result), config, scheme, params)
     if result:
         print(f"found {len(result)} equilibrium policies; wrote {path}")
     else:
@@ -333,7 +326,7 @@ def _cmd_optimal(args) -> int:
     }
     path = write_json(Path(args.out) / "optimal.json", payload, config, scheme, params)
     write_csv(Path(args.out) / "optimal.csv", _policy_header(config, scheme),
-              _policy_rows(config, scheme, [result.evaluation]), config, scheme, params)
+              _policy_rows(config, [result.evaluation]), config, scheme, params)
     print(f"optimal utility {result.evaluation.global_utility:.6g} "
           f"({result.method}, {result.policies_evaluated} policies); wrote {path}")
     return 0
@@ -357,6 +350,63 @@ def _cmd_baseline(args) -> int:
 
 
 _DEFAULT_CONTROL_SCHEMES = ("0.3,0.7;0.3,0.7", "0.0,0.0;0.0,0.0", "0.5,0.9;0.5,0.9")
+_BASELINES = ("peak_rate", "instantaneous_rate")
+
+
+def _scheme_text(scheme: AggregationScheme) -> str:
+    return ";".join(f"{lo},{hi}" for lo, hi in scheme.thresholds)
+
+
+def _cell(value) -> str:
+    """A number's CSV cell, empty for None."""
+    return "" if value is None else f"{value:.12g}"
+
+
+def _sweep_point(config: NetworkConfig, scheme: AggregationScheme, erlangs: float, *,
+                 analyses, grid: list[AggregationScheme], selection: str,
+                 strict: bool, restarts: int, seed: int, max_states: int) -> dict:
+    """The library's results at one traffic point, by analysis: "nash"
+    (the equilibria), "optimal" (the OptimalResult), one entry per
+    baseline, and "control" (the ControlResult over grid).
+
+    The arrival rates are scaled, in their configured proportions, to offer
+    `erlangs` in all, and the space is enumerated once, under the
+    max_states ceiling; nash and optimal share one solver, and the
+    baselines and the threshold search run on the same space. Arguments
+    and results pickle, so a worker process can run a point.
+    """
+    space = enumerate_states(config.scale_traffic(erlangs / config.offered_erlangs),
+                             max_states=max_states)
+    out: dict = {}
+    if "nash" in analyses or "optimal" in analyses:
+        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
+    if "nash" in analyses:
+        out["nash"] = solver.find_nash("auto", restarts=restarts, seed=seed)
+    if "optimal" in analyses:
+        out["optimal"] = solver.optimal_policy(method="auto", seed=seed)
+    if "baselines" in analyses:
+        for which in _BASELINES:
+            out[which] = evaluate_baseline(space, which, strict_arrivals=strict)
+    if "control" in analyses:
+        out["control"] = optimize_thresholds(space, grid, selection_rule=selection,
+                                             restarts=restarts, seed=seed,
+                                             strict_arrivals=strict)
+    return out
+
+
+def _run_points(args, config, scheme, traffic, analyses, grid, selection="max_utility"):
+    """Yield _sweep_point's results at every traffic point, in order, run
+    in --jobs processes. A serial run yields each point before it solves
+    the next, so one point's results are alive at a time."""
+    point = partial(_sweep_point, config, scheme, analyses=analyses, grid=grid,
+                    selection=selection, strict=args.strict_eq2,
+                    restarts=args.restarts, seed=args.seed,
+                    max_states=args.max_states)
+    if args.jobs == 1:
+        yield from map(point, traffic)
+        return
+    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        yield from pool.map(point, traffic)
 
 
 def _cmd_control(args) -> int:
@@ -366,21 +416,14 @@ def _cmd_control(args) -> int:
     traffic = _parse_traffic(args.traffic) if args.traffic else [config.offered_erlangs]
     rows = []
     summary = []
-    for erl in traffic:
-        scaled = _scaled(config, erl)
-        result = optimize_thresholds(scaled, grid, selection_rule=args.selection,
-                                     restarts=args.restarts, seed=args.seed,
-                                     strict_arrivals=args.strict_eq2)
+    for erl, results in zip(traffic, _run_points(args, config, scheme, traffic,
+                                                 ("control",), grid, args.selection)):
+        result = results["control"]
         for i, outcome in enumerate(result.outcomes):
-            rows.append([
-                erl, ";".join(f"{lo},{hi}" for lo, hi in outcome.scheme.thresholds),
-                "" if outcome.blocking is None else f"{outcome.blocking:.12g}",
-                "" if outcome.utility is None else f"{outcome.utility:.12g}",
-                "" if outcome.worst_blocking is None else f"{outcome.worst_blocking:.12g}",
-                len(outcome.equilibria),
-                "best" if i == result.best_index else "",
-                outcome.note,
-            ])
+            rows.append([erl, _scheme_text(outcome.scheme), _cell(outcome.blocking),
+                         _cell(outcome.utility), _cell(outcome.worst_blocking),
+                         len(outcome.equilibria), "best" if i == result.best_index else "",
+                         outcome.note])
         best = result.best
         summary.append({
             "erlangs": erl,
@@ -401,19 +444,11 @@ def _cmd_control(args) -> int:
     return 0
 
 
-def _sweep_point(payload: str) -> dict:
-    """Worker for one traffic point; takes JSON so processes can run it."""
-    job = json.loads(payload)
-    config, scheme = load_instance(job["instance"])
-    config = _scaled(config, job["erlangs"])
-    space = enumerate_states(config, max_states=job["max_states"])
-    out: dict = {"erlangs": job["erlangs"]}
-    analyses = job["analyses"]
-    strict = job["strict"]
-    if "nash" in analyses:
-        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
-        equilibria = solver.find_nash("auto", restarts=job["restarts"],
-                                      seed=job["seed"])
+def _sweep_record(erlangs: float, results: dict) -> dict:
+    """One point of sweep.json from _sweep_point's results."""
+    out: dict = {"erlangs": erlangs}
+    if "nash" in results:
+        equilibria = results["nash"]
         if equilibria:
             best = max(equilibria, key=lambda ev: ev.global_utility)
             out["nash"] = {"count": len(equilibria),
@@ -423,26 +458,20 @@ def _sweep_point(payload: str) -> dict:
         else:
             out["nash"] = {"count": 0, "utility": None, "blocking": None,
                            "policy": None}
-    if "optimal" in analyses:
-        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
-        result = solver.optimal_policy(method="auto", cap=job["cap"],
-                                       seed=job["seed"])
+    if "optimal" in results:
+        result = results["optimal"]
         out["optimal"] = {"utility": result.evaluation.global_utility,
                           "blocking": result.evaluation.overall_blocking,
                           "method": result.method,
                           "policy": list(result.policy.flatten())}
-    if "baselines" in analyses:
-        for which in ("peak_rate", "instantaneous_rate"):
-            report = evaluate_baseline(space, which, strict_arrivals=strict)
-            out[which] = {"utility": report.global_utility,
-                          "blocking": report.overall_blocking}
-    if "control" in analyses:
-        grid = [_parse_scheme(text) for text in job["schemes"]]
-        result = optimize_thresholds(config, grid, restarts=job["restarts"],
-                                     seed=job["seed"], strict_arrivals=strict,
-                                     space=space)
+    for which in _BASELINES:
+        if which in results:
+            out[which] = {"utility": results[which].global_utility,
+                          "blocking": results[which].overall_blocking}
+    if "control" in results:
+        result = results["control"]
         out["control"] = [
-            {"thresholds": ";".join(f"{lo},{hi}" for lo, hi in o.scheme.thresholds),
+            {"thresholds": _scheme_text(o.scheme),
              "blocking": o.blocking, "utility": o.utility,
              "equilibria": len(o.equilibria),
              "argmin": i == result.best_index}
@@ -460,58 +489,33 @@ def _cmd_sweep(args) -> int:
     if not analyses:
         raise ConfigError("at least one analysis is required")
     traffic = _parse_traffic(args.traffic)
-    raw_schemes = args.scheme or list(_DEFAULT_CONTROL_SCHEMES)
-    # canonical text form so worker output and chart legends line up
-    scheme_texts = [";".join(f"{lo},{hi}" for lo, hi in _parse_scheme(t).thresholds)
-                    for t in raw_schemes]
-    payloads = [json.dumps({
-        "instance": serialize_instance(config, scheme, indent=None),
-        "erlangs": erl, "analyses": analyses, "strict": args.strict_eq2,
-        "restarts": args.restarts, "seed": args.seed, "cap": 65536,
-        "max_states": args.max_states, "schemes": scheme_texts,
-    }) for erl in traffic]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            points = list(pool.map(_sweep_point, payloads))
-    else:
-        points = [_sweep_point(p) for p in payloads]
+    grid = [_parse_scheme(text) for text in args.scheme or _DEFAULT_CONTROL_SCHEMES]
+    points = [_sweep_record(erl, results) for erl, results
+              in zip(traffic, _run_points(args, config, scheme, traffic, analyses, grid))]
 
-    series_names = []
-    if "nash" in analyses:
-        series_names.append("nash")
-    if "optimal" in analyses:
-        series_names.append("optimal")
+    series_names = [name for name in ("nash", "optimal") if name in analyses]
     if "baselines" in analyses:
-        series_names += ["peak_rate", "instantaneous_rate"]
+        series_names += _BASELINES
 
-    def value(point, name, field):
-        entry = point.get(name) or {}
-        v = entry.get(field)
-        return None if v is None else f"{v:.12g}"
+    def rows(field):
+        return [[p["erlangs"]] + [_cell((p.get(nm) or {}).get(field)) for nm in series_names]
+                for p in points]
 
     params = {"traffic": traffic, "analyses": analyses, "seed": args.seed,
               "restarts": args.restarts}
-    util_rows = [[p["erlangs"]] + [value(p, nm, "utility") for nm in series_names]
-                 for p in points]
-    block_rows = [[p["erlangs"]] + [value(p, nm, "blocking") for nm in series_names]
-                  for p in points]
     upath = write_csv(Path(args.out) / "sweep_utility.csv",
                       ["erlangs"] + [f"utility_{nm}" for nm in series_names],
-                      util_rows, config, scheme, params)
+                      rows("utility"), config, scheme, params)
     bpath = write_csv(Path(args.out) / "sweep_blocking.csv",
                       ["erlangs"] + [f"blocking_{nm}" for nm in series_names],
-                      block_rows, config, scheme, params)
+                      rows("blocking"), config, scheme, params)
     write_json(Path(args.out) / "sweep.json", {"points": points}, config, scheme,
                params)
     if "control" in analyses:
-        control_rows = []
-        for p in points:
-            for entry in p["control"]:
-                control_rows.append([
-                    p["erlangs"], entry["thresholds"],
-                    "" if entry["blocking"] is None else f"{entry['blocking']:.12g}",
-                    "" if entry["utility"] is None else f"{entry['utility']:.12g}",
-                    entry["equilibria"], "best" if entry["argmin"] else ""])
+        control_rows = [[p["erlangs"], entry["thresholds"], _cell(entry["blocking"]),
+                         _cell(entry["utility"]), entry["equilibria"],
+                         "best" if entry["argmin"] else ""]
+                        for p in points for entry in p["control"]]
         write_csv(Path(args.out) / "sweep_control.csv",
                   ["erlangs", "thresholds", "blocking", "utility",
                    "equilibria", "argmin"],
@@ -531,14 +535,11 @@ def _cmd_sweep(args) -> int:
                 (Path(args.out) / fname).write_text(svg)
         if "control" in analyses:
             series = []
-            for text in scheme_texts:
-                ys = []
-                for p in points:
-                    match = [e for e in p["control"] if e["thresholds"] == text]
-                    b = match[0]["blocking"] if match and match[0]["blocking"] is not None \
-                        else float("nan")
-                    ys.append(b)
-                series.append((text, xs, ys))
+            # each point lists the grid's outcomes in grid order
+            for j, candidate in enumerate(grid):
+                ys = [p["control"][j]["blocking"] for p in points]
+                ys = [float("nan") if y is None else y for y in ys]
+                series.append((_scheme_text(candidate), xs, ys))
             svg = line_chart(series, "equilibrium blocking per threshold scheme",
                              "offered traffic (Erlang)", "blocking probability")
             (Path(args.out) / "sweep_control.svg").write_text(svg)

@@ -179,9 +179,6 @@ class AggregationScheme:
     def uniform(cls, num_systems: int, low: float, high: float) -> "AggregationScheme":
         return cls(((low, high),) * num_systems)
 
-    def flat(self) -> tuple[float, ...]:
-        return tuple(x for pair in self.thresholds for x in pair)
-
 
 @dataclass(frozen=True)
 class Policy:
@@ -324,7 +321,7 @@ def load_config(text: str) -> NetworkConfig:
     return load_instance(text)[0]
 
 
-def serialize_instance(config: NetworkConfig, scheme: AggregationScheme,
-                       indent: int | None = 2) -> str:
-    """Serialize an instance to the JSON document format load_instance reads."""
-    return json.dumps(instance_to_dict(config, scheme), indent=indent)
+def serialize_instance(config: NetworkConfig, scheme: AggregationScheme) -> str:
+    """Serialize an instance, on one line, to the JSON document format
+    load_instance reads."""
+    return json.dumps(instance_to_dict(config, scheme))

@@ -1,11 +1,13 @@
 """Operator-side control: choose the broadcast thresholds that minimize the
 blocking users generate at equilibrium.
 
-For each candidate aggregation scheme the user game is re-solved; the
-scheme whose equilibrium blocks the least traffic wins (maximizing the
-acceptance ratio 1/b gives the same winner, which is checked). Equilibrium
-multiplicity is surfaced instead of hidden: a declared selection rule picks
-the representative equilibrium and the worst case is reported next to it.
+For each candidate aggregation scheme the user game is re-solved on a
+state space the caller enumerates (the feasible space does not depend on
+the thresholds, so one space serves the whole grid); the scheme whose
+equilibrium blocks the least traffic wins (maximizing the acceptance ratio
+1/b gives the same winner, which is checked). Equilibrium multiplicity is
+surfaced instead of hidden: a declared selection rule picks the
+representative equilibrium and the worst case is reported next to it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AggregationScheme, NetworkConfig
+from .config import AggregationScheme
 from .game import PolicyEvaluation, PolicyGameSolver
-from .states import StateSpace, enumerate_states
+from .states import StateSpace
 
 SELECTION_RULES = ("max_utility", "min_blocking")
 
@@ -72,24 +74,22 @@ def _select(equilibria: list[PolicyEvaluation], rule: str) -> PolicyEvaluation:
     return min(equilibria, key=lambda ev: (ev.overall_blocking, -ev.global_utility))
 
 
-def optimize_thresholds(config: NetworkConfig, grid, *,
+def optimize_thresholds(space: StateSpace, grid, *,
                         selection_rule: str = "max_utility",
                         restarts: int = 64, seed: int = 0,
-                        strict_arrivals: bool = False,
-                        space: StateSpace | None = None) -> ControlResult:
-    """Evaluate every scheme in the grid and pick the blocking argmin.
+                        strict_arrivals: bool = False) -> ControlResult:
+    """Evaluate every scheme in the grid on the caller's space and pick the
+    blocking argmin.
 
     Schemes for which no pure equilibrium is found are recorded but
-    excluded from the argmin. The feasible space does not depend on the
-    thresholds, so it is enumerated once and shared.
+    excluded from the argmin. The caller enumerates the space, under its
+    own state ceiling, and every scheme is solved on it.
     """
     if selection_rule not in SELECTION_RULES:
         raise ValueError(f"selection_rule must be one of {SELECTION_RULES}")
     grid = list(grid)
     if not grid:
         raise ValueError("threshold grid must not be empty")
-    if space is None:
-        space = enumerate_states(config)
     outcomes = []
     for scheme in grid:
         solver = PolicyGameSolver(space, scheme, strict_arrivals=strict_arrivals)

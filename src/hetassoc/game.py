@@ -488,11 +488,6 @@ class PolicyGameSolver:
                     raise
                 yield from map(self._evaluate, chunk)
                 continue
-            # each gap is computed from the table stored with it
-            gaps = _nash_gaps(np.stack([ev.individual for ev in evaluations]), chunk,
-                              np.stack([ev.empty_labels for ev in evaluations]))
-            for evaluation, gap in zip(evaluations, gaps.tolist()):
-                evaluation.gap = gap
             yield from evaluations
 
     def _evaluate(self, row: np.ndarray) -> PolicyEvaluation:
@@ -501,7 +496,8 @@ class PolicyGameSolver:
 
     def _evaluate_chunk(self, rows: np.ndarray) -> list[PolicyEvaluation]:
         """Uncached evaluations of a chunk of flat rows (B, N * L), solved
-        together by _evaluate_chain; their gaps are left for _solved."""
+        together by _evaluate_chain, each with its Nash gap under its own
+        row, computed from the payoff table stored with it."""
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
         B = len(rows)
         choices = rows.astype(np.int64).reshape(B, N, L)
@@ -517,9 +513,9 @@ class PolicyGameSolver:
         individual = np.full((B, N, L, S), np.nan)
         np.divide(num, chunk.mass[:, None, :, None], out=individual,
                   where=~chunk.empty[:, None, :, None])
-        return [PolicyEvaluation(**vars(core), policy=None, individual=individual[k],
-                                 gap=np.nan)
-                for k, core in enumerate(chunk.evaluations)]
+        gaps = _nash_gaps(individual, rows, chunk.empty).tolist()
+        return [PolicyEvaluation(**vars(core), policy=None, individual=table, gap=gap)
+                for core, table, gap in zip(chunk.evaluations, individual, gaps)]
 
     def individual_utility(self, evaluation: PolicyEvaluation, user_class: int,
                            label: int, system: int) -> float:

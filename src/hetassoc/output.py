@@ -12,13 +12,13 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .config import AggregationScheme, NetworkConfig, serialize_instance
+from .config import AggregationScheme, NetworkConfig, instance_to_dict, serialize_instance
 
 
 def provenance_lines(config: NetworkConfig, scheme: AggregationScheme,
                      params: dict | None = None) -> list[str]:
     lines = [f"# hetassoc {__version__}",
-             f"# instance: {serialize_instance(config, scheme, indent=None)}"]
+             f"# instance: {serialize_instance(config, scheme)}"]
     if params:
         lines.append(f"# params: {json.dumps(params, sort_keys=True)}")
     return lines
@@ -44,7 +44,7 @@ def write_json(path, payload: dict, config: NetworkConfig,
     path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "tool": f"hetassoc {__version__}",
-        "instance": json.loads(serialize_instance(config, scheme, indent=None)),
+        "instance": instance_to_dict(config, scheme),
         "params": params or {},
         **payload,
     }

@@ -324,7 +324,7 @@ def test_criterion_6_threshold_control(shipped, tmp_path):
     grid = [AggregationScheme.uniform(2, 0.3, 0.7),
             AggregationScheme.uniform(2, 0.0, 0.0),
             AggregationScheme.uniform(2, 0.2, 0.5)]
-    result = optimize_thresholds(scaled, grid, restarts=24, seed=0)
+    result = optimize_thresholds(enumerate_states(scaled), grid, restarts=24, seed=0)
     blockings = [o.blocking for o in result.outcomes if o.blocking is not None]
     assert len(blockings) >= 2
     assert max(blockings) - min(blockings) > 1e-6, "blocking does not vary"

@@ -199,10 +199,20 @@ def test_sweep_with_optimal_analysis(tmp_path):
     assert float(rows[0][1]) >= float(rows[0][2]) - 1e-9
 
 
-def test_enumerate_capacity_error(tmp_path, capsys):
-    assert run("enumerate", "--config", HYBRID, "--out", str(tmp_path),
+@pytest.mark.parametrize("command", [
+    ["enumerate"],
+    ["control", "--traffic", "2:2:1"],
+    ["sweep", "--analyses", "control", "--traffic", "2:2:1"],
+], ids=["enumerate", "control", "sweep"])
+def test_enumerate_capacity_error(tmp_path, capsys, command):
+    """Every command that enumerates a space honours --max-states: one
+    error line naming the ceiling, and nothing written."""
+    assert run(*command, "--config", HYBRID, "--out", str(tmp_path),
                "--max-states", "10") == 1
-    assert "ceiling" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ceiling" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_exhaustive_optimal_over_the_cap_is_an_error(tmp_path, capsys):
@@ -330,15 +340,35 @@ def test_negative_seed_is_refused(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+def _assert_same_artifacts(a, b):
+    names = sorted(path.name for path in a.iterdir())
+    assert names == sorted(path.name for path in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_sweep_parallel_jobs_match_serial(tmp_path):
+    """Every sweep artifact, each analysis and chart included, keeps the
+    bytes of a serial run when the traffic points go to worker processes."""
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
     for out, jobs in ((serial, "1"), (parallel, "2")):
         assert run("sweep", "--config", HYBRID, "--traffic", "2:3:1",
-                   "--analyses", "baselines", "--jobs", jobs,
+                   "--analyses", "nash,optimal,baselines,control",
+                   "--restarts", "12", "--svg", "--jobs", jobs,
                    "--out", str(out)) == 0
-    assert (serial / "sweep_utility.csv").read_bytes() == \
-        (parallel / "sweep_utility.csv").read_bytes()
+    _assert_same_artifacts(serial, parallel)
+
+
+def test_control_parallel_jobs_match_serial(tmp_path):
+    """control spreads its traffic points over --jobs workers, and its
+    artifacts keep the bytes of a serial run."""
+    serial = tmp_path / "serial"
+    parallel = tmp_path / "parallel"
+    for out, jobs in ((serial, "1"), (parallel, "2")):
+        assert run("control", "--config", HYBRID, "--traffic", "2:3:1",
+                   "--jobs", jobs, "--out", str(out)) == 0
+    _assert_same_artifacts(serial, parallel)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -447,6 +477,7 @@ def test_sweep_deterministic(tmp_path):
     (("--sharing", "network"), "sweep_golden_network.json"),
     # a later --analyses replaces the default one
     (("--analyses", "optimal"), "sweep_golden_optimal.json"),
+    (("--analyses", "nash,optimal,baselines,control"), "sweep_golden_all.json"),
 ])
 def test_sweep_matches_golden_artifact(tmp_path, flags, golden):
     """The paper's sweep, best-response search included, reproduces a
@@ -503,6 +534,17 @@ def test_enumerate_matches_golden_artifact(tmp_path, flags, golden):
     assert run("enumerate", "--config", HYBRID, *flags, "--out", str(tmp_path)) == 0
     assert (tmp_path / "states.csv").read_bytes() == \
         (DATA_DIR / f"enumerate_golden_{golden}.csv").read_bytes()
+
+
+def test_control_matches_golden_artifact(tmp_path):
+    """control over three traffic points and two schemes reproduces a
+    recorded control.csv and control.json byte for byte."""
+    assert run("control", "--config", HYBRID, "--traffic", "2:4:1",
+               "--scheme", "0.3,0.7;0.3,0.7", "--scheme", "0,0;0,0",
+               "--restarts", "12", "--out", str(tmp_path)) == 0
+    for name in ("control.csv", "control.json"):
+        assert (tmp_path / name).read_bytes() == \
+            (DATA_DIR / f"control_golden{name[7:]}").read_bytes(), name
 
 
 def _nash_exhaustive_instance(tmp_path) -> str:

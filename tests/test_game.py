@@ -11,7 +11,7 @@ from hetassoc import (AggregationScheme, ConfigError, EmptyLabelError, NetworkCo
                       enumerate_states, evaluate_baseline, evaluate_policy, evaluate_rule,
                       per_class_blocking, solve_steady_state)
 from hetassoc.aggregation import label_of
-from hetassoc.game import ChainEvaluation, PolicyGameSolver
+from hetassoc.game import ChainEvaluation, PolicyGameSolver, _nash_gaps
 from hetassoc.rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 
 from conftest import random_instance, random_policy
@@ -606,7 +606,8 @@ def test_warm_solver_rejects_malformed_policies(warm_solver, bad, monkeypatch):
 
 def _watch_checkers(solver, monkeypatch, perturb=None):
     """Record every chain the solver's fresh checkers solve, passing each
-    solved evaluation through perturb first."""
+    solved evaluation through perturb first; a perturbed evaluation's gap
+    is then recomputed from its table, as the checker computes it."""
     solved = []
     make = solver.fresh_checker
 
@@ -620,6 +621,10 @@ def _watch_checkers(solver, monkeypatch, perturb=None):
             if perturb is not None:
                 for ev in evaluations:
                     perturb(ev)
+                gaps = _nash_gaps(np.stack([ev.individual for ev in evaluations]), rows,
+                                  np.stack([ev.empty_labels for ev in evaluations]))
+                for ev, gap in zip(evaluations, gaps.tolist()):
+                    ev.gap = gap
             return evaluations
 
         checker._evaluate_chunk = _evaluate_chunk
