@@ -53,7 +53,8 @@ def _add_rule_args(parser: argparse.ArgumentParser) -> None:
                         default="peak")
     parser.add_argument("--policy",
                         help="flattened class-major policy entries, for "
-                             "example 0,1,1,0,... (required with --rule policy)")
+                             "example 0,1,1,0,... (required with --rule policy, "
+                             "refused with any other rule)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,6 +147,8 @@ def _load(args) -> tuple[NetworkConfig, AggregationScheme]:
 
 
 def _make_rule(args, config, scheme):
+    if args.rule != "policy" and args.policy:
+        raise ConfigError(f"--policy needs --rule policy; --rule {args.rule} takes no policy")
     if args.rule == "peak":
         return PeakRateRule()
     if args.rule == "instant":
@@ -372,25 +375,30 @@ def _sweep_point(config: NetworkConfig, scheme: AggregationScheme, erlangs: floa
     The arrival rates are scaled, in their configured proportions, to offer
     `erlangs` in all, and the space is enumerated once, under the
     max_states ceiling; nash and optimal share one solver, and the
-    baselines and the threshold search run on the same space. Arguments
-    and results pickle, so a worker process can run a point.
+    baselines and the threshold search run on the same space. The
+    threshold search runs first: where scheme is in its grid, the
+    equilibria it found for scheme are nash's, as the same search on the
+    same space finds them. Arguments and results pickle, so a worker
+    process can run a point.
     """
     space = enumerate_states(config.scale_traffic(erlangs / config.offered_erlangs),
                              max_states=max_states)
     out: dict = {}
+    if "control" in analyses:
+        out["control"] = optimize_thresholds(space, grid, selection_rule=selection,
+                                             restarts=restarts, seed=seed,
+                                             strict_arrivals=strict)
+        if "nash" in analyses and scheme in grid:
+            out["nash"] = out["control"].outcomes[grid.index(scheme)].equilibria
     if "nash" in analyses or "optimal" in analyses:
         solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
-    if "nash" in analyses:
+    if "nash" in analyses and "nash" not in out:
         out["nash"] = solver.find_nash("auto", restarts=restarts, seed=seed)
     if "optimal" in analyses:
         out["optimal"] = solver.optimal_policy(method="auto", seed=seed)
     if "baselines" in analyses:
         for which in _BASELINES:
             out[which] = evaluate_baseline(space, which, strict_arrivals=strict)
-    if "control" in analyses:
-        out["control"] = optimize_thresholds(space, grid, selection_rule=selection,
-                                             restarts=restarts, seed=seed,
-                                             strict_arrivals=strict)
     return out
 
 

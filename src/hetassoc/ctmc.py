@@ -171,43 +171,33 @@ class TaggedPlan:
 
 class TaggedGroup:
     """Non-empty tagged blocks that are gathered, solved and checked
-    together, their arrays laid end to end.
+    together, their values laid end to end.
 
     blocks holds, per block in (class, system) order, its index k in that
-    order, its TaggedPlan, its band_shape and the slices of its band storage
-    and of its values in the group's; size is the group's band slots in
-    all. src, band and shift_band are the plans' arrays over the group's
-    band storage, shift_rows and shift_cols over its values, and rate the
-    right-hand sides end to end. starts is where each block's values start,
-    norm its bound on |A|_inf, targets the position of each value in a
-    flattened (N, S, num_states) volume table, and slots its position in
-    the band's order among the group's blocks laid end to end, num_states
-    each. A group of one block shares its plan's arrays.
+    order, its TaggedPlan and the slice of its values in the group's.
+    shift_rows and shift_cols are the plans' arrays over the group's
+    values, and rate the right-hand sides end to end. starts is where each
+    block's values start, norm its bound on |A|_inf, targets the position
+    of each value in a flattened (N, S, num_states) volume table, and slots
+    its position in the band's order among the group's blocks laid end to
+    end, num_states each. A group of one block shares its plan's arrays.
     """
 
     def __init__(self, blocks: list[tuple[int, TaggedPlan]], num_states: int):
         self.blocks = []
-        band_at = value_at = 0
-        band, shift_band, shift_rows, shift_cols, starts = [], [], [], [], []
+        value_at = 0
+        shift_rows, shift_cols, starts = [], [], []
         for k, plan in blocks:
-            self.blocks.append((k, plan, plan.band_shape,
-                                slice(band_at, band_at + plan.band_size),
-                                slice(value_at, value_at + len(plan.ids))))
-            band.append(plan.band + band_at if band_at else plan.band)
-            shift_band.append(plan.shift_band + band_at if band_at else plan.shift_band)
+            self.blocks.append((k, plan, slice(value_at, value_at + len(plan.ids))))
             shift_rows.append(plan.shift_rows + value_at if value_at else plan.shift_rows)
             shift_cols.append(plan.shift_cols + value_at if value_at else plan.shift_cols)
             starts.append(value_at)
-            band_at += plan.band_size
             value_at += len(plan.ids)
         plans = [plan for _, plan in blocks]
 
         def joined(arrays):
             return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-        self.size = band_at
-        self.src = joined([plan.src for plan in plans])
-        self.band, self.shift_band = joined(band), joined(shift_band)
         self.shift_rows, self.shift_cols = joined(shift_rows), joined(shift_cols)
         self.rate = joined([plan.rate for plan in plans])
         self.starts = np.array(starts)
@@ -573,11 +563,12 @@ def _balanced(pi: np.ndarray, held: np.ndarray, data: np.ndarray, layout
 
     Rows not held, or with an entry below -1e-9 or not finite, come back as
     zeros: by the block-diagonal gbmv a NaN would reach the residuals of
-    their neighbours. Each row is summed on its own, as one vector is.
+    their neighbours. Each row is summed as one vector is: a sum over the
+    last axis of a C-contiguous array adds each row alone.
     """
     keep = held & (pi.min(axis=1) >= -1e-9)
     pi = np.clip(pi, 0.0, None)
-    total = np.array([np.add.reduce(row) for row in pi])
+    total = pi.sum(axis=1)
     if not keep.all():
         pi[~keep] = 0.0
         total[~keep] = 1.0
@@ -682,16 +673,19 @@ def cell_blocking(tables: ChainTables, pi: np.ndarray, partition: Partition) -> 
     A class is blocked at a state where every system is saturated. The
     numerator of a cell's conditional blocking is restricted to the cell's
     own states, so the result is a probability; cells without stationary
-    mass report zero. The per-class sums and their weighting are taken row
-    by row, as for one vector alone.
+    mass report zero. The per-class sums and their weighting have the bits
+    of one vector alone: each class's blocked states are taken into a
+    C-contiguous array, whose sum over the last axis adds each row alone,
+    and the weighting is one dot product per row.
     """
     blocked = tables.blocked
     (B, nst), N, ncells = pi.shape, len(blocked), partition.ncells
     mass = np.bincount(partition.cell_bins[:B * nst], weights=pi.ravel(),
                        minlength=B * ncells).reshape(B, ncells)
     empty = mass <= EMPTY_LABEL_MASS
-    per_class = np.array([[np.add.reduce(row.take(ids)) for ids in tables.blocked_ids]
-                          for row in pi])
+    per_class = np.empty((B, N))
+    for n, ids in enumerate(tables.blocked_ids):
+        per_class[:, n] = pi.take(ids, axis=1).sum(axis=1)
     by_cell = np.zeros((B, N, ncells))
     num = np.bincount(partition.class_bins[:B * N * nst],
                       weights=(blocked * pi[:, None]).ravel(), minlength=B * N * ncells)

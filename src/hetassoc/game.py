@@ -47,12 +47,12 @@ A tagged (n, s) block depends only on the choices at the states holding an
 (n, s) user. So a solver keys each block by a row's image under that
 block's own interchangeability map, which is coarser than rep, and keeps
 the checked values of every block it solved. A block whose key it has seen,
-in an earlier chunk or earlier in the same one, is copied, not factored,
-and checked like a solved one. The maps are built on first use, by the
-first chunk of several rows or once a fibre is cached, so a lone
-evaluation, evaluate_rule and the baselines key nothing. The block cache
-belongs to the solver's core, so the fresh checker starts with an empty
-one and reads none of its parent's blocks.
+in an earlier chunk or earlier in the same one, is copied, neither gathered
+nor factored, and checked on the full generator like a solved one. The maps
+are built on first use, by the first chunk of several rows or once a fibre
+is cached, so a lone evaluation, evaluate_rule and the baselines key
+nothing. The block cache belongs to the solver's core, so the fresh checker
+starts with an empty one and reads none of its parent's blocks.
 
 The tolerances are constants: NASH_EPS for equilibrium tests and the
 best-response steps, TIE_TOL for the exhaustive optimum's ties,
@@ -74,9 +74,9 @@ from .config import AggregationScheme, ConfigError, NetworkConfig, Policy
 # assemble_dense, assemble_generator and solve_volume_from_matrix are not
 # called here, but perfbench/tracer.py wraps the names in this module, so
 # they stay bound
-from .ctmc import (ChainTables, Partition, ResidualError, SingularChainError,  # noqa: F401
-                   assemble_dense, assemble_generator, assemble_stack, cell_blocking,
-                   chain_tables, stationary_vector, stationary_vectors)
+from .ctmc import (CellBlocking, ChainTables, Partition, ResidualError,  # noqa: F401
+                   SingularChainError, assemble_dense, assemble_generator, assemble_stack,
+                   cell_blocking, chain_tables, stationary_vector, stationary_vectors)
 from .rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 from .states import StateSpace
 from .transient import (SingularTaggedChainError, solve_volume_from_matrix,  # noqa: F401
@@ -157,14 +157,24 @@ class _ChainCore:
 
 
 class _ChainChunk(NamedTuple):
-    """_evaluate_chain's result: an evaluation per choice table, and the
-    stacked arrays the payoff tables of a policy chunk are built from."""
+    """_evaluate_chain's result: the stacked arrays of a chunk of choice
+    tables, from which evaluations() builds one evaluation per table and a
+    policy chunk its payoff tables."""
 
-    evaluations: list[ChainEvaluation]
     pi: np.ndarray                    # (B, num_states)
+    residual: np.ndarray              # (B,) balance residuals
+    blocking: CellBlocking            # over the core's cells
+    global_utility: list[float]       # (B,)
+    volumes: np.ndarray               # (B, N, S, num_states)
     padded: np.ndarray                # (B, N * S * num_states + 1): volumes, then 0
-    mass: np.ndarray                  # (B, cells) stationary mass per cell
-    empty: np.ndarray                 # (B, cells) cells without stationary mass
+
+    def evaluations(self, make=ChainEvaluation, *columns) -> list:
+        """make() of each table's ChainEvaluation fields, in field order,
+        followed by its entry of each extra column."""
+        b = self.blocking
+        return [make(*fields) for fields in zip(
+            self.pi, self.residual.tolist(), b.mass, b.empty, b.by_cell,
+            self.global_utility, b.overall.tolist(), b.per_class, self.volumes, *columns)]
 
 
 def _evaluate_chain(core: _ChainCore, choices: np.ndarray, keys=None) -> _ChainChunk:
@@ -177,8 +187,9 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray, keys=None) -> _ChainC
     blocking, the tagged volumes and the global utility. Blocking is
     ctmc.cell_blocking's; the global utility weights each cell's chosen
     value by its non-blocking probability. A table's results have the bits
-    they have in a chunk of one: sums whose order numpy picks by shape are
-    taken table by table.
+    they have in a chunk of one: each row of share is summed over its
+    cells on its own, and the weighted class totals are added one class at
+    a time from 0, as Python's sum adds them for one table.
     """
     tables, ncells = core.tables, core.partition.ncells
     plan = tables.solve_plan
@@ -195,13 +206,11 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray, keys=None) -> _ChainC
                         weights=(chosen * pi[:, None]).ravel(),
                         minlength=B * N * ncells).reshape(B, N, ncells)
     share = (1.0 - b.by_cell) * inner
-    evaluations = [ChainEvaluation(
-        pi=pi[k], residual=float(residual[k]), label_mass=b.mass[k],
-        empty_labels=b.empty[k], blocking=b.by_cell[k],
-        global_utility=sum(tables.class_weight * share[k].sum(axis=1)),
-        overall_blocking=float(b.overall[k]), per_class_blocking=b.per_class[k],
-        volumes=volumes[k]) for k in range(B)]
-    return _ChainChunk(evaluations, pi, padded, b.mass, b.empty)
+    weighted = tables.class_weight * share.sum(axis=2)
+    utility = np.zeros(B)
+    for n in range(N):
+        utility += weighted[:, n]
+    return _ChainChunk(pi, residual, b, utility.tolist(), volumes, padded)
 
 
 def _nash_gaps(individual: np.ndarray, choice: np.ndarray, empty: np.ndarray) -> np.ndarray:
@@ -405,6 +414,12 @@ class PolicyGameSolver:
         """Fibre key of each flat row of an array."""
         return list(map(self._key, rows.tolist()))
 
+    def _row_keys(self, rows: np.ndarray) -> list[bytes]:
+        """The bytes of each int8 row of an array: the fibre key of a row
+        that is its own image under rep, as a representative's is."""
+        flat, width = rows.tobytes(), rows.shape[1]
+        return [flat[at:at + width] for at in range(0, len(flat), width)]
+
     def _key_rows(self, keys: list[bytes]) -> np.ndarray:
         """The int8 rows (B, N * L) whose bytes are listed (fibre keys or
         rows' own bytes), read-only."""
@@ -510,12 +525,11 @@ class PolicyGameSolver:
         weighted = chunk.padded[:, self._outcome] * chunk.pi[:, None, None]
         num = np.bincount(self._nls_bin[:weighted.size], weights=weighted.ravel(),
                           minlength=B * N * L * S).reshape(B, N, L, S)
+        mass, empty = chunk.blocking.mass, chunk.blocking.empty
         individual = np.full((B, N, L, S), np.nan)
-        np.divide(num, chunk.mass[:, None, :, None], out=individual,
-                  where=~chunk.empty[:, None, :, None])
-        gaps = _nash_gaps(individual, rows, chunk.empty).tolist()
-        return [PolicyEvaluation(**vars(core), policy=None, individual=table, gap=gap)
-                for core, table, gap in zip(chunk.evaluations, individual, gaps)]
+        np.divide(num, mass[:, None, :, None], out=individual, where=~empty[:, None, :, None])
+        gaps = _nash_gaps(individual, rows, empty).tolist()
+        return chunk.evaluations(PolicyEvaluation, itertools.repeat(None), individual, gaps)
 
     def individual_utility(self, evaluation: PolicyEvaluation, user_class: int,
                            label: int, system: int) -> float:
@@ -552,8 +566,8 @@ class PolicyGameSolver:
         is a tie, so policies_evaluated counts the canonical policies."""
         best_u = -np.inf
         best: list[bytes] = []
-        for rows in self._representatives():
-            for key, evaluation in zip(self._keys(rows), self._evaluations(rows)):
+        for keys in map(self._row_keys, self._representatives()):
+            for key, evaluation in zip(keys, self._fibres(keys)):
                 utility = evaluation.global_utility
                 if utility > best_u + TIE_TOL:
                     best_u = utility
@@ -641,8 +655,8 @@ class PolicyGameSolver:
         if mode == "auto":
             mode = "exhaustive" if self.policy_space_size() <= auto_cap else "best_response"
         if mode == "exhaustive":
-            keys = [key for rows in self._representatives()
-                    for key, ev in zip(self._keys(rows), self._evaluations(rows))
+            keys = [key for scanned in map(self._row_keys, self._representatives())
+                    for key, ev in zip(scanned, self._fibres(scanned))
                     if ev.gap <= NASH_EPS]
         else:
             keys = self._expand_ties(self._best_response_candidates(restarts=restarts, seed=seed))
@@ -855,7 +869,7 @@ def evaluate_rule(space: StateSpace, rule: AssignmentRule,
     """
     core = _ChainCore(chain_tables(space), *rule.information_partition(space),
                       strict_arrivals, chunk=1)
-    return _evaluate_chain(core, rule.choice_table(space)[None]).evaluations[0]
+    return _evaluate_chain(core, rule.choice_table(space)[None]).evaluations()[0]
 
 
 def evaluate_baseline(space: StateSpace, which: str,

@@ -16,19 +16,20 @@ banded LU is stable. Every solve is checked against the full generator
 afterwards, by BLAS gbmv on its unfactored band.
 
 The solves take a stack of generators (ctmc.assemble_stack) and a group of
-blocks at a time (ctmc.TaggedGroup): one gather of every block of the group
-from every generator, one LU per distinct block (below), and one stacked
-gbmv per block that checks it on every generator. The blocks of a stack go
-in one group where their bands fit in ctmc.CHUNK_BYTES, else one at a time.
+blocks at a time (ctmc.TaggedGroup): one gather of the blocks of the group
+that get an LU, one LU per distinct block (below), and one stacked gbmv per
+block that checks it on every generator. The blocks of a stack go in one
+group where their bands fit in ctmc.CHUNK_BYTES, else one at a time.
 
 A caller that can recognise equal blocks without gathering them passes a
 key per generator and block, and a dict of the checked values of the keys
 it solved before (game keys a block by the choices at its states). A block
 whose key is in that dict, or was solved for an earlier generator of the
 stack, is not factored again: its values are copied. Equal keys must mean
-bit-equal bands, so a copy has the bits its own LU would give. Every block
-is still gathered and checked, a copied one included, and the dict gains
-the new keys only once their check has passed.
+bit-equal bands, so a copy has the bits its own LU would give. Only the
+factored blocks are gathered, since the check reads the full generator and
+never a gathered band; every block is checked, a copied one included, and
+the dict gains the new keys only once their check has passed.
 
 The module has no per-rule entry point: game.evaluate_rule values any rule,
 its tagged volumes included, through tagged_volumes, the same path every
@@ -57,22 +58,29 @@ class SingularTaggedChainError(RuntimeError):
     """The tagged chain cannot reach absorption (requires mu > 0)."""
 
 
-def _tagged_matrix(data: np.ndarray, group: TaggedGroup, mu: float) -> np.ndarray:
-    """Restrict each generator of a stack to the tagged states of each block
-    of a group and lower the tagged departure rate by mu (the tagged user
-    himself leaves toward absorption).
+def _tagged_matrix(data: np.ndarray, group: TaggedGroup, mu: float,
+                   rows: list[np.ndarray]) -> list[np.ndarray]:
+    """Restrict generators of a stack to the tagged states of each block of
+    a group and lower the tagged departure rate by mu (the tagged user's
+    own departure leads to absorption).
 
     Diagonals are kept from the original generator, so each transient row
     plus the mu absorption entry still sums to zero. Takes a (B, size)
-    stack of BandGenerator data and returns the blocks in LAPACK band
-    storage, gathered from the generators' bands in each plan's state
-    order: row b holds generator b's blocks end to end, each flattened in
-    Fortran order at its slice of group.blocks.
+    stack of BandGenerator data and, per block j of the group, the indices
+    rows[j] of the generators whose block j is gathered. Returns per block
+    an array (len(rows[j]), band_size): the block of each of those
+    generators in LAPACK band storage, gathered from its band in the plan's
+    state order through flat indices into the stack, flattened in Fortran
+    order.
     """
-    bands = np.zeros((len(data), group.size))
-    bands[:, group.band] = data.take(group.src, axis=1)
-    bands[:, group.shift_band] -= mu
-    return bands
+    flat = data.reshape(-1)
+    gathered = []
+    for (_, plan, _), picked in zip(group.blocks, rows):
+        bands = np.zeros((len(picked), plan.band_size))
+        bands[:, plan.band] = flat.take(picked[:, None] * data.shape[1] + plan.src)
+        bands[:, plan.shift_band] -= mu
+        gathered.append(bands)
+    return gathered
 
 
 def _absorption_rate(tables: ChainTables) -> float:
@@ -138,25 +146,44 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup,
     in (class, system) order, and solved maps (k, key) to checked values.
     One LU runs per key not in solved, at the first generator that has it;
     every later generator with that key gets a copy, and so does a key in
-    solved. A copy's info is 0: had its LU failed, it failed at that first
-    generator, which the check reaches earlier. The keys solved here join
-    solved once the whole group has passed its check."""
-    bands = _tagged_matrix(data, group, mu)
-    values = np.empty((len(data), len(group.rate)))
-    info = np.zeros((len(data), len(group.blocks)), dtype=np.int64)
-    # (k, key) -> the values of the generator whose LU solved it here
+    solved. Only the blocks that get an LU are gathered; every block, a
+    copied one included, is checked on the full generator. A copy's info
+    is 0: had its LU failed, it failed at that first generator, which the
+    check reaches earlier. The keys solved here join solved once the whole
+    group has passed its check."""
+    B = len(data)
+    values = np.empty((B, len(group.rate)))
+    info = np.zeros((B, len(group.blocks)), dtype=np.int64)
+    # per block, the generators whose LU solves it
+    rows = []
+    # (k, key) -> the values of the generator whose LU solves it here, and
+    # (copy, source) for each later generator with that key
     fresh: dict = {}
-    for b in range(len(data)):
-        for j, (k, plan, shape, band, value) in enumerate(group.blocks):
-            if keys is not None:
-                key = (k, keys[k][b])
-                known = solved.get(key, fresh.get(key))
-                if known is not None:
-                    values[b, value] = known
-                    continue
+    copies = []
+    for k, _, value in group.blocks:
+        if keys is None:
+            rows.append(np.arange(B))
+            continue
+        factored = []
+        for b, key in enumerate(keys[k]):
+            key = (k, key)
+            known = solved.get(key)
+            if known is not None:
+                values[b, value] = known
+            elif key in fresh:
+                copies.append((values[b, value], fresh[key]))
+            else:
                 fresh[key] = values[b, value]
+                factored.append(b)
+        rows.append(np.array(factored, dtype=np.int64))
+    for j, ((_, plan, value), picked, bands) in enumerate(
+            zip(group.blocks, rows, _tagged_matrix(data, group, mu, rows))):
+        shape = plan.band_shape
+        for b, band in zip(picked.tolist(), bands):
             values[b, value], info[b, j] = _solve_tagged(
-                plan, bands[b, band].reshape(shape, order="F"), plan.rate)
+                plan, band.reshape(shape, order="F"), plan.rate)
+    for copy, source in copies:
+        copy[:] = source
     _check_tagged(data, tables.solve_plan, group, values, mu, info)
     for key, known in fresh.items():
         solved[key] = known.copy()

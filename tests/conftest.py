@@ -357,16 +357,23 @@ def reference_tagged_block(space, q_dense, user_class, system):
     return ids, block
 
 
+def tagged_band(data, plan, mu, num_states):
+    """The band transient._tagged_matrix gathers for one tagged block, given
+    by its TaggedPlan, of one generator's BandGenerator data."""
+    from hetassoc.ctmc import TaggedGroup
+    from hetassoc.transient import _tagged_matrix
+    group = TaggedGroup([(0, plan)], num_states)
+    return _tagged_matrix(data[None], group, mu, [np.zeros(1, dtype=np.int64)])[0][0]
+
+
 def gathered_tagged_block(space, q, user_class, system):
     """The tagged block transient._tagged_matrix gathers from a band
     generator q, unpacked through its TaggedPlan into a dense matrix over
     the tagged states in ascending id order, as reference_tagged_block
     lays it out."""
-    from hetassoc.ctmc import TaggedGroup, chain_tables
-    from hetassoc.transient import _tagged_matrix
+    from hetassoc.ctmc import chain_tables
     plan = chain_tables(space).solve_plan.tagged[user_class][system]
-    band = _tagged_matrix(q.data[None], TaggedGroup([(0, plan)], space.num_states),
-                          space.config.service_rate)[0]
+    band = tagged_band(q.data, plan, space.config.service_rate, space.num_states)
     block = np.zeros((len(plan.ids),) * 2)
     block[plan.rows, plan.cols] = band[plan.band]
     ascending = np.argsort(plan.ids)

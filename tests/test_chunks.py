@@ -9,14 +9,15 @@ import pytest
 
 from hetassoc import ResidualError, SingularChainError, ctmc, enumerate_states, transient
 from hetassoc.config import AggregationScheme, NetworkConfig
-from hetassoc.ctmc import (BandGenerator, assemble_dense, assemble_stack, chain_tables,
-                           stationary_vector, stationary_vectors)
+from hetassoc.ctmc import (BandGenerator, Partition, assemble_dense, assemble_stack,
+                           cell_blocking, chain_tables, stationary_vector, stationary_vectors)
 from hetassoc.game import (ChainEvaluation, PolicyEvaluation, PolicyGameSolver, _ChainCore,
                            _evaluate_chain, _nash_gaps, evaluate_baseline)
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
 from hetassoc.transient import SingularTaggedChainError, TaggedGroup, tagged_volumes
 
-from conftest import erlang_loss_chain, pinned_solve_holds, random_instance, random_policy
+from conftest import (erlang_loss_chain, pinned_solve_holds, random_instance, random_policy,
+                      tagged_band)
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +114,27 @@ def test_baselines_keep_their_bits_inside_a_chunk(instances, strict):
             choices = np.concatenate([others[:2], rule.choice_table(space)[None], others[2:]])
             core = _ChainCore(tables, *rule.information_partition(space), strict, chunk=4)
             chunk = _evaluate_chain(core, choices)
-            assert_same_bits(chunk.evaluations[2], ChainEvaluation(**{
+            assert_same_bits(chunk.evaluations()[2], ChainEvaluation(**{
                 f.name: getattr(alone, f.name) for f in dataclasses.fields(ChainEvaluation)}))
+
+
+def test_chunk_wide_sums_match_the_row_by_row_reference(hybrid_instance):
+    """The normalisation of pi and the per-class blocking sums reduce a
+    whole stack at once; each row gets the bits np.add.reduce gives it as a
+    lone vector, the row-by-row reference they replace."""
+    config, _ = hybrid_instance
+    space = enumerate_states(config)
+    tables = chain_tables(space)
+    rng = np.random.default_rng(5)
+    B, N, nst = 7, config.num_classes, space.num_states
+    raw = rng.random((B, nst)) * rng.choice([1e-12, 1.0, 1e6], size=(B, 1))
+    data = assemble_stack(tables, rng.integers(config.num_systems, size=(B, N, nst)))
+    pi, _, _ = ctmc._balanced(raw, np.ones(B, dtype=bool), data, tables.solve_plan)
+    assert pi.tobytes() == np.array([row / np.add.reduce(row) for row in raw]).tobytes()
+    one = Partition(tables, np.zeros(nst, dtype=np.int64), 1, stack=B)
+    per_class = cell_blocking(tables, pi, one).per_class
+    assert per_class.tobytes() == np.array(
+        [[np.add.reduce(row.take(ids)) for ids in tables.blocked_ids] for row in pi]).tobytes()
 
 
 def _erlang_data(servers: int, offered: float):
@@ -227,8 +247,7 @@ def test_singular_tagged_block_raises_the_chunk_of_one_error(hybrid_instance, mo
     choices = np.array([p.choice for p in policies]).take(solver.labels, axis=2)
     data = assemble_stack(tables, choices)
     nonempty = [p for row in tables.solve_plan.tagged for p in row if len(p.ids)]
-    bands = [[transient._tagged_matrix(d[None], TaggedGroup([(0, p)], space.num_states),
-                                       config.service_rate)[0] for p in nonempty]
+    bands = [[tagged_band(d, p, config.service_rate, space.num_states) for p in nonempty]
              for d in data]
 
     def unique(b):
@@ -298,9 +317,8 @@ def test_failing_policy_raises_the_one_at_a_time_error(hybrid_instance, monkeypa
     nonempty = [p for row in tables.solve_plan.tagged for p in row if len(p.ids)]
 
     def bands_of(policy):
-        return [transient._tagged_matrix(data_of(policy)[None],
-                                         TaggedGroup([(0, p)], space.num_states),
-                                         config.service_rate)[0] for p in nonempty]
+        return [tagged_band(data_of(policy), p, config.service_rate, space.num_states)
+                for p in nonempty]
 
     # a block of policy 3 and a generator of policy 5 that no other policy has
     bands = [bands_of(p) for p in policies]
@@ -385,19 +403,26 @@ def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeyp
     """On the nash-exhaustive benchmark instance, find_nash("exhaustive")
     runs one tagged LU per distinct band the search solver gathers: 449
     for the 1,024 blocks of its 256 fibres, the distinct bands counted here
-    by hashing _tagged_matrix's output. The fresh checker starts with an
-    empty block cache of its own and reads none of the search's blocks: it
-    factors every block of the one fibre it verifies."""
+    by hashing _tagged_matrix's output. It gathers only the bands it
+    factors, one per LU. The fresh checker starts with an empty block cache
+    of its own and reads none of the search's blocks: it factors every
+    block of the one fibre it verifies."""
     config, scheme = hybrid_instance
     scheme = AggregationScheme((scheme.thresholds[0], (0.5, 0.5)))
     space = enumerate_states(config.scale_traffic(5.0 / config.offered_erlangs))
     solver = PolicyGameSolver(space, scheme)
-    calls = [0]
-    solve, fresh_checker = transient._solve_tagged, PolicyGameSolver.fresh_checker
+    calls, gathered = [0], [0]
+    solve, gather = transient._solve_tagged, transient._tagged_matrix
+    fresh_checker = PolicyGameSolver.fresh_checker
 
     def solve_tagged(*args):
         calls[0] += 1
         return solve(*args)
+
+    def tagged_matrix(*args):
+        bands = gather(*args)
+        gathered[0] += sum(map(len, bands))
+        return bands
 
     checkers = []
 
@@ -407,6 +432,7 @@ def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeyp
         return checker
 
     monkeypatch.setattr(transient, "_solve_tagged", solve_tagged)
+    monkeypatch.setattr(transient, "_tagged_matrix", tagged_matrix)
     monkeypatch.setattr(PolicyGameSolver, "fresh_checker", checker_of)
     assert solver.find_nash("exhaustive")
     (checker, searched, at_start), = checkers
@@ -417,12 +443,14 @@ def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeyp
                           .take(solver.labels, axis=2))
     blocks = [(k, plan) for k, plan in enumerate(p for row in tables.solve_plan.tagged
                                                  for p in row) if len(plan.ids)]
-    bands = {(k, band.tobytes()) for k, plan in blocks for band in transient._tagged_matrix(
-        data, TaggedGroup([(k, plan)], space.num_states), config.service_rate)}
+    bands = {(k, band.tobytes()) for k, plan in blocks for band in gather(
+        data, TaggedGroup([(k, plan)], space.num_states), config.service_rate,
+        [np.arange(len(data))])[0]}
     assert (len(rows), len(rows) * len(blocks)) == (256, 1_024)
     assert searched == len(bands) == len(solver._core.solved) == 449
     assert at_start == {} and checker._core.solved is not solver._core.solved
     assert calls[0] - searched == len(blocks) * len(checker._cache) == 4
+    assert gathered[0] == calls[0] == 449 + 4
 
 
 def _watch_chunks(solver, monkeypatch) -> list[int]:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hetassoc import ResidualError, SingularChainError, cli
+from hetassoc import PolicyGameSolver, ResidualError, SingularChainError, cli
 from hetassoc.cli import main
 from hetassoc.output import read_csv_rows
 from hetassoc.transient import SingularTaggedChainError
@@ -110,9 +110,17 @@ def test_utility_table(tmp_path):
     assert values[2] == pytest.approx(4.0 / 3.0, abs=1e-10)
 
 
-def test_policy_rule_requires_policy(capsys):
-    assert run("steady", "--config", ERLANG, "--rule", "policy") == 1
-    assert "--policy" in capsys.readouterr().err
+def test_policy_rule_requires_policy(capsys, tmp_path):
+    """--rule policy needs --policy, and --policy needs --rule policy: a
+    policy under another rule, even of the wrong length, is refused, not
+    ignored."""
+    for argv in (("steady", "--config", ERLANG, "--rule", "policy"),
+                 ("utility", "--config", HYBRID, "--policy", "0,1"),
+                 ("steady", "--config", ERLANG, "--rule", "instant", "--policy", "0,0,0")):
+        assert run(*argv, "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "--policy" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_nash_outputs(tmp_path):
@@ -187,6 +195,26 @@ def test_sweep_with_control_analysis(tmp_path):
     assert sum(1 for r in rows if r[5] == "best") == 2
     svg = (out / "sweep_control.svg").read_text()
     assert "0.3,0.7;0.3,0.7" in svg
+
+
+def test_sweep_solves_the_instance_scheme_once_with_control(tmp_path, monkeypatch):
+    """With control among the analyses and the instance's own scheme in the
+    threshold grid, a sweep point reports as nash the equilibria the
+    threshold search found for that scheme: one search per scheme of the
+    default grid, and none more for nash."""
+    searched = []
+    find_nash = PolicyGameSolver.find_nash
+
+    def counted(solver, *args, **kwargs):
+        searched.append(solver.scheme)
+        return find_nash(solver, *args, **kwargs)
+
+    monkeypatch.setattr(PolicyGameSolver, "find_nash", counted)
+    assert run("sweep", "--config", HYBRID, "--traffic", "5:5:1",
+               "--analyses", "nash,control", "--out", str(tmp_path)) == 0
+    assert len(searched) == len(set(searched)) == 3
+    point, = json.loads((tmp_path / "sweep.json").read_text())["points"]
+    assert point["nash"]["count"] > 0
 
 
 def test_sweep_with_optimal_analysis(tmp_path):
