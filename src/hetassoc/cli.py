@@ -26,7 +26,8 @@ from .config import (NETWORK_WIDE, PER_SYSTEM, AggregationScheme, ConfigError,
 from .control import RankingMismatchError, optimize_thresholds
 from .ctmc import (ResidualError, SingularChainError, build_generator,
                    solve_steady_state)
-from .game import PolicyGameSolver, SearchCapError, evaluate_baseline, evaluate_rule
+from .game import (PolicyGameSolver, SearchCapError, evaluate_baseline, evaluate_rule,
+                   ordered_members)
 from .output import write_csv, write_json
 from .rules import InstantaneousRateRule, PeakRateRule, PolicyRule
 from .simulate import REPLICAS_PER_BATCH, simulate
@@ -281,11 +282,12 @@ def _policy_header(config, scheme):
                for l in range(scheme.label_count)])
 
 
-def _policy_rows(config, evaluations):
-    for ev in evaluations:
-        yield ([",".join(str(s) for s in ev.policy.flatten()),
+def _policy_rows(config, members):
+    """CSV rows of (flat row, evaluation) pairs."""
+    for row, ev in members:
+        yield ([",".join(map(str, row)),
                 f"{ev.global_utility:.12g}", f"{ev.overall_blocking:.12g}"]
-               + [config.system_name(s) for s in ev.policy.flatten()])
+               + [config.system_name(s) for s in row])
 
 
 def _cmd_nash(args) -> int:
@@ -295,19 +297,24 @@ def _cmd_nash(args) -> int:
     result = solver.find_nash(args.mode, restarts=args.restarts, seed=args.seed,
                               auto_cap=args.cap)
     params = {"mode": args.mode, "restarts": args.restarts, "seed": args.seed}
+    L = scheme.label_count
+    # every member, in increasing order, merged from the fibres
     payload = {
         "equilibria": [
-            {"policy": [list(row) for row in ev.policy.choice],
-             "global_utility": ev.global_utility,
-             "overall_blocking": ev.overall_blocking}
-            for ev in result
+            {"policy": [list(row[at:at + L]) for at in range(0, len(row), L)],
+             "global_utility": fibre.global_utility,
+             "overall_blocking": fibre.overall_blocking}
+            for row, fibre in ordered_members(result)
         ],
     }
     path = write_json(Path(args.out) / "nash.json", payload, config, scheme, params)
     write_csv(Path(args.out) / "nash.csv", _policy_header(config, scheme),
-              _policy_rows(config, result), config, scheme, params)
+              _policy_rows(config, ((row, fibre.evaluation)
+                                    for row, fibre in ordered_members(result))),
+              config, scheme, params)
     if result:
-        print(f"found {len(result)} equilibrium policies; wrote {path}")
+        print(f"found {sum(fibre.count for fibre in result)} equilibrium policies; "
+              f"wrote {path}")
     else:
         print("no pure equilibrium found")
     return 0
@@ -329,7 +336,8 @@ def _cmd_optimal(args) -> int:
     }
     path = write_json(Path(args.out) / "optimal.json", payload, config, scheme, params)
     write_csv(Path(args.out) / "optimal.csv", _policy_header(config, scheme),
-              _policy_rows(config, [result.evaluation]), config, scheme, params)
+              _policy_rows(config, [(result.policy.flatten(), result.evaluation)]),
+              config, scheme, params)
     print(f"optimal utility {result.evaluation.global_utility:.6g} "
           f"({result.method}, {result.policies_evaluated} policies); wrote {path}")
     return 0
@@ -430,7 +438,7 @@ def _cmd_control(args) -> int:
         for i, outcome in enumerate(result.outcomes):
             rows.append([erl, _scheme_text(outcome.scheme), _cell(outcome.blocking),
                          _cell(outcome.utility), _cell(outcome.worst_blocking),
-                         len(outcome.equilibria), "best" if i == result.best_index else "",
+                         outcome.count, "best" if i == result.best_index else "",
                          outcome.note])
         best = result.best
         summary.append({
@@ -458,8 +466,9 @@ def _sweep_record(erlangs: float, results: dict) -> dict:
     if "nash" in results:
         equilibria = results["nash"]
         if equilibria:
-            best = max(equilibria, key=lambda ev: ev.global_utility)
-            out["nash"] = {"count": len(equilibria),
+            # the first fibre at the top utility holds its smallest member
+            best = max(equilibria, key=lambda fibre: fibre.global_utility)
+            out["nash"] = {"count": sum(fibre.count for fibre in equilibria),
                            "utility": best.global_utility,
                            "blocking": best.overall_blocking,
                            "policy": list(best.policy.flatten())}
@@ -481,7 +490,7 @@ def _sweep_record(erlangs: float, results: dict) -> dict:
         out["control"] = [
             {"thresholds": _scheme_text(o.scheme),
              "blocking": o.blocking, "utility": o.utility,
-             "equilibria": len(o.equilibria),
+             "equilibria": o.count,
              "argmin": i == result.best_index}
             for i, o in enumerate(result.outcomes)
         ]

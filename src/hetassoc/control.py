@@ -8,6 +8,9 @@ equilibrium blocks the least traffic wins (maximizing the acceptance ratio
 1/b gives the same winner, which is checked). Equilibrium multiplicity is
 surfaced instead of hidden: a declared selection rule picks the
 representative equilibrium and the worst case is reported next to it.
+Equilibria are read as find_nash reports them, one per fibre: every member
+of a fibre has its utility and blocking, so the selection and the worst
+case are taken over fibres, and the count sums their members.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AggregationScheme
-from .game import PolicyEvaluation, PolicyGameSolver
+from .game import EquilibriumFibre, PolicyGameSolver
 from .states import StateSpace
 
 SELECTION_RULES = ("max_utility", "min_blocking")
@@ -30,15 +33,23 @@ class RankingMismatchError(RuntimeError):
 
 @dataclass
 class SchemeOutcome:
-    """Equilibrium findings for one candidate aggregation scheme."""
+    """Equilibrium findings for one candidate aggregation scheme: the
+    equilibrium fibres find_nash found, ordered by smallest member, and
+    the selected one, whose smallest member is the smallest member policy
+    the selection rule picks."""
 
     scheme: AggregationScheme
-    equilibria: list[PolicyEvaluation]
-    selected: PolicyEvaluation | None
+    equilibria: list[EquilibriumFibre]
+    selected: EquilibriumFibre | None
     blocking: float | None           # under the declared selection rule
     utility: float | None
     worst_blocking: float | None     # across all found equilibria
     note: str
+
+    @property
+    def count(self) -> int:
+        """Number of equilibrium policies found, the fibres' members."""
+        return sum(fibre.count for fibre in self.equilibria)
 
 
 @dataclass
@@ -68,7 +79,9 @@ def threshold_lattice(num_systems: int, step: float = 0.1) -> list[AggregationSc
     return list(build([], num_systems))
 
 
-def _select(equilibria: list[PolicyEvaluation], rule: str) -> PolicyEvaluation:
+def _select(equilibria: list[EquilibriumFibre], rule: str) -> EquilibriumFibre:
+    """The first fibre, in smallest-member order, that the rule ranks
+    best: ties go to the smallest member policy."""
     if rule == "max_utility":
         return max(equilibria, key=lambda ev: (ev.global_utility, -ev.overall_blocking))
     return min(equilibria, key=lambda ev: (ev.overall_blocking, -ev.global_utility))
@@ -81,9 +94,12 @@ def optimize_thresholds(space: StateSpace, grid, *,
     """Evaluate every scheme in the grid on the caller's space and pick the
     blocking argmin.
 
-    Schemes for which no pure equilibrium is found are recorded but
-    excluded from the argmin. The caller enumerates the space, under its
-    own state ceiling, and every scheme is solved on it.
+    Each outcome holds the scheme's equilibria as find_nash returns them,
+    one EquilibriumFibre per fibre, with no member expanded; its count is
+    the number of member policies. Schemes for which no pure equilibrium is
+    found are recorded but excluded from the argmin. The caller enumerates
+    the space, under its own state ceiling, and every scheme is solved on
+    it.
     """
     if selection_rule not in SELECTION_RULES:
         raise ValueError(f"selection_rule must be one of {SELECTION_RULES}")
@@ -101,8 +117,9 @@ def optimize_thresholds(space: StateSpace, grid, *,
                 note="no pure equilibrium found; excluded from argmin"))
             continue
         selected = _select(equilibria, selection_rule)
-        worst = max(ev.overall_blocking for ev in equilibria)
-        note = "" if len(equilibria) == 1 else f"{len(equilibria)} equilibria"
+        worst = max(fibre.overall_blocking for fibre in equilibria)
+        count = sum(fibre.count for fibre in equilibria)
+        note = "" if count == 1 else f"{count} equilibria"
         outcomes.append(SchemeOutcome(
             scheme=scheme, equilibria=equilibria, selected=selected,
             blocking=selected.overall_blocking, utility=selected.global_utility,

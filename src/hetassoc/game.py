@@ -27,10 +27,13 @@ evaluation cache, which has no off switch, serves every member from it.
 Inside the solver a policy is a flat row of its choices, entry n * L + l
 for class n and label l, and a fibre is keyed by the bytes of its
 representative's row as int8. The searches run on rows and keys; a Policy
-is built only where one leaves the solver: the equilibria find_nash
-reports, optimal_policy's result and ties, best_response_path's end, and
-what representatives() and fibre() return. Each solved fibre keeps its
-Nash gap with its evaluation, so no search recomputes it.
+is built only where one leaves the solver: the smallest member of each
+equilibrium fibre find_nash reports, optimal_policy's result and ties,
+best_response_path's end, and what representatives() and fibre() return.
+find_nash reports fibres, not members: an EquilibriumFibre holds the
+fibre's evaluation, each entry's options and the member count, and builds
+a member's Policy only when members() is asked for it. Each solved fibre
+keeps its Nash gap with its evaluation, so no search recomputes it.
 
 The core evaluates a chunk of choice tables at once: one assembly into a
 stack of bands, the stationary and tagged solves with their checks, and the
@@ -62,9 +65,14 @@ the stationary solves.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -243,6 +251,53 @@ class PolicyEvaluation(ChainEvaluation):
 
     def is_nash(self) -> bool:
         return self.gap <= NASH_EPS
+
+
+@dataclass
+class EquilibriumFibre:
+    """One equilibrium fibre find_nash reports, standing for its canonical
+    members: options[k] lists, in increasing order, the systems flat entry
+    k takes over them, (0,) on a label without stationary mass. Every
+    member has the fibre's evaluation, bit for bit; evaluation.policy is
+    the smallest member, the elementwise minimum of the options."""
+
+    evaluation: PolicyEvaluation
+    options: tuple[tuple[int, ...], ...]
+
+    @property
+    def policy(self) -> Policy:
+        return self.evaluation.policy
+
+    @property
+    def global_utility(self) -> float:
+        return self.evaluation.global_utility
+
+    @property
+    def overall_blocking(self) -> float:
+        return self.evaluation.overall_blocking
+
+    @property
+    def count(self) -> int:
+        """Number of member policies."""
+        return math.prod(map(len, self.options))
+
+    def rows(self):
+        """The flat row of every member, as a tuple, in increasing order."""
+        return itertools.product(*self.options)
+
+    def members(self):
+        """The evaluation of every member, in increasing order, each under
+        its own Policy."""
+        N, L = self.policy.num_classes, self.policy.num_labels
+        for row in self.rows():
+            yield replace(self.evaluation, policy=Policy.from_flat(row, N, L))
+
+
+def ordered_members(equilibria: list[EquilibriumFibre]):
+    """(flat row, fibre) of every member of the fibres, in increasing row
+    order, merged lazily: no fibre's members are held at once."""
+    return heapq.merge(*(zip(fibre.rows(), itertools.repeat(fibre)) for fibre in equilibria),
+                       key=itemgetter(0))
 
 
 @dataclass
@@ -630,24 +685,29 @@ class PolicyGameSolver:
         entries = list(self._entries)
         starts = np.zeros((restarts, len(self._rep_rows)), dtype=np.int8)
         starts[:S] = np.arange(min(S, restarts))[:, None]
-        for row in starts[S:]:
-            row[entries] = rng.integers(S, size=len(entries))
+        if restarts > S:
+            starts[S:, entries] = rng.integers(S, size=(restarts - S, len(entries)))
         return starts
 
     # ----- Nash equilibria --------------------------------------------
 
     def find_nash(self, mode: str = "auto", *, restarts: int = 64, seed: int = 0,
-                  auto_cap: int = 4096) -> list[PolicyEvaluation]:
-        """All (canonical) pure equilibria found under the requested mode.
+                  auto_cap: int = 4096) -> list[EquilibriumFibre]:
+        """All (canonical) pure equilibria found under the requested mode,
+        one EquilibriumFibre per fibre, ordered by smallest member.
 
         exhaustive checks every canonical policy, one representative per
-        fibre, and expands each equilibrium into its fibre; best_response runs
-        Gauss-Seidel argmax dynamics from several starts, keeps the fixed
-        points and closes them under payoff ties. Every member of each fibre
-        found, with its empty labels pinned to system 0, is re-verified
-        before being returned, on a table a fresh checker solved for its
-        fibre; the checker evaluates every distinct canonical candidate
-        that passes its own check in one batch. An empty list means no pure
+        fibre; best_response runs Gauss-Seidel argmax dynamics from several
+        starts, keeps the fixed points and closes them under payoff ties.
+        A fibre's canonical members pin its entries on empty labels to
+        system 0, so they lie in the fibre of its key so pinned, its
+        canonical key, which is also its smallest member; fibres with one
+        canonical key merge, pinned on the labels empty under all of them.
+        Each canonical fibre is re-verified before being returned, on the
+        table of a fresh checker that solves every distinct candidate that
+        passes its own check in one batch; its Nash gap is every member's.
+        No member is expanded: count is the product of the option sizes,
+        and ordered_members() streams them. An empty list means no pure
         equilibrium was found.
         """
         if mode not in ("auto", "exhaustive", "best_response"):
@@ -660,17 +720,27 @@ class PolicyGameSolver:
                     if ev.gap <= NASH_EPS]
         else:
             keys = self._expand_ties(self._best_response_candidates(restarts=restarts, seed=seed))
-        # each member, canonicalized, keyed by the bytes of its own row
-        canonical: dict[bytes, None] = {}
+        # the entries each fibre pins, by canonical key, intersected
+        pinned: dict[bytes, np.ndarray] = {}
         for key, ev in zip(keys, self._fibres(keys)):
-            members = self._members(key)
-            members[:, np.tile(ev.empty_labels, self.config.num_classes)] = 0
-            canonical.update(dict.fromkeys(row.tobytes() for row in members))
-        evaluations = dict(zip(canonical, self._evaluations(self._key_rows(list(canonical)))))
-        passed = [row for row, ev in evaluations.items() if ev.gap <= NASH_EPS]
+            empty = np.tile(ev.empty_labels, self.config.num_classes)
+            row = np.frombuffer(key, dtype=np.int8).copy()
+            row[empty] = 0
+            canonical = row.tobytes()
+            pinned[canonical] = pinned[canonical] & empty if canonical in pinned else empty
+        keys = list(pinned)
+        passed = [key for key, ev in zip(keys, self._fibres(keys)) if ev.gap <= NASH_EPS]
         checks = self.fresh_checker()._evaluations(self._key_rows(passed))
-        found = sorted(row for row, check in zip(passed, checks) if check.gap <= NASH_EPS)
-        return [replace(evaluations[row], policy=self._policy(row)) for row in found]
+        found = sorted(key for key, check in zip(passed, checks) if check.gap <= NASH_EPS)
+        return [EquilibriumFibre(replace(ev, policy=self._policy(key)),
+                                 self._options(key, pinned[key]))
+                for key, ev in zip(found, self._fibres(found))]
+
+    def _options(self, key: bytes, pinned: np.ndarray) -> tuple[tuple[int, ...], ...]:
+        """The systems each flat entry takes over the members of the fibre of
+        key, in increasing order; (0,) where pinned."""
+        return tuple((0,) if pin else tuple(s for s, image in enumerate(images) if image == target)
+                     for images, target, pin in zip(self._rep_entries, key, pinned.tolist()))
 
     def _expand_ties(self, candidates: list[list[int]]) -> list[bytes]:
         """Close a set of equilibrium candidates, flat rows, under near-tie
@@ -692,14 +762,13 @@ class PolicyGameSolver:
         reached = list(queue)
         while queue:
             key = queue.pop()
-            table, = self._response_tables([key])
+            (rows, bests, skips, _), = self._response_tables([key])
             neighbors = []
             for k in self._entries:
-                if table[k] is None:
+                if skips[k]:
                     continue
-                payoffs, best = table[k]
-                top = payoffs[best]
-                for s, payoff in enumerate(payoffs):
+                top = rows[k][bests[k]]
+                for s, payoff in enumerate(rows[k]):
                     target = self._rep_entries[k][s]
                     if target == key[k] or payoff < top - 2 * NASH_EPS:
                         continue
@@ -722,20 +791,23 @@ class PolicyGameSolver:
         return [choice for choice in self._lockstep(walks, self._response_tables)
                 if choice is not None]
 
-    def _response_table(self, choice: list[int]):
-        """Best-response table of the fibre of a flat row, as a walk reads
-        it: a generator that yields [the fibre's key] when the table is
-        missing, and returns the table once it is built."""
-        key = self._key(choice)
+    def _response_table(self, key: bytes):
+        """Best-response table of a fibre key, as a walk reads it: a
+        generator that yields [key] when the table is missing, and returns
+        the table once it is built."""
         if key not in self._responses:
             yield [key]
         return self._responses[key]
 
-    def _response_tables(self, keys) -> list[list]:
+    def _response_tables(self, keys) -> list[tuple[list, list, list, list[int]]]:
         """Best-response table of each fibre key, in order, built once per
-        fibre: for each flat entry n * L + l, None when the label is empty,
-        else the payoff row as floats and its argmax. The fibres without a
-        table are evaluated together."""
+        fibre. For each flat entry n * L + l it lists the payoff row as
+        floats, its argmax, and whether the label is empty; then come the
+        movers, the positions() indexes at which a best response moves
+        every member of the fibre. Interchangeable systems have bit-equal
+        payoffs, so whether an entry moves is the same under every member's
+        own choice as under the key's. The fibres without a table are
+        evaluated together."""
         keys = list(keys)
         missing = [key for key in dict.fromkeys(keys) if key not in self._responses]
         if missing:
@@ -745,10 +817,14 @@ class PolicyGameSolver:
             payoffs = individual.reshape(len(missing), -1, individual.shape[3])
             skip = np.tile(empty, self.config.num_classes)
             best = payoffs.argmax(axis=2)
-            for key, rows, bests, skips in zip(missing, payoffs.tolist(), best.tolist(),
-                                               skip.tolist()):
-                self._responses[key] = [None if skipped else (row, b)
-                                        for row, b, skipped in zip(rows, bests, skips)]
+            top = np.take_along_axis(payoffs, best[:, :, None], axis=2)[:, :, 0]
+            own = np.take_along_axis(payoffs, self._key_rows(missing).astype(np.intp)[:, :, None],
+                                     axis=2)[:, :, 0]
+            moves = ((top > own + NASH_EPS) & ~skip)[:, list(self._entries)]
+            positions = range(moves.shape[1])
+            for key, rows, bests, skips, moved in zip(missing, payoffs.tolist(), best.tolist(),
+                                                      skip.tolist(), moves.tolist()):
+                self._responses[key] = (rows, bests, skips, list(compress(positions, moved)))
         return [self._responses[key] for key in keys]
 
     def _lockstep(self, walks: list, fill) -> list:
@@ -783,40 +859,46 @@ class PolicyGameSolver:
         _lockstep: it yields [the key] of each fibre whose response table it
         lacks, resumes once the table is built, and returns the fixed point
         (choice, updated in place) or None on a cycle. Steps are appended to
-        steps when a list is given."""
+        steps when a list is given.
+
+        The walk pays per move, not per position visited: it jumps from the
+        position it is at to the table's next mover, counting the positions
+        passed as steps, and checks for a cycle only where it moves. A
+        repeated (policy, position) pair repeats every pair after it, the
+        next move's among them, so the walk returns None where the path
+        would have, with the same steps recorded.
+        """
         positions, entries = self._positions, self._entries
-        if not positions:
+        P = len(positions)
+        if not P:
             return choice
-        table = yield from self._response_table(choice)
+        key = self._key(choice)
+        rows, bests, _, movers = yield from self._response_table(key)
         visited: set[tuple] = set()
-        stale = 0
-        ptr = 0
-        for _ in range(MAX_PATH_STEPS):
-            state_key = (tuple(choice), ptr)
-            if state_key in visited:
+        taken = ptr = 0
+        while movers:
+            # the next mover at or after ptr, cyclically
+            at = bisect_left(movers, ptr)
+            mover = movers[at] if at < len(movers) else movers[0]
+            taken += (mover - ptr) % P
+            state_key = (bytes(choice), mover)
+            if taken >= MAX_PATH_STEPS or state_key in visited:
                 return None
             visited.add(state_key)
-            k = entries[ptr]
-            response = table[k]
-            updated = False
-            if response is not None:
-                payoffs, best = response
-                current = choice[k]
-                if payoffs[best] > payoffs[current] + NASH_EPS:
-                    if steps is not None:
-                        n, l = positions[ptr]
-                        steps.append(BestResponseStep(
-                            user_class=n, label=l, old_system=current,
-                            new_system=best, old_payoff=payoffs[current],
-                            new_payoff=payoffs[best]))
-                    choice[k] = best
-                    table = yield from self._response_table(choice)
-                    updated = True
-            stale = 0 if updated else stale + 1
-            if stale >= len(positions):
-                return choice
-            ptr = (ptr + 1) % len(positions)
-        return None
+            k = entries[mover]
+            payoffs, best, current = rows[k], bests[k], choice[k]
+            if steps is not None:
+                n, l = positions[mover]
+                steps.append(BestResponseStep(
+                    user_class=n, label=l, old_system=current, new_system=best,
+                    old_payoff=payoffs[current], new_payoff=payoffs[best]))
+            choice[k] = best
+            key = key[:k] + bytes((self._rep_entries[k][best],)) + key[k + 1:]
+            rows, bests, _, movers = yield from self._response_table(key)
+            taken += 1
+            ptr = (mover + 1) % P
+        # a full round without a move ends the path
+        return choice if taken + P <= MAX_PATH_STEPS else None
 
     def best_response_path(self, start: Policy
                            ) -> tuple[Policy | None, list[BestResponseStep]]:

@@ -18,7 +18,7 @@ from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyRule,
                       per_class_blocking, simulate, solve_steady_state)
 from hetassoc.cli import main as cli_main
 from hetassoc.ctmc import chain_tables
-from hetassoc.game import PolicyGameSolver
+from hetassoc.game import PolicyGameSolver, ordered_members
 
 from conftest import (CONFIG_DIR, check_departure_closure,
                       check_generator_row_sums, check_label_totality,
@@ -229,8 +229,8 @@ def test_criterion_4_nash_certificate(shipped):
         space = enumerate_states(scaled)
         solver = PolicyGameSolver(space, scheme)
         equilibria = solver.find_nash("auto", restarts=64, seed=0)
-        per_point.append(len(equilibria))
-        for ev in equilibria:
+        per_point.append(sum(fibre.count for fibre in equilibria))
+        for ev in (member for fibre in equilibria for member in fibre.members()):
             assert _independent_equilibrium_check(scaled, scheme, ev.policy), \
                 f"equilibrium failed independent re-verification at {erl} Erlangs"
             verified += 1
@@ -248,7 +248,8 @@ def test_criterion_4_nash_certificate(shipped):
             assert solver.policy_space_size() <= 2 ** 12
             exact = solver.find_nash("exhaustive")
             br = solver.find_nash("best_response", restarts=64, seed=0)
-            assert [e.policy.choice for e in exact] == [e.policy.choice for e in br]
+            assert [row for row, _ in ordered_members(exact)] == \
+                [row for row, _ in ordered_members(br)]
             agreement_cases += 1
     asym = NetworkConfig(peak_rate=((2.0, 1.6),), t_min=1.0, t_max=2.0,
                          arrival_rate=(1.0,), service_rate=1.0)
@@ -257,7 +258,7 @@ def test_criterion_4_nash_certificate(shipped):
     assert solver.policy_space_size() <= 2 ** 12
     exact = solver.find_nash("exhaustive")
     br = solver.find_nash("best_response", restarts=64, seed=0)
-    assert [e.policy.choice for e in exact] == [e.policy.choice for e in br]
+    assert [row for row, _ in ordered_members(exact)] == [row for row, _ in ordered_members(br)]
     assert len(exact) > 0
     agreement_cases += 1
 
@@ -275,7 +276,7 @@ def test_independent_check_rejects_a_broken_equilibrium(shipped):
     config, scheme = shipped
     scaled = config.scale_traffic(5.0 / config.offered_erlangs)
     solver = PolicyGameSolver(enumerate_states(scaled), scheme)
-    equilibrium = solver.find_nash("auto", restarts=64, seed=0)[0]
+    equilibrium = solver.find_nash("auto", restarts=64, seed=0)[0].evaluation
     policy = equilibrium.policy
     flips = []
     for n, l in solver.positions():

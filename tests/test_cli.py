@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -215,6 +216,21 @@ def test_sweep_solves_the_instance_scheme_once_with_control(tmp_path, monkeypatc
     assert len(searched) == len(set(searched)) == 3
     point, = json.loads((tmp_path / "sweep.json").read_text())["points"]
     assert point["nash"]["count"] > 0
+
+
+def test_sweep_point_results_stay_small_for_workers(hybrid_instance):
+    """One traffic point's results, which a --jobs worker sends back, hold
+    the equilibria as fibres: with all four analyses at 5 Erlangs they
+    pickle to under 64 KiB, though they stand for hundreds of member
+    policies."""
+    config, scheme = hybrid_instance
+    grid = [cli._parse_scheme(text) for text in cli._DEFAULT_CONTROL_SCHEMES]
+    results = cli._sweep_point(config, scheme, 5.0,
+                               analyses=["nash", "optimal", "baselines", "control"],
+                               grid=grid, selection="max_utility", strict=False,
+                               restarts=64, seed=0, max_states=10 ** 6)
+    assert sum(outcome.count for outcome in results["control"].outcomes) > 200
+    assert len(pickle.dumps(results)) < 64 * 1024
 
 
 def test_sweep_with_optimal_analysis(tmp_path):

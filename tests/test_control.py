@@ -95,7 +95,7 @@ def test_determinism(shipped):
     assert [o.blocking for o in a.outcomes] == [o.blocking for o in b.outcomes]
     assert [o.utility for o in a.outcomes] == [o.utility for o in b.outcomes]
     assert a.best_index == b.best_index
-    assert [len(o.equilibria) for o in a.outcomes] == [len(o.equilibria) for o in b.outcomes]
+    assert [o.count for o in a.outcomes] == [o.count for o in b.outcomes]
 
 
 def test_threshold_lattice_shape():
@@ -129,7 +129,7 @@ def _stub_equilibrium_blockings(monkeypatch, blockings):
             pass
 
         def find_nash(self, *args, **kwargs):
-            return [SimpleNamespace(overall_blocking=next(values), global_utility=1.0)]
+            return [SimpleNamespace(overall_blocking=next(values), global_utility=1.0, count=1)]
 
     monkeypatch.setattr(control, "PolicyGameSolver", StubSolver)
 

@@ -11,7 +11,7 @@ from hetassoc import (AggregationScheme, ConfigError, EmptyLabelError, NetworkCo
                       enumerate_states, evaluate_baseline, evaluate_policy, evaluate_rule,
                       per_class_blocking, solve_steady_state)
 from hetassoc.aggregation import label_of
-from hetassoc.game import ChainEvaluation, PolicyGameSolver, _nash_gaps
+from hetassoc.game import ChainEvaluation, PolicyGameSolver, _nash_gaps, ordered_members
 from hetassoc.rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 
 from conftest import random_instance, random_policy
@@ -162,7 +162,7 @@ def test_restart_counts_below_one_are_refused(erlang_solver, restarts):
 
 def test_nash_single_system_trivial(erlang_solver):
     result = erlang_solver.find_nash("exhaustive")
-    assert len(result) == 1
+    assert len(result) == 1 and result[0].count == 1
     assert result[0].policy.choice == ((0, 0, 0),)
 
 
@@ -201,7 +201,7 @@ def test_best_response_and_exhaustive_agree_nonempty(asym_instance):
     solver = PolicyGameSolver(space, scheme)
     exact = solver.find_nash("exhaustive")
     br = solver.find_nash("best_response", restarts=24, seed=5)
-    assert [ev.policy.choice for ev in exact] == [ev.policy.choice for ev in br]
+    assert [row for row, _ in ordered_members(exact)] == [row for row, _ in ordered_members(br)]
     assert len(exact) > 0
 
 
@@ -238,8 +238,9 @@ def test_best_response_steps_never_hurt_the_mover():
 def test_nash_certificate_reverifies(mirror_instance):
     _, space, scheme = mirror_instance
     solver = PolicyGameSolver(space, scheme)
-    for ev in solver.find_nash("exhaustive"):
-        assert solver.verify_equilibrium(ev.policy)
+    for fibre in solver.find_nash("exhaustive"):
+        for ev in fibre.members():
+            assert solver.verify_equilibrium(ev.policy)
 
 
 def _swap_instance(config, scheme):
@@ -538,11 +539,13 @@ def test_exhaustive_equals_best_response_at_five_erlangs(hybrid_instance, shippe
     solver = PolicyGameSolver(shipped_spaces[5], scheme)
     exact = solver.find_nash("exhaustive")
     auto = solver.find_nash("auto")
-    assert len(exact) == 128
-    assert [ev.policy.choice for ev in exact] == [ev.policy.choice for ev in auto]
-    # one fibre: every member is its own report with its own policy
-    assert len(solver.fibre(exact[0].policy)) == 128
-    assert all(ev.global_utility == exact[0].global_utility for ev in exact)
+    assert [fibre.count for fibre in exact] == [128]
+    assert [row for row, _ in ordered_members(exact)] == [row for row, _ in ordered_members(auto)]
+    # one fibre: every member is reported under its own policy, with the
+    # fibre's evaluation
+    members = list(exact[0].members())
+    assert [ev.policy for ev in members] == solver.fibre(exact[0].policy)
+    assert all(ev.global_utility == exact[0].global_utility for ev in members)
 
 
 def test_exhaustive_optimum_reports_whole_fibres(mirror_instance):
@@ -642,7 +645,7 @@ def test_checker_solves_one_chain_for_the_whole_fibre(hybrid_instance, shipped_s
     solver = PolicyGameSolver(shipped_spaces[5], scheme)
     solved = _watch_checkers(solver, monkeypatch)
     found = solver.find_nash()
-    assert len(found) == 128
+    assert [fibre.count for fibre in found] == [128]
     assert len(solved) == 1
 
 
@@ -658,7 +661,7 @@ def test_members_are_judged_on_the_checker_table(hybrid_instance, shipped_spaces
     """
     _, scheme = hybrid_instance
     solver = PolicyGameSolver(shipped_spaces[4], scheme)
-    found = solver.find_nash()
+    found = [member for fibre in solver.find_nash() for member in fibre.members()]
     assert len(found) == 128
     ev = found[0]
     own = ev.individual[0, np.arange(solver.num_labels), ev.policy.choice[0]]

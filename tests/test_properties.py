@@ -14,17 +14,20 @@ reference evaluation solves a policy's own chain through the solver's
 uncached path, _solved.
 """
 
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hetassoc import (AggregationScheme, NetworkConfig, Policy, ResidualError, ctmc,
-                      enumerate_states)
+                      enumerate_states, game)
+from hetassoc.cli import main as cli_main
 from hetassoc.game import (MAX_PATH_STEPS, NASH_EPS, BestResponseStep, PolicyGameSolver,
-                           _nash_gaps)
+                           _nash_gaps, ordered_members)
 
-from conftest import (check_band_generator, check_departure_closure,
+from conftest import (CONFIG_DIR, check_band_generator, check_departure_closure,
                       check_generator_row_sums, check_label_totality,
                       check_relabel_equivariance, check_steady_residuals,
                       check_tagged_solves, random_instance, random_policy)
@@ -106,7 +109,8 @@ def test_best_response_matches_exhaustive_on_small_spaces():
         checked += 1
         exact = solver.find_nash("exhaustive")
         br = solver.find_nash("best_response", restarts=48, seed=7)
-        assert [e.policy.choice for e in exact] == [e.policy.choice for e in br]
+        assert [row for row, _ in ordered_members(exact)] == \
+            [row for row, _ in ordered_members(br)]
 
 
 def _random_member(rng, solver, policy: Policy) -> Policy:
@@ -287,8 +291,8 @@ def test_fibre_search_matches_the_reference_walk(strict):
             assert solver.best_response_path(start) == expected
             walked += len(expected[1])
         seed = int(rng.integers(1 << 16))
-        found = [ev.policy.choice
-                 for ev in solver.find_nash("best_response", restarts=8, seed=seed)]
+        found = [solver._policy(row).choice for row, _ in
+                 ordered_members(solver.find_nash("best_response", restarts=8, seed=seed))]
         expected = _reference_equilibria(reference, restarts=8, seed=seed)
         tied += len(found) > 1
         assert found == expected
@@ -348,6 +352,31 @@ def test_three_system_paths_match_the_reference_walk(strict):
             assert solver.best_response_path(start) == expected
             walked += len(expected[1])
     assert walked >= 30
+
+
+def test_paths_cut_by_the_step_budget_match_the_reference_walk(hybrid_instance, monkeypatch):
+    """The walk counts the positions it jumps over as steps: with the step
+    budget cut short, each path stops, or runs out, at the step where the
+    reference walk, which visits every position, does, with the same steps
+    recorded (shipped instance at 1, 5 and 10 Erlangs)."""
+    rng = np.random.default_rng(4242)
+    cases = []
+    for erlangs in (1, 5, 10):
+        space, scheme = _shipped_space(hybrid_instance, erlangs)
+        solver = PolicyGameSolver(space, scheme)
+        cases += [(solver, random_policy(rng, space.config, scheme)) for _ in range(3)]
+    ends = {}
+    for budget in range(1, 41):
+        monkeypatch.setattr(game, "MAX_PATH_STEPS", budget)
+        monkeypatch.setattr(sys.modules[__name__], "MAX_PATH_STEPS", budget)
+        for solver, start in cases:
+            expected = _reference_path(solver, start)
+            assert solver.best_response_path(start) == expected
+            ends.setdefault(budget, set()).add(expected[0] is None)
+    # with the smallest budget every path runs out; some budgets end some
+    # paths inside and leave others running
+    assert ends[1] == {True}
+    assert any(ends[budget] == {True, False} for budget in ends)
 
 
 # ----- lockstep: every restart's path advanced together --------------------
@@ -445,10 +474,10 @@ def test_cached_gap_is_every_members_gap(hybrid_instance, instance):
     if instance == "shipped-5":
         space, scheme = _shipped_space(hybrid_instance, 5)
     else:
-        # the third instance of the lockstep test's draws. On the first, the
-        # paths take 0.02 s and the tie closure 0.4 s, but the closure
-        # reaches 1,024 fibres holding 6,377,292 member policies, which
-        # find_nash then expands into rows and re-keys one by one
+        # the third instance of the lockstep test's draws. The closure on
+        # the first reaches 1,024 fibres holding 6,377,292 member policies,
+        # which this test would expand into rows one fibre at a time (see
+        # test_tie_family_is_counted_not_expanded)
         rng = np.random.default_rng(6161)
         for _ in range(3):
             _, space, scheme = _three_system_instance(rng)
@@ -483,14 +512,15 @@ def _built_policies(monkeypatch) -> list[tuple]:
 
 def test_search_builds_a_policy_only_per_reported_equilibrium(hybrid_instance, monkeypatch):
     """A best-response search at 5 Erlangs constructs one Policy per
-    equilibrium it reports and no other."""
+    equilibrium fibre it reports, its smallest member, and no other,
+    though the fibre holds 128 member policies."""
     space, scheme = _shipped_space(hybrid_instance, 5)
     solver = PolicyGameSolver(space, scheme)
     built = _built_policies(monkeypatch)
     found = solver.find_nash("best_response", restarts=64, seed=0)
-    assert len(found) == 128
+    assert sum(fibre.count for fibre in found) == 128
     assert len(built) == len(found)
-    assert built == [ev.policy.choice for ev in found]
+    assert built == [fibre.policy.choice for fibre in found]
 
 
 def test_coordinate_ascent_builds_one_policy(hybrid_instance, monkeypatch):
@@ -505,6 +535,38 @@ def test_coordinate_ascent_builds_one_policy(hybrid_instance, monkeypatch):
     assert result.ties == [result.policy] and result.evaluation.policy is result.policy
 
 
+def test_tie_family_is_counted_not_expanded(monkeypatch):
+    """On the first three-system draw, the tie closure reaches 1,024
+    fibres holding 6,377,292 member policies: find_nash reports them as
+    fibres within 5 s, counting the members and building one Policy per
+    fibre, its smallest member."""
+    _, space, scheme = _three_system_instance(np.random.default_rng(6161))
+    solver = PolicyGameSolver(space, scheme)
+    built = _built_policies(monkeypatch)
+    began = time.perf_counter()
+    found = solver.find_nash("best_response", restarts=16, seed=0)
+    assert time.perf_counter() - began < 5.0
+    assert sum(fibre.count for fibre in found) == 6_377_292
+    assert len(found) == 1_024
+    assert built == [fibre.policy.choice for fibre in found]
+    # the smallest member is each fibre's first row, and the fibres are in
+    # the order of their smallest members
+    assert all(next(fibre.rows()) == fibre.policy.flatten() for fibre in found)
+    smallest = [fibre.policy.flatten() for fibre in found]
+    assert smallest == sorted(smallest)
+
+
+def test_sweep_builds_at_most_one_policy_per_traffic_point(monkeypatch, tmp_path):
+    """A seed-0 sweep over 1-10 Erlangs reports its equilibria as fibres,
+    one per point where any exists, and builds one Policy per fibre
+    reported."""
+    built = _built_policies(monkeypatch)
+    assert cli_main(["sweep", "--config", str(CONFIG_DIR / "hybrid_example.json"),
+                     "--traffic", "1:10:1", "--analyses", "nash,baselines", "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+    assert 0 < len(built) <= 10
+
+
 def _scalar_starts(solver, restarts, rng):
     """_starting_policies with one scalar draw per free entry."""
     S = solver.config.num_systems
@@ -516,6 +578,25 @@ def _scalar_starts(solver, restarts, rng):
             rows[n][l] = int(rng.integers(S))
         starts.append(Policy(tuple(tuple(row) for row in rows)))
     return starts[:restarts]
+
+
+@pytest.mark.parametrize("systems", [2, 3])
+def test_starts_match_per_row_draws(hybrid_instance, systems):
+    """The random starts, drawn in one call, are the rows one draw per
+    start gives, and leave the generator where those draws leave it, for
+    restart seeds 0-7."""
+    if systems == 2:
+        space, scheme = _shipped_space(hybrid_instance, 5)
+    else:
+        _, space, scheme = _three_system_instance(np.random.default_rng(9090))
+    solver = PolicyGameSolver(space, scheme)
+    S, entries = solver.config.num_systems, list(solver._entries)
+    for seed in range(8):
+        rng, per_row = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = solver._starting_policies(64, rng)
+        rows = [per_row.integers(S, size=len(entries)) for _ in range(64 - S)]
+        assert np.array_equal(drawn[S:, entries], rows)
+        assert rng.integers(1 << 62) == per_row.integers(1 << 62)
 
 
 @pytest.mark.parametrize("systems", [2, 3])
