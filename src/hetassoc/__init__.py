@@ -15,9 +15,9 @@ from .config import (AggregationScheme, ConfigError, NetworkConfig, ParseError,
 from .control import ControlResult, optimize_thresholds, threshold_lattice
 from .ctmc import (Generator, ResidualError, SingularChainError, SteadyState,
                    build_generator, per_class_blocking, solve_steady_state)
-from .game import (BaselineEvaluation, EmptyLabelError, EquilibriumFibre, OptimalResult,
-                   PolicyEvaluation, PolicyGameSolver, SearchCapError,
-                   evaluate_baseline, evaluate_policy, evaluate_rule)
+from .game import (EmptyLabelError, EquilibriumFibre, OptimalResult, PolicyEvaluation,
+                   PolicyGameSolver, SearchCapError, evaluate_baseline, evaluate_policy,
+                   evaluate_rule)
 from .rules import (AssignmentRule, InstantaneousRateRule, PeakRateRule,
                     PolicyRule)
 from .simulate import SimReport, simulate

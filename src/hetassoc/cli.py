@@ -13,6 +13,7 @@ import argparse
 import gc
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -144,7 +145,7 @@ def _load(args) -> tuple[NetworkConfig, AggregationScheme]:
     if args.sharing:
         config = config.with_sharing_scope(
             NETWORK_WIDE if args.sharing == "network" else PER_SYSTEM)
-    return config, scheme
+    return replace(config, strict_arrivals=args.strict_eq2), scheme
 
 
 def _make_rule(args, config, scheme):
@@ -232,7 +233,7 @@ def _cmd_steady(args) -> int:
     config, scheme = _load(args)
     space = enumerate_states(config, max_states=args.max_states)
     rule = _make_rule(args, config, scheme)
-    gen = build_generator(space, rule, strict_arrivals=args.strict_eq2)
+    gen = build_generator(space, rule)
     ss = solve_steady_state(gen)
     labels = label_array(scheme, space)
     rows = ([i, *occ, f"{ss.pi[i]:.17g}", labels[i]]
@@ -257,7 +258,7 @@ def _cmd_utility(args) -> int:
     config, scheme = _load(args)
     space = enumerate_states(config, max_states=args.max_states)
     rule = _make_rule(args, config, scheme)
-    volumes = evaluate_rule(space, rule, strict_arrivals=args.strict_eq2).volumes
+    volumes = evaluate_rule(space, rule).volumes
 
     def rows():
         for n in range(config.num_classes):
@@ -293,7 +294,7 @@ def _policy_rows(config, members):
 def _cmd_nash(args) -> int:
     config, scheme = _load(args)
     space = enumerate_states(config, max_states=args.max_states)
-    solver = PolicyGameSolver(space, scheme, strict_arrivals=args.strict_eq2)
+    solver = PolicyGameSolver(space, scheme)
     result = solver.find_nash(args.mode, restarts=args.restarts, seed=args.seed,
                               auto_cap=args.cap)
     params = {"mode": args.mode, "restarts": args.restarts, "seed": args.seed}
@@ -323,7 +324,7 @@ def _cmd_nash(args) -> int:
 def _cmd_optimal(args) -> int:
     config, scheme = _load(args)
     space = enumerate_states(config, max_states=args.max_states)
-    solver = PolicyGameSolver(space, scheme, strict_arrivals=args.strict_eq2)
+    solver = PolicyGameSolver(space, scheme)
     result = solver.optimal_policy(method=args.method, cap=args.cap,
                                    restarts=args.restarts, seed=args.seed)
     params = {"method": result.method, "cap": args.cap}
@@ -346,7 +347,7 @@ def _cmd_optimal(args) -> int:
 def _cmd_baseline(args) -> int:
     config, scheme = _load(args)
     space = enumerate_states(config, max_states=args.max_states)
-    report = evaluate_baseline(space, args.which, strict_arrivals=args.strict_eq2)
+    report = evaluate_baseline(space, args.which)
     params = {"which": args.which}
     rows = [[args.which, f"{report.global_utility:.12g}",
              f"{report.overall_blocking:.12g}"]
@@ -375,7 +376,7 @@ def _cell(value) -> str:
 
 def _sweep_point(config: NetworkConfig, scheme: AggregationScheme, erlangs: float, *,
                  analyses, grid: list[AggregationScheme], selection: str,
-                 strict: bool, restarts: int, seed: int, max_states: int) -> dict:
+                 restarts: int, seed: int, max_states: int) -> dict:
     """The library's results at one traffic point, by analysis: "nash"
     (the equilibria), "optimal" (the OptimalResult), one entry per
     baseline, and "control" (the ControlResult over grid).
@@ -394,19 +395,18 @@ def _sweep_point(config: NetworkConfig, scheme: AggregationScheme, erlangs: floa
     out: dict = {}
     if "control" in analyses:
         out["control"] = optimize_thresholds(space, grid, selection_rule=selection,
-                                             restarts=restarts, seed=seed,
-                                             strict_arrivals=strict)
+                                             restarts=restarts, seed=seed)
         if "nash" in analyses and scheme in grid:
             out["nash"] = out["control"].outcomes[grid.index(scheme)].equilibria
     if "nash" in analyses or "optimal" in analyses:
-        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
+        solver = PolicyGameSolver(space, scheme)
     if "nash" in analyses and "nash" not in out:
         out["nash"] = solver.find_nash("auto", restarts=restarts, seed=seed)
     if "optimal" in analyses:
         out["optimal"] = solver.optimal_policy(method="auto", seed=seed)
     if "baselines" in analyses:
         for which in _BASELINES:
-            out[which] = evaluate_baseline(space, which, strict_arrivals=strict)
+            out[which] = evaluate_baseline(space, which)
     return out
 
 
@@ -415,8 +415,7 @@ def _run_points(args, config, scheme, traffic, analyses, grid, selection="max_ut
     in --jobs processes. A serial run yields each point before it solves
     the next, so one point's results are alive at a time."""
     point = partial(_sweep_point, config, scheme, analyses=analyses, grid=grid,
-                    selection=selection, strict=args.strict_eq2,
-                    restarts=args.restarts, seed=args.seed,
+                    selection=selection, restarts=args.restarts, seed=args.seed,
                     max_states=args.max_states)
     if args.jobs == 1:
         yield from map(point, traffic)
@@ -568,7 +567,7 @@ def _cmd_simulate(args) -> int:
     config, scheme = _load(args)
     rule = _make_rule(args, config, scheme)
     report = simulate(config, rule, args.events, args.seed,
-                      num_batches=args.batches, strict_arrivals=args.strict_eq2)
+                      num_batches=args.batches)
     params = {"rule": rule.describe(), "events": args.events, "seed": args.seed,
               "batches": args.batches, "strict_eq2": args.strict_eq2}
     rows = []

@@ -46,6 +46,12 @@ class NetworkConfig:
     occupancies. sharing_scope selects whether the rate of a user is shared
     over the users of their own system only (per_system) or over all users in
     the network (network_wide).
+
+    strict_arrivals selects what the network does with a user whose
+    preferred system is saturated: redirect them to the lowest-index system
+    with room (False), or drop the arrival, as eq. 2 reads literally
+    (True). It is not part of the instance document; the CLI sets it from
+    --strict-eq2.
     """
 
     peak_rate: tuple[tuple[float, ...], ...]
@@ -57,6 +63,7 @@ class NetworkConfig:
     sharing_scope: str = PER_SYSTEM
     system_names: tuple[str, ...] = ()
     class_names: tuple[str, ...] = ()
+    strict_arrivals: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "peak_rate",

@@ -89,8 +89,7 @@ def _select(equilibria: list[EquilibriumFibre], rule: str) -> EquilibriumFibre:
 
 def optimize_thresholds(space: StateSpace, grid, *,
                         selection_rule: str = "max_utility",
-                        restarts: int = 64, seed: int = 0,
-                        strict_arrivals: bool = False) -> ControlResult:
+                        restarts: int = 64, seed: int = 0) -> ControlResult:
     """Evaluate every scheme in the grid on the caller's space and pick the
     blocking argmin.
 
@@ -108,7 +107,7 @@ def optimize_thresholds(space: StateSpace, grid, *,
         raise ValueError("threshold grid must not be empty")
     outcomes = []
     for scheme in grid:
-        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict_arrivals)
+        solver = PolicyGameSolver(space, scheme)
         equilibria = solver.find_nash("auto", restarts=restarts, seed=seed)
         if not equilibria:
             outcomes.append(SchemeOutcome(

@@ -5,9 +5,10 @@ at rate lambda_n toward the system the assignment rule picks; a saturated
 pick is redirected to the lowest-index system with room, and the arrival is
 lost only when no system can admit the user (this matches the blocking
 counts, which treat a state as blocking only when every system is
-saturated). A strict mode that silently drops arrivals whose picked system
-is full is available for comparison. Departures of (n, s) users occur at
-rate M_n^s * mu; diagonal entries make every row sum to zero.
+saturated). Under NetworkConfig.strict_arrivals an arrival whose picked
+system is full is dropped instead, for comparison. Departures of (n, s)
+users occur at rate M_n^s * mu; diagonal entries make every row sum to
+zero.
 """
 
 from __future__ import annotations
@@ -98,18 +99,20 @@ class ChainTables:
         self.class_weight = np.array(config.arrival_rate) / sum(config.arrival_rate)
         first_open = np.argmax(feasible, axis=1)             # lowest open system
 
-        # admit_sys / admit_id: outcome with redirection, indexed by the
-        # preferred system; strict_id drops redirected arrivals instead.
+        # admit_sys / admit_id: the system the network admits an arrival to
+        # and the state it reaches, indexed by the preferred system, -1 when
+        # the arrival is lost. A saturated pick is redirected, or dropped
+        # under the config's strict_arrivals.
         self.admit_sys = np.empty((N, S, nst), dtype=np.int64)
         self.admit_id = np.empty((N, S, nst), dtype=np.int64)
         for n in range(N):
             for s in range(S):
-                sys_taken = np.where(feasible[n, s], s, first_open[n])
+                sys_taken = np.where(feasible[n, s], s,
+                                     -1 if config.strict_arrivals else first_open[n])
                 sys_taken = np.where(self.blocked[n], -1, sys_taken)
                 self.admit_sys[n, s] = sys_taken
                 ids = self.arrival_id[n, sys_taken.clip(min=0), np.arange(nst)]
                 self.admit_id[n, s] = np.where(sys_taken >= 0, ids, -1)
-        self.strict_id = self.arrival_id
 
         # departure triplets, shared by every generator
         src, rate, dst = [], [], []
@@ -308,10 +311,10 @@ class SolvePlan:
     The plan also holds what assemble_stack scatters: size, the length of
     a BandGenerator's data; departures, the data position of each departure
     edge of the ChainTables (rates dep_rate); diagonal, the data position of
-    each state's diagonal entry; arrivals[strict], per (class, preferred
-    system, state), the data position and rate of the arrival the network
-    admits (the state's own diagonal, which is written last, and rate 0 when
-    it is lost); arrival_src, the state of each entry of a (class, state)
+    each state's diagonal entry; arrivals, per (class, preferred system,
+    state), the data position and rate of the arrival the network admits
+    (the state's own diagonal, which is written last, and rate 0 when it is
+    lost); arrival_src, the state of each entry of a (class, state)
     table, flattened; and entry, the flat position of (class, system 0,
     state) in a (class, system, state) table. tagged_bytes is what the
     bands of one generator's tagged blocks take, and policy_bytes what one
@@ -345,13 +348,10 @@ class SolvePlan:
         self.arrival_src = np.tile(loops, config.num_classes)
         S = config.num_systems
         self.entry = np.arange(config.num_classes)[:, None] * S * nst + loops
-        self.arrivals = {}
-        for strict, target in ((False, tables.admit_id), (True, tables.strict_id)):
-            admitted = target >= 0
-            self.arrivals[strict] = (
-                np.where(admitted, self.band_position(state, target),
-                         self.diagonal[state]),
-                np.where(admitted, rate, 0.0))
+        admitted = tables.admit_id >= 0
+        self.arrivals = (np.where(admitted, self.band_position(state, tables.admit_id),
+                                  self.diagonal[state]),
+                         np.where(admitted, rate, 0.0))
         self.tagged = [[self._tagged(tables, coo.row, coo.col, n, s)
                         for s in range(config.num_systems)]
                        for n in range(config.num_classes)]
@@ -434,8 +434,6 @@ class Generator:
     BandGenerator of assemble_dense; rows sum to zero."""
 
     matrix: BandGenerator
-    space: StateSpace
-    rule_name: str
 
     @property
     def num_states(self) -> int:
@@ -457,15 +455,14 @@ class Generator:
             yield int(rows[k]), int(cols[k]), float(rates[k])
 
 
-def assemble_stack(tables: ChainTables, choices: np.ndarray,
-                   strict: bool = False) -> np.ndarray:
+def assemble_stack(tables: ChainTables, choices: np.ndarray) -> np.ndarray:
     """The generators of a stack of preferred-system tables, choices of
     shape (B, N, num_states), as a (B, size) stack of BandGenerator data in
     the layout of tables.solve_plan. Every solver assembles through here.
     """
     plan = tables.solve_plan
     B, nst = len(choices), tables.space.num_states
-    where, rates = plan.arrivals[strict]
+    where, rates = plan.arrivals
     picked = choices * nst + plan.entry
     rate = rates.take(picked)
     data = np.zeros((B, plan.size))
@@ -481,11 +478,10 @@ def assemble_stack(tables: ChainTables, choices: np.ndarray,
     return data
 
 
-def assemble_dense(tables: ChainTables, choice: np.ndarray,
-                   strict: bool = False) -> BandGenerator:
+def assemble_dense(tables: ChainTables, choice: np.ndarray) -> BandGenerator:
     """The BandGenerator of one preferred-system table, a stack of one."""
     plan = tables.solve_plan
-    return BandGenerator(assemble_stack(tables, np.asarray(choice)[None], strict)[0],
+    return BandGenerator(assemble_stack(tables, np.asarray(choice)[None])[0],
                          plan.width, plan.order, plan.pins)
 
 
@@ -495,12 +491,9 @@ def assemble_dense(tables: ChainTables, choice: np.ndarray,
 assemble_generator = assemble_dense
 
 
-def build_generator(space: StateSpace, rule: AssignmentRule,
-                    strict_arrivals: bool = False) -> Generator:
+def build_generator(space: StateSpace, rule: AssignmentRule) -> Generator:
     """Generator of the chain induced by an assignment rule."""
-    matrix = assemble_dense(chain_tables(space), rule.choice_table(space),
-                            strict=strict_arrivals)
-    return Generator(matrix=matrix, space=space, rule_name=rule.describe())
+    return Generator(assemble_dense(chain_tables(space), rule.choice_table(space)))
 
 
 @dataclass

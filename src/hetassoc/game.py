@@ -12,10 +12,10 @@ solver, evaluate_baseline and the CLI's utility table all read it. A
 policy evaluation adds the individual deviation payoffs U[n, l, s]
 (normalized by label mass). Deviating to a saturated system is valued at
 the outcome the network actually produces: the redirected system's
-expectation, or zero when every system is full. Labels with (numerically)
-zero stationary mass carry no strategic content; they are masked out of
-equilibrium comparisons and canonicalized to system 0 when policies are
-reported.
+expectation, or zero when every system is full (always zero under the
+config's strict_arrivals). Labels with (numerically) zero stationary mass
+carry no strategic content; they are masked out of equilibrium
+comparisons and canonicalized to system 0 when policies are reported.
 
 Redirection makes many policies interchangeable: preferring a saturated
 system is the same as preferring the one the network picks instead. The
@@ -109,19 +109,14 @@ def _solve_pi(space: StateSpace, q) -> tuple[np.ndarray, float]:
     return stationary_vector(q)
 
 
-def _outcome_index(tables: ChainTables, strict: bool) -> np.ndarray:
+def _outcome_index(tables: ChainTables) -> np.ndarray:
     """index[n, s, i]: flat position in a (N, S, num_states) volume table of
     the volume a class-n user preferring system s at state i ends up with,
     after the network's admission outcome; a lost arrival points one past
     the table, where callers append a zero."""
     N, S, nst = tables.occ_ns.shape
-    if strict:
-        target = tables.strict_id
-        sys_in = np.broadcast_to(np.arange(S)[:, None], target.shape)
-    else:
-        target, sys_in = tables.admit_id, tables.admit_sys
-    flat = (np.arange(N)[:, None, None] * S + sys_in) * nst + target
-    return np.where(target >= 0, flat, N * S * nst)
+    flat = (np.arange(N)[:, None, None] * S + tables.admit_sys) * nst + tables.admit_id
+    return np.where(tables.admit_id >= 0, flat, N * S * nst)
 
 
 class SearchCapError(RuntimeError):
@@ -148,16 +143,15 @@ class ChainEvaluation:
 class _ChainCore:
     """What _evaluate_chain reuses from chunk to chunk over one information
     partition, for chunks of up to `chunk` choice tables: the tables, the
-    arrival mode, the outcome index, the Partition, where each table's
-    padded volumes start in the chunk's, and solved, the checked values of
-    every tagged block solved under a key (see transient._solve_group). A
-    core belongs to one solver, so no other solver reads its blocks."""
+    outcome index, the Partition, where each table's padded volumes start
+    in the chunk's, and solved, the checked values of every tagged block
+    solved under a key (see transient._solve_group). A core belongs to one
+    solver, so no other solver reads its blocks."""
 
-    def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int,
-                 strict: bool, chunk: int):
+    def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int, chunk: int):
         N, S, nst = tables.occ_ns.shape
-        self.tables, self.strict = tables, strict
-        self.outcome = _outcome_index(tables, strict)
+        self.tables = tables
+        self.outcome = _outcome_index(tables)
         self.partition = Partition(tables, cells, ncells, chunk)
         padded = N * S * nst + 1
         self.padded_offset = np.arange(0, chunk * padded, padded)[:, None, None]
@@ -202,7 +196,7 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray, keys=None) -> _ChainC
     tables, ncells = core.tables, core.partition.ncells
     plan = tables.solve_plan
     B, N, nst = choices.shape
-    data = assemble_stack(tables, choices, core.strict)
+    data = assemble_stack(tables, choices)
     pi, residual = stationary_vectors(data, plan)
     b = cell_blocking(tables, pi, core.partition)
     volumes = tagged_volumes(tables, data, keys, core.solved)
@@ -322,15 +316,6 @@ class BestResponseStep:
     new_payoff: float
 
 
-@dataclass
-class BaselineEvaluation(ChainEvaluation):
-    """Report of a state-dependent baseline rule, over its information
-    cells."""
-
-    which: str
-    rule: AssignmentRule
-
-
 class PolicyGameSolver:
     """Evaluates policies over one (space, scheme) pair and searches the
     policy space.
@@ -342,15 +327,13 @@ class PolicyGameSolver:
     of that row as int8.
     """
 
-    def __init__(self, space: StateSpace, scheme: AggregationScheme, *,
-                 strict_arrivals: bool = False):
+    def __init__(self, space: StateSpace, scheme: AggregationScheme):
         if scheme.num_systems != space.config.num_systems:
             raise ConfigError(f"the scheme needs one threshold pair per system: got "
                               f"{scheme.num_systems} for {space.config.num_systems} systems")
         self.space = space
         self.scheme = scheme
         self.config: NetworkConfig = space.config
-        self.strict_arrivals = strict_arrivals
         self.tables: ChainTables = chain_tables(space)
         self.labels = label_array(scheme, space)
         self.num_labels = scheme.label_count
@@ -363,7 +346,7 @@ class PolicyGameSolver:
         self._entries = tuple(n * L + l for n, l in self._positions)
         # policies per chunk of the exhaustive scans and evaluate_many
         self.chunk = self.tables.solve_plan.chunk_size()
-        self._core = _ChainCore(self.tables, self.labels, L, strict_arrivals, self.chunk)
+        self._core = _ChainCore(self.tables, self.labels, L, self.chunk)
         # U[n, l, s] averages the admission outcome of preferring s over the
         # label's states, weighted by pi
         self._outcome = self._core.outcome
@@ -392,8 +375,7 @@ class PolicyGameSolver:
         same generator and the same payoff table, bit for bit.
         A structurally empty label maps every system to 0.
         """
-        where, rate = self.tables.solve_plan.arrivals[self.strict_arrivals]
-        return self._lowest_agreeing((where, rate, self._outcome))
+        return self._lowest_agreeing((*self.tables.solve_plan.arrivals, self._outcome))
 
     def _lowest_agreeing(self, gathered, states=None) -> np.ndarray:
         """image[n, l, s]: the lowest system t such that every (N, S,
@@ -422,10 +404,10 @@ class PolicyGameSolver:
         arrival or departure at such a state, and an arrival from one lands
         on another, so rows with the same image gather the same band, bit
         for bit. Built on first use: a lone evaluation never needs it."""
-        where, rate = self.tables.solve_plan.arrivals[self.strict_arrivals]
+        arrivals = self.tables.solve_plan.arrivals
         occupied = self.tables.occ_ns.reshape(-1, self.space.num_states) > 0
         blocks = np.flatnonzero(occupied.any(axis=1))
-        images = [self._lowest_agreeing((where, rate), occupied[k]) for k in blocks]
+        images = [self._lowest_agreeing(arrivals, occupied[k]) for k in blocks]
         return blocks.tolist(), np.array(images, dtype=np.int8).reshape(len(blocks), -1)
 
     def _block_keys(self, rows: np.ndarray) -> dict[int, list[bytes]]:
@@ -922,8 +904,7 @@ class PolicyGameSolver:
         reusing none of this solver's evaluations: it solves one chain and
         utility table per fibre, as its rep groups them, and judges every
         member by that table's Nash gap, which is every member's."""
-        return PolicyGameSolver(self.space, self.scheme,
-                                strict_arrivals=self.strict_arrivals)
+        return PolicyGameSolver(self.space, self.scheme)
 
     def verify_equilibrium(self, policy: Policy) -> bool:
         """Re-check the no-profitable-deviation inequality for policy on a
@@ -933,14 +914,13 @@ class PolicyGameSolver:
         return self.fresh_checker().evaluate(policy).is_nash()
 
 
-def evaluate_policy(space: StateSpace, scheme: AggregationScheme, policy: Policy,
-                    **kwargs) -> PolicyEvaluation:
-    """One-shot policy evaluation (see PolicyGameSolver for options)."""
-    return PolicyGameSolver(space, scheme, **kwargs).evaluate(policy)
+def evaluate_policy(space: StateSpace, scheme: AggregationScheme,
+                    policy: Policy) -> PolicyEvaluation:
+    """One-shot policy evaluation."""
+    return PolicyGameSolver(space, scheme).evaluate(policy)
 
 
-def evaluate_rule(space: StateSpace, rule: AssignmentRule,
-                  strict_arrivals: bool = False) -> ChainEvaluation:
+def evaluate_rule(space: StateSpace, rule: AssignmentRule) -> ChainEvaluation:
     """Evaluate any assignment rule through the shared core, a chunk of one.
 
     Blocking and the global utility are aggregated over the rule's own
@@ -949,13 +929,11 @@ def evaluate_rule(space: StateSpace, rule: AssignmentRule,
     instantaneous-rate users (they know everything). volumes holds every
     tagged-user volume table of the rule's chain.
     """
-    core = _ChainCore(chain_tables(space), *rule.information_partition(space),
-                      strict_arrivals, chunk=1)
+    core = _ChainCore(chain_tables(space), *rule.information_partition(space), chunk=1)
     return _evaluate_chain(core, rule.choice_table(space)[None]).evaluations()[0]
 
 
-def evaluate_baseline(space: StateSpace, which: str,
-                      strict_arrivals: bool = False) -> BaselineEvaluation:
+def evaluate_baseline(space: StateSpace, which: str) -> ChainEvaluation:
     """evaluate_rule of a no-policy baseline, named by `which`."""
     if which == "peak_rate":
         rule: AssignmentRule = PeakRateRule()
@@ -963,5 +941,4 @@ def evaluate_baseline(space: StateSpace, which: str,
         rule = InstantaneousRateRule()
     else:
         raise ValueError("which must be 'peak_rate' or 'instantaneous_rate'")
-    return BaselineEvaluation(**vars(evaluate_rule(space, rule, strict_arrivals)),
-                              which=which, rule=rule)
+    return evaluate_rule(space, rule)

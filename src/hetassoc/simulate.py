@@ -210,15 +210,16 @@ def _moved(key: tuple, i: int, delta: int) -> tuple:
     return key[:i] + (key[i] + delta,) + key[i + 1:]
 
 
-def _occupancy_record(config: NetworkConfig, rule: AssignmentRule, key: tuple,
-                      strict_arrivals: bool) -> tuple:
+def _occupancy_record(config: NetworkConfig, rule: AssignmentRule, key: tuple) -> tuple:
     """Everything a step needs in occupancy `key`.
 
     Returns (total event rate, flows, joined):
     - flows: (flat index s*N + n, per-user rate) of every pair present,
       the rate being min(peak * g(k) / k, t_max) with k users in the
       sharing scope;
-    - joined[n]: the system a class-n arrival joins, or -1 if it is lost.
+    - joined[n]: the system a class-n arrival joins, or -1 if it is lost:
+      a user whose preferred system is saturated is redirected to the
+      lowest-index system with room, or lost under config.strict_arrivals.
     """
     N, S = config.num_classes, config.num_systems
     sys_count = [sum(key[s * N:(s + 1) * N]) for s in range(S)]
@@ -241,7 +242,7 @@ def _occupancy_record(config: NetworkConfig, rule: AssignmentRule, key: tuple,
         system = -1
         if _admits(config, key, sys_count, total, n, preferred):
             system = preferred
-        elif not strict_arrivals:
+        elif not config.strict_arrivals:
             for s in range(S):
                 if s != preferred and _admits(config, key, sys_count, total, n, s):
                     system = s
@@ -263,9 +264,8 @@ class _Records:
     count, the code of each class's arrival and the row each code leads to
     (-1 until some replica first takes it)."""
 
-    def __init__(self, config: NetworkConfig, rule: AssignmentRule,
-                 strict_arrivals: bool):
-        self.config, self.rule, self.strict = config, rule, strict_arrivals
+    def __init__(self, config: NetworkConfig, rule: AssignmentRule):
+        self.config, self.rule = config, rule
         N, S = config.num_classes, config.num_systems
         self.N, self.NS = N, N * S
         self.codes = 2 * self.NS + N
@@ -296,8 +296,7 @@ class _Records:
         rid = len(self.keys)
         if rid == len(self.rate):
             self._allocate(2 * rid)
-        rate_total, flows, joined = _occupancy_record(self.config, self.rule, key,
-                                                      self.strict)
+        rate_total, flows, joined = _occupancy_record(self.config, self.rule, key)
         self.rate[rid] = rate_total
         self.share[rid] = sum(self.config.arrival_rate) / rate_total
         for i, rate in flows:
@@ -501,8 +500,7 @@ class _Tallies:
 
 
 def simulate(config: NetworkConfig, rule: AssignmentRule, num_events: int,
-             seed: int, *, num_batches: int = 25,
-             strict_arrivals: bool = False) -> SimReport:
+             seed: int, *, num_batches: int = 25) -> SimReport:
     """Run `num_events` arrival/departure events, warm-up included, over
     REPLICAS_PER_BATCH * num_batches independent replicas, and report
     empirical distributions, blocking and per-call volumes.
@@ -522,7 +520,7 @@ def simulate(config: NetworkConfig, rule: AssignmentRule, num_events: int,
     R = REPLICAS_PER_BATCH * num_batches
     steps, extra = divmod(num_events, R)
     warmup = steps // WARMUP_DIVISOR
-    records = _Records(config, rule, strict_arrivals)
+    records = _Records(config, rule)
     # replicas without events never advance, so they get no user arrays
     replicas = _Replicas(records, min(R, num_events), np.random.default_rng(seed))
     tallies = _Tallies(records, num_batches)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from pathlib import Path
 from types import SimpleNamespace
@@ -83,6 +84,17 @@ def random_instance(rng: np.random.Generator, max_space: int = 500):
             hi = float(np.round(rng.uniform(lo, 1.0), 2))
             scheme = AggregationScheme(tuple((lo, hi) for _ in range(S)))
             return config, space, scheme
+
+
+def arrival_mode(space, strict: bool):
+    """space itself, or its twin under the other arrival mode: the same
+    states, for the config with strict_arrivals set to strict, and chain
+    tables of its own."""
+    if space.config.strict_arrivals == strict:
+        return space
+    from hetassoc.states import StateSpace
+    config = dataclasses.replace(space.config, strict_arrivals=strict)
+    return StateSpace(config, space.occ, space.keys, space.bound, space.weights)
 
 
 def random_policy(rng: np.random.Generator, config, scheme):
@@ -221,13 +233,15 @@ def oracle_structure(config, scheme) -> SimpleNamespace:
                            throughput=throughput, label_states=label_states)
 
 
-def reference_generator(config, scheme, rule, strict: bool = False) -> np.ndarray:
+def reference_generator(config, scheme, rule) -> np.ndarray:
     """Dense generator of a rule, entry by entry in plain loops: a class-n
     arrival at a state goes where the network admits a user preferring
-    rule.choose there (under strict only into that preferred system), each
-    (n, s) user departs at rate mu, and the diagonal makes every row sum to
-    zero. Shares only the primitive model definitions with the library."""
-    o = oracle_structure(config, scheme)
+    rule.choose there (under config.strict_arrivals only into that
+    preferred system), each (n, s) user departs at rate mu, and the
+    diagonal makes every row sum to zero. Shares only the primitive model
+    definitions with the library."""
+    strict = config.strict_arrivals
+    o = oracle_structure(dataclasses.replace(config, strict_arrivals=False), scheme)
     lam, mu = config.arrival_rate, config.service_rate
     q = np.zeros((o.nst, o.nst))
     for i, occ in enumerate(o.states):
@@ -387,14 +401,15 @@ def check_tagged_solves(instances, rng, rel_tol: float = 1e-12) -> None:
     solve of that block."""
     from hetassoc import PolicyRule, evaluate_rule
     from hetassoc.ctmc import assemble_dense, chain_tables
-    for config, space, scheme in instances:
-        tables = chain_tables(space)
-        rule = PolicyRule(random_policy(rng, config, scheme), scheme)
+    for _, loose, scheme in instances:
+        rule = PolicyRule(random_policy(rng, loose.config, scheme), scheme)
         for strict in (False, True):
-            band = assemble_dense(tables, rule.choice_table(space), strict=strict)
+            space = arrival_mode(loose, strict)
+            config, tables = space.config, chain_tables(space)
+            band = assemble_dense(tables, rule.choice_table(space))
             q = band.toarray()
-            assert_matches_reference(q, reference_generator(config, scheme, rule, strict))
-            volumes = evaluate_rule(space, rule, strict_arrivals=strict).volumes
+            assert_matches_reference(q, reference_generator(config, scheme, rule))
+            volumes = evaluate_rule(space, rule).volumes
             for n in range(config.num_classes):
                 for s in range(config.num_systems):
                     ids, block = reference_tagged_block(space, q, n, s)
@@ -438,12 +453,12 @@ def check_band_generator(instances, rng, rel_tol: float = 1e-12) -> None:
     from hetassoc import PolicyRule
     from hetassoc.ctmc import assemble_dense, chain_tables, stationary_vector
     pinned = 0
-    for config, space, scheme in instances:
-        tables = chain_tables(space)
-        rule = PolicyRule(random_policy(rng, config, scheme), scheme)
+    for _, loose, scheme in instances:
+        rule = PolicyRule(random_policy(rng, loose.config, scheme), scheme)
         for strict in (False, True):
-            q = reference_generator(config, scheme, rule, strict)
-            band = assemble_dense(tables, rule.choice_table(space), strict=strict)
+            space = arrival_mode(loose, strict)
+            q = reference_generator(space.config, scheme, rule)
+            band = assemble_dense(chain_tables(space), rule.choice_table(space))
             assert_matches_reference(band.toarray(), q)
             a = q.T.copy()
             a[-1, :] = 1.0

@@ -16,8 +16,8 @@ from hetassoc.game import (ChainEvaluation, PolicyEvaluation, PolicyGameSolver, 
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
 from hetassoc.transient import SingularTaggedChainError, TaggedGroup, tagged_volumes
 
-from conftest import (erlang_loss_chain, pinned_solve_holds, random_instance, random_policy,
-                      tagged_band)
+from conftest import (arrival_mode, erlang_loss_chain, pinned_solve_holds, random_instance,
+                      random_policy, tagged_band)
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +63,15 @@ def test_evaluate_many_matches_one_at_a_time(instances, monkeypatch, budget, str
     one recomputed from its evaluation's own table."""
     rng = np.random.default_rng(99)
     chunks = set()
-    for config, space, scheme in instances:
+    for config, loose, scheme in instances:
+        space = arrival_mode(loose, strict)
         _budget(monkeypatch, space, budget)
-        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
+        solver = PolicyGameSolver(space, scheme)
         policies = [random_policy(rng, config, scheme) for _ in range(10)]
         many = solver.evaluate_many(policies)
         for policy, ev in zip(policies, many):
             assert ev.policy == policy
-            alone = PolicyGameSolver(space, scheme, strict_arrivals=strict)
+            alone = PolicyGameSolver(space, scheme)
             own, = alone._solved(alone._policy_rows([policy]))
             assert_same_bits(ev, dataclasses.replace(own, policy=policy))
         recomputed = _nash_gaps(np.stack([ev.individual for ev in many]),
@@ -104,18 +105,18 @@ def test_baselines_keep_their_bits_inside_a_chunk(instances, strict):
     """A baseline's choice table solved in a chunk among random tables gives
     the bits evaluate_baseline gives it alone."""
     rng = np.random.default_rng(17)
-    for config, space, scheme in instances[:8]:
+    for config, loose, scheme in instances[:8]:
+        space = arrival_mode(loose, strict)
         tables = chain_tables(space)
         for which, rule in (("peak_rate", PeakRateRule()),
                             ("instantaneous_rate", InstantaneousRateRule())):
-            alone = evaluate_baseline(space, which, strict_arrivals=strict)
+            alone = evaluate_baseline(space, which)
             others = rng.integers(config.num_systems,
                                   size=(3, config.num_classes, space.num_states))
             choices = np.concatenate([others[:2], rule.choice_table(space)[None], others[2:]])
-            core = _ChainCore(tables, *rule.information_partition(space), strict, chunk=4)
+            core = _ChainCore(tables, *rule.information_partition(space), chunk=4)
             chunk = _evaluate_chain(core, choices)
-            assert_same_bits(chunk.evaluations()[2], ChainEvaluation(**{
-                f.name: getattr(alone, f.name) for f in dataclasses.fields(ChainEvaluation)}))
+            assert_same_bits(chunk.evaluations()[2], alone)
 
 
 def test_chunk_wide_sums_match_the_row_by_row_reference(hybrid_instance):
@@ -266,7 +267,7 @@ def test_singular_tagged_block_raises_the_chunk_of_one_error(hybrid_instance, mo
         return values, forced[0] if forced else info
 
     monkeypatch.setattr(transient, "_solve_tagged", solve_tagged)
-    core = _ChainCore(tables, solver.labels, solver.num_labels, False, chunk=4)
+    core = _ChainCore(tables, solver.labels, solver.num_labels, chunk=4)
     with pytest.raises(SingularTaggedChainError) as alone:
         _evaluate_chain(core, choices[2:3])
     assert "info 7" in str(alone.value)

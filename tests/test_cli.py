@@ -227,8 +227,8 @@ def test_sweep_point_results_stay_small_for_workers(hybrid_instance):
     grid = [cli._parse_scheme(text) for text in cli._DEFAULT_CONTROL_SCHEMES]
     results = cli._sweep_point(config, scheme, 5.0,
                                analyses=["nash", "optimal", "baselines", "control"],
-                               grid=grid, selection="max_utility", strict=False,
-                               restarts=64, seed=0, max_states=10 ** 6)
+                               grid=grid, selection="max_utility", restarts=64, seed=0,
+                               max_states=10 ** 6)
     assert sum(outcome.count for outcome in results["control"].outcomes) > 200
     assert len(pickle.dumps(results)) < 64 * 1024
 
@@ -522,6 +522,8 @@ def test_sweep_deterministic(tmp_path):
     # a later --analyses replaces the default one
     (("--analyses", "optimal"), "sweep_golden_optimal.json"),
     (("--analyses", "nash,optimal,baselines,control"), "sweep_golden_all.json"),
+    (("--analyses", "nash,optimal,baselines,control", "--strict-eq2"),
+     "sweep_golden_all_strict.json"),
 ])
 def test_sweep_matches_golden_artifact(tmp_path, flags, golden):
     """The paper's sweep, best-response search included, reproduces a

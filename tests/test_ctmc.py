@@ -15,9 +15,9 @@ from hetassoc.ctmc import (BandGenerator, SingularChainError, assemble_dense,
 from hetassoc.game import _solve_pi
 from hetassoc.transient import solve_volume_from_matrix
 
-from conftest import (CONFIG_DIR, assert_matches_reference, erlang_loss_chain,
-                      pinned_solve_holds, random_instance, random_policy,
-                      reference_generator)
+from conftest import (CONFIG_DIR, arrival_mode, assert_matches_reference,
+                      erlang_loss_chain, pinned_solve_holds, random_instance,
+                      random_policy, reference_generator)
 
 
 @pytest.fixture
@@ -101,12 +101,12 @@ def test_redirection_edge():
 
 def test_strict_mode_drops_instead_of_redirecting():
     config = NetworkConfig(peak_rate=((2.0, 2.0),), t_min=1.0, t_max=2.0,
-                           arrival_rate=(1.0,), service_rate=1.0)
+                           arrival_rate=(1.0,), service_rate=1.0, strict_arrivals=True)
     space = enumerate_states(config)
     scheme = AggregationScheme.uniform(2, 0.3, 0.7)
     rule = PolicyRule(Policy.constant(1, 9, 0), scheme)
-    q = build_generator(space, rule, strict_arrivals=True).dense()
-    assert_matches_reference(q, reference_generator(config, scheme, rule, strict=True))
+    q = build_generator(space, rule).dense()
+    assert_matches_reference(q, reference_generator(config, scheme, rule))
     full0 = space.id_of((2, 0))
     redirected = space.id_of((2, 1))
     assert q[full0, redirected] == 0.0
@@ -235,8 +235,8 @@ def test_pin_at_a_state_with_no_way_out_holds(config, choice, expected):
     """A pinned state with no outgoing rate (the only state of a one-state
     chain, or an empty state whose every arrival the strict mode drops)
     still pins: its pin row is scaled to 1 rather than to q_rr = 0."""
-    space = enumerate_states(config)
-    band = assemble_dense(chain_tables(space), np.array(choice), strict=True)
+    space = arrival_mode(enumerate_states(config), strict=True)
+    band = assemble_dense(chain_tables(space), np.array(choice))
     assert pinned_solve_holds(band, band.pins[0])
     pi, _ = stationary_vector(band)
     assert pi == pytest.approx(expected, abs=1e-15)
@@ -344,7 +344,7 @@ def test_nan_generator_is_rejected(erlang_space):
     plan = chain_tables(erlang_space).solve_plan
     q = BandGenerator(np.full(plan.size, np.nan), plan.width, plan.order, plan.pins)
     with pytest.raises(ResidualError):
-        solve_steady_state(Generator(matrix=q, space=erlang_space, rule_name="nan"))
+        solve_steady_state(Generator(matrix=q))
     with pytest.raises(ResidualError):
         _solve_pi(erlang_space, q)
 

@@ -14,7 +14,7 @@ from hetassoc.aggregation import label_of
 from hetassoc.game import ChainEvaluation, PolicyGameSolver, _nash_gaps, ordered_members
 from hetassoc.rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 
-from conftest import random_instance, random_policy
+from conftest import arrival_mode, random_instance, random_policy
 
 
 @pytest.fixture
@@ -388,8 +388,7 @@ def test_strict_arrivals_game_evaluation(erlang_space, erlang_scheme,
     redirecting evaluations coincide; with two systems they may differ."""
     pol1 = Policy(((0, 0, 0),))
     loose = PolicyGameSolver(erlang_space, erlang_scheme).evaluate(pol1)
-    strict = PolicyGameSolver(erlang_space, erlang_scheme,
-                              strict_arrivals=True).evaluate(pol1)
+    strict = PolicyGameSolver(arrival_mode(erlang_space, True), erlang_scheme).evaluate(pol1)
     assert strict.global_utility == pytest.approx(loose.global_utility, abs=1e-12)
     assert strict.overall_blocking == pytest.approx(loose.overall_blocking,
                                                     abs=1e-12)
@@ -397,7 +396,7 @@ def test_strict_arrivals_game_evaluation(erlang_space, erlang_scheme,
     _, space, scheme = asym_instance
     pol2 = Policy.constant(1, 9, 0)
     loose2 = PolicyGameSolver(space, scheme).evaluate(pol2)
-    strict2 = PolicyGameSolver(space, scheme, strict_arrivals=True).evaluate(pol2)
+    strict2 = PolicyGameSolver(arrival_mode(space, True), scheme).evaluate(pol2)
     # dropping instead of redirecting keeps system 1 empty, so states with
     # system-1 users lose all their mass
     for i, occ in enumerate(space.states):
@@ -408,7 +407,7 @@ def test_strict_arrivals_game_evaluation(erlang_space, erlang_scheme,
 
 def test_baseline_report_fields(erlang_space):
     report = evaluate_baseline(erlang_space, "peak_rate")
-    assert report.which == "peak_rate"
+    assert type(report) is ChainEvaluation
     assert report.global_utility == pytest.approx(0.96, abs=1e-10)
     assert report.overall_blocking == pytest.approx(0.2, abs=1e-12)
     inst = evaluate_baseline(erlang_space, "instantaneous_rate")
@@ -424,17 +423,17 @@ def test_evaluate_rule_is_the_policy_evaluation(hybrid_instance, strict):
     for bit, and the stationary vector, residual and per-class blocking of
     the public generator and steady-state solve."""
     config, scheme = hybrid_instance
-    space = enumerate_states(config)
+    space = arrival_mode(enumerate_states(config), strict)
     rng = np.random.default_rng(23)
     for _ in range(3):
         policy = random_policy(rng, config, scheme)
         rule = PolicyRule(policy, scheme)
-        by_rule = evaluate_rule(space, rule, strict_arrivals=strict)
-        by_policy = evaluate_policy(space, scheme, policy, strict_arrivals=strict)
+        by_rule = evaluate_rule(space, rule)
+        by_policy = evaluate_policy(space, scheme, policy)
         for field in dataclasses.fields(ChainEvaluation):
             a, b = getattr(by_rule, field.name), getattr(by_policy, field.name)
             assert np.array_equal(a, b, equal_nan=True), field.name
-        steady = solve_steady_state(build_generator(space, rule, strict_arrivals=strict))
+        steady = solve_steady_state(build_generator(space, rule))
         assert np.array_equal(by_rule.pi, steady.pi)
         assert by_rule.residual == steady.residual
         assert np.array_equal(by_rule.per_class_blocking, per_class_blocking(space, steady))
@@ -449,8 +448,8 @@ def loop_payoffs(solver, ev):
     for n in range(N):
         for s in range(S):
             for i in range(solver.space.num_states):
-                if solver.strict_arrivals:
-                    target, sys_in = tables.strict_id[n, s, i], s
+                if solver.config.strict_arrivals:
+                    target, sys_in = tables.arrival_id[n, s, i], s
                 else:
                     target, sys_in = tables.admit_id[n, s, i], tables.admit_sys[n, s, i]
                 value = ev.volumes[n, sys_in, target] if target >= 0 else 0.0
@@ -475,8 +474,8 @@ def test_payoff_table_and_gap_match_state_loop(strict):
     is undefined exactly on the labels without mass."""
     rng = np.random.default_rng(23)
     for _ in range(6):
-        config, space, scheme = random_instance(rng, max_space=120)
-        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
+        config, loose, scheme = random_instance(rng, max_space=120)
+        solver = PolicyGameSolver(arrival_mode(loose, strict), scheme)
         ev = solver.evaluate(random_policy(rng, config, scheme))
         individual, gap = loop_payoffs(solver, ev)
         np.testing.assert_allclose(ev.individual, individual, rtol=1e-13, atol=0)
@@ -513,7 +512,7 @@ def test_quotient_counts_on_shipped_instance(hybrid_instance, shipped_spaces, er
     assert solver.policy_space_size() == 262_144
     assert representative_count(solver) == 2_048
     assert sum(1 for _ in solver.representatives()) == 2_048
-    strict = PolicyGameSolver(space, scheme, strict_arrivals=True)
+    strict = PolicyGameSolver(arrival_mode(space, True), scheme)
     assert representative_count(strict) == 65_536
 
 

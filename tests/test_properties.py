@@ -27,7 +27,7 @@ from hetassoc.cli import main as cli_main
 from hetassoc.game import (MAX_PATH_STEPS, NASH_EPS, BestResponseStep, PolicyGameSolver,
                            _nash_gaps, ordered_members)
 
-from conftest import (CONFIG_DIR, check_band_generator, check_departure_closure,
+from conftest import (CONFIG_DIR, arrival_mode, check_band_generator, check_departure_closure,
                       check_generator_row_sums, check_label_totality,
                       check_relabel_equivariance, check_steady_residuals,
                       check_tagged_solves, random_instance, random_policy)
@@ -146,9 +146,10 @@ def test_fibre_members_evaluate_like_their_representative(instances_by_scope, sc
     own policy."""
     rng = np.random.default_rng(31)
     merged = 0
-    for config, space, scheme in instances_by_scope[scope]:
-        fresh = PolicyGameSolver(space, scheme, strict_arrivals=strict)
-        warm = PolicyGameSolver(space, scheme, strict_arrivals=strict)
+    for config, loose, scheme in instances_by_scope[scope]:
+        space = arrival_mode(loose, strict)
+        fresh = PolicyGameSolver(space, scheme)
+        warm = PolicyGameSolver(space, scheme)
         policy = random_policy(rng, config, scheme)
         rep = Policy(tuple(tuple(int(fresh.rep[n, l, s]) for l, s in enumerate(row))
                            for n, row in enumerate(policy.choice)))
@@ -263,8 +264,7 @@ def _reference_equilibria(solver, restarts, seed):
     candidates = [fixed for start in _starts(solver, restarts, rng)
                   for fixed in [_reference_path(solver, start)[0]]
                   if fixed is not None]
-    checker = PolicyGameSolver(solver.space, solver.scheme,
-                               strict_arrivals=solver.strict_arrivals)
+    checker = PolicyGameSolver(solver.space, solver.scheme)
     found = set()
     for policy in _reference_ties(solver, candidates):
         canonical = _canonicalize(solver, policy, solver.evaluate(policy))
@@ -282,9 +282,10 @@ def test_fibre_search_matches_the_reference_walk(strict):
     rng = np.random.default_rng(8080)
     walked = tied = 0
     for _ in range(12):
-        config, space, scheme = random_instance(rng)
-        reference = PolicyGameSolver(space, scheme, strict_arrivals=strict)
-        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
+        config, loose, scheme = random_instance(rng)
+        space = arrival_mode(loose, strict)
+        reference = PolicyGameSolver(space, scheme)
+        solver = PolicyGameSolver(space, scheme)
         starts = [random_policy(rng, config, scheme) for _ in range(6)]
         for start in starts:
             expected = _reference_path(reference, start)
@@ -343,9 +344,10 @@ def test_three_system_paths_match_the_reference_walk(strict):
     rng = np.random.default_rng(9090)
     walked = 0
     for _ in range(3):
-        config, space, scheme = _three_system_instance(rng)
-        reference = PolicyGameSolver(space, scheme, strict_arrivals=strict)
-        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
+        config, loose, scheme = _three_system_instance(rng)
+        space = arrival_mode(loose, strict)
+        reference = PolicyGameSolver(space, scheme)
+        solver = PolicyGameSolver(space, scheme)
         for _ in range(3):
             start = random_policy(rng, config, scheme)
             expected = _reference_path(reference, start)
@@ -420,12 +422,13 @@ def test_lockstep_matches_one_path_at_a_time(hybrid_instance, monkeypatch, insta
         cases = [(*_three_system_instance(rng)[1:], 8) for _ in range(2)]
     else:
         cases = [(*_shipped_space(hybrid_instance, int(instance.split("-")[1])), 24)]
-    for space, scheme, restarts in cases:
-        solver = PolicyGameSolver(space, scheme, strict_arrivals=strict)
+    for loose, scheme, restarts in cases:
+        space = arrival_mode(loose, strict)
+        solver = PolicyGameSolver(space, scheme)
         assert (solver.chunk == 1) != whole_chunks
         solved = _solved_keys(solver, monkeypatch)
         candidates = solver._best_response_candidates(restarts=restarts, seed=11)
-        reference = PolicyGameSolver(space, scheme, strict_arrivals=strict)
+        reference = PolicyGameSolver(space, scheme)
         starts = _starts(reference, restarts, np.random.default_rng(11))
         expected = [reference.best_response_path(start)[0] for start in starts]
         assert candidates == [list(policy.flatten()) for policy in expected

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -116,7 +117,7 @@ def test_strict_mode_blocks_instead_of_redirecting():
     config = NetworkConfig(peak_rate=((2.0, 1.6),), t_min=1.0, t_max=2.0,
                            arrival_rate=(1.5,), service_rate=1.0)
     rule = PeakRateRule()   # always prefers system 0
-    strict = simulate(config, rule, 150_000, seed=9, strict_arrivals=True)
+    strict = simulate(replace(config, strict_arrivals=True), rule, 150_000, seed=9)
     loose = simulate(config, rule, 150_000, seed=9)
     assert strict.blocking_estimate(0)[0] > loose.blocking_estimate(0)[0] + 0.05
     # system 1 never admits anyone under the strict peak-rate rule
@@ -200,8 +201,8 @@ def _golden_runs(hybrid_instance) -> dict:
     rule = PolicyRule(Policy(((1,) * 9, (0, 1) * 4 + (0,))), scheme)
     return {
         "redirect": simulate(config, rule, 30_000, seed=2024, num_batches=20),
-        "strict": simulate(config, rule, 30_000, seed=2024, num_batches=20,
-                           strict_arrivals=True),
+        "strict": simulate(replace(config, strict_arrivals=True), rule, 30_000, seed=2024,
+                           num_batches=20),
         "network_instant": simulate(config.with_sharing_scope("network_wide"),
                                     InstantaneousRateRule(), 30_000, seed=2024,
                                     num_batches=20),
