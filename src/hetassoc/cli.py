@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -420,6 +419,9 @@ def _run_points(args, config, scheme, traffic, analyses, grid, selection="max_ut
     if args.jobs == 1:
         yield from map(point, traffic)
         return
+    # imported here: loading the process pool adds milliseconds to every
+    # start, and only --jobs above 1 uses it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
         yield from pool.map(point, traffic)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -180,10 +180,9 @@ class TaggedGroup:
     order, its TaggedPlan and the slice of its values in the group's.
     shift_rows and shift_cols are the plans' arrays over the group's
     values, and rate the right-hand sides end to end. starts is where each
-    block's values start, norm its bound on |A|_inf, targets the position
-    of each value in a flattened (N, S, num_states) volume table, and slots
-    its position in the band's order among the group's blocks laid end to
-    end, num_states each. A group of one block shares its plan's arrays.
+    block's values start, norm its bound on |A|_inf, and targets the
+    position of each value in a flattened (N, S, num_states) volume table.
+    A group of one block shares its plan's arrays.
     """
 
     def __init__(self, blocks: list[tuple[int, TaggedPlan]], num_states: int):
@@ -206,8 +205,22 @@ class TaggedGroup:
         self.starts = np.array(starts)
         self.norm = np.array([plan.norm for plan in plans])
         self.targets = np.concatenate([k * num_states + plan.ids for k, plan in blocks])
-        self.slots = np.concatenate([j * num_states + plan.positions
-                                     for j, plan in enumerate(plans)])
+        self.num_states = num_states
+        # the block of each value and its position in the band's order
+        self._block_of = np.repeat(np.arange(len(plans)), [len(plan.ids) for plan in plans])
+        self._position = joined([plan.positions for plan in plans])
+
+    def check_layout(self, count: int, width: int) -> tuple[int, np.ndarray]:
+        """How _check_tagged lays out the vectors of a stack of `count`
+        generators of half-bandwidth `width`: block-major, one run of
+        rows = max(count * num_states, 2 width + 1) entries per block,
+        each generator's num_states in the band's order and zeros after
+        the last, so that a run is a gbmv operand as it stands (scipy's gbmv
+        wants at least as many rows as the band has); and slots[b, v], where
+        value v of generator b sits."""
+        n = self.num_states
+        rows = max(count * n, 2 * width + 1)
+        return rows, self._block_of * rows + self._position + _offsets(n, count)[:, None]
 
 
 def _band_position(width: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -295,6 +308,46 @@ def band_gbmv(band: np.ndarray, width: int, x: np.ndarray, trans: int) -> np.nda
     return _gbmv(m, total, width, width, 1.0, band, xs, trans=trans)[:total].reshape(x.shape)
 
 
+@lru_cache(maxsize=1024)
+def _offsets(step: int, count: int) -> np.ndarray:
+    """0, step, ..., (count - 1) step, read-only: where each member of a
+    stack of `count` starts, at `step` entries each. Built once per (step,
+    count) and shared by every stack of that shape."""
+    offsets = np.arange(0, count * step, step)
+    offsets.flags.writeable = False
+    return offsets
+
+
+class _Scratch:
+    """Float scratch memory reused from chunk to chunk. A chunk's generator
+    stack takes megabytes; allocated afresh for each chunk, it and the
+    other large work arrays cost page faults whenever the allocator has
+    handed their memory back to the system in between. get(name, size)
+    returns the first size entries of the buffer kept under name, and
+    zeros(name, size) the same filled with zeros. A buffer too small is
+    dropped before a larger one is allocated, by np.zeros, whose fresh
+    pages need no filling. What they return is overwritten by the next call
+    with that name."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, size: int) -> np.ndarray:
+        buffer = self._buffers.get(name)
+        if buffer is None or len(buffer) < size:
+            self._buffers.pop(name, None)
+            buffer = self._buffers[name] = np.zeros(size)
+        return buffer[:size]
+
+    def zeros(self, name: str, size: int) -> np.ndarray:
+        buffer = self._buffers.get(name)
+        if buffer is None or len(buffer) < size:
+            return self.get(name, size)
+        buffer = buffer[:size]
+        buffer.fill(0.0)
+        return buffer
+
+
 class SolvePlan:
     """Policy-independent layout of the solves of one space.
 
@@ -311,12 +364,12 @@ class SolvePlan:
     The plan also holds what assemble_stack scatters: size, the length of
     a BandGenerator's data; departures, the data position of each departure
     edge of the ChainTables (rates dep_rate); diagonal, the data position of
-    each state's diagonal entry; arrivals, per (class, preferred system,
-    state), the data position and rate of the arrival the network admits
-    (the state's own diagonal, which is written last, and rate 0 when it is
-    lost); arrival_src, the state of each entry of a (class, state)
-    table, flattened; and entry, the flat position of (class, system 0,
-    state) in a (class, system, state) table. tagged_bytes is what the
+    each state's diagonal entry, and outflow, minus each state's departure
+    rate; arrivals, per (class, preferred system, state), the data position
+    and rate of the arrival the network admits (the state's own diagonal,
+    which is written last, and rate 0 when it is lost); and entry, the flat
+    position of (class, system 0, state) in a (class, system, state)
+    table. tagged_bytes is what the
     bands of one generator's tagged blocks take, and policy_bytes what one
     policy's bands take while a stack is solved: its generator, the copy
     the stationary LU factors and its tagged blocks.
@@ -343,9 +396,9 @@ class SolvePlan:
 
         self.size = (2 * self.width + 1) * nst
         self.diagonal = self.band_position(loops, loops)
+        self.outflow = -tables.departure_out
         self.departures = self.band_position(tables.dep_src, tables.dep_dst)
         rate = np.asarray(config.arrival_rate, dtype=float)[:, None, None]
-        self.arrival_src = np.tile(loops, config.num_classes)
         S = config.num_systems
         self.entry = np.arange(config.num_classes)[:, None] * S * nst + loops
         admitted = tables.admit_id >= 0
@@ -458,23 +511,31 @@ class Generator:
 def assemble_stack(tables: ChainTables, choices: np.ndarray) -> np.ndarray:
     """The generators of a stack of preferred-system tables, choices of
     shape (B, N, num_states), as a (B, size) stack of BandGenerator data in
-    the layout of tables.solve_plan. Every solver assembles through here.
+    the layout of tables.solve_plan. Every solver assembles through here."""
+    return _assemble(tables, choices * tables.space.num_states + tables.solve_plan.entry,
+                     _Scratch())
+
+
+def _assemble(tables: ChainTables, picked: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """assemble_stack of the tables whose choices put (class, preferred
+    system, state) at picked (B, N, num_states), a flat position in a
+    (class, system, state) table, in scratch's "data" buffer.
+
+    Each row starts with the departure edges. An arrival raises the
+    population and a departure lowers it, so no two edges share an entry;
+    a lost arrival writes its zero on the diagonal, which is set last to
+    minus the row's outflow. A state's arrival rates are summed
+    class by class from the first, the order a bincount over (class, state)
+    entries adds them in.
     """
     plan = tables.solve_plan
-    B, nst = len(choices), tables.space.num_states
+    B = len(picked)
     where, rates = plan.arrivals
-    picked = choices * nst + plan.entry
     rate = rates.take(picked)
-    data = np.zeros((B, plan.size))
+    data = scratch.zeros("data", B * plan.size).reshape(B, plan.size)
     data[:, plan.departures] = tables.dep_rate
-    # an arrival raises the population and a departure lowers it, so no
-    # two edges share an entry; a lost arrival writes its zero on the
-    # diagonal, which is set below
-    offset = np.arange(0, B * plan.size, plan.size)[:, None, None]
-    data.reshape(-1)[where.take(picked) + offset] = rate
-    src = (np.arange(0, B * nst, nst)[:, None] + plan.arrival_src).ravel()
-    data[:, plan.diagonal] = -(tables.departure_out + np.bincount(
-        src, weights=rate.ravel(), minlength=B * nst).reshape(B, nst))
+    data.reshape(-1)[where.take(picked) + _offsets(plan.size, B)[:, None, None]] = rate
+    data[:, plan.diagonal] = np.subtract(plan.outflow, np.add.reduce(rate, 1))
     return data
 
 
@@ -510,74 +571,83 @@ def _pinned_lus(data: np.ndarray, layout, r: int) -> tuple[np.ndarray, np.ndarra
     generator, with the balance equation of the state at position r of the
     order replaced by pinning its mass to 1. The pin row is scaled to |q_rr|
     like the row it replaces, or to 1 where the pinned state has no way out
-    (an absorbing state, or the only one). The LUs work on copies of the
-    bands with width rows on top for their fill. A nonzero info means the LU
-    was singular, which happens exactly when pi_r = 0.
+    (an absorbing state, or the only one). The LUs run one after another
+    in one work array, on a copy of each band with width rows on top for
+    their fill. A nonzero info means the LU was singular, which happens
+    exactly when pi_r = 0.
     """
     B, w, n = len(data), layout.width, len(layout.order)
-    # ab[b].T is generator b's LU band in Fortran order: entry (r, c) of
-    # the matrix sits at ab[b, c, 2 w + r - c]
-    ab = np.zeros((B, n, 3 * w + 1))
-    ab[:, :, w:] = data.reshape(B, n, 2 * w + 1)
-    diagonal = ab[:, r, 2 * w]
-    scale = np.where(diagonal == 0.0, 1.0, np.abs(diagonal))
-    cols = np.arange(max(0, r - w), min(n, r + w + 1))
-    ab[:, cols, 2 * w + r - cols] = 0.0
-    ab[:, r, 2 * w] = scale
+    # data[b] column by column, 2 w + 1 entries each, the diagonal at w
+    columns = data.reshape(B, n, 2 * w + 1)
+    scale = np.abs(columns[:, r, w])
+    np.copyto(scale, 1.0, where=scale == 0.0)
+    # work.T is the LU band of the generator being solved, in Fortran
+    # order: entry (r, c) of the matrix sits at work[c, 2 w + r - c], flat
+    # at 3 w c + 2 w + r, so the pin row is a strided slice. np.zeros, not
+    # np.empty: numpy asks the kernel for huge pages for a large empty
+    # array, whose zeroing on first touch slowed the 3,600-state solve.
+    work = np.zeros((n, 3 * w + 1))
+    flat = work.reshape(-1)
+    diagonal = 3 * w * r + 2 * w + r
+    first, last = max(0, r - w), min(n, r + w + 1)
+    pin = slice(3 * w * first + 2 * w + r, 3 * w * last + 2 * w + r, 3 * w or 1)
     x = np.zeros((B, n))
     x[:, r] = scale
     info = np.empty(B, dtype=np.int64)
     for b in range(B):
-        _, _, x[b], info[b] = _gbsv(w, w, ab[b].T, x[b], overwrite_ab=1, overwrite_b=1)
+        work[:, w:] = columns[b]
+        flat[pin] = 0.0
+        flat[diagonal] = scale[b]
+        # gbsv writes the solution over row b of x, a contiguous vector
+        info[b] = _gbsv(w, w, work.T, x[b], overwrite_ab=1, overwrite_b=1)[3]
     return x, info
 
 
-def _pinned_pis(x: np.ndarray, layout, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The solutions x (B, n) of _pinned_lus at pin r as distributions over
-    state ids, each scaled to its largest entry, and whether each pin holds:
-    it does not where the pinned entry is not finite or holds at most
-    PIN_MASS_FLOOR of the largest, since a pinned state with that little
-    mass is lost in rounding, or lets the others overflow. Rows whose pin
-    does not hold are scaled by 1.
-    """
-    top = x.max(axis=1)
-    held = (top < np.inf) & (x[:, r] > PIN_MASS_FLOOR * top)
-    pi = np.empty(x.shape)
-    pi[:, layout.order] = x / np.where(held, top, 1.0)[:, None]
-    return pi, held
-
-
-def _balanced(pi: np.ndarray, held: np.ndarray, data: np.ndarray, layout
+def _balanced(x: np.ndarray, info: np.ndarray, data: np.ndarray, layout, r: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row of pi (B, n) with roundoff-sized negative entries clamped
-    to zero and normalized, its balance residual max|pi Q| against its
-    generator of the stack, and whether it holds: held on entry, no entry
-    below -1e-9 and the residual within STEADY_RESIDUAL_TOL.
+    """The solutions x (B, n) of _pinned_lus at pin r, with their infos, as
+    distributions over state ids, their balance residuals max|pi Q|
+    against their generators of the stack, and whether each holds.
 
-    Rows not held, or with an entry below -1e-9 or not finite, come back as
-    zeros: by the block-diagonal gbmv a NaN would reach the residuals of
-    their neighbours. Each row is summed as one vector is: a sum over the
-    last axis of a C-contiguous array adds each row alone.
+    A pin holds where its LU was regular and the pinned entry is finite
+    and holds more than PIN_MASS_FLOOR of the largest, since a pinned state
+    with that little mass is lost in rounding, or lets the others overflow.
+    A row whose pin holds is scaled to its largest entry, then its
+    roundoff-sized negative entries are clamped to zero and it is
+    normalized; it holds if no entry was below -1e-9 and its residual is
+    within STEADY_RESIDUAL_TOL. Other rows come back as zeros: by the
+    block-diagonal gbmv a NaN would reach the residuals of their
+    neighbours. Each row is summed over state ids as one vector is: a sum
+    over the last axis of a C-contiguous array adds each row alone. The
+    residual reads the rows in the band's order, where they are scaled.
     """
-    keep = held & (pi.min(axis=1) >= -1e-9)
-    pi = np.clip(pi, 0.0, None)
-    total = pi.sum(axis=1)
-    if not keep.all():
-        pi[~keep] = 0.0
+    top = np.maximum.reduce(x, 1)
+    # false where top is not finite, as the pinned entry is at most top
+    held = x[:, r] > PIN_MASS_FLOOR * top
+    held &= info == 0
+    y = x / np.where(held, top, 1.0)[:, None]
+    keep = held & (np.minimum.reduce(y, 1) >= -1e-9)
+    # np.clip(y, 0.0, None), without its wrapper
+    np.maximum(y, 0.0, out=y)
+    pi = np.empty(y.shape)
+    pi[:, layout.order] = y
+    total = np.add.reduce(pi, 1)
+    if not np.logical_and.reduce(keep):
+        pi[~keep] = y[~keep] = 0.0
         total[~keep] = 1.0
-    pi /= total[:, None]
-    xq = band_gbmv(stack_band(data, layout.width), layout.width,
-                   pi.take(layout.order, axis=1), 0)
-    residual = np.abs(xq).max(axis=1)
+    total = total[:, None]
+    pi /= total
+    y /= total
+    xq = band_gbmv(stack_band(data, layout.width), layout.width, y, 0)
+    residual = np.maximum.reduce(np.abs(xq, out=xq), 1)
     return pi, residual, keep & (residual <= STEADY_RESIDUAL_TOL)
 
 
 def _pinned_step(data: np.ndarray, layout, r: int) -> tuple[np.ndarray, ...]:
-    """_pinned_lus, _pinned_pis and _balanced of a stack pinned at r: the
-    solutions x, their infos, the distributions, residuals and holds."""
+    """_pinned_lus and _balanced of a stack pinned at r: the solutions x,
+    their infos, the distributions, residuals and holds."""
     x, info = _pinned_lus(data, layout, r)
-    pi, held = _pinned_pis(x, layout, r)
-    return (x, info, *_balanced(pi, held & (info == 0), data, layout))
+    return (x, info, *_balanced(x, info, data, layout, r))
 
 
 def stationary_vectors(data: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray]:
@@ -599,7 +669,9 @@ def stationary_vectors(data: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray
     it has alone.
     """
     x, info, pi, residual, held = _pinned_step(data, layout, layout.pins[0])
-    for b in np.flatnonzero(~held):
+    if np.logical_and.reduce(held):
+        return pi, residual
+    for b in (~held).nonzero()[0]:
         pins, heaviest, failed_check = list(layout.pins), None, False
         for k, r in enumerate(pins):
             if k:
@@ -651,13 +723,20 @@ class Partition:
     ncells cells in all, with the bins of per-cell sums over a stack of up
     to `stack` vectors: cell_bins[b * num_states + i] is the (vector, cell)
     bin of state i, class_bins[(b * N + n) * num_states + i] its (vector,
-    class, cell) bin."""
+    class, cell) bin. blocked_ids lists each class's blocked states, class
+    after class, blocked_ends where each class's list ends, and
+    blocked_bins[b * len(blocked_ids) + j] is the (vector, class, cell) bin
+    of entry j."""
 
     def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int, stack: int = 1):
         N = len(tables.blocked)
         self.cells, self.ncells = cells, ncells
         self.cell_bins = (np.arange(0, stack * ncells, ncells)[:, None] + cells).ravel()
         self.class_bins = (np.arange(0, stack * N * ncells, ncells)[:, None] + cells).ravel()
+        self.blocked_ids = np.concatenate(tables.blocked_ids)
+        self.blocked_ends = np.cumsum([len(ids) for ids in tables.blocked_ids]).tolist()
+        own = np.concatenate([n * ncells + cells[ids] for n, ids in enumerate(tables.blocked_ids)])
+        self.blocked_bins = (np.arange(0, stack * N * ncells, N * ncells)[:, None] + own).ravel()
 
 
 def cell_blocking(tables: ChainTables, pi: np.ndarray, partition: Partition) -> CellBlocking:
@@ -666,24 +745,27 @@ def cell_blocking(tables: ChainTables, pi: np.ndarray, partition: Partition) -> 
     A class is blocked at a state where every system is saturated. The
     numerator of a cell's conditional blocking is restricted to the cell's
     own states, so the result is a probability; cells without stationary
-    mass report zero. The per-class sums and their weighting have the bits
-    of one vector alone: each class's blocked states are taken into a
-    C-contiguous array, whose sum over the last axis adds each row alone,
-    and the weighting is one dot product per row.
+    mass report zero. The blocked states of every class are taken at once
+    into a C-contiguous array; the per-class sums run over its slices, each
+    row of which is contiguous and summed alone, as one vector is, and the
+    cell numerators bin its entries in state order. The weighting is one
+    dot product per row.
     """
-    blocked = tables.blocked
-    (B, nst), N, ncells = pi.shape, len(blocked), partition.ncells
+    (B, nst), N, ncells = pi.shape, len(tables.blocked), partition.ncells
     mass = np.bincount(partition.cell_bins[:B * nst], weights=pi.ravel(),
                        minlength=B * ncells).reshape(B, ncells)
     empty = mass <= EMPTY_LABEL_MASS
+    blocked = pi.take(partition.blocked_ids, axis=1)
     per_class = np.empty((B, N))
-    for n, ids in enumerate(tables.blocked_ids):
-        per_class[:, n] = pi.take(ids, axis=1).sum(axis=1)
+    start = 0
+    for n, end in enumerate(partition.blocked_ends):
+        per_class[:, n] = np.add.reduce(blocked[:, start:end], 1)
+        start = end
     by_cell = np.zeros((B, N, ncells))
-    num = np.bincount(partition.class_bins[:B * N * nst],
-                      weights=(blocked * pi[:, None]).ravel(), minlength=B * N * ncells)
+    num = np.bincount(partition.blocked_bins[:blocked.size], weights=blocked.ravel(),
+                      minlength=B * N * ncells)
     np.divide(num.reshape(B, N, ncells), mass[:, None], out=by_cell, where=~empty[:, None])
-    overall = np.array([tables.class_weight @ p for p in per_class])
+    overall = np.fromiter(map(tables.class_weight.dot, per_class), float, B)
     return CellBlocking(mass, empty, by_cell, per_class, overall)
 
 

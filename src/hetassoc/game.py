@@ -39,6 +39,9 @@ The core evaluates a chunk of choice tables at once: one assembly into a
 stack of bands, the stationary and tagged solves with their checks, and the
 aggregation, each over a leading batch axis, with one LAPACK solve per
 policy for the stationary vector and one per distinct tagged block.
+Outside those calls its numpy work is a fixed number of array passes per
+chunk and per tagged block, whatever the chunk's size, and its large work
+arrays are scratch buffers it reuses from chunk to chunk.
 Exhaustive scans, both searches and the fresh re-verification solve their
 missing fibres a chunk at a time (ctmc.CHUNK_BYTES bounds a chunk): the
 best-response paths, or the coordinate ascents, of all restarts advance in
@@ -48,14 +51,15 @@ of one. A policy's results have the same bits in any chunk.
 
 A tagged (n, s) block depends only on the choices at the states holding an
 (n, s) user. So a solver keys each block by a row's image under that
-block's own interchangeability map, which is coarser than rep, and keeps
-the checked values of every block it solved. A block whose key it has seen,
-in an earlier chunk or earlier in the same one, is copied, neither gathered
-nor factored, and checked on the full generator like a solved one. The maps
-are built on first use, by the first chunk of several rows or once a fibre
-is cached, so a lone evaluation, evaluate_rule and the baselines key
-nothing. The block cache belongs to the solver's core, so the fresh checker
-starts with an empty one and reads none of its parent's blocks.
+block's own interchangeability map, which is coarser than rep, offset so
+that no two blocks share a key, and keeps the checked values of every
+block it solved. A block whose key it has seen, in an earlier chunk or
+earlier in the same one, is copied, neither gathered nor factored, and
+checked on the full generator like a solved one. The maps are built on
+first use, by the first chunk of several rows or once a fibre is cached, so
+a lone evaluation, evaluate_rule and the baselines key nothing. The block
+cache belongs to the solver's core, so the fresh checker starts with an
+empty one and reads none of its parent's blocks.
 
 The tolerances are constants: NASH_EPS for equilibrium tests and the
 best-response steps, TIE_TOL for the exhaustive optimum's ties,
@@ -83,8 +87,9 @@ from .config import AggregationScheme, ConfigError, NetworkConfig, Policy
 # called here, but perfbench/tracer.py wraps the names in this module, so
 # they stay bound
 from .ctmc import (CellBlocking, ChainTables, Partition, ResidualError,  # noqa: F401
-                   SingularChainError, assemble_dense, assemble_generator, assemble_stack,
-                   cell_blocking, chain_tables, stationary_vector, stationary_vectors)
+                   SingularChainError, _assemble, _offsets, _Scratch, assemble_dense,
+                   assemble_generator, cell_blocking, chain_tables, stationary_vector,
+                   stationary_vectors)
 from .rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 from .states import StateSpace
 from .transient import (SingularTaggedChainError, solve_volume_from_matrix,  # noqa: F401
@@ -144,9 +149,10 @@ class _ChainCore:
     """What _evaluate_chain reuses from chunk to chunk over one information
     partition, for chunks of up to `chunk` choice tables: the tables, the
     outcome index, the Partition, where each table's padded volumes start
-    in the chunk's, and solved, the checked values of every tagged block
-    solved under a key (see transient._solve_group). A core belongs to one
-    solver, so no other solver reads its blocks."""
+    in the chunk's, solved, the checked values of every tagged block
+    solved under a key (see transient._solve_group), and scratch, the
+    buffers its chunks' generators and tagged checks reuse. A core belongs
+    to one solver, so no other solver reads its blocks."""
 
     def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int, chunk: int):
         N, S, nst = tables.occ_ns.shape
@@ -155,7 +161,8 @@ class _ChainCore:
         self.partition = Partition(tables, cells, ncells, chunk)
         padded = N * S * nst + 1
         self.padded_offset = np.arange(0, chunk * padded, padded)[:, None, None]
-        self.solved: dict[tuple[int, bytes], np.ndarray] = {}
+        self.solved: dict[bytes, np.ndarray] = {}
+        self.scratch = _Scratch()
 
 
 class _ChainChunk(NamedTuple):
@@ -181,7 +188,8 @@ class _ChainChunk(NamedTuple):
 
 def _evaluate_chain(core: _ChainCore, choices: np.ndarray, keys=None) -> _ChainChunk:
     """Solve the chains of a chunk of preferred-system tables, choices of
-    shape (B, N, num_states), and aggregate each over the core's cells.
+    shape (B, N, num_states) in any integer type, and aggregate each over
+    the core's cells.
     keys[k][b], when given, keys tagged block k of table b: a block whose
     key the core has solved is copied, not factored (see tagged_volumes).
 
@@ -196,22 +204,23 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray, keys=None) -> _ChainC
     tables, ncells = core.tables, core.partition.ncells
     plan = tables.solve_plan
     B, N, nst = choices.shape
-    data = assemble_stack(tables, choices)
+    picked = np.multiply(choices, nst, dtype=np.intp)
+    picked += plan.entry
+    data = _assemble(tables, picked, core.scratch)
     pi, residual = stationary_vectors(data, plan)
     b = cell_blocking(tables, pi, core.partition)
-    volumes = tagged_volumes(tables, data, keys, core.solved)
-    padded = np.zeros((B, volumes[0].size + 1))
-    padded[:, :-1] = volumes.reshape(B, -1)
-    chosen = padded.take(core.outcome.take(choices * nst + plan.entry)
-                         + core.padded_offset[:B])
+    padded = tagged_volumes(tables, data, keys, core.solved, core.scratch)
+    chosen = padded.take(core.outcome.take(picked) + core.padded_offset[:B])
     inner = np.bincount(core.partition.class_bins[:B * N * nst],
                         weights=(chosen * pi[:, None]).ravel(),
                         minlength=B * N * ncells).reshape(B, N, ncells)
     share = (1.0 - b.by_cell) * inner
     weighted = tables.class_weight * share.sum(axis=2)
-    utility = np.zeros(B)
-    for n in range(N):
+    # 0 + the first class's total, then the others in turn
+    utility = weighted[:, 0] + 0.0
+    for n in range(1, N):
         utility += weighted[:, n]
+    volumes = padded[:, :-1].reshape(B, *tables.occ_ns.shape)
     return _ChainChunk(pi, residual, b, utility.tolist(), volumes, padded)
 
 
@@ -219,10 +228,10 @@ def _nash_gaps(individual: np.ndarray, choice: np.ndarray, empty: np.ndarray) ->
     """PolicyEvaluation.nash_gap of a stack: payoff tables (B, N, L, S),
     choices (B, N, L) or flat (B, N * L) and empty labels (B, L)."""
     B, N, L, S = individual.shape
-    current = individual.reshape(-1, S)[np.arange(B * N * L), choice.ravel()]
-    forgone = individual.max(axis=3).ravel() - current
-    masked = np.repeat(empty, N, axis=0).ravel()
-    return np.where(masked, -np.inf, forgone).reshape(B, -1).max(axis=1, initial=0.0)
+    forgone = np.maximum.reduce(individual, 3)
+    forgone -= individual.take(_offsets(S, B * N * L) + choice.ravel()).reshape(B, N, L)
+    np.copyto(forgone, -np.inf, where=empty[:, None])
+    return np.maximum.reduce(forgone.reshape(B, -1), 1, initial=0.0)
 
 
 @dataclass
@@ -350,6 +359,8 @@ class PolicyGameSolver:
         # U[n, l, s] averages the admission outcome of preferring s over the
         # label's states, weighted by pi
         self._outcome = self._core.outcome
+        # the flat row entry of each (class, state): its label's
+        self._state_entries = (np.arange(N)[:, None] * L + self.labels).ravel()
         # bins of the (n, label, s) payoff tables of a chunk
         n_idx, s_idx = np.arange(N)[:, None, None], np.arange(S)[:, None]
         self._nls_bin = (np.arange(0, self.chunk * N * L * S, N * L * S)[:, None]
@@ -397,30 +408,29 @@ class PolicyGameSolver:
     @cached_property
     def _block_images(self) -> tuple[list[int], np.ndarray]:
         """The index k = n * S + s of every non-empty tagged (n, s) block,
-        and images[j] (N * L * S), int8, the image under which block j is
-        keyed: entry e * S + t is the lowest system that puts the same
-        arrivals as t (band position and rate) at every state of entry e's
-        label holding an (n, s) user. Every entry of the block's band is an
-        arrival or departure at such a state, and an arrival from one lands
-        on another, so rows with the same image gather the same band, bit
-        for bit. Built on first use: a lone evaluation never needs it."""
+        and images[j] (N * L * S), int16, the image under which block j is
+        keyed, offset by j * S so that no two blocks share a key: entry
+        e * S + t is the lowest system that puts the same arrivals as t
+        (band position and rate) at every state of entry e's label holding
+        an (n, s) user. Every entry of the block's band is an arrival or
+        departure at such a state, and an arrival from one lands on another,
+        so rows with the same image gather the same band, bit for bit. Built
+        on first use: a lone evaluation never needs it."""
         arrivals = self.tables.solve_plan.arrivals
         occupied = self.tables.occ_ns.reshape(-1, self.space.num_states) > 0
         blocks = np.flatnonzero(occupied.any(axis=1))
-        images = [self._lowest_agreeing(arrivals, occupied[k]) for k in blocks]
-        return blocks.tolist(), np.array(images, dtype=np.int8).reshape(len(blocks), -1)
+        S = self.config.num_systems
+        images = [self._lowest_agreeing(arrivals, occupied[k]) + j * S
+                  for j, k in enumerate(blocks)]
+        return blocks.tolist(), np.array(images, dtype=np.int16).reshape(len(blocks), -1)
 
     def _block_keys(self, rows: np.ndarray) -> dict[int, list[bytes]]:
         """keys[k][b]: the bytes of flat row b's image under non-empty
         tagged block k's (see _block_images), which keys its band."""
         blocks, images = self._block_images
         E, S = rows.shape[1], self.config.num_systems
-        picked = images.take(rows.astype(np.intp) + np.arange(0, E * S, S), axis=1)
-        keys = {}
-        for k, image in zip(blocks, picked):
-            data = image.tobytes()
-            keys[k] = [data[i:i + E] for i in range(0, len(data), E)]
-        return keys
+        picked = images.take(rows.astype(np.intp) + _offsets(S, E), axis=1)
+        return dict(zip(blocks, picked.view(f"V{picked.shape[2] * 2}")[..., 0].tolist()))
 
     # ----- rows and fibre keys ----------------------------------------
 
@@ -552,18 +562,19 @@ class PolicyGameSolver:
         row, computed from the payoff table stored with it."""
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
         B = len(rows)
-        choices = rows.astype(np.int64).reshape(B, N, L)
         # blocks can repeat once a chunk holds several rows or a fibre was
         # solved before; a lone first evaluation keys none
         keys = self._block_keys(rows) if B > 1 or self._cache else None
-        chunk = _evaluate_chain(self._core, choices.take(self.labels, axis=2), keys)
+        chunk = _evaluate_chain(self._core, rows.take(self._state_entries, axis=1).reshape(
+            B, N, self.space.num_states), keys)
         # the denominator of U is the label mass: cell_blocking sums the
         # same pi[i] in the same state order
         weighted = chunk.padded[:, self._outcome] * chunk.pi[:, None, None]
         num = np.bincount(self._nls_bin[:weighted.size], weights=weighted.ravel(),
                           minlength=B * N * L * S).reshape(B, N, L, S)
         mass, empty = chunk.blocking.mass, chunk.blocking.empty
-        individual = np.full((B, N, L, S), np.nan)
+        individual = np.empty((B, N, L, S))
+        individual.fill(np.nan)
         np.divide(num, mass[:, None, :, None], out=individual, where=~empty[:, None, :, None])
         gaps = _nash_gaps(individual, rows, empty).tolist()
         return chunk.evaluations(PolicyEvaluation, itertools.repeat(None), individual, gaps)
@@ -749,8 +760,9 @@ class PolicyGameSolver:
             for k in self._entries:
                 if skips[k]:
                     continue
-                top = rows[k][bests[k]]
-                for s, payoff in enumerate(rows[k]):
+                row = rows[k].tolist()
+                top = row[bests[k]]
+                for s, payoff in enumerate(row):
                     target = self._rep_entries[k][s]
                     if target == key[k] or payoff < top - 2 * NASH_EPS:
                         continue
@@ -781,15 +793,16 @@ class PolicyGameSolver:
             yield [key]
         return self._responses[key]
 
-    def _response_tables(self, keys) -> list[tuple[list, list, list, list[int]]]:
+    def _response_tables(self, keys) -> list[tuple[np.ndarray, list, list, list[int]]]:
         """Best-response table of each fibre key, in order, built once per
-        fibre. For each flat entry n * L + l it lists the payoff row as
-        floats, its argmax, and whether the label is empty; then come the
-        movers, the positions() indexes at which a best response moves
-        every member of the fibre. Interchangeable systems have bit-equal
-        payoffs, so whether an entry moves is the same under every member's
-        own choice as under the key's. The fibres without a table are
-        evaluated together."""
+        fibre: its payoff rows (N * L, S), one per flat entry n * L + l, a
+        view of the table of the fibres built with it; then, per flat entry
+        as lists, the payoff row's argmax and whether the label is empty;
+        then the movers, the positions() indexes at which a best response
+        moves every member of the fibre. Interchangeable systems have
+        bit-equal payoffs, so whether an entry moves is the same under every
+        member's own choice as under the key's. The fibres without a table
+        are evaluated together."""
         keys = list(keys)
         missing = [key for key in dict.fromkeys(keys) if key not in self._responses]
         if missing:
@@ -799,12 +812,14 @@ class PolicyGameSolver:
             payoffs = individual.reshape(len(missing), -1, individual.shape[3])
             skip = np.tile(empty, self.config.num_classes)
             best = payoffs.argmax(axis=2)
-            top = np.take_along_axis(payoffs, best[:, :, None], axis=2)[:, :, 0]
-            own = np.take_along_axis(payoffs, self._key_rows(missing).astype(np.intp)[:, :, None],
-                                     axis=2)[:, :, 0]
+            # the payoff at the argmax, and at each fibre's own choice
+            top = np.maximum.reduce(payoffs, 2)
+            S = payoffs.shape[2]
+            own = payoffs.take(_offsets(S, top.size).reshape(top.shape)
+                               + self._key_rows(missing))
             moves = ((top > own + NASH_EPS) & ~skip)[:, list(self._entries)]
             positions = range(moves.shape[1])
-            for key, rows, bests, skips, moved in zip(missing, payoffs.tolist(), best.tolist(),
+            for key, rows, bests, skips, moved in zip(missing, payoffs, best.tolist(),
                                                       skip.tolist(), moves.tolist()):
                 self._responses[key] = (rows, bests, skips, list(compress(positions, moved)))
         return [self._responses[key] for key in keys]
@@ -868,9 +883,10 @@ class PolicyGameSolver:
                 return None
             visited.add(state_key)
             k = entries[mover]
-            payoffs, best, current = rows[k], bests[k], choice[k]
+            best, current = bests[k], choice[k]
             if steps is not None:
                 n, l = positions[mover]
+                payoffs = rows[k].tolist()
                 steps.append(BestResponseStep(
                     user_class=n, label=l, old_system=current, new_system=best,
                     old_payoff=payoffs[current], new_payoff=payoffs[best]))

@@ -19,14 +19,19 @@ The solves take a stack of generators (ctmc.assemble_stack) and a group of
 blocks at a time (ctmc.TaggedGroup): one gather of the blocks of the group
 that get an LU, one LU per distinct block (below), and one stacked gbmv per
 block that checks it on every generator. The blocks of a stack go in one
-group where their bands fit in ctmc.CHUNK_BYTES, else one at a time.
+group where their bands fit in ctmc.CHUNK_BYTES, else one at a time. Each
+LU writes its solution over its right-hand side in the group's table of
+values. The check lays its vectors out block by block, so each gbmv reads
+and writes contiguous runs; they live in scratch buffers the caller can
+reuse from stack to stack (ctmc._Scratch).
 
 A caller that can recognise equal blocks without gathering them passes a
 key per generator and block, and a dict of the checked values of the keys
-it solved before (game keys a block by the choices at its states). A block
-whose key is in that dict, or was solved for an earlier generator of the
-stack, is not factored again: its values are copied. Equal keys must mean
-bit-equal bands, so a copy has the bits its own LU would give. Only the
+it solved before (game keys a block by the choices at its states; keys of
+different blocks differ). A block whose key is in that dict, or was solved
+for an earlier generator of the stack, is not factored again: its values
+are copied, a block at a time, by fancy-index assignments. Equal keys must
+mean bit-equal bands, so a copy has the bits its own LU would give. Only the
 factored blocks are gathered, since the check reads the full generator and
 never a gathered band; every block is checked, a copied one included, and
 the dict gains the new keys only once their check has passed.
@@ -45,7 +50,7 @@ from scipy.linalg import get_lapack_funcs
 # assemble_generator is not called here, but perfbench/tracer.py wraps the
 # name in this module, so it stays bound
 from .ctmc import (ChainTables, ResidualError, TaggedGroup, TaggedPlan,  # noqa: F401
-                   assemble_generator, band_gbmv, stack_band)
+                   _gbmv, _Scratch, assemble_generator, stack_band)
 
 # Largest accepted |A v + r|_inf / (|A|_inf |v|_inf) of a tagged solve, with
 # |A|_inf taken as the plan's bound; backward-stable LUs stay near 1e-16.
@@ -67,18 +72,23 @@ def _tagged_matrix(data: np.ndarray, group: TaggedGroup, mu: float,
     Diagonals are kept from the original generator, so each transient row
     plus the mu absorption entry still sums to zero. Takes a (B, size)
     stack of BandGenerator data and, per block j of the group, the indices
-    rows[j] of the generators whose block j is gathered. Returns per block
-    an array (len(rows[j]), band_size): the block of each of those
-    generators in LAPACK band storage, gathered from its band in the plan's
-    state order through flat indices into the stack, flattened in Fortran
-    order.
+    rows[j] (a list or an array) of the generators whose block j is
+    gathered. Returns per block an array (len(rows[j]), m, ldab) for a
+    block of m states: each item is the transpose of the block of one of
+    those generators in LAPACK band storage, band_shape (ldab, m) in
+    Fortran order, gathered from its band in the plan's state order
+    through flat indices into the stack.
     """
     flat = data.reshape(-1)
     gathered = []
     for (_, plan, _), picked in zip(group.blocks, rows):
-        bands = np.zeros((len(picked), plan.band_size))
-        bands[:, plan.band] = flat.take(picked[:, None] * data.shape[1] + plan.src)
-        bands[:, plan.shift_band] -= mu
+        ldab, m = plan.band_shape
+        bands = np.zeros((len(picked), m, ldab))
+        if len(picked):
+            entries = bands.reshape(len(picked), m * ldab)
+            entries[:, plan.band] = flat.take(
+                np.multiply(picked, data.shape[1])[:, None] + plan.src)
+            entries[:, plan.shift_band] -= mu
         gathered.append(bands)
     return gathered
 
@@ -92,15 +102,15 @@ def _absorption_rate(tables: ChainTables) -> float:
 
 def _solve_tagged(plan: TaggedPlan, block: np.ndarray, rhs: np.ndarray
                   ) -> tuple[np.ndarray, int]:
-    """The solution v of A v = -rhs for a tagged block A in band storage,
-    and LAPACK's info: nonzero when the LU is singular (v then is -rhs)."""
-    _, _, values, info = _gbsv(plan.kl, plan.ku, block, -rhs, overwrite_ab=1,
-                               overwrite_b=1)
+    """The solution v of A v = rhs for a tagged block A in band storage,
+    written over rhs (a contiguous float vector), and LAPACK's info:
+    nonzero when the LU is singular (rhs is then left as it was)."""
+    _, _, values, info = _gbsv(plan.kl, plan.ku, block, rhs, overwrite_ab=1, overwrite_b=1)
     return values, info
 
 
 def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarray,
-                  mu: float, info: np.ndarray) -> None:
+                  mu: float, info: np.ndarray, scratch: _Scratch) -> None:
     """Raise unless A v = -r holds to TAGGED_RESIDUAL_TOL for every block A
     of the group of every generator of the stack, its solution v and the
     tagged user's rate r. The error is that of the first generator with a
@@ -109,22 +119,32 @@ def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarr
     else ResidualError.
 
     A v is taken from the full generators rather than from the solved
-    blocks, by one band_gbmv per block over the whole stack, so an entry the
-    block's gather missed shows up in the residual.
+    blocks, by one BLAS gbmv per block over the block-diagonal matrix of the
+    whole stack, so an entry the block's gather missed shows up in the
+    residual. The vectors are laid out block-major
+    (TaggedGroup.check_layout), so each gbmv reads one contiguous run and
+    writes the next. The vectors and products lie in scratch's "v" and
+    "qv" buffers.
     """
-    B, n, w = len(values), len(layout.order), layout.width
+    B, w = len(values), layout.width
+    rows, slots = group.check_layout(B, w)
+    total = B * group.num_states
     band = stack_band(data, w)
-    v = np.zeros((B, len(group.blocks) * n))
-    v[:, group.slots] = values
-    qv = np.empty(v.shape)
-    for k in range(0, v.shape[1], n):
-        qv[:, k:k + n] = band_gbmv(band, w, v[:, k:k + n], 1)
-    av = qv.take(group.slots, axis=1)
+    v = scratch.zeros("v", len(group.blocks) * rows)
+    v[slots] = values
+    qv = scratch.get("qv", len(v))
+    for at in range(0, v.size, rows):
+        _gbmv(rows, total, w, w, 1.0, band, v[at:at + rows], y=qv[at:at + total],
+              overwrite_y=1, trans=1)
+    av = qv.take(slots)
     av[:, group.shift_rows] -= mu * values[:, group.shift_cols]
-    residual = np.maximum.reduceat(np.abs(av + group.rate), group.starts, axis=1)
-    scale = group.norm * np.maximum.reduceat(np.abs(values), group.starts, axis=1)
-    held = (residual <= TAGGED_RESIDUAL_TOL * scale) & (info == 0)
-    if not held.all():
+    av += group.rate
+    residual = np.maximum.reduceat(np.abs(av, out=av), group.starts, axis=1)
+    scale = np.maximum.reduceat(np.abs(values), group.starts, axis=1)
+    scale *= group.norm
+    held = residual <= TAGGED_RESIDUAL_TOL * scale
+    if not held.all() or info.any():
+        held &= info == 0
         b, k = divmod(int(held.argmin()), held.shape[1])
         if info[b, k]:
             raise SingularTaggedChainError(
@@ -135,7 +155,8 @@ def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarr
 
 
 def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup,
-                 mu: float, keys=None, solved: dict | None = None) -> np.ndarray:
+                 mu: float, keys=None, solved: dict | None = None,
+                 scratch: _Scratch | None = None) -> np.ndarray:
     """Checked expected megabits of a tagged user, who leaves at rate mu,
     for every block of a group and every generator of a stack: row b holds
     generator b's values, each block's at its slice of group.blocks in its
@@ -143,50 +164,61 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup,
     raised is that of solving block by block (see _check_tagged).
 
     With keys, keys[k][b] is generator b's key of the block with index k
-    in (class, system) order, and solved maps (k, key) to checked values.
-    One LU runs per key not in solved, at the first generator that has it;
-    every later generator with that key gets a copy, and so does a key in
-    solved. Only the blocks that get an LU are gathered; every block, a
-    copied one included, is checked on the full generator. A copy's info
-    is 0: had its LU failed, it failed at that first generator, which the
-    check reaches earlier. The keys solved here join solved once the whole
-    group has passed its check."""
+    in (class, system) order, and solved maps keys to checked values; keys
+    of different blocks differ. Per block, the generators whose key is in
+    solved get its values in one fancy-index assignment; a dict finds the
+    first generator of every other key, where one LU runs, and every later
+    generator with that key gets a copy of its values, all in one more
+    fancy-index assignment once the LUs have run. Only the blocks that get
+    an LU are gathered; every block, a copied one included, is checked on
+    the full generator. A copy's info is 0: had its LU failed, it failed
+    at that first generator, which the check reaches earlier. The keys
+    solved here join solved once the whole group has passed its check.
+    scratch holds the check's vectors."""
     B = len(data)
+    scratch = scratch or _Scratch()
+    # each LU writes its solution over its right-hand side, -rate
     values = np.empty((B, len(group.rate)))
+    np.negative(group.rate, out=values)
     info = np.zeros((B, len(group.blocks)), dtype=np.int64)
-    # per block, the generators whose LU solves it
-    rows = []
-    # (k, key) -> the values of the generator whose LU solves it here, and
-    # (copy, source) for each later generator with that key
-    fresh: dict = {}
-    copies = []
+    everyone = list(range(B))
+    # per block, the generators whose LU solves it; then the copies and the
+    # keys the LUs solve
+    rows, copies, fresh = [], [], []
     for k, _, value in group.blocks:
         if keys is None:
-            rows.append(np.arange(B))
+            rows.append(everyone)
             continue
-        factored = []
-        for b, key in enumerate(keys[k]):
-            key = (k, key)
-            known = solved.get(key)
-            if known is not None:
-                values[b, value] = known
-            elif key in fresh:
-                copies.append((values[b, value], fresh[key]))
-            else:
-                fresh[key] = values[b, value]
-                factored.append(b)
-        rows.append(np.array(factored, dtype=np.int64))
+        row_keys = keys[k]
+        todo, todo_keys = everyone, row_keys
+        if not solved.keys().isdisjoint(row_keys):
+            known = list(map(solved.get, row_keys))
+            hit = [b for b, found in enumerate(known) if found is not None]
+            values[hit, value] = [known[b] for b in hit]
+            todo = [b for b, found in enumerate(known) if found is None]
+            todo_keys = list(map(row_keys.__getitem__, todo))
+        # the first generator of every other key: of the generators given
+        # for one key, the dict keeps the last
+        first = dict(zip(reversed(todo_keys), reversed(todo)))
+        if len(first) == len(todo):
+            factored, new = todo, todo_keys
+        else:
+            factored = sorted(first.values())
+            new = list(map(row_keys.__getitem__, factored))
+            copy = [b for b in todo if first[row_keys[b]] != b]
+            copies.append((copy, [first[row_keys[b]] for b in copy], value))
+        rows.append(factored)
+        if factored:
+            fresh.append((value, factored, new))
     for j, ((_, plan, value), picked, bands) in enumerate(
             zip(group.blocks, rows, _tagged_matrix(data, group, mu, rows))):
-        shape = plan.band_shape
-        for b, band in zip(picked.tolist(), bands):
-            values[b, value], info[b, j] = _solve_tagged(
-                plan, band.reshape(shape, order="F"), plan.rate)
-    for copy, source in copies:
-        copy[:] = source
-    _check_tagged(data, tables.solve_plan, group, values, mu, info)
-    for key, known in fresh.items():
-        solved[key] = known.copy()
+        for b, band in zip(picked, bands):
+            info[b, j] = _solve_tagged(plan, band.T, values[b, value])[1]
+    for copy, source, value in copies:
+        values[copy, value] = values[source, value]
+    _check_tagged(data, tables.solve_plan, group, values, mu, info, scratch)
+    for value, factored, new in fresh:
+        solved.update(zip(new, values[factored, value]))
     return values
 
 
@@ -205,15 +237,17 @@ def solve_volume_from_matrix(tables: ChainTables, q, user_class: int,
 
 
 def tagged_volumes(tables: ChainTables, data: np.ndarray, keys=None,
-                   solved: dict | None = None) -> np.ndarray:
-    """volumes[b, n, s, i]: solve_volume_from_matrix for every (class,
-    system) pair of every generator of a (B, size) stack, the blocks
-    gathered together as SolvePlan.tagged_groups says. keys and solved,
-    when given, spare the LUs of repeated blocks (see _solve_group)."""
+                   solved: dict | None = None, scratch: _Scratch | None = None) -> np.ndarray:
+    """volumes[b]: solve_volume_from_matrix for every (class, system) pair
+    of generator b of a (B, size) stack, as a flattened (N, S, num_states)
+    table followed by one zero, the blocks gathered together as
+    SolvePlan.tagged_groups says. keys and solved, when given, spare the
+    LUs of repeated blocks (see _solve_group)."""
     mu = _absorption_rate(tables)
-    N, S, nst = tables.occ_ns.shape
     B = len(data)
-    volumes = np.full((B, N * S * nst), np.nan)
+    volumes = np.empty((B, tables.occ_ns.size + 1))
+    volumes.fill(np.nan)
+    volumes[:, -1] = 0.0
     for group in tables.solve_plan.tagged_groups(B):
-        volumes[:, group.targets] = _solve_group(tables, data, group, mu, keys, solved)
-    return volumes.reshape(B, N, S, nst)
+        volumes[:, group.targets] = _solve_group(tables, data, group, mu, keys, solved, scratch)
+    return volumes

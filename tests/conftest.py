@@ -377,7 +377,7 @@ def tagged_band(data, plan, mu, num_states):
     from hetassoc.ctmc import TaggedGroup
     from hetassoc.transient import _tagged_matrix
     group = TaggedGroup([(0, plan)], num_states)
-    return _tagged_matrix(data[None], group, mu, [np.zeros(1, dtype=np.int64)])[0][0]
+    return _tagged_matrix(data[None], group, mu, [np.zeros(1, dtype=np.int64)])[0][0].ravel()
 
 
 def gathered_tagged_block(space, q, user_class, system):

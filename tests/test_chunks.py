@@ -122,15 +122,19 @@ def test_baselines_keep_their_bits_inside_a_chunk(instances, strict):
 def test_chunk_wide_sums_match_the_row_by_row_reference(hybrid_instance):
     """The normalisation of pi and the per-class blocking sums reduce a
     whole stack at once; each row gets the bits np.add.reduce gives it as a
-    lone vector, the row-by-row reference they replace."""
+    lone vector, the row-by-row reference they replace. The raw solutions
+    peak at exactly 1, so scaling them to their largest entry keeps them."""
     config, _ = hybrid_instance
     space = enumerate_states(config)
     tables = chain_tables(space)
+    plan = tables.solve_plan
     rng = np.random.default_rng(5)
     B, N, nst = 7, config.num_classes, space.num_states
     raw = rng.random((B, nst)) * rng.choice([1e-12, 1.0, 1e6], size=(B, 1))
+    raw /= raw.max(axis=1, keepdims=True)
     data = assemble_stack(tables, rng.integers(config.num_systems, size=(B, N, nst)))
-    pi, _, _ = ctmc._balanced(raw, np.ones(B, dtype=bool), data, tables.solve_plan)
+    pi, _, _ = ctmc._balanced(raw[:, plan.order], np.zeros(B, dtype=np.int64), data, plan,
+                              plan.pins[0])
     assert pi.tobytes() == np.array([row / np.add.reduce(row) for row in raw]).tobytes()
     one = Partition(tables, np.zeros(nst, dtype=np.int64), 1, stack=B)
     per_class = cell_blocking(tables, pi, one).per_class
@@ -333,7 +337,9 @@ def test_failing_policy_raises_the_one_at_a_time_error(hybrid_instance, monkeypa
     def solve_tagged(plan, block, rhs):
         hit = block.size == poisoned.size and np.array_equal(block.ravel(order="F"), poisoned)
         values, info = solve(plan, block, rhs)
-        return (values * (1 + 1e-6) if hit else values), info
+        if hit:
+            values *= 1 + 1e-6
+        return values, info
 
     def pinned_lus(data, layout, r):
         x, info = lus(data, layout, r)
@@ -388,8 +394,8 @@ def test_reused_tagged_block_is_checked_again(hybrid_instance):
     for _ in range(1000):
         policy = random_policy(rng, config, scheme)
         row = solver._policy_rows([policy])
-        hits = [(k, keys[0]) for k, keys in solver._block_keys(row).items()
-                if (k, keys[0]) in solver._core.solved]
+        hits = [keys[0] for keys in solver._block_keys(row).values()
+                if keys[0] in solver._core.solved]
         if hits and solver._key(row[0].tolist()) not in solver._cache:
             break
     else:

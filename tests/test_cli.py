@@ -495,6 +495,31 @@ def test_cli_never_imports_scipy_stats(tmp_path):
     assert (tmp_path / "out" / "simulation.csv").exists()
 
 
+POOL_GUARD = """
+import sys
+import hetassoc.cli
+print("concurrent.futures.process" in sys.modules)
+code = hetassoc.cli.main(["sweep", "--config", sys.argv[1], "--traffic", "1:2:1",
+                          "--analyses", "baselines", "--jobs", "1", "--out", sys.argv[2]])
+print(code, "concurrent.futures.process" in sys.modules)
+"""
+
+
+def test_cli_never_imports_the_process_pool(tmp_path):
+    """Loading the process pool costs milliseconds of every start; neither
+    importing the CLI nor a --jobs 1 sweep may load it (--jobs 2 is
+    test_sweep_parallel_jobs_match_serial's)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", POOL_GUARD, HYBRID, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 False"
+    assert (tmp_path / "out" / "sweep.json").exists()
+
+
 def test_main_leaves_the_collector_unfrozen(tmp_path):
     """main() freezes the objects alive at its start only while a command
     runs, also when the command fails."""

@@ -194,7 +194,8 @@ def test_corrupted_tagged_solve_raises(chain, request, monkeypatch):
 
     def perturbed(*args):
         values, info = original(*args)
-        return values * (1.0 + 1e-6), info
+        values *= 1.0 + 1e-6
+        return values, info
 
     monkeypatch.setattr(transient, "_solve_tagged", perturbed)
     with pytest.raises(ResidualError):
@@ -219,7 +220,7 @@ def test_singular_banded_block_raises(hybrid_chain, monkeypatch):
     tables, q = hybrid_chain
     plan = tables.solve_plan.tagged[0][0]
     zero = np.zeros(plan.band_shape, order="F")
-    _, info = transient._solve_tagged(plan, zero, plan.rate)
+    _, info = transient._solve_tagged(plan, zero, -plan.rate)
     assert info != 0
     original = transient._solve_tagged
     monkeypatch.setattr(transient, "_solve_tagged",
