@@ -59,7 +59,9 @@ class ChainTables:
 
     Arrival targets, redirection outcomes, departure edges, blocking masks
     and per-state tagged-user throughputs depend only on the config and the
-    enumerated space, so every policy and rule evaluation shares them.
+    enumerated space, so every policy and rule evaluation shares them. The
+    tables keep the space's config, state count and occupancies, not the
+    space, which holds them (chain_tables): no cycle keeps either alive.
     """
 
     def __init__(self, space: StateSpace):
@@ -67,7 +69,7 @@ class ChainTables:
         N, S = config.num_classes, config.num_systems
         nst = space.num_states
         occ = space.occ
-        self.space = space
+        self.config, self.num_states, self.occ = config, nst, occ
 
         def by_pair(a: np.ndarray) -> np.ndarray:
             # (nst, N*S) in occupancy order -> contiguous (N, S, nst)
@@ -376,8 +378,8 @@ class SolvePlan:
     """
 
     def __init__(self, tables: ChainTables):
-        config = tables.space.config
-        nst = tables.space.num_states
+        config = tables.config
+        nst = tables.num_states
         state = np.broadcast_to(np.arange(nst), tables.arrival_id.shape)
         ok = tables.arrival_id >= 0
         up_src, up_dst = state[ok], tables.arrival_id[ok]
@@ -388,7 +390,7 @@ class SolvePlan:
         self.order = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64)
         self.position = np.empty(nst, dtype=np.int64)
         self.position[self.order] = np.arange(nst)
-        users = tables.space.occ.sum(axis=1)
+        users = tables.occ.sum(axis=1)
         high = 0 if users[self.order[0]] > users[self.order[-1]] else nst - 1
         self.pins = (int(self.position[users.argmin()]), high)
         coo = graph.tocoo()
@@ -443,8 +445,8 @@ class SolvePlan:
 
     def _tagged(self, tables: ChainTables, g_rows: np.ndarray, g_cols: np.ndarray,
                 n: int, s: int) -> TaggedPlan:
-        config = tables.space.config
-        nst = tables.space.num_states
+        config = tables.config
+        nst = tables.num_states
         present = tables.occ_ns[n, s] > 0
         positions = np.flatnonzero(present[self.order])
         ids = self.order[positions]
@@ -460,7 +462,7 @@ class SolvePlan:
         shift_cols = local[tables.departure_id[n, s, ids[shift_rows]]]
         # off the diagonal a row holds rates summing to |a_ii| - mu, and
         # |a_ii| is at most every arrival rate plus mu per user present
-        users = tables.space.occ[ids].sum(axis=1)
+        users = tables.occ[ids].sum(axis=1)
         outflow = sum(config.arrival_rate) + config.service_rate * users.max(initial=0)
         return TaggedPlan(
             ids=ids, positions=positions, rate=tables.throughput[n, s, ids],
@@ -512,7 +514,7 @@ def assemble_stack(tables: ChainTables, choices: np.ndarray) -> np.ndarray:
     """The generators of a stack of preferred-system tables, choices of
     shape (B, N, num_states), as a (B, size) stack of BandGenerator data in
     the layout of tables.solve_plan. Every solver assembles through here."""
-    return _assemble(tables, choices * tables.space.num_states + tables.solve_plan.entry,
+    return _assemble(tables, choices * tables.num_states + tables.solve_plan.entry,
                      _Scratch())
 
 

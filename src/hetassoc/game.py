@@ -18,11 +18,14 @@ carry no strategic content; they are masked out of equilibrium
 comparisons and canonicalized to system 0 when policies are reported.
 
 Redirection makes many policies interchangeable: preferring a saturated
-system is the same as preferring the one the network picks instead. The
-solver groups policies into fibres, the sets of policies that induce the
-same chain and the same payoffs bit for bit (the reduced normal form of the
-game). Exhaustive scans solve one representative per fibre, and the
-evaluation cache, which has no off switch, serves every member from it.
+system is the same as preferring the one the network picks instead. A
+choice matters only through what the network does with it, the system it
+admits the arrival to (ChainTables.admit_sys) or its loss, and that one
+table is a chain's identity. The solver groups policies into fibres, the
+sets of policies that induce the same admitted systems, so the same chain
+and the same payoffs bit for bit (the reduced normal form of the game).
+Exhaustive scans solve one representative per fibre, and the evaluation
+cache, which has no off switch, serves every member from it.
 
 Inside the solver a policy is a flat row of its choices, entry n * L + l
 for class n and label l, and a fibre is keyed by the bytes of its
@@ -49,17 +52,16 @@ lockstep under one driver, and each round solves the fibres the paused
 walks wait for together. A single evaluation and evaluate_rule are chunks
 of one. A policy's results have the same bits in any chunk.
 
-A tagged (n, s) block depends only on the choices at the states holding an
-(n, s) user. So a solver keys each block by a row's image under that
-block's own interchangeability map, which is coarser than rep, offset so
-that no two blocks share a key, and keeps the checked values of every
-block it solved. A block whose key it has seen, in an earlier chunk or
-earlier in the same one, is copied, neither gathered nor factored, and
-checked on the full generator like a solved one. The maps are built on
-first use, by the first chunk of several rows or once a fibre is cached, so
-a lone evaluation, evaluate_rule and the baselines key nothing. The block
-cache belongs to the solver's core, so the fresh checker starts with an
-empty one and reads none of its parent's blocks.
+A tagged (n, s) block depends only on the admitted systems at the states
+holding an (n, s) user. The core hands a chunk's admitted table to
+transient.tagged_volumes, which keys each block by its bytes at those
+states, and keeps, per block, the checked values of every key it solved.
+A block whose key it has seen, in an earlier chunk or earlier in the same
+one, is copied, neither gathered nor factored, and checked on the full
+generator like a solved one. Every evaluation takes this path, a lone one,
+evaluate_rule and the baselines included. The block cache belongs to the
+solver's core, so the fresh checker starts with an empty one and reads
+none of its parent's blocks.
 
 The tolerances are constants: NASH_EPS for equilibrium tests and the
 best-response steps, TIE_TOL for the exhaustive optimum's ties,
@@ -74,7 +76,6 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
@@ -147,21 +148,25 @@ class ChainEvaluation:
 
 class _ChainCore:
     """What _evaluate_chain reuses from chunk to chunk over one information
-    partition, for chunks of up to `chunk` choice tables: the tables, the
-    outcome index, the Partition, where each table's padded volumes start
-    in the chunk's, solved, the checked values of every tagged block
-    solved under a key (see transient._solve_group), and scratch, the
-    buffers its chunks' generators and tagged checks reuse. A core belongs
-    to one solver, so no other solver reads its blocks."""
+    partition, for chunks of up to `chunk` choice tables: the tables,
+    admitted, their admit_sys as int8, the outcome index, the Partition,
+    where each table's padded volumes start in the chunk's, solved, per
+    tagged block, the checked values of every key it was solved under (see
+    transient._solve_group), and scratch, the buffers its chunks'
+    generators and tagged checks reuse. A core belongs to one solver, so no
+    other solver reads its blocks."""
 
     def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int, chunk: int):
         N, S, nst = tables.occ_ns.shape
         self.tables = tables
+        # a system index fits in int8, since a state space with over 127
+        # systems could not be enumerated
+        self.admitted = tables.admit_sys.astype(np.int8)
         self.outcome = _outcome_index(tables)
         self.partition = Partition(tables, cells, ncells, chunk)
         padded = N * S * nst + 1
         self.padded_offset = np.arange(0, chunk * padded, padded)[:, None, None]
-        self.solved: dict[bytes, np.ndarray] = {}
+        self.solved: dict[int, dict[bytes, np.ndarray]] = {}
         self.scratch = _Scratch()
 
 
@@ -186,12 +191,12 @@ class _ChainChunk(NamedTuple):
             self.global_utility, b.overall.tolist(), b.per_class, self.volumes, *columns)]
 
 
-def _evaluate_chain(core: _ChainCore, choices: np.ndarray, keys=None) -> _ChainChunk:
+def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
     """Solve the chains of a chunk of preferred-system tables, choices of
     shape (B, N, num_states) in any integer type, and aggregate each over
-    the core's cells.
-    keys[k][b], when given, keys tagged block k of table b: a block whose
-    key the core has solved is copied, not factored (see tagged_volumes).
+    the core's cells. The systems the network admits the chunk's arrivals
+    to key its tagged blocks: a block whose key the core has solved is
+    copied, not factored (see tagged_volumes).
 
     Every step runs once for the chunk: assembly, the stationary solves,
     blocking, the tagged volumes and the global utility. Blocking is
@@ -209,7 +214,8 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray, keys=None) -> _ChainC
     data = _assemble(tables, picked, core.scratch)
     pi, residual = stationary_vectors(data, plan)
     b = cell_blocking(tables, pi, core.partition)
-    padded = tagged_volumes(tables, data, keys, core.solved, core.scratch)
+    padded = tagged_volumes(tables, data, core.admitted.take(picked), core.solved,
+                            core.scratch)
     chosen = padded.take(core.outcome.take(picked) + core.padded_offset[:B])
     inner = np.bincount(core.partition.class_bins[:B * N * nst],
                         weights=(chosen * pi[:, None]).ravel(),
@@ -379,58 +385,23 @@ class PolicyGameSolver:
         entry (n, l).
 
         Two systems are interchangeable there when, at every state of label
-        l, every array the evaluation gathers through the choice agrees: the
-        band position and rate of the admitted arrival, and the outcome
-        index of the chosen value, which is also the deviation payoff's.
-        Policies with the same image under rep (one fibre) then assemble the
-        same generator and the same payoff table, bit for bit.
+        l, the network admits a class-n arrival preferring either to the
+        same system, or loses both. Everything the evaluation gathers
+        through a choice is a function of that admitted system: the band
+        position and rate of the arrival, and the outcome index of the
+        chosen value, which is also the deviation payoff's. Policies with
+        the same image under rep (one fibre) then assemble the same
+        generator and the same payoff table, bit for bit.
         A structurally empty label maps every system to 0.
         """
-        return self._lowest_agreeing((*self.tables.solve_plan.arrivals, self._outcome))
-
-    def _lowest_agreeing(self, gathered, states=None) -> np.ndarray:
-        """image[n, l, s]: the lowest system t such that every (N, S,
-        num_states) array of gathered holds at [n, t, i] what it holds at
-        [n, s, i], at every state i of label l (of those in the mask states,
-        when given); 0 on a label without such states."""
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
-        differ = np.zeros((N, S, S, self.space.num_states), dtype=bool)
-        for array in gathered:
-            differ |= array[:, :, None] != array[:, None]
-        if states is not None:
-            differ &= states
+        admit = self.tables.admit_sys
+        differ = admit[:, :, None] != admit[:, None]
         # clash[n, s, t, l]: s and t disagree at some state of label l
         bins = (np.arange(N * S * S)[:, None] * L + self.labels).ravel()
         clash = np.bincount(bins, weights=differ.ravel(), minlength=N * S * S * L)
         agree = clash.reshape(N, S, S, L).transpose(0, 3, 1, 2) == 0
         return agree.argmax(axis=3)
-
-    @cached_property
-    def _block_images(self) -> tuple[list[int], np.ndarray]:
-        """The index k = n * S + s of every non-empty tagged (n, s) block,
-        and images[j] (N * L * S), int16, the image under which block j is
-        keyed, offset by j * S so that no two blocks share a key: entry
-        e * S + t is the lowest system that puts the same arrivals as t
-        (band position and rate) at every state of entry e's label holding
-        an (n, s) user. Every entry of the block's band is an arrival or
-        departure at such a state, and an arrival from one lands on another,
-        so rows with the same image gather the same band, bit for bit. Built
-        on first use: a lone evaluation never needs it."""
-        arrivals = self.tables.solve_plan.arrivals
-        occupied = self.tables.occ_ns.reshape(-1, self.space.num_states) > 0
-        blocks = np.flatnonzero(occupied.any(axis=1))
-        S = self.config.num_systems
-        images = [self._lowest_agreeing(arrivals, occupied[k]) + j * S
-                  for j, k in enumerate(blocks)]
-        return blocks.tolist(), np.array(images, dtype=np.int16).reshape(len(blocks), -1)
-
-    def _block_keys(self, rows: np.ndarray) -> dict[int, list[bytes]]:
-        """keys[k][b]: the bytes of flat row b's image under non-empty
-        tagged block k's (see _block_images), which keys its band."""
-        blocks, images = self._block_images
-        E, S = rows.shape[1], self.config.num_systems
-        picked = images.take(rows.astype(np.intp) + _offsets(S, E), axis=1)
-        return dict(zip(blocks, picked.view(f"V{picked.shape[2] * 2}")[..., 0].tolist()))
 
     # ----- rows and fibre keys ----------------------------------------
 
@@ -562,11 +533,8 @@ class PolicyGameSolver:
         row, computed from the payoff table stored with it."""
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
         B = len(rows)
-        # blocks can repeat once a chunk holds several rows or a fibre was
-        # solved before; a lone first evaluation keys none
-        keys = self._block_keys(rows) if B > 1 or self._cache else None
         chunk = _evaluate_chain(self._core, rows.take(self._state_entries, axis=1).reshape(
-            B, N, self.space.num_states), keys)
+            B, N, self.space.num_states))
         # the denominator of U is the label mass: cell_blocking sums the
         # same pi[i] in the same state order
         weighted = chunk.padded[:, self._outcome] * chunk.pi[:, None, None]

@@ -25,16 +25,19 @@ values. The check lays its vectors out block by block, so each gbmv reads
 and writes contiguous runs; they live in scratch buffers the caller can
 reuse from stack to stack (ctmc._Scratch).
 
-A caller that can recognise equal blocks without gathering them passes a
-key per generator and block, and a dict of the checked values of the keys
-it solved before (game keys a block by the choices at its states; keys of
-different blocks differ). A block whose key is in that dict, or was solved
-for an earlier generator of the stack, is not factored again: its values
-are copied, a block at a time, by fancy-index assignments. Equal keys must
-mean bit-equal bands, so a copy has the bits its own LU would give. Only the
-factored blocks are gathered, since the check reads the full generator and
-never a gathered band; every block is checked, a copied one included, and
-the dict gains the new keys only once their check has passed.
+A block is keyed by what the network does at its states: the caller
+passes each generator's admitted-system table (ChainTables.admit_sys read
+at its choices), and a block's key is the table's bytes at the states
+holding its tagged user. A block's band holds only arrivals and departures
+at those states, so equal keys mean bit-equal bands, and a copy has the
+bits its own LU would give. The caller also passes, per block, a dict of
+the checked values of the keys it solved before. A block whose key is in
+it, or was solved for an earlier generator of the stack, is not factored
+again: its values are copied, a block at a time, by fancy-index
+assignments. Only the factored blocks are gathered, since the check reads
+the full generator and never a gathered band; every block is checked, a
+copied one included, and the dicts gain the new keys only once their check
+has passed.
 
 The module has no per-rule entry point: game.evaluate_rule values any rule,
 its tagged volumes included, through tagged_volumes, the same path every
@@ -94,7 +97,7 @@ def _tagged_matrix(data: np.ndarray, group: TaggedGroup, mu: float,
 
 
 def _absorption_rate(tables: ChainTables) -> float:
-    mu = tables.space.config.service_rate
+    mu = tables.config.service_rate
     if mu <= 0:
         raise SingularTaggedChainError("absorption requires a positive service rate")
     return mu
@@ -154,29 +157,32 @@ def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarr
             f"relative to |A| |v| = {scale[b, k]:.3e}")
 
 
-def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup,
-                 mu: float, keys=None, solved: dict | None = None,
-                 scratch: _Scratch | None = None) -> np.ndarray:
+def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup, mu: float,
+                 admitted: np.ndarray, solved: dict, scratch: _Scratch) -> np.ndarray:
     """Checked expected megabits of a tagged user, who leaves at rate mu,
     for every block of a group and every generator of a stack: row b holds
     generator b's values, each block's at its slice of group.blocks in its
     plan's state order. Every LU runs before the checks, and the error
     raised is that of solving block by block (see _check_tagged).
 
-    With keys, keys[k][b] is generator b's key of the block with index k
-    in (class, system) order, and solved maps keys to checked values; keys
-    of different blocks differ. Per block, the generators whose key is in
-    solved get its values in one fancy-index assignment; a dict finds the
-    first generator of every other key, where one LU runs, and every later
-    generator with that key gets a copy of its values, all in one more
-    fancy-index assignment once the LUs have run. Only the blocks that get
-    an LU are gathered; every block, a copied one included, is checked on
-    the full generator. A copy's info is 0: had its LU failed, it failed
-    at that first generator, which the check reaches earlier. The keys
-    solved here join solved once the whole group has passed its check.
-    scratch holds the check's vectors."""
+    admitted[b] (N, num_states) is the system generator b's network admits
+    each class's arrival to at each state, -1 where it is lost: int8, as
+    ChainTables.admit_sys is read at the stack's choices. Every entry of a
+    block's band is an arrival or departure at its states, and an arrival
+    from one lands on another, so a block is keyed by the bytes of admitted
+    at its states: equal keys gather bit-equal bands. solved[k] maps the
+    keys of the block with index k in (class, system) order to checked
+    values. Per block, the generators whose key is in it get its values in
+    one fancy-index assignment; a dict finds the first generator of every
+    other key, where one LU runs, and every later generator with that key
+    gets a copy of its values, all in one more fancy-index assignment once
+    the LUs have run. Only the blocks that get an LU are gathered; every
+    block, a copied one included, is checked on the full generator. A
+    copy's info is 0: had its LU failed, it failed at that first generator,
+    which the check reaches earlier. The keys solved here join solved once
+    the whole group has passed its check. scratch holds the check's
+    vectors."""
     B = len(data)
-    scratch = scratch or _Scratch()
     # each LU writes its solution over its right-hand side, -rate
     values = np.empty((B, len(group.rate)))
     np.negative(group.rate, out=values)
@@ -185,14 +191,13 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup,
     # per block, the generators whose LU solves it; then the copies and the
     # keys the LUs solve
     rows, copies, fresh = [], [], []
-    for k, _, value in group.blocks:
-        if keys is None:
-            rows.append(everyone)
-            continue
-        row_keys = keys[k]
+    for k, plan, value in group.blocks:
+        states = admitted.take(plan.ids, axis=2).reshape(B, -1)
+        row_keys = states.view(f"V{states.shape[1]}")[:, 0].tolist()
+        block_solved = solved.setdefault(k, {})
         todo, todo_keys = everyone, row_keys
-        if not solved.keys().isdisjoint(row_keys):
-            known = list(map(solved.get, row_keys))
+        if not block_solved.keys().isdisjoint(row_keys):
+            known = list(map(block_solved.get, row_keys))
             hit = [b for b, found in enumerate(known) if found is not None]
             values[hit, value] = [known[b] for b in hit]
             todo = [b for b, found in enumerate(known) if found is None]
@@ -209,7 +214,7 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup,
             copies.append((copy, [first[row_keys[b]] for b in copy], value))
         rows.append(factored)
         if factored:
-            fresh.append((value, factored, new))
+            fresh.append((block_solved, value, factored, new))
     for j, ((_, plan, value), picked, bands) in enumerate(
             zip(group.blocks, rows, _tagged_matrix(data, group, mu, rows))):
         for b, band in zip(picked, bands):
@@ -217,37 +222,42 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup,
     for copy, source, value in copies:
         values[copy, value] = values[source, value]
     _check_tagged(data, tables.solve_plan, group, values, mu, info, scratch)
-    for value, factored, new in fresh:
-        solved.update(zip(new, values[factored, value]))
+    for block_solved, value, factored, new in fresh:
+        block_solved.update(zip(new, values[factored, value]))
     return values
 
 
 def solve_volume_from_matrix(tables: ChainTables, q, user_class: int,
                              system: int) -> np.ndarray:
     """Expected megabits of a tagged user, indexed by dense state id (nan on
-    states where the user is absent). Takes an already assembled full generator."""
+    states where the user is absent). Takes an already assembled full
+    generator. Its one block is factored whatever its key, so the key is
+    read from an admitted table of zeros."""
     mu = _absorption_rate(tables)
-    nst = tables.space.num_states
+    nst = tables.num_states
     out = np.full(nst, np.nan)
     plan = tables.solve_plan.tagged[user_class][system]
     if len(plan.ids):
         group = TaggedGroup([(0, plan)], nst)
-        out[plan.ids] = _solve_group(tables, q.data[None], group, mu)[0]
+        admitted = np.zeros((1, len(tables.occ_ns), nst), dtype=np.int8)
+        out[plan.ids] = _solve_group(tables, q.data[None], group, mu, admitted, {},
+                                     _Scratch())[0]
     return out
 
 
-def tagged_volumes(tables: ChainTables, data: np.ndarray, keys=None,
-                   solved: dict | None = None, scratch: _Scratch | None = None) -> np.ndarray:
+def tagged_volumes(tables: ChainTables, data: np.ndarray, admitted: np.ndarray,
+                   solved: dict, scratch: _Scratch) -> np.ndarray:
     """volumes[b]: solve_volume_from_matrix for every (class, system) pair
     of generator b of a (B, size) stack, as a flattened (N, S, num_states)
     table followed by one zero, the blocks gathered together as
-    SolvePlan.tagged_groups says. keys and solved, when given, spare the
-    LUs of repeated blocks (see _solve_group)."""
+    SolvePlan.tagged_groups says. admitted and solved key the blocks and
+    spare the LUs of repeated ones (see _solve_group)."""
     mu = _absorption_rate(tables)
     B = len(data)
     volumes = np.empty((B, tables.occ_ns.size + 1))
     volumes.fill(np.nan)
     volumes[:, -1] = 0.0
     for group in tables.solve_plan.tagged_groups(B):
-        volumes[:, group.targets] = _solve_group(tables, data, group, mu, keys, solved, scratch)
+        volumes[:, group.targets] = _solve_group(tables, data, group, mu, admitted, solved,
+                                                 scratch)
     return volumes

@@ -9,7 +9,7 @@ import pytest
 
 from hetassoc import ResidualError, SingularChainError, ctmc, enumerate_states, transient
 from hetassoc.config import AggregationScheme, NetworkConfig
-from hetassoc.ctmc import (BandGenerator, Partition, assemble_dense, assemble_stack,
+from hetassoc.ctmc import (BandGenerator, Partition, _Scratch, assemble_dense, assemble_stack,
                            cell_blocking, chain_tables, stationary_vector, stationary_vectors)
 from hetassoc.game import (ChainEvaluation, PolicyEvaluation, PolicyGameSolver, _ChainCore,
                            _evaluate_chain, _nash_gaps, evaluate_baseline)
@@ -293,8 +293,9 @@ def test_corrupted_tagged_src_raises_from_the_chunked_check(hybrid_instance):
     src = plan.src.copy()
     src[off] = 0
     tables.solve_plan.tagged[0][0] = dataclasses.replace(plan, src=src)
+    admitted = np.repeat(tables.admit_sys[None, :, 0].astype(np.int8), 3, axis=0)
     with pytest.raises(ResidualError, match="tagged residual"):
-        tagged_volumes(tables, data)
+        tagged_volumes(tables, data, admitted, {}, _Scratch())
     solver = PolicyGameSolver(space, scheme)
     assert solver.chunk > 1
     rng = np.random.default_rng(0)
@@ -381,6 +382,19 @@ def test_tagged_blocks_go_one_at_a_time_past_the_budget(monkeypatch):
     assert [len(plan.tagged_groups(b)) for b in (1, 2, 3)] == [1, 1, blocks]
 
 
+def _block_keys(solver, row: np.ndarray) -> dict[int, bytes]:
+    """The key of each non-empty tagged block of one flat row, by block
+    index in (class, system) order: the bytes, as int8, of the system the
+    network admits each class's arrival to at the states holding the
+    block's tagged user."""
+    tables = solver.tables
+    choices = row.astype(np.intp).take(solver._state_entries).reshape(
+        solver.config.num_classes, 1, solver.space.num_states)
+    admitted = np.take_along_axis(tables.admit_sys, choices, axis=1)[:, 0].astype(np.int8)
+    plans = enumerate(plan for plans in tables.solve_plan.tagged for plan in plans)
+    return {k: admitted[:, plan.ids].tobytes() for k, plan in plans if len(plan.ids)}
+
+
 def test_reused_tagged_block_is_checked_again(hybrid_instance):
     """A tagged block served from a solver's block cache goes through the
     same residual check as a solved one: with one cached value thrown off
@@ -394,29 +408,44 @@ def test_reused_tagged_block_is_checked_again(hybrid_instance):
     for _ in range(1000):
         policy = random_policy(rng, config, scheme)
         row = solver._policy_rows([policy])
-        hits = [keys[0] for keys in solver._block_keys(row).values()
-                if keys[0] in solver._core.solved]
+        hits = [(k, key) for k, key in _block_keys(solver, row[0]).items()
+                if key in solver._core.solved.get(k, {})]
         if hits and solver._key(row[0].tolist()) not in solver._cache:
             break
     else:
         pytest.fail("no new fibre shares a block key with the cached ones")
     assert PolicyGameSolver(space, scheme).evaluate(policy).policy == policy
-    solver._core.solved[hits[0]][0] *= 1 + 1e-6
+    k, key = hits[0]
+    solver._core.solved[k][key][0] *= 1 + 1e-6
     with pytest.raises(ResidualError, match="tagged residual"):
         solver.evaluate(policy)
 
 
-def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeypatch):
+def _nash_exhaustive_instance(hybrid_instance, strict: bool = False):
+    """perfbench's nash-exhaustive instance: the shipped instance with
+    system 1's thresholds at 0.5, 0.5, at 5 Erlangs."""
+    config, scheme = hybrid_instance
+    space = enumerate_states(config.scale_traffic(5.0 / config.offered_erlangs))
+    return arrival_mode(space, strict), AggregationScheme((scheme.thresholds[0], (0.5, 0.5)))
+
+
+@pytest.mark.parametrize("strict, fibres, distinct, equilibria",
+                         [(False, 256, 449, 1), (True, 4_096, 9_232, 0)],
+                         ids=["redirect", "strict"])
+def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeypatch, strict,
+                                                        fibres, distinct, equilibria):
     """On the nash-exhaustive benchmark instance, find_nash("exhaustive")
     runs one tagged LU per distinct band the search solver gathers: 449
-    for the 1,024 blocks of its 256 fibres, the distinct bands counted here
-    by hashing _tagged_matrix's output. It gathers only the bands it
-    factors, one per LU. The fresh checker starts with an empty block cache
-    of its own and reads none of the search's blocks: it factors every
-    block of the one fibre it verifies."""
-    config, scheme = hybrid_instance
-    scheme = AggregationScheme((scheme.thresholds[0], (0.5, 0.5)))
-    space = enumerate_states(config.scale_traffic(5.0 / config.offered_erlangs))
+    for the 1,024 blocks of its 256 fibres with redirected arrivals, 9,232
+    for the 16,384 blocks of its 4,096 fibres under strict arrivals, the
+    distinct bands counted here by hashing _tagged_matrix's output. It
+    gathers only the bands it factors, one per LU. The fresh checker starts
+    with an empty block cache of its own and reads none of the search's
+    blocks: it factors every block of the fibres it verifies, the one
+    equilibrium fibre with redirected arrivals and none under strict
+    ones."""
+    space, scheme = _nash_exhaustive_instance(hybrid_instance, strict)
+    config = space.config
     solver = PolicyGameSolver(space, scheme)
     calls, gathered = [0], [0]
     solve, gather = transient._solve_tagged, transient._tagged_matrix
@@ -441,7 +470,7 @@ def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeyp
     monkeypatch.setattr(transient, "_solve_tagged", solve_tagged)
     monkeypatch.setattr(transient, "_tagged_matrix", tagged_matrix)
     monkeypatch.setattr(PolicyGameSolver, "fresh_checker", checker_of)
-    assert solver.find_nash("exhaustive")
+    assert len(solver.find_nash("exhaustive")) == equilibria
     (checker, searched, at_start), = checkers
     tables = chain_tables(space)
     N, L = config.num_classes, solver.num_labels
@@ -453,11 +482,34 @@ def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeyp
     bands = {(k, band.tobytes()) for k, plan in blocks for band in gather(
         data, TaggedGroup([(k, plan)], space.num_states), config.service_rate,
         [np.arange(len(data))])[0]}
-    assert (len(rows), len(rows) * len(blocks)) == (256, 1_024)
-    assert searched == len(bands) == len(solver._core.solved) == 449
+    assert (len(rows), len(rows) * len(blocks)) == (fibres, 4 * fibres)
+    assert searched == len(bands) == sum(map(len, solver._core.solved.values())) == distinct
     assert at_start == {} and checker._core.solved is not solver._core.solved
-    assert calls[0] - searched == len(blocks) * len(checker._cache) == 4
-    assert gathered[0] == calls[0] == 449 + 4
+    assert calls[0] - searched == len(blocks) * len(checker._cache) == 4 * equilibria
+    assert gathered[0] == calls[0] == distinct + 4 * equilibria
+
+
+def test_lone_evaluations_share_the_block_cache(hybrid_instance, monkeypatch):
+    """A chunk of one keys its tagged blocks like any chunk: with a budget
+    that holds one policy, evaluate_many solves the 256 fibres of the
+    nash-exhaustive instance one at a time and factors the same 449
+    distinct blocks as the chunked scan, the first fibre's blocks
+    included."""
+    space, scheme = _nash_exhaustive_instance(hybrid_instance)
+    monkeypatch.setattr(ctmc, "CHUNK_BYTES", 1)
+    solver = PolicyGameSolver(space, scheme)
+    assert solver.chunk == 1
+    calls = [0]
+    solve = transient._solve_tagged
+
+    def solve_tagged(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(transient, "_solve_tagged", solve_tagged)
+    fibres = list(solver.representatives())
+    solver.evaluate_many(fibres)
+    assert (len(fibres), calls[0]) == (256, 449)
 
 
 def _watch_chunks(solver, monkeypatch) -> list[int]:

@@ -1,7 +1,9 @@
 """Utilities, optimal policies, equilibria and baselines."""
 
 import dataclasses
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -691,3 +693,20 @@ def test_verify_equilibrium_rejects_a_flip_outside_the_fibre(hybrid_instance,
     flipped = member.with_entry(n, l, 1 - member.choice[n][l])
     assert flipped not in solver.fibre(member)
     assert not solver.verify_equilibrium(flipped)
+
+
+def test_finished_solver_frees_its_chain_tables(hybrid_instance):
+    """A space holds its ChainTables, and the tables hold no reference back
+    to the space: with the cycle collector off, a solver's tables die as
+    soon as the last reference to the solver and its space goes."""
+    config, scheme = hybrid_instance
+    space = enumerate_states(config)
+    solver = PolicyGameSolver(space, scheme)
+    solver.find_nash()
+    tables = weakref.ref(solver.tables)
+    gc.disable()
+    try:
+        del space, solver
+        assert tables() is None
+    finally:
+        gc.enable()

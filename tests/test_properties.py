@@ -337,6 +337,47 @@ def _three_system_instance(rng):
         return config, space, AggregationScheme.uniform(3, 0.5, 0.5)
 
 
+def _reference_rep(solver) -> np.ndarray:
+    """rep[n, l, s] from the three arrays the evaluation gathers through a
+    choice: the lowest system t that puts, at every state of label l, the
+    same arrival band position, arrival rate and outcome index for class n
+    as s does; 0 on a label without states."""
+    tables = solver.tables
+    arrays = (*tables.solve_plan.arrivals, game._outcome_index(tables))
+    N, S, L = solver.config.num_classes, solver.config.num_systems, solver.num_labels
+    rep = np.zeros((N, L, S), dtype=np.int64)
+    for n in range(N):
+        for l in range(L):
+            states = np.flatnonzero(solver.labels == l)
+            for s in range(S):
+                rep[n, l, s] = next(t for t in range(S) if all(
+                    np.array_equal(a[n, t, states], a[n, s, states]) for a in arrays))
+    return rep
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=lambda strict: f"{strict}-redirect")
+@pytest.mark.parametrize("scope", ["per_system", "network_wide"])
+def test_rep_matches_the_gathered_arrays_reference(hybrid_instance, scope, strict):
+    """rep, read off the admitted-system table alone, equals the rep of the
+    arrays the evaluation gathers through a choice, on the shipped
+    instance and on random three-system instances."""
+    config, scheme = hybrid_instance
+    cases = [(config, scheme)]
+    rng = np.random.default_rng(9090)
+    for _ in range(3):
+        three, _, uniform = _three_system_instance(rng)
+        cases.append((three, uniform))
+    merged = 0
+    for config, scheme in cases:
+        space = arrival_mode(enumerate_states(config.with_sharing_scope(scope)), strict)
+        solver = PolicyGameSolver(space, scheme)
+        assert np.array_equal(solver.rep, _reference_rep(solver))
+        moved = solver.rep != np.arange(config.num_systems)
+        merged += int(moved[:, ~solver.structurally_empty].sum())
+    # systems are interchangeable on some labels with states
+    assert merged > 0
+
+
 @pytest.mark.parametrize("strict", [False, True], ids=lambda strict: f"{strict}-redirect")
 def test_three_system_paths_match_the_reference_walk(strict):
     """With three systems, best-response paths match the reference walk

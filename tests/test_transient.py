@@ -170,7 +170,7 @@ def test_solve_plan_blocks_are_banded(hybrid_chain):
     block's entries fit the plan's band."""
     tables, _ = hybrid_chain
     plan = tables.solve_plan
-    nst = tables.space.num_states
+    nst = tables.num_states
     assert np.array_equal(np.sort(plan.order), np.arange(nst))
     for row in plan.tagged:
         for tagged in row:
