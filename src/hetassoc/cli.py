@@ -50,6 +50,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_rule_args(parser: argparse.ArgumentParser) -> None:
+    """The common arguments and the rule's."""
+    _add_common(parser)
     parser.add_argument("--rule", choices=("policy", "peak", "instant"),
                         default="peak")
     parser.add_argument("--policy",
@@ -58,80 +60,97 @@ def _add_rule_args(parser: argparse.ArgumentParser) -> None:
                              "refused with any other rule)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_steady(parser: argparse.ArgumentParser) -> None:
+    _add_rule_args(parser)
+    parser.add_argument("--export-q", action="store_true",
+                        help="also write the generator as (row, col, rate) triplets")
+
+
+def _add_nash(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--mode", choices=("auto", "exhaustive", "best_response"),
+                        default="auto")
+    parser.add_argument("--restarts", type=int, default=64)
+    parser.add_argument("--cap", type=int, default=4096,
+                        help="auto mode switches to best response above this "
+                             "policy-space size")
+
+
+def _add_optimal(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--method", choices=("auto", "exhaustive", "search"),
+                        default="auto")
+    parser.add_argument("--cap", type=int, default=65536)
+    parser.add_argument("--restarts", type=int, default=16)
+
+
+def _add_baseline(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--which", choices=("peak_rate", "instantaneous_rate"),
+                        required=True)
+
+
+def _add_control(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--scheme", action="append", default=[],
+                        help="thresholds as low,high;low,high (one per system); "
+                             "repeatable; default: a small representative grid")
+    parser.add_argument("--traffic", default=None,
+                        help="A:B:STEP offered-traffic sweep in Erlangs")
+    parser.add_argument("--selection", choices=("max_utility", "min_blocking"),
+                        default="max_utility")
+    parser.add_argument("--restarts", type=int, default=64)
+
+
+def _add_sweep(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--traffic", default="1:10:1")
+    parser.add_argument("--analyses", default="nash,baselines",
+                        help="comma list from: nash, optimal, baselines, control")
+    parser.add_argument("--scheme", action="append", default=[],
+                        help="threshold grid for the control analysis "
+                             "(low,high;low,high per scheme, repeatable)")
+    parser.add_argument("--restarts", type=int, default=64)
+    parser.add_argument("--svg", action="store_true", help="emit SVG line charts")
+
+
+def _add_simulate(parser: argparse.ArgumentParser) -> None:
+    _add_rule_args(parser)
+    parser.add_argument("--events", type=int, default=1_000_000,
+                        help="events over all replicas, warm-up included")
+    parser.add_argument("--batches", type=int, default=25,
+                        help="confidence-interval batches (at least 20), each pooling "
+                             f"{REPLICAS_PER_BATCH} independent replicas")
+
+
+# (name, help, the function that adds its arguments), in --help order
+_SUBCOMMANDS = (
+    ("validate", "check an instance document", _add_common),
+    ("enumerate", "dump the feasible state table", _add_common),
+    ("steady", "steady state under one rule", _add_steady),
+    ("utility", "tagged-user expected volumes", _add_rule_args),
+    ("nash", "find Nash-equilibrium policies", _add_nash),
+    ("optimal", "globally optimal policy", _add_optimal),
+    ("baseline", "evaluate an information baseline", _add_baseline),
+    ("control", "optimize broadcast thresholds", _add_control),
+    ("sweep", "traffic sweep over selected analyses", _add_sweep),
+    ("simulate", "discrete-event validation run", _add_simulate),
+)
+
+
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every subcommand is registered, so the top-level
+    help and usage errors name them all, but only those in `commands`
+    (every one by default) get their arguments: a call pays for its own."""
     parser = argparse.ArgumentParser(
         prog="hetassoc",
         description="Association-policy equilibria in heterogeneous networks")
     parser.add_argument("--version", action="version", version=f"hetassoc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check an instance document")
-    _add_common(p)
-
-    p = sub.add_parser("enumerate", help="dump the feasible state table")
-    _add_common(p)
-
-    p = sub.add_parser("steady", help="steady state under one rule")
-    _add_common(p)
-    _add_rule_args(p)
-    p.add_argument("--export-q", action="store_true",
-                   help="also write the generator as (row, col, rate) triplets")
-
-    p = sub.add_parser("utility", help="tagged-user expected volumes")
-    _add_common(p)
-    _add_rule_args(p)
-
-    p = sub.add_parser("nash", help="find Nash-equilibrium policies")
-    _add_common(p)
-    p.add_argument("--mode", choices=("auto", "exhaustive", "best_response"),
-                   default="auto")
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--cap", type=int, default=4096,
-                   help="auto mode switches to best response above this "
-                        "policy-space size")
-
-    p = sub.add_parser("optimal", help="globally optimal policy")
-    _add_common(p)
-    p.add_argument("--method", choices=("auto", "exhaustive", "search"),
-                   default="auto")
-    p.add_argument("--cap", type=int, default=65536)
-    p.add_argument("--restarts", type=int, default=16)
-
-    p = sub.add_parser("baseline", help="evaluate an information baseline")
-    _add_common(p)
-    p.add_argument("--which", choices=("peak_rate", "instantaneous_rate"),
-                   required=True)
-
-    p = sub.add_parser("control", help="optimize broadcast thresholds")
-    _add_common(p)
-    p.add_argument("--scheme", action="append", default=[],
-                   help="thresholds as low,high;low,high (one per system); "
-                        "repeatable; default: a small representative grid")
-    p.add_argument("--traffic", default=None,
-                   help="A:B:STEP offered-traffic sweep in Erlangs")
-    p.add_argument("--selection", choices=("max_utility", "min_blocking"),
-                   default="max_utility")
-    p.add_argument("--restarts", type=int, default=64)
-
-    p = sub.add_parser("sweep", help="traffic sweep over selected analyses")
-    _add_common(p)
-    p.add_argument("--traffic", default="1:10:1")
-    p.add_argument("--analyses", default="nash,baselines",
-                   help="comma list from: nash, optimal, baselines, control")
-    p.add_argument("--scheme", action="append", default=[],
-                   help="threshold grid for the control analysis "
-                        "(low,high;low,high per scheme, repeatable)")
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--svg", action="store_true", help="emit SVG line charts")
-
-    p = sub.add_parser("simulate", help="discrete-event validation run")
-    _add_common(p)
-    _add_rule_args(p)
-    p.add_argument("--events", type=int, default=1_000_000,
-                   help="events over all replicas, warm-up included")
-    p.add_argument("--batches", type=int, default=25,
-                   help="confidence-interval batches (at least 20), each pooling "
-                        f"{REPLICAS_PER_BATCH} independent replicas")
+    for name, help_text, add_arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if commands is None or name in commands:
+            add_arguments(p)
     return parser
 
 
@@ -605,7 +624,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level options take no values, so the first bare word is the command
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser((command,)).parse_args(argv)
     # Everything alive when a command starts, mostly the tens of thousands
     # of objects the imports create, outlives it. Freezing them keeps the
     # cyclic collector from walking them in every full collection the

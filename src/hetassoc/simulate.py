@@ -47,7 +47,11 @@ Per-step observations go into bounded blocks of steps and are reduced as
 each block ends: time per (batch, occupancy), event counts per batch and
 kind, and delivered volumes as sums and counts per (batch, pair) and as
 count, mean and M2 per (class, system, occupancy seen on arrival), merged
-by the pairwise update of Chan, Golub and LeVeque. No per-event array
+by the pairwise update of Chan, Golub and LeVeque. A block indexes its
+departures once, by one unsigned range test on the event codes, and
+gathers their pairs, seen rows, volumes and batches by that index; the
+rows arrivals saw are all the block's rows less the departures'. Every
+sum still adds the same entries in the same order. No per-event array
 lives for the whole run.
 
 One seeded generator drives every replica, drawing a block of steps at
@@ -262,13 +266,17 @@ class _Records:
     arrival. Rows hold the total event rate, the share of it that is
     arrivals, the per-user rate of each pair (0 where absent), the user
     count, the code of each class's arrival and the row each code leads to
-    (-1 until some replica first takes it)."""
+    (-1 until some replica first takes it). The last two tables are
+    `stride` wide, a power of two no smaller than the code count, so that
+    row * stride + code indexes them and packs a (row, code) pair into one
+    integer whose low bits are the code."""
 
     def __init__(self, config: NetworkConfig, rule: AssignmentRule):
         self.config, self.rule = config, rule
         N, S = config.num_classes, config.num_systems
         self.N, self.NS = N, N * S
         self.codes = 2 * self.NS + N
+        self.stride = 1 << (self.codes - 1).bit_length()
         self.ids: dict = {}
         self.keys: list[tuple] = []
         self.max_users = 0
@@ -281,8 +289,8 @@ class _Records:
                   "share": np.zeros(cap),
                   "flow": np.zeros((cap, self.NS)),
                   "users": np.zeros(cap, dtype=np.intp),
-                  "arrive": np.zeros((cap, self.N), dtype=np.intp),
-                  "next": np.full((cap, self.codes), -1, dtype=np.intp)}
+                  "arrive": np.zeros((cap, self.stride), dtype=np.intp),
+                  "next": np.full((cap, self.stride), -1, dtype=np.intp)}
         for name, table in tables.items():
             if old:
                 table[:old] = getattr(self, name)[:old]
@@ -324,11 +332,12 @@ class _Records:
 
 class _Replicas:
     """The replicas' occupancy rows, cumulative per-user delivery of each
-    pair, and users in (replicas, cap) arrays. Per user: `leave`, the code
-    of their departure; `seen`, the row of the occupancy they saw on
-    arrival; and `snap`, the cumulative delivery of their pair when they
-    arrived. A replica's users are its first `users[row]` entries; a
-    departure moves the last one into the leaving user's slot.
+    pair, and users in (replicas, cap) arrays. Per user: `user`, the row
+    of the occupancy they saw on arrival packed with the code of their
+    departure (row * stride + code); and `snap`, the cumulative delivery of
+    their pair when they arrived. A replica's users are its first
+    `users[row]` entries; a departure moves the last one into the leaving
+    user's slot.
 
     Each event draws four numbers: its holding time, whether it is an
     arrival (with probability share[row]), the arriving class (in
@@ -343,19 +352,18 @@ class _Replicas:
         self.class_edges = np.cumsum(config.arrival_rate)[:-1] / sum(config.arrival_rate)
         self.row = np.zeros(replicas, dtype=np.intp)
         self.cum = np.zeros((replicas, records.NS))
-        self.leave = np.zeros((replicas, 0), dtype=np.intp)
-        self.seen = np.zeros((replicas, 0), dtype=np.intp)
+        self.user = np.zeros((replicas, 0), dtype=np.intp)
         self.snap = np.zeros((replicas, 0))
         self._fit_users()
 
     def _fit_users(self) -> None:
         """Room for an arrival in the fullest occupancy reached."""
-        cap = self.leave.shape[1]
+        cap = self.user.shape[1]
         need = self.records.max_users + 1
         if need <= cap:
             return
         cap = max(need, 2 * cap, 16)
-        for name in ("leave", "seen", "snap"):
+        for name in ("user", "snap"):
             old = getattr(self, name)
             new = np.zeros((len(old), cap), dtype=old.dtype)
             new[:, :old.shape[1]] = old
@@ -367,14 +375,19 @@ class _Replicas:
         code, the holding time before it, and for a departure the volume
         delivered and the row its user saw (garbage elsewhere)."""
         rec = self.records
-        N, NS, C = rec.N, rec.NS, rec.codes
+        NS, P = rec.NS, rec.stride
         holding = self.rng.standard_exponential((steps, m))
         picks, slots, uniform = self.rng.random((3, steps, m))
-        classes = self.class_edges.searchsorted(uniform, side="right")
+        # the arriving class counts the class edges at or below its draw
+        classes = np.zeros((steps, m), dtype=np.intp)
+        for edge in self.class_edges:
+            classes += uniform >= edge
         rows = np.empty((steps + 1, m), dtype=np.intp)
         codes = np.empty((steps, m), dtype=np.intp)
         volumes = np.empty((steps, m))
         seens = np.empty((steps, m), dtype=np.intp)
+        # each step's holding times as a column, to scale the pairs' rates
+        held = holding[:, :, None]
         lane = np.arange(m)
         cum = self.cum[:m]
         cum_flat = cum.reshape(-1)
@@ -383,57 +396,59 @@ class _Replicas:
         delivered = np.empty_like(cum)
 
         def bind():
+            base = lane * self.user.shape[1]
             return (rec.rate, rec.share, rec.flow, rec.users, rec.arrive.reshape(-1),
-                    rec.next.reshape(-1), self.leave[:m].reshape(-1),
-                    self.seen[:m].reshape(-1), self.snap[:m].reshape(-1),
-                    lane * self.leave.shape[1])
+                    rec.next.reshape(-1), self.user[:m].reshape(-1),
+                    self.snap[:m].reshape(-1), base, base - 1)
 
-        rate_of, share_of, flow_of, users_of, arrive_of, next_of, leave, seen, snap, \
-            base = bind()
+        rate_of, share_of, flow_of, users_of, arrive_of, next_of, user, snap, base, \
+            before = bind()
         rows[0] = self.row[:m]
         # take() into `out` is unbuffered only with mode="clip"; every index
         # is in bounds unless its value is discarded, as noted below
-        for k in range(steps):
-            cur = rows[k]
-            dt = np.divide(holding[k], rate_of.take(cur), out=holding[k])
-            np.multiply(flow_of.take(cur, axis=0, out=delivered, mode="clip"), dt[:, None],
+        for cur, dt, dt_col, pick, slot, cls, code, seen_out, vol_out, nxt in zip(
+                rows, holding, held, picks, slots, classes, codes, seens, volumes, rows[1:]):
+            np.divide(dt, rate_of.take(cur), out=dt)
+            np.multiply(flow_of.take(cur, axis=0, out=delivered, mode="clip"), dt_col,
                         out=delivered)
             cum += delivered
-            arrival = picks[k] < share_of.take(cur)
+            arrival = pick < share_of.take(cur)
             count = users_of.take(cur)
-            end = base + count
             # a departure's user is uniform over the replica's users, an
             # arrival takes the first free slot
-            flat = (slots[k] * count).astype(np.intp)
+            flat = (slot * count).astype(np.intp)
+            np.copyto(flat, count, where=arrival)
             flat += base
-            np.copyto(flat, end, where=arrival)
-            code = arrive_of.take(cur * N + classes[k], out=codes[k], mode="clip")
-            np.copyto(code, leave.take(flat), where=~arrival)
-            seen.take(flat, out=seens[k], mode="clip")
+            # the replica's last user, or the slot before its first
+            top = before + count
+            # a departure's code is its user's low bits
+            np.bitwise_and(user.take(flat, out=seen_out, mode="clip"), P - 1, out=code)
+            row_at = cur * P
+            np.copyto(code, arrive_of.take(row_at + cls), where=arrival)
             # Slots past a replica's users are free: an arrival's copy of the
             # last user, and a departure's write of the new-user values into
             # the slot it frees, land there. Reads whose values are
             # discarded are clipped into bounds.
             np.subtract(cum_flat.take(cum_dep + code, mode="clip"), snap.take(flat),
-                        out=volumes[k])
-            top = end - 1
-            leave[flat] = leave.take(top, mode="clip")
-            seen[flat] = seen.take(top, mode="clip")
+                        out=vol_out)
+            user[flat] = user.take(top, mode="clip")
             snap[flat] = snap.take(top, mode="clip")
             at = top + arrival
-            leave[at] = code + NS
-            seen[at] = cur
+            index = row_at + code
+            # the row seen and the departure code of an admitted arrival's user
+            user[at] = index + NS
             snap[at] = cum_flat.take(cum_base + code, mode="clip")
-            nxt = next_of.take(cur * C + code, out=rows[k + 1], mode="clip")
-            i = nxt.argmin()
-            if nxt[i] < 0:
-                while nxt[i] < 0:
+            next_of.take(index, out=nxt, mode="clip")
+            if nxt[nxt.argmin()] < 0:
+                # built in lane order, as the replicas first take each event
+                for i in np.flatnonzero(nxt < 0).tolist():
                     nxt[i] = rec.follow(int(cur[i]), int(code[i]))
-                    i = nxt.argmin()
                 self._fit_users()
-                rate_of, share_of, flow_of, users_of, arrive_of, next_of, leave, seen, \
-                    snap, base = bind()
+                rate_of, share_of, flow_of, users_of, arrive_of, next_of, user, snap, \
+                    base, before = bind()
         self.row[:m] = rows[-1]
+        # a departing user's row seen is their high bits
+        np.right_shift(seens, P.bit_length() - 1, out=seens)
         return rows[:-1], codes, holding, volumes, seens
 
 
@@ -468,19 +483,22 @@ class _Tallies:
         NS, B, C = self.records.NS, self.B, self.records.codes
         M = len(self.records.keys)
         self.widen(M)
-        batch = np.arange(rows.shape[1]) % B
+        m = rows.shape[1]
+        batch = np.arange(m) % B
         self.time += np.bincount((batch * M + rows).ravel(), holding.ravel(),
                                  B * M).reshape(B, M)
         self.events += np.bincount((batch * C + codes).ravel(),
                                    minlength=B * C).reshape(B, C)
-        arrival = (codes < NS) | (codes >= 2 * NS)
-        self.seen += np.bincount(rows[arrival], minlength=M)
-
-        counted = (codes >= NS) & (codes < 2 * NS)
-        pair = codes[counted] - NS
-        seen = seens[counted]
-        vol = volumes[counted]
-        cell = np.broadcast_to(batch, codes.shape)[counted] * NS + pair
+        rows, codes = rows.ravel(), codes.ravel()
+        # departures, codes in [NS, 2*NS), in step-major order
+        counted = np.flatnonzero((codes - NS).view(np.uintp) < NS)
+        pair = codes.take(counted) - NS
+        seen = seens.ravel().take(counted)
+        vol = volumes.ravel().take(counted)
+        # every other event is an arrival, admitted or lost
+        self.seen += np.bincount(rows, minlength=M) - np.bincount(rows.take(counted),
+                                                                  minlength=M)
+        cell = batch.take(counted % m) * NS + pair
         self.vol_sum += np.bincount(cell, vol, B * NS).reshape(B, NS)
         self.vol_count += np.bincount(cell, minlength=B * NS).reshape(B, NS)
 

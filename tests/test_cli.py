@@ -462,6 +462,73 @@ def test_validate_rejects_an_infinite_peak_rate(tmp_path, capsys):
     assert "finite" in err
 
 
+def _set(path, value):
+    """A mutation of the shipped instance: the entry at `path` becomes `value`."""
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+# config mutations that a user could write; each must end in a result or one
+# error line, never a traceback
+_MUTATIONS = {
+    "zero_rate": _set(("classes", 0, "arrival_rate"), 0.0),
+    "negative_rate": _set(("classes", 0, "arrival_rate"), -1.0),
+    "nan_rate": _set(("classes", 0, "arrival_rate"), float("nan")),
+    "huge_rate": _set(("classes", 0, "arrival_rate"), 1e300),
+    "string_rate": _set(("classes", 0, "arrival_rate"), "1.0"),
+    "null_rate": _set(("classes", 0, "arrival_rate"), None),
+    "reversed_thresholds": _set(("systems", 0, "thresholds"), [0.7, 0.3]),
+    "short_thresholds": _set(("systems", 0, "thresholds"), [0.3]),
+    "empty_thresholds": _set(("systems", 0, "thresholds"), []),
+    "no_classes": _set(("classes",), []),
+    "rising_gain": _set(("scheduler_gain",), [1.0, 1.5]),
+    "t_max_below_t_min": _set(("t_max",), 0.5),
+    "bad_scope": _set(("sharing_scope",), "galaxy"),
+    "empty_document": None,
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("strict", [False, True], ids=["redirect", "strict"])
+@pytest.mark.parametrize("mutation", list(_MUTATIONS))
+def test_mutated_configs_end_in_a_result_or_one_error_line(tmp_path, capsys, mutation,
+                                                           strict):
+    text = ""
+    if _MUTATIONS[mutation] is not None:
+        doc = json.loads((CONFIG_DIR / "hybrid_example.json").read_text())
+        _MUTATIONS[mutation](doc)
+        text = json.dumps(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(text)
+    mode = ["--strict-eq2"] if strict else []
+    for command in (["validate"], ["enumerate"], ["steady"],
+                    ["baseline", "--which", "peak_rate"], ["simulate", "--events", "2000"]):
+        code = run(*command, "--config", str(path), "--out", str(tmp_path / "o"), *mode)
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        assert code in (0, 1), command
+        assert sum(line.startswith("error:") for line in lines) <= 1, command
+        assert not any("Traceback" in line for line in lines), command
+
+
+@pytest.mark.parametrize("command", [name for name, _, _ in cli._SUBCOMMANDS])
+def test_help_is_the_same_filled_alone_or_with_every_command(capsys, command):
+    """main gives only the invoked subcommand its arguments; no help text
+    may depend on that."""
+    texts = []
+    for commands in ((command,), None):
+        for argv in ([command, "--help"], ["--help"]):
+            with pytest.raises(SystemExit):
+                cli.build_parser(commands).parse_args(argv)
+            texts.append(capsys.readouterr().out)
+    assert texts[:2] == texts[2:]
+    assert f"usage: hetassoc {command}" in texts[0]
+
+
 def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "hetassoc.cli", "--version"],
                           capture_output=True, text=True)

@@ -7,6 +7,7 @@ import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyRule,
                       build_generator, enumerate_states, evaluate_rule, simulate,
                       solve_steady_state)
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
-from hetassoc.simulate import SimReport
+from hetassoc.simulate import SimReport, _Tallies
 
 GOLDEN = Path(__file__).parent / "data" / "simulate_golden.json"
 
@@ -285,6 +286,73 @@ def test_replicas_without_events_take_no_memory(erlang_config, erlang_scheme):
         tracemalloc.stop()
     assert report.replicas == 200_000 and report.arrivals.sum() == 13
     assert peak < 32 * 2 ** 20
+
+
+class _MaskTallies(_Tallies):
+    """The block reduction that gathered departures with boolean masks,
+    kept as the oracle of the indexed one."""
+
+    def add(self, rows, codes, holding, volumes, seens) -> None:
+        NS, B, C = self.records.NS, self.B, self.records.codes
+        M = len(self.records.keys)
+        self.widen(M)
+        batch = np.arange(rows.shape[1]) % B
+        self.time += np.bincount((batch * M + rows).ravel(), holding.ravel(),
+                                 B * M).reshape(B, M)
+        self.events += np.bincount((batch * C + codes).ravel(),
+                                   minlength=B * C).reshape(B, C)
+        arrival = (codes < NS) | (codes >= 2 * NS)
+        self.seen += np.bincount(rows[arrival], minlength=M)
+
+        counted = (codes >= NS) & (codes < 2 * NS)
+        pair = codes[counted] - NS
+        seen = seens[counted]
+        vol = volumes[counted]
+        cell = np.broadcast_to(batch, codes.shape)[counted] * NS + pair
+        self.vol_sum += np.bincount(cell, vol, B * NS).reshape(B, NS)
+        self.vol_count += np.bincount(cell, minlength=B * NS).reshape(B, NS)
+
+        entry = pair * M + seen
+        nb = np.bincount(entry, minlength=NS * M).reshape(NS, M)
+        sb = np.bincount(entry, vol, NS * M).reshape(NS, M)
+        mean_b = np.divide(sb, nb, out=np.zeros((NS, M)), where=nb > 0)
+        m2_b = np.bincount(entry, (vol - mean_b.ravel()[entry]) ** 2,
+                           NS * M).reshape(NS, M)
+        total = self.entry_count + nb
+        share = np.divide(nb, total, out=np.zeros((NS, M)), where=total > 0)
+        delta = mean_b - self.entry_mean
+        self.entry_mean += delta * share
+        self.entry_m2 += m2_b + delta * delta * self.entry_count * share
+        self.entry_count = total
+
+
+def test_indexed_tallies_match_the_mask_reduction_bit_for_bit():
+    """Seeded blocks of arrivals, departures and lost arrivals (codes
+    2*NS and up), with rows added between blocks, a one-step block over
+    fewer lanes (the `extra` remainder) and a block without a departure:
+    every accumulator matches the boolean-mask reduction to the bit."""
+    N, S, B = 3, 2, 20
+    NS = N * S
+    C = 2 * NS + N
+    rng = np.random.default_rng(11)
+    records = SimpleNamespace(NS=NS, codes=C, keys=[])
+    indexed, masked = _Tallies(records, B), _MaskTallies(records, B)
+    blocks = [(32, 200, 40), (32, 200, 55), (7, 200, 55), (1, 37, 60), (5, 200, 61)]
+    for i, (steps, m, M) in enumerate(blocks):
+        records.keys.extend([None] * (M - len(records.keys)))
+        codes = rng.integers(0, C, (steps, m))
+        if i == 2:
+            codes[(codes >= NS) & (codes < 2 * NS)] -= NS
+        block = (rng.integers(0, M, (steps, m)), codes, rng.exponential(size=(steps, m)),
+                 rng.exponential(size=(steps, m)) * 3, rng.integers(0, M, (steps, m)))
+        indexed.add(*block)
+        masked.add(*block)
+        for name in ("time", "events", "seen", "vol_sum", "vol_count", "entry_count",
+                     "entry_mean", "entry_m2"):
+            got, want = getattr(indexed, name), getattr(masked, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, (i, name)
+            assert got.tobytes() == want.tobytes(), (i, name)
+    assert indexed.vol_count.sum() > 0 and indexed.entry_count.sum() == indexed.vol_count.sum()
 
 
 COVERAGE_SEEDS = range(60)
