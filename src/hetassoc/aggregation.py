@@ -87,9 +87,3 @@ def label_array(scheme: AggregationScheme, space: StateSpace) -> np.ndarray:
         level = np.where(load <= low, LOW, np.where(load <= high, MEDIUM, HIGH))
         labels = labels * NUM_LEVELS + level
     return labels
-
-
-def state_counts_per_label(scheme: AggregationScheme, space: StateSpace) -> np.ndarray:
-    """Number of feasible states mapped to each label; zeros mark labels that
-    no state can produce (legal, handled downstream)."""
-    return np.bincount(label_array(scheme, space), minlength=scheme.label_count)

@@ -222,6 +222,13 @@ def _parse_scheme(text: str) -> AggregationScheme:
     return AggregationScheme(tuple(pairs))
 
 
+def _strict_param(args) -> dict:
+    """The arrival mode's params entry for nash, optimal, baseline, control
+    and sweep: present only under --strict-eq2, so a redirect artifact
+    carries no mode field."""
+    return {"strict_eq2": True} if args.strict_eq2 else {}
+
+
 # ----- subcommand bodies ----------------------------------------------
 
 
@@ -315,7 +322,8 @@ def _cmd_nash(args) -> int:
     solver = PolicyGameSolver(space, scheme)
     result = solver.find_nash(args.mode, restarts=args.restarts, seed=args.seed,
                               auto_cap=args.cap)
-    params = {"mode": args.mode, "restarts": args.restarts, "seed": args.seed}
+    params = {"mode": args.mode, "restarts": args.restarts, "seed": args.seed,
+              **_strict_param(args)}
     L = scheme.label_count
     # every member, in increasing order, merged from the fibres
     payload = {
@@ -345,7 +353,7 @@ def _cmd_optimal(args) -> int:
     solver = PolicyGameSolver(space, scheme)
     result = solver.optimal_policy(method=args.method, cap=args.cap,
                                    restarts=args.restarts, seed=args.seed)
-    params = {"method": result.method, "cap": args.cap}
+    params = {"method": result.method, "cap": args.cap, **_strict_param(args)}
     payload = {
         "policy": [list(row) for row in result.policy.choice],
         "global_utility": result.evaluation.global_utility,
@@ -366,7 +374,7 @@ def _cmd_baseline(args) -> int:
     config, scheme = _load(args)
     space = enumerate_states(config, max_states=args.max_states)
     report = evaluate_baseline(space, args.which)
-    params = {"which": args.which}
+    params = {"which": args.which, **_strict_param(args)}
     rows = [[args.which, f"{report.global_utility:.12g}",
              f"{report.overall_blocking:.12g}"]
             + [f"{b:.12g}" for b in report.per_class_blocking]]
@@ -469,7 +477,7 @@ def _cmd_control(args) -> int:
             "utility": None if best is None else best.utility,
         })
     params = {"selection": args.selection, "seed": args.seed,
-              "schemes": scheme_texts, "traffic": traffic}
+              "schemes": scheme_texts, "traffic": traffic, **_strict_param(args)}
     path = write_csv(Path(args.out) / "control.csv",
                      ["erlangs", "thresholds", "blocking", "utility",
                       "worst_blocking", "equilibria", "argmin", "note"],
@@ -539,7 +547,7 @@ def _cmd_sweep(args) -> int:
                 for p in points]
 
     params = {"traffic": traffic, "analyses": analyses, "seed": args.seed,
-              "restarts": args.restarts}
+              "restarts": args.restarts, **_strict_param(args)}
     upath = write_csv(Path(args.out) / "sweep_utility.csv",
                       ["erlangs"] + [f"utility_{nm}" for nm in series_names],
                       rows("utility"), config, scheme, params)

@@ -3,12 +3,14 @@
 Transitions connect states differing by one user. Arrivals of class n occur
 at rate lambda_n toward the system the assignment rule picks; a saturated
 pick is redirected to the lowest-index system with room, and the arrival is
-lost only when no system can admit the user (this matches the blocking
-counts, which treat a state as blocking only when every system is
-saturated). Under NetworkConfig.strict_arrivals an arrival whose picked
-system is full is dropped instead, for comparison. Departures of (n, s)
-users occur at rate M_n^s * mu; diagonal entries make every row sum to
-zero.
+lost only when no system can admit the user. Under
+NetworkConfig.strict_arrivals an arrival whose picked system is full is
+dropped instead, for comparison. Departures of (n, s) users occur at rate
+M_n^s * mu; diagonal entries make every row sum to zero.
+
+Blocking is the stationary probability that an arrival is lost. In both
+modes one table decides it: the admission outcome of the system the rule
+picks (_outcome_index, over ChainTables.admit_sys).
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ class ResidualError(RuntimeError):
 class ChainTables:
     """Policy-independent transition structure precomputed for one space.
 
-    Arrival targets, redirection outcomes, departure edges, blocking masks
-    and per-state tagged-user throughputs depend only on the config and the
+    Arrival targets, admission outcomes, departure edges and per-state
+    tagged-user throughputs depend only on the config and the
     enumerated space, so every policy and rule evaluation shares them. The
     tables keep the space's config, state count and occupancies, not the
     space, which holds them (chain_tables): no cycle keeps either alive.
@@ -95,8 +97,7 @@ class ChainTables:
         self.throughput = np.ascontiguousarray(throughput_array(config, occ))
 
         feasible = self.arrival_id >= 0                      # (N, S, nst)
-        self.blocked = ~feasible.any(axis=1)                 # (N, nst)
-        self.blocked_ids = [np.flatnonzero(b) for b in self.blocked]
+        saturated = ~feasible.any(axis=1)                    # (N, nst)
         # each class's share of the arrivals
         self.class_weight = np.array(config.arrival_rate) / sum(config.arrival_rate)
         first_open = np.argmax(feasible, axis=1)             # lowest open system
@@ -111,7 +112,7 @@ class ChainTables:
             for s in range(S):
                 sys_taken = np.where(feasible[n, s], s,
                                      -1 if config.strict_arrivals else first_open[n])
-                sys_taken = np.where(self.blocked[n], -1, sys_taken)
+                sys_taken = np.where(saturated[n], -1, sys_taken)
                 self.admit_sys[n, s] = sys_taken
                 ids = self.arrival_id[n, sys_taken.clip(min=0), np.arange(nst)]
                 self.admit_id[n, s] = np.where(sys_taken >= 0, ids, -1)
@@ -486,9 +487,11 @@ def chain_tables(space: StateSpace) -> ChainTables:
 @dataclass
 class Generator:
     """CTMC rate matrix of one rule over dense state ids, held as the
-    BandGenerator of assemble_dense; rows sum to zero."""
+    BandGenerator of assemble_dense; rows sum to zero. choice is the
+    preferred-system table (N, num_states) it was assembled from."""
 
     matrix: BandGenerator
+    choice: np.ndarray
 
     @property
     def num_states(self) -> int:
@@ -556,15 +559,18 @@ assemble_generator = assemble_dense
 
 def build_generator(space: StateSpace, rule: AssignmentRule) -> Generator:
     """Generator of the chain induced by an assignment rule."""
-    return Generator(assemble_dense(chain_tables(space), rule.choice_table(space)))
+    choice = rule.choice_table(space)
+    return Generator(assemble_dense(chain_tables(space), choice), choice)
 
 
 @dataclass
 class SteadyState:
-    """Stationary distribution and its balance residual max|pi Q|."""
+    """Stationary distribution, its balance residual max|pi Q|, and the
+    generator's choice table, which decides where arrivals are lost."""
 
     pi: np.ndarray
     residual: float
+    choice: np.ndarray
 
 
 def _pinned_lus(data: np.ndarray, layout, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -706,7 +712,7 @@ def solve_steady_state(gen: Generator) -> SteadyState:
     """Unique stationary distribution of the generator, checked as
     stationary_vectors checks it."""
     pi, residual = stationary_vector(gen.matrix)
-    return SteadyState(pi=pi, residual=residual)
+    return SteadyState(pi=pi, residual=residual, choice=gen.choice)
 
 
 class CellBlocking(NamedTuple):
@@ -725,54 +731,92 @@ class Partition:
     ncells cells in all, with the bins of per-cell sums over a stack of up
     to `stack` vectors: cell_bins[b * num_states + i] is the (vector, cell)
     bin of state i, class_bins[(b * N + n) * num_states + i] its (vector,
-    class, cell) bin. blocked_ids lists each class's blocked states, class
-    after class, blocked_ends where each class's list ends, and
-    blocked_bins[b * len(blocked_ids) + j] is the (vector, class, cell) bin
-    of entry j."""
+    class, cell) bin."""
 
     def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int, stack: int = 1):
-        N = len(tables.blocked)
+        N = tables.config.num_classes
         self.cells, self.ncells = cells, ncells
         self.cell_bins = (np.arange(0, stack * ncells, ncells)[:, None] + cells).ravel()
         self.class_bins = (np.arange(0, stack * N * ncells, ncells)[:, None] + cells).ravel()
-        self.blocked_ids = np.concatenate(tables.blocked_ids)
-        self.blocked_ends = np.cumsum([len(ids) for ids in tables.blocked_ids]).tolist()
-        own = np.concatenate([n * ncells + cells[ids] for n, ids in enumerate(tables.blocked_ids)])
-        self.blocked_bins = (np.arange(0, stack * N * ncells, N * ncells)[:, None] + own).ravel()
 
 
-def cell_blocking(tables: ChainTables, pi: np.ndarray, partition: Partition) -> CellBlocking:
-    """Blocking under each row of pi (B, num_states) over a partition.
+def _outcome_index(tables: ChainTables) -> np.ndarray:
+    """index[n, s, i]: flat position in a (N, S, num_states) volume table of
+    the volume a class-n user preferring system s at state i ends up with,
+    after the network's admission outcome; a lost arrival points one past
+    the table, at tables.occ_ns.size, where callers append a zero. Loss,
+    for blocking too, is this sentinel."""
+    N, S, nst = tables.occ_ns.shape
+    flat = (np.arange(N)[:, None, None] * S + tables.admit_sys) * nst + tables.admit_id
+    return np.where(tables.admit_id >= 0, flat, N * S * nst)
 
-    A class is blocked at a state where every system is saturated. The
-    numerator of a cell's conditional blocking is restricted to the cell's
-    own states, so the result is a probability; cells without stationary
-    mass report zero. The blocked states of every class are taken at once
-    into a C-contiguous array; the per-class sums run over its slices, each
-    row of which is contiguous and summed alone, as one vector is, and the
-    cell numerators bin its entries in state order. The weighting is one
-    dot product per row.
+
+def _lost_sums(pi: np.ndarray, lost: np.ndarray, class_bins: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sums[b, n], np.add.reduce of pi[b] at the states where lost[b, n]
+    holds, with the bits of one vector summed alone; and the class_bins and
+    pi of every lost (row, class, state), in state order within a row, for
+    the cell numerators. Rows with one lost table (every row under
+    redirection) share one take of their lost states, class after class,
+    whose per-class slices are summed row by row."""
+    B, N, nst = lost.shape
+    flat, width = lost.tobytes(), N * nst
+    if flat == flat[:width] * B:
+        groups = [range(B)]
+    else:
+        keyed: dict[bytes, list[int]] = {}
+        for b, at in enumerate(range(0, len(flat), width)):
+            keyed.setdefault(flat[at:at + width], []).append(b)
+        groups = list(keyed.values())
+    sums = np.empty((B, N))
+    bins, values = [], []
+    for members in groups:
+        rows = slice(None) if len(members) == B else np.array(members)
+        at = np.flatnonzero(lost[members[0]])                # n * nst + i
+        taken = pi[rows].take(at % nst, axis=1)
+        ends = np.searchsorted(at, np.arange(nst, width + 1, nst)).tolist()
+        start = 0
+        for n, end in enumerate(ends):
+            sums[rows, n] = np.add.reduce(taken[:, start:end], 1)
+            start = end
+        bins.append(class_bins.take(_offsets(width, B)[rows, None] + at).ravel())
+        values.append(taken.ravel())
+    # every (row, class, cell) bin is one row's, so its values keep their order
+    return sums, np.concatenate(bins), np.concatenate(values)
+
+
+def cell_blocking(tables: ChainTables, pi: np.ndarray, lost: np.ndarray,
+                  partition: Partition) -> CellBlocking:
+    """Blocking under each row of pi (B, num_states) over a partition, where
+    lost (B, N, num_states) marks the (class, state) pairs at which the
+    row's chain loses an arrival: the outcome of the chosen system is
+    _outcome_index's sentinel.
+
+    The numerator of a cell's conditional blocking is restricted to the
+    cell's own states, so the result is a probability; cells without
+    stationary mass report zero. The per-class sums and the cell
+    numerators read pi at the lost states of each row (_lost_sums); the
+    numerators bin them in state order. The weighting is one dot product
+    per row.
     """
-    (B, nst), N, ncells = pi.shape, len(tables.blocked), partition.ncells
+    (B, nst), N, ncells = pi.shape, lost.shape[1], partition.ncells
     mass = np.bincount(partition.cell_bins[:B * nst], weights=pi.ravel(),
                        minlength=B * ncells).reshape(B, ncells)
     empty = mass <= EMPTY_LABEL_MASS
-    blocked = pi.take(partition.blocked_ids, axis=1)
-    per_class = np.empty((B, N))
-    start = 0
-    for n, end in enumerate(partition.blocked_ends):
-        per_class[:, n] = np.add.reduce(blocked[:, start:end], 1)
-        start = end
+    per_class, bins, values = _lost_sums(pi, lost, partition.class_bins)
     by_cell = np.zeros((B, N, ncells))
-    num = np.bincount(partition.blocked_bins[:blocked.size], weights=blocked.ravel(),
-                      minlength=B * N * ncells)
+    num = np.bincount(bins, weights=values, minlength=B * N * ncells)
     np.divide(num.reshape(B, N, ncells), mass[:, None], out=by_cell, where=~empty[:, None])
     overall = np.fromiter(map(tables.class_weight.dot, per_class), float, B)
     return CellBlocking(mass, empty, by_cell, per_class, overall)
 
 
 def per_class_blocking(space: StateSpace, steady: SteadyState) -> np.ndarray:
-    """Unconditional blocking probability per class."""
+    """Unconditional blocking probability per class of the chain steady was
+    solved for: the mass of the states where its choice table loses an
+    arrival of the class."""
     tables = chain_tables(space)
+    picked = steady.choice * space.num_states + tables.solve_plan.entry
+    lost = _outcome_index(tables).take(picked) == tables.occ_ns.size
     one = Partition(tables, np.zeros(space.num_states, dtype=np.int64), 1)
-    return cell_blocking(tables, steady.pi[None], one).per_class[0]
+    return cell_blocking(tables, steady.pi[None], lost[None], one).per_class[0]

@@ -88,9 +88,9 @@ from .config import AggregationScheme, ConfigError, NetworkConfig, Policy
 # called here, but perfbench/tracer.py wraps the names in this module, so
 # they stay bound
 from .ctmc import (CellBlocking, ChainTables, Partition, ResidualError,  # noqa: F401
-                   SingularChainError, _assemble, _offsets, _Scratch, assemble_dense,
-                   assemble_generator, cell_blocking, chain_tables, stationary_vector,
-                   stationary_vectors)
+                   SingularChainError, _assemble, _offsets, _outcome_index, _Scratch,
+                   assemble_dense, assemble_generator, cell_blocking, chain_tables,
+                   stationary_vector, stationary_vectors)
 from .rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 from .states import StateSpace
 from .transient import (SingularTaggedChainError, solve_volume_from_matrix,  # noqa: F401
@@ -113,16 +113,6 @@ def _solve_pi(space: StateSpace, q) -> tuple[np.ndarray, float]:
     same post-solve checks the public solver applies; space is unused, but
     perfbench/tracer.py reads the generator as the second argument."""
     return stationary_vector(q)
-
-
-def _outcome_index(tables: ChainTables) -> np.ndarray:
-    """index[n, s, i]: flat position in a (N, S, num_states) volume table of
-    the volume a class-n user preferring system s at state i ends up with,
-    after the network's admission outcome; a lost arrival points one past
-    the table, where callers append a zero."""
-    N, S, nst = tables.occ_ns.shape
-    flat = (np.arange(N)[:, None, None] * S + tables.admit_sys) * nst + tables.admit_id
-    return np.where(tables.admit_id >= 0, flat, N * S * nst)
 
 
 class SearchCapError(RuntimeError):
@@ -200,8 +190,9 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
 
     Every step runs once for the chunk: assembly, the stationary solves,
     blocking, the tagged volumes and the global utility. Blocking is
-    ctmc.cell_blocking's; the global utility weights each cell's chosen
-    value by its non-blocking probability. A table's results have the bits
+    ctmc.cell_blocking's over the (class, state) pairs whose chosen
+    outcome is lost; the global utility weights each cell's chosen value
+    by its non-blocking probability. A table's results have the bits
     they have in a chunk of one: each row of share is summed over its
     cells on its own, and the weighted class totals are added one class at
     a time from 0, as Python's sum adds them for one table.
@@ -213,10 +204,11 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
     picked += plan.entry
     data = _assemble(tables, picked, core.scratch)
     pi, residual = stationary_vectors(data, plan)
-    b = cell_blocking(tables, pi, core.partition)
+    outcome = core.outcome.take(picked)
+    b = cell_blocking(tables, pi, outcome == tables.occ_ns.size, core.partition)
     padded = tagged_volumes(tables, data, core.admitted.take(picked), core.solved,
                             core.scratch)
-    chosen = padded.take(core.outcome.take(picked) + core.padded_offset[:B])
+    chosen = padded.take(outcome + core.padded_offset[:B])
     inner = np.bincount(core.partition.class_bins[:B * N * nst],
                         weights=(chosen * pi[:, None]).ravel(),
                         minlength=B * N * ncells).reshape(B, N, ncells)
@@ -889,13 +881,6 @@ class PolicyGameSolver:
         utility table per fibre, as its rep groups them, and judges every
         member by that table's Nash gap, which is every member's."""
         return PolicyGameSolver(self.space, self.scheme)
-
-    def verify_equilibrium(self, policy: Policy) -> bool:
-        """Re-check the no-profitable-deviation inequality for policy on a
-        chain and utility table a fresh checker solves for its fibre
-        (structural transition indexes are shared; they contain no solved
-        quantities)."""
-        return self.fresh_checker().evaluate(policy).is_nash()
 
 
 def evaluate_policy(space: StateSpace, scheme: AggregationScheme,

@@ -52,11 +52,3 @@ def write_json(path, payload: dict, config: NetworkConfig,
         json.dump(doc, fh, indent=2, sort_keys=False)
         fh.write("\n")
     return path
-
-
-def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Read back a provenance CSV, skipping the comment header."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(line for line in fh
-                                          if not line.startswith("#"))]
-    return rows[0], rows[1:]

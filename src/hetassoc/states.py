@@ -32,10 +32,6 @@ def occ_index(config: NetworkConfig, user_class: int, system: int) -> int:
     return system * config.num_classes + user_class
 
 
-def zero_state(config: NetworkConfig) -> Occupancy:
-    return (0,) * (config.num_classes * config.num_systems)
-
-
 def scope_count(config: NetworkConfig, occ: Occupancy, system: int) -> int:
     """Number of users sharing the scheduler with a user of `system`."""
     if config.sharing_scope == NETWORK_WIDE:
@@ -145,9 +141,6 @@ class StateSpace:
 
     def id_of(self, occ: Occupancy) -> int:
         return self.index[tuple(occ)]
-
-    def get_id(self, occ: Occupancy, default: int = -1) -> int:
-        return self.index.get(tuple(occ), default)
 
     def __contains__(self, occ) -> bool:
         return tuple(occ) in self.index

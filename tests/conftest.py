@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 from pathlib import Path
@@ -104,6 +105,36 @@ def random_policy(rng: np.random.Generator, config, scheme):
                         for _ in range(config.num_classes)))
 
 
+# ----- helpers only the tests read
+
+
+def zero_state(config) -> tuple[int, ...]:
+    """The empty network's occupancy."""
+    return (0,) * (config.num_classes * config.num_systems)
+
+
+def state_counts_per_label(scheme, space) -> np.ndarray:
+    """Number of feasible states mapped to each label; zeros mark labels that
+    no state can produce."""
+    from hetassoc.aggregation import label_array
+    return np.bincount(label_array(scheme, space), minlength=scheme.label_count)
+
+
+def verify_equilibrium(solver, policy) -> bool:
+    """Re-check the no-profitable-deviation inequality for policy on a chain
+    and payoff table a fresh checker solves for its fibre (structural
+    transition indexes are shared; they contain no solved quantities)."""
+    return solver.fresh_checker().evaluate(policy).is_nash()
+
+
+def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
+    """Read back a provenance CSV, skipping the comment header."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(line for line in fh
+                                          if not line.startswith("#"))]
+    return rows[0], rows[1:]
+
+
 # ----- reference structure: the state space and chain tables in plain loops
 
 
@@ -112,7 +143,7 @@ def reference_states(config) -> list[tuple[int, ...]]:
     single arrivals, tested one by one with the scalar is_feasible, in
     lexicographic order."""
     from collections import deque
-    from hetassoc.states import is_feasible, zero_state
+    from hetassoc.states import is_feasible
     start = zero_state(config)
     seen, queue = {start}, deque([start])
     while queue:
@@ -137,8 +168,7 @@ def reference_tables(config, states) -> dict[str, np.ndarray]:
          "departure_id": np.full((N, S, nst), -1, dtype=np.int64),
          "throughput": np.full((N, S, nst), np.nan),
          "admit_sys": np.full((N, S, nst), -1, dtype=np.int64),
-         "admit_id": np.full((N, S, nst), -1, dtype=np.int64),
-         "blocked": np.zeros((N, nst), dtype=bool)}
+         "admit_id": np.full((N, S, nst), -1, dtype=np.int64)}
     for i, occ in enumerate(states):
         for n in range(N):
             for s in range(S):
@@ -149,7 +179,6 @@ def reference_tables(config, states) -> dict[str, np.ndarray]:
                     t["departure_id"][n, s, i] = index[occ[:j] + (occ[j] - 1,) + occ[j + 1:]]
                     t["throughput"][n, s, i] = user_throughput(config, occ, n, s)
             open_systems = [s for s in range(S) if t["arrival_id"][n, s, i] >= 0]
-            t["blocked"][n, i] = not open_systems
             for pref in range(S):
                 for s in [pref] + open_systems:
                     if s in open_systems:
@@ -294,8 +323,7 @@ def check_departure_closure(instances) -> None:
 
 
 def check_label_totality(instances) -> None:
-    from hetassoc.aggregation import (label_array, label_of,
-                                      state_counts_per_label)
+    from hetassoc.aggregation import label_array, label_of
     for config, space, scheme in instances:
         labels = label_array(scheme, space)
         assert labels.min() >= 0 and labels.max() < scheme.label_count

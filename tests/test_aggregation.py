@@ -5,10 +5,9 @@ import pytest
 
 from hetassoc import AggregationScheme, NetworkConfig, enumerate_states
 from hetassoc.aggregation import (HIGH, LOW, MEDIUM, label_array, label_levels,
-                                  label_name, label_of, state_counts_per_label,
-                                  system_load)
+                                  label_name, label_of, system_load)
 
-from conftest import random_instance
+from conftest import random_instance, state_counts_per_label
 
 
 @pytest.fixture

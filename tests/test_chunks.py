@@ -123,7 +123,10 @@ def test_chunk_wide_sums_match_the_row_by_row_reference(hybrid_instance):
     """The normalisation of pi and the per-class blocking sums reduce a
     whole stack at once; each row gets the bits np.add.reduce gives it as a
     lone vector, the row-by-row reference they replace. The raw solutions
-    peak at exactly 1, so scaling them to their largest entry keeps them."""
+    peak at exactly 1, so scaling them to their largest entry keeps them.
+    The blocking sums run over each row's own lost states: the same for
+    every row under redirection, row by row under strict arrivals (two
+    rows repeat one choice table), and both kinds mixed in one stack."""
     config, _ = hybrid_instance
     space = enumerate_states(config)
     tables = chain_tables(space)
@@ -137,9 +140,21 @@ def test_chunk_wide_sums_match_the_row_by_row_reference(hybrid_instance):
                               plan.pins[0])
     assert pi.tobytes() == np.array([row / np.add.reduce(row) for row in raw]).tobytes()
     one = Partition(tables, np.zeros(nst, dtype=np.int64), 1, stack=B)
-    per_class = cell_blocking(tables, pi, one).per_class
-    assert per_class.tobytes() == np.array(
-        [[np.add.reduce(row.take(ids)) for ids in tables.blocked_ids] for row in pi]).tobytes()
+    choices = rng.integers(config.num_systems, size=(B, N, nst))
+    choices[5] = choices[3]
+    picked = choices * nst + plan.entry
+    lost = {}
+    for strict in (False, True):
+        mode = chain_tables(arrival_mode(space, strict))
+        lost[strict] = ctmc._outcome_index(mode).take(picked) == mode.occ_ns.size
+    assert len({row.tobytes() for row in lost[False]}) == 1
+    assert len({row.tobytes() for row in lost[True]}) == B - 1
+    mixed = np.where(np.arange(B)[:, None, None] % 2 == 1, lost[True], lost[False])
+    for rows_lost in (lost[False], lost[True], mixed):
+        per_class = cell_blocking(tables, pi, rows_lost, one).per_class
+        assert per_class.tobytes() == np.array(
+            [[np.add.reduce(row.take(np.flatnonzero(mask))) for mask in masks]
+             for row, masks in zip(pi, rows_lost)]).tobytes()
 
 
 def _erlang_data(servers: int, offered: float):

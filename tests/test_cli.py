@@ -11,10 +11,9 @@ import pytest
 
 from hetassoc import PolicyGameSolver, ResidualError, SingularChainError, cli
 from hetassoc.cli import main
-from hetassoc.output import read_csv_rows
 from hetassoc.transient import SingularTaggedChainError
 
-from conftest import CONFIG_DIR, REPO_ROOT
+from conftest import CONFIG_DIR, REPO_ROOT, read_csv_rows
 
 ERLANG = str(CONFIG_DIR / "erlang_single.json")
 HYBRID = str(CONFIG_DIR / "hybrid_example.json")
@@ -713,3 +712,38 @@ def test_exhaustive_scan_matches_golden_artifact(tmp_path, argv, artifact):
     assert run(*argv, "--config", config, "--out", str(out)) == 0
     assert (out / f"{artifact}.json").read_bytes() == \
         (DATA_DIR / f"{artifact}_golden_{mode}.json").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("strict", [False, True], ids=["redirect", "strict"])
+def test_every_artifact_records_strict_arrivals(tmp_path, strict):
+    """Every CSV and JSON artifact says when it was made under strict
+    arrivals: steady, utility and simulate record the mode either way, and
+    nash, optimal, baseline, control and sweep record "strict_eq2": true
+    only when it is set, so their redirect artifacts keep their bytes."""
+    mode = ["--strict-eq2"] if strict else []
+    commands = {
+        "steady": ["--rule", "peak"], "utility": ["--rule", "peak"],
+        "simulate": ["--rule", "peak", "--events", "2000"],
+        "nash": [], "optimal": [], "baseline": ["--which", "peak_rate"],
+        "control": ["--scheme", "0.3,0.7"],
+        "sweep": ["--traffic", "1:1:1", "--analyses", "nash,optimal,baselines,control",
+                  "--scheme", "0.3,0.7"],
+    }
+    for command, argv in commands.items():
+        out = tmp_path / command
+        assert run(command, "--config", ERLANG, *argv, *mode, "--out", str(out)) == 0
+        always = command in ("steady", "utility", "simulate")
+        for path in sorted(out.iterdir()):
+            if path.suffix == ".json":
+                params = json.loads(path.read_text())["params"]
+            elif path.suffix == ".csv":
+                line = next(line for line in path.read_text().splitlines()
+                            if line.startswith("# params: "))
+                params = json.loads(line[len("# params: "):])
+            else:
+                continue
+            if strict or always:
+                assert params["strict_eq2"] is strict, path.name
+            else:
+                assert "strict_eq2" not in params, path.name

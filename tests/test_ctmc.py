@@ -113,16 +113,26 @@ def test_strict_mode_drops_instead_of_redirecting():
 
 
 def test_redirection_conservation():
-    """For every state and class, exactly one of (arrival edge exists,
-    state is blocking) holds."""
+    """For every class, preferred system and state, in both arrival modes,
+    exactly one of (the admitted arrival edge exists, the arrival is lost)
+    holds. Loss is the outcome index's sentinel: under redirection where no
+    system has room, under strict arrivals where the preferred one has none."""
     rng = np.random.default_rng(21)
     for _ in range(10):
-        config, space, scheme = random_instance(rng)
-        tables = chain_tables(space)
-        for n in range(config.num_classes):
-            for i in range(space.num_states):
-                has_edge = tables.admit_id[n, :, i].max() >= 0
-                assert has_edge != tables.blocked[n, i]
+        config, loose, scheme = random_instance(rng)
+        for strict in (False, True):
+            space = arrival_mode(loose, strict)
+            tables = chain_tables(space)
+            lost = ctmc._outcome_index(tables) == tables.occ_ns.size
+            for n in range(config.num_classes):
+                for s in range(config.num_systems):
+                    for i in range(space.num_states):
+                        taken = tables.admit_sys[n, s, i]
+                        edge = taken >= 0 and tables.admit_id[n, s, i] == \
+                            tables.arrival_id[n, taken, i] >= 0
+                        assert edge != lost[n, s, i]
+                        room = tables.arrival_id[n, s if strict else slice(None), i] >= 0
+                        assert lost[n, s, i] == (not np.any(room))
 
 
 def test_blocking_by_label_erlang(erlang):
@@ -343,8 +353,9 @@ def test_nan_generator_is_rejected(erlang_space):
     with a tolerance lets through unless written to fail on NaN."""
     plan = chain_tables(erlang_space).solve_plan
     q = BandGenerator(np.full(plan.size, np.nan), plan.width, plan.order, plan.pins)
+    choice = np.zeros((1, erlang_space.num_states), dtype=np.int64)
     with pytest.raises(ResidualError):
-        solve_steady_state(Generator(matrix=q))
+        solve_steady_state(Generator(matrix=q, choice=choice))
     with pytest.raises(ResidualError):
         _solve_pi(erlang_space, q)
 

@@ -16,7 +16,7 @@ from hetassoc.aggregation import label_of
 from hetassoc.game import ChainEvaluation, PolicyGameSolver, _nash_gaps, ordered_members
 from hetassoc.rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 
-from conftest import arrival_mode, random_instance, random_policy
+from conftest import arrival_mode, random_instance, random_policy, verify_equilibrium
 
 
 @pytest.fixture
@@ -242,7 +242,7 @@ def test_nash_certificate_reverifies(mirror_instance):
     solver = PolicyGameSolver(space, scheme)
     for fibre in solver.find_nash("exhaustive"):
         for ev in fibre.members():
-            assert solver.verify_equilibrium(ev.policy)
+            assert verify_equilibrium(solver, ev.policy)
 
 
 def _swap_instance(config, scheme):
@@ -307,7 +307,7 @@ def test_peak_baseline_degenerate_dominance():
                                                   abs=1e-10)
     # occupancy marginals coincide state by state
     for i, occ in enumerate(space.states):
-        j = solo_space.get_id((occ[1],))
+        j = solo_space.id_of((occ[1],))
         if occ[0] == 0:
             assert report.pi[i] == pytest.approx(solo_report.pi[j], abs=1e-12)
         else:
@@ -686,13 +686,13 @@ def test_verify_equilibrium_rejects_a_flip_outside_the_fibre(hybrid_instance,
     _, scheme = hybrid_instance
     solver = PolicyGameSolver(shipped_spaces[5], scheme)
     member = solver.find_nash()[0].policy
-    assert solver.verify_equilibrium(member)
+    assert verify_equilibrium(solver, member)
     # the first free entry whose other system leaves the fibre
     n, l = next((n, l) for n, l in solver.positions()
                 if solver.rep[n, l, 0] != solver.rep[n, l, 1])
     flipped = member.with_entry(n, l, 1 - member.choice[n][l])
     assert flipped not in solver.fibre(member)
-    assert not solver.verify_equilibrium(flipped)
+    assert not verify_equilibrium(solver, flipped)
 
 
 def test_finished_solver_frees_its_chain_tables(hybrid_instance):

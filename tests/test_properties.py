@@ -343,7 +343,7 @@ def _reference_rep(solver) -> np.ndarray:
     same arrival band position, arrival rate and outcome index for class n
     as s does; 0 on a label without states."""
     tables = solver.tables
-    arrays = (*tables.solve_plan.arrivals, game._outcome_index(tables))
+    arrays = (*tables.solve_plan.arrivals, ctmc._outcome_index(tables))
     N, S, L = solver.config.num_classes, solver.config.num_systems, solver.num_labels
     rep = np.zeros((N, L, S), dtype=np.int64)
     for n in range(N):

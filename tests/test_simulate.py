@@ -15,8 +15,11 @@ import pytest
 from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyRule,
                       build_generator, enumerate_states, evaluate_rule, simulate,
                       solve_steady_state)
+from hetassoc.config import NETWORK_WIDE, PER_SYSTEM
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
 from hetassoc.simulate import SimReport, _Tallies
+
+from conftest import random_policy
 
 GOLDEN = Path(__file__).parent / "data" / "simulate_golden.json"
 
@@ -123,6 +126,31 @@ def test_strict_mode_blocks_instead_of_redirecting():
     assert strict.blocking_estimate(0)[0] > loose.blocking_estimate(0)[0] + 0.05
     # system 1 never admits anyone under the strict peak-rate rule
     assert strict.admitted[:, 0, 1].sum() == 0
+
+
+ORACLE_EVENTS = 200_000
+
+
+@pytest.mark.parametrize("rule_name", ["peak", "instant", "drawn"])
+@pytest.mark.parametrize("scope", [PER_SYSTEM, NETWORK_WIDE])
+@pytest.mark.parametrize("strict", [False, True], ids=["redirect", "strict"])
+def test_chain_blocking_matches_the_simulator(hybrid_instance, strict, scope, rule_name):
+    """The oracle matrix: on hybrid_example at 5 Erlangs, under either
+    arrival mode, either sharing scope and three rules (both baselines and
+    one drawn policy), each class's chain blocking lies within
+    max(4 half-widths, 0.01) of the simulator's estimate. The simulator
+    keeps its own admission test and reads nothing of the chain."""
+    config, scheme = hybrid_instance
+    config = replace(config.scale_traffic(5.0 / config.offered_erlangs).with_sharing_scope(scope),
+                     strict_arrivals=strict)
+    rule = {"peak": PeakRateRule(), "instant": InstantaneousRateRule(),
+            "drawn": PolicyRule(random_policy(np.random.default_rng(29), config, scheme),
+                                scheme)}[rule_name]
+    chain = evaluate_rule(enumerate_states(config), rule).per_class_blocking
+    report = simulate(config, rule, ORACLE_EVENTS, seed=5)
+    for n in range(config.num_classes):
+        est, half = report.blocking_estimate(n)
+        assert abs(est - chain[n]) <= max(4 * half, 0.01), (n, est, half, chain[n])
 
 
 def test_network_wide_scope_cross_validates():

@@ -8,10 +8,10 @@ from hetassoc import (CapacityError, NetworkConfig, enumerate_states,
 from hetassoc import states as states_module
 from hetassoc.ctmc import ChainTables
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
-from hetassoc.states import key_weights, occ_index, state_table_rows, zero_state
+from hetassoc.states import key_weights, occ_index, state_table_rows
 
 from conftest import (CONFIG_DIR, assert_structure_matches_reference, random_instance,
-                      reference_states)
+                      reference_states, zero_state)
 
 
 def single(D=2.0, t_min=1.0, t_max=2.0, gain=(1.0,), lam=(1.0,), mu=1.0):
