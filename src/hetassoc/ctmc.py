@@ -11,6 +11,17 @@ M_n^s * mu; diagonal entries make every row sum to zero.
 Blocking is the stationary probability that an arrival is lost. In both
 modes one table decides it: the admission outcome of the system the rule
 picks (_outcome_index, over ChainTables.admit_sys).
+
+The stationary distribution is one pinned banded LU per generator
+(stationary_vectors). The evaluation core (_solve_stationary) factors a
+stack of several generators on copies of their bands. A lone generator is
+assembled straight into its LU's layout in one scratch buffer and factored
+there in place; its clean band is then assembled again at the head of the
+same buffer, for the checks and the tagged solves, whose bands are carved
+from the rest. Its band and an LU copy are never held at once, and the
+buffer, sized from the plan before assembly (SolvePlan.lone_size), never
+grows. The public stationary_vector keeps its copy, as its caller keeps
+the band.
 """
 
 from __future__ import annotations
@@ -184,8 +195,9 @@ class TaggedGroup:
     shift_rows and shift_cols are the plans' arrays over the group's
     values, and rate the right-hand sides end to end. starts is where each
     block's values start, norm its bound on |A|_inf, and targets the
-    position of each value in a flattened (N, S, num_states) volume table.
-    A group of one block shares its plan's arrays.
+    position of each value in a flattened (N, S, num_states) volume table,
+    and band_size the entries of one generator's bands of the group. A
+    group of one block shares its plan's arrays.
     """
 
     def __init__(self, blocks: list[tuple[int, TaggedPlan]], num_states: int):
@@ -209,6 +221,7 @@ class TaggedGroup:
         self.norm = np.array([plan.norm for plan in plans])
         self.targets = np.concatenate([k * num_states + plan.ids for k, plan in blocks])
         self.num_states = num_states
+        self.band_size = sum(plan.band_size for plan in plans)
         # the block of each value and its position in the band's order
         self._block_of = np.repeat(np.arange(len(plans)), [len(plan.ids) for plan in plans])
         self._position = joined([plan.positions for plan in plans])
@@ -330,7 +343,13 @@ class _Scratch:
     zeros(name, size) the same filled with zeros. A buffer too small is
     dropped before a larger one is allocated, by np.zeros, whose fresh
     pages need no filling. What they return is overwritten by the next call
-    with that name."""
+    with that name.
+
+    The "data" buffer holds a stack's bands. A lone generator takes it at
+    SolvePlan.lone_size entries, known before assembly: its LU is factored
+    there in place, its clean band then fills the head and each tagged
+    group's bands are carved from the tail (_solve_stationary).
+    """
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
@@ -374,8 +393,10 @@ class SolvePlan:
     position of (class, system 0, state) in a (class, system, state)
     table. tagged_bytes is what the
     bands of one generator's tagged blocks take, and policy_bytes what one
-    policy's bands take while a stack is solved: its generator, the copy
-    the stationary LU factors and its tagged blocks.
+    policy's bands take while a stack of several is solved: its generator,
+    the copy the stationary LU factors and its tagged blocks. A lone
+    generator takes less, lone_size() entries in all, as it is factored in
+    place.
     """
 
     def __init__(self, tables: ChainTables):
@@ -418,6 +439,27 @@ class SolvePlan:
         """Generators per chunk: as many as CHUNK_BYTES holds at
         policy_bytes each, and at least one."""
         return max(1, CHUNK_BYTES // self.policy_bytes)
+
+    def lone_size(self) -> int:
+        """Entries of the one buffer a lone generator is solved in: its LU
+        band, n (3 width + 1), or its band and the largest group of its
+        tagged bands gathered at once, whichever is more."""
+        largest = max((group.band_size for group in self.tagged_groups(1)), default=0)
+        return max(len(self.order) * (3 * self.width + 1), self.size + largest)
+
+    @cached_property
+    def lu_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """departures, diagonal and arrivals[0] moved to where a lone
+        generator is assembled for its LU: each column of the band in rows
+        width..3 width of a (3 width + 1)-entry column, the top width rows
+        left for the fill, so data position p goes to
+        p + width (p // (2 width + 1) + 1)."""
+        w = self.width
+
+        def moved(p: np.ndarray) -> np.ndarray:
+            return p + w * (p // (2 * w + 1) + 1)
+
+        return moved(self.departures), moved(self.diagonal), moved(self.arrivals[0])
 
     def tagged_groups(self, count: int) -> list[TaggedGroup]:
         """How the tagged blocks of a stack of `count` generators are
@@ -516,15 +558,20 @@ class Generator:
 def assemble_stack(tables: ChainTables, choices: np.ndarray) -> np.ndarray:
     """The generators of a stack of preferred-system tables, choices of
     shape (B, N, num_states), as a (B, size) stack of BandGenerator data in
-    the layout of tables.solve_plan. Every solver assembles through here."""
-    return _assemble(tables, choices * tables.num_states + tables.solve_plan.entry,
-                     _Scratch())
+    the layout of tables.solve_plan. Every solver assembles through here
+    or through _solve_stationary."""
+    plan = tables.solve_plan
+    data = np.zeros((len(choices), plan.size))
+    return _assemble(tables, choices * tables.num_states + plan.entry, data)
 
 
-def _assemble(tables: ChainTables, picked: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """assemble_stack of the tables whose choices put (class, preferred
-    system, state) at picked (B, N, num_states), a flat position in a
-    (class, system, state) table, in scratch's "data" buffer.
+def _assemble(tables: ChainTables, picked: np.ndarray, data: np.ndarray,
+              lu: bool = False) -> np.ndarray:
+    """Write the generators of the tables whose choices put (class,
+    preferred system, state) at picked (B, N, num_states), a flat position
+    in a (class, system, state) table, into data (B, stride), zeros on
+    entry: as the plan's bands, or with lu, a stack of one, in the layout
+    its LU is factored in (SolvePlan.lu_positions).
 
     Each row starts with the departure edges. An arrival raises the
     population and a departure lowers it, so no two edges share an entry;
@@ -534,13 +581,15 @@ def _assemble(tables: ChainTables, picked: np.ndarray, scratch: _Scratch) -> np.
     entries adds them in.
     """
     plan = tables.solve_plan
-    B = len(picked)
+    B, stride = data.shape
     where, rates = plan.arrivals
+    departures, diagonal = plan.departures, plan.diagonal
+    if lu:
+        departures, diagonal, where = plan.lu_positions
     rate = rates.take(picked)
-    data = scratch.zeros("data", B * plan.size).reshape(B, plan.size)
-    data[:, plan.departures] = tables.dep_rate
-    data.reshape(-1)[where.take(picked) + _offsets(plan.size, B)[:, None, None]] = rate
-    data[:, plan.diagonal] = np.subtract(plan.outflow, np.add.reduce(rate, 1))
+    data[:, departures] = tables.dep_rate
+    data.reshape(-1)[where.take(picked) + _offsets(stride, B)[:, None, None]] = rate
+    data[:, diagonal] = np.subtract(plan.outflow, np.add.reduce(rate, 1))
     return data
 
 
@@ -573,28 +622,40 @@ class SteadyState:
     choice: np.ndarray
 
 
-def _pinned_lus(data: np.ndarray, layout, r: int) -> tuple[np.ndarray, np.ndarray]:
+def _pinned_lus(data: np.ndarray, layout, r: int, in_place: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Stationary distributions up to scale of a stack of generators, in
     the band's order, and the LAPACK info of each solve: one banded LU per
     generator, with the balance equation of the state at position r of the
     order replaced by pinning its mass to 1. The pin row is scaled to |q_rr|
     like the row it replaces, or to 1 where the pinned state has no way out
-    (an absorbing state, or the only one). The LUs run one after another
-    in one work array, on a copy of each band with width rows on top for
-    their fill. A nonzero info means the LU was singular, which happens
-    exactly when pi_r = 0.
+    (an absorbing state, or the only one). A nonzero info means the LU was
+    singular, which happens exactly when pi_r = 0.
+
+    The LUs run one after another in one work array of n columns of
+    3 width + 1 entries, each band in rows width..3 width and the top width
+    rows left for the fill, which LAPACK sets itself. Given a (B, size)
+    stack, the work array is fresh and each band is copied into it. With
+    in_place, data is a stack of one already assembled in that layout,
+    shape (1, n (3 width + 1)) (_assemble with lu), and the LU runs there,
+    over its band.
     """
     B, w, n = len(data), layout.width, len(layout.order)
-    # data[b] column by column, 2 w + 1 entries each, the diagonal at w
-    columns = data.reshape(B, n, 2 * w + 1)
+    if in_place:
+        work = data.reshape(n, 3 * w + 1)
+        columns = work[None, :, w:]
+    else:
+        # data[b] column by column, 2 w + 1 entries each, the diagonal at w
+        columns = data.reshape(B, n, 2 * w + 1)
+        # np.zeros, not np.empty: numpy asks the kernel for huge pages for
+        # a large empty array, whose zeroing on first touch slowed the
+        # 3,600-state solve.
+        work = np.zeros((n, 3 * w + 1))
     scale = np.abs(columns[:, r, w])
     np.copyto(scale, 1.0, where=scale == 0.0)
     # work.T is the LU band of the generator being solved, in Fortran
     # order: entry (r, c) of the matrix sits at work[c, 2 w + r - c], flat
-    # at 3 w c + 2 w + r, so the pin row is a strided slice. np.zeros, not
-    # np.empty: numpy asks the kernel for huge pages for a large empty
-    # array, whose zeroing on first touch slowed the 3,600-state solve.
-    work = np.zeros((n, 3 * w + 1))
+    # at 3 w c + 2 w + r, so the pin row is a strided slice.
     flat = work.reshape(-1)
     diagonal = 3 * w * r + 2 * w + r
     first, last = max(0, r - w), min(n, r + w + 1)
@@ -603,7 +664,8 @@ def _pinned_lus(data: np.ndarray, layout, r: int) -> tuple[np.ndarray, np.ndarra
     x[:, r] = scale
     info = np.empty(B, dtype=np.int64)
     for b in range(B):
-        work[:, w:] = columns[b]
+        if not in_place:
+            work[:, w:] = columns[b]
         flat[pin] = 0.0
         flat[diagonal] = scale[b]
         # gbsv writes the solution over row b of x, a contiguous vector
@@ -651,14 +713,15 @@ def _balanced(x: np.ndarray, info: np.ndarray, data: np.ndarray, layout, r: int
     return pi, residual, keep & (residual <= STEADY_RESIDUAL_TOL)
 
 
-def _pinned_step(data: np.ndarray, layout, r: int) -> tuple[np.ndarray, ...]:
-    """_pinned_lus and _balanced of a stack pinned at r: the solutions x,
-    their infos, the distributions, residuals and holds."""
-    x, info = _pinned_lus(data, layout, r)
+def _pinned_step(data: np.ndarray, layout, r: int, lus=None) -> tuple[np.ndarray, ...]:
+    """_pinned_lus, or lus in its stead, and _balanced of a stack pinned at
+    r: the solutions x, their infos, the distributions, residuals and
+    holds."""
+    x, info = (_pinned_lus if lus is None else lus)(data, layout, r)
     return (x, info, *_balanced(x, info, data, layout, r))
 
 
-def stationary_vectors(data: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray]:
+def stationary_vectors(data: np.ndarray, layout, lus=None) -> tuple[np.ndarray, np.ndarray]:
     """Stationary distributions (B, n) of a stack of generators and their
     balance residuals max|pi Q| (B,).
 
@@ -674,16 +737,19 @@ def stationary_vectors(data: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray
     The whole stack is pinned at the first pin at once. Each generator it
     declines goes on alone through its remaining pins, as a stack of one on
     a view of the stack (its band can take megabytes), so it keeps the bits
-    it has alone.
+    it has alone. Every check reads data, the clean bands. lus(data,
+    layout, r), where given, factors in _pinned_lus's stead, leaving the
+    clean bands in data: a lone generator factored in place
+    (_solve_stationary).
     """
-    x, info, pi, residual, held = _pinned_step(data, layout, layout.pins[0])
+    x, info, pi, residual, held = _pinned_step(data, layout, layout.pins[0], lus)
     if np.logical_and.reduce(held):
         return pi, residual
     for b in (~held).nonzero()[0]:
         pins, heaviest, failed_check = list(layout.pins), None, False
         for k, r in enumerate(pins):
             if k:
-                xs, infos, p, res, ok = _pinned_step(data[b:b + 1], layout, r)
+                xs, infos, p, res, ok = _pinned_step(data[b:b + 1], layout, r, lus)
                 if ok[0]:
                     pi[b], residual[b] = p[0], res[0]
                     break
@@ -699,6 +765,46 @@ def stationary_vectors(data: np.ndarray, layout) -> tuple[np.ndarray, np.ndarray
             tried = ", ".join(str(int(layout.order[r])) for r in dict.fromkeys(pins))
             raise error(f"no stationary solve holds: pinned at states {tried}, each declined")
     return pi, residual
+
+
+def _solve_stationary(tables: ChainTables, picked: np.ndarray, scratch: _Scratch
+                      ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """The generators of the tables at picked (as _assemble takes them),
+    solved for their stationary distributions: their (B, size) band data,
+    spare room for a lone generator's tagged bands (None for a stack of
+    several), and stationary_vectors's distributions and residuals.
+
+    Every buffer is scratch's "data". A stack of several is assembled
+    there, and each LU factors a copy of its band. A lone generator is
+    assembled in its LU's layout and factored in place, at each pin it
+    tries; after each LU its clean band is assembled again at the head of
+    the buffer, where the checks and the caller read it. So its band and
+    an LU copy are never held at once. The rest of the buffer, at least the
+    largest group of its tagged bands (SolvePlan.lone_size), is the spare
+    room.
+    """
+    plan = tables.solve_plan
+    B = len(picked)
+    if B > 1:
+        data = _assemble(tables, picked,
+                         scratch.zeros("data", B * plan.size).reshape(B, plan.size))
+        return (data, None, *stationary_vectors(data, plan))
+    buffer = scratch.zeros("data", plan.lone_size())
+    lu = buffer[:len(plan.order) * (3 * plan.width + 1)].reshape(1, -1)
+    data = buffer[:plan.size].reshape(1, -1)
+    fresh = True
+
+    def factored(_, layout, r):
+        nonlocal fresh
+        if not fresh:
+            lu.fill(0.0)
+        fresh = False
+        solved = _pinned_lus(_assemble(tables, picked, lu, lu=True), layout, r, in_place=True)
+        data.fill(0.0)
+        _assemble(tables, picked, data)
+        return solved
+
+    return (data, buffer[plan.size:], *stationary_vectors(data, plan, factored))
 
 
 def stationary_vector(gen: BandGenerator) -> tuple[np.ndarray, float]:

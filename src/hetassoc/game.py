@@ -44,7 +44,10 @@ aggregation, each over a leading batch axis, with one LAPACK solve per
 policy for the stationary vector and one per distinct tagged block.
 Outside those calls its numpy work is a fixed number of array passes per
 chunk and per tagged block, whatever the chunk's size, and its large work
-arrays are scratch buffers it reuses from chunk to chunk.
+arrays are scratch buffers it reuses from chunk to chunk. A chunk of one is
+factored in place: its generator, stationary LU and tagged bands share one
+buffer sized from the plan, so its peak memory is one LU band, not the
+band plus its copy (ctmc._solve_stationary).
 Exhaustive scans, both searches and the fresh re-verification solve their
 missing fibres a chunk at a time (ctmc.CHUNK_BYTES bounds a chunk): the
 best-response paths, or the coordinate ascents, of all restarts advance in
@@ -88,9 +91,9 @@ from .config import AggregationScheme, ConfigError, NetworkConfig, Policy
 # called here, but perfbench/tracer.py wraps the names in this module, so
 # they stay bound
 from .ctmc import (CellBlocking, ChainTables, Partition, ResidualError,  # noqa: F401
-                   SingularChainError, _assemble, _offsets, _outcome_index, _Scratch,
-                   assemble_dense, assemble_generator, cell_blocking, chain_tables,
-                   stationary_vector, stationary_vectors)
+                   SingularChainError, _offsets, _outcome_index, _Scratch,
+                   _solve_stationary, assemble_dense, assemble_generator, cell_blocking,
+                   chain_tables, stationary_vector)
 from .rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 from .states import StateSpace
 from .transient import (SingularTaggedChainError, solve_volume_from_matrix,  # noqa: F401
@@ -143,8 +146,9 @@ class _ChainCore:
     where each table's padded volumes start in the chunk's, solved, per
     tagged block, the checked values of every key it was solved under (see
     transient._solve_group), and scratch, the buffers its chunks'
-    generators and tagged checks reuse. A core belongs to one solver, so no
-    other solver reads its blocks."""
+    generators, a lone generator's LU and tagged bands, and the tagged
+    checks reuse. A core belongs to one solver, so no other solver reads
+    its blocks."""
 
     def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int, chunk: int):
         N, S, nst = tables.occ_ns.shape
@@ -189,7 +193,9 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
     copied, not factored (see tagged_volumes).
 
     Every step runs once for the chunk: assembly, the stationary solves,
-    blocking, the tagged volumes and the global utility. Blocking is
+    blocking, the tagged volumes and the global utility. A chunk of one is
+    assembled and factored in place, and its tagged bands are gathered in
+    the same buffer (ctmc._solve_stationary). Blocking is
     ctmc.cell_blocking's over the (class, state) pairs whose chosen
     outcome is lost; the global utility weights each cell's chosen value
     by its non-blocking probability. A table's results have the bits
@@ -202,12 +208,11 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
     B, N, nst = choices.shape
     picked = np.multiply(choices, nst, dtype=np.intp)
     picked += plan.entry
-    data = _assemble(tables, picked, core.scratch)
-    pi, residual = stationary_vectors(data, plan)
+    data, spare, pi, residual = _solve_stationary(tables, picked, core.scratch)
     outcome = core.outcome.take(picked)
     b = cell_blocking(tables, pi, outcome == tables.occ_ns.size, core.partition)
     padded = tagged_volumes(tables, data, core.admitted.take(picked), core.solved,
-                            core.scratch)
+                            core.scratch, spare)
     chosen = padded.take(outcome + core.padded_offset[:B])
     inner = np.bincount(core.partition.class_bins[:B * N * nst],
                         weights=(chosen * pi[:, None]).ravel(),

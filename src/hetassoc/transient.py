@@ -23,7 +23,10 @@ group where their bands fit in ctmc.CHUNK_BYTES, else one at a time. Each
 LU writes its solution over its right-hand side in the group's table of
 values. The check lays its vectors out block by block, so each gbmv reads
 and writes contiguous runs; they live in scratch buffers the caller can
-reuse from stack to stack (ctmc._Scratch).
+reuse from stack to stack (ctmc._Scratch). A stack of several gathers its
+bands into fresh arrays. A lone generator, solved in place by
+ctmc._solve_stationary, hands over the spare room of its buffer past its
+band, and each group's bands are carved from it in turn.
 
 A block is keyed by what the network does at its states: the caller
 passes each generator's admitted-system table (ChainTables.admit_sys read
@@ -67,7 +70,8 @@ class SingularTaggedChainError(RuntimeError):
 
 
 def _tagged_matrix(data: np.ndarray, group: TaggedGroup, mu: float,
-                   rows: list[np.ndarray]) -> list[np.ndarray]:
+                   rows: list[np.ndarray], spare: np.ndarray | None = None
+                   ) -> list[np.ndarray]:
     """Restrict generators of a stack to the tagged states of each block of
     a group and lower the tagged departure rate by mu (the tagged user's
     own departure leads to absorption).
@@ -81,12 +85,23 @@ def _tagged_matrix(data: np.ndarray, group: TaggedGroup, mu: float,
     those generators in LAPACK band storage, band_shape (ldab, m) in
     Fortran order, gathered from its band in the plan's state order
     through flat indices into the stack.
+
+    The bands are fresh zeros, or, given spare, float memory with room for
+    group.band_size entries (a stack of one, _solve_stationary), carved
+    from its head block after block and zeroed.
     """
     flat = data.reshape(-1)
     gathered = []
+    at = 0
     for (_, plan, _), picked in zip(group.blocks, rows):
         ldab, m = plan.band_shape
-        bands = np.zeros((len(picked), m, ldab))
+        shape = (len(picked), m, ldab)
+        if spare is None:
+            bands = np.zeros(shape)
+        else:
+            bands = spare[at:at + len(picked) * m * ldab].reshape(shape)
+            bands.fill(0.0)
+            at += bands.size
         if len(picked):
             entries = bands.reshape(len(picked), m * ldab)
             entries[:, plan.band] = flat.take(
@@ -158,7 +173,8 @@ def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarr
 
 
 def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup, mu: float,
-                 admitted: np.ndarray, solved: dict, scratch: _Scratch) -> np.ndarray:
+                 admitted: np.ndarray, solved: dict, scratch: _Scratch,
+                 spare: np.ndarray | None = None) -> np.ndarray:
     """Checked expected megabits of a tagged user, who leaves at rate mu,
     for every block of a group and every generator of a stack: row b holds
     generator b's values, each block's at its slice of group.blocks in its
@@ -181,7 +197,7 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup, mu: 
     copy's info is 0: had its LU failed, it failed at that first generator,
     which the check reaches earlier. The keys solved here join solved once
     the whole group has passed its check. scratch holds the check's
-    vectors."""
+    vectors, and spare, if given, the gathered bands (_tagged_matrix)."""
     B = len(data)
     # each LU writes its solution over its right-hand side, -rate
     values = np.empty((B, len(group.rate)))
@@ -216,7 +232,7 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup, mu: 
         if factored:
             fresh.append((block_solved, value, factored, new))
     for j, ((_, plan, value), picked, bands) in enumerate(
-            zip(group.blocks, rows, _tagged_matrix(data, group, mu, rows))):
+            zip(group.blocks, rows, _tagged_matrix(data, group, mu, rows, spare))):
         for b, band in zip(picked, bands):
             info[b, j] = _solve_tagged(plan, band.T, values[b, value])[1]
     for copy, source, value in copies:
@@ -246,12 +262,15 @@ def solve_volume_from_matrix(tables: ChainTables, q, user_class: int,
 
 
 def tagged_volumes(tables: ChainTables, data: np.ndarray, admitted: np.ndarray,
-                   solved: dict, scratch: _Scratch) -> np.ndarray:
+                   solved: dict, scratch: _Scratch, spare: np.ndarray | None = None
+                   ) -> np.ndarray:
     """volumes[b]: solve_volume_from_matrix for every (class, system) pair
     of generator b of a (B, size) stack, as a flattened (N, S, num_states)
     table followed by one zero, the blocks gathered together as
     SolvePlan.tagged_groups says. admitted and solved key the blocks and
-    spare the LUs of repeated ones (see _solve_group)."""
+    save the LUs of repeated ones (see _solve_group). A stack of one may
+    pass spare, room for the bands of its largest group, where every
+    group's bands are gathered in turn."""
     mu = _absorption_rate(tables)
     B = len(data)
     volumes = np.empty((B, tables.occ_ns.size + 1))
@@ -259,5 +278,5 @@ def tagged_volumes(tables: ChainTables, data: np.ndarray, admitted: np.ndarray,
     volumes[:, -1] = 0.0
     for group in tables.solve_plan.tagged_groups(B):
         volumes[:, group.targets] = _solve_group(tables, data, group, mu, admitted, solved,
-                                                 scratch)
+                                                 scratch, spare)
     return volumes

@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -497,3 +501,44 @@ def check_band_generator(instances, rng, rel_tol: float = 1e-12) -> None:
             assert np.abs(pi - reference).max() <= rel_tol * reference.max()
             pinned += any(pinned_solve_holds(band, r) for r in band.pins)
     assert pinned >= len(instances)
+
+
+LONE_GROWTH = """
+import json, resource, sys
+from workloads import SPARSE_INSTANCE, draw_policy
+from hetassoc import Policy, ctmc, enumerate_states, evaluate_policy, load_instance
+config, scheme = load_instance(json.dumps(SPARSE_INSTANCE))
+policy = Policy.from_flat(draw_policy(json.loads(json.dumps(SPARSE_INSTANCE)), 1),
+                          config.num_classes, scheme.label_count)
+space = enumerate_states(config)
+plan = ctmc.chain_tables(space).solve_plan
+# SolvePlan.lone_size, from the plan's sizes: the LU band, or the band and
+# the largest group of tagged bands gathered at once
+blocks = [t.band_size for row in plan.tagged for t in row]
+largest = sum(blocks) if 8 * sum(blocks) <= ctmc.CHUNK_BYTES else max(blocks)
+buffer = 8 * max(space.num_states * (3 * plan.width + 1), plan.size + largest)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+evaluate_policy(space, scheme, policy)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+unit = 1 if sys.platform == "darwin" else 1024
+print(json.dumps({"growth": (after - before) * unit, "buffer": buffer,
+                  "states": space.num_states}))
+"""
+
+
+def lone_evaluation_growth() -> dict:
+    """In a fresh interpreter, the ru_maxrss growth in bytes of one
+    evaluate_policy on perfbench's 3,600-state sparse-eval instance (its
+    panel's first policy draw), measured once the chain tables and solve
+    plan are built, and the bytes of the buffer a lone generator is solved
+    in (SolvePlan.lone_size)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench"), os.environ.get("PYTHONPATH")]))}
+    # Linux keeps ru_maxrss across exec, so an interpreter started from this
+    # process would start at this process's peak; one started from a bare
+    # interpreter starts at a few megabytes
+    launch = "import subprocess, sys; raise SystemExit(subprocess.run(sys.argv[1:]).returncode)"
+    proc = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", LONE_GROWTH],
+                          capture_output=True, text=True, env=env, cwd=REPO_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)

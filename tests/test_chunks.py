@@ -12,12 +12,12 @@ from hetassoc.config import AggregationScheme, NetworkConfig
 from hetassoc.ctmc import (BandGenerator, Partition, _Scratch, assemble_dense, assemble_stack,
                            cell_blocking, chain_tables, stationary_vector, stationary_vectors)
 from hetassoc.game import (ChainEvaluation, PolicyEvaluation, PolicyGameSolver, _ChainCore,
-                           _evaluate_chain, _nash_gaps, evaluate_baseline)
+                           _evaluate_chain, _nash_gaps, evaluate_baseline, evaluate_rule)
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
 from hetassoc.transient import SingularTaggedChainError, TaggedGroup, tagged_volumes
 
-from conftest import (arrival_mode, erlang_loss_chain, pinned_solve_holds, random_instance,
-                      random_policy, tagged_band)
+from conftest import (arrival_mode, erlang_loss_chain, lone_evaluation_growth,
+                      pinned_solve_holds, random_instance, random_policy, tagged_band)
 
 
 @pytest.fixture(scope="module")
@@ -163,14 +163,35 @@ def _erlang_data(servers: int, offered: float):
     return tables.solve_plan, assemble_stack(tables, rule.choice_table(space)[None])[0]
 
 
+def _solve_lone(servers: int, offered: float):
+    """_solve_stationary of one Erlang chain, a stack of one factored in
+    place: its band data, spare room, pi and residual."""
+    _, space, _, rule = erlang_loss_chain(servers, offered)
+    tables = chain_tables(space)
+    picked = rule.choice_table(space)[None] * space.num_states + tables.solve_plan.entry
+    return ctmc._solve_stationary(tables, picked, _Scratch())
+
+
+def _lu_band(data: np.ndarray, layout, in_place: bool) -> np.ndarray:
+    """The bands _pinned_lus is handed, as (B, size) data: a stack of one
+    assembled for its LU in place gives the band in its rows width..3 width
+    (read it before the LU overwrites it)."""
+    if not in_place:
+        return data
+    w = layout.width
+    return data.reshape(len(layout.order), 3 * w + 1)[:, w:].reshape(1, -1)
+
+
 def test_declined_first_pin_inside_a_chunk_gets_the_lone_pi(monkeypatch):
     """On one 300-server layout, two light chains (the empty pin holds), a
     heavy one (the full pin holds) and two mid-load chains with different
     third pins, stacked in shuffled order: each row has the pi and residual
-    stationary_vector gives its chain alone, bit for bit. The stack is
-    solved at the first pin in one call; each declined generator then goes
-    on alone, in stack order, one call per further pin on a view of the
-    stack."""
+    its chain gets alone, bit for bit, as a stack of one factored in place
+    and by stationary_vector's copy. The stack is solved at the first pin
+    in one call; each declined generator then goes on alone, in stack
+    order, one call per further pin on a view of the stack. A lone chain
+    is factored in place at every pin it tries, each time from its band
+    assembled afresh in its one buffer."""
     loads = {"light": 10.0, "heavy": 250.0, "mid-100": 100.0, "mid-150": 150.0}
     plans, chains = {}, {}
     for name, offered in loads.items():
@@ -196,32 +217,147 @@ def test_declined_first_pin_inside_a_chunk_gets_the_lone_pi(monkeypatch):
     calls = []
     lus = ctmc._pinned_lus
 
-    def spy(data, layout, r):
-        calls.append((r, len(data), np.shares_memory(data, stack)))
-        return lus(data, layout, r)
+    def spy(data, layout, r, in_place=False):
+        calls.append((r, len(data), in_place, data, _lu_band(data, layout, in_place).copy()))
+        return lus(data, layout, r, in_place)
+
+    def further(name):
+        return [] if name == "light" else [full] if name == "heavy" else [full, third[name]]
 
     monkeypatch.setattr(ctmc, "_pinned_lus", spy)
     pi, residual = stationary_vectors(stack, plan)
     declined = [name for name in order if name != "light"]
-    assert calls[0] == (empty, 5, True)
-    assert calls[1:] == [(r, 1, True) for name in declined
-                         for r in ([full] if name == "heavy" else [full, third[name]])]
+    assert [call[:3] for call in calls] == [
+        (empty, 5, False), *((r, 1, False) for name in declined for r in further(name))]
+    assert all(np.shares_memory(call[3], stack) for call in calls)
     for row, name in enumerate(order):
-        alone, alone_residual = stationary_vector(gens[name])
-        assert bits(pi[row]) == bits(alone)
-        assert residual[row] == alone_residual
+        calls.clear()
+        data, _, alone, alone_residual = _solve_lone(300, loads[name])
+        assert [call[:3] for call in calls] == [
+            (r, 1, True) for r in [empty, *further(name)]]
+        assert all(np.shares_memory(call[3], data) for call in calls)
+        assert all(np.array_equal(call[4][0], chains[name]) for call in calls)
+        assert bits(pi[row]) == bits(alone[0])
+        assert residual[row] == alone_residual[0]
+        copied, copied_residual = stationary_vector(gens[name])
+        assert bits(pi[row]) == bits(copied)
+        assert residual[row] == copied_residual
+
+
+@pytest.mark.parametrize("grouped", [True, False], ids=["one-group", "block-by-block"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_lone_chains_factored_in_place_match_one_shared_stack(hybrid_instance, monkeypatch,
+                                                              strict, grouped):
+    """Six chains of hybrid_example at 5 Erlangs, each solved as a stack of
+    one by a fresh solver and then all in one stack, agree bit for bit on
+    pi, residual, blocking, volumes and payoffs. Each lone chain is
+    factored in place, and its tagged bands are carved from its scratch
+    buffer past its band; the shared stack copies every band for its LU and
+    gathers its tagged bands afresh. The tagged blocks are gathered in one
+    group, or one block at a time."""
+    config, scheme = hybrid_instance
+    space = arrival_mode(enumerate_states(config.scale_traffic(5.0 / config.offered_erlangs)),
+                         strict)
+    rng = np.random.default_rng(30)
+    policies = [random_policy(rng, config, scheme) for _ in range(6)]
+    shared = PolicyGameSolver(space, scheme)
+    lone = [PolicyGameSolver(space, scheme) for _ in policies]
+    rows = shared._policy_rows(policies)
+    assert len({shared._key(row) for row in rows}) == len(rows) <= shared.chunk
+    plan = chain_tables(space).solve_plan
+    if not grouped:
+        monkeypatch.setattr(ctmc, "CHUNK_BYTES", plan.tagged_bytes - 1)
+    blocks = sum(1 for row in plan.tagged for t in row if len(t.ids))
+    assert len(plan.tagged_groups(1)) == (1 if grouped else blocks) > 0
+
+    factored, gathers = [], []
+    lus, tagged_matrix = ctmc._pinned_lus, transient._tagged_matrix
+
+    def pinned_lus(data, layout, r, in_place=False):
+        factored.append(in_place)
+        return lus(data, layout, r, in_place)
+
+    def gather(data, group, mu, picked, spare=None):
+        bands = tagged_matrix(data, group, mu, picked, spare)
+        carved = spare is not None and not np.shares_memory(spare, data) and all(
+            np.shares_memory(band, spare) for band in bands if band.size)
+        gathers.append((len(data), carved))
+        return bands
+
+    monkeypatch.setattr(ctmc, "_pinned_lus", pinned_lus)
+    monkeypatch.setattr(transient, "_tagged_matrix", gather)
+    alone = [solver._evaluate_chunk(row[None])[0] for solver, row in zip(lone, rows)]
+    assert factored == [True] * len(rows)
+    assert gathers and set(gathers) == {(1, True)}
+    factored.clear()
+    gathers.clear()
+    together = shared._evaluate_chunk(rows)
+    assert factored == [False]
+    assert gathers and set(gathers) == {(len(rows), False)}
+    for a, b in zip(alone, together):
+        assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_lone_chain_declining_its_first_pin_falls_back_in_place(monkeypatch, strict):
+    """A 300-server Erlang chain at 100 Erlangs declines both pins. Alone
+    in the evaluation core it is factored in place at each of its three
+    pins, from its band assembled afresh each time, and every check reads
+    its clean band, assembled again after each LU: it gets the pi and
+    residual stationary_vector gives its copied band, bit for bit."""
+    _, loose, _, rule = erlang_loss_chain(300, 100.0)
+    space = arrival_mode(loose, strict)
+    tables = chain_tables(space)
+    plan = tables.solve_plan
+    band = assemble_dense(tables, rule.choice_table(space))
+    calls, checked = [], []
+    lus, balanced = ctmc._pinned_lus, ctmc._balanced
+
+    def spy(data, layout, r, in_place=False):
+        calls.append((r, in_place, np.array_equal(_lu_band(data, layout, in_place)[0],
+                                                  band.data)))
+        return lus(data, layout, r, in_place)
+
+    def balanced_spy(x, info, data, layout, r):
+        checked.append(np.array_equal(data, band.data[None]))
+        return balanced(x, info, data, layout, r)
+
+    monkeypatch.setattr(ctmc, "_pinned_lus", spy)
+    monkeypatch.setattr(ctmc, "_balanced", balanced_spy)
+    ev = evaluate_rule(space, rule)
+    assert [call[:2] for call in calls][:2] == [(r, True) for r in plan.pins]
+    assert len(calls) == 3 and calls[2][0] not in plan.pins and calls[2][1]
+    assert all(call[2] for call in calls)
+    assert checked == [True] * 3
+    calls.clear()
+    pi, residual = stationary_vector(band)
+    assert not any(call[1] for call in calls)
+    assert bits(ev.pi) == bits(pi)
+    assert ev.residual == residual
+
+
+def test_lone_evaluation_peaks_near_its_one_buffer():
+    """One evaluate_policy on the 3,600-state sparse-eval instance, in a
+    fresh interpreter, raises the peak RSS by at most 1.25 times the buffer
+    its lone generator is solved in: the LU is factored where the band was
+    assembled, so no band is held beside an LU copy, which would read about
+    1.5."""
+    measured = lone_evaluation_growth()
+    assert measured["states"] == 3600
+    assert measured["growth"] <= 1.25 * measured["buffer"], measured
 
 
 def _decline_every_pin(monkeypatch, singular: np.ndarray, unchecked: np.ndarray) -> None:
     """Make every pinned LU of the generator whose data is `singular` report
     info 1, and every solution of the one whose data is `unchecked` fail its
-    residual check."""
+    residual check, whether its band is copied or factored in place."""
     lus = ctmc._pinned_lus
     noise = 1e-3 * np.random.default_rng(0).random(len(singular) // 3)
 
-    def pinned_lus(data, layout, r):
-        x, info = lus(data, layout, r)
-        for j, row in enumerate(data):
+    def pinned_lus(data, layout, r, in_place=False):
+        bands = _lu_band(data, layout, in_place).copy()
+        x, info = lus(data, layout, r, in_place)
+        for j, row in enumerate(bands):
             if np.array_equal(row, singular):
                 info[j] = 1
             elif np.array_equal(row, unchecked):
@@ -235,8 +371,10 @@ def _decline_every_pin(monkeypatch, singular: np.ndarray, unchecked: np.ndarray)
 def test_first_generator_declining_every_pin_raises(monkeypatch, first):
     """Generators 1 and 3 of a stack of four decline every pin, one by a
     singular LU and one by failing its checks; the stack raises generator
-    1's error, as stationary_vector raises it for that generator alone."""
-    chains = [_erlang_data(300, offered) for offered in (10.0, 20.0, 30.0, 40.0)]
+    1's error, as that generator raises it alone, a stack of one factored
+    in place, and as stationary_vector raises it on its copy."""
+    loads = (10.0, 20.0, 30.0, 40.0)
+    chains = [_erlang_data(300, offered) for offered in loads]
     plan = chains[0][0]
     data = [d for _, d in chains]
     if first is SingularChainError:
@@ -244,10 +382,13 @@ def test_first_generator_declining_every_pin_raises(monkeypatch, first):
     else:
         _decline_every_pin(monkeypatch, singular=data[3], unchecked=data[1])
     with pytest.raises(first) as alone:
+        _solve_lone(300, loads[1])
+    with pytest.raises(first) as copied:
         stationary_vector(BandGenerator(data[1], plan.width, plan.order, plan.pins))
+    assert str(copied.value) == str(alone.value)
     other = ResidualError if first is SingularChainError else SingularChainError
     with pytest.raises(other) as third:
-        stationary_vector(BandGenerator(data[3], plan.width, plan.order, plan.pins))
+        _solve_lone(300, loads[3])
     assert str(third.value) != str(alone.value)
     with pytest.raises(first) as stacked:
         stationary_vectors(np.stack(data), plan)
@@ -357,9 +498,14 @@ def test_failing_policy_raises_the_one_at_a_time_error(hybrid_instance, monkeypa
             values *= 1 + 1e-6
         return values, info
 
-    def pinned_lus(data, layout, r):
-        x, info = lus(data, layout, r)
-        info[[np.array_equal(row, bad_pi) for row in data]] = 1
+    in_place_calls = []
+
+    def pinned_lus(data, layout, r, in_place=False):
+        # a lone evaluation is factored in place: its band is read first
+        bad = [np.array_equal(row, bad_pi) for row in _lu_band(data, layout, in_place)]
+        x, info = lus(data, layout, r, in_place)
+        info[bad] = 1
+        in_place_calls.append(in_place)
         return x, info
 
     monkeypatch.setattr(transient, "_solve_tagged", solve_tagged)
@@ -375,6 +521,9 @@ def test_failing_policy_raises_the_one_at_a_time_error(hybrid_instance, monkeypa
         solver.evaluate_many(policies)
     assert str(chunked.value) == str(alone.value)
     assert list(solver._cache) == list(one._cache) == keys[:3]
+    # the chunk of eight copied its bands; one at a time, each first pin
+    # was factored in place
+    assert {False, True} <= set(in_place_calls)
 
 
 def test_tagged_blocks_go_one_at_a_time_past_the_budget(monkeypatch):

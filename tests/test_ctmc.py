@@ -218,19 +218,32 @@ def check_erlang_loss_chain(servers: int, offered: float) -> None:
 def test_every_pin_failing_raises_a_typed_error(monkeypatch, capsys, tmp_path):
     """The pinned banded LU is the only stationary solve: where every pin
     fails there is no other solve to fall back on, so the library raises
-    SingularChainError and the CLI reports it on one line with exit code 1."""
-    def no_pin(data, layout, r):
+    SingularChainError and the CLI reports it on one line with exit code 1,
+    whether the band is copied for its LU (steady) or, a lone evaluation,
+    factored in place at every pin (evaluate_rule, baseline)."""
+    in_place_calls = []
+
+    def no_pin(data, layout, r, in_place=False):
+        in_place_calls.append(in_place)
         return np.zeros((len(data), len(layout.order))), np.ones(len(data), dtype=np.int64)
 
     monkeypatch.setattr(ctmc, "_pinned_lus", no_pin)
     _, space, _, rule = erlang_loss_chain(2, 1.0)
     with pytest.raises(SingularChainError, match="pinned at states"):
         solve_steady_state(build_generator(space, rule))
+    assert in_place_calls and not any(in_place_calls)
+    in_place_calls.clear()
+    with pytest.raises(SingularChainError, match="pinned at states"):
+        evaluate_rule(space, rule)
+    assert len(in_place_calls) == 2 and all(in_place_calls)
     config = str(CONFIG_DIR / "erlang_single.json")
-    assert cli.main(["steady", "--config", config, "--rule", "policy",
-                     "--policy", "0,0,0", "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for argv in (["steady", "--rule", "policy", "--policy", "0,0,0"],
+                 ["baseline", "--which", "peak_rate"]):
+        in_place_calls.clear()
+        assert cli.main([*argv, "--config", config, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert set(in_place_calls) == {argv[0] == "baseline"}
 
 
 @pytest.mark.parametrize("config, choice, expected", [
