@@ -17,11 +17,12 @@ The stationary distribution is one pinned banded LU per generator
 stack of several generators on copies of their bands. A lone generator is
 assembled straight into its LU's layout in one scratch buffer and factored
 there in place; its clean band is then assembled again at the head of the
-same buffer, for the checks and the tagged solves, whose bands are carved
-from the rest. Its band and an LU copy are never held at once, and the
-buffer, sized from the plan before assembly (SolvePlan.lone_size), never
-grows. The public stationary_vector keeps its copy, as its caller keeps
-the band.
+same buffer, for the checks and the tagged solves. Its band and an LU copy
+are never held at once, and the buffer, sized from the plan before
+assembly (SolvePlan.lone_size), never grows. Either way the buffer's tail
+is the room where the tagged solves carve one block's bands at a time.
+The public stationary_vector keeps its copy, as its caller keeps the
+band.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ EMPTY_LABEL_MASS = 1e-12
 # Bytes of bands a chunk of generators may hold while it is solved, at
 # SolvePlan.policy_bytes per generator and at least one per chunk: 38
 # policies on 119 states (the fastest in a sweep from 0.125 to 16 MiB), and
-# one at a time, its tagged blocks gathered one by one, on spaces of a few
-# thousand states, whose bands take megabytes each.
+# one at a time on spaces of a few thousand states, whose bands take
+# megabytes each.
 CHUNK_BYTES = 4 * 2 ** 20
 
 _gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
@@ -187,17 +188,17 @@ class TaggedPlan:
 
 
 class TaggedGroup:
-    """Non-empty tagged blocks that are gathered, solved and checked
-    together, their values laid end to end.
+    """Non-empty tagged blocks that are solved and checked together, their
+    values laid end to end; each block is gathered, factored and checked
+    in turn (transient._solve_group).
 
     blocks holds, per block in (class, system) order, its index k in that
     order, its TaggedPlan and the slice of its values in the group's.
     shift_rows and shift_cols are the plans' arrays over the group's
     values, and rate the right-hand sides end to end. starts is where each
     block's values start, norm its bound on |A|_inf, and targets the
-    position of each value in a flattened (N, S, num_states) volume table,
-    and band_size the entries of one generator's bands of the group. A
-    group of one block shares its plan's arrays.
+    position of each value in a flattened (N, S, num_states) volume table.
+    A group of one block shares its plan's arrays.
     """
 
     def __init__(self, blocks: list[tuple[int, TaggedPlan]], num_states: int):
@@ -221,22 +222,6 @@ class TaggedGroup:
         self.norm = np.array([plan.norm for plan in plans])
         self.targets = np.concatenate([k * num_states + plan.ids for k, plan in blocks])
         self.num_states = num_states
-        self.band_size = sum(plan.band_size for plan in plans)
-        # the block of each value and its position in the band's order
-        self._block_of = np.repeat(np.arange(len(plans)), [len(plan.ids) for plan in plans])
-        self._position = joined([plan.positions for plan in plans])
-
-    def check_layout(self, count: int, width: int) -> tuple[int, np.ndarray]:
-        """How _check_tagged lays out the vectors of a stack of `count`
-        generators of half-bandwidth `width`: block-major, one run of
-        rows = max(count * num_states, 2 width + 1) entries per block,
-        each generator's num_states in the band's order and zeros after
-        the last, so that a run is a gbmv operand as it stands (scipy's gbmv
-        wants at least as many rows as the band has); and slots[b, v], where
-        value v of generator b sits."""
-        n = self.num_states
-        rows = max(count * n, 2 * width + 1)
-        return rows, self._block_of * rows + self._position + _offsets(n, count)[:, None]
 
 
 def _band_position(width: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -345,10 +330,11 @@ class _Scratch:
     pages need no filling. What they return is overwritten by the next call
     with that name.
 
-    The "data" buffer holds a stack's bands. A lone generator takes it at
-    SolvePlan.lone_size entries, known before assembly: its LU is factored
-    there in place, its clean band then fills the head and each tagged
-    group's bands are carved from the tail (_solve_stationary).
+    The "data" buffer holds a stack's bands at its head and, in its tail,
+    the room where the tagged bands of one block of every generator are
+    carved, block after block (_solve_stationary). A lone generator takes
+    it at SolvePlan.lone_size entries, known before assembly: its LU is
+    factored there in place before its clean band fills the head.
     """
 
     def __init__(self):
@@ -392,11 +378,15 @@ class SolvePlan:
     which is written last, and rate 0 when it is lost); and entry, the flat
     position of (class, system 0, state) in a (class, system, state)
     table. tagged_bytes is what the
-    bands of one generator's tagged blocks take, and policy_bytes what one
-    policy's bands take while a stack of several is solved: its generator,
-    the copy the stationary LU factors and its tagged blocks. A lone
-    generator takes less, lone_size() entries in all, as it is factored in
-    place.
+    bands of one generator's tagged blocks take, largest_band the entries
+    of its largest tagged band, and tagged_group the TaggedGroup of every
+    non-empty block (None if there is none). policy_bytes is what one
+    policy's bands are counted at while a stack of several is solved: its
+    generator, the copy the stationary LU factors and all its tagged
+    blocks. Only one block's bands are held at once, but CHUNK_BYTES was
+    tuned against this count, and counting the largest band alone would
+    move every chunk size away from that tuning. A lone generator takes
+    less, lone_size() entries in all, as it is factored in place.
     """
 
     def __init__(self, tables: ChainTables):
@@ -433,6 +423,7 @@ class SolvePlan:
                         for s in range(config.num_systems)]
                        for n in range(config.num_classes)]
         self.tagged_bytes = 8 * sum(t.band_size for row in self.tagged for t in row)
+        self.largest_band = max(t.band_size for row in self.tagged for t in row)
         self.policy_bytes = 8 * (self.size + (3 * self.width + 1) * nst) + self.tagged_bytes
 
     def chunk_size(self) -> int:
@@ -442,10 +433,9 @@ class SolvePlan:
 
     def lone_size(self) -> int:
         """Entries of the one buffer a lone generator is solved in: its LU
-        band, n (3 width + 1), or its band and the largest group of its
-        tagged bands gathered at once, whichever is more."""
-        largest = max((group.band_size for group in self.tagged_groups(1)), default=0)
-        return max(len(self.order) * (3 * self.width + 1), self.size + largest)
+        band, n (3 width + 1), or its band and its largest tagged band,
+        whichever is more."""
+        return max(len(self.order) * (3 * self.width + 1), self.size + self.largest_band)
 
     @cached_property
     def lu_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -461,26 +451,11 @@ class SolvePlan:
 
         return moved(self.departures), moved(self.diagonal), moved(self.arrivals[0])
 
-    def tagged_groups(self, count: int) -> list[TaggedGroup]:
-        """How the tagged blocks of a stack of `count` generators are
-        gathered: all in one group where their bands fit in CHUNK_BYTES,
-        else block by block."""
-        return self._all_tagged if count * self.tagged_bytes <= CHUNK_BYTES \
-            else self._each_tagged
-
     @cached_property
-    def _nonempty_tagged(self) -> list[tuple[int, TaggedPlan]]:
-        return [(k, plan) for k, plan in enumerate(itertools.chain.from_iterable(self.tagged))
-                if len(plan.ids)]
-
-    @cached_property
-    def _all_tagged(self) -> list[TaggedGroup]:
-        blocks = self._nonempty_tagged
-        return [TaggedGroup(blocks, len(self.order))] if blocks else []
-
-    @cached_property
-    def _each_tagged(self) -> list[TaggedGroup]:
-        return [TaggedGroup([block], len(self.order)) for block in self._nonempty_tagged]
+    def tagged_group(self) -> TaggedGroup | None:
+        blocks = [(k, plan) for k, plan in enumerate(itertools.chain.from_iterable(self.tagged))
+                  if len(plan.ids)]
+        return TaggedGroup(blocks, len(self.order)) if blocks else None
 
     def band_position(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Data position of the generator entry q[src, dst]."""
@@ -768,27 +743,30 @@ def stationary_vectors(data: np.ndarray, layout, lus=None) -> tuple[np.ndarray, 
 
 
 def _solve_stationary(tables: ChainTables, picked: np.ndarray, scratch: _Scratch
-                      ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The generators of the tables at picked (as _assemble takes them),
     solved for their stationary distributions: their (B, size) band data,
-    spare room for a lone generator's tagged bands (None for a stack of
-    several), and stationary_vectors's distributions and residuals.
+    the room for their tagged bands, at least B times the plan's
+    largest_band entries, and stationary_vectors's distributions and
+    residuals.
 
-    Every buffer is scratch's "data". A stack of several is assembled
-    there, and each LU factors a copy of its band. A lone generator is
+    Every buffer is scratch's "data": the band data at its head, the room
+    in its tail. A stack of several is assembled at the head, which alone
+    is zeroed, and each LU factors a copy of its band. A lone generator is
     assembled in its LU's layout and factored in place, at each pin it
     tries; after each LU its clean band is assembled again at the head of
     the buffer, where the checks and the caller read it. So its band and
-    an LU copy are never held at once. The rest of the buffer, at least the
-    largest group of its tagged bands (SolvePlan.lone_size), is the spare
-    room.
+    an LU copy are never held at once, and the buffer, SolvePlan.lone_size
+    entries, leaves room for its largest tagged band past its band.
     """
     plan = tables.solve_plan
     B = len(picked)
     if B > 1:
-        data = _assemble(tables, picked,
-                         scratch.zeros("data", B * plan.size).reshape(B, plan.size))
-        return (data, None, *stationary_vectors(data, plan))
+        buffer = scratch.get("data", B * (plan.size + plan.largest_band))
+        data = buffer[:B * plan.size].reshape(B, plan.size)
+        data.fill(0.0)
+        _assemble(tables, picked, data)
+        return (data, buffer[B * plan.size:], *stationary_vectors(data, plan))
     buffer = scratch.zeros("data", plan.lone_size())
     lu = buffer[:len(plan.order) * (3 * plan.width + 1)].reshape(1, -1)
     data = buffer[:plan.size].reshape(1, -1)

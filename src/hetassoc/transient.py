@@ -15,18 +15,19 @@ mu to absorption, so the block is strictly diagonally dominant and the
 banded LU is stable. Every solve is checked against the full generator
 afterwards, by BLAS gbmv on its unfactored band.
 
-The solves take a stack of generators (ctmc.assemble_stack) and a group of
-blocks at a time (ctmc.TaggedGroup): one gather of the blocks of the group
-that get an LU, one LU per distinct block (below), and one stacked gbmv per
-block that checks it on every generator. The blocks of a stack go in one
-group where their bands fit in ctmc.CHUNK_BYTES, else one at a time. Each
-LU writes its solution over its right-hand side in the group's table of
-values. The check lays its vectors out block by block, so each gbmv reads
-and writes contiguous runs; they live in scratch buffers the caller can
-reuse from stack to stack (ctmc._Scratch). A stack of several gathers its
-bands into fresh arrays. A lone generator, solved in place by
-ctmc._solve_stationary, hands over the spare room of its buffer past its
-band, and each group's bands are carved from it in turn.
+The solves take a stack of generators (ctmc.assemble_stack) and every
+non-empty block of it as one group (SolvePlan.tagged_group), block after
+block: one gather of the generators whose block gets an LU, one LU per
+distinct block (below), and, once every block is solved, one stacked gbmv
+per block that checks it on every generator. Each LU writes its solution
+over its right-hand side in the group's table of values. A block's bands
+are carved from the head of the band room that ctmc._solve_stationary
+hands over, the tail of the scratch buffer that holds the stack's bands,
+so only one block's bands are alive at once. The check puts one block's
+values at a time into one vector, laid out as the stack's states, so each
+gbmv reads and writes contiguous runs; the vector and its product live in
+scratch buffers the caller can reuse from stack to stack (ctmc._Scratch),
+and do not grow with the block count.
 
 A block is keyed by what the network does at its states: the caller
 passes each generator's admitted-system table (ChainTables.admit_sys read
@@ -56,7 +57,7 @@ from scipy.linalg import get_lapack_funcs
 # assemble_generator is not called here, but perfbench/tracer.py wraps the
 # name in this module, so it stays bound
 from .ctmc import (ChainTables, ResidualError, TaggedGroup, TaggedPlan,  # noqa: F401
-                   _gbmv, _Scratch, assemble_generator, stack_band)
+                   _gbmv, _offsets, _Scratch, assemble_generator, stack_band)
 
 # Largest accepted |A v + r|_inf / (|A|_inf |v|_inf) of a tagged solve, with
 # |A|_inf taken as the plan's bound; backward-stable LUs stay near 1e-16.
@@ -69,46 +70,31 @@ class SingularTaggedChainError(RuntimeError):
     """The tagged chain cannot reach absorption (requires mu > 0)."""
 
 
-def _tagged_matrix(data: np.ndarray, group: TaggedGroup, mu: float,
-                   rows: list[np.ndarray], spare: np.ndarray | None = None
-                   ) -> list[np.ndarray]:
-    """Restrict generators of a stack to the tagged states of each block of
-    a group and lower the tagged departure rate by mu (the tagged user's
-    own departure leads to absorption).
+def _tagged_matrix(data: np.ndarray, plan: TaggedPlan, mu: float, picked: list[int],
+                   room: np.ndarray) -> np.ndarray:
+    """Restrict generators of a stack to the tagged states of one block and
+    lower the tagged departure rate by mu (the tagged user's own departure
+    leads to absorption).
 
     Diagonals are kept from the original generator, so each transient row
     plus the mu absorption entry still sums to zero. Takes a (B, size)
-    stack of BandGenerator data and, per block j of the group, the indices
-    rows[j] (a list or an array) of the generators whose block j is
-    gathered. Returns per block an array (len(rows[j]), m, ldab) for a
-    block of m states: each item is the transpose of the block of one of
-    those generators in LAPACK band storage, band_shape (ldab, m) in
-    Fortran order, gathered from its band in the plan's state order
-    through flat indices into the stack.
-
-    The bands are fresh zeros, or, given spare, float memory with room for
-    group.band_size entries (a stack of one, _solve_stationary), carved
-    from its head block after block and zeroed.
+    stack of BandGenerator data, the block's TaggedPlan and the indices
+    picked (a list or an array) of the generators whose block is gathered.
+    Returns an array (len(picked), m, ldab) for a block of m states: each
+    item is the transpose of the block of one of those generators in LAPACK
+    band storage, band_shape (ldab, m) in Fortran order, gathered from its
+    band in the plan's state order through flat indices into the stack.
+    The array is carved from the head of room, float memory with at least
+    len(picked) * plan.band_size entries, and zeroed before the gather.
     """
-    flat = data.reshape(-1)
-    gathered = []
-    at = 0
-    for (_, plan, _), picked in zip(group.blocks, rows):
-        ldab, m = plan.band_shape
-        shape = (len(picked), m, ldab)
-        if spare is None:
-            bands = np.zeros(shape)
-        else:
-            bands = spare[at:at + len(picked) * m * ldab].reshape(shape)
-            bands.fill(0.0)
-            at += bands.size
-        if len(picked):
-            entries = bands.reshape(len(picked), m * ldab)
-            entries[:, plan.band] = flat.take(
-                np.multiply(picked, data.shape[1])[:, None] + plan.src)
-            entries[:, plan.shift_band] -= mu
-        gathered.append(bands)
-    return gathered
+    ldab, m = plan.band_shape
+    bands = room[:len(picked) * m * ldab].reshape(len(picked), m, ldab)
+    bands.fill(0.0)
+    entries = bands.reshape(len(picked), m * ldab)
+    entries[:, plan.band] = data.reshape(-1).take(
+        np.multiply(picked, data.shape[1])[:, None] + plan.src)
+    entries[:, plan.shift_band] -= mu
+    return bands
 
 
 def _absorption_rate(tables: ChainTables) -> float:
@@ -139,22 +125,25 @@ def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarr
     A v is taken from the full generators rather than from the solved
     blocks, by one BLAS gbmv per block over the block-diagonal matrix of the
     whole stack, so an entry the block's gather missed shows up in the
-    residual. The vectors are laid out block-major
-    (TaggedGroup.check_layout), so each gbmv reads one contiguous run and
-    writes the next. The vectors and products lie in scratch's "v" and
-    "qv" buffers.
+    residual. One block at a time, its values go into one vector of
+    rows = max(B num_states, 2 width + 1) entries, each generator's
+    num_states in the band's order and zeros after the last, so that it is
+    a gbmv operand as it stands (scipy's gbmv wants at least as many rows
+    as the band has); they are zeroed again once the product is read. The
+    vector and its product lie in scratch's "v" and "qv" buffers.
     """
-    B, w = len(values), layout.width
-    rows, slots = group.check_layout(B, w)
-    total = B * group.num_states
+    B, w, n = len(values), layout.width, group.num_states
+    rows, total = max(B * n, 2 * w + 1), B * n
     band = stack_band(data, w)
-    v = scratch.zeros("v", len(group.blocks) * rows)
-    v[slots] = values
-    qv = scratch.get("qv", len(v))
-    for at in range(0, v.size, rows):
-        _gbmv(rows, total, w, w, 1.0, band, v[at:at + rows], y=qv[at:at + total],
-              overwrite_y=1, trans=1)
-    av = qv.take(slots)
+    v = scratch.zeros("v", rows)
+    qv = scratch.get("qv", total)
+    av = np.empty(values.shape)
+    for _, plan, value in group.blocks:
+        slots = plan.positions + _offsets(n, B)[:, None]
+        v[slots] = values[:, value]
+        _gbmv(rows, total, w, w, 1.0, band, v, y=qv, overwrite_y=1, trans=1)
+        av[:, value] = qv.take(slots)
+        v[slots] = 0.0
     av[:, group.shift_rows] -= mu * values[:, group.shift_cols]
     av += group.rate
     residual = np.maximum.reduceat(np.abs(av, out=av), group.starts, axis=1)
@@ -173,13 +162,16 @@ def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarr
 
 
 def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup, mu: float,
-                 admitted: np.ndarray, solved: dict, scratch: _Scratch,
-                 spare: np.ndarray | None = None) -> np.ndarray:
+                 admitted: np.ndarray, solved: dict, scratch: _Scratch, room: np.ndarray
+                 ) -> np.ndarray:
     """Checked expected megabits of a tagged user, who leaves at rate mu,
     for every block of a group and every generator of a stack: row b holds
     generator b's values, each block's at its slice of group.blocks in its
-    plan's state order. Every LU runs before the checks, and the error
-    raised is that of solving block by block (see _check_tagged).
+    plan's state order. The blocks are solved one after another, each
+    gathered into the head of room (_tagged_matrix), which holds at least
+    B times the entries of the group's largest band, and factored there.
+    Every LU runs before the checks, and the error raised is that of
+    solving block by block (see _check_tagged).
 
     admitted[b] (N, num_states) is the system generator b's network admits
     each class's arrival to at each state, -1 where it is lost: int8, as
@@ -191,23 +183,22 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup, mu: 
     values. Per block, the generators whose key is in it get its values in
     one fancy-index assignment; a dict finds the first generator of every
     other key, where one LU runs, and every later generator with that key
-    gets a copy of its values, all in one more fancy-index assignment once
-    the LUs have run. Only the blocks that get an LU are gathered; every
-    block, a copied one included, is checked on the full generator. A
-    copy's info is 0: had its LU failed, it failed at that first generator,
-    which the check reaches earlier. The keys solved here join solved once
-    the whole group has passed its check. scratch holds the check's
-    vectors, and spare, if given, the gathered bands (_tagged_matrix)."""
+    gets a copy of its values, in one more fancy-index assignment once the
+    block's LUs have run. Only the blocks that get an LU are gathered;
+    every block, a copied one included, is checked on the full generator.
+    A copy's info is 0: had its LU failed, it failed at that first
+    generator, which the check reaches earlier. The keys solved here join
+    solved once the whole group has passed its check. scratch holds the
+    check's vectors."""
     B = len(data)
     # each LU writes its solution over its right-hand side, -rate
     values = np.empty((B, len(group.rate)))
     np.negative(group.rate, out=values)
     info = np.zeros((B, len(group.blocks)), dtype=np.int64)
     everyone = list(range(B))
-    # per block, the generators whose LU solves it; then the copies and the
-    # keys the LUs solve
-    rows, copies, fresh = [], [], []
-    for k, plan, value in group.blocks:
+    # the keys the LUs solve, per block
+    fresh = []
+    for j, (k, plan, value) in enumerate(group.blocks):
         states = admitted.take(plan.ids, axis=2).reshape(B, -1)
         row_keys = states.view(f"V{states.shape[1]}")[:, 0].tolist()
         block_solved = solved.setdefault(k, {})
@@ -222,21 +213,18 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup, mu: 
         # for one key, the dict keeps the last
         first = dict(zip(reversed(todo_keys), reversed(todo)))
         if len(first) == len(todo):
-            factored, new = todo, todo_keys
+            factored, new, copy = todo, todo_keys, []
         else:
             factored = sorted(first.values())
             new = list(map(row_keys.__getitem__, factored))
             copy = [b for b in todo if first[row_keys[b]] != b]
-            copies.append((copy, [first[row_keys[b]] for b in copy], value))
-        rows.append(factored)
-        if factored:
-            fresh.append((block_solved, value, factored, new))
-    for j, ((_, plan, value), picked, bands) in enumerate(
-            zip(group.blocks, rows, _tagged_matrix(data, group, mu, rows, spare))):
-        for b, band in zip(picked, bands):
+        if not factored:
+            continue
+        for b, band in zip(factored, _tagged_matrix(data, plan, mu, factored, room)):
             info[b, j] = _solve_tagged(plan, band.T, values[b, value])[1]
-    for copy, source, value in copies:
-        values[copy, value] = values[source, value]
+        if copy:
+            values[copy, value] = values[[first[row_keys[b]] for b in copy], value]
+        fresh.append((block_solved, value, factored, new))
     _check_tagged(data, tables.solve_plan, group, values, mu, info, scratch)
     for block_solved, value, factored, new in fresh:
         block_solved.update(zip(new, values[factored, value]))
@@ -257,26 +245,26 @@ def solve_volume_from_matrix(tables: ChainTables, q, user_class: int,
         group = TaggedGroup([(0, plan)], nst)
         admitted = np.zeros((1, len(tables.occ_ns), nst), dtype=np.int8)
         out[plan.ids] = _solve_group(tables, q.data[None], group, mu, admitted, {},
-                                     _Scratch())[0]
+                                     _Scratch(), np.empty(plan.band_size))[0]
     return out
 
 
 def tagged_volumes(tables: ChainTables, data: np.ndarray, admitted: np.ndarray,
-                   solved: dict, scratch: _Scratch, spare: np.ndarray | None = None
-                   ) -> np.ndarray:
+                   solved: dict, scratch: _Scratch, room: np.ndarray) -> np.ndarray:
     """volumes[b]: solve_volume_from_matrix for every (class, system) pair
     of generator b of a (B, size) stack, as a flattened (N, S, num_states)
-    table followed by one zero, the blocks gathered together as
-    SolvePlan.tagged_groups says. admitted and solved key the blocks and
-    save the LUs of repeated ones (see _solve_group). A stack of one may
-    pass spare, room for the bands of its largest group, where every
-    group's bands are gathered in turn."""
+    table followed by one zero: every non-empty block in one group
+    (SolvePlan.tagged_group), each gathered in turn into room, with at
+    least B times the plan's largest_band entries (_solve_stationary
+    hands it over). admitted and solved key the blocks and save the LUs of
+    repeated ones (see _solve_group)."""
     mu = _absorption_rate(tables)
     B = len(data)
     volumes = np.empty((B, tables.occ_ns.size + 1))
     volumes.fill(np.nan)
     volumes[:, -1] = 0.0
-    for group in tables.solve_plan.tagged_groups(B):
+    group = tables.solve_plan.tagged_group
+    if group is not None:
         volumes[:, group.targets] = _solve_group(tables, data, group, mu, admitted, solved,
-                                                 scratch, spare)
+                                                 scratch, room)
     return volumes

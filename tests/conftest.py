@@ -403,13 +403,11 @@ def reference_tagged_block(space, q_dense, user_class, system):
     return ids, block
 
 
-def tagged_band(data, plan, mu, num_states):
+def tagged_band(data, plan, mu):
     """The band transient._tagged_matrix gathers for one tagged block, given
     by its TaggedPlan, of one generator's BandGenerator data."""
-    from hetassoc.ctmc import TaggedGroup
     from hetassoc.transient import _tagged_matrix
-    group = TaggedGroup([(0, plan)], num_states)
-    return _tagged_matrix(data[None], group, mu, [np.zeros(1, dtype=np.int64)])[0][0].ravel()
+    return _tagged_matrix(data[None], plan, mu, [0], np.empty(plan.band_size))[0].ravel()
 
 
 def gathered_tagged_block(space, q, user_class, system):
@@ -419,7 +417,7 @@ def gathered_tagged_block(space, q, user_class, system):
     lays it out."""
     from hetassoc.ctmc import chain_tables
     plan = chain_tables(space).solve_plan.tagged[user_class][system]
-    band = tagged_band(q.data, plan, space.config.service_rate, space.num_states)
+    band = tagged_band(q.data, plan, space.config.service_rate)
     block = np.zeros((len(plan.ids),) * 2)
     block[plan.rows, plan.cols] = band[plan.band]
     ascending = np.argsort(plan.ids)
@@ -513,9 +511,8 @@ policy = Policy.from_flat(draw_policy(json.loads(json.dumps(SPARSE_INSTANCE)), 1
 space = enumerate_states(config)
 plan = ctmc.chain_tables(space).solve_plan
 # SolvePlan.lone_size, from the plan's sizes: the LU band, or the band and
-# the largest group of tagged bands gathered at once
-blocks = [t.band_size for row in plan.tagged for t in row]
-largest = sum(blocks) if 8 * sum(blocks) <= ctmc.CHUNK_BYTES else max(blocks)
+# the largest tagged band
+largest = max(t.band_size for row in plan.tagged for t in row)
 buffer = 8 * max(space.num_states * (3 * plan.width + 1), plan.size + largest)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 evaluate_policy(space, scheme, policy)

@@ -14,7 +14,7 @@ from hetassoc.ctmc import (BandGenerator, Partition, _Scratch, assemble_dense, a
 from hetassoc.game import (ChainEvaluation, PolicyEvaluation, PolicyGameSolver, _ChainCore,
                            _evaluate_chain, _nash_gaps, evaluate_baseline, evaluate_rule)
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
-from hetassoc.transient import SingularTaggedChainError, TaggedGroup, tagged_volumes
+from hetassoc.transient import SingularTaggedChainError, tagged_volumes
 
 from conftest import (arrival_mode, erlang_loss_chain, lone_evaluation_growth,
                       pinned_solve_holds, random_instance, random_policy, tagged_band)
@@ -251,10 +251,12 @@ def test_lone_chains_factored_in_place_match_one_shared_stack(hybrid_instance, m
     """Six chains of hybrid_example at 5 Erlangs, each solved as a stack of
     one by a fresh solver and then all in one stack, agree bit for bit on
     pi, residual, blocking, volumes and payoffs. Each lone chain is
-    factored in place, and its tagged bands are carved from its scratch
-    buffer past its band; the shared stack copies every band for its LU and
-    gathers its tagged bands afresh. The tagged blocks are gathered in one
-    group, or one block at a time."""
+    factored in place; the shared stack copies every band for its LU. Both
+    gather their tagged bands one block at a time, carved from the tail of
+    their solver's scratch buffer, past their bands. The lone chains'
+    volumes come from the plan's one group of every block, and, block by
+    block, also from solve_volume_from_matrix, a group of one block each,
+    with the same bits."""
     config, scheme = hybrid_instance
     space = arrival_mode(enumerate_states(config.scale_traffic(5.0 / config.offered_erlangs)),
                          strict)
@@ -264,11 +266,11 @@ def test_lone_chains_factored_in_place_match_one_shared_stack(hybrid_instance, m
     lone = [PolicyGameSolver(space, scheme) for _ in policies]
     rows = shared._policy_rows(policies)
     assert len({shared._key(row) for row in rows}) == len(rows) <= shared.chunk
-    plan = chain_tables(space).solve_plan
-    if not grouped:
-        monkeypatch.setattr(ctmc, "CHUNK_BYTES", plan.tagged_bytes - 1)
-    blocks = sum(1 for row in plan.tagged for t in row if len(t.ids))
-    assert len(plan.tagged_groups(1)) == (1 if grouped else blocks) > 0
+    tables = chain_tables(space)
+    plan = tables.solve_plan
+    blocks = [(n, s) for n, row in enumerate(plan.tagged) for s, t in enumerate(row)
+              if len(t.ids)]
+    assert len(plan.tagged_group.blocks) == len(blocks) > 1
 
     factored, gathers = [], []
     lus, tagged_matrix = ctmc._pinned_lus, transient._tagged_matrix
@@ -277,25 +279,75 @@ def test_lone_chains_factored_in_place_match_one_shared_stack(hybrid_instance, m
         factored.append(in_place)
         return lus(data, layout, r, in_place)
 
-    def gather(data, group, mu, picked, spare=None):
-        bands = tagged_matrix(data, group, mu, picked, spare)
-        carved = spare is not None and not np.shares_memory(spare, data) and all(
-            np.shares_memory(band, spare) for band in bands if band.size)
-        gathers.append((len(data), carved))
+    def gather(data, block, mu, picked, room):
+        bands = tagged_matrix(data, block, mu, picked, room)
+        carved = np.shares_memory(bands, room) and not np.shares_memory(room, data)
+        gathers.append((len(data), carved, room))
         return bands
+
+    def scratch_of(solver):
+        return solver._core.scratch._buffers["data"]
 
     monkeypatch.setattr(ctmc, "_pinned_lus", pinned_lus)
     monkeypatch.setattr(transient, "_tagged_matrix", gather)
-    alone = [solver._evaluate_chunk(row[None])[0] for solver, row in zip(lone, rows)]
+    alone = []
+    for solver, row in zip(lone, rows):
+        alone.append(solver._evaluate_chunk(row[None])[0])
+        assert gathers and all(np.shares_memory(room, scratch_of(solver))
+                               for *_, room in gathers)
+        assert {call[:2] for call in gathers} == {(1, True)}
+        gathers.clear()
     assert factored == [True] * len(rows)
-    assert gathers and set(gathers) == {(1, True)}
     factored.clear()
-    gathers.clear()
     together = shared._evaluate_chunk(rows)
     assert factored == [False]
-    assert gathers and set(gathers) == {(len(rows), False)}
+    assert gathers and all(np.shares_memory(room, scratch_of(shared)) for *_, room in gathers)
+    assert {call[:2] for call in gathers} == {(len(rows), True)}
     for a, b in zip(alone, together):
         assert_same_bits(a, b)
+    if not grouped:
+        for policy, a in zip(policies, alone):
+            band = assemble_dense(tables, np.asarray(policy.choice)[:, shared.labels])
+            for n, s in blocks:
+                alone_block = transient.solve_volume_from_matrix(tables, band, n, s)
+                assert bits(alone_block) == bits(a.volumes[n, s])
+
+
+@pytest.mark.parametrize("several", [True, False], ids=["chunk-of-several", "lone"])
+def test_tagged_bands_are_carved_from_the_core_scratch_buffer(hybrid_instance, monkeypatch,
+                                                              several):
+    """Every array of tagged bands a chunk gathers, in a chunk of several
+    policies and in a lone evaluation alike, lies in its core's scratch
+    "data" buffer and holds at most B times the largest tagged band's
+    entries, for a stack of B generators: only one block's bands are held
+    at once. The tagged check's vector does not grow with the block count
+    either: it holds one run of max(B n, 2 width + 1) entries."""
+    config, scheme = hybrid_instance
+    space = enumerate_states(config.scale_traffic(5.0 / config.offered_erlangs))
+    solver = PolicyGameSolver(space, scheme)
+    plan = chain_tables(space).solve_plan
+    largest = max(t.band_size for row in plan.tagged for t in row)
+    blocks = sum(1 for row in plan.tagged for t in row if len(t.ids))
+    rng = np.random.default_rng(31)
+    policies = [random_policy(rng, config, scheme) for _ in range(5 if several else 1)]
+    assert solver.chunk >= len(policies) and blocks > 1
+    gathered = []
+    tagged_matrix = transient._tagged_matrix
+
+    def gather(data, *rest):
+        bands = tagged_matrix(data, *rest)
+        gathered.append((len(data), bands, solver._core.scratch._buffers["data"]))
+        return bands
+
+    monkeypatch.setattr(transient, "_tagged_matrix", gather)
+    solver.evaluate_many(policies)
+    assert len(gathered) == blocks
+    for count, bands, buffer in gathered:
+        assert count == len(policies)
+        assert np.shares_memory(bands, buffer)
+        assert bands.size <= count * largest
+    rows = max(len(policies) * space.num_states, 2 * plan.width + 1)
+    assert len(solver._core.scratch._buffers["v"]) == rows
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -408,7 +460,7 @@ def test_singular_tagged_block_raises_the_chunk_of_one_error(hybrid_instance, mo
     choices = np.array([p.choice for p in policies]).take(solver.labels, axis=2)
     data = assemble_stack(tables, choices)
     nonempty = [p for row in tables.solve_plan.tagged for p in row if len(p.ids)]
-    bands = [[tagged_band(d, p, config.service_rate, space.num_states) for p in nonempty]
+    bands = [[tagged_band(d, p, config.service_rate) for p in nonempty]
              for d in data]
 
     def unique(b):
@@ -450,8 +502,9 @@ def test_corrupted_tagged_src_raises_from_the_chunked_check(hybrid_instance):
     src[off] = 0
     tables.solve_plan.tagged[0][0] = dataclasses.replace(plan, src=src)
     admitted = np.repeat(tables.admit_sys[None, :, 0].astype(np.int8), 3, axis=0)
+    room = np.empty(3 * tables.solve_plan.largest_band)
     with pytest.raises(ResidualError, match="tagged residual"):
-        tagged_volumes(tables, data, admitted, {}, _Scratch())
+        tagged_volumes(tables, data, admitted, {}, _Scratch(), room)
     solver = PolicyGameSolver(space, scheme)
     assert solver.chunk > 1
     rng = np.random.default_rng(0)
@@ -479,7 +532,7 @@ def test_failing_policy_raises_the_one_at_a_time_error(hybrid_instance, monkeypa
     nonempty = [p for row in tables.solve_plan.tagged for p in row if len(p.ids)]
 
     def bands_of(policy):
-        return [tagged_band(data_of(policy), p, config.service_rate, space.num_states)
+        return [tagged_band(data_of(policy), p, config.service_rate)
                 for p in nonempty]
 
     # a block of policy 3 and a generator of policy 5 that no other policy has
@@ -527,23 +580,25 @@ def test_failing_policy_raises_the_one_at_a_time_error(hybrid_instance, monkeypa
 
 
 def test_tagged_blocks_go_one_at_a_time_past_the_budget(monkeypatch):
-    """The blocks of a stack are gathered together while their bands fit in
-    CHUNK_BYTES and one by one past it; a policy chunk never holds more
-    than the budget, and always at least one policy."""
+    """The blocks of a stack are gathered one at a time at any budget: the
+    plan's one group holds every non-empty block, whatever CHUNK_BYTES
+    says, and a lone generator's buffer has room for its largest tagged
+    band past its band. A policy chunk never holds more than the budget,
+    and always at least one policy."""
     config = NetworkConfig(peak_rate=((5.4, 9.0, 7.2), (2.7, 4.5, 3.6)),
                            t_min=1.0, t_max=2.0, arrival_rate=(1.0, 1.0), service_rate=1.0)
     plan = chain_tables(enumerate_states(config)).solve_plan
-    blocks = sum(1 for row in plan.tagged for t in row if len(t.ids))
-    assert blocks > 1
+    nonempty = [t for row in plan.tagged for t in row if len(t.ids)]
+    assert len(nonempty) > 1
+    group = plan.tagged_group
+    assert [p for _, p, _ in group.blocks] == nonempty
+    assert plan.largest_band == max(t.band_size for t in nonempty)
+    assert plan.lone_size() >= plan.size + plan.largest_band
     monkeypatch.setattr(ctmc, "CHUNK_BYTES", 3 * plan.policy_bytes - 1)
     assert plan.chunk_size() == 2
-    monkeypatch.setattr(ctmc, "CHUNK_BYTES", plan.tagged_bytes)
-    assert len(plan.tagged_groups(1)) == 1
     monkeypatch.setattr(ctmc, "CHUNK_BYTES", plan.tagged_bytes - 1)
-    assert len(plan.tagged_groups(1)) == blocks
     assert plan.chunk_size() == 1
-    monkeypatch.setattr(ctmc, "CHUNK_BYTES", 2 * plan.tagged_bytes)
-    assert [len(plan.tagged_groups(b)) for b in (1, 2, 3)] == [1, 1, blocks]
+    assert plan.tagged_group is group
 
 
 def _block_keys(solver, row: np.ndarray) -> dict[int, bytes]:
@@ -621,7 +676,7 @@ def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeyp
 
     def tagged_matrix(*args):
         bands = gather(*args)
-        gathered[0] += sum(map(len, bands))
+        gathered[0] += len(bands)
         return bands
 
     checkers = []
@@ -644,8 +699,8 @@ def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeyp
     blocks = [(k, plan) for k, plan in enumerate(p for row in tables.solve_plan.tagged
                                                  for p in row) if len(plan.ids)]
     bands = {(k, band.tobytes()) for k, plan in blocks for band in gather(
-        data, TaggedGroup([(k, plan)], space.num_states), config.service_rate,
-        [np.arange(len(data))])[0]}
+        data, plan, config.service_rate, np.arange(len(data)),
+        np.empty(len(data) * plan.band_size))}
     assert (len(rows), len(rows) * len(blocks)) == (fibres, 4 * fibres)
     assert searched == len(bands) == sum(map(len, solver._core.solved.values())) == distinct
     assert at_start == {} and checker._core.solved is not solver._core.solved
