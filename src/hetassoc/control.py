@@ -15,11 +15,12 @@ case are taken over fibres, and the count sums their members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AggregationScheme
+from .config import AggregationScheme, ConfigError
 from .game import EquilibriumFibre, PolicyGameSolver
 from .states import StateSpace
 
@@ -66,6 +67,8 @@ class ControlResult:
 def threshold_lattice(num_systems: int, step: float = 0.1) -> list[AggregationScheme]:
     """All per-system (low, high) combinations on a regular grid with
     0 <= low <= high <= 1."""
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"lattice step must be a positive finite number, got {step!r}")
     ticks = np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
     pairs = [(float(lo), float(hi)) for lo in ticks for hi in ticks if lo <= hi]
 

@@ -50,6 +50,32 @@ def hybrid_instance():
     return load_instance(text)
 
 
+def hybrid_doc(erlangs: float) -> dict:
+    """The shipped instance as a config document, its arrival rates scaled
+    to `erlangs` offered as the CLI's sweep scales them."""
+    doc = json.loads((CONFIG_DIR / "hybrid_example.json").read_text())
+    multiplier = erlangs / (sum(c["arrival_rate"] for c in doc["classes"]) / doc["service_rate"])
+    for c in doc["classes"]:
+        c["arrival_rate"] = c["arrival_rate"] * multiplier
+    return doc
+
+
+def nash_exhaustive_doc() -> dict:
+    """perfbench's nash-exhaustive instance as a config document: the
+    shipped instance at 5 Erlangs with system 1's thresholds at 0.5, 0.5.
+    119 states, 4,096 canonical policies in 256 fibres."""
+    doc = hybrid_doc(5.0)
+    doc["systems"][1]["thresholds"] = [0.5, 0.5]
+    return doc
+
+
+def instance_of(doc: dict, strict: bool = False):
+    """The space of a config document, under strict arrivals when strict is
+    set, and its scheme."""
+    config, scheme = load_instance(json.dumps(doc))
+    return arrival_mode(enumerate_states(config), strict), scheme
+
+
 @pytest.fixture(scope="session")
 def twin_config() -> NetworkConfig:
     """Two independent single-class systems: class n is only feasible in
@@ -523,12 +549,14 @@ print(json.dumps({"growth": (after - before) * unit, "buffer": buffer,
 """
 
 
+@functools.cache
 def lone_evaluation_growth() -> dict:
     """In a fresh interpreter, the ru_maxrss growth in bytes of one
     evaluate_policy on perfbench's 3,600-state sparse-eval instance (its
     panel's first policy draw), measured once the chain tables and solve
     plan are built, and the bytes of the buffer a lone generator is solved
-    in (SolvePlan.lone_size)."""
+    in (SolvePlan.lone_size). Measured once per process: its test and the
+    lone_memory probe read the same interpreter's numbers."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench"), os.environ.get("PYTHONPATH")]))}
     # Linux keeps ru_maxrss across exec, so an interpreter started from this

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hetassoc import ResidualError, SingularChainError, ctmc, enumerate_states, transient
-from hetassoc.config import AggregationScheme, NetworkConfig
+from hetassoc.config import NetworkConfig
 from hetassoc.ctmc import (BandGenerator, Partition, _Scratch, assemble_dense, assemble_stack,
                            cell_blocking, chain_tables, stationary_vector, stationary_vectors)
 from hetassoc.game import (ChainEvaluation, PolicyEvaluation, PolicyGameSolver, _ChainCore,
@@ -16,8 +16,9 @@ from hetassoc.game import (ChainEvaluation, PolicyEvaluation, PolicyGameSolver, 
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
 from hetassoc.transient import SingularTaggedChainError, tagged_volumes
 
-from conftest import (arrival_mode, erlang_loss_chain, lone_evaluation_growth,
-                      pinned_solve_holds, random_instance, random_policy, tagged_band)
+from conftest import (arrival_mode, erlang_loss_chain, instance_of, lone_evaluation_growth,
+                      nash_exhaustive_doc, pinned_solve_holds, random_instance, random_policy,
+                      tagged_band)
 
 
 @pytest.fixture(scope="module")
@@ -640,19 +641,11 @@ def test_reused_tagged_block_is_checked_again(hybrid_instance):
         solver.evaluate(policy)
 
 
-def _nash_exhaustive_instance(hybrid_instance, strict: bool = False):
-    """perfbench's nash-exhaustive instance: the shipped instance with
-    system 1's thresholds at 0.5, 0.5, at 5 Erlangs."""
-    config, scheme = hybrid_instance
-    space = enumerate_states(config.scale_traffic(5.0 / config.offered_erlangs))
-    return arrival_mode(space, strict), AggregationScheme((scheme.thresholds[0], (0.5, 0.5)))
-
-
 @pytest.mark.parametrize("strict, fibres, distinct, equilibria",
                          [(False, 256, 449, 1), (True, 4_096, 9_232, 0)],
                          ids=["redirect", "strict"])
-def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeypatch, strict,
-                                                        fibres, distinct, equilibria):
+def test_search_factors_each_distinct_tagged_block_once(monkeypatch, strict, fibres, distinct,
+                                                        equilibria):
     """On the nash-exhaustive benchmark instance, find_nash("exhaustive")
     runs one tagged LU per distinct band the search solver gathers: 449
     for the 1,024 blocks of its 256 fibres with redirected arrivals, 9,232
@@ -663,7 +656,7 @@ def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeyp
     blocks: it factors every block of the fibres it verifies, the one
     equilibrium fibre with redirected arrivals and none under strict
     ones."""
-    space, scheme = _nash_exhaustive_instance(hybrid_instance, strict)
+    space, scheme = instance_of(nash_exhaustive_doc(), strict)
     config = space.config
     solver = PolicyGameSolver(space, scheme)
     calls, gathered = [0], [0]
@@ -708,13 +701,13 @@ def test_search_factors_each_distinct_tagged_block_once(hybrid_instance, monkeyp
     assert gathered[0] == calls[0] == distinct + 4 * equilibria
 
 
-def test_lone_evaluations_share_the_block_cache(hybrid_instance, monkeypatch):
+def test_lone_evaluations_share_the_block_cache(monkeypatch):
     """A chunk of one keys its tagged blocks like any chunk: with a budget
     that holds one policy, evaluate_many solves the 256 fibres of the
     nash-exhaustive instance one at a time and factors the same 449
     distinct blocks as the chunked scan, the first fibre's blocks
     included."""
-    space, scheme = _nash_exhaustive_instance(hybrid_instance)
+    space, scheme = instance_of(nash_exhaustive_doc())
     monkeypatch.setattr(ctmc, "CHUNK_BYTES", 1)
     solver = PolicyGameSolver(space, scheme)
     assert solver.chunk == 1

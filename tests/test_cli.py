@@ -13,7 +13,7 @@ from hetassoc import PolicyGameSolver, ResidualError, SingularChainError, cli
 from hetassoc.cli import main
 from hetassoc.transient import SingularTaggedChainError
 
-from conftest import CONFIG_DIR, REPO_ROOT, read_csv_rows
+from conftest import CONFIG_DIR, REPO_ROOT, nash_exhaustive_doc, read_csv_rows
 
 ERLANG = str(CONFIG_DIR / "erlang_single.json")
 HYBRID = str(CONFIG_DIR / "hybrid_example.json")
@@ -684,20 +684,6 @@ def test_control_matches_golden_artifact(tmp_path):
             (DATA_DIR / f"control_golden{name[7:]}").read_bytes(), name
 
 
-def _nash_exhaustive_instance(tmp_path) -> str:
-    """hybrid_example with system 1's thresholds at 0.5,0.5, scaled to 5
-    Erlangs: 119 states, 4,096 canonical policies in 256 fibres."""
-    doc = json.loads((CONFIG_DIR / "hybrid_example.json").read_text())
-    doc["systems"][1]["thresholds"] = [0.5, 0.5]
-    multiplier = 5.0 / (sum(c["arrival_rate"] for c in doc["classes"])
-                        / doc["service_rate"])
-    for c in doc["classes"]:
-        c["arrival_rate"] = c["arrival_rate"] * multiplier
-    path = tmp_path / "instance.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
 @pytest.mark.parametrize("argv, artifact", [
     (("nash", "--mode", "exhaustive"), "nash"),
     (("optimal", "--method", "exhaustive"), "optimal"),
@@ -708,7 +694,9 @@ def test_exhaustive_scan_matches_golden_artifact(tmp_path, argv, artifact):
     shipped instance, reproduce a recorded artifact byte for byte."""
     out = tmp_path / "out"
     mode = argv[2]
-    config = _nash_exhaustive_instance(tmp_path) if mode == "exhaustive" else HYBRID
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(nash_exhaustive_doc()))
+    config = str(instance) if mode == "exhaustive" else HYBRID
     assert run(*argv, "--config", config, "--out", str(out)) == 0
     assert (out / f"{artifact}.json").read_bytes() == \
         (DATA_DIR / f"{artifact}_golden_{mode}.json").read_bytes()

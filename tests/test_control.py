@@ -2,7 +2,7 @@
 
 import pytest
 
-from hetassoc import (AggregationScheme, NetworkConfig, enumerate_states,
+from hetassoc import (AggregationScheme, ConfigError, NetworkConfig, enumerate_states,
                       load_instance, optimize_thresholds, threshold_lattice)
 
 from conftest import CONFIG_DIR
@@ -107,6 +107,15 @@ def test_threshold_lattice_shape():
     for scheme in lattice2:
         for lo, hi in scheme.thresholds:
             assert 0.0 <= lo <= hi <= 1.0
+    assert len(threshold_lattice(2, 0.1)) == 4_356
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
+def test_threshold_lattice_rejects_a_step_that_is_not_positive_and_finite(step):
+    """A zero, negative, NaN or infinite step gives no lattice: each raises
+    a ConfigError that names the step."""
+    with pytest.raises(ConfigError, match=f"lattice step .* got {step!r}"):
+        threshold_lattice(2, step)
 
 
 def test_empty_grid_rejected(shipped):

@@ -387,13 +387,14 @@ COVERAGE_SEEDS = range(60)
 COVERAGE_EVENTS = 50_000
 
 
-def erlang_blocking_runs(config, rule) -> np.ndarray:
+def erlang_blocking_runs(config, rule, seeds=COVERAGE_SEEDS, events=COVERAGE_EVENTS
+                         ) -> np.ndarray:
     """(estimate, 99% half-width) of the Erlang fixture's blocking, one row
-    per seed of COVERAGE_SEEDS, each run COVERAGE_EVENTS events long."""
+    per seed, each run `events` events long."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return np.array([simulate(config, rule, COVERAGE_EVENTS, seed=seed).blocking_estimate(0)
-                         for seed in COVERAGE_SEEDS])
+        return np.array([simulate(config, rule, events, seed=seed).blocking_estimate(0)
+                         for seed in seeds])
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ import os
 import subprocess
 import sys
 
-from conftest import CONFIG_DIR, REPO_ROOT
+from conftest import REPO_ROOT, nash_exhaustive_doc
 
 INSTALL = """
 import json
@@ -64,13 +64,8 @@ def test_traced_exhaustive_scan_keeps_its_live_metrics(tmp_path):
     system 1's thresholds at 0.5, 0.5, at 5 Erlangs), scanned exhaustively
     by the CLI under the installed tracer: every metric in
     LIVE_ON_EXHAUSTIVE_SCAN reads nonzero."""
-    doc = json.loads((CONFIG_DIR / "hybrid_example.json").read_text())
-    doc["systems"][1]["thresholds"] = [0.5, 0.5]
-    scale = 5.0 / (sum(c["arrival_rate"] for c in doc["classes"]) / doc["service_rate"])
-    for c in doc["classes"]:
-        c["arrival_rate"] *= scale
     instance = tmp_path / "instance.json"
-    instance.write_text(json.dumps(doc))
+    instance.write_text(json.dumps(nash_exhaustive_doc()))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", TRACED_SCAN, str(REPO_ROOT / "perfbench"),
