@@ -648,6 +648,13 @@ def main(argv=None) -> int:
         # numpy's generators take no negative seed
         if args.seed < 0:
             raise ConfigError(f"--seed must be at least 0, got {args.seed}")
+        # below 1, enumeration would refuse every instance as over the ceiling
+        if args.max_states < 1:
+            raise ConfigError(f"--max-states must be at least 1, got {args.max_states}")
+        # below 0, nash's auto mode would run best response on any space and
+        # optimal's exhaustive method refuse every one
+        if getattr(args, "cap", 0) < 0:
+            raise ConfigError(f"--cap must be at least 0, got {args.cap}")
         return _COMMANDS[args.command](args)
     except (ConfigError, CapacityError, OSError, SearchCapError,
             ResidualError, SingularChainError, SingularTaggedChainError,

@@ -14,20 +14,23 @@ picks (_outcome_index, over ChainTables.admit_sys).
 
 The stationary distribution is one pinned banded LU per generator
 (stationary_vectors). The evaluation core (_solve_stationary) factors a
-stack of several generators on copies of their bands. A lone generator is
-assembled straight into its LU's layout in one scratch buffer and factored
-there in place; its clean band is then assembled again at the head of the
-same buffer, for the checks and the tagged solves. Its band and an LU copy
-are never held at once, and the buffer, sized from the plan before
-assembly (SolvePlan.lone_size), never grows. Either way the buffer's tail
-is the room where the tagged solves carve one block's bands at a time.
-The public stationary_vector keeps its copy, as its caller keeps the
-band.
+stack of several generators on copies of their bands, and the buffer's
+tail, past the bands, is the room where the tagged solves carve one
+block's bands at a time. A lone generator is assembled straight into its
+LU's layout in one scratch buffer and factored there in place; its clean
+band is then assembled again at the head of the same buffer, for the
+checks. The tagged solves read the entries of its blocks out of that band,
+carve their bands from the whole buffer, over the band, and assemble the
+band again before their checks. So the buffer, its LU band, sized from the
+plan before assembly (SolvePlan.lone_size), never holds the band beside an
+LU copy or a tagged band, and never grows. The public stationary_vector
+keeps its copy, as its caller keeps the band.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -155,11 +158,11 @@ class TaggedPlan:
     ids lists the tagged states in the solve order, positions their
     positions in it, and rate the tagged user's throughput in each, the
     right-hand side of every solve; norm bounds |A|_inf of the block under
-    any rule. rows and cols are the local positions of every entry some
-    rule can put in the block, diagonal included; src is each entry's
-    position in the data of the full generator's BandGenerator, and band its
-    flat position in LAPACK band storage of shape band_shape (Fortran order,
-    with kl spare rows on top for the LU's fill). The shift_* arrays locate
+    any rule. For every entry some rule can put in the block, diagonal
+    included, src is its position in the data of the full generator's
+    BandGenerator, and band its flat position in LAPACK band storage of
+    shape band_shape (Fortran order, with kl spare rows on top for the LU's
+    fill), kl and ku its lower and upper bandwidths. The shift_* arrays locate
     the tagged user's own departures that stay in the block, the entries
     their absorption rate mu is taken off.
     """
@@ -170,8 +173,6 @@ class TaggedPlan:
     norm: float
     kl: int
     ku: int
-    rows: np.ndarray
-    cols: np.ndarray
     src: np.ndarray
     band: np.ndarray
     shift_rows: np.ndarray
@@ -189,8 +190,9 @@ class TaggedPlan:
 
 class TaggedGroup:
     """Non-empty tagged blocks that are solved and checked together, their
-    values laid end to end; each block is gathered, factored and checked
-    in turn (transient._solve_group).
+    values laid end to end; every block's entries are read first, then
+    each block is built, factored and checked in turn
+    (transient._solve_group).
 
     blocks holds, per block in (class, system) order, its index k in that
     order, its TaggedPlan and the slice of its values in the group's.
@@ -333,8 +335,10 @@ class _Scratch:
     The "data" buffer holds a stack's bands at its head and, in its tail,
     the room where the tagged bands of one block of every generator are
     carved, block after block (_solve_stationary). A lone generator takes
-    it at SolvePlan.lone_size entries, known before assembly: its LU is
-    factored there in place before its clean band fills the head.
+    it at SolvePlan.lone_size entries, its LU band, known before assembly:
+    its LU is factored there in place before its clean band fills the
+    head, and its tagged bands are carved over that band, which is
+    assembled again for the checks.
     """
 
     def __init__(self):
@@ -386,7 +390,8 @@ class SolvePlan:
     blocks. Only one block's bands are held at once, but CHUNK_BYTES was
     tuned against this count, and counting the largest band alone would
     move every chunk size away from that tuning. A lone generator takes
-    less, lone_size() entries in all, as it is factored in place.
+    less, lone_size() entries in all, its LU band, as it is factored in
+    place and its tagged bands are built over its band.
     """
 
     def __init__(self, tables: ChainTables):
@@ -433,9 +438,10 @@ class SolvePlan:
 
     def lone_size(self) -> int:
         """Entries of the one buffer a lone generator is solved in: its LU
-        band, n (3 width + 1), or its band and its largest tagged band,
-        whichever is more."""
-        return max(len(self.order) * (3 * self.width + 1), self.size + self.largest_band)
+        band, n (3 width + 1). Its tagged bands fit there too, once their
+        entries are read out of its band: a block has at most n states, and
+        its kl and ku never exceed width, as its states keep their order."""
+        return len(self.order) * (3 * self.width + 1)
 
     @cached_property
     def lu_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -485,7 +491,7 @@ class SolvePlan:
         return TaggedPlan(
             ids=ids, positions=positions, rate=tables.throughput[n, s, ids],
             norm=2.0 * outflow,
-            kl=kl, ku=ku, rows=rows, cols=cols,
+            kl=kl, ku=ku,
             src=self.band_position(g_rows[keep], g_cols[keep]),
             band=cols * ldab + kl + ku + rows - cols,
             shift_rows=shift_rows, shift_cols=shift_cols,
@@ -743,21 +749,27 @@ def stationary_vectors(data: np.ndarray, layout, lus=None) -> tuple[np.ndarray, 
 
 
 def _solve_stationary(tables: ChainTables, picked: np.ndarray, scratch: _Scratch
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                 Callable[[], None] | None]:
     """The generators of the tables at picked (as _assemble takes them),
     solved for their stationary distributions: their (B, size) band data,
     the room for their tagged bands, at least B times the plan's
-    largest_band entries, and stationary_vectors's distributions and
-    residuals.
+    largest_band entries, stationary_vectors's distributions and
+    residuals, and what assembles the band data again after the room is
+    written, or None where the room leaves it alone.
 
-    Every buffer is scratch's "data": the band data at its head, the room
-    in its tail. A stack of several is assembled at the head, which alone
-    is zeroed, and each LU factors a copy of its band. A lone generator is
-    assembled in its LU's layout and factored in place, at each pin it
-    tries; after each LU its clean band is assembled again at the head of
-    the buffer, where the checks and the caller read it. So its band and
-    an LU copy are never held at once, and the buffer, SolvePlan.lone_size
-    entries, leaves room for its largest tagged band past its band.
+    Every buffer is scratch's "data". A stack of several is assembled at
+    its head, which alone is zeroed, and each LU factors a copy of its
+    band; the room is the buffer's tail, past the bands, and needs no
+    reassembly. A lone generator is assembled in its LU's layout and
+    factored in place, at each pin it tries; after each LU its clean band
+    is assembled again at the head of the buffer, where the checks and the
+    caller read it. Its room is the whole buffer, SolvePlan.lone_size
+    entries, band included: transient._solve_group reads the entries of
+    its blocks out of the band before it builds any, and calls the last
+    item to assemble the band again before its checks. So the lone peak is
+    one LU band: its band and an LU copy, or its band and a tagged band,
+    are never held at once.
     """
     plan = tables.solve_plan
     B = len(picked)
@@ -766,11 +778,15 @@ def _solve_stationary(tables: ChainTables, picked: np.ndarray, scratch: _Scratch
         data = buffer[:B * plan.size].reshape(B, plan.size)
         data.fill(0.0)
         _assemble(tables, picked, data)
-        return (data, buffer[B * plan.size:], *stationary_vectors(data, plan))
+        return (data, buffer[B * plan.size:], *stationary_vectors(data, plan), None)
     buffer = scratch.zeros("data", plan.lone_size())
-    lu = buffer[:len(plan.order) * (3 * plan.width + 1)].reshape(1, -1)
+    lu = buffer.reshape(1, -1)
     data = buffer[:plan.size].reshape(1, -1)
     fresh = True
+
+    def clean_band():
+        data.fill(0.0)
+        _assemble(tables, picked, data)
 
     def factored(_, layout, r):
         nonlocal fresh
@@ -778,11 +794,10 @@ def _solve_stationary(tables: ChainTables, picked: np.ndarray, scratch: _Scratch
             lu.fill(0.0)
         fresh = False
         solved = _pinned_lus(_assemble(tables, picked, lu, lu=True), layout, r, in_place=True)
-        data.fill(0.0)
-        _assemble(tables, picked, data)
+        clean_band()
         return solved
 
-    return (data, buffer[plan.size:], *stationary_vectors(data, plan, factored))
+    return (data, buffer, *stationary_vectors(data, plan, factored), clean_band)
 
 
 def stationary_vector(gen: BandGenerator) -> tuple[np.ndarray, float]:

@@ -45,11 +45,12 @@ policy for the stationary vector and one per distinct tagged block.
 Outside those calls its numpy work is a fixed number of array passes per
 chunk and per tagged block, whatever the chunk's size, and its large work
 arrays are scratch buffers it reuses from chunk to chunk. Every chunk's
-tagged bands are gathered one block at a time into the tail of the buffer
+tagged bands are built one block at a time into the tail of the buffer
 that holds its generators. A chunk of one is factored in place: its
 generator, stationary LU and tagged bands share one buffer sized from the
-plan, so its peak memory is one LU band, not the band plus its copy
-(ctmc._solve_stationary).
+plan, its tagged bands built over its band once their entries are read,
+so its peak memory is one LU band, not the band beside its LU copy or a
+tagged band (ctmc._solve_stationary).
 Exhaustive scans, both searches and the fresh re-verification solve their
 missing fibres a chunk at a time (ctmc.CHUNK_BYTES bounds a chunk): the
 best-response paths, or the coordinate ascents, of all restarts advance in
@@ -150,8 +151,8 @@ class _ChainCore:
     transient._solve_group), and scratch, the buffers its chunks'
     generators and tagged bands, a lone generator's LU, and the tagged
     checks reuse: one block's bands at a time, in the tail of the
-    generators' buffer. A core belongs to one solver, so no other solver
-    reads its blocks."""
+    generators' buffer, or over a lone generator's band. A core belongs
+    to one solver, so no other solver reads its blocks."""
 
     def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int, chunk: int):
         N, S, nst = tables.occ_ns.shape
@@ -197,9 +198,12 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
 
     Every step runs once for the chunk: assembly, the stationary solves,
     blocking, the tagged volumes and the global utility. The tagged bands
-    are gathered one block at a time into the room past the chunk's bands,
-    in the same buffer; a chunk of one is also assembled and factored in
-    place there (ctmc._solve_stationary). Blocking is
+    are built one block at a time into the room past the chunk's bands, in
+    the same buffer; a chunk of one is assembled and factored in place
+    there, and its room is the whole buffer: tagged_volumes reads its
+    blocks' entries out of its band first, and calls the reassembly
+    _solve_stationary hands over to restore the band for the checks.
+    Blocking is
     ctmc.cell_blocking's over the (class, state) pairs whose chosen
     outcome is lost; the global utility weights each cell's chosen value
     by its non-blocking probability. A table's results have the bits
@@ -212,11 +216,11 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
     B, N, nst = choices.shape
     picked = np.multiply(choices, nst, dtype=np.intp)
     picked += plan.entry
-    data, room, pi, residual = _solve_stationary(tables, picked, core.scratch)
+    data, room, pi, residual, restore = _solve_stationary(tables, picked, core.scratch)
     outcome = core.outcome.take(picked)
     b = cell_blocking(tables, pi, outcome == tables.occ_ns.size, core.partition)
     padded = tagged_volumes(tables, data, core.admitted.take(picked), core.solved,
-                            core.scratch, room)
+                            core.scratch, room, restore)
     chosen = padded.take(outcome + core.padded_offset[:B])
     inner = np.bincount(core.partition.class_bins[:B * N * nst],
                         weights=(chosen * pi[:, None]).ravel(),

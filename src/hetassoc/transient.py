@@ -16,18 +16,21 @@ banded LU is stable. Every solve is checked against the full generator
 afterwards, by BLAS gbmv on its unfactored band.
 
 The solves take a stack of generators (ctmc.assemble_stack) and every
-non-empty block of it as one group (SolvePlan.tagged_group), block after
-block: one gather of the generators whose block gets an LU, one LU per
-distinct block (below), and, once every block is solved, one stacked gbmv
-per block that checks it on every generator. Each LU writes its solution
-over its right-hand side in the group's table of values. A block's bands
-are carved from the head of the band room that ctmc._solve_stationary
-hands over, the tail of the scratch buffer that holds the stack's bands,
-so only one block's bands are alive at once. The check puts one block's
-values at a time into one vector, laid out as the stack's states, so each
-gbmv reads and writes contiguous runs; the vector and its product live in
-scratch buffers the caller can reuse from stack to stack (ctmc._Scratch),
-and do not grow with the block count.
+non-empty block of it as one group (SolvePlan.tagged_group): first one
+read of every block's entries from the generators whose block gets an LU,
+then block after block one band build and one LU per distinct block
+(below), and, once every block is solved, one stacked gbmv per block that
+checks it on every generator. Each LU writes its solution over its
+right-hand side in the group's table of values. A block's bands are
+carved from the head of the band room that ctmc._solve_stationary hands
+over, so only one block's bands are alive at once: for a stack of
+several, the tail of the scratch buffer past the stack's bands; for a
+lone generator, its whole buffer, its band included, which the entries
+were read from, and which is assembled again before the checks. The
+check puts one block's values at a time into one vector, laid out as the
+stack's states, so each gbmv reads and writes contiguous runs; the vector
+and its product live in scratch buffers the caller can reuse from stack
+to stack (ctmc._Scratch), and do not grow with the block count.
 
 A block is keyed by what the network does at its states: the caller
 passes each generator's admitted-system table (ChainTables.admit_sys read
@@ -38,10 +41,10 @@ bits its own LU would give. The caller also passes, per block, a dict of
 the checked values of the keys it solved before. A block whose key is in
 it, or was solved for an earlier generator of the stack, is not factored
 again: its values are copied, a block at a time, by fancy-index
-assignments. Only the factored blocks are gathered, since the check reads
-the full generator and never a gathered band; every block is checked, a
-copied one included, and the dicts gain the new keys only once their check
-has passed.
+assignments. Only the factored blocks are read and built, since the check
+reads the full generator and never a built band; every block is checked,
+a copied one included, and the dicts gain the new keys only once their
+check has passed.
 
 The module has no per-rule entry point: game.evaluate_rule values any rule,
 its tagged volumes included, through tagged_volumes, the same path every
@@ -50,6 +53,8 @@ assembled generator.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -70,30 +75,29 @@ class SingularTaggedChainError(RuntimeError):
     """The tagged chain cannot reach absorption (requires mu > 0)."""
 
 
-def _tagged_matrix(data: np.ndarray, plan: TaggedPlan, mu: float, picked: list[int],
-                   room: np.ndarray) -> np.ndarray:
+def _tagged_matrix(entries: np.ndarray, plan: TaggedPlan, mu: float, room: np.ndarray
+                   ) -> np.ndarray:
     """Restrict generators of a stack to the tagged states of one block and
     lower the tagged departure rate by mu (the tagged user's own departure
     leads to absorption).
 
     Diagonals are kept from the original generator, so each transient row
-    plus the mu absorption entry still sums to zero. Takes a (B, size)
-    stack of BandGenerator data, the block's TaggedPlan and the indices
-    picked (a list or an array) of the generators whose block is gathered.
-    Returns an array (len(picked), m, ldab) for a block of m states: each
-    item is the transpose of the block of one of those generators in LAPACK
-    band storage, band_shape (ldab, m) in Fortran order, gathered from its
-    band in the plan's state order through flat indices into the stack.
-    The array is carved from the head of room, float memory with at least
-    len(picked) * plan.band_size entries, and zeroed before the gather.
+    plus the mu absorption entry still sums to zero. Takes entries (G,
+    len(plan.src)), the BandGenerator data at plan.src of each of G
+    generators, read before any band is carved (_solve_group), and the
+    block's TaggedPlan. Returns an array (G, m, ldab) for a block of m
+    states: each item is the transpose of the block of one of those
+    generators in LAPACK band storage, band_shape (ldab, m) in Fortran
+    order, in the plan's state order. The array is carved from the head of
+    room, float memory with at least G * plan.band_size entries, and zeroed
+    before the entries are scattered into it.
     """
     ldab, m = plan.band_shape
-    bands = room[:len(picked) * m * ldab].reshape(len(picked), m, ldab)
+    bands = room[:len(entries) * m * ldab].reshape(len(entries), m, ldab)
     bands.fill(0.0)
-    entries = bands.reshape(len(picked), m * ldab)
-    entries[:, plan.band] = data.reshape(-1).take(
-        np.multiply(picked, data.shape[1])[:, None] + plan.src)
-    entries[:, plan.shift_band] -= mu
+    flat = bands.reshape(len(entries), m * ldab)
+    flat[:, plan.band] = entries
+    flat[:, plan.shift_band] -= mu
     return bands
 
 
@@ -162,16 +166,20 @@ def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarr
 
 
 def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup, mu: float,
-                 admitted: np.ndarray, solved: dict, scratch: _Scratch, room: np.ndarray
-                 ) -> np.ndarray:
+                 admitted: np.ndarray, solved: dict, scratch: _Scratch, room: np.ndarray,
+                 restore: Callable[[], None] | None = None) -> np.ndarray:
     """Checked expected megabits of a tagged user, who leaves at rate mu,
     for every block of a group and every generator of a stack: row b holds
     generator b's values, each block's at its slice of group.blocks in its
-    plan's state order. The blocks are solved one after another, each
-    gathered into the head of room (_tagged_matrix), which holds at least
-    B times the entries of the group's largest band, and factored there.
-    Every LU runs before the checks, and the error raised is that of
-    solving block by block (see _check_tagged).
+    plan's state order. The entries of every block that gets an LU are
+    read out of data first; then the blocks are solved one after another,
+    each built from its entries into the head of room (_tagged_matrix),
+    which holds at least B times the entries of the group's largest band,
+    and factored there. So room may overlap data: a lone generator hands
+    over its whole buffer, band included, with restore, which assembles
+    its clean band again once the LUs have run. Every LU runs before the
+    checks, which read data, and the error raised is that of solving block
+    by block (see _check_tagged).
 
     admitted[b] (N, num_states) is the system generator b's network admits
     each class's arrival to at each state, -1 where it is lost: int8, as
@@ -184,20 +192,21 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup, mu: 
     one fancy-index assignment; a dict finds the first generator of every
     other key, where one LU runs, and every later generator with that key
     gets a copy of its values, in one more fancy-index assignment once the
-    block's LUs have run. Only the blocks that get an LU are gathered;
+    block's LUs have run. Only the blocks that get an LU are read and built;
     every block, a copied one included, is checked on the full generator.
     A copy's info is 0: had its LU failed, it failed at that first
     generator, which the check reaches earlier. The keys solved here join
     solved once the whole group has passed its check. scratch holds the
     check's vectors."""
-    B = len(data)
+    B, size = data.shape
     # each LU writes its solution over its right-hand side, -rate
     values = np.empty((B, len(group.rate)))
     np.negative(group.rate, out=values)
     info = np.zeros((B, len(group.blocks)), dtype=np.int64)
     everyone = list(range(B))
-    # the keys the LUs solve, per block
-    fresh = []
+    # per block that gets an LU: what it factors and copies, and its
+    # entries; and what joins solved once the check has passed
+    builds, fresh = [], []
     for j, (k, plan, value) in enumerate(group.blocks):
         states = admitted.take(plan.ids, axis=2).reshape(B, -1)
         row_keys = states.view(f"V{states.shape[1]}")[:, 0].tolist()
@@ -213,18 +222,23 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup, mu: 
         # for one key, the dict keeps the last
         first = dict(zip(reversed(todo_keys), reversed(todo)))
         if len(first) == len(todo):
-            factored, new, copy = todo, todo_keys, []
+            factored, new, copy, sources = todo, todo_keys, [], []
         else:
             factored = sorted(first.values())
             new = list(map(row_keys.__getitem__, factored))
             copy = [b for b in todo if first[row_keys[b]] != b]
-        if not factored:
-            continue
-        for b, band in zip(factored, _tagged_matrix(data, plan, mu, factored, room)):
+            sources = [first[row_keys[b]] for b in copy]
+        if factored:
+            entries = data.reshape(-1).take(np.multiply(factored, size)[:, None] + plan.src)
+            builds.append((j, plan, value, factored, copy, sources, entries))
+            fresh.append((block_solved, value, factored, new))
+    for j, plan, value, factored, copy, sources, entries in builds:
+        for b, band in zip(factored, _tagged_matrix(entries, plan, mu, room)):
             info[b, j] = _solve_tagged(plan, band.T, values[b, value])[1]
         if copy:
-            values[copy, value] = values[[first[row_keys[b]] for b in copy], value]
-        fresh.append((block_solved, value, factored, new))
+            values[copy, value] = values[sources, value]
+    if builds and restore is not None:
+        restore()
     _check_tagged(data, tables.solve_plan, group, values, mu, info, scratch)
     for block_solved, value, factored, new in fresh:
         block_solved.update(zip(new, values[factored, value]))
@@ -250,14 +264,16 @@ def solve_volume_from_matrix(tables: ChainTables, q, user_class: int,
 
 
 def tagged_volumes(tables: ChainTables, data: np.ndarray, admitted: np.ndarray,
-                   solved: dict, scratch: _Scratch, room: np.ndarray) -> np.ndarray:
+                   solved: dict, scratch: _Scratch, room: np.ndarray,
+                   restore: Callable[[], None] | None = None) -> np.ndarray:
     """volumes[b]: solve_volume_from_matrix for every (class, system) pair
     of generator b of a (B, size) stack, as a flattened (N, S, num_states)
     table followed by one zero: every non-empty block in one group
-    (SolvePlan.tagged_group), each gathered in turn into room, with at
-    least B times the plan's largest_band entries (_solve_stationary
-    hands it over). admitted and solved key the blocks and save the LUs of
-    repeated ones (see _solve_group)."""
+    (SolvePlan.tagged_group), each built in turn into room, with at least
+    B times the plan's largest_band entries, and restore, for a room that
+    overlaps data, what assembles data again before the checks: both as
+    _solve_stationary hands them over. admitted and solved key the blocks
+    and save the LUs of repeated ones (see _solve_group)."""
     mu = _absorption_rate(tables)
     B = len(data)
     volumes = np.empty((B, tables.occ_ns.size + 1))
@@ -266,5 +282,5 @@ def tagged_volumes(tables: ChainTables, data: np.ndarray, admitted: np.ndarray,
     group = tables.solve_plan.tagged_group
     if group is not None:
         volumes[:, group.targets] = _solve_group(tables, data, group, mu, admitted, solved,
-                                                 scratch, room)
+                                                 scratch, room, restore)
     return volumes

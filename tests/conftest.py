@@ -430,10 +430,20 @@ def reference_tagged_block(space, q_dense, user_class, system):
 
 
 def tagged_band(data, plan, mu):
-    """The band transient._tagged_matrix gathers for one tagged block, given
+    """The band transient._tagged_matrix builds for one tagged block, given
     by its TaggedPlan, of one generator's BandGenerator data."""
     from hetassoc.transient import _tagged_matrix
-    return _tagged_matrix(data[None], plan, mu, [0], np.empty(plan.band_size))[0].ravel()
+    return _tagged_matrix(data.take(plan.src)[None], plan, mu,
+                          np.empty(plan.band_size))[0].ravel()
+
+
+def tagged_rows_cols(plan):
+    """The local row and column of every entry of a TaggedPlan, diagonal
+    included, read back from its flat band position
+    col * ldab + kl + ku + row - col."""
+    ldab = plan.band_shape[0]
+    cols = plan.band // ldab
+    return plan.band % ldab - plan.kl - plan.ku + cols, cols
 
 
 def gathered_tagged_block(space, q, user_class, system):
@@ -445,7 +455,7 @@ def gathered_tagged_block(space, q, user_class, system):
     plan = chain_tables(space).solve_plan.tagged[user_class][system]
     band = tagged_band(q.data, plan, space.config.service_rate)
     block = np.zeros((len(plan.ids),) * 2)
-    block[plan.rows, plan.cols] = band[plan.band]
+    block[tagged_rows_cols(plan)] = band[plan.band]
     ascending = np.argsort(plan.ids)
     return plan.ids[ascending], block[np.ix_(ascending, ascending)]
 
@@ -527,19 +537,23 @@ def check_band_generator(instances, rng, rel_tol: float = 1e-12) -> None:
     assert pinned >= len(instances)
 
 
+# perfbench's sparse-eval instance with peak rates not scaled by 0.9: 11,592
+# states
+LARGE_PEAK_RATES = ((6.0, 10.0, 8.0), (3.0, 5.0, 4.0), (1.5, 3.0, 2.0))
+
 LONE_GROWTH = """
 import json, resource, sys
 from workloads import SPARSE_INSTANCE, draw_policy
 from hetassoc import Policy, ctmc, enumerate_states, evaluate_policy, load_instance
-config, scheme = load_instance(json.dumps(SPARSE_INSTANCE))
-policy = Policy.from_flat(draw_policy(json.loads(json.dumps(SPARSE_INSTANCE)), 1),
-                          config.num_classes, scheme.label_count)
+doc = json.loads(json.dumps(SPARSE_INSTANCE))
+for cls, rates in zip(doc["classes"], json.loads(sys.argv[1])):
+    cls["peak_rates"] = rates
+config, scheme = load_instance(json.dumps(doc))
+policy = Policy.from_flat(draw_policy(doc, 1), config.num_classes, scheme.label_count)
 space = enumerate_states(config)
 plan = ctmc.chain_tables(space).solve_plan
-# SolvePlan.lone_size, from the plan's sizes: the LU band, or the band and
-# the largest tagged band
-largest = max(t.band_size for row in plan.tagged for t in row)
-buffer = 8 * max(space.num_states * (3 * plan.width + 1), plan.size + largest)
+# SolvePlan.lone_size, from the plan's sizes: the LU band
+buffer = 8 * space.num_states * (3 * plan.width + 1)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 evaluate_policy(space, scheme, policy)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -550,20 +564,23 @@ print(json.dumps({"growth": (after - before) * unit, "buffer": buffer,
 
 
 @functools.cache
-def lone_evaluation_growth() -> dict:
+def lone_evaluation_growth(peak_rates: tuple = ()) -> dict:
     """In a fresh interpreter, the ru_maxrss growth in bytes of one
     evaluate_policy on perfbench's 3,600-state sparse-eval instance (its
-    panel's first policy draw), measured once the chain tables and solve
-    plan are built, and the bytes of the buffer a lone generator is solved
-    in (SolvePlan.lone_size). Measured once per process: its test and the
-    lone_memory probe read the same interpreter's numbers."""
+    panel's first policy draw), or on that instance with the given peak
+    rates per class (LARGE_PEAK_RATES gives 11,592 states), measured once
+    the chain tables and solve plan are built, and the bytes of the buffer
+    a lone generator is solved in (SolvePlan.lone_size). Measured once per
+    process and instance: its test and the lone_memory probe read the same
+    interpreter's numbers."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench"), os.environ.get("PYTHONPATH")]))}
     # Linux keeps ru_maxrss across exec, so an interpreter started from this
     # process would start at this process's peak; one started from a bare
     # interpreter starts at a few megabytes
     launch = "import subprocess, sys; raise SystemExit(subprocess.run(sys.argv[1:]).returncode)"
-    proc = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", LONE_GROWTH],
-                          capture_output=True, text=True, env=env, cwd=REPO_ROOT)
+    proc = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", LONE_GROWTH,
+                           json.dumps(peak_rates)], capture_output=True, text=True, env=env,
+                          cwd=REPO_ROOT)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)

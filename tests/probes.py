@@ -1,12 +1,13 @@
 """Informational probes of hetassoc's layers; none of them gates. The
-chain: structure_build, lone_memory (peak memory against the lone buffer),
-chunked_evaluation (tagged LUs and bands against block solves). The Nash
-search: best_response, coordinate_ascent, sweep (policies per
-_evaluate_chunk, Policy objects built, equilibria against fibres). The
-broadcast thresholds: threshold_control. Also package_size (lines, public
-names, defaulted parameters) and simulator (events per second, Erlang-B
-coverage of its 99 % interval). test_probes.py runs each probe on small
-inputs and requires every count it returns to be positive.
+chain: structure_build, lone_memory (peak memory against the lone buffer,
+at 3,600 and 11,592 states), chunked_evaluation (tagged LUs and bands
+against block solves). The Nash search: best_response, coordinate_ascent,
+sweep (policies per _evaluate_chunk, Policy objects built, equilibria
+against fibres). The broadcast thresholds: threshold_control. Also
+package_size (lines, public names, defaulted parameters) and simulator
+(events per second, Erlang-B coverage of its 99 % interval).
+test_probes.py runs each probe on small inputs, lone_memory at 3,600
+states only, and requires every count it returns to be positive.
 
 `PYTHONPATH=src:tests python tests/probes.py [NAME ...]` runs the named
 probes, or all; one that raises prints its traceback, and the others run.
@@ -29,7 +30,7 @@ from hetassoc import (NetworkConfig, Policy, PolicyGameSolver, PolicyRule, cli, 
                       enumerate_states, load_instance, optimize_thresholds, simulate,
                       threshold_lattice, transient)
 
-from conftest import (REPO_ROOT, erlang_loss_chain, hybrid_doc, instance_of,
+from conftest import (LARGE_PEAK_RATES, REPO_ROOT, erlang_loss_chain, hybrid_doc, instance_of,
                       lone_evaluation_growth, nash_exhaustive_doc)
 from test_simulate import COVERAGE_EVENTS, COVERAGE_SEEDS, erlang_blocking_runs
 
@@ -87,8 +88,7 @@ def package_size():
 
 
 def structure_build(classes=3):
-    # perfbench's sparse-eval instance with peak rates not scaled by 0.9
-    config = NetworkConfig(peak_rate=((6.0, 10.0, 8.0), (3.0, 5.0, 4.0), (1.5, 3.0, 2.0))[:classes],
+    config = NetworkConfig(peak_rate=LARGE_PEAK_RATES[:classes],
                            t_min=1.0, t_max=2.0, arrival_rate=(1.0,) * classes, service_rate=1.0)
     t0 = time.perf_counter()
     space = enumerate_states(config)
@@ -102,12 +102,15 @@ def structure_build(classes=3):
     return space.num_states,
 
 
-def lone_memory():
-    m = lone_evaluation_growth()
-    print(f"evaluate_policy on perfbench's {m['states']}-state sparse-eval instance: "
-          f"ru_maxrss grew {m['growth'] / 2**20:.1f} MiB, {m['growth'] / m['buffer']:.2f} "
-          f"times the {m['buffer'] / 2**20:.1f} MiB buffer a lone generator is solved in")
-    return m["states"], m["buffer"]
+def lone_memory(large=True):
+    counts = []
+    for peak_rates in ((), LARGE_PEAK_RATES)[:1 + large]:
+        m = lone_evaluation_growth(peak_rates)
+        print(f"evaluate_policy on a {m['states']}-state sparse-eval instance: "
+              f"ru_maxrss grew {m['growth'] / 2**20:.1f} MiB, {m['growth'] / m['buffer']:.2f} "
+              f"times the {m['buffer'] / 2**20:.1f} MiB buffer a lone generator is solved in")
+        counts += [m["states"], m["buffer"]]
+    return counts
 
 
 def chunked_evaluation(repeats=5, fibres=None):
@@ -126,7 +129,7 @@ def chunked_evaluation(repeats=5, fibres=None):
                     solver.evaluate_many(every)
         low, mid, high = (wall / len(every) * 1e6 for wall in spread(walls))
         # a _solve_group call solves each of its blocks for each of its generators
-        counts += [len(lus), sum(len(args[3]) for args in gathers),
+        counts += [len(lus), sum(len(args[0]) for args in gathers),
                    sum(len(args[1]) * len(args[2].blocks) for args in groups)]
         print(f"{name}, {solver.chunk} per chunk: {low:.0f} / {mid:.0f} / {high:.0f} us "
               f"per evaluation (min / median / max of {repeats} passes over {len(every)} "

@@ -7,7 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hetassoc import ResidualError, SingularChainError, ctmc, enumerate_states, transient
+from hetassoc import (PolicyRule, ResidualError, SingularChainError, ctmc, enumerate_states,
+                      evaluate_policy, game, transient)
 from hetassoc.config import NetworkConfig
 from hetassoc.ctmc import (BandGenerator, Partition, _Scratch, assemble_dense, assemble_stack,
                            cell_blocking, chain_tables, stationary_vector, stationary_vectors)
@@ -18,7 +19,7 @@ from hetassoc.transient import SingularTaggedChainError, tagged_volumes
 
 from conftest import (arrival_mode, erlang_loss_chain, instance_of, lone_evaluation_growth,
                       nash_exhaustive_doc, pinned_solve_holds, random_instance, random_policy,
-                      tagged_band)
+                      tagged_band, tagged_rows_cols)
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +167,8 @@ def _erlang_data(servers: int, offered: float):
 
 def _solve_lone(servers: int, offered: float):
     """_solve_stationary of one Erlang chain, a stack of one factored in
-    place: its band data, spare room, pi and residual."""
+    place: its band data, its room (the whole buffer), pi, residual and
+    what assembles its band again."""
     _, space, _, rule = erlang_loss_chain(servers, offered)
     tables = chain_tables(space)
     picked = rule.choice_table(space)[None] * space.num_states + tables.solve_plan.entry
@@ -233,7 +235,7 @@ def test_declined_first_pin_inside_a_chunk_gets_the_lone_pi(monkeypatch):
     assert all(np.shares_memory(call[3], stack) for call in calls)
     for row, name in enumerate(order):
         calls.clear()
-        data, _, alone, alone_residual = _solve_lone(300, loads[name])
+        data, _, alone, alone_residual, _ = _solve_lone(300, loads[name])
         assert [call[:3] for call in calls] == [
             (r, 1, True) for r in [empty, *further(name)]]
         assert all(np.shares_memory(call[3], data) for call in calls)
@@ -253,11 +255,12 @@ def test_lone_chains_factored_in_place_match_one_shared_stack(hybrid_instance, m
     one by a fresh solver and then all in one stack, agree bit for bit on
     pi, residual, blocking, volumes and payoffs. Each lone chain is
     factored in place; the shared stack copies every band for its LU. Both
-    gather their tagged bands one block at a time, carved from the tail of
-    their solver's scratch buffer, past their bands. The lone chains'
-    volumes come from the plan's one group of every block, and, block by
-    block, also from solve_volume_from_matrix, a group of one block each,
-    with the same bits."""
+    build their tagged bands one block at a time, carved from their
+    solver's scratch buffer: the shared stack from its tail, past its
+    bands, and a lone chain from its whole buffer, band included. The lone
+    chains' volumes come from the plan's one group of every block, and,
+    block by block, also from solve_volume_from_matrix, a group of one
+    block each, with the same bits."""
     config, scheme = hybrid_instance
     space = arrival_mode(enumerate_states(config.scale_traffic(5.0 / config.offered_erlangs)),
                          strict)
@@ -280,14 +283,19 @@ def test_lone_chains_factored_in_place_match_one_shared_stack(hybrid_instance, m
         factored.append(in_place)
         return lus(data, layout, r, in_place)
 
-    def gather(data, block, mu, picked, room):
-        bands = tagged_matrix(data, block, mu, picked, room)
-        carved = np.shares_memory(bands, room) and not np.shares_memory(room, data)
-        gathers.append((len(data), carved, room))
+    def gather(entries, block, mu, room):
+        bands = tagged_matrix(entries, block, mu, room)
+        gathers.append((len(entries), np.shares_memory(bands, room), room))
         return bands
 
     def scratch_of(solver):
         return solver._core.scratch._buffers["data"]
+
+    def offsets(solver):
+        # where each room starts in the solver's scratch buffer, in entries
+        buffer = scratch_of(solver)
+        return {(room.ctypes.data - buffer.ctypes.data) // buffer.itemsize
+                for *_, room in gathers}
 
     monkeypatch.setattr(ctmc, "_pinned_lus", pinned_lus)
     monkeypatch.setattr(transient, "_tagged_matrix", gather)
@@ -297,13 +305,19 @@ def test_lone_chains_factored_in_place_match_one_shared_stack(hybrid_instance, m
         assert gathers and all(np.shares_memory(room, scratch_of(solver))
                                for *_, room in gathers)
         assert {call[:2] for call in gathers} == {(1, True)}
+        assert offsets(solver) == {0}
+        assert {len(room) for *_, room in gathers} == {plan.lone_size()}
         gathers.clear()
     assert factored == [True] * len(rows)
     factored.clear()
     together = shared._evaluate_chunk(rows)
     assert factored == [False]
     assert gathers and all(np.shares_memory(room, scratch_of(shared)) for *_, room in gathers)
-    assert {call[:2] for call in gathers} == {(len(rows), True)}
+    # only the generators whose block gets an LU are built
+    assert {call[1] for call in gathers} == {True}
+    assert max(call[0] for call in gathers) <= len(rows)
+    # past the stack's bands, so the room does not overlap them
+    assert offsets(shared) == {len(rows) * plan.size}
     for a, b in zip(alone, together):
         assert_same_bits(a, b)
     if not grouped:
@@ -335,18 +349,19 @@ def test_tagged_bands_are_carved_from_the_core_scratch_buffer(hybrid_instance, m
     gathered = []
     tagged_matrix = transient._tagged_matrix
 
-    def gather(data, *rest):
-        bands = tagged_matrix(data, *rest)
-        gathered.append((len(data), bands, solver._core.scratch._buffers["data"]))
+    def gather(entries, *rest):
+        bands = tagged_matrix(entries, *rest)
+        gathered.append((len(entries), bands, solver._core.scratch._buffers["data"]))
         return bands
 
     monkeypatch.setattr(transient, "_tagged_matrix", gather)
     solver.evaluate_many(policies)
     assert len(gathered) == blocks
     for count, bands, buffer in gathered:
-        assert count == len(policies)
+        # only the generators whose block gets an LU are built
+        assert count <= len(policies)
         assert np.shares_memory(bands, buffer)
-        assert bands.size <= count * largest
+        assert bands.size <= len(policies) * largest
     rows = max(len(policies) * space.num_states, 2 * plan.width + 1)
     assert len(solver._core.scratch._buffers["v"]) == rows
 
@@ -398,6 +413,84 @@ def test_lone_evaluation_peaks_near_its_one_buffer():
     measured = lone_evaluation_growth()
     assert measured["states"] == 3600
     assert measured["growth"] <= 1.25 * measured["buffer"], measured
+
+
+def test_lone_buffer_is_its_lu_band():
+    """On perfbench's 3,600-state sparse-eval instance a lone generator's
+    buffer is its LU band, n (3 width + 1) entries, which holds any of its
+    tagged bands (no block's kl or ku exceeds width), and is smaller than
+    its band beside its largest tagged band."""
+    config = NetworkConfig(peak_rate=((5.4, 9.0, 7.2), (2.7, 4.5, 3.6), (1.35, 2.7, 1.8)),
+                           t_min=1.0, t_max=2.0, arrival_rate=(1.0, 1.0, 1.0),
+                           service_rate=1.0)
+    plan = chain_tables(enumerate_states(config)).solve_plan
+    n = len(plan.order)
+    assert n == 3600
+    assert plan.lone_size() == n * (3 * plan.width + 1)
+    assert plan.lone_size() < plan.size + plan.largest_band
+    assert all(t.kl <= plan.width and t.ku <= plan.width for row in plan.tagged for t in row)
+    assert plan.largest_band <= plan.lone_size()
+
+
+def _lone_evaluation(hybrid_instance, monkeypatch, perturb: bool):
+    """evaluate_policy of a drawn policy on the shipped instance, a chain of
+    one, with _solve_stationary's reassembly wrapped: it records the band
+    data before and after, and with perturb adds 1 to the generator entry
+    of the first entry of tagged block (0, 0) once the band is assembled
+    again. Returns the evaluation's assemble_stack data, the records and
+    the band data each _check_tagged call received."""
+    config, scheme = hybrid_instance
+    space = enumerate_states(config)
+    tables = chain_tables(space)
+    policy = random_policy(np.random.default_rng(33), config, scheme)
+    expected = assemble_stack(tables, PolicyRule(policy, scheme).choice_table(space)[None])
+    entry = tables.solve_plan.tagged[0][0].src[0]
+    restored, checked = [], []
+    solve, check = game._solve_stationary, transient._check_tagged
+
+    def solve_stationary(tables, picked, scratch):
+        data, room, pi, residual, restore = solve(tables, picked, scratch)
+
+        def stand_in():
+            before = data.copy()
+            restore()
+            if perturb:
+                data[0, entry] += 1.0
+            restored.append((before, data.copy()))
+        return data, room, pi, residual, stand_in
+
+    def check_tagged(data, *rest):
+        checked.append(data.copy())
+        return check(data, *rest)
+
+    monkeypatch.setattr(game, "_solve_stationary", solve_stationary)
+    monkeypatch.setattr(transient, "_check_tagged", check_tagged)
+    return (lambda: evaluate_policy(space, scheme, policy)), expected, restored, checked
+
+
+def test_lone_tagged_check_reads_the_band_assembled_again(hybrid_instance, monkeypatch):
+    """A lone chain's tagged bands are built over its band, in its one
+    buffer; its band is assembled again before the tagged check, which
+    receives data bit-equal to assemble_stack of that chain."""
+    evaluate, expected, restored, checked = _lone_evaluation(hybrid_instance, monkeypatch,
+                                                             perturb=False)
+    evaluate()
+    (before, after), = restored
+    assert not np.array_equal(before, expected)
+    assert bits(after) == bits(expected)
+    assert len(checked) == 1 and bits(checked[0]) == bits(expected)
+
+
+def test_lone_tagged_check_sees_what_the_reassembly_writes(hybrid_instance, monkeypatch):
+    """A stand-in reassembly that adds 1 to one entry of a tagged block of
+    the generator makes evaluate_policy raise ResidualError: the tagged
+    check reads the band the reassembly leaves."""
+    evaluate, expected, restored, checked = _lone_evaluation(hybrid_instance, monkeypatch,
+                                                             perturb=True)
+    with pytest.raises(ResidualError, match="tagged residual"):
+        evaluate()
+    assert len(restored) == len(checked) == 1
+    assert np.count_nonzero(checked[0] != expected) == 1
 
 
 def _decline_every_pin(monkeypatch, singular: np.ndarray, unchecked: np.ndarray) -> None:
@@ -498,7 +591,8 @@ def test_corrupted_tagged_src_raises_from_the_chunked_check(hybrid_instance):
     tables = chain_tables(space)
     plan = tables.solve_plan.tagged[0][0]
     data = assemble_stack(tables, np.zeros((3, config.num_classes, space.num_states), int))
-    off = np.nonzero((plan.rows != plan.cols) & (data[0].take(plan.src) != 0))[0][0]
+    rows, cols = tagged_rows_cols(plan)
+    off = np.nonzero((rows != cols) & (data[0].take(plan.src) != 0))[0][0]
     src = plan.src.copy()
     src[off] = 0
     tables.solve_plan.tagged[0][0] = dataclasses.replace(plan, src=src)
@@ -584,8 +678,8 @@ def test_tagged_blocks_go_one_at_a_time_past_the_budget(monkeypatch):
     """The blocks of a stack are gathered one at a time at any budget: the
     plan's one group holds every non-empty block, whatever CHUNK_BYTES
     says, and a lone generator's buffer has room for its largest tagged
-    band past its band. A policy chunk never holds more than the budget,
-    and always at least one policy."""
+    band. A policy chunk never holds more than the budget, and always at
+    least one policy."""
     config = NetworkConfig(peak_rate=((5.4, 9.0, 7.2), (2.7, 4.5, 3.6)),
                            t_min=1.0, t_max=2.0, arrival_rate=(1.0, 1.0), service_rate=1.0)
     plan = chain_tables(enumerate_states(config)).solve_plan
@@ -594,7 +688,7 @@ def test_tagged_blocks_go_one_at_a_time_past_the_budget(monkeypatch):
     group = plan.tagged_group
     assert [p for _, p, _ in group.blocks] == nonempty
     assert plan.largest_band == max(t.band_size for t in nonempty)
-    assert plan.lone_size() >= plan.size + plan.largest_band
+    assert plan.lone_size() >= plan.largest_band
     monkeypatch.setattr(ctmc, "CHUNK_BYTES", 3 * plan.policy_bytes - 1)
     assert plan.chunk_size() == 2
     monkeypatch.setattr(ctmc, "CHUNK_BYTES", plan.tagged_bytes - 1)
@@ -692,7 +786,7 @@ def test_search_factors_each_distinct_tagged_block_once(monkeypatch, strict, fib
     blocks = [(k, plan) for k, plan in enumerate(p for row in tables.solve_plan.tagged
                                                  for p in row) if len(plan.ids)]
     bands = {(k, band.tobytes()) for k, plan in blocks for band in gather(
-        data, plan, config.service_rate, np.arange(len(data)),
+        data.take(plan.src, axis=1), plan, config.service_rate,
         np.empty(len(data) * plan.band_size))}
     assert (len(rows), len(rows) * len(blocks)) == (fibres, 4 * fibres)
     assert searched == len(bands) == sum(map(len, solver._core.solved.values())) == distinct

@@ -383,6 +383,22 @@ def test_negative_seed_is_refused(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, floor", [
+    (["nash", "--cap", "-1"], 0),
+    (["optimal", "--method", "exhaustive", "--cap", "-1"], 0),
+    (["enumerate", "--max-states", "-1"], 1),
+    (["steady", "--max-states", "0"], 1),
+], ids=["nash-cap", "optimal-cap", "enumerate-max-states", "steady-max-states"])
+def test_cap_and_state_ceiling_below_their_floor_are_refused(tmp_path, capsys, argv, floor):
+    """A --cap below 0 or a --max-states below 1 is refused on one line,
+    naming the option, before any output is written, rather than run as a
+    cap no space fits or a ceiling no space stays under."""
+    assert run(*argv, "--config", HYBRID, "--out", str(tmp_path)) == 1
+    flag, value = argv[-2:]
+    assert capsys.readouterr().err == f"error: {flag} must be at least {floor}, got {value}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def _assert_same_artifacts(a, b):
     names = sorted(path.name for path in a.iterdir())
     assert names == sorted(path.name for path in b.iterdir())

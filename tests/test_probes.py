@@ -5,7 +5,8 @@ import pytest
 
 import probes
 
-SMALL = {"structure_build": {"classes": 1}, "chunked_evaluation": {"repeats": 1, "fibres": 2},
+SMALL = {"structure_build": {"classes": 1}, "lone_memory": {"large": False},
+         "chunked_evaluation": {"repeats": 1, "fibres": 2},
          "best_response": {"repeats": 1, "restarts": 1},
          "coordinate_ascent": {"repeats": 1, "restarts": 1}, "sweep": {"repeats": 1, "erlangs": 1},
          "threshold_control": {"repeats": 1, "schemes": 1},

@@ -12,7 +12,7 @@ from hetassoc.ctmc import ChainTables, assemble_dense, chain_tables
 from hetassoc.transient import SingularTaggedChainError, solve_volume_from_matrix
 
 from conftest import (erlang_loss_chain, gathered_tagged_block, random_instance,
-                      random_policy, reference_tagged_block)
+                      random_policy, reference_tagged_block, tagged_rows_cols)
 
 
 @pytest.fixture
@@ -174,9 +174,11 @@ def test_solve_plan_blocks_are_banded(hybrid_chain):
     assert np.array_equal(np.sort(plan.order), np.arange(nst))
     for row in plan.tagged:
         for tagged in row:
+            rows, cols = tagged_rows_cols(tagged)
             assert tagged.kl < len(tagged.ids) and tagged.ku < len(tagged.ids)
-            assert (tagged.rows - tagged.cols).max(initial=0) <= tagged.kl
-            assert (tagged.cols - tagged.rows).max(initial=0) <= tagged.ku
+            assert ((rows >= 0) & (rows < len(tagged.ids))).all()
+            assert (rows - cols).max(initial=0) <= tagged.kl
+            assert (cols - rows).max(initial=0) <= tagged.ku
 
 
 @pytest.mark.parametrize("chain", ["shipped", "erlang-2501"])
@@ -207,7 +209,8 @@ def test_tagged_block_missing_an_entry_raises(hybrid_chain):
     system; the residual against the full generator catches it."""
     tables, q = hybrid_chain
     plan = tables.solve_plan.tagged[0][0]
-    off = np.nonzero((plan.rows != plan.cols) & (q.data.take(plan.src) != 0))[0][0]
+    rows, cols = tagged_rows_cols(plan)
+    off = np.nonzero((rows != cols) & (q.data.take(plan.src) != 0))[0][0]
     tables.solve_plan.tagged[0][0] = dataclasses.replace(
         plan, src=np.delete(plan.src, off), band=np.delete(plan.band, off))
     with pytest.raises(ResidualError):
