@@ -5,6 +5,10 @@ steady-state dumps, utility tables, Nash/optimal policy search, baselines,
 threshold control, traffic sweeps and Monte Carlo validation. Outputs are
 CSV files (plus JSON summaries and optional SVG charts) under --out, each
 carrying a provenance header with the resolved instance.
+
+Each subcommand is declared once, in `_SUBCOMMANDS`, with its handler and
+only the options that handler reads: an option it would ignore is refused
+as unrecognized, like any unknown flag.
 """
 
 from __future__ import annotations
@@ -31,127 +35,26 @@ from .game import (PolicyGameSolver, SearchCapError, evaluate_baseline, evaluate
 from .output import write_csv, write_json
 from .rules import InstantaneousRateRule, PeakRateRule, PolicyRule
 from .simulate import REPLICAS_PER_BATCH, simulate
-from .states import CapacityError, enumerate_states, state_table_rows
+from .states import DEFAULT_STATE_CEILING, CapacityError, enumerate_states, state_table_rows
 from .transient import SingularTaggedChainError
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="instance JSON path")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--sharing", choices=("network", "system"),
-                        help="override the instance sharing scope")
-    parser.add_argument("--strict-eq2", action="store_true",
-                        help="drop arrivals whose chosen system is full "
-                             "instead of redirecting them")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for sweep points")
-    parser.add_argument("--max-states", type=int, default=1_000_000)
-
-
-def _add_rule_args(parser: argparse.ArgumentParser) -> None:
-    """The common arguments and the rule's."""
-    _add_common(parser)
-    parser.add_argument("--rule", choices=("policy", "peak", "instant"),
-                        default="peak")
-    parser.add_argument("--policy",
-                        help="flattened class-major policy entries, for "
-                             "example 0,1,1,0,... (required with --rule policy, "
-                             "refused with any other rule)")
-
-
-def _add_steady(parser: argparse.ArgumentParser) -> None:
-    _add_rule_args(parser)
-    parser.add_argument("--export-q", action="store_true",
-                        help="also write the generator as (row, col, rate) triplets")
-
-
-def _add_nash(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser)
-    parser.add_argument("--mode", choices=("auto", "exhaustive", "best_response"),
-                        default="auto")
-    parser.add_argument("--restarts", type=int, default=64)
-    parser.add_argument("--cap", type=int, default=4096,
-                        help="auto mode switches to best response above this "
-                             "policy-space size")
-
-
-def _add_optimal(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser)
-    parser.add_argument("--method", choices=("auto", "exhaustive", "search"),
-                        default="auto")
-    parser.add_argument("--cap", type=int, default=65536)
-    parser.add_argument("--restarts", type=int, default=16)
-
-
-def _add_baseline(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser)
-    parser.add_argument("--which", choices=("peak_rate", "instantaneous_rate"),
-                        required=True)
-
-
-def _add_control(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser)
-    parser.add_argument("--scheme", action="append", default=[],
-                        help="thresholds as low,high;low,high (one per system); "
-                             "repeatable; default: a small representative grid")
-    parser.add_argument("--traffic", default=None,
-                        help="A:B:STEP offered-traffic sweep in Erlangs")
-    parser.add_argument("--selection", choices=("max_utility", "min_blocking"),
-                        default="max_utility")
-    parser.add_argument("--restarts", type=int, default=64)
-
-
-def _add_sweep(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser)
-    parser.add_argument("--traffic", default="1:10:1")
-    parser.add_argument("--analyses", default="nash,baselines",
-                        help="comma list from: nash, optimal, baselines, control")
-    parser.add_argument("--scheme", action="append", default=[],
-                        help="threshold grid for the control analysis "
-                             "(low,high;low,high per scheme, repeatable)")
-    parser.add_argument("--restarts", type=int, default=64)
-    parser.add_argument("--svg", action="store_true", help="emit SVG line charts")
-
-
-def _add_simulate(parser: argparse.ArgumentParser) -> None:
-    _add_rule_args(parser)
-    parser.add_argument("--events", type=int, default=1_000_000,
-                        help="events over all replicas, warm-up included")
-    parser.add_argument("--batches", type=int, default=25,
-                        help="confidence-interval batches (at least 20), each pooling "
-                             f"{REPLICAS_PER_BATCH} independent replicas")
-
-
-# (name, help, the function that adds its arguments), in --help order
-_SUBCOMMANDS = (
-    ("validate", "check an instance document", _add_common),
-    ("enumerate", "dump the feasible state table", _add_common),
-    ("steady", "steady state under one rule", _add_steady),
-    ("utility", "tagged-user expected volumes", _add_rule_args),
-    ("nash", "find Nash-equilibrium policies", _add_nash),
-    ("optimal", "globally optimal policy", _add_optimal),
-    ("baseline", "evaluate an information baseline", _add_baseline),
-    ("control", "optimize broadcast thresholds", _add_control),
-    ("sweep", "traffic sweep over selected analyses", _add_sweep),
-    ("simulate", "discrete-event validation run", _add_simulate),
-)
-
-
-def build_parser(commands=None) -> argparse.ArgumentParser:
-    """The CLI's parser. Every subcommand is registered, so the top-level
-    help and usage errors name them all, but only those in `commands`
-    (every one by default) get their arguments: a call pays for its own."""
-    parser = argparse.ArgumentParser(
-        prog="hetassoc",
-        description="Association-policy equilibria in heterogeneous networks")
-    parser.add_argument("--version", action="version", version=f"hetassoc {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        if commands is None or name in commands:
-            add_arguments(p)
-    return parser
+# (flag, add_argument keywords) of the options several subcommands take
+_CONFIG = ("--config", {"required": True, "help": "instance JSON path"})
+_OUT = ("--out", {"default": "out", "help": "output directory"})
+_SHARING = ("--sharing", {"choices": ("network", "system"),
+                          "help": "override the instance sharing scope"})
+_STRICT = ("--strict-eq2", {"action": "store_true",
+                            "help": "drop arrivals whose chosen system is full "
+                                    "instead of redirecting them"})
+_SEED = ("--seed", {"type": int, "default": 0})
+_JOBS = ("--jobs", {"type": int, "default": 1, "help": "parallel workers for sweep points"})
+_MAX_STATES = ("--max-states", {"type": int, "default": DEFAULT_STATE_CEILING})
+_RESTARTS = ("--restarts", {"type": int, "default": 64})
+_RULE = (("--rule", {"choices": ("policy", "peak", "instant"), "default": "peak"}),
+         ("--policy", {"help": "flattened class-major policy entries, for "
+                               "example 0,1,1,0,... (required with --rule policy, "
+                               "refused with any other rule)"}))
 
 
 def _load(args) -> tuple[NetworkConfig, AggregationScheme]:
@@ -163,7 +66,8 @@ def _load(args) -> tuple[NetworkConfig, AggregationScheme]:
     if args.sharing:
         config = config.with_sharing_scope(
             NETWORK_WIDE if args.sharing == "network" else PER_SYSTEM)
-    return replace(config, strict_arrivals=args.strict_eq2), scheme
+    # validate and enumerate take no arrival mode: their space does not depend on it
+    return replace(config, strict_arrivals=getattr(args, "strict_eq2", False)), scheme
 
 
 def _make_rule(args, config, scheme):
@@ -438,18 +342,20 @@ def _sweep_point(config: NetworkConfig, scheme: AggregationScheme, erlangs: floa
 
 def _run_points(args, config, scheme, traffic, analyses, grid, selection="max_utility"):
     """Yield _sweep_point's results at every traffic point, in order, run
-    in --jobs processes. A serial run yields each point before it solves
-    the next, so one point's results are alive at a time."""
+    in --jobs processes, but no more processes than points: the pool starts
+    every worker at its first task. A serial run yields each point before
+    it solves the next, so one point's results are alive at a time."""
     point = partial(_sweep_point, config, scheme, analyses=analyses, grid=grid,
                     selection=selection, restarts=args.restarts, seed=args.seed,
                     max_states=args.max_states)
-    if args.jobs == 1:
+    jobs = min(args.jobs, len(traffic))
+    if jobs == 1:
         yield from map(point, traffic)
         return
     # imported here: loading the process pool adds milliseconds to every
-    # start, and only --jobs above 1 uses it
+    # start, and only a parallel run uses it
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(point, traffic)
 
 
@@ -617,18 +523,86 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "enumerate": _cmd_enumerate,
-    "steady": _cmd_steady,
-    "utility": _cmd_utility,
-    "nash": _cmd_nash,
-    "optimal": _cmd_optimal,
-    "baseline": _cmd_baseline,
-    "control": _cmd_control,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-}
+# (name, help, handler, options) in --help order: a subcommand takes only the
+# options its handler reads
+_SUBCOMMANDS = (
+    ("validate", "check an instance document", _cmd_validate,
+     (_CONFIG, _SHARING, _MAX_STATES)),
+    ("enumerate", "dump the feasible state table", _cmd_enumerate,
+     (_CONFIG, _OUT, _SHARING, _MAX_STATES)),
+    ("steady", "steady state under one rule", _cmd_steady,
+     (_CONFIG, _OUT, _SHARING, _STRICT, _MAX_STATES, *_RULE,
+      ("--export-q", {"action": "store_true",
+                      "help": "also write the generator as (row, col, rate) triplets"}))),
+    ("utility", "tagged-user expected volumes", _cmd_utility,
+     (_CONFIG, _OUT, _SHARING, _STRICT, _MAX_STATES, *_RULE)),
+    ("nash", "find Nash-equilibrium policies", _cmd_nash,
+     (_CONFIG, _OUT, _SHARING, _STRICT, _SEED, _MAX_STATES,
+      ("--mode", {"choices": ("auto", "exhaustive", "best_response"), "default": "auto"}),
+      _RESTARTS,
+      ("--cap", {"type": int, "default": 4096,
+                 "help": "auto mode switches to best response above this policy-space size"}))),
+    ("optimal", "globally optimal policy", _cmd_optimal,
+     (_CONFIG, _OUT, _SHARING, _STRICT, _SEED, _MAX_STATES,
+      ("--method", {"choices": ("auto", "exhaustive", "search"), "default": "auto"}),
+      ("--cap", {"type": int, "default": 65536}),
+      ("--restarts", {"type": int, "default": 16}))),
+    ("baseline", "evaluate an information baseline", _cmd_baseline,
+     (_CONFIG, _OUT, _SHARING, _STRICT, _MAX_STATES,
+      ("--which", {"choices": ("peak_rate", "instantaneous_rate"), "required": True}))),
+    ("control", "optimize broadcast thresholds", _cmd_control,
+     (_CONFIG, _OUT, _SHARING, _STRICT, _SEED, _JOBS, _MAX_STATES,
+      ("--scheme", {"action": "append", "default": [],
+                    "help": "thresholds as low,high;low,high (one per system); "
+                            "repeatable; default: a small representative grid"}),
+      ("--traffic", {"default": None, "help": "A:B:STEP offered-traffic sweep in Erlangs"}),
+      ("--selection", {"choices": ("max_utility", "min_blocking"),
+                       "default": "max_utility"}),
+      _RESTARTS)),
+    ("sweep", "traffic sweep over selected analyses", _cmd_sweep,
+     (_CONFIG, _OUT, _SHARING, _STRICT, _SEED, _JOBS, _MAX_STATES,
+      ("--traffic", {"default": "1:10:1"}),
+      ("--analyses", {"default": "nash,baselines",
+                      "help": "comma list from: nash, optimal, baselines, control"}),
+      ("--scheme", {"action": "append", "default": [],
+                    "help": "threshold grid for the control analysis "
+                            "(low,high;low,high per scheme, repeatable)"}),
+      _RESTARTS,
+      ("--svg", {"action": "store_true", "help": "emit SVG line charts"}))),
+    ("simulate", "discrete-event validation run", _cmd_simulate,
+     (_CONFIG, _OUT, _SHARING, _STRICT, _SEED, *_RULE,
+      ("--events", {"type": int, "default": 1_000_000,
+                    "help": "events over all replicas, warm-up included"}),
+      ("--batches", {"type": int, "default": 25,
+                     "help": "confidence-interval batches (at least 20), each pooling "
+                             f"{REPLICAS_PER_BATCH} independent replicas"}))),
+)
+
+
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every subcommand is registered, so the top-level
+    help and usage errors name them all, but only those in `commands`
+    (every one by default) get their arguments: a call pays for its own."""
+    parser = argparse.ArgumentParser(
+        prog="hetassoc",
+        description="Association-policy equilibria in heterogeneous networks")
+    parser.add_argument("--version", action="version", version=f"hetassoc {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler, options in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if commands is None or name in commands:
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+    return parser
+
+
+# (option, floor) pairs main checks where the subcommand takes the option.
+# Below its floor, --jobs would still run one worker, numpy's generators
+# refuse the --seed, --max-states refuses every instance as over the ceiling,
+# and --cap has nash's auto mode run best response on any space and
+# optimal's exhaustive method refuse every one.
+_FLOORS = (("jobs", 1), ("seed", 0), ("max_states", 1), ("cap", 0))
 
 
 def main(argv=None) -> int:
@@ -642,20 +616,12 @@ def main(argv=None) -> int:
     # command triggers (about 20 ms each); both calls are O(1) list splices.
     gc.freeze()
     try:
-        # below 1, a sweep or validation would still run one worker
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-        # numpy's generators take no negative seed
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
-        # below 1, enumeration would refuse every instance as over the ceiling
-        if args.max_states < 1:
-            raise ConfigError(f"--max-states must be at least 1, got {args.max_states}")
-        # below 0, nash's auto mode would run best response on any space and
-        # optimal's exhaustive method refuse every one
-        if getattr(args, "cap", 0) < 0:
-            raise ConfigError(f"--cap must be at least 0, got {args.cap}")
-        return _COMMANDS[args.command](args)
+        for name, floor in _FLOORS:
+            value = getattr(args, name, floor)
+            if value < floor:
+                raise ConfigError(f"--{name.replace('_', '-')} must be at least {floor}, "
+                                  f"got {value}")
+        return args.handler(args)
     except (ConfigError, CapacityError, OSError, SearchCapError,
             ResidualError, SingularChainError, SingularTaggedChainError,
             RankingMismatchError) as exc:

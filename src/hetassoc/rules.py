@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import label_array, label_of
-from .config import NETWORK_WIDE, AggregationScheme, NetworkConfig, Policy
-from .states import Occupancy, StateSpace, scope_counts
+from .config import AggregationScheme, NetworkConfig, Policy
+from .states import Occupancy, StateSpace, scope_count, scope_counts
 
 
 class AssignmentRule:
@@ -105,15 +105,8 @@ class InstantaneousRateRule(AssignmentRule):
     """
 
     def choose(self, config, occ, user_class):
-        n_classes = config.num_classes
-        total = sum(occ)
-
         def estimate(s):
-            if config.sharing_scope == NETWORK_WIDE:
-                k = total
-            else:
-                k = sum(occ[s * n_classes:(s + 1) * n_classes])
-            return config.peak_rate[user_class][s] / (1 + k)
+            return config.peak_rate[user_class][s] / (1 + scope_count(config, occ, s))
 
         return max(range(config.num_systems), key=lambda s: (estimate(s), -s))
 

@@ -38,10 +38,11 @@ alone, so the run keeps one record per occupancy, built the first time any
 replica reaches it and packed into dense per-occupancy arrays: the total
 event rate, the per-user rate of every (class, system) pair present, the
 outcome of each class's arrival (the system it joins, or lost) and the
-occupancy each event leads to. A record is computed from the throughput
-definition, the rule's `choose` and the admission test in this module,
-never from the chain engine's tables, so the simulator stays an
-independent check of them; the rule is asked once per (occupancy, class).
+occupancy each event leads to. A record is computed from the scalar
+model of `states` (`user_throughput`, and `is_feasible` of the occupancy
+with the arriving user added) and the rule's `choose`, never from the
+chain engine's tables, so the simulator stays an independent check of
+them; the rule is asked once per (occupancy, class).
 
 Per-step observations go into bounded blocks of steps and are reduced as
 each block ends: time per (batch, occupancy), event counts per batch and
@@ -68,8 +69,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import stdtrit
 
-from .config import NETWORK_WIDE, ConfigError, NetworkConfig
+from .config import ConfigError, NetworkConfig
 from .rules import AssignmentRule
+from .states import is_feasible, user_throughput
 
 CI_LEVEL = 0.99
 MIN_EVENTS_FOR_CI = 100_000
@@ -177,39 +179,6 @@ class SimReport:
         return mean, math.sqrt(m2 / (count - 1) / count), count
 
 
-def _admits(config: NetworkConfig, occ: tuple, sys_count: list, total: int,
-            user_class: int, system: int) -> bool:
-    """Would adding one (user_class, system) user keep everyone above t_min?
-
-    Direct evaluation of the rate formula on the hypothetical state, with
-    the same arithmetic as the chain engine's admission test so that
-    boundary cases quantize identically.
-    """
-    N = config.num_classes
-    peak = config.peak_rate
-    t_min = config.t_min
-    if config.sharing_scope == NETWORK_WIDE:
-        k = total + 1
-        g = config.gain(k)
-        if peak[user_class][system] * g / k < t_min:
-            return False
-        for s in range(config.num_systems):
-            base = s * N
-            for n in range(N):
-                if occ[base + n] > 0 and peak[n][s] * g / k < t_min:
-                    return False
-        return True
-    k = sys_count[system] + 1
-    g = config.gain(k)
-    if peak[user_class][system] * g / k < t_min:
-        return False
-    base = system * N
-    for n in range(N):
-        if occ[base + n] > 0 and peak[n][system] * g / k < t_min:
-            return False
-    return True
-
-
 def _moved(key: tuple, i: int, delta: int) -> tuple:
     return key[:i] + (key[i] + delta,) + key[i + 1:]
 
@@ -226,34 +195,26 @@ def _occupancy_record(config: NetworkConfig, rule: AssignmentRule, key: tuple) -
       lowest-index system with room, or lost under config.strict_arrivals.
     """
     N, S = config.num_classes, config.num_systems
-    sys_count = [sum(key[s * N:(s + 1) * N]) for s in range(S)]
-    total = sum(key)
+    flows = [(s * N + n, user_throughput(config, key, n, s))
+             for s in range(S) for n in range(N) if key[s * N + n]]
 
-    flows = []
-    for s in range(S):
-        k = total if config.sharing_scope == NETWORK_WIDE else sys_count[s]
-        if k <= 0:
-            continue
-        g = config.gain(k)
-        for n in range(N):
-            if key[s * N + n]:
-                flows.append((s * N + n,
-                              min(config.peak_rate[n][s] * g / k, config.t_max)))
+    def admits(user_class: int, system: int) -> bool:
+        return is_feasible(config, _moved(key, system * N + user_class, 1))
 
     joined = []
     for n in range(N):
         preferred = rule.choose(config, key, n)
         system = -1
-        if _admits(config, key, sys_count, total, n, preferred):
+        if admits(n, preferred):
             system = preferred
         elif not config.strict_arrivals:
             for s in range(S):
-                if s != preferred and _admits(config, key, sys_count, total, n, s):
+                if s != preferred and admits(n, s):
                     system = s
                     break
         joined.append(system)
 
-    rate_total = sum(config.arrival_rate) + total * config.service_rate
+    rate_total = sum(config.arrival_rate) + sum(key) * config.service_rate
     return rate_total, flows, joined
 
 

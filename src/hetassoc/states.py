@@ -4,7 +4,8 @@ A network state is a vector of N*S non-negative ints in system-major
 order: entry occ[s * N + n] counts the class-n users connected to system s.
 The enumeration and the chain tables work on all states at once, as rows of
 an int64 array; the scalar functions below take one state as a tuple and
-serve the simulator's admission test and the tests' oracle.
+serve the simulator's admission test and per-user rates,
+InstantaneousRateRule.choose and the tests' oracle.
 The feasible space is the set of states where every connected user reaches
 the minimal codec rate; it is closed under departures because the scheduler
 gain per user is non-increasing in the occupancy.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import functools
@@ -155,6 +156,15 @@ def verify_equilibrium(solver, policy) -> bool:
     and payoff table a fresh checker solves for its fibre (structural
     transition indexes are shared; they contain no solved quantities)."""
     return solver.fresh_checker().evaluate(policy).is_nash()
+
+
+def subcommand_options(parser: argparse.ArgumentParser) -> dict[str, list[str]]:
+    """The flags each subcommand of `parser` takes, --help aside, in --help order."""
+    sub, = (action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction))
+    return {name: [action.option_strings[0] for action in command._actions
+                   if not isinstance(action, argparse._HelpAction)]
+            for name, command in sub.choices.items()}
 
 
 def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:

@@ -4,8 +4,9 @@ at 3,600 and 11,592 states), chunked_evaluation (tagged LUs and bands
 against block solves). The Nash search: best_response, coordinate_ascent,
 sweep (policies per _evaluate_chunk, Policy objects built, equilibria
 against fibres). The broadcast thresholds: threshold_control. Also
-package_size (lines, public names, defaulted parameters) and simulator
-(events per second, Erlang-B coverage of its 99 % interval).
+package_size (lines, public names, defaulted parameters, settable CLI
+options per subcommand) and simulator (events per second, Erlang-B
+coverage of its 99 % interval).
 test_probes.py runs each probe on small inputs, lone_memory at 3,600
 states only, and requires every count it returns to be positive.
 
@@ -31,7 +32,7 @@ from hetassoc import (NetworkConfig, Policy, PolicyGameSolver, PolicyRule, cli, 
                       threshold_lattice, transient)
 
 from conftest import (LARGE_PEAK_RATES, REPO_ROOT, erlang_loss_chain, hybrid_doc, instance_of,
-                      lone_evaluation_growth, nash_exhaustive_doc)
+                      lone_evaluation_growth, nash_exhaustive_doc, subcommand_options)
 from test_simulate import COVERAGE_EVENTS, COVERAGE_SEEDS, erlang_blocking_runs
 
 sys.path.append(str(REPO_ROOT / "perfbench"))
@@ -82,9 +83,12 @@ def package_size():
         except (TypeError, ValueError):
             continue
         settable += sum(p.default is not p.empty for p in parameters)
+    options = {name: len(flags) for name, flags in subcommand_options(cli.build_parser()).items()}
     print(f"{lines} .py lines under src/hetassoc\n{len(public)} public names in hetassoc\n"
-          f"{settable} settable parameters (with defaults) over hetassoc's public callables")
-    return lines, len(public), settable
+          f"{settable} settable parameters (with defaults) over hetassoc's public callables\n"
+          f"{sum(options.values())} settable CLI options: "
+          + ", ".join(f"{name} {count}" for name, count in options.items()))
+    return lines, len(public), settable, *options.values()
 
 
 def structure_build(classes=3):

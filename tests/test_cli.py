@@ -1,5 +1,6 @@
 """CLI subcommands: artifacts, determinism, error reporting."""
 
+import concurrent.futures
 import gc
 import json
 import os
@@ -13,7 +14,8 @@ from hetassoc import PolicyGameSolver, ResidualError, SingularChainError, cli
 from hetassoc.cli import main
 from hetassoc.transient import SingularTaggedChainError
 
-from conftest import CONFIG_DIR, REPO_ROOT, nash_exhaustive_doc, read_csv_rows
+from conftest import (CONFIG_DIR, REPO_ROOT, nash_exhaustive_doc, read_csv_rows,
+                      subcommand_options)
 
 ERLANG = str(CONFIG_DIR / "erlang_single.json")
 HYBRID = str(CONFIG_DIR / "hybrid_example.json")
@@ -269,10 +271,10 @@ def test_exhaustive_optimal_over_the_cap_is_an_error(tmp_path, capsys):
 @pytest.mark.parametrize("error", [ResidualError, SingularChainError,
                                    SingularTaggedChainError])
 def test_numerical_failures_are_one_line_errors(monkeypatch, capsys, error):
-    def fail(args):
+    def fail(*args, **kwargs):
         raise error("solve went wrong")
 
-    monkeypatch.setitem(cli._COMMANDS, "validate", fail)
+    monkeypatch.setattr(cli, "enumerate_states", fail)
     assert run("validate", "--config", HYBRID) == 1
     assert capsys.readouterr().err == "error: solve went wrong\n"
 
@@ -352,9 +354,9 @@ def test_traffic_points_stay_within_b_without_repeats(traffic, points):
     ["control", "--restarts", "0"],
     ["sweep", "--restarts", "0", "--traffic", "5:5:1", "--analyses", "nash"],
     ["sweep", "--jobs", "0", "--analyses", "baselines"],
-    ["validate", "--jobs", "-2"],
+    ["control", "--jobs", "-2"],
 ], ids=["nash-restarts", "optimal-restarts", "control-restarts", "sweep-restarts",
-        "sweep-jobs", "validate-jobs"])
+        "sweep-jobs", "control-jobs"])
 def test_counts_below_one_are_refused(tmp_path, capsys, argv):
     """A restart or job count below 1 is refused on one line before any
     output is written, rather than silently run as one start or one worker:
@@ -428,6 +430,39 @@ def test_control_parallel_jobs_match_serial(tmp_path):
         assert run("control", "--config", HYBRID, "--traffic", "2:3:1",
                    "--jobs", jobs, "--out", str(out)) == 0
     _assert_same_artifacts(serial, parallel)
+
+
+@pytest.mark.parametrize("traffic, jobs, workers", [
+    ("2:2:1", "8", []),
+    ("2:3:1", "8", [2]),
+    ("2:4:1", "2", [2]),
+], ids=["one-point", "two-points", "three-points"])
+def test_jobs_start_no_more_workers_than_points(tmp_path, monkeypatch, traffic, jobs,
+                                                workers):
+    """The process pool starts all its workers at the first task, so --jobs
+    asks for at most one worker per traffic point, and a single point runs
+    in this process. A stand-in pool records the worker count and maps in
+    this process: no process is started."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert run("control", "--config", HYBRID, "--traffic", traffic,
+               "--scheme", "0.3,0.7;0.3,0.7", "--restarts", "4", "--jobs", jobs,
+               "--out", str(tmp_path)) == 0
+    assert started == workers
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -519,10 +554,14 @@ def test_mutated_configs_end_in_a_result_or_one_error_line(tmp_path, capsys, mut
         text = json.dumps(doc)
     path = tmp_path / "mutated.json"
     path.write_text(text)
-    mode = ["--strict-eq2"] if strict else []
-    for command in (["validate"], ["enumerate"], ["steady"],
-                    ["baseline", "--which", "peak_rate"], ["simulate", "--events", "2000"]):
-        code = run(*command, "--config", str(path), "--out", str(tmp_path / "o"), *mode)
+    # each command gets only the options it takes: validate writes nothing,
+    # and neither it nor enumerate takes an arrival mode
+    out = ["--out", str(tmp_path / "o")]
+    taken = [*out, "--strict-eq2"] if strict else out
+    for command in (["validate"], ["enumerate", *out], ["steady", *taken],
+                    ["baseline", "--which", "peak_rate", *taken],
+                    ["simulate", "--events", "2000", *taken]):
+        code = run(*command, "--config", str(path))
         captured = capsys.readouterr()
         lines = (captured.out + captured.err).splitlines()
         assert code in (0, 1), command
@@ -530,7 +569,54 @@ def test_mutated_configs_end_in_a_result_or_one_error_line(tmp_path, capsys, mut
         assert not any("Traceback" in line for line in lines), command
 
 
-@pytest.mark.parametrize("command", [name for name, _, _ in cli._SUBCOMMANDS])
+# the flags each subcommand takes: the options its handler reads, and no other
+OPTIONS = {
+    "validate": "--config --sharing --max-states",
+    "enumerate": "--config --out --sharing --max-states",
+    "steady": "--config --out --sharing --strict-eq2 --max-states --rule --policy --export-q",
+    "utility": "--config --out --sharing --strict-eq2 --max-states --rule --policy",
+    "nash": "--config --out --sharing --strict-eq2 --seed --max-states --mode --restarts --cap",
+    "optimal": "--config --out --sharing --strict-eq2 --seed --max-states --method --cap "
+               "--restarts",
+    "baseline": "--config --out --sharing --strict-eq2 --max-states --which",
+    "control": "--config --out --sharing --strict-eq2 --seed --jobs --max-states --scheme "
+               "--traffic --selection --restarts",
+    "sweep": "--config --out --sharing --strict-eq2 --seed --jobs --max-states --traffic "
+             "--analyses --scheme --restarts --svg",
+    "simulate": "--config --out --sharing --strict-eq2 --seed --rule --policy --events "
+                "--batches",
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_each_subcommand_takes_only_the_options_it_reads(command):
+    """78 settable values over the ten subcommands, each read by its
+    handler."""
+    options = subcommand_options(cli.build_parser())
+    assert list(options) == list(OPTIONS)
+    assert sum(map(len, options.values())) == 78
+    assert options[command] == OPTIONS[command].split()
+
+
+@pytest.mark.parametrize("argv", [
+    "validate --out o", "validate --seed 1", "validate --jobs 2", "validate --strict-eq2",
+    "enumerate --seed 1", "enumerate --jobs 2", "enumerate --strict-eq2",
+    "steady --seed 1", "steady --jobs 2", "utility --seed 1", "utility --jobs 2",
+    "baseline --which peak_rate --seed 1", "baseline --which peak_rate --jobs 2",
+    "nash --jobs 2", "optimal --jobs 2", "simulate --jobs 2", "simulate --max-states 5",
+])
+def test_an_option_the_handler_would_ignore_is_refused(tmp_path, capsys, argv):
+    """An option that no longer reaches the handler is an unrecognized
+    argument, refused by argparse with exit code 2 before anything runs."""
+    command, *rest = argv.split()
+    with pytest.raises(SystemExit) as refused:
+        run(command, "--config", HYBRID, *rest)
+    assert refused.value.code == 2
+    removed = rest[-1] if rest[-1].startswith("--") else " ".join(rest[-2:])
+    assert capsys.readouterr().err.endswith(f"unrecognized arguments: {removed}\n")
+
+
+@pytest.mark.parametrize("command", [row[0] for row in cli._SUBCOMMANDS])
 def test_help_is_the_same_filled_alone_or_with_every_command(capsys, command):
     """main gives only the invoked subcommand its arguments; no help text
     may depend on that."""
