@@ -11,13 +11,12 @@ __version__ = "0.1.0"
 
 from .aggregation import label_array, label_name, label_of, system_load
 from .config import (AggregationScheme, ConfigError, NetworkConfig, ParseError,
-                     Policy, load_config, load_instance, serialize_instance)
+                     Policy, load_instance, serialize_instance)
 from .control import ControlResult, optimize_thresholds, threshold_lattice
 from .ctmc import (Generator, ResidualError, SingularChainError, SteadyState,
                    build_generator, per_class_blocking, solve_steady_state)
-from .game import (EmptyLabelError, EquilibriumFibre, OptimalResult, PolicyEvaluation,
-                   PolicyGameSolver, SearchCapError, evaluate_baseline, evaluate_policy,
-                   evaluate_rule)
+from .game import (EquilibriumFibre, OptimalResult, PolicyEvaluation, PolicyGameSolver,
+                   SearchCapError, evaluate_baseline, evaluate_policy, evaluate_rule)
 from .rules import (AssignmentRule, InstantaneousRateRule, PeakRateRule,
                     PolicyRule)
 from .simulate import SimReport, simulate

@@ -144,14 +144,16 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _pair_columns(prefix: str, config: NetworkConfig) -> list[str]:
+    """One column per (class, system) pair, in occupancy order: system-major."""
+    return [f"{prefix}_{config.class_name(n)}_{config.system_name(s)}"
+            for s in range(config.num_systems) for n in range(config.num_classes)]
+
+
 def _cmd_enumerate(args) -> int:
     config, scheme = _load(args)
     space = enumerate_states(config, max_states=args.max_states)
-    header = ["id"]
-    header += [f"occ_{config.class_name(n)}_{config.system_name(s)}"
-               for s in range(config.num_systems) for n in range(config.num_classes)]
-    header += [f"thr_{config.class_name(n)}_{config.system_name(s)}"
-               for s in range(config.num_systems) for n in range(config.num_classes)]
+    header = ["id", *_pair_columns("occ", config), *_pair_columns("thr", config)]
     path = write_csv(Path(args.out) / "states.csv", header,
                      state_table_rows(space), config, scheme)
     print(f"wrote {path} ({space.num_states} states)")
@@ -167,10 +169,7 @@ def _cmd_steady(args) -> int:
     labels = label_array(scheme, space)
     rows = ([i, *occ, f"{ss.pi[i]:.17g}", labels[i]]
             for i, occ in enumerate(space.occ.tolist()))
-    header = (["id"]
-              + [f"occ_{config.class_name(n)}_{config.system_name(s)}"
-                 for s in range(config.num_systems) for n in range(config.num_classes)]
-              + ["probability", "label"])
+    header = ["id", *_pair_columns("occ", config), "probability", "label"]
     params = {"rule": rule.describe(), "strict_eq2": args.strict_eq2}
     path = write_csv(Path(args.out) / "steady.csv", header, rows, config, scheme, params)
     print(f"wrote {path} (residual {ss.residual:.2e})")

@@ -31,6 +31,15 @@ class ParseError(ConfigError):
     """The configuration document is not syntactically valid JSON."""
 
 
+def _float(name: str, value) -> float:
+    """value as a float; an integer too large for a float is a ConfigError
+    naming the field, not an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} holds a number too large for a float") from exc
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Static description of one heterogeneous-network instance.
@@ -67,14 +76,14 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "peak_rate",
-                           tuple(tuple(float(d) for d in row) for row in self.peak_rate))
+                           tuple(tuple(_float("peak_rate", d) for d in row)
+                                 for row in self.peak_rate))
         object.__setattr__(self, "arrival_rate",
-                           tuple(float(a) for a in self.arrival_rate))
+                           tuple(_float("arrival_rate", a) for a in self.arrival_rate))
         object.__setattr__(self, "scheduler_gain",
-                           tuple(float(g) for g in self.scheduler_gain))
-        object.__setattr__(self, "t_min", float(self.t_min))
-        object.__setattr__(self, "t_max", float(self.t_max))
-        object.__setattr__(self, "service_rate", float(self.service_rate))
+                           tuple(_float("scheduler_gain", g) for g in self.scheduler_gain))
+        for name in ("t_min", "t_max", "service_rate"):
+            object.__setattr__(self, name, _float(name, getattr(self, name)))
         object.__setattr__(self, "system_names", tuple(self.system_names))
         object.__setattr__(self, "class_names", tuple(self.class_names))
         self._validate()
@@ -169,7 +178,8 @@ class AggregationScheme:
 
     def __post_init__(self):
         object.__setattr__(self, "thresholds",
-                           tuple((float(lo), float(hi)) for lo, hi in self.thresholds))
+                           tuple((_float("thresholds", lo), _float("thresholds", hi))
+                                 for lo, hi in self.thresholds))
         for lo, hi in self.thresholds:
             if not (0.0 <= lo <= hi <= 1.0):
                 raise ConfigError("thresholds must satisfy 0 <= low <= high <= 1")
@@ -220,11 +230,6 @@ class Policy:
             raise ConfigError("policy must have one column per load label")
         if max(map(max, self.choice)) >= config.num_systems:
             raise ConfigError("policy entries must be valid system indices")
-
-    def with_entry(self, n: int, l: int, s: int) -> "Policy":
-        rows = [list(row) for row in self.choice]
-        rows[n][l] = s
-        return Policy(tuple(tuple(row) for row in rows))
 
     def flatten(self) -> tuple[int, ...]:
         return tuple(s for row in self.choice for s in row)
@@ -321,11 +326,6 @@ def load_instance(text: str) -> tuple[NetworkConfig, AggregationScheme]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
     return instance_from_dict(doc)
-
-
-def load_config(text: str) -> NetworkConfig:
-    """Parse a JSON configuration document, returning the network part."""
-    return load_instance(text)[0]
 
 
 def serialize_instance(config: NetworkConfig, scheme: AggregationScheme) -> str:

@@ -36,8 +36,8 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .config import ConfigError
@@ -265,13 +265,17 @@ class BandGenerator:
     def nnz(self) -> int:
         return int(np.count_nonzero(self.band))
 
-    def tocoo(self) -> sp.coo_matrix:
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, col, value) of every nonzero entry of Q, column by column
+        of the band."""
         k, c = np.nonzero(self.band)
-        rows, cols = self.order[c], self.order[c + k - self.width]
-        return sp.coo_matrix((self.band[k, c], (rows, cols)), shape=self.shape)
+        return self.order[c], self.order[c + k - self.width], self.band[k, c]
 
     def toarray(self) -> np.ndarray:
-        return self.tocoo().toarray()
+        rows, cols, values = self.entries()
+        q = np.zeros(self.shape)
+        q[rows, cols] = values
+        return q
 
     def _gbmv(self, x: np.ndarray, trans: int) -> np.ndarray:
         y = np.empty(len(x))
@@ -403,15 +407,14 @@ class SolvePlan:
         loops = np.arange(nst)
         rows = np.concatenate([up_src, up_dst, loops])
         cols = np.concatenate([up_dst, up_src, loops])
-        graph = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nst, nst))
+        graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nst, nst))
         self.order = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64)
         self.position = np.empty(nst, dtype=np.int64)
         self.position[self.order] = np.arange(nst)
         users = tables.occ.sum(axis=1)
         high = 0 if users[self.order[0]] > users[self.order[-1]] else nst - 1
         self.pins = (int(self.position[users.argmin()]), high)
-        coo = graph.tocoo()
-        self.width = int(np.abs(self.position[coo.row] - self.position[coo.col]).max())
+        self.width = int(np.abs(self.position[up_src] - self.position[up_dst]).max(initial=0))
 
         self.size = (2 * self.width + 1) * nst
         self.diagonal = self.band_position(loops, loops)
@@ -424,7 +427,7 @@ class SolvePlan:
         self.arrivals = (np.where(admitted, self.band_position(state, tables.admit_id),
                                   self.diagonal[state]),
                          np.where(admitted, rate, 0.0))
-        self.tagged = [[self._tagged(tables, coo.row, coo.col, n, s)
+        self.tagged = [[self._tagged(tables, rows, cols, n, s)
                         for s in range(config.num_systems)]
                        for n in range(config.num_classes)]
         self.tagged_bytes = 8 * sum(t.band_size for row in self.tagged for t in row)
@@ -520,18 +523,12 @@ class Generator:
     def num_states(self) -> int:
         return self.matrix.shape[0]
 
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def row_sum_error(self) -> float:
-        return float(np.abs(self.matrix.dot(np.ones(self.num_states))).max())
-
     def coo_triplets(self):
         """(row, col, rate) triplets of the off-diagonal transitions, in
         (row, col) order."""
-        coo = self.matrix.tocoo()
-        off = coo.row != coo.col
-        rows, cols, rates = coo.row[off], coo.col[off], coo.data[off]
+        rows, cols, rates = self.matrix.entries()
+        off = rows != cols
+        rows, cols, rates = rows[off], cols[off], rates[off]
         for k in np.lexsort((cols, rows)):
             yield int(rows[k]), int(cols[k]), float(rates[k])
 

@@ -110,10 +110,6 @@ MAX_PATH_STEPS = 2000
 SOLVE_ERRORS = (ResidualError, SingularChainError, SingularTaggedChainError)
 
 
-class EmptyLabelError(ValueError):
-    """Requested a conditional quantity on a label with no stationary mass."""
-
-
 def _solve_pi(space: StateSpace, q) -> tuple[np.ndarray, float]:
     """Stationary distribution of a generator from assemble_dense, with the
     same post-solve checks the public solver applies; space is unused, but
@@ -262,9 +258,6 @@ class PolicyEvaluation(ChainEvaluation):
         solved, is every member's.
         """
         return self.gap
-
-    def is_nash(self) -> bool:
-        return self.gap <= NASH_EPS
 
 
 @dataclass
@@ -551,13 +544,6 @@ class PolicyGameSolver:
         np.divide(num, mass[:, None, :, None], out=individual, where=~empty[:, None, :, None])
         gaps = _nash_gaps(individual, rows, empty).tolist()
         return chunk.evaluations(PolicyEvaluation, itertools.repeat(None), individual, gaps)
-
-    def individual_utility(self, evaluation: PolicyEvaluation, user_class: int,
-                           label: int, system: int) -> float:
-        """Deviation payoff U[n, l, s]; labels without mass have none."""
-        if evaluation.empty_labels[label]:
-            raise EmptyLabelError(f"label {label} has no stationary mass")
-        return float(evaluation.individual[user_class, label, system])
 
     # ----- optimal policy ---------------------------------------------
 

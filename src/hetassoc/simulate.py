@@ -109,15 +109,6 @@ class SimReport:
     volume_by_entry: dict = field(default_factory=dict)
     visited: set = field(default_factory=set)   # every occupancy reached
 
-    def state_distribution(self) -> dict:
-        """Time-weighted occupancy distribution (sums to one over the
-        occupancies with measured time)."""
-        return {occ: t / self.total_time for occ, t in self.state_time.items()}
-
-    def arrival_distribution(self) -> dict:
-        total = sum(self.arrival_seen.values())
-        return {occ: c / total for occ, c in self.arrival_seen.items()}
-
     @staticmethod
     def _t_quantile(df: int, level: float) -> float:
         return float(stdtrit(df, 0.5 + level / 2))
@@ -154,29 +145,6 @@ class SimReport:
             return float("nan"), float("nan"), int(counts.sum())
         est = sums.sum() / counts.sum()
         return float(est), self._half_width(sums[ok] / counts[ok], level), int(counts.sum())
-
-    def state_probability_estimate(self, occ,
-                                   level: float = CI_LEVEL) -> tuple[float, float]:
-        """(estimate, CI half-width) of one state's stationary probability
-        from per-batch time fractions; nan without measured time, and the
-        half-width below two batches with measured time."""
-        occ = tuple(occ)
-        ok = self.batch_time > 0
-        if not ok.any():
-            return float("nan"), float("nan")
-        fracs = np.array([bt.get(occ, 0.0) for bt in self.state_time_batches])
-        est = self.state_time.get(occ, 0.0) / self.total_time
-        return float(est), self._half_width(fracs[ok] / self.batch_time[ok], level)
-
-    def entry_volume_estimate(self, user_class: int, system: int, seen
-                              ) -> tuple[float, float, int]:
-        """(mean, std error, count) of volumes of users admitted to `system`
-        who saw state `seen` on arrival."""
-        count, mean, m2 = self.volume_by_entry.get(
-            (user_class, system, tuple(seen)), (0, float("nan"), 0.0))
-        if count < 2:
-            return mean, float("nan"), count
-        return mean, math.sqrt(m2 / (count - 1) / count), count
 
 
 def _moved(key: tuple, i: int, delta: int) -> tuple:

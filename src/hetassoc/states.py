@@ -125,9 +125,6 @@ class StateSpace:
         self.bound = bound
         self.weights = weights
 
-    def __len__(self) -> int:
-        return len(self.keys)
-
     @property
     def num_states(self) -> int:
         return len(self.keys)

@@ -6,7 +6,9 @@ import argparse
 import csv
 import dataclasses
 import functools
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,8 +18,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hetassoc import (AggregationScheme, NetworkConfig, enumerate_states,
+import hetassoc
+from hetassoc import (AggregationScheme, NetworkConfig, Policy, enumerate_states,
                       load_instance)
+from hetassoc.game import NASH_EPS
+from hetassoc.simulate import CI_LEVEL
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -130,7 +135,6 @@ def arrival_mode(space, strict: bool):
 
 
 def random_policy(rng: np.random.Generator, config, scheme):
-    from hetassoc import Policy
     return Policy(tuple(tuple(int(rng.integers(config.num_systems))
                               for _ in range(scheme.label_count))
                         for _ in range(config.num_classes)))
@@ -151,11 +155,50 @@ def state_counts_per_label(scheme, space) -> np.ndarray:
     return np.bincount(label_array(scheme, space), minlength=scheme.label_count)
 
 
+def with_entry(policy, n: int, l: int, s: int) -> Policy:
+    """policy with entry (class n, label l) set to system s."""
+    rows = [list(row) for row in policy.choice]
+    rows[n][l] = s
+    return Policy(tuple(tuple(row) for row in rows))
+
+
 def verify_equilibrium(solver, policy) -> bool:
     """Re-check the no-profitable-deviation inequality for policy on a chain
     and payoff table a fresh checker solves for its fibre (structural
     transition indexes are shared; they contain no solved quantities)."""
-    return solver.fresh_checker().evaluate(policy).is_nash()
+    return solver.fresh_checker().evaluate(policy).nash_gap() <= NASH_EPS
+
+
+def state_probability_estimate(report, occ,
+                               level: float = CI_LEVEL) -> tuple[float, float]:
+    """(estimate, CI half-width) of one state's stationary probability
+    from a SimReport's per-batch time fractions; nan without measured time,
+    and the half-width below two batches with measured time."""
+    occ = tuple(occ)
+    ok = report.batch_time > 0
+    if not ok.any():
+        return float("nan"), float("nan")
+    fracs = np.array([bt.get(occ, 0.0) for bt in report.state_time_batches])
+    est = report.state_time.get(occ, 0.0) / report.total_time
+    return float(est), report._half_width(fracs[ok] / report.batch_time[ok], level)
+
+
+def entry_volume_estimate(report, user_class: int, system: int, seen
+                          ) -> tuple[float, float, int]:
+    """(mean, std error, count) of the volumes in a SimReport of users
+    admitted to `system` who saw state `seen` on arrival."""
+    count, mean, m2 = report.volume_by_entry.get(
+        (user_class, system, tuple(seen)), (0, float("nan"), 0.0))
+    if count < 2:
+        return mean, float("nan"), count
+    return mean, math.sqrt(m2 / (count - 1) / count), count
+
+
+def public_names() -> dict:
+    """hetassoc's exports: every name the package binds that is neither
+    private nor a module."""
+    return {name: value for name, value in vars(hetassoc).items()
+            if not name.startswith("_") and not inspect.ismodule(value)}
 
 
 def subcommand_options(parser: argparse.ArgumentParser) -> dict[str, list[str]]:
@@ -340,8 +383,8 @@ def check_generator_row_sums(instances, rng) -> None:
     for config, space, scheme in instances:
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
         gen = build_generator(space, rule)
-        assert gen.row_sum_error() <= 1e-12
-        assert_matches_reference(gen.dense(), reference_generator(config, scheme, rule))
+        assert np.abs(gen.matrix.dot(np.ones(gen.num_states))).max() <= 1e-12
+        assert_matches_reference(gen.matrix.toarray(), reference_generator(config, scheme, rule))
 
 
 def check_steady_residuals(instances, rng) -> None:
@@ -378,7 +421,6 @@ def swap_label_two_systems(label: int) -> int:
 
 def check_relabel_equivariance(instances, rng, tol: float = 1e-9) -> None:
     """System-swap equivariance of the game layer, S = 2 instances only."""
-    from hetassoc import Policy, enumerate_states
     from hetassoc.game import PolicyGameSolver
     for config, space, scheme in instances:
         assert config.num_systems == 2
@@ -503,7 +545,7 @@ def check_tagged_solves(instances, rng, rel_tol: float = 1e-12) -> None:
 
 def erlang_loss_chain(servers: int, offered: float):
     """Config, space, one-label scheme and rule of an M/M/c/c queue."""
-    from hetassoc import Policy, PolicyRule
+    from hetassoc import PolicyRule
     config = NetworkConfig(peak_rate=((float(servers),),), t_min=1.0,
                            t_max=2.0, arrival_rate=(offered,), service_rate=1.0)
     space = enumerate_states(config)

@@ -26,13 +26,13 @@ import time
 import traceback
 from unittest import mock
 
-import hetassoc
 from hetassoc import (NetworkConfig, Policy, PolicyGameSolver, PolicyRule, cli, ctmc,
                       enumerate_states, load_instance, optimize_thresholds, simulate,
                       threshold_lattice, transient)
 
 from conftest import (LARGE_PEAK_RATES, REPO_ROOT, erlang_loss_chain, hybrid_doc, instance_of,
-                      lone_evaluation_growth, nash_exhaustive_doc, subcommand_options)
+                      lone_evaluation_growth, nash_exhaustive_doc, public_names,
+                      subcommand_options)
 from test_simulate import COVERAGE_EVENTS, COVERAGE_SEEDS, erlang_blocking_runs
 
 sys.path.append(str(REPO_ROOT / "perfbench"))
@@ -74,8 +74,7 @@ def spread(walls):
 
 def package_size():
     lines = sum(py.read_text().count("\n") for py in (REPO_ROOT / "src" / "hetassoc").rglob("*.py"))
-    public = [value for name, value in vars(hetassoc).items()
-              if not name.startswith("_") and not inspect.ismodule(value)]
+    public = list(public_names().values())
     settable = 0
     for value in filter(callable, public):
         try:

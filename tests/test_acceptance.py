@@ -23,7 +23,8 @@ from hetassoc.game import PolicyGameSolver, ordered_members
 from conftest import (CONFIG_DIR, check_departure_closure,
                       check_generator_row_sums, check_label_totality,
                       check_relabel_equivariance, check_steady_residuals,
-                      oracle_structure, random_instance, reference_generator)
+                      oracle_structure, random_instance, reference_generator,
+                      state_probability_estimate, with_entry)
 
 
 def _report(num: int, text: str) -> None:
@@ -99,7 +100,7 @@ def test_criterion_3_monte_carlo(erlang_config, erlang_rule):
     assert abs(est - 0.2) <= half
     checks += 1
     for occ in ((0,), (1,), (2,)):
-        p_est, p_half = report.state_probability_estimate(occ, level=level_a)
+        p_est, p_half = state_probability_estimate(report, occ, level=level_a)
         assert abs(p_est - ss.pi[space.id_of(occ)]) <= p_half
         checks += 1
     vol_est, vol_half, count = report.volume_estimate(0, 0, level=level_a)
@@ -125,8 +126,7 @@ def test_criterion_3_monte_carlo(erlang_config, erlang_rule):
         assert abs(est - analytic_blocking[n]) <= half
         checks += 1
     for i in big:
-        p_est, p_half = report2.state_probability_estimate(space2.states[i],
-                                                           level=level_b)
+        p_est, p_half = state_probability_estimate(report2, space2.states[i], level=level_b)
         assert abs(p_est - ss2.pi[i]) <= p_half, space2.states[i]
         checks += 1
     choice = rule.choice_table(space2)
@@ -286,7 +286,7 @@ def test_independent_check_rejects_a_broken_equilibrium(shipped):
         for s in range(config.num_systems):
             if solver.rep[n, l, s] == solver.rep[n, l, current]:
                 continue
-            flipped = solver.evaluate(policy.with_entry(n, l, s))
+            flipped = solver.evaluate(with_entry(policy, n, l, s))
             payoffs = flipped.individual[n, l]
             if (payoffs[s] < equilibrium.individual[n, l, current]
                     and payoffs[s] < np.nanmax(payoffs) - 1e-6):

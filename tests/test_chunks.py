@@ -19,7 +19,7 @@ from hetassoc.transient import SingularTaggedChainError, tagged_volumes
 
 from conftest import (arrival_mode, erlang_loss_chain, instance_of, lone_evaluation_growth,
                       nash_exhaustive_doc, pinned_solve_holds, random_instance, random_policy,
-                      tagged_band, tagged_rows_cols)
+                      tagged_band, tagged_rows_cols, with_entry)
 
 
 @pytest.fixture(scope="module")
@@ -874,7 +874,7 @@ def _one_at_a_time_search(solver, restarts: int, seed: int):
                 for s in range(S):
                     if s == current:
                         continue
-                    trial = policy.with_entry(n, l, s)
+                    trial = with_entry(policy, n, l, s)
                     trial_ev = solver.evaluate(trial)
                     count += 1
                     if trial_ev.global_utility > ev.global_utility + 1e-12:

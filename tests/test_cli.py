@@ -14,8 +14,8 @@ from hetassoc import PolicyGameSolver, ResidualError, SingularChainError, cli
 from hetassoc.cli import main
 from hetassoc.transient import SingularTaggedChainError
 
-from conftest import (CONFIG_DIR, REPO_ROOT, nash_exhaustive_doc, read_csv_rows,
-                      subcommand_options)
+from conftest import (CONFIG_DIR, REPO_ROOT, nash_exhaustive_doc, public_names,
+                      read_csv_rows, subcommand_options)
 
 ERLANG = str(CONFIG_DIR / "erlang_single.json")
 HYBRID = str(CONFIG_DIR / "hybrid_example.json")
@@ -529,6 +529,11 @@ _MUTATIONS = {
     "negative_rate": _set(("classes", 0, "arrival_rate"), -1.0),
     "nan_rate": _set(("classes", 0, "arrival_rate"), float("nan")),
     "huge_rate": _set(("classes", 0, "arrival_rate"), 1e300),
+    # integer literals too large for a float
+    "bigint_rate": _set(("classes", 0, "arrival_rate"), 10 ** 400),
+    "bigint_threshold": _set(("systems", 0, "thresholds"), [0.3, 10 ** 400]),
+    "bigint_t_min": _set(("t_min",), 10 ** 400),
+    "bigint_gain": _set(("scheduler_gain",), [1.0, 10 ** 400]),
     "string_rate": _set(("classes", 0, "arrival_rate"), "1.0"),
     "null_rate": _set(("classes", 0, "arrival_rate"), None),
     "reversed_thresholds": _set(("systems", 0, "thresholds"), [0.7, 0.3]),
@@ -596,6 +601,24 @@ def test_each_subcommand_takes_only_the_options_it_reads(command):
     assert list(options) == list(OPTIONS)
     assert sum(map(len, options.values())) == 78
     assert options[command] == OPTIONS[command].split()
+
+
+# every name hetassoc exports: what the CLI, perfbench and the oracles use
+PUBLIC_NAMES = """
+AggregationScheme AssignmentRule CapacityError ConfigError ControlResult EquilibriumFibre
+Generator InstantaneousRateRule NetworkConfig OptimalResult ParseError PeakRateRule Policy
+PolicyEvaluation PolicyGameSolver PolicyRule ResidualError SearchCapError SimReport
+SingularChainError StateSpace SteadyState build_generator enumerate_states evaluate_baseline
+evaluate_policy evaluate_rule is_feasible label_array label_name label_of load_instance
+optimize_thresholds per_class_blocking serialize_instance simulate solve_steady_state
+system_load threshold_lattice user_throughput
+"""
+
+
+def test_the_package_exports_only_what_its_users_read():
+    """40 public names; a name added for the tests alone fails here."""
+    assert sorted(public_names()) == PUBLIC_NAMES.split()
+    assert len(PUBLIC_NAMES.split()) == 40
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from hetassoc import (AggregationScheme, ConfigError, NetworkConfig, ParseError,
-                      Policy, load_config, load_instance, serialize_instance)
+                      Policy, load_instance, serialize_instance)
 from hetassoc.config import instance_to_dict
+
+from conftest import with_entry
 
 
 def doc(**overrides):
@@ -34,7 +36,7 @@ def test_two_system_instance_loads():
 
 def test_inverted_bounds_rejected():
     with pytest.raises(ConfigError, match="t_min exceeds t_max"):
-        load_config(doc(t_min=2.0, t_max=1.0))
+        load_instance(doc(t_min=2.0, t_max=1.0))
 
 
 def test_no_traffic_rejected():
@@ -43,26 +45,26 @@ def test_no_traffic_rejected():
     for cls in parsed["classes"]:
         cls["arrival_rate"] = 0.0
     with pytest.raises(ConfigError, match="no traffic"):
-        load_config(json.dumps(parsed))
+        load_instance(json.dumps(parsed))
 
 
 def test_malformed_json_is_a_parse_error():
     with pytest.raises(ParseError):
-        load_config("{not json")
+        load_instance("{not json")
 
 
 def test_missing_key_named():
     parsed = json.loads(doc())
     del parsed["service_rate"]
     with pytest.raises(ConfigError, match="service_rate"):
-        load_config(json.dumps(parsed))
+        load_instance(json.dumps(parsed))
 
 
 def test_negative_peak_rate_rejected():
     parsed = json.loads(doc())
     parsed["classes"][0]["peak_rates"] = [-1.0, 10.0]
     with pytest.raises(ConfigError, match="peak rates"):
-        load_config(json.dumps(parsed))
+        load_instance(json.dumps(parsed))
 
 
 def test_bad_thresholds_rejected():
@@ -101,14 +103,14 @@ def test_round_trip_identity():
 
 def test_every_valid_config_has_a_nonempty_space():
     from hetassoc import enumerate_states
-    config = load_config(doc())
+    config, _ = load_instance(doc())
     space = enumerate_states(config)
     assert (0, 0, 0, 0) in space
     assert space.num_states >= 1
 
 
 def test_traffic_scaling():
-    config = load_config(doc())
+    config, _ = load_instance(doc())
     assert config.offered_erlangs == pytest.approx(1.0)
     scaled = config.scale_traffic(10.0)
     assert scaled.offered_erlangs == pytest.approx(10.0)
@@ -121,7 +123,7 @@ def test_policy_helpers():
     policy = Policy.from_flat([0, 1, 1, 0], num_classes=2, num_labels=2)
     assert policy.choice == ((0, 1), (1, 0))
     assert policy.flatten() == (0, 1, 1, 0)
-    assert policy.with_entry(0, 1, 0).choice == ((0, 0), (1, 0))
+    assert with_entry(policy, 0, 1, 0).choice == ((0, 0), (1, 0))
     config, scheme = load_instance(doc())
     with pytest.raises(ConfigError):
         policy.validate_for(config, scheme)  # wrong label count
@@ -164,7 +166,7 @@ def test_non_numeric_fields_rejected():
     parsed = json.loads(doc())
     parsed["classes"][0]["peak_rates"] = ["fast", 10.0]
     with pytest.raises(ConfigError, match="must be numbers"):
-        load_config(json.dumps(parsed))
+        load_instance(json.dumps(parsed))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
@@ -183,13 +185,35 @@ def test_non_finite_numbers_rejected(field, value):
     else:
         parsed[field] = value
     with pytest.raises(ConfigError, match="must be finite"):
-        load_config(json.dumps(parsed))
+        load_instance(json.dumps(parsed))
+
+
+@pytest.mark.parametrize("field", ["peak_rates", "arrival_rate", "t_min", "t_max",
+                                   "service_rate", "scheduler_gain", "thresholds"])
+def test_integers_too_large_for_a_float_are_named(field):
+    """JSON integers have no size limit; one past the float range is a
+    ConfigError naming its field, not an OverflowError."""
+    big = 10 ** 400
+    parsed = json.loads(doc())
+    if field == "peak_rates":
+        parsed["classes"][0]["peak_rates"] = [big, 10.0]
+    elif field == "arrival_rate":
+        parsed["classes"][1]["arrival_rate"] = big
+    elif field == "scheduler_gain":
+        parsed["scheduler_gain"] = [1.0, big]
+    elif field == "thresholds":
+        parsed["systems"][0]["thresholds"] = [0.3, big]
+    else:
+        parsed[field] = big
+    name = "peak_rate" if field == "peak_rates" else field
+    with pytest.raises(ConfigError, match=f"{name} holds a number too large for a float"):
+        load_instance(json.dumps(parsed))
 
 
 @pytest.mark.parametrize("gain", [5, None])
 def test_scheduler_gain_must_be_an_array(gain):
     with pytest.raises(ConfigError, match="scheduler_gain must be an array"):
-        load_config(doc(scheduler_gain=gain))
+        load_instance(doc(scheduler_gain=gain))
 
 
 def test_name_defaults():

@@ -28,7 +28,7 @@ def erlang(erlang_config, erlang_space, erlang_scheme):
 
 def test_birth_death_generator(erlang):
     config, space, scheme, rule = erlang
-    q = build_generator(space, rule).dense()
+    q = build_generator(space, rule).matrix.toarray()
     expected = np.array([[-1.0, 1.0, 0.0],
                          [1.0, -2.0, 1.0],
                          [0.0, 2.0, -2.0]])
@@ -87,7 +87,7 @@ def test_redirection_edge():
     space = enumerate_states(config)
     scheme = AggregationScheme.uniform(2, 0.3, 0.7)
     rule = PolicyRule(Policy.constant(1, 9, 0), scheme)  # always prefer system 0
-    q = build_generator(space, rule).dense()
+    q = build_generator(space, rule).matrix.toarray()
     assert_matches_reference(q, reference_generator(config, scheme, rule))
     full0 = space.id_of((2, 0))
     redirected = space.id_of((2, 1))
@@ -105,7 +105,7 @@ def test_strict_mode_drops_instead_of_redirecting():
     space = enumerate_states(config)
     scheme = AggregationScheme.uniform(2, 0.3, 0.7)
     rule = PolicyRule(Policy.constant(1, 9, 0), scheme)
-    q = build_generator(space, rule).dense()
+    q = build_generator(space, rule).matrix.toarray()
     assert_matches_reference(q, reference_generator(config, scheme, rule))
     full0 = space.id_of((2, 0))
     redirected = space.id_of((2, 1))
@@ -189,7 +189,7 @@ def test_row_sums_and_residual_random_instances():
         config, space, scheme = random_instance(rng)
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
         gen = build_generator(space, rule)
-        assert gen.row_sum_error() <= 1e-12
+        assert np.abs(gen.matrix.dot(np.ones(gen.num_states))).max() <= 1e-12
         ss = solve_steady_state(gen)
         assert ss.residual <= 1e-10
         assert ss.pi.min() >= 0.0
@@ -313,7 +313,8 @@ def test_banded_solves_match_superlu_reference():
     rule = PolicyRule(random_policy(np.random.default_rng(3600), config, scheme), scheme)
     tables = chain_tables(space)
     band = assemble_dense(tables, rule.choice_table(space))
-    q = band.tocoo().tocsr()
+    rows, cols, values = band.entries()
+    q = sp.csr_matrix((values, (rows, cols)), shape=band.shape)
 
     a = q.T.tolil()
     a[-1, :] = 1.0
@@ -373,10 +374,23 @@ def test_nan_generator_is_rejected(erlang_space):
         _solve_pi(erlang_space, q)
 
 
-def test_coo_triplets_only_offdiagonal(erlang):
+def test_coo_triplets_only_offdiagonal(erlang, hybrid_instance):
+    """The triplets are the off-diagonal entries in (row, col) order; with
+    the diagonal they rebuild toarray() exactly, on the shipped instance in
+    both arrival modes too."""
     _, space, _, rule = erlang
     gen = build_generator(space, rule)
     triplets = list(gen.coo_triplets())
     assert all(r != c for r, c, _ in triplets)
     assert triplets == sorted(triplets)
     assert sum(1 for _ in triplets) == 4
+    config, scheme = hybrid_instance
+    loose = enumerate_states(config)
+    rule = PolicyRule(random_policy(np.random.default_rng(7), config, scheme), scheme)
+    for strict in (False, True):
+        gen = build_generator(arrival_mode(loose, strict), rule)
+        q = gen.matrix.toarray()
+        rebuilt = np.diag(np.diag(q))
+        for r, c, rate in gen.coo_triplets():
+            rebuilt[r, c] = rate
+        assert np.array_equal(rebuilt, q)

@@ -8,15 +8,16 @@ import weakref
 import numpy as np
 import pytest
 
-from hetassoc import (AggregationScheme, ConfigError, EmptyLabelError, NetworkConfig,
-                      Policy, PolicyRule, SearchCapError, build_generator,
-                      enumerate_states, evaluate_baseline, evaluate_policy, evaluate_rule,
-                      per_class_blocking, solve_steady_state)
+from hetassoc import (AggregationScheme, ConfigError, NetworkConfig, Policy, PolicyRule,
+                      SearchCapError, build_generator, enumerate_states, evaluate_baseline,
+                      evaluate_policy, evaluate_rule, per_class_blocking, solve_steady_state)
 from hetassoc.aggregation import label_of
-from hetassoc.game import ChainEvaluation, PolicyGameSolver, _nash_gaps, ordered_members
+from hetassoc.game import (NASH_EPS, ChainEvaluation, PolicyGameSolver, _nash_gaps,
+                           ordered_members)
 from hetassoc.rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 
-from conftest import arrival_mode, random_instance, random_policy, verify_equilibrium
+from conftest import (arrival_mode, random_instance, random_policy, verify_equilibrium,
+                      with_entry)
 
 
 @pytest.fixture
@@ -65,11 +66,13 @@ def test_individual_utility_single_label_is_unconditional_average(erlang_solver)
 
 
 def test_individual_utility_empty_label_raises(erlang_space):
+    """A label without stationary mass has no deviation payoff: it is
+    marked empty and its payoffs are NaN."""
     scheme = AggregationScheme(((0.0, 0.2),))  # medium label has no state
     solver = PolicyGameSolver(erlang_space, scheme)
     ev = solver.evaluate(Policy(((0, 0, 0),)))
-    with pytest.raises(EmptyLabelError):
-        solver.individual_utility(ev, 0, 1, 0)
+    assert ev.empty_labels[1]
+    assert np.isnan(ev.individual[:, 1]).all()
 
 
 def test_saturated_label_deviation_payoffs_tie(mirror_instance):
@@ -186,12 +189,12 @@ def test_join_lower_loaded_is_nash_crowding_is_not(asym_instance):
     _, space, scheme = asym_instance
     solver = PolicyGameSolver(space, scheme)
     label_med_low = 1 * 3 + 0
-    spread = Policy.constant(1, 9, 0).with_entry(0, label_med_low, 1)
+    spread = with_entry(Policy.constant(1, 9, 0), 0, label_med_low, 1)
     ev_spread = solver.evaluate(spread)
-    assert ev_spread.is_nash()
+    assert ev_spread.nash_gap() <= NASH_EPS
 
     ev_crowd = solver.evaluate(Policy.constant(1, 9, 0))
-    assert not ev_crowd.is_nash()
+    assert not ev_crowd.nash_gap() <= NASH_EPS
     # the profitable deviation is toward the empty system at the label where
     # system 0 is busy and system 1 is not
     assert (ev_crowd.individual[0, label_med_low, 1]
@@ -678,7 +681,7 @@ def test_members_are_judged_on_the_checker_table(hybrid_instance, shipped_spaces
     solved = _watch_checkers(solver, monkeypatch, raise_entry)
     assert solver.find_nash() == []
     assert len(solved) == 1
-    assert all(solver.evaluate(m.policy).is_nash() for m in found)
+    assert all(solver.evaluate(m.policy).nash_gap() <= NASH_EPS for m in found)
 
 
 def test_verify_equilibrium_rejects_a_flip_outside_the_fibre(hybrid_instance,
@@ -690,7 +693,7 @@ def test_verify_equilibrium_rejects_a_flip_outside_the_fibre(hybrid_instance,
     # the first free entry whose other system leaves the fibre
     n, l = next((n, l) for n, l in solver.positions()
                 if solver.rep[n, l, 0] != solver.rep[n, l, 1])
-    flipped = member.with_entry(n, l, 1 - member.choice[n][l])
+    flipped = with_entry(member, n, l, 1 - member.choice[n][l])
     assert flipped not in solver.fibre(member)
     assert not verify_equilibrium(solver, flipped)
 

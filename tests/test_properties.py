@@ -30,7 +30,7 @@ from hetassoc.game import (MAX_PATH_STEPS, NASH_EPS, BestResponseStep, PolicyGam
 from conftest import (CONFIG_DIR, arrival_mode, check_band_generator, check_departure_closure,
                       check_generator_row_sums, check_label_totality,
                       check_relabel_equivariance, check_steady_residuals,
-                      check_tagged_solves, random_instance, random_policy)
+                      check_tagged_solves, random_instance, random_policy, with_entry)
 
 N_INSTANCES = 105
 
@@ -206,7 +206,7 @@ def _reference_path(solver, start):
                     user_class=n, label=l, old_system=current,
                     new_system=best, old_payoff=float(payoffs[current]),
                     new_payoff=float(payoffs[best])))
-                policy = policy.with_entry(n, l, best)
+                policy = with_entry(policy, n, l, best)
                 updated = True
         stale = 0 if updated else stale + 1
         if stale >= len(positions):
@@ -218,7 +218,7 @@ def _reference_path(solver, start):
 def _reference_ties(solver, candidates):
     """Breadth-first closure of equilibrium candidates under single-entry
     swaps whose payoff is within 2 * NASH_EPS of the entry's best."""
-    queue = [p for p in candidates if solver.evaluate(p).is_nash()]
+    queue = [p for p in candidates if solver.evaluate(p).nash_gap() <= NASH_EPS]
     seen = {p.choice for p in queue}
     out = list(queue)
     while queue:
@@ -232,11 +232,11 @@ def _reference_ties(solver, candidates):
             for s in range(solver.config.num_systems):
                 if s == policy.choice[n][l] or payoffs[s] < top - 2 * NASH_EPS:
                     continue
-                neighbor = policy.with_entry(n, l, s)
+                neighbor = with_entry(policy, n, l, s)
                 if neighbor.choice in seen:
                     continue
                 seen.add(neighbor.choice)
-                if solver.evaluate(neighbor).is_nash():
+                if solver.evaluate(neighbor).nash_gap() <= NASH_EPS:
                     queue.append(neighbor)
                     out.append(neighbor)
     return out
@@ -268,8 +268,8 @@ def _reference_equilibria(solver, restarts, seed):
     found = set()
     for policy in _reference_ties(solver, candidates):
         canonical = _canonicalize(solver, policy, solver.evaluate(policy))
-        if (canonical.choice not in found and solver.evaluate(canonical).is_nash()
-                and _own_chain(checker, canonical).is_nash()):
+        if (canonical.choice not in found and solver.evaluate(canonical).nash_gap() <= NASH_EPS
+                and _own_chain(checker, canonical).nash_gap() <= NASH_EPS):
             found.add(canonical.choice)
     return sorted(found)
 

@@ -19,7 +19,7 @@ from hetassoc.config import NETWORK_WIDE, PER_SYSTEM
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
 from hetassoc.simulate import SimReport, _Tallies
 
-from conftest import random_policy
+from conftest import entry_volume_estimate, random_policy, state_probability_estimate
 
 GOLDEN = Path(__file__).parent / "data" / "simulate_golden.json"
 
@@ -48,18 +48,19 @@ def test_blocking_matches_erlang_b(erlang_run):
 
 def test_state_distribution_matches_pi(erlang_run, erlang_space):
     _, _, report = erlang_run
-    dist = report.state_distribution()
+    dist = {occ: t / report.total_time for occ, t in report.state_time.items()}
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
     expected = {(0,): 0.4, (1,): 0.4, (2,): 0.2}
     for occ, p in expected.items():
-        est, half = report.state_probability_estimate(occ)
+        est, half = state_probability_estimate(report, occ)
         assert abs(est - p) <= max(4 * half, 0.02)
 
 
 def test_arrival_seen_matches_pi_pasta(erlang_run):
     """Poisson arrivals observe the stationary distribution."""
     _, _, report = erlang_run
-    seen = report.arrival_distribution()
+    total = sum(report.arrival_seen.values())
+    seen = {occ: c / total for occ, c in report.arrival_seen.items()}
     for occ, p in {(0,): 0.4, (1,): 0.4, (2,): 0.2}.items():
         assert seen[occ] == pytest.approx(p, abs=0.02)
 
@@ -76,7 +77,7 @@ def test_mean_volume_matches_transient_solve(erlang_run, erlang_space):
 def test_volume_from_empty_state(erlang_run):
     """Users admitted into the empty system deliver I(1) = 5/3 on average."""
     _, _, report = erlang_run
-    mean, se, count = report.entry_volume_estimate(0, 0, (0,))
+    mean, se, count = entry_volume_estimate(report, 0, 0, (0,))
     assert count > 5_000
     assert abs(mean - 5.0 / 3.0) <= max(6 * se, 0.03)
 
@@ -86,7 +87,7 @@ def test_light_traffic_concentrates_on_empty(erlang_scheme):
                            arrival_rate=(0.01,), service_rate=1.0)
     rule = PolicyRule(Policy(((0, 0, 0),)), erlang_scheme)
     report = simulate(config, rule, 200_000, seed=3)
-    assert report.state_distribution()[(0,)] > 0.97
+    assert report.state_time[(0,)] / report.total_time > 0.97
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -166,10 +167,10 @@ def test_network_wide_scope_cross_validates():
     report = simulate(config, rule, 150_000, seed=21)
     est, half = report.blocking_estimate(0)
     assert abs(est - evaluate_rule(space, rule).overall_blocking) <= max(4 * half, 0.01)
-    for occ, p in report.state_distribution().items():
+    for occ in report.state_time:
         assert occ in space
     top = max(space.states, key=lambda occ: ss.pi[space.id_of(occ)])
-    p_est, p_half = report.state_probability_estimate(top)
+    p_est, p_half = state_probability_estimate(report, top)
     assert abs(p_est - ss.pi[space.id_of(top)]) <= max(4 * p_half, 0.02)
 
 
@@ -293,10 +294,10 @@ def test_estimates_of_short_runs_are_nan_without_warnings(erlang_config, erlang_
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert report.blocking_estimate(0) == pytest.approx((0.0, half), nan_ok=True)
-        assert report.state_probability_estimate((0,)) == pytest.approx((1.0, half),
-                                                                       nan_ok=True)
-        assert report.state_probability_estimate((2,)) == pytest.approx((0.0, half),
-                                                                       nan_ok=True)
+        assert state_probability_estimate(report, (0,)) == pytest.approx((1.0, half),
+                                                                        nan_ok=True)
+        assert state_probability_estimate(report, (2,)) == pytest.approx((0.0, half),
+                                                                        nan_ok=True)
         est, vol_half, count = report.volume_estimate(0, 0)
     assert math.isnan(est) and math.isnan(vol_half) and count == 0
 
