@@ -200,7 +200,7 @@ class TaggedGroup:
     values, and rate the right-hand sides end to end. starts is where each
     block's values start, norm its bound on |A|_inf, and targets the
     position of each value in a flattened (N, S, num_states) volume table.
-    A group of one block shares its plan's arrays.
+    SolvePlan.tagged_group builds the one group of a plan.
     """
 
     def __init__(self, blocks: list[tuple[int, TaggedPlan]], num_states: int):
@@ -209,17 +209,13 @@ class TaggedGroup:
         shift_rows, shift_cols, starts = [], [], []
         for k, plan in blocks:
             self.blocks.append((k, plan, slice(value_at, value_at + len(plan.ids))))
-            shift_rows.append(plan.shift_rows + value_at if value_at else plan.shift_rows)
-            shift_cols.append(plan.shift_cols + value_at if value_at else plan.shift_cols)
+            shift_rows.append(plan.shift_rows + value_at)
+            shift_cols.append(plan.shift_cols + value_at)
             starts.append(value_at)
             value_at += len(plan.ids)
         plans = [plan for _, plan in blocks]
-
-        def joined(arrays):
-            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-        self.shift_rows, self.shift_cols = joined(shift_rows), joined(shift_cols)
-        self.rate = joined([plan.rate for plan in plans])
+        self.shift_rows, self.shift_cols = np.concatenate(shift_rows), np.concatenate(shift_cols)
+        self.rate = np.concatenate([plan.rate for plan in plans])
         self.starts = np.array(starts)
         self.norm = np.array([plan.norm for plan in plans])
         self.targets = np.concatenate([k * num_states + plan.ids for k, plan in blocks])
@@ -518,10 +514,6 @@ class Generator:
 
     matrix: BandGenerator
     choice: np.ndarray
-
-    @property
-    def num_states(self) -> int:
-        return self.matrix.shape[0]
 
     def coo_triplets(self):
         """(row, col, rate) triplets of the off-diagonal transitions, in

@@ -3,14 +3,19 @@ the two information baselines.
 
 Every assignment rule is valued by one evaluation core: it solves the
 chain a choice table induces once, derives every tagged volume table, and
-aggregates the blocking table and the global utility (traffic weighted,
-cell by cell, not normalized by cell mass) over an information partition.
-evaluate_rule runs it for any rule over the rule's own partition: a
-policy's cells are the broadcast load labels; the peak-rate baseline has
-a single cell and the instantaneous-rate baseline one cell per state. The
-solver, evaluate_baseline and the CLI's utility table all read it. A
-policy evaluation adds the individual deviation payoffs U[n, l, s]
-(normalized by label mass). Deviating to a saturated system is valued at
+aggregates over an information partition the blocking table and one
+payoff table: payoff[n, c, s] sums, over the states of cell c, pi times
+the volume a class-n arrival preferring system s ends up with (not
+normalized by cell mass). A rule decides on its own information, so its
+choices are constant on each cell of its partition; the global utility
+(traffic weighted) reads the payoff at each cell's chosen system, weighted
+by the cell's non-blocking probability. evaluate_rule runs the core for
+any rule over the rule's own partition: a policy's cells are the
+broadcast load labels; the peak-rate baseline has a single cell and the
+instantaneous-rate baseline one cell per state. The solver,
+evaluate_baseline and the CLI's utility table all read it. A policy
+evaluation adds the individual deviation payoffs U[n, l, s], its payoff
+table over the label mass. Deviating to a saturated system is valued at
 the outcome the network actually produces: the redirected system's
 expectation, or zero when every system is full (always zero under the
 config's strict_arrivals). Labels with (numerically) zero stationary mass
@@ -142,7 +147,10 @@ class _ChainCore:
     """What _evaluate_chain reuses from chunk to chunk over one information
     partition, for chunks of up to `chunk` choice tables: the tables,
     admitted, their admit_sys as int8, the outcome index, the Partition,
-    where each table's padded volumes start in the chunk's, solved, per
+    payoff_bins, the (table, class, cell, system) bin of each (table,
+    class, system, state) product of a chunk's payoff tables, cell_state,
+    one state of each cell (0 for a cell without states), where a table's
+    choice in the cell is read, as the table is constant on it, solved, per
     tagged block, the checked values of every key it was solved under (see
     transient._solve_group), and scratch, the buffers its chunks'
     generators and tagged bands, a lone generator's LU, and the tagged
@@ -158,23 +166,27 @@ class _ChainCore:
         self.admitted = tables.admit_sys.astype(np.int8)
         self.outcome = _outcome_index(tables)
         self.partition = Partition(tables, cells, ncells, chunk)
-        padded = N * S * nst + 1
-        self.padded_offset = np.arange(0, chunk * padded, padded)[:, None, None]
+        n_idx, s_idx = np.arange(N)[:, None, None], np.arange(S)[:, None]
+        self.payoff_bins = (np.arange(0, chunk * N * ncells * S, N * ncells * S)[:, None]
+                            + ((n_idx * ncells + cells) * S + s_idx).ravel()).ravel()
+        self.cell_state = np.zeros(ncells, dtype=np.intp)
+        self.cell_state[cells] = np.arange(nst)
         self.solved: dict[int, dict[bytes, np.ndarray]] = {}
         self.scratch = _Scratch()
 
 
 class _ChainChunk(NamedTuple):
     """_evaluate_chain's result: the stacked arrays of a chunk of choice
-    tables, from which evaluations() builds one evaluation per table and a
-    policy chunk its payoff tables."""
+    tables, each constant on the core's cells, from which evaluations()
+    builds one evaluation per table; a policy chunk divides payoff by the
+    label mass."""
 
     pi: np.ndarray                    # (B, num_states)
     residual: np.ndarray              # (B,) balance residuals
     blocking: CellBlocking            # over the core's cells
     global_utility: list[float]       # (B,)
     volumes: np.ndarray               # (B, N, S, num_states)
-    padded: np.ndarray                # (B, N * S * num_states + 1): volumes, then 0
+    payoff: np.ndarray                # (B, N, ncells, S), not normalized by cell mass
 
     def evaluations(self, make=ChainEvaluation, *columns) -> list:
         """make() of each table's ChainEvaluation fields, in field order,
@@ -188,47 +200,55 @@ class _ChainChunk(NamedTuple):
 def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
     """Solve the chains of a chunk of preferred-system tables, choices of
     shape (B, N, num_states) in any integer type, and aggregate each over
-    the core's cells. The systems the network admits the chunk's arrivals
-    to key its tagged blocks: a block whose key the core has solved is
-    copied, not factored (see tagged_volumes).
+    the core's cells, on each of which every table is constant, as a
+    rule's choice_table is on its information_partition. The systems the
+    network admits the chunk's arrivals to key its tagged blocks: a block
+    whose key the core has solved is copied, not factored (see
+    tagged_volumes).
 
     Every step runs once for the chunk: assembly, the stationary solves,
-    blocking, the tagged volumes and the global utility. The tagged bands
-    are built one block at a time into the room past the chunk's bands, in
-    the same buffer; a chunk of one is assembled and factored in place
-    there, and its room is the whole buffer: tagged_volumes reads its
-    blocks' entries out of its band first, and calls the reassembly
-    _solve_stationary hands over to restore the band for the checks.
-    Blocking is
-    ctmc.cell_blocking's over the (class, state) pairs whose chosen
-    outcome is lost; the global utility weights each cell's chosen value
-    by its non-blocking probability. A table's results have the bits
-    they have in a chunk of one: each row of share is summed over its
-    cells on its own, and the weighted class totals are added one class at
-    a time from 0, as Python's sum adds them for one table.
+    blocking, the tagged volumes, the payoff tables and the global utility.
+    The tagged bands are built one block at a time into the room past the
+    chunk's bands, in the same buffer; a chunk of one is assembled and
+    factored in place there, and its room is the whole buffer:
+    tagged_volumes reads its blocks' entries out of its band first, and
+    calls the reassembly _solve_stationary hands over to restore the band
+    for the checks.
+
+    Blocking is ctmc.cell_blocking's over the (class, state) pairs whose
+    chosen outcome is lost. payoff[b, n, c, s] sums, over the states of
+    cell c in state order, pi times the volume a class-n arrival preferring
+    s ends up with (zero where it is lost). The global utility weights each
+    cell's payoff at its chosen system, read at one state of the cell, by
+    its non-blocking probability. A table's results have the bits they
+    have in a chunk of one: each row of share is summed over its cells on
+    its own, and the weighted class totals are added one class at a time
+    from 0, as Python's sum adds them for one table.
     """
     tables, ncells = core.tables, core.partition.ncells
     plan = tables.solve_plan
     B, N, nst = choices.shape
+    S = tables.config.num_systems
     picked = np.multiply(choices, nst, dtype=np.intp)
     picked += plan.entry
     data, room, pi, residual, restore = _solve_stationary(tables, picked, core.scratch)
-    outcome = core.outcome.take(picked)
-    b = cell_blocking(tables, pi, outcome == tables.occ_ns.size, core.partition)
+    b = cell_blocking(tables, pi, core.outcome.take(picked) == tables.occ_ns.size,
+                      core.partition)
     padded = tagged_volumes(tables, data, core.admitted.take(picked), core.solved,
                             core.scratch, room, restore)
-    chosen = padded.take(outcome + core.padded_offset[:B])
-    inner = np.bincount(core.partition.class_bins[:B * N * nst],
-                        weights=(chosen * pi[:, None]).ravel(),
-                        minlength=B * N * ncells).reshape(B, N, ncells)
-    share = (1.0 - b.by_cell) * inner
+    products = padded[:, core.outcome] * pi[:, None, None]
+    payoff = np.bincount(core.payoff_bins[:products.size], weights=products.ravel(),
+                         minlength=B * N * ncells * S).reshape(B, N, ncells, S)
+    # each cell's payoff at its chosen system, read at one state of the cell
+    chosen = _offsets(S, B * N * ncells) + choices.take(core.cell_state, axis=2).ravel()
+    share = (1.0 - b.by_cell) * payoff.take(chosen).reshape(B, N, ncells)
     weighted = tables.class_weight * share.sum(axis=2)
     # 0 + the first class's total, then the others in turn
     utility = weighted[:, 0] + 0.0
     for n in range(1, N):
         utility += weighted[:, n]
     volumes = padded[:, :-1].reshape(B, *tables.occ_ns.shape)
-    return _ChainChunk(pi, residual, b, utility.tolist(), volumes, padded)
+    return _ChainChunk(pi, residual, b, utility.tolist(), volumes, payoff)
 
 
 def _nash_gaps(individual: np.ndarray, choice: np.ndarray, empty: np.ndarray) -> np.ndarray:
@@ -360,15 +380,8 @@ class PolicyGameSolver:
         # policies per chunk of the exhaustive scans and evaluate_many
         self.chunk = self.tables.solve_plan.chunk_size()
         self._core = _ChainCore(self.tables, self.labels, L, self.chunk)
-        # U[n, l, s] averages the admission outcome of preferring s over the
-        # label's states, weighted by pi
-        self._outcome = self._core.outcome
         # the flat row entry of each (class, state): its label's
         self._state_entries = (np.arange(N)[:, None] * L + self.labels).ravel()
-        # bins of the (n, label, s) payoff tables of a chunk
-        n_idx, s_idx = np.arange(N)[:, None, None], np.arange(S)[:, None]
-        self._nls_bin = (np.arange(0, self.chunk * N * L * S, N * L * S)[:, None]
-                         + ((n_idx * L + self.labels) * S + s_idx).ravel()).ravel()
         self.rep = self._interchangeable_systems()
         # rep per flat entry; a system index fits in int8, since a state
         # space with over 127 systems could not be enumerated
@@ -533,15 +546,13 @@ class PolicyGameSolver:
         B = len(rows)
         chunk = _evaluate_chain(self._core, rows.take(self._state_entries, axis=1).reshape(
             B, N, self.space.num_states))
-        # the denominator of U is the label mass: cell_blocking sums the
+        # U is the payoff table over the label mass: cell_blocking sums the
         # same pi[i] in the same state order
-        weighted = chunk.padded[:, self._outcome] * chunk.pi[:, None, None]
-        num = np.bincount(self._nls_bin[:weighted.size], weights=weighted.ravel(),
-                          minlength=B * N * L * S).reshape(B, N, L, S)
         mass, empty = chunk.blocking.mass, chunk.blocking.empty
         individual = np.empty((B, N, L, S))
         individual.fill(np.nan)
-        np.divide(num, mass[:, None, :, None], out=individual, where=~empty[:, None, :, None])
+        np.divide(chunk.payoff, mass[:, None, :, None], out=individual,
+                  where=~empty[:, None, :, None])
         gaps = _nash_gaps(individual, rows, empty).tolist()
         return chunk.evaluations(PolicyEvaluation, itertools.repeat(None), individual, gaps)
 

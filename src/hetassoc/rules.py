@@ -35,7 +35,7 @@ class AssignmentRule:
     def information_partition(self, space: StateSpace) -> tuple[np.ndarray, int]:
         """(cell id per state, cell count) of the information the rule's users
         condition on; used to aggregate utilities the same way the rule's
-        decisions are made."""
+        decisions are made, so choice_table is constant on each cell."""
         raise NotImplementedError
 
     def describe(self) -> str:

@@ -113,8 +113,8 @@ class StateSpace:
 
     occ[i] is the occupancy of state i and keys[i] its mixed-radix key
     (occ[i] @ weights), strictly increasing in i; bound[j] is the largest
-    count coordinate j reaches. The tuple view `states` and the dict
-    `index` are built only when first read.
+    count coordinate j reaches. The tuple view `states` is built only when
+    first read.
     """
 
     def __init__(self, config: NetworkConfig, occ: np.ndarray, keys: np.ndarray,
@@ -132,16 +132,6 @@ class StateSpace:
     @cached_property
     def states(self) -> tuple[Occupancy, ...]:
         return tuple(map(tuple, self.occ.tolist()))
-
-    @cached_property
-    def index(self) -> dict[Occupancy, int]:
-        return {occ: i for i, occ in enumerate(self.states)}
-
-    def id_of(self, occ: Occupancy) -> int:
-        return self.index[tuple(occ)]
-
-    def __contains__(self, occ) -> bool:
-        return tuple(occ) in self.index
 
     def ids_of_keys(self, keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
         """Ids of the states with the given keys; -1 where valid is false or

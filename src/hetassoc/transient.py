@@ -48,8 +48,11 @@ check has passed.
 
 The module has no per-rule entry point: game.evaluate_rule values any rule,
 its tagged volumes included, through tagged_volumes, the same path every
-policy evaluation takes. solve_volume_from_matrix solves one block of one
-assembled generator.
+policy evaluation takes. solve_volume_from_matrix returns one block's
+slice of tagged_volumes on a stack of one assembled generator, so the
+plan's one group (SolvePlan.tagged_group) is the only TaggedGroup. The
+absorption rate mu is the config's service rate, which NetworkConfig
+validates as positive.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ _gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
 
 
 class SingularTaggedChainError(RuntimeError):
-    """The tagged chain cannot reach absorption (requires mu > 0)."""
+    """A tagged block's banded LU is singular."""
 
 
 def _tagged_matrix(entries: np.ndarray, plan: TaggedPlan, mu: float, room: np.ndarray
@@ -99,13 +102,6 @@ def _tagged_matrix(entries: np.ndarray, plan: TaggedPlan, mu: float, room: np.nd
     flat[:, plan.band] = entries
     flat[:, plan.shift_band] -= mu
     return bands
-
-
-def _absorption_rate(tables: ChainTables) -> float:
-    mu = tables.config.service_rate
-    if mu <= 0:
-        raise SingularTaggedChainError("absorption requires a positive service rate")
-    return mu
 
 
 def _solve_tagged(plan: TaggedPlan, block: np.ndarray, rhs: np.ndarray
@@ -247,34 +243,31 @@ def _solve_group(tables: ChainTables, data: np.ndarray, group: TaggedGroup, mu: 
 
 def solve_volume_from_matrix(tables: ChainTables, q, user_class: int,
                              system: int) -> np.ndarray:
-    """Expected megabits of a tagged user, indexed by dense state id (nan on
-    states where the user is absent). Takes an already assembled full
-    generator. Its one block is factored whatever its key, so the key is
-    read from an admitted table of zeros."""
-    mu = _absorption_rate(tables)
-    nst = tables.num_states
-    out = np.full(nst, np.nan)
-    plan = tables.solve_plan.tagged[user_class][system]
-    if len(plan.ids):
-        group = TaggedGroup([(0, plan)], nst)
-        admitted = np.zeros((1, len(tables.occ_ns), nst), dtype=np.int8)
-        out[plan.ids] = _solve_group(tables, q.data[None], group, mu, admitted, {},
-                                     _Scratch(), np.empty(plan.band_size))[0]
-    return out
+    """Expected megabits of a tagged (user_class, system) user, indexed by
+    dense state id (nan on states where the user is absent), of an already
+    assembled full generator: its slice of tagged_volumes on a stack of
+    one, in a room of its own. Every block is factored, since the solved
+    dicts start empty, and checked, so any failing block raises."""
+    N, S, nst = tables.occ_ns.shape
+    admitted = np.zeros((1, N, nst), dtype=np.int8)
+    volumes = tagged_volumes(tables, q.data[None], admitted, {}, _Scratch(),
+                             np.empty(tables.solve_plan.largest_band))
+    return volumes[0, :-1].reshape(N, S, nst)[user_class, system]
 
 
 def tagged_volumes(tables: ChainTables, data: np.ndarray, admitted: np.ndarray,
                    solved: dict, scratch: _Scratch, room: np.ndarray,
                    restore: Callable[[], None] | None = None) -> np.ndarray:
-    """volumes[b]: solve_volume_from_matrix for every (class, system) pair
-    of generator b of a (B, size) stack, as a flattened (N, S, num_states)
-    table followed by one zero: every non-empty block in one group
+    """volumes[b]: the expected megabits of a tagged user of every (class,
+    system) pair of generator b of a (B, size) stack, by dense state id and
+    nan where the user is absent, as a flattened (N, S, num_states) table
+    followed by one zero: every non-empty block in one group
     (SolvePlan.tagged_group), each built in turn into room, with at least
     B times the plan's largest_band entries, and restore, for a room that
     overlaps data, what assembles data again before the checks: both as
     _solve_stationary hands them over. admitted and solved key the blocks
     and save the LUs of repeated ones (see _solve_group)."""
-    mu = _absorption_rate(tables)
+    mu = tables.config.service_rate
     B = len(data)
     volumes = np.empty((B, tables.occ_ns.size + 1))
     volumes.fill(np.nan)

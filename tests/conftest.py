@@ -148,6 +148,23 @@ def zero_state(config) -> tuple[int, ...]:
     return (0,) * (config.num_classes * config.num_systems)
 
 
+def state_ids(space, occs) -> np.ndarray:
+    """Id of each occupancy of occs in space, -1 where the space holds
+    none: space.ids_of_keys of their mixed-radix keys, valid only inside the
+    space's box, where no two occupancies share a key."""
+    occ = np.asarray(occs, dtype=np.int64).reshape(-1, len(space.bound))
+    valid = ((occ >= 0) & (occ <= space.bound)).all(axis=1)
+    return space.ids_of_keys(np.where(valid[:, None], occ, 0) @ space.weights, valid)
+
+
+def state_id(space, occ) -> int:
+    """Id of one occupancy of space; KeyError if the space holds none."""
+    i = int(state_ids(space, [occ])[0])
+    if i < 0:
+        raise KeyError(occ)
+    return i
+
+
 def state_counts_per_label(scheme, space) -> np.ndarray:
     """Number of feasible states mapped to each label; zeros mark labels that
     no state can produce."""
@@ -278,7 +295,7 @@ def assert_structure_matches_reference(config) -> None:
     states = reference_states(config)
     space = enumerate_states(config)
     assert space.states == tuple(states)
-    assert space.index == {occ: i for i, occ in enumerate(states)}
+    assert np.array_equal(state_ids(space, states), np.arange(len(states)))
     assert space.occ.dtype == np.int64
     assert np.array_equal(space.occ, np.array(states, dtype=np.int64))
     tables = ChainTables(space)
@@ -305,6 +322,7 @@ def oracle_structure(config, scheme) -> SimpleNamespace:
     from hetassoc.states import is_feasible, occ_index, user_throughput
     space = enumerate_states(config)
     states = space.states
+    ids = {occ: i for i, occ in enumerate(states)}
     N, S = config.num_classes, config.num_systems
     labels = [label_of(scheme, config, occ) for occ in states]
 
@@ -313,7 +331,7 @@ def oracle_structure(config, scheme) -> SimpleNamespace:
             j = occ_index(config, n, s)
             up = occ[:j] + (occ[j] + 1,) + occ[j + 1:]
             if is_feasible(config, up):
-                return s, space.id_of(up)
+                return s, ids[up]
         return None
 
     # outcome[i][n][pref]: (system joined, state id reached) when a class-n
@@ -329,7 +347,7 @@ def oracle_structure(config, scheme) -> SimpleNamespace:
                 j = occ_index(config, n, s)
                 if occ[j] > 0:
                     down = occ[:j] + (occ[j] - 1,) + occ[j + 1:]
-                    edges.append((n, s, occ[j], space.id_of(down)))
+                    edges.append((n, s, occ[j], ids[down]))
         departures.append(edges)
     tagged, throughput = {}, {}
     for n in range(N):
@@ -383,7 +401,7 @@ def check_generator_row_sums(instances, rng) -> None:
     for config, space, scheme in instances:
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
         gen = build_generator(space, rule)
-        assert np.abs(gen.matrix.dot(np.ones(gen.num_states))).max() <= 1e-12
+        assert np.abs(gen.matrix.dot(np.ones(space.num_states))).max() <= 1e-12
         assert_matches_reference(gen.matrix.toarray(), reference_generator(config, scheme, rule))
 
 
@@ -402,7 +420,7 @@ def check_departure_closure(instances) -> None:
         for occ in space.states:
             for j, count in enumerate(occ):
                 if count > 0:
-                    assert occ[:j] + (count - 1,) + occ[j + 1:] in space
+                    assert state_ids(space, [occ[:j] + (count - 1,) + occ[j + 1:]])[0] >= 0
 
 
 def check_label_totality(instances) -> None:

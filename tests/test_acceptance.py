@@ -24,7 +24,7 @@ from conftest import (CONFIG_DIR, check_departure_closure,
                       check_generator_row_sums, check_label_totality,
                       check_relabel_equivariance, check_steady_residuals,
                       oracle_structure, random_instance, reference_generator,
-                      state_probability_estimate, with_entry)
+                      state_id, state_probability_estimate, with_entry)
 
 
 def _report(num: int, text: str) -> None:
@@ -101,7 +101,7 @@ def test_criterion_3_monte_carlo(erlang_config, erlang_rule):
     checks += 1
     for occ in ((0,), (1,), (2,)):
         p_est, p_half = state_probability_estimate(report, occ, level=level_a)
-        assert abs(p_est - ss.pi[space.id_of(occ)]) <= p_half
+        assert abs(p_est - ss.pi[state_id(space, occ)]) <= p_half
         checks += 1
     vol_est, vol_half, count = report.volume_estimate(0, 0, level=level_a)
     analytic = (ss.pi[0] * volumes[0, 0, 1] + ss.pi[1] * volumes[0, 0, 2]) \

@@ -121,6 +121,23 @@ def test_baselines_keep_their_bits_inside_a_chunk(instances, strict):
             assert_same_bits(chunk.evaluations()[2], alone)
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_rules_decide_on_their_own_information(instances, strict):
+    """Every rule's choice table is constant on each cell of its
+    information partition: per class, a cell holds one (cell, choice) pair.
+    _evaluate_chain reads each cell's choice at one of its states."""
+    rng = np.random.default_rng(41)
+    for config, loose, scheme in instances:
+        space = arrival_mode(loose, strict)
+        for rule in (PolicyRule(random_policy(rng, config, scheme), scheme), PeakRateRule(),
+                     InstantaneousRateRule()):
+            cells, ncells = rule.information_partition(space)
+            table = rule.choice_table(space)
+            assert cells.shape == (space.num_states,) and 0 <= cells.min() <= cells.max() < ncells
+            for row in table.tolist():
+                assert len(set(zip(cells.tolist(), row))) == len(set(cells.tolist()))
+
+
 def test_chunk_wide_sums_match_the_row_by_row_reference(hybrid_instance):
     """The normalisation of pi and the per-class blocking sums reduce a
     whole stack at once; each row gets the bits np.add.reduce gives it as a
@@ -259,8 +276,8 @@ def test_lone_chains_factored_in_place_match_one_shared_stack(hybrid_instance, m
     solver's scratch buffer: the shared stack from its tail, past its
     bands, and a lone chain from its whole buffer, band included. The lone
     chains' volumes come from the plan's one group of every block, and,
-    block by block, also from solve_volume_from_matrix, a group of one
-    block each, with the same bits."""
+    block by block, also from solve_volume_from_matrix, that group on a
+    stack of one, with the same bits."""
     config, scheme = hybrid_instance
     space = arrival_mode(enumerate_states(config.scale_traffic(5.0 / config.offered_erlangs)),
                          strict)

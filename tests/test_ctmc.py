@@ -17,7 +17,7 @@ from hetassoc.transient import solve_volume_from_matrix
 
 from conftest import (CONFIG_DIR, arrival_mode, assert_matches_reference,
                       erlang_loss_chain, pinned_solve_holds, random_instance,
-                      random_policy, reference_generator)
+                      random_policy, reference_generator, state_id)
 
 
 @pytest.fixture
@@ -89,14 +89,14 @@ def test_redirection_edge():
     rule = PolicyRule(Policy.constant(1, 9, 0), scheme)  # always prefer system 0
     q = build_generator(space, rule).matrix.toarray()
     assert_matches_reference(q, reference_generator(config, scheme, rule))
-    full0 = space.id_of((2, 0))
-    redirected = space.id_of((2, 1))
+    full0 = state_id(space, (2, 0))
+    redirected = state_id(space, (2, 1))
     assert q[full0, redirected] == pytest.approx(1.0)
     # both saturated: the only outgoing edges are the two departures
-    both = space.id_of((2, 2))
+    both = state_id(space, (2, 2))
     outgoing = {j: q[both, j] for j in range(len(q)) if j != both and q[both, j] != 0}
-    assert outgoing == {space.id_of((1, 2)): pytest.approx(2.0),
-                        space.id_of((2, 1)): pytest.approx(2.0)}
+    assert outgoing == {state_id(space, (1, 2)): pytest.approx(2.0),
+                        state_id(space, (2, 1)): pytest.approx(2.0)}
 
 
 def test_strict_mode_drops_instead_of_redirecting():
@@ -107,8 +107,8 @@ def test_strict_mode_drops_instead_of_redirecting():
     rule = PolicyRule(Policy.constant(1, 9, 0), scheme)
     q = build_generator(space, rule).matrix.toarray()
     assert_matches_reference(q, reference_generator(config, scheme, rule))
-    full0 = space.id_of((2, 0))
-    redirected = space.id_of((2, 1))
+    full0 = state_id(space, (2, 0))
+    redirected = state_id(space, (2, 1))
     assert q[full0, redirected] == 0.0
 
 
@@ -189,7 +189,7 @@ def test_row_sums_and_residual_random_instances():
         config, space, scheme = random_instance(rng)
         rule = PolicyRule(random_policy(rng, config, scheme), scheme)
         gen = build_generator(space, rule)
-        assert np.abs(gen.matrix.dot(np.ones(gen.num_states))).max() <= 1e-12
+        assert np.abs(gen.matrix.dot(np.ones(space.num_states))).max() <= 1e-12
         ss = solve_steady_state(gen)
         assert ss.residual <= 1e-10
         assert ss.pi.min() >= 0.0

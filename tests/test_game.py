@@ -16,8 +16,8 @@ from hetassoc.game import (NASH_EPS, ChainEvaluation, PolicyGameSolver, _nash_ga
                            ordered_members)
 from hetassoc.rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 
-from conftest import (arrival_mode, random_instance, random_policy, verify_equilibrium,
-                      with_entry)
+from conftest import (arrival_mode, instance_of, nash_exhaustive_doc, random_instance,
+                      random_policy, state_id, verify_equilibrium, with_entry)
 
 
 @pytest.fixture
@@ -310,7 +310,7 @@ def test_peak_baseline_degenerate_dominance():
                                                   abs=1e-10)
     # occupancy marginals coincide state by state
     for i, occ in enumerate(space.states):
-        j = solo_space.id_of((occ[1],))
+        j = state_id(solo_space, (occ[1],))
         if occ[0] == 0:
             assert report.pi[i] == pytest.approx(solo_report.pi[j], abs=1e-12)
         else:
@@ -323,7 +323,7 @@ def test_instantaneous_tie_breaks_to_first_system(mirror_instance):
     assert rule.choose(config, (0, 0), 0) == 0
     assert rule.choose(config, (1, 0), 0) == 1  # emptier system wins
     table = rule.choice_table(space)
-    assert table[0, space.id_of((0, 0))] == 0
+    assert table[0, state_id(space, (0, 0))] == 0
 
 
 def test_peak_rule_tie_breaks_to_first_system():
@@ -442,6 +442,36 @@ def test_evaluate_rule_is_the_policy_evaluation(hybrid_instance, strict):
         assert np.array_equal(by_rule.pi, steady.pi)
         assert by_rule.residual == steady.residual
         assert np.array_equal(by_rule.per_class_blocking, per_class_blocking(space, steady))
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["redirect", "strict"])
+@pytest.mark.parametrize("instance", ["shipped", "nash-exhaustive"])
+def test_global_utility_is_the_weighted_payoff_at_the_choices(hybrid_instance, instance,
+                                                              strict):
+    """The global utility is made of the payoff table: the class weights
+    times, summed over the labels with mass, the non-blocking probability,
+    the label mass and the payoff of the chosen system,
+    sum_n w_n sum_l (1 - blocking[n, l]) mass[l] U[n, l, choice[n, l]],
+    to 1e-12 relative, on drawn policies of the shipped instance and of
+    the nash-exhaustive one."""
+    if instance == "shipped":
+        config, scheme = hybrid_instance
+        space = arrival_mode(enumerate_states(config), strict)
+    else:
+        space, scheme = instance_of(nash_exhaustive_doc(), strict)
+    config = space.config
+    weight = np.array(config.arrival_rate) / sum(config.arrival_rate)
+    solver = PolicyGameSolver(space, scheme)
+    rng = np.random.default_rng(37)
+    for _ in range(6):
+        ev = solver.evaluate(random_policy(rng, config, scheme))
+        total = 0.0
+        for n in range(config.num_classes):
+            for l in np.flatnonzero(~ev.empty_labels):
+                total += (weight[n] * (1.0 - ev.blocking[n, l]) * ev.label_mass[l]
+                          * ev.individual[n, l, ev.policy.choice[n][l]])
+        assert ev.global_utility == pytest.approx(total, rel=1e-12, abs=0)
+
 
 def loop_payoffs(solver, ev):
     """Deviation payoffs U[n, l, s] and Nash gap recomputed state by state

@@ -12,7 +12,7 @@ from hetassoc.ctmc import ChainTables, assemble_dense, chain_tables
 from hetassoc.transient import SingularTaggedChainError, solve_volume_from_matrix
 
 from conftest import (erlang_loss_chain, gathered_tagged_block, random_instance,
-                      random_policy, reference_tagged_block, tagged_rows_cols)
+                      random_policy, reference_tagged_block, state_id, tagged_rows_cols)
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def tagged_block(space, rule, user_class, system):
 def arrival_volume(space, volumes, occ, user_class, system):
     """Expected volume of a user who finds the network in occ and joins
     system: the tagged expectation from the post-admission state."""
-    target = chain_tables(space).arrival_id[user_class, system, space.id_of(occ)]
+    target = chain_tables(space).arrival_id[user_class, system, state_id(space, occ)]
     assert target >= 0
     return volumes[user_class, system, target]
 
