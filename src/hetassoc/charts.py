@@ -15,16 +15,25 @@ WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 24, 40, 48
 
 
+def _top(lo: float, hi: float) -> float:
+    """hi, or, for a range lost in the rounding of its own magnitude (a
+    single value, say), a top ticks can step to: lo + 1, or lo + |lo| / 1024
+    where that is wider, as 1 is lost in the rounding of a large lo."""
+    if hi - lo < 64 * math.ulp(max(abs(lo), abs(hi))):
+        return lo + max(1.0, abs(lo) / 1024)
+    return hi
+
+
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / target
     mag = 10 ** math.floor(math.log10(raw))
     step = min((m for m in (1, 2, 5, 10) if m * mag >= raw), default=10) * mag
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-12:
+    # a tick past hi by rounding error still counts, but a fixed 1e-12
+    # would run a range of tiny values on to 1e-12, one step at a time
+    while t <= hi + min(1e-12, step / 2):
         ticks.append(round(t, 12))
         t += step
     return ticks
@@ -47,10 +56,7 @@ def line_chart(series: list[tuple[str, list[float], list[float]]],
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_hi, y_hi = _top(x_lo, x_hi), _top(y_lo, y_hi)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -38,6 +38,9 @@ from .simulate import REPLICAS_PER_BATCH, simulate
 from .states import DEFAULT_STATE_CEILING, CapacityError, enumerate_states, state_table_rows
 from .transient import SingularTaggedChainError
 
+# the most points a --traffic range may list: about 5 minutes of sweep work
+# at 30 ms per point for nash on the shipped instance
+MAX_TRAFFIC_POINTS = 10_000
 
 # (flag, add_argument keywords) of the options several subcommands take
 _CONFIG = ("--config", {"required": True, "help": "instance JSON path"})
@@ -93,7 +96,10 @@ def _parse_traffic(text: str) -> list[float]:
     up to B. A point that rounds above B, or onto the point before it, is
     dropped; a STEP below 1e-9 would collapse points in the rounding and
     is refused, as is a string that leaves no point (A within 5e-10 below
-    B rounds above it)."""
+    B rounds above it) or that spans MAX_TRAFFIC_POINTS steps. The sum
+    takes floor((B - A) / STEP) + 2 terms at most: the last is a point the
+    division's or the rounding's error may let under B, and the bound ends
+    a sum whose STEP is lost in A's rounding and never reaches B."""
     try:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
@@ -104,9 +110,14 @@ def _parse_traffic(text: str) -> list[float]:
         raise ConfigError("--traffic needs A <= B and STEP > 0")
     if step < 1e-9:
         raise ConfigError("--traffic needs STEP >= 1e-9, the rounding of its points")
+    span = (b - a) / step
+    if span >= MAX_TRAFFIC_POINTS:
+        raise ConfigError(f"--traffic gives more than {MAX_TRAFFIC_POINTS} points")
     points = []
     value = a
-    while (point := round(value, 9)) <= b:
+    for _ in range(int(span) + 2):
+        if (point := round(value, 9)) > b:
+            break
         if not points or point != points[-1]:
             points.append(point)
         value += step

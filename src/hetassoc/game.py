@@ -41,7 +41,9 @@ best_response_path's end, and what representatives() and fibre() return.
 find_nash reports fibres, not members: an EquilibriumFibre holds the
 fibre's evaluation, each entry's options and the member count, and builds
 a member's Policy only when members() is asked for it. Each solved fibre
-keeps its Nash gap with its evaluation, so no search recomputes it.
+keeps its Nash gap and its best responses (each entry's argmax and the
+entries a best response moves) with its evaluation, so no search
+recomputes them.
 
 The core evaluates a chunk of choice tables at once: one assembly into a
 stack of bands, the stationary and tagged solves with their checks, and the
@@ -251,14 +253,21 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
     return _ChainChunk(pi, residual, b, utility.tolist(), volumes, payoff)
 
 
-def _nash_gaps(individual: np.ndarray, choice: np.ndarray, empty: np.ndarray) -> np.ndarray:
-    """PolicyEvaluation.nash_gap of a stack: payoff tables (B, N, L, S),
-    choices (B, N, L) or flat (B, N * L) and empty labels (B, L)."""
+def _deviations(individual: np.ndarray, choice: np.ndarray, empty: np.ndarray):
+    """Of a stack of payoff tables (B, N, L, S), choices (B, N, L) or flat
+    (B, N * L) and empty labels (B, L): PolicyEvaluation.nash_gap of each
+    table (B,), and per flat entry n * L + l (B, N * L), the argmax of its
+    payoff row and whether a best response moves it, its best payoff above
+    its own by more than NASH_EPS on a label with mass."""
     B, N, L, S = individual.shape
-    forgone = np.maximum.reduce(individual, 3)
-    forgone -= individual.take(_offsets(S, B * N * L) + choice.ravel()).reshape(B, N, L)
-    np.copyto(forgone, -np.inf, where=empty[:, None])
-    return np.maximum.reduce(forgone.reshape(B, -1), 1, initial=0.0)
+    payoffs = individual.reshape(B, N * L, S)
+    top = np.maximum.reduce(payoffs, 2)
+    own = payoffs.take(_offsets(S, B * N * L).reshape(B, N * L) + choice.reshape(B, -1))
+    skip = np.tile(empty, N)
+    forgone = top - own
+    np.copyto(forgone, -np.inf, where=skip)
+    gaps = np.maximum.reduce(forgone, 1, initial=0.0)
+    return gaps, payoffs.argmax(axis=2), (top > own + NASH_EPS) & ~skip
 
 
 @dataclass
@@ -268,6 +277,8 @@ class PolicyEvaluation(ChainEvaluation):
     policy: Policy | None             # None in the solver's fibre cache
     individual: np.ndarray            # (N, L, S), nan on empty labels
     gap: float                        # nash_gap(), set when the chain is solved
+    best: list[int]                   # argmax of each flat entry's payoff row, set with gap
+    movers: list[int]                 # positions() indexes a best response moves, set with gap
 
     def nash_gap(self) -> float:
         """Largest payoff any (class, label) group forgoes by following the
@@ -356,8 +367,8 @@ class PolicyGameSolver:
     rep[n, l, s] is the lowest system interchangeable with s at the entry
     (n, l). A policy's fibre is the set of canonical policies whose flat
     rows rep maps to the same row, the fibre's representative; the
-    evaluation cache and the best-response tables are keyed by the bytes
-    of that row as int8.
+    evaluation cache, which holds each solved fibre's best responses too,
+    is keyed by the bytes of that row as int8.
     """
 
     def __init__(self, space: StateSpace, scheme: AggregationScheme):
@@ -388,8 +399,6 @@ class PolicyGameSolver:
         self._rep_rows = self.rep.reshape(N * L, S).astype(np.int8)
         self._rep_entries = self._rep_rows.tolist()
         self._cache: dict[bytes, PolicyEvaluation] = {}
-        # best-response table of each fibre the search has visited
-        self._responses: dict[bytes, list] = {}
 
     def _interchangeable_systems(self) -> np.ndarray:
         """rep[n, l, s]: the lowest system interchangeable with s at the
@@ -540,8 +549,10 @@ class PolicyGameSolver:
 
     def _evaluate_chunk(self, rows: np.ndarray) -> list[PolicyEvaluation]:
         """Uncached evaluations of a chunk of flat rows (B, N * L), solved
-        together by _evaluate_chain, each with its Nash gap under its own
-        row, computed from the payoff table stored with it."""
+        together by _evaluate_chain, each with its Nash gap and best
+        responses under its own row, computed from the payoff table stored
+        with it. Interchangeable systems have bit-equal payoffs, so the gap
+        and the movers under the representative's row are every member's."""
         N, S, L = self.config.num_classes, self.config.num_systems, self.num_labels
         B = len(rows)
         chunk = _evaluate_chain(self._core, rows.take(self._state_entries, axis=1).reshape(
@@ -553,8 +564,12 @@ class PolicyGameSolver:
         individual.fill(np.nan)
         np.divide(chunk.payoff, mass[:, None, :, None], out=individual,
                   where=~empty[:, None, :, None])
-        gaps = _nash_gaps(individual, rows, empty).tolist()
-        return chunk.evaluations(PolicyEvaluation, itertools.repeat(None), individual, gaps)
+        gaps, best, moves = _deviations(individual, rows, empty)
+        positions = range(len(self._entries))
+        movers = [list(compress(positions, moved))
+                  for moved in moves[:, list(self._entries)].tolist()]
+        return chunk.evaluations(PolicyEvaluation, itertools.repeat(None), individual,
+                                 gaps.tolist(), best.tolist(), movers)
 
     # ----- optimal policy ---------------------------------------------
 
@@ -603,7 +618,7 @@ class PolicyGameSolver:
         waits for together. A Policy is built only for the result."""
         rng = np.random.default_rng(seed)
         results = self._lockstep([self._ascent(start.tolist()) for start
-                                  in self._starting_policies(restarts, rng)], self._fibres)
+                                  in self._starting_policies(restarts, rng)])
         choice, evaluation, _ = max(results, key=lambda result: result[1].global_utility)
         policy = self._policy(choice)
         return OptimalResult(policy=policy, evaluation=replace(evaluation, policy=policy),
@@ -716,8 +731,9 @@ class PolicyGameSolver:
         passes the tie test, so breadth-first exploration of single-entry
         swaps to another fibre, whose payoff is within 2 * NASH_EPS of the
         entry's best (entries on empty labels stay put), reaches the tie
-        class. The unseen neighbours of each fibre popped are evaluated
-        together.
+        class. Each fibre popped is read from its evaluation: its payoff
+        table, best responses and empty labels. Its unseen neighbours are
+        evaluated together.
         """
         keys = list(dict.fromkeys(map(self._key, candidates)))
         queue = [key for key, ev in zip(keys, self._fibres(keys)) if ev.gap <= NASH_EPS]
@@ -725,13 +741,14 @@ class PolicyGameSolver:
         reached = list(queue)
         while queue:
             key = queue.pop()
-            (rows, bests, skips, _), = self._response_tables([key])
+            ev = self._cache[key]
+            empty = ev.empty_labels.tolist()
             neighbors = []
-            for k in self._entries:
-                if skips[k]:
+            for (n, l), k in zip(self._positions, self._entries):
+                if empty[l]:
                     continue
-                row = rows[k].tolist()
-                top = row[bests[k]]
+                row = ev.individual[n, l].tolist()
+                top = row[ev.best[k]]
                 for s, payoff in enumerate(row):
                     target = self._rep_entries[k][s]
                     if target == key[k] or payoff < top - 2 * NASH_EPS:
@@ -752,61 +769,19 @@ class PolicyGameSolver:
         _lockstep)."""
         rng = np.random.default_rng(seed)
         walks = [self._walk(start) for start in self._starting_policies(restarts, rng).tolist()]
-        return [choice for choice in self._lockstep(walks, self._response_tables)
-                if choice is not None]
+        return [choice for choice in self._lockstep(walks) if choice is not None]
 
-    def _response_table(self, key: bytes):
-        """Best-response table of a fibre key, as a walk reads it: a
-        generator that yields [key] when the table is missing, and returns
-        the table once it is built."""
-        if key not in self._responses:
-            yield [key]
-        return self._responses[key]
-
-    def _response_tables(self, keys) -> list[tuple[np.ndarray, list, list, list[int]]]:
-        """Best-response table of each fibre key, in order, built once per
-        fibre: its payoff rows (N * L, S), one per flat entry n * L + l, a
-        view of the table of the fibres built with it; then, per flat entry
-        as lists, the payoff row's argmax and whether the label is empty;
-        then the movers, the positions() indexes at which a best response
-        moves every member of the fibre. Interchangeable systems have
-        bit-equal payoffs, so whether an entry moves is the same under every
-        member's own choice as under the key's. The fibres without a table
-        are evaluated together."""
-        keys = list(keys)
-        missing = [key for key in dict.fromkeys(keys) if key not in self._responses]
-        if missing:
-            evaluations = self._fibres(missing)
-            individual = np.stack([ev.individual for ev in evaluations])
-            empty = np.stack([ev.empty_labels for ev in evaluations])
-            payoffs = individual.reshape(len(missing), -1, individual.shape[3])
-            skip = np.tile(empty, self.config.num_classes)
-            best = payoffs.argmax(axis=2)
-            # the payoff at the argmax, and at each fibre's own choice
-            top = np.maximum.reduce(payoffs, 2)
-            S = payoffs.shape[2]
-            own = payoffs.take(_offsets(S, top.size).reshape(top.shape)
-                               + self._key_rows(missing))
-            moves = ((top > own + NASH_EPS) & ~skip)[:, list(self._entries)]
-            positions = range(moves.shape[1])
-            for key, rows, bests, skips, moved in zip(missing, payoffs, best.tolist(),
-                                                      skip.tolist(), moves.tolist()):
-                self._responses[key] = (rows, bests, skips, list(compress(positions, moved)))
-        return [self._responses[key] for key in keys]
-
-    def _lockstep(self, walks: list, fill) -> list:
+    def _lockstep(self, walks: list) -> list:
         """Results of walks over fibres, in order: best-response paths
-        (generators from _walk, filled by _response_tables) or coordinate
-        ascents (from _ascent, filled by _fibres).
+        (generators from _walk) or coordinate ascents (from _ascent).
 
         The walks advance in rounds. Each round resumes every paused walk
-        until it ends or pauses on the list of fibre keys it needs; fill is
-        then called once with the round's keys, in walk order, and solves
+        until it ends or pauses on the list of fibre keys it needs; _fibres
+        is then called once with the round's keys, in walk order, and solves
         the distinct missing fibres together. A walk takes the steps it
         takes alone, since evaluations have the same bits in any chunk. If
         solves fail, the error raised is that of the first failing fibre in
-        round order, and no response table is built for that round's
-        fibres.
+        round order; only the fibres solved before it are cached.
         """
         results: list = [None] * len(walks)
         paused = dict(enumerate(walks))
@@ -817,19 +792,20 @@ class PolicyGameSolver:
                     waiting[i] = next(walk)
                 except StopIteration as stop:
                     results[i] = stop.value
-            fill([key for keys in waiting.values() for key in keys])
+            self._fibres([key for keys in waiting.values() for key in keys])
             paused = {i: paused[i] for i in waiting}
         return results
 
     def _walk(self, choice: list[int], steps: list | None = None):
         """best_response_path's walk from a flat row, as a generator for
-        _lockstep: it yields [the key] of each fibre whose response table it
-        lacks, resumes once the table is built, and returns the fixed point
-        (choice, updated in place) or None on a cycle. Steps are appended to
-        steps when a list is given.
+        _lockstep: it yields [the key] of each fibre it reaches that is not
+        cached, resumes once the fibre is solved, reads the fibre's best
+        responses from its evaluation, and returns the fixed point (choice,
+        updated in place) or None on a cycle. Steps are appended to steps
+        when a list is given.
 
         The walk pays per move, not per position visited: it jumps from the
-        position it is at to the table's next mover, counting the positions
+        position it is at to the fibre's next mover, counting the positions
         passed as steps, and checks for a cycle only where it moves. A
         repeated (policy, position) pair repeats every pair after it, the
         next move's among them, so the walk returns None where the path
@@ -840,10 +816,16 @@ class PolicyGameSolver:
         if not P:
             return choice
         key = self._key(choice)
-        rows, bests, _, movers = yield from self._response_table(key)
         visited: set[tuple] = set()
         taken = ptr = 0
-        while movers:
+        while True:
+            if key not in self._cache:
+                yield [key]
+            ev = self._cache[key]
+            movers = ev.movers
+            if not movers:
+                # a full round without a move ends the path
+                return choice if taken + P <= MAX_PATH_STEPS else None
             # the next mover at or after ptr, cyclically
             at = bisect_left(movers, ptr)
             mover = movers[at] if at < len(movers) else movers[0]
@@ -853,20 +835,17 @@ class PolicyGameSolver:
                 return None
             visited.add(state_key)
             k = entries[mover]
-            best, current = bests[k], choice[k]
+            best, current = ev.best[k], choice[k]
             if steps is not None:
                 n, l = positions[mover]
-                payoffs = rows[k].tolist()
+                payoffs = ev.individual[n, l].tolist()
                 steps.append(BestResponseStep(
                     user_class=n, label=l, old_system=current, new_system=best,
                     old_payoff=payoffs[current], new_payoff=payoffs[best]))
             choice[k] = best
             key = key[:k] + bytes((self._rep_entries[k][best],)) + key[k + 1:]
-            rows, bests, _, movers = yield from self._response_table(key)
             taken += 1
             ptr = (mover + 1) % P
-        # a full round without a move ends the path
-        return choice if taken + P <= MAX_PATH_STEPS else None
 
     def best_response_path(self, start: Policy
                            ) -> tuple[Policy | None, list[BestResponseStep]]:
@@ -877,12 +856,12 @@ class PolicyGameSolver:
         a fixed point (returned with the recorded steps) or when a
         (policy, position) pair repeats, which means a cycle (returns None),
         as does a path still moving after MAX_PATH_STEPS steps.
-        Payoffs come from the response table of the current fibre. The path
-        is a lockstep of one walk.
+        Payoffs come from the evaluation of the current fibre. The path is a
+        lockstep of one walk.
         """
         start.validate_for(self.config, self.scheme)
         steps: list[BestResponseStep] = []
-        end, = self._lockstep([self._walk(list(start.flatten()), steps)], self._response_tables)
+        end, = self._lockstep([self._walk(list(start.flatten()), steps)])
         return (None if end is None else self._policy(end)), steps
 
     def fresh_checker(self) -> "PolicyGameSolver":

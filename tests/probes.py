@@ -3,7 +3,8 @@ chain: structure_build, lone_memory (peak memory against the lone buffer,
 at 3,600 and 11,592 states), chunked_evaluation (tagged LUs and bands
 against block solves). The Nash search: best_response, coordinate_ascent,
 sweep (policies per _evaluate_chunk, Policy objects built, equilibria
-against fibres). The broadcast thresholds: threshold_control. Also
+against fibres; best_response also the fibres cached, one per policy
+solved). The broadcast thresholds: threshold_control. Also
 package_size (lines, public names, defaulted parameters, settable CLI
 options per subcommand) and simulator (events per second, Erlang-B
 coverage of its 99 % interval).
@@ -155,9 +156,11 @@ def best_response(repeats=5, restarts=64):
     print(f"find_nash best_response at 5 Erlangs: {spread(walls)[1] * 1e3:.1f} ms "
           f"(median of {repeats}), {members} equilibria in {len(found)} fibres")
     policies = report_chunks(chunks)
-    print(f"{len(built)} Policy objects built for {len(found)} reported equilibrium fibres\n"
+    # equal to policies when each fibre is solved once, its best responses with it
+    print(f"{len(solver._cache)} fibres cached, each with its best responses\n"
+          f"{len(built)} Policy objects built for {len(found)} reported equilibrium fibres\n"
           f"{len(lus)} tagged LU calls for {blocks} tagged block solves (search and fresh checker)")
-    return members, len(found), policies, len(built), len(lus), blocks
+    return members, len(found), policies, len(solver._cache), len(built), len(lus), blocks
 
 
 def coordinate_ascent(repeats=5, restarts=16):

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from hetassoc.charts import line_chart
 
 
@@ -32,3 +34,16 @@ def test_constant_series():
     svg = line_chart([("flat", [1, 2], [1.0, 1.0])], title="t", xlabel="x",
                      ylabel="y")
     assert "<polyline" in svg
+
+
+@pytest.mark.parametrize("xs, ys", [([1e17], [1.0]), ([1, 2], [0.3, 0.30000000000000004]),
+                                    ([1, 2], [1e-30, 2e-30])],
+                         ids=["one-point-at-1e17", "y-within-one-ulp", "tiny-y"])
+def test_degenerate_range_at_any_magnitude(xs, ys):
+    """A chart renders at any magnitude: a range lost in the rounding of
+    its magnitude is widened so that its ticks step through it (lo + 1 is
+    lo itself at 1e17, and ticks a third of an ulp apart would never
+    advance), and ticks 1e-31 apart end at the top of their range, not at
+    1e-12."""
+    svg = line_chart([("a", xs, ys)], title="t", xlabel="x", ylabel="y")
+    assert svg.rstrip().endswith("</svg>")

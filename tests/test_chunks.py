@@ -13,7 +13,7 @@ from hetassoc.config import NetworkConfig
 from hetassoc.ctmc import (BandGenerator, Partition, _Scratch, assemble_dense, assemble_stack,
                            cell_blocking, chain_tables, stationary_vector, stationary_vectors)
 from hetassoc.game import (ChainEvaluation, PolicyEvaluation, PolicyGameSolver, _ChainCore,
-                           _evaluate_chain, _nash_gaps, evaluate_baseline, evaluate_rule)
+                           _deviations, _evaluate_chain, evaluate_baseline, evaluate_rule)
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
 from hetassoc.transient import SingularTaggedChainError, tagged_volumes
 
@@ -76,9 +76,9 @@ def test_evaluate_many_matches_one_at_a_time(instances, monkeypatch, budget, str
             alone = PolicyGameSolver(space, scheme)
             own, = alone._solved(alone._policy_rows([policy]))
             assert_same_bits(ev, dataclasses.replace(own, policy=policy))
-        recomputed = _nash_gaps(np.stack([ev.individual for ev in many]),
-                                np.array([ev.policy.choice for ev in many]),
-                                np.stack([ev.empty_labels for ev in many]))
+        recomputed, _, _ = _deviations(np.stack([ev.individual for ev in many]),
+                                       np.array([ev.policy.choice for ev in many]),
+                                       np.stack([ev.empty_labels for ev in many]))
         assert bits(recomputed) == bits(np.array([ev.nash_gap() for ev in many]))
         chunks.add(solver.chunk)
     assert chunks == {1} if budget == "below-one-band" else \
@@ -870,7 +870,7 @@ def test_scans_take_chunks_through_evaluate_many(hybrid_instance, monkeypatch):
     searcher.find_nash("best_response")
     assert sizes.count(1) <= 1
     assert max(sizes) == searcher.chunk
-    assert sum(sizes) == len(searcher._responses)
+    assert sum(sizes) == len(searcher._cache)
 
 
 def _one_at_a_time_search(solver, restarts: int, seed: int):

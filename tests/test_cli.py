@@ -336,15 +336,27 @@ def test_traffic_without_points_is_refused(tmp_path, capsys, command):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["sweep", "control"])
+def test_traffic_with_too_many_points_is_refused(tmp_path, capsys, command):
+    """A range of about 10^12 points is refused on one line, before any
+    point is listed or any output is written."""
+    assert run(command, "--config", HYBRID, "--traffic=1:1e9:1e-3",
+               "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: --traffic gives more than 10000 points\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("traffic, points", [
     ("1:10:3", [1.0, 4.0, 7.0, 10.0]),
     ("0.1:0.3:0.1", [0.1, 0.2, 0.3]),
     ("5:5.000000001:1e-9", [5.0, 5.000000001]),
     ("0.0000000005:0.000000005:1e-9", [1e-9, 2e-9, 3e-9, 4e-9, 5e-9]),
+    ("1e17:1e17:1", [1e17]),
 ])
 def test_traffic_points_stay_within_b_without_repeats(traffic, points):
     """A sum that overshoots B by rounding error still ends on B, and no
-    point lies above B or repeats the one before it."""
+    point lies above B or repeats the one before it; a STEP lost in A's
+    rounding gives A alone."""
     assert cli._parse_traffic(traffic) == points
 
 

@@ -12,7 +12,7 @@ from hetassoc import (AggregationScheme, ConfigError, NetworkConfig, Policy, Pol
                       SearchCapError, build_generator, enumerate_states, evaluate_baseline,
                       evaluate_policy, evaluate_rule, per_class_blocking, solve_steady_state)
 from hetassoc.aggregation import label_of
-from hetassoc.game import (NASH_EPS, ChainEvaluation, PolicyGameSolver, _nash_gaps,
+from hetassoc.game import (NASH_EPS, ChainEvaluation, PolicyGameSolver, _deviations,
                            ordered_members)
 from hetassoc.rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 
@@ -630,10 +630,10 @@ def test_warm_solver_rejects_malformed_policies(warm_solver, bad, monkeypatch):
     with pytest.raises(ConfigError):
         warm_solver.evaluate(Policy(bad))
 
-    def first_step(choice):
+    def first_step(choice, steps):
         raise AssertionError("the path took a step from a malformed start")
 
-    monkeypatch.setattr(warm_solver, "_response_table", first_step)
+    monkeypatch.setattr(warm_solver, "_walk", first_step)
     with pytest.raises(ConfigError):
         warm_solver.best_response_path(Policy(bad))
 
@@ -658,8 +658,8 @@ def _watch_checkers(solver, monkeypatch, perturb=None):
             if perturb is not None:
                 for ev in evaluations:
                     perturb(ev)
-                gaps = _nash_gaps(np.stack([ev.individual for ev in evaluations]), rows,
-                                  np.stack([ev.empty_labels for ev in evaluations]))
+                gaps, _, _ = _deviations(np.stack([ev.individual for ev in evaluations]), rows,
+                                         np.stack([ev.empty_labels for ev in evaluations]))
                 for ev, gap in zip(evaluations, gaps.tolist()):
                     ev.gap = gap
             return evaluations

@@ -25,7 +25,7 @@ from hetassoc import (AggregationScheme, NetworkConfig, Policy, ResidualError, c
                       enumerate_states, game)
 from hetassoc.cli import main as cli_main
 from hetassoc.game import (MAX_PATH_STEPS, NASH_EPS, BestResponseStep, PolicyGameSolver,
-                           _nash_gaps, ordered_members)
+                           _deviations, ordered_members)
 
 from conftest import (CONFIG_DIR, arrival_mode, check_band_generator, check_departure_closure,
                       check_generator_row_sums, check_label_totality,
@@ -474,7 +474,7 @@ def test_lockstep_matches_one_path_at_a_time(hybrid_instance, monkeypatch, insta
         expected = [reference.best_response_path(start)[0] for start in starts]
         assert candidates == [list(policy.flatten()) for policy in expected
                               if policy is not None]
-        assert len(solved) == len(set(solved)) == len(solver._responses)
+        assert len(solved) == len(set(solved)) == len(solver._cache)
         if instance == "shipped-1" and not strict:
             assert candidates == []
         elif instance.startswith("shipped") and not strict:
@@ -484,7 +484,7 @@ def test_lockstep_matches_one_path_at_a_time(hybrid_instance, monkeypatch, insta
 def test_failing_solve_in_a_lockstep_round_builds_no_table(hybrid_instance, monkeypatch):
     """A fibre first needed after the start round fails its solve: the
     search raises the error its evaluation raises alone, and that fibre
-    gets no response table, though the start round's fibres have theirs."""
+    is not cached, though the start round's fibres are."""
     space, scheme = _shipped_space(hybrid_instance, 5)
     spy = PolicyGameSolver(space, scheme)
     solved = _solved_keys(spy, monkeypatch)
@@ -506,15 +506,16 @@ def test_failing_solve_in_a_lockstep_round_builds_no_table(hybrid_instance, monk
     with pytest.raises(ResidualError) as searched:
         solver._best_response_candidates(restarts=64, seed=0)
     assert str(searched.value) == str(alone.value)
-    assert poisoned not in solver._responses
-    assert start_keys <= set(solver._responses)
+    assert poisoned not in solver._cache
+    assert start_keys <= set(solver._cache)
 
 
 @pytest.mark.parametrize("instance", ["shipped-5", "three-system"])
 def test_cached_gap_is_every_members_gap(hybrid_instance, instance):
-    """After a best-response search, the Nash gap cached with each fibre's
-    evaluation is, bit for bit, the gap recomputed from its table under
-    the own choice of every member of the fibre."""
+    """After a best-response search, the Nash gap and the best responses
+    cached with each fibre's evaluation are, bit for bit, the gap, the
+    argmax of each entry's payoff row and the movers recomputed from its
+    table under the own choice of every member of the fibre."""
     if instance == "shipped-5":
         space, scheme = _shipped_space(hybrid_instance, 5)
     else:
@@ -527,13 +528,23 @@ def test_cached_gap_is_every_members_gap(hybrid_instance, instance):
             _, space, scheme = _three_system_instance(rng)
     solver = PolicyGameSolver(space, scheme)
     solver.find_nash("best_response", restarts=16, seed=0)
+    entries = list(solver._entries)
     members = 0
     for key, ev in solver._cache.items():
         rows = solver._members(key)
         B = len(rows)
-        recomputed = _nash_gaps(np.broadcast_to(ev.individual, (B, *ev.individual.shape)), rows,
-                                np.broadcast_to(ev.empty_labels, (B, solver.num_labels)))
+        recomputed, _, _ = _deviations(np.broadcast_to(ev.individual, (B, *ev.individual.shape)),
+                                       rows, np.broadcast_to(ev.empty_labels,
+                                                             (B, solver.num_labels)))
         assert recomputed.tobytes() == np.full(B, ev.gap).tobytes()
+        # each flat entry's payoff row, and the rows a member's own choice reads
+        payoffs = ev.individual.reshape(rows.shape[1], -1)
+        assert ev.best == payoffs.argmax(axis=1).tolist()
+        top = payoffs.max(axis=1)
+        own = payoffs[np.arange(rows.shape[1]), rows]
+        moves = (top > own + NASH_EPS) & ~np.tile(ev.empty_labels, solver.config.num_classes)
+        for moved in moves[:, entries]:
+            assert ev.movers == np.flatnonzero(moved).tolist()
         members += B
     # fibres with several members, and gaps on both sides of zero
     assert members > 2 * len(solver._cache)
