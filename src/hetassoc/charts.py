@@ -29,12 +29,16 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     mag = 10 ** math.floor(math.log10(raw))
     step = min((m for m in (1, 2, 5, 10) if m * mag >= raw), default=10) * mag
     first = math.ceil(lo / step) * step
+    # ticks drop the rounding error of their sums at 12 decimals, or at a
+    # thousandth of a step where the step is smaller than 1e-9 (12 decimals
+    # would round ticks 1e-31 apart to 0)
+    digits = max(12, 3 - math.floor(math.log10(step)))
     ticks = []
     t = first
     # a tick past hi by rounding error still counts, but a fixed 1e-12
     # would run a range of tiny values on to 1e-12, one step at a time
     while t <= hi + min(1e-12, step / 2):
-        ticks.append(round(t, 12))
+        ticks.append(round(t, digits))
         t += step
     return ticks
 

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import argparse
 import gc
+# argparse's messages go through gettext, which imports locale on the first
+# parse; the CLI loads it with the package instead
+import locale  # noqa: F401
 import sys
 from dataclasses import replace
 from functools import partial

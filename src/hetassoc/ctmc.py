@@ -36,11 +36,9 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .config import ConfigError
+from .lapack import gbmv, gbsv
 from .rules import AssignmentRule
 from .states import StateSpace, throughput_array
 
@@ -58,9 +56,6 @@ EMPTY_LABEL_MASS = 1e-12
 # one at a time on spaces of a few thousand states, whose bands take
 # megabytes each.
 CHUNK_BYTES = 4 * 2 ** 20
-
-_gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
-_gbmv = get_blas_funcs("gbmv", dtype=np.float64)
 
 
 class SingularChainError(RuntimeError):
@@ -301,14 +296,14 @@ def band_gbmv(band: np.ndarray, width: int, x: np.ndarray, trans: int) -> np.nda
     generator alone.
     """
     total = x.size
-    # scipy's gbmv wrapper wants at least as many rows as the band has, so a
+    # the f2py gbmv wrapper wants at least as many rows as the band has, so a
     # short matrix gets zero rows below it (the band holds zeros wherever a
     # row past the end would be read)
     m = max(total, 2 * width + 1)
     xs = x.ravel()
     if trans and m > total:
         xs = np.concatenate([xs, np.zeros(m - total)])
-    return _gbmv(m, total, width, width, 1.0, band, xs, trans=trans)[:total].reshape(x.shape)
+    return gbmv(m, total, width, width, 1.0, band, xs, trans=trans)[:total].reshape(x.shape)
 
 
 @lru_cache(maxsize=1024)
@@ -360,6 +355,71 @@ class _Scratch:
         return buffer
 
 
+def _neighbours(arrival_id: np.ndarray) -> np.ndarray:
+    """Each state's neighbours in the graph of arrival and departure edges,
+    as an (n, 2 N S) table for n states: the state one arrival of each
+    (class, system) leads to, then the state one such arrival comes from,
+    n where there is none. No row holds a state twice: the states one
+    arrival away hold one more user, those one departure away one fewer,
+    and each (class, system) arrival maps states one to one."""
+    pairs, n = arrival_id.shape[0] * arrival_id.shape[1], arrival_id.shape[2]
+    up = arrival_id.reshape(pairs, n)
+    pair, state = np.nonzero(up >= 0)
+    target = up[pair, state]
+    table = np.full((n, 2, pairs), n, dtype=np.int64)
+    table[state, 0, pair] = target
+    table[target, 1, pair] = state
+    return table.reshape(n, 2 * pairs)
+
+
+def _reverse_cuthill_mckee(neighbours: np.ndarray) -> np.ndarray:
+    """scipy.sparse.csgraph.reverse_cuthill_mckee of the symmetric pattern
+    with a full diagonal, whose off-diagonal entries are neighbours (see
+    _neighbours), as int64, transcribed to numpy passes.
+
+    Components start at the unvisited state first in np.argsort of the
+    degrees, scipy's own call: int32 degrees that count the diagonal twice,
+    as scipy's do, so equal degrees tie the same way. The search goes
+    breadth first, one frontier at a time. Each state of the next frontier
+    is kept at its first parent in the order, and each parent's new
+    neighbours are stably sorted by degree from column (state) order, so a
+    frontier is ordered by (parent position, degree, state). The order is
+    then reversed.
+    """
+    n, k = neighbours.shape
+    degree = (np.count_nonzero(neighbours < n, axis=1) + 2).astype(np.int32)
+    # a new state's key is rank * span + tie: the rank of its first parent
+    # in the frontier, then its degree, then the state itself, which the
+    # key keeps as its remainder mod n + 1
+    tie = degree * np.int64(n + 1) + np.arange(n)
+    span = (int(degree.max()) + 1) * (n + 1)
+    unseen = np.ones(n + 1, dtype=bool)
+    unseen[n] = False
+    first = np.full(n + 1, n, dtype=np.int64)
+    order = np.empty(n, dtype=np.int64)
+    count = 0
+    for seed in np.argsort(degree).tolist():
+        if not unseen[seed]:
+            continue
+        order[count] = seed
+        unseen[seed] = False
+        start, count = count, count + 1
+        while start < count:
+            reached = neighbours[order[start:count]].ravel()
+            fresh = np.flatnonzero(unseen[reached])
+            reached, rank = reached[fresh], fresh // k
+            np.minimum.at(first, reached, rank)
+            key = (rank * span + tie[reached])[first[reached] == rank]
+            key.sort()
+            reached = key % (n + 1)
+            unseen[reached] = False
+            start, count = count, count + len(reached)
+            order[start:count] = reached
+        if count == n:
+            break
+    return order[::-1].copy()
+
+
 class SolvePlan:
     """Policy-independent layout of the solves of one space.
 
@@ -403,8 +463,7 @@ class SolvePlan:
         loops = np.arange(nst)
         rows = np.concatenate([up_src, up_dst, loops])
         cols = np.concatenate([up_dst, up_src, loops])
-        graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nst, nst))
-        self.order = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64)
+        self.order = _reverse_cuthill_mckee(_neighbours(tables.arrival_id))
         self.position = np.empty(nst, dtype=np.int64)
         self.position[self.order] = np.arange(nst)
         users = tables.occ.sum(axis=1)
@@ -639,7 +698,7 @@ def _pinned_lus(data: np.ndarray, layout, r: int, in_place: bool = False
         flat[pin] = 0.0
         flat[diagonal] = scale[b]
         # gbsv writes the solution over row b of x, a contiguous vector
-        info[b] = _gbsv(w, w, work.T, x[b], overwrite_ab=1, overwrite_b=1)[3]
+        info[b] = gbsv(w, w, work.T, x[b], overwrite_ab=1, overwrite_b=1)[3]
     return x, info
 
 

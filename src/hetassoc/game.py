@@ -89,7 +89,6 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -565,9 +564,11 @@ class PolicyGameSolver:
         np.divide(chunk.payoff, mass[:, None, :, None], out=individual,
                   where=~empty[:, None, :, None])
         gaps, best, moves = _deviations(individual, rows, empty)
-        positions = range(len(self._entries))
-        movers = [list(compress(positions, moved))
-                  for moved in moves[:, list(self._entries)].tolist()]
+        # each row's movers are its slice of one nonzero over the chunk
+        fibre, position = np.nonzero(moves[:, list(self._entries)])
+        ends = np.bincount(fibre, minlength=B).cumsum().tolist()
+        position = position.tolist()
+        movers = [position[start:end] for start, end in zip([0] + ends, ends)]
         return chunk.evaluations(PolicyEvaluation, itertools.repeat(None), individual,
                                  gaps.tolist(), best.tolist(), movers)
 

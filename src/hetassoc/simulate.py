@@ -67,7 +67,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
+# np.random loads numpy.random on first use, about 14 ms: the package loads
+# it, so that no simulation or best-response search pays for it
+import numpy.random  # noqa: F401
 
 from .config import ConfigError, NetworkConfig
 from .rules import AssignmentRule
@@ -80,6 +82,34 @@ REPLICAS_PER_BATCH = 10
 WARMUP_DIVISOR = 10
 # per-step observations held before they are reduced, in events
 BLOCK_EVENTS = 1 << 13
+# Student-t quantiles at CI_LEVEL, float(scipy.special.stdtrit(df,
+# 0.5 + CI_LEVEL / 2)) for df T_TABLE_FIRST_DF, T_TABLE_FIRST_DF + 1, ...:
+# the half-widths of 20 to 100 batches (25 by default) read them without
+# loading scipy.special
+T_TABLE_FIRST_DF = 19
+T_TABLE = (
+    2.8609346064649794, 2.8453397097861077, 2.83135955802305, 2.8187560606001423,
+    2.807335683769999, 2.796939504774456, 2.78743581367697, 2.778714533329683,
+    2.770682957122211, 2.763262455461444, 2.756385903670605, 2.7499956535672254,
+    2.744041919294269, 2.7384814820121877, 2.7332766423508357, 2.7283943670707203,
+    2.7238055892080912, 2.7194846304500073, 2.7154087215499882, 2.7115576019130825,
+    2.707913183517662, 2.7044592674331622, 2.701181303578522, 2.6980661862199846,
+    2.6951020791576745, 2.6922782656930218, 2.689585019374643, 2.6870134922422158,
+    2.6845556178665246, 2.6822040269502154, 2.679951973631552, 2.677793270940844,
+    2.6757222341106477, 2.6737336306472197, 2.671822636241004, 2.6699847957348917,
+    2.6682159884861933, 2.666512397556063, 2.664870482241971, 2.6632869535376584,
+    2.6617587521629673, 2.6602830288550368, 2.6588571266539263, 2.6574785649511563,
+    2.6561450250998613, 2.6548543374110847, 2.653604469382925, 2.6523935150283156,
+    2.651219685183657, 2.650081298694729, 2.6489767743886263, 2.6479046237511508,
+    2.646863444238392, 2.6458519131593254, 2.644868782073382, 2.6439128716530895,
+    2.642983066967393, 2.6420783131459915, 2.641197611389272, 2.640340015292127,
+    2.6395046274532206, 2.638690596344183, 2.637897113415776, 2.637123410420374,
+    2.636368756932123, 2.6356324580479606, 2.6349138522543054, 2.634212309445634,
+    2.633527229082496, 2.6328580384776448, 2.6322041912000085, 2.6315651655871584,
+    2.630940463357764, 2.630329608316288, 2.629732145142835, 2.629147638261705,
+    2.628575670782743, 2.6280158435100693, 2.627467774013252, 2.6269310957563734,
+    2.626405457280827,
+)
 
 
 @dataclass
@@ -111,6 +141,9 @@ class SimReport:
 
     @staticmethod
     def _t_quantile(df: int, level: float) -> float:
+        if level == CI_LEVEL and 0 <= df - T_TABLE_FIRST_DF < len(T_TABLE):
+            return T_TABLE[df - T_TABLE_FIRST_DF]
+        from scipy.special import stdtrit
         return float(stdtrit(df, 0.5 + level / 2))
 
     @classmethod

@@ -60,18 +60,16 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 # assemble_generator is not called here, but perfbench/tracer.py wraps the
 # name in this module, so it stays bound
 from .ctmc import (ChainTables, ResidualError, TaggedGroup, TaggedPlan,  # noqa: F401
-                   _gbmv, _offsets, _Scratch, assemble_generator, stack_band)
+                   _offsets, _Scratch, assemble_generator, stack_band)
+from .lapack import gbmv, gbsv
 
 # Largest accepted |A v + r|_inf / (|A|_inf |v|_inf) of a tagged solve, with
 # |A|_inf taken as the plan's bound; backward-stable LUs stay near 1e-16.
 TAGGED_RESIDUAL_TOL = 1e-10
-
-_gbsv = get_lapack_funcs("gbsv", dtype=np.float64)
 
 
 class SingularTaggedChainError(RuntimeError):
@@ -109,7 +107,7 @@ def _solve_tagged(plan: TaggedPlan, block: np.ndarray, rhs: np.ndarray
     """The solution v of A v = rhs for a tagged block A in band storage,
     written over rhs (a contiguous float vector), and LAPACK's info:
     nonzero when the LU is singular (rhs is then left as it was)."""
-    _, _, values, info = _gbsv(plan.kl, plan.ku, block, rhs, overwrite_ab=1, overwrite_b=1)
+    _, _, values, info = gbsv(plan.kl, plan.ku, block, rhs, overwrite_ab=1, overwrite_b=1)
     return values, info
 
 
@@ -128,9 +126,9 @@ def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarr
     residual. One block at a time, its values go into one vector of
     rows = max(B num_states, 2 width + 1) entries, each generator's
     num_states in the band's order and zeros after the last, so that it is
-    a gbmv operand as it stands (scipy's gbmv wants at least as many rows
-    as the band has); they are zeroed again once the product is read. The
-    vector and its product lie in scratch's "v" and "qv" buffers.
+    a gbmv operand as it stands (the f2py gbmv wrapper wants at least as
+    many rows as the band has); they are zeroed again once the product is
+    read. The vector and its product lie in scratch's "v" and "qv" buffers.
     """
     B, w, n = len(values), layout.width, group.num_states
     rows, total = max(B * n, 2 * w + 1), B * n
@@ -141,7 +139,7 @@ def _check_tagged(data: np.ndarray, layout, group: TaggedGroup, values: np.ndarr
     for _, plan, value in group.blocks:
         slots = plan.positions + _offsets(n, B)[:, None]
         v[slots] = values[:, value]
-        _gbmv(rows, total, w, w, 1.0, band, v, y=qv, overwrite_y=1, trans=1)
+        gbmv(rows, total, w, w, 1.0, band, v, y=qv, overwrite_y=1, trans=1)
         av[:, value] = qv.take(slots)
         v[slots] = 0.0
     av[:, group.shift_rows] -= mu * values[:, group.shift_cols]

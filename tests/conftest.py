@@ -140,6 +140,42 @@ def random_policy(rng: np.random.Generator, config, scheme):
                         for _ in range(config.num_classes)))
 
 
+def scipy_state_order(tables) -> np.ndarray:
+    """scipy.sparse.csgraph.reverse_cuthill_mckee of a chain's transition
+    graph, as int64: the symmetric pattern of every arrival edge and its
+    reverse, with a full diagonal, in a csr_matrix. SolvePlan's numpy
+    transcription must give this order exactly."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    nst = tables.num_states
+    state = np.broadcast_to(np.arange(nst), tables.arrival_id.shape)
+    ok = tables.arrival_id >= 0
+    loops = np.arange(nst)
+    rows = np.concatenate([state[ok], tables.arrival_id[ok], loops])
+    cols = np.concatenate([tables.arrival_id[ok], state[ok], loops])
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nst, nst))
+    return reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def every_state_order_is_scipys():
+    """Every SolvePlan a test builds in this process checks its state order
+    against scipy's reverse Cuthill-McKee, so that every instance tier-1
+    builds compares the two; the test that built a differing one fails."""
+    from hetassoc import ctmc
+    build = ctmc.SolvePlan.__init__
+
+    def checked(plan, tables):
+        build(plan, tables)
+        if not np.array_equal(plan.order, scipy_state_order(tables)):
+            raise AssertionError(f"the state order of {tables.num_states} states is not "
+                                 "scipy's reverse_cuthill_mckee")
+
+    ctmc.SolvePlan.__init__ = checked
+    yield
+    ctmc.SolvePlan.__init__ = build
+
+
 # ----- helpers only the tests read
 
 

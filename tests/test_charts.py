@@ -44,6 +44,9 @@ def test_degenerate_range_at_any_magnitude(xs, ys):
     its magnitude is widened so that its ticks step through it (lo + 1 is
     lo itself at 1e17, and ticks a third of an ulp apart would never
     advance), and ticks 1e-31 apart end at the top of their range, not at
-    1e-12."""
+    1e-12. Ticks are rounded relative to their step, so a range of tiny
+    values keeps its y labels (`text-anchor="end"`) and does not round
+    them to 0."""
     svg = line_chart([("a", xs, ys)], title="t", xlabel="x", ylabel="y")
     assert svg.rstrip().endswith("</svg>")
+    assert svg.count('text-anchor="end"') >= 2

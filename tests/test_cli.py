@@ -698,6 +698,42 @@ def test_cli_never_imports_scipy_stats(tmp_path):
     assert (tmp_path / "out" / "simulation.csv").exists()
 
 
+COMMAND_GUARD = """
+import json
+import sys
+import hetassoc.cli
+print(json.dumps(sorted(m for m in ("scipy", "scipy.linalg", "scipy.sparse", "scipy.special",
+                                    "scipy.stats") if m in sys.modules)))
+erlang, exhaustive, hybrid, out = sys.argv[1:]
+for argv in (["simulate", "--config", erlang, "--events", "100000", "--out", out + "/simulate"],
+             ["nash", "--config", exhaustive, "--mode", "exhaustive", "--out", out + "/nash"],
+             ["sweep", "--config", hybrid, "--traffic", "1:2:1", "--analyses", "nash,baselines",
+              "--restarts", "4", "--out", out + "/sweep"]):
+    before = set(sys.modules)
+    code = hetassoc.cli.main(argv)
+    print(json.dumps([argv[0], code, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_cli_import_loads_no_scipy_package_and_commands_load_nothing(tmp_path):
+    """Importing the CLI loads two scipy extension files and no scipy
+    package. Then a simulate run at the default batch count, an exhaustive
+    nash scan and a best-response sweep import no module at all: what they
+    use (numpy.random, and locale for argparse's messages) comes with the
+    package, not inside a command."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    exhaustive = tmp_path / "nash_exhaustive.json"
+    exhaustive.write_text(json.dumps(nash_exhaustive_doc()))
+    proc = subprocess.run([sys.executable, "-c", COMMAND_GUARD, ERLANG, str(exhaustive),
+                           HYBRID, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert lines[0] == []
+    assert lines[1:] == [["simulate", 0, []], ["nash", 0, []], ["sweep", 0, []]]
+
+
 POOL_GUARD = """
 import sys
 import hetassoc.cli

@@ -1,5 +1,9 @@
 """Generator construction, steady-state solves and blocking metrics."""
 
+import dataclasses
+import json
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +11,7 @@ import scipy.sparse.linalg as spla
 
 from hetassoc import (AggregationScheme, Generator, NetworkConfig, Policy,
                       PolicyRule, ResidualError, build_generator, enumerate_states,
-                      evaluate_policy, evaluate_rule, per_class_blocking,
+                      evaluate_policy, evaluate_rule, load_instance, per_class_blocking,
                       solve_steady_state)
 from hetassoc import cli, ctmc
 from hetassoc.ctmc import (BandGenerator, SingularChainError, assemble_dense,
@@ -15,9 +19,13 @@ from hetassoc.ctmc import (BandGenerator, SingularChainError, assemble_dense,
 from hetassoc.game import _solve_pi
 from hetassoc.transient import solve_volume_from_matrix
 
-from conftest import (CONFIG_DIR, arrival_mode, assert_matches_reference,
-                      erlang_loss_chain, pinned_solve_holds, random_instance,
-                      random_policy, reference_generator, state_id)
+from conftest import (CONFIG_DIR, LARGE_PEAK_RATES, REPO_ROOT, arrival_mode,
+                      assert_matches_reference, erlang_loss_chain, hybrid_doc,
+                      nash_exhaustive_doc, pinned_solve_holds, random_instance,
+                      random_policy, reference_generator, scipy_state_order, state_id)
+
+sys.path.append(str(REPO_ROOT / "perfbench"))
+from workloads import SPARSE_INSTANCE  # noqa: E402
 
 
 @pytest.fixture
@@ -394,3 +402,26 @@ def test_coo_triplets_only_offdiagonal(erlang, hybrid_instance):
         for r, c, rate in gen.coo_triplets():
             rebuilt[r, c] = rate
         assert np.array_equal(rebuilt, q)
+
+
+@pytest.mark.parametrize("scope", ["per_system", "network_wide"])
+def test_state_order_is_scipys_reverse_cuthill_mckee(scope, erlang_config, twin_config):
+    """SolvePlan's numpy reverse Cuthill-McKee gives scipy's permutation
+    exactly, in both sharing scopes: on the fixtures, the shipped instance,
+    the nash-exhaustive instance, perfbench's 3,600-state sparse-eval
+    instance and its 11,592-state unscaled twin, and on drawn configs.
+    (Every plan the other tests build is checked too, by conftest's
+    every_state_order_is_scipys.)"""
+    large = json.loads(json.dumps(SPARSE_INSTANCE))
+    for cls, rates in zip(large["classes"], LARGE_PEAK_RATES):
+        cls["peak_rates"] = list(rates)
+    configs = [erlang_config, twin_config] + [
+        load_instance(json.dumps(doc))[0]
+        for doc in (hybrid_doc(5.0), nash_exhaustive_doc(), SPARSE_INSTANCE, large)]
+    rng = np.random.default_rng(23)
+    configs += [random_instance(rng)[0] for _ in range(40)]
+    for config in configs:
+        space = enumerate_states(dataclasses.replace(config, sharing_scope=scope))
+        tables = ctmc.ChainTables(space)
+        order = ctmc._reverse_cuthill_mckee(ctmc._neighbours(tables.arrival_id))
+        assert np.array_equal(order, scipy_state_order(tables)), space.num_states

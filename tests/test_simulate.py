@@ -17,7 +17,7 @@ from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyRule,
                       solve_steady_state)
 from hetassoc.config import NETWORK_WIDE, PER_SYSTEM
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
-from hetassoc.simulate import SimReport, _Tallies
+from hetassoc.simulate import CI_LEVEL, T_TABLE, T_TABLE_FIRST_DF, SimReport, _Tallies
 
 from conftest import (entry_volume_estimate, random_policy, state_id, state_ids,
                       state_probability_estimate)
@@ -422,10 +422,21 @@ def test_replicated_estimate_is_unbiased(coverage_runs):
     assert abs(est.mean() - 0.2) <= 3 * se
 
 
+def test_t_table_is_scipy_special_bit_for_bit():
+    """The table the half-widths of 20 to 100 batches read at CI_LEVEL
+    holds scipy.special.stdtrit's quantiles to the last bit."""
+    from scipy.special import stdtrit
+    assert T_TABLE_FIRST_DF == 19 and len(T_TABLE) == 81
+    for df, value in enumerate(T_TABLE, T_TABLE_FIRST_DF):
+        assert value == float(stdtrit(df, 0.5 + CI_LEVEL / 2)), df
+
+
 def test_t_quantile_matches_scipy_stats_bit_for_bit():
     """The confidence half-widths take the Student-t quantile from
-    scipy.special so that importing the package never loads scipy.stats;
-    the two must agree to the last bit, or half-widths would move."""
+    scipy.special (at CI_LEVEL and 19 to 99 degrees of freedom, from a
+    table of its values) so that importing the package never loads
+    scipy.stats; the two must agree to the last bit, or half-widths would
+    move."""
     from scipy import stats
     for level in (0.90, 0.95, 0.99):
         for df in range(1, 500):
