@@ -1,4 +1,5 @@
-"""Continuous-time Markov chain engine: generator, steady state, blocking.
+"""Continuous-time Markov chain engine: generator, steady state, per-class
+blocking.
 
 Transitions connect states differing by one user. Arrivals of class n occur
 at rate lambda_n toward the system the assignment rule picks; a saturated
@@ -10,7 +11,10 @@ M_n^s * mu; diagonal entries make every row sum to zero.
 
 Blocking is the stationary probability that an arrival is lost. In both
 modes one table decides it: the admission outcome of the system the rule
-picks (_outcome_index, over ChainTables.admit_sys).
+picks (_outcome_index, over ChainTables.admit_sys). Here it is summed per
+class (_lost_sums); its conditional value on each cell of a rule's
+information is the evaluation core's (game._evaluate_chain), binned beside
+the payoff table.
 
 The stationary distribution is one pinned banded LU per generator
 (stationary_vectors). The evaluation core (_solve_stationary) factors a
@@ -33,7 +37,6 @@ import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +52,6 @@ STEADY_RESIDUAL_TOL = 1e-10
 # rounding: the computed ratio lands near machine epsilon whatever the true
 # one, and the vector is right only up to luck.
 PIN_MASS_FLOOR = 1e-12
-EMPTY_LABEL_MASS = 1e-12
 # Bytes of bands a chunk of generators may hold while it is solved, at
 # SolvePlan.policy_bytes per generator and at least one per chunk: 38
 # policies on 119 states (the fastest in a sweep from 0.125 to 16 MiB), and
@@ -862,31 +864,6 @@ def solve_steady_state(gen: Generator) -> SteadyState:
     return SteadyState(pi=pi, residual=residual, choice=gen.choice)
 
 
-class CellBlocking(NamedTuple):
-    """Blocking of a stack of B stationary vectors over an information
-    partition."""
-
-    mass: np.ndarray                  # (B, cells) stationary mass per cell
-    empty: np.ndarray                 # (B, cells) cells without stationary mass
-    by_cell: np.ndarray               # (B, N, cells) blocking conditional on the cell
-    per_class: np.ndarray             # (B, N) unconditional blocking per class
-    overall: np.ndarray               # (B,) arrival-rate weighted over the classes
-
-
-class Partition:
-    """An information partition of a space: cells, a cell id per state, and
-    ncells cells in all, with the bins of per-cell sums over a stack of up
-    to `stack` vectors: cell_bins[b * num_states + i] is the (vector, cell)
-    bin of state i, class_bins[(b * N + n) * num_states + i] its (vector,
-    class, cell) bin."""
-
-    def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int, stack: int = 1):
-        N = tables.config.num_classes
-        self.cells, self.ncells = cells, ncells
-        self.cell_bins = (np.arange(0, stack * ncells, ncells)[:, None] + cells).ravel()
-        self.class_bins = (np.arange(0, stack * N * ncells, ncells)[:, None] + cells).ravel()
-
-
 def _outcome_index(tables: ChainTables) -> np.ndarray:
     """index[n, s, i]: flat position in a (N, S, num_states) volume table of
     the volume a class-n user preferring system s at state i ends up with,
@@ -898,14 +875,12 @@ def _outcome_index(tables: ChainTables) -> np.ndarray:
     return np.where(tables.admit_id >= 0, flat, N * S * nst)
 
 
-def _lost_sums(pi: np.ndarray, lost: np.ndarray, class_bins: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lost_sums(pi: np.ndarray, lost: np.ndarray) -> np.ndarray:
     """sums[b, n], np.add.reduce of pi[b] at the states where lost[b, n]
-    holds, with the bits of one vector summed alone; and the class_bins and
-    pi of every lost (row, class, state), in state order within a row, for
-    the cell numerators. Rows with one lost table (every row under
-    redirection) share one take of their lost states, class after class,
-    whose per-class slices are summed row by row."""
+    holds, with the bits of one vector summed alone. Rows with one lost
+    table (every row under redirection) share one take of their lost
+    states, class after class, whose per-class slices are summed row by
+    row."""
     B, N, nst = lost.shape
     flat, width = lost.tobytes(), N * nst
     if flat == flat[:width] * B:
@@ -916,7 +891,6 @@ def _lost_sums(pi: np.ndarray, lost: np.ndarray, class_bins: np.ndarray
             keyed.setdefault(flat[at:at + width], []).append(b)
         groups = list(keyed.values())
     sums = np.empty((B, N))
-    bins, values = [], []
     for members in groups:
         rows = slice(None) if len(members) == B else np.array(members)
         at = np.flatnonzero(lost[members[0]])                # n * nst + i
@@ -926,44 +900,14 @@ def _lost_sums(pi: np.ndarray, lost: np.ndarray, class_bins: np.ndarray
         for n, end in enumerate(ends):
             sums[rows, n] = np.add.reduce(taken[:, start:end], 1)
             start = end
-        bins.append(class_bins.take(_offsets(width, B)[rows, None] + at).ravel())
-        values.append(taken.ravel())
-    # every (row, class, cell) bin is one row's, so its values keep their order
-    return sums, np.concatenate(bins), np.concatenate(values)
-
-
-def cell_blocking(tables: ChainTables, pi: np.ndarray, lost: np.ndarray,
-                  partition: Partition) -> CellBlocking:
-    """Blocking under each row of pi (B, num_states) over a partition, where
-    lost (B, N, num_states) marks the (class, state) pairs at which the
-    row's chain loses an arrival: the outcome of the chosen system is
-    _outcome_index's sentinel.
-
-    The numerator of a cell's conditional blocking is restricted to the
-    cell's own states, so the result is a probability; cells without
-    stationary mass report zero. The per-class sums and the cell
-    numerators read pi at the lost states of each row (_lost_sums); the
-    numerators bin them in state order. The weighting is one dot product
-    per row.
-    """
-    (B, nst), N, ncells = pi.shape, lost.shape[1], partition.ncells
-    mass = np.bincount(partition.cell_bins[:B * nst], weights=pi.ravel(),
-                       minlength=B * ncells).reshape(B, ncells)
-    empty = mass <= EMPTY_LABEL_MASS
-    per_class, bins, values = _lost_sums(pi, lost, partition.class_bins)
-    by_cell = np.zeros((B, N, ncells))
-    num = np.bincount(bins, weights=values, minlength=B * N * ncells)
-    np.divide(num.reshape(B, N, ncells), mass[:, None], out=by_cell, where=~empty[:, None])
-    overall = np.fromiter(map(tables.class_weight.dot, per_class), float, B)
-    return CellBlocking(mass, empty, by_cell, per_class, overall)
+    return sums
 
 
 def per_class_blocking(space: StateSpace, steady: SteadyState) -> np.ndarray:
     """Unconditional blocking probability per class of the chain steady was
     solved for: the mass of the states where its choice table loses an
-    arrival of the class."""
+    arrival of the class (_lost_sums of a stack of one)."""
     tables = chain_tables(space)
     picked = steady.choice * space.num_states + tables.solve_plan.entry
     lost = _outcome_index(tables).take(picked) == tables.occ_ns.size
-    one = Partition(tables, np.zeros(space.num_states, dtype=np.int64), 1)
-    return cell_blocking(tables, steady.pi[None], lost[None], one).per_class[0]
+    return _lost_sums(steady.pi[None], lost[None])[0]

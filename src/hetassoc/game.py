@@ -3,24 +3,25 @@ the two information baselines.
 
 Every assignment rule is valued by one evaluation core: it solves the
 chain a choice table induces once, derives every tagged volume table, and
-aggregates over an information partition the blocking table and one
-payoff table: payoff[n, c, s] sums, over the states of cell c, pi times
-the volume a class-n arrival preferring system s ends up with (not
-normalized by cell mass). A rule decides on its own information, so its
-choices are constant on each cell of its partition; the global utility
-(traffic weighted) reads the payoff at each cell's chosen system, weighted
-by the cell's non-blocking probability. evaluate_rule runs the core for
-any rule over the rule's own partition: a policy's cells are the
-broadcast load labels; the peak-rate baseline has a single cell and the
-instantaneous-rate baseline one cell per state. The solver,
-evaluate_baseline and the CLI's utility table all read it. A policy
-evaluation adds the individual deviation payoffs U[n, l, s], its payoff
-table over the label mass. Deviating to a saturated system is valued at
-the outcome the network actually produces: the redirected system's
-expectation, or zero when every system is full (always zero under the
-config's strict_arrivals). Labels with (numerically) zero stationary mass
-carry no strategic content; they are masked out of equilibrium
-comparisons and canonicalized to system 0 when policies are reported.
+bins over the cells of an information partition, side by side, the cell
+masses, the blocking table and one payoff table: payoff[n, c, s] sums,
+over the states of cell c, pi times the volume a class-n arrival
+preferring system s ends up with (not normalized by cell mass). A rule
+decides on its own information, so its choices are constant on each cell
+of its partition; the global utility (traffic weighted) reads the payoff
+at each cell's chosen system, weighted by the cell's non-blocking
+probability. evaluate_rule runs the core for any rule over the rule's own
+partition: a policy's cells are the broadcast load labels; the peak-rate
+baseline has a single cell and the instantaneous-rate baseline one cell
+per state. The solver, evaluate_baseline and the CLI's utility table all
+read it. A policy evaluation adds the individual deviation payoffs
+U[n, l, s], its payoff table over the label mass. Deviating to a saturated
+system is valued at the outcome the network actually produces: the
+redirected system's expectation, or zero when every system is full (always
+zero under the config's strict_arrivals). Labels with (numerically) zero
+stationary mass carry no strategic content; they are masked out of
+equilibrium comparisons and canonicalized to system 0 when policies are
+reported.
 
 Redirection makes many policies interchangeable: preferring a saturated
 system is the same as preferring the one the network picks instead. A
@@ -78,8 +79,9 @@ none of its parent's blocks.
 
 The tolerances are constants: NASH_EPS for equilibrium tests and the
 best-response steps, TIE_TOL for the exhaustive optimum's ties,
-MAX_PATH_STEPS for a best-response path, and ctmc.STEADY_RESIDUAL_TOL for
-the stationary solves.
+EMPTY_LABEL_MASS for a cell without stationary mass, MAX_PATH_STEPS for a
+best-response path, and ctmc.STEADY_RESIDUAL_TOL for the stationary
+solves.
 """
 
 from __future__ import annotations
@@ -99,10 +101,9 @@ from .config import AggregationScheme, ConfigError, NetworkConfig, Policy
 # assemble_dense, assemble_generator and solve_volume_from_matrix are not
 # called here, but perfbench/tracer.py wraps the names in this module, so
 # they stay bound
-from .ctmc import (CellBlocking, ChainTables, Partition, ResidualError,  # noqa: F401
-                   SingularChainError, _offsets, _outcome_index, _Scratch,
-                   _solve_stationary, assemble_dense, assemble_generator, cell_blocking,
-                   chain_tables, stationary_vector)
+from .ctmc import (ChainTables, ResidualError, SingularChainError,  # noqa: F401
+                   _lost_sums, _offsets, _outcome_index, _Scratch, _solve_stationary,
+                   assemble_dense, assemble_generator, chain_tables, stationary_vector)
 from .rules import AssignmentRule, InstantaneousRateRule, PeakRateRule
 from .states import StateSpace
 from .transient import (SingularTaggedChainError, solve_volume_from_matrix,  # noqa: F401
@@ -110,6 +111,9 @@ from .transient import (SingularTaggedChainError, solve_volume_from_matrix,  # n
 
 NASH_EPS = 1e-9
 TIE_TOL = 1e-9
+# a cell with at most this stationary mass is empty: its blocking reads 0
+# and its payoffs are undefined
+EMPTY_LABEL_MASS = 1e-12
 # steps after which a best-response path counts as a cycle
 MAX_PATH_STEPS = 2000
 # what a chain solve raises when it cannot be trusted
@@ -146,27 +150,39 @@ class ChainEvaluation:
 
 class _ChainCore:
     """What _evaluate_chain reuses from chunk to chunk over one information
-    partition, for chunks of up to `chunk` choice tables: the tables,
-    admitted, their admit_sys as int8, the outcome index, the Partition,
-    payoff_bins, the (table, class, cell, system) bin of each (table,
-    class, system, state) product of a chunk's payoff tables, cell_state,
-    one state of each cell (0 for a cell without states), where a table's
-    choice in the cell is read, as the table is constant on it, solved, per
-    tagged block, the checked values of every key it was solved under (see
-    transient._solve_group), and scratch, the buffers its chunks'
-    generators and tagged bands, a lone generator's LU, and the tagged
-    checks reuse: one block's bands at a time, in the tail of the
-    generators' buffer, or over a lone generator's band. A core belongs
-    to one solver, so no other solver reads its blocks."""
+    partition, cells (a cell id per state) and ncells cells in all, for
+    chunks of up to `chunk` choice tables. A core belongs to one solver, so
+    no other solver reads its blocks.
+
+    - tables: the space's ChainTables.
+    - admitted: their admit_sys as int8, the key of the tagged blocks.
+    - outcome: ctmc._outcome_index, which also decides loss.
+    - cell_bins: the (table, cell) bin of state i of table b, at
+      b * num_states + i, for the cell masses.
+    - class_bins: the (table, class, cell) bin of (table, class, state),
+      at (b * N + n) * num_states + i, for the blocking numerators.
+    - payoff_bins: the (table, class, cell, system) bin of each (table,
+      class, system, state) product of a chunk's payoff tables.
+    - cell_state: one state of each cell (0 for a cell without states),
+      where a table's choice in the cell is read, as the table is
+      constant on it.
+    - solved: per tagged block, the checked values of every key it was
+      solved under (see transient._solve_group).
+    - scratch: the buffers its chunks' generators and tagged bands, a lone
+      generator's LU, and the tagged checks reuse: one block's bands at a
+      time, in the tail of the generators' buffer, or over a lone
+      generator's band.
+    """
 
     def __init__(self, tables: ChainTables, cells: np.ndarray, ncells: int, chunk: int):
         N, S, nst = tables.occ_ns.shape
-        self.tables = tables
+        self.tables, self.ncells = tables, ncells
         # a system index fits in int8, since a state space with over 127
         # systems could not be enumerated
         self.admitted = tables.admit_sys.astype(np.int8)
         self.outcome = _outcome_index(tables)
-        self.partition = Partition(tables, cells, ncells, chunk)
+        self.cell_bins = (np.arange(0, chunk * ncells, ncells)[:, None] + cells).ravel()
+        self.class_bins = (np.arange(0, chunk * N * ncells, ncells)[:, None] + cells).ravel()
         n_idx, s_idx = np.arange(N)[:, None, None], np.arange(S)[:, None]
         self.payoff_bins = (np.arange(0, chunk * N * ncells * S, N * ncells * S)[:, None]
                             + ((n_idx * ncells + cells) * S + s_idx).ravel()).ravel()
@@ -178,24 +194,25 @@ class _ChainCore:
 
 class _ChainChunk(NamedTuple):
     """_evaluate_chain's result: the stacked arrays of a chunk of choice
-    tables, each constant on the core's cells, from which evaluations()
-    builds one evaluation per table; a policy chunk divides payoff by the
-    label mass."""
+    tables, each constant on the core's cells, in ChainEvaluation's field
+    order, then payoff. evaluations() builds one evaluation per table; a
+    policy chunk divides payoff by the cell mass."""
 
     pi: np.ndarray                    # (B, num_states)
-    residual: np.ndarray              # (B,) balance residuals
-    blocking: CellBlocking            # over the core's cells
+    residual: list[float]             # (B,) balance residuals
+    mass: np.ndarray                  # (B, ncells) stationary mass per cell
+    empty: np.ndarray                 # (B, ncells) mass at most EMPTY_LABEL_MASS
+    blocking: np.ndarray              # (B, N, ncells) blocking conditional on the cell
     global_utility: list[float]       # (B,)
+    overall: list[float]              # (B,) arrival-rate weighted over the classes
+    per_class: np.ndarray             # (B, N) unconditional blocking per class
     volumes: np.ndarray               # (B, N, S, num_states)
     payoff: np.ndarray                # (B, N, ncells, S), not normalized by cell mass
 
     def evaluations(self, make=ChainEvaluation, *columns) -> list:
         """make() of each table's ChainEvaluation fields, in field order,
         followed by its entry of each extra column."""
-        b = self.blocking
-        return [make(*fields) for fields in zip(
-            self.pi, self.residual.tolist(), b.mass, b.empty, b.by_cell,
-            self.global_utility, b.overall.tolist(), b.per_class, self.volumes, *columns)]
+        return [make(*fields) for fields in zip(*self[:-1], *columns)]
 
 
 def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
@@ -216,25 +233,40 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
     calls the reassembly _solve_stationary hands over to restore the band
     for the checks.
 
-    Blocking is ctmc.cell_blocking's over the (class, state) pairs whose
-    chosen outcome is lost. payoff[b, n, c, s] sums, over the states of
-    cell c in state order, pi times the volume a class-n arrival preferring
-    s ends up with (zero where it is lost). The global utility weights each
-    cell's payoff at its chosen system, read at one state of the cell, by
-    its non-blocking probability. A table's results have the bits they
-    have in a chunk of one: each row of share is summed over its cells on
-    its own, and the weighted class totals are added one class at a time
-    from 0, as Python's sum adds them for one table.
+    A (class, state) pair is lost where its chosen outcome is the outcome
+    index's sentinel. Each cell sum is one bincount, which adds a bin's
+    weights in state order: the cell mass of pi; the blocking numerator of
+    pi times the lost mask, where a state that loses nothing adds a zero,
+    which keeps the sum's bits those of the lost states alone; and
+    payoff[b, n, c, s] of pi times the volume a class-n arrival preferring
+    s ends up with (zero where it is lost). A cell's blocking is its
+    numerator over its mass, 0 on a cell of at most EMPTY_LABEL_MASS.
+    per_class sums each row's own lost states (ctmc._lost_sums), and
+    overall weights it by the arrival rates. The global utility weights each cell's payoff at its chosen system,
+    read at one state of the cell, by its non-blocking probability. A
+    table's results have the bits they have in a chunk of one: each row of
+    share is summed over its cells on its own, and the weighted class
+    totals are added one class at a time from 0, as Python's sum adds them
+    for one table.
     """
-    tables, ncells = core.tables, core.partition.ncells
+    tables, ncells = core.tables, core.ncells
     plan = tables.solve_plan
     B, N, nst = choices.shape
     S = tables.config.num_systems
     picked = np.multiply(choices, nst, dtype=np.intp)
     picked += plan.entry
     data, room, pi, residual, restore = _solve_stationary(tables, picked, core.scratch)
-    b = cell_blocking(tables, pi, core.outcome.take(picked) == tables.occ_ns.size,
-                      core.partition)
+    lost = core.outcome.take(picked) == tables.occ_ns.size
+    mass = np.bincount(core.cell_bins[:B * nst], weights=pi.ravel(),
+                       minlength=B * ncells).reshape(B, ncells)
+    empty = mass <= EMPTY_LABEL_MASS
+    lost_mass = np.bincount(core.class_bins[:B * N * nst],
+                            weights=(pi[:, None] * lost).ravel(),
+                            minlength=B * N * ncells).reshape(B, N, ncells)
+    blocking = np.zeros((B, N, ncells))
+    np.divide(lost_mass, mass[:, None], out=blocking, where=~empty[:, None])
+    per_class = _lost_sums(pi, lost)
+    overall = np.fromiter(map(tables.class_weight.dot, per_class), float, B).tolist()
     padded = tagged_volumes(tables, data, core.admitted.take(picked), core.solved,
                             core.scratch, room, restore)
     products = padded[:, core.outcome] * pi[:, None, None]
@@ -242,14 +274,15 @@ def _evaluate_chain(core: _ChainCore, choices: np.ndarray) -> _ChainChunk:
                          minlength=B * N * ncells * S).reshape(B, N, ncells, S)
     # each cell's payoff at its chosen system, read at one state of the cell
     chosen = _offsets(S, B * N * ncells) + choices.take(core.cell_state, axis=2).ravel()
-    share = (1.0 - b.by_cell) * payoff.take(chosen).reshape(B, N, ncells)
+    share = (1.0 - blocking) * payoff.take(chosen).reshape(B, N, ncells)
     weighted = tables.class_weight * share.sum(axis=2)
     # 0 + the first class's total, then the others in turn
     utility = weighted[:, 0] + 0.0
     for n in range(1, N):
         utility += weighted[:, n]
     volumes = padded[:, :-1].reshape(B, *tables.occ_ns.shape)
-    return _ChainChunk(pi, residual, b, utility.tolist(), volumes, payoff)
+    return _ChainChunk(pi, residual.tolist(), mass, empty, blocking, utility.tolist(),
+                       overall, per_class, volumes, payoff)
 
 
 def _deviations(individual: np.ndarray, choice: np.ndarray, empty: np.ndarray):
@@ -556,9 +589,9 @@ class PolicyGameSolver:
         B = len(rows)
         chunk = _evaluate_chain(self._core, rows.take(self._state_entries, axis=1).reshape(
             B, N, self.space.num_states))
-        # U is the payoff table over the label mass: cell_blocking sums the
-        # same pi[i] in the same state order
-        mass, empty = chunk.blocking.mass, chunk.blocking.empty
+        # U is the payoff table over the label mass; _evaluate_chain bins
+        # both from the same pi[i] in the same state order
+        mass, empty = chunk.mass, chunk.empty
         individual = np.empty((B, N, L, S))
         individual.fill(np.nan)
         np.divide(chunk.payoff, mass[:, None, :, None], out=individual,

@@ -18,19 +18,15 @@ from .states import Occupancy, StateSpace, scope_count, scope_counts
 
 
 class AssignmentRule:
-    """Base interface; concrete rules implement choose() and describe()."""
+    """Base interface; concrete rules implement every method."""
 
     def choose(self, config: NetworkConfig, occ: Occupancy, user_class: int) -> int:
         raise NotImplementedError
 
     def choice_table(self, space: StateSpace) -> np.ndarray:
-        """Preferred system per (class, state id), shape (N, num_states)."""
-        config = space.config
-        table = np.empty((config.num_classes, space.num_states), dtype=np.int64)
-        for i, occ in enumerate(space.states):
-            for n in range(config.num_classes):
-                table[n, i] = self.choose(config, occ, n)
-        return table
+        """Preferred system per (class, state id), shape (N, num_states),
+        choose() of every pair, built from the space's arrays."""
+        raise NotImplementedError
 
     def information_partition(self, space: StateSpace) -> tuple[np.ndarray, int]:
         """(cell id per state, cell count) of the information the rule's users

@@ -10,8 +10,8 @@ import pytest
 from hetassoc import (PolicyRule, ResidualError, SingularChainError, ctmc, enumerate_states,
                       evaluate_policy, game, transient)
 from hetassoc.config import NetworkConfig
-from hetassoc.ctmc import (BandGenerator, Partition, _Scratch, assemble_dense, assemble_stack,
-                           cell_blocking, chain_tables, stationary_vector, stationary_vectors)
+from hetassoc.ctmc import (BandGenerator, _Scratch, assemble_dense, assemble_stack, chain_tables,
+                           stationary_vector, stationary_vectors)
 from hetassoc.game import (ChainEvaluation, PolicyEvaluation, PolicyGameSolver, _ChainCore,
                            _deviations, _evaluate_chain, evaluate_baseline, evaluate_rule)
 from hetassoc.rules import InstantaneousRateRule, PeakRateRule
@@ -158,7 +158,6 @@ def test_chunk_wide_sums_match_the_row_by_row_reference(hybrid_instance):
     pi, _, _ = ctmc._balanced(raw[:, plan.order], np.zeros(B, dtype=np.int64), data, plan,
                               plan.pins[0])
     assert pi.tobytes() == np.array([row / np.add.reduce(row) for row in raw]).tobytes()
-    one = Partition(tables, np.zeros(nst, dtype=np.int64), 1, stack=B)
     choices = rng.integers(config.num_systems, size=(B, N, nst))
     choices[5] = choices[3]
     picked = choices * nst + plan.entry
@@ -170,7 +169,7 @@ def test_chunk_wide_sums_match_the_row_by_row_reference(hybrid_instance):
     assert len({row.tobytes() for row in lost[True]}) == B - 1
     mixed = np.where(np.arange(B)[:, None, None] % 2 == 1, lost[True], lost[False])
     for rows_lost in (lost[False], lost[True], mixed):
-        per_class = cell_blocking(tables, pi, rows_lost, one).per_class
+        per_class = ctmc._lost_sums(pi, rows_lost)
         assert per_class.tobytes() == np.array(
             [[np.add.reduce(row.take(np.flatnonzero(mask))) for mask in masks]
              for row, masks in zip(pi, rows_lost)]).tobytes()

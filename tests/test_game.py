@@ -332,12 +332,22 @@ def test_peak_rule_tie_breaks_to_first_system():
     assert PeakRateRule().choose(config, (0, 0), 0) == 0
 
 
+def choose_loop(rule: AssignmentRule, space) -> np.ndarray:
+    """The choice table of rule.choose() at every (class, state) pair."""
+    config = space.config
+    table = np.empty((config.num_classes, space.num_states), dtype=np.int64)
+    for i, occ in enumerate(space.states):
+        for n in range(config.num_classes):
+            table[n, i] = rule.choose(config, occ, n)
+    return table
+
+
 @pytest.mark.parametrize("rule", [PeakRateRule(), InstantaneousRateRule()],
                          ids=["peak", "instant"])
 def test_baseline_choice_tables_match_the_generic_loop(rule, hybrid_instance,
                                                        erlang_config):
-    """The array choice tables equal AssignmentRule's choose() loop, ties
-    included, on both shipped configs and random draws in both scopes."""
+    """The array choice tables equal the choose() loop, ties included, on
+    both shipped configs and random draws in both scopes."""
     rng = np.random.default_rng(3)
     tied = NetworkConfig(peak_rate=((2.0, 2.0), (1.5, 1.5)), t_min=1.0, t_max=2.0,
                          arrival_rate=(1.0, 1.0), service_rate=1.0)
@@ -348,7 +358,7 @@ def test_baseline_choice_tables_match_the_generic_loop(rule, hybrid_instance,
             space = enumerate_states(config.with_sharing_scope(scope))
             table = rule.choice_table(space)
             assert table.dtype == np.int64
-            assert np.array_equal(table, AssignmentRule.choice_table(rule, space))
+            assert np.array_equal(table, choose_loop(rule, space))
 
 
 def test_policy_rule_label_memo_follows_the_config():
@@ -474,12 +484,16 @@ def test_global_utility_is_the_weighted_payoff_at_the_choices(hybrid_instance, i
 
 
 def loop_payoffs(solver, ev):
-    """Deviation payoffs U[n, l, s] and Nash gap recomputed state by state
-    from an evaluation's stationary vector and volumes."""
+    """Deviation payoffs U[n, l, s], Nash gap and conditional blocking per
+    label recomputed state by state from an evaluation's stationary vector
+    and volumes. The blocking of label l sums, in state order, pi over the
+    states of l where the policy's own system loses the arrival, over the
+    label's mass, and is 0 on labels without mass."""
     tables, config = solver.tables, solver.config
     N, S, L = config.num_classes, config.num_systems, solver.num_labels
     pi, labels = ev.pi, solver.labels
     num, den = np.zeros((N, L, S)), np.zeros((N, L, S))
+    lost = np.zeros((N, L))
     for n in range(N):
         for s in range(S):
             for i in range(solver.space.num_states):
@@ -490,7 +504,10 @@ def loop_payoffs(solver, ev):
                 value = ev.volumes[n, sys_in, target] if target >= 0 else 0.0
                 num[n, labels[i], s] += value * pi[i]
                 den[n, labels[i], s] += pi[i]
+                if target < 0 and s == ev.policy.choice[n][labels[i]]:
+                    lost[n, labels[i]] += pi[i]
     individual = np.full((N, L, S), np.nan)
+    blocking = np.zeros((N, L))
     gap = 0.0
     for n in range(N):
         for l in range(L):
@@ -500,19 +517,22 @@ def loop_payoffs(solver, ev):
             payoffs = individual[n, l]
             if not ev.empty_labels[l]:
                 gap = max(gap, float(payoffs.max() - payoffs[ev.policy.choice[n][l]]))
-    return individual, gap
+                blocking[n, l] = lost[n, l] / den[n, l, 0]
+    return individual, gap, blocking
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=lambda strict: f"redirect-{strict}")
 def test_payoff_table_and_gap_match_state_loop(strict):
     """The payoff table and gap match a state-by-state loop, and a payoff
-    is undefined exactly on the labels without mass."""
+    is undefined exactly on the labels without mass. The blocking per label
+    has the loop's bits: each label's lost mass is summed in state order."""
     rng = np.random.default_rng(23)
     for _ in range(6):
         config, loose, scheme = random_instance(rng, max_space=120)
         solver = PolicyGameSolver(arrival_mode(loose, strict), scheme)
         ev = solver.evaluate(random_policy(rng, config, scheme))
-        individual, gap = loop_payoffs(solver, ev)
+        individual, gap, blocking = loop_payoffs(solver, ev)
+        assert np.array_equal(ev.blocking, blocking)
         np.testing.assert_allclose(ev.individual, individual, rtol=1e-13, atol=0)
         assert ev.nash_gap() == pytest.approx(gap, rel=1e-12, abs=1e-15)
         assert np.array_equal(np.isnan(ev.individual),
