@@ -70,6 +70,8 @@ def threshold_lattice(num_systems: int, step: float = 0.1) -> list[AggregationSc
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"lattice step must be a positive finite number, got {step!r}")
     ticks = np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
+    # the last tick may pass 1 by up to step / 2 (1.05 at step 0.35, 1.5 at 1.5)
+    ticks = ticks[ticks <= 1.0]
     pairs = [(float(lo), float(hi)) for lo in ticks for hi in ticks if lo <= hi]
 
     def build(prefix, remaining):

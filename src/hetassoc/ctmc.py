@@ -33,7 +33,6 @@ keeps its copy, as its caller keeps the band.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -186,13 +185,15 @@ class TaggedPlan:
 
 
 class TaggedGroup:
-    """Non-empty tagged blocks that are solved and checked together, their
+    """The tagged blocks of a plan, solved and checked together, their
     values laid end to end; every block's entries are read first, then
-    each block is built, factored and checked in turn
-    (transient._solve_group).
+    each block is built and factored in turn, and all are checked at the
+    end (transient.tagged_volumes).
 
-    blocks holds, per block in (class, system) order, its index k in that
-    order, its TaggedPlan and the slice of its values in the group's.
+    Takes every TaggedPlan in (class, system) order. blocks holds, per
+    non-empty block in that order, its index k in the order, its
+    TaggedPlan and the slice of its values in the group's; a space where no
+    user is ever admitted has none, and every array below is then empty.
     shift_rows and shift_cols are the plans' arrays over the group's
     values, and rate the right-hand sides end to end. starts is where each
     block's values start, norm its bound on |A|_inf, and targets the
@@ -200,22 +201,19 @@ class TaggedGroup:
     SolvePlan.tagged_group builds the one group of a plan.
     """
 
-    def __init__(self, blocks: list[tuple[int, TaggedPlan]], num_states: int):
-        self.blocks = []
-        value_at = 0
-        shift_rows, shift_cols, starts = [], [], []
-        for k, plan in blocks:
-            self.blocks.append((k, plan, slice(value_at, value_at + len(plan.ids))))
-            shift_rows.append(plan.shift_rows + value_at)
-            shift_cols.append(plan.shift_cols + value_at)
-            starts.append(value_at)
-            value_at += len(plan.ids)
-        plans = [plan for _, plan in blocks]
-        self.shift_rows, self.shift_cols = np.concatenate(shift_rows), np.concatenate(shift_cols)
+    def __init__(self, plans: list[TaggedPlan], num_states: int):
+        sizes = np.array([len(plan.ids) for plan in plans])
+        starts = np.cumsum(sizes) - sizes
+        self.blocks = [(k, plan, slice(start, start + size))
+                       for k, (plan, start, size) in enumerate(zip(plans, starts.tolist(),
+                                                                  sizes.tolist())) if size]
+        self.shift_rows = np.concatenate([p.shift_rows + at for p, at in zip(plans, starts)])
+        self.shift_cols = np.concatenate([p.shift_cols + at for p, at in zip(plans, starts)])
         self.rate = np.concatenate([plan.rate for plan in plans])
-        self.starts = np.array(starts)
-        self.norm = np.array([plan.norm for plan in plans])
-        self.targets = np.concatenate([k * num_states + plan.ids for k, plan in blocks])
+        kept = sizes > 0
+        self.starts = starts[kept]
+        self.norm = np.array([plan.norm for plan in plans])[kept]
+        self.targets = np.concatenate([k * num_states + plan.ids for k, plan in enumerate(plans)])
         self.num_states = num_states
 
 
@@ -445,8 +443,8 @@ class SolvePlan:
     position of (class, system 0, state) in a (class, system, state)
     table. tagged_bytes is what the
     bands of one generator's tagged blocks take, largest_band the entries
-    of its largest tagged band, and tagged_group the TaggedGroup of every
-    non-empty block (None if there is none). policy_bytes is what one
+    of its largest tagged band, and tagged_group the TaggedGroup of its
+    blocks, built on first use (it may have none). policy_bytes is what one
     policy's bands are counted at while a stack of several is solved: its
     generator, the copy the stationary LU factors and all its tagged
     blocks. Only one block's bands are held at once, but CHUNK_BYTES was
@@ -518,10 +516,8 @@ class SolvePlan:
         return moved(self.departures), moved(self.diagonal), moved(self.arrivals[0])
 
     @cached_property
-    def tagged_group(self) -> TaggedGroup | None:
-        blocks = [(k, plan) for k, plan in enumerate(itertools.chain.from_iterable(self.tagged))
-                  if len(plan.ids)]
-        return TaggedGroup(blocks, len(self.order)) if blocks else None
+    def tagged_group(self) -> TaggedGroup:
+        return TaggedGroup([plan for row in self.tagged for plan in row], len(self.order))
 
     def band_position(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Data position of the generator entry q[src, dst]."""
@@ -815,7 +811,7 @@ def _solve_stationary(tables: ChainTables, picked: np.ndarray, scratch: _Scratch
     factored in place, at each pin it tries; after each LU its clean band
     is assembled again at the head of the buffer, where the checks and the
     caller read it. Its room is the whole buffer, SolvePlan.lone_size
-    entries, band included: transient._solve_group reads the entries of
+    entries, band included: transient.tagged_volumes reads the entries of
     its blocks out of the band before it builds any, and calls the last
     item to assemble the band again before its checks. So the lone peak is
     one LU band: its band and an LU copy, or its band and a tagged band,

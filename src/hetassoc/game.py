@@ -167,7 +167,7 @@ class _ChainCore:
       where a table's choice in the cell is read, as the table is
       constant on it.
     - solved: per tagged block, the checked values of every key it was
-      solved under (see transient._solve_group).
+      solved under (see transient.tagged_volumes).
     - scratch: the buffers its chunks' generators and tagged bands, a lone
       generator's LU, and the tagged checks reuse: one block's bands at a
       time, in the tail of the generators' buffer, or over a lone

@@ -5,9 +5,9 @@ against block solves). The Nash search: best_response, coordinate_ascent,
 sweep (policies per _evaluate_chunk, Policy objects built, equilibria
 against fibres; best_response also the fibres cached, one per policy
 solved). The broadcast thresholds: threshold_control. Also
-package_size (lines, public names, defaulted parameters, settable CLI
-options per subcommand) and simulator (events per second, Erlang-B
-coverage of its 99 % interval).
+package_size (lines and code lines, public names, defaulted
+parameters, settable CLI options per subcommand) and simulator (events
+per second, Erlang-B coverage of its 99 % interval).
 test_probes.py runs each probe on small inputs, lone_memory at 3,600
 states only, and requires every count it returns to be positive.
 
@@ -15,6 +15,7 @@ states only, and requires every count it returns to be positive.
 probes, or all; one that raises prints its traceback, and the others run.
 """
 
+import ast
 import collections
 import contextlib
 import inspect
@@ -24,6 +25,7 @@ import random
 import sys
 import tempfile
 import time
+import tokenize
 import traceback
 from unittest import mock
 
@@ -38,6 +40,9 @@ from test_simulate import COVERAGE_EVENTS, COVERAGE_SEEDS, erlang_blocking_runs
 
 sys.path.append(str(REPO_ROOT / "perfbench"))
 from workloads import Simulate, draw_policy  # noqa: E402
+
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
 
 
 @contextlib.contextmanager
@@ -68,13 +73,38 @@ def timing(walls):
     walls.append(time.perf_counter() - start)
 
 
+def block_solves(checks) -> int:
+    """Tagged block solves of the _check_tagged calls logged: each call
+    checks every block of its group on every generator of its stack, one
+    LAPACK info each. (game binds tagged_volumes by name, so a spy on
+    transient.tagged_volumes would see no call.)"""
+    return sum(args[3].size for args in checks)
+
+
 def spread(walls):
     walls = sorted(walls)
     return walls[0], walls[len(walls) // 2], walls[-1]
 
 
+def code_lines(source: str) -> int:
+    """Lines of Python source that hold code: not blank, not only a
+    comment, and not inside a docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in NOT_CODE:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docstrings)
+
+
 def package_size():
-    lines = sum(py.read_text().count("\n") for py in (REPO_ROOT / "src" / "hetassoc").rglob("*.py"))
+    sources = [py.read_text() for py in (REPO_ROOT / "src" / "hetassoc").rglob("*.py")]
+    lines = sum(source.count("\n") for source in sources)
+    code = sum(map(code_lines, sources))
     public = list(public_names().values())
     settable = 0
     for value in filter(callable, public):
@@ -84,11 +114,12 @@ def package_size():
             continue
         settable += sum(p.default is not p.empty for p in parameters)
     options = {name: len(flags) for name, flags in subcommand_options(cli.build_parser()).items()}
-    print(f"{lines} .py lines under src/hetassoc\n{len(public)} public names in hetassoc\n"
+    print(f"{lines} .py lines under src/hetassoc, {code} of them code (no docstring, "
+          f"comment or blank line)\n{len(public)} public names in hetassoc\n"
           f"{settable} settable parameters (with defaults) over hetassoc's public callables\n"
           f"{sum(options.values())} settable CLI options: "
           + ", ".join(f"{name} {count}" for name, count in options.items()))
-    return lines, len(public), settable, *options.values()
+    return lines, code, len(public), settable, *options.values()
 
 
 def structure_build(classes=3):
@@ -129,12 +160,10 @@ def chunked_evaluation(repeats=5, fibres=None):
                 # tagged LUs and bands gathered against tagged blocks solved
                 with (calls(transient, "_solve_tagged") as lus,
                       calls(transient, "_tagged_matrix") as gathers,
-                      calls(transient, "_solve_group") as groups, timing(walls)):
+                      calls(transient, "_check_tagged") as checks, timing(walls)):
                     solver.evaluate_many(every)
         low, mid, high = (wall / len(every) * 1e6 for wall in spread(walls))
-        # a _solve_group call solves each of its blocks for each of its generators
-        counts += [len(lus), sum(len(args[0]) for args in gathers),
-                   sum(len(args[1]) * len(args[2].blocks) for args in groups)]
+        counts += [len(lus), sum(len(args[0]) for args in gathers), block_solves(checks)]
         print(f"{name}, {solver.chunk} per chunk: {low:.0f} / {mid:.0f} / {high:.0f} us "
               f"per evaluation (min / median / max of {repeats} passes over {len(every)} "
               f"fibres); {counts[-3]} tagged LU calls and {counts[-2]} tagged bands gathered "
@@ -148,11 +177,11 @@ def best_response(repeats=5, restarts=64):
     for _ in range(repeats):
         solver = PolicyGameSolver(space, scheme)
         with (calls(solver, "_evaluate_chunk") as chunks, calls(Policy, "__post_init__") as built,
-              calls(transient, "_solve_tagged") as lus, calls(transient, "_solve_group") as groups,
+              calls(transient, "_solve_tagged") as lus, calls(transient, "_check_tagged") as checks,
               timing(walls)):
             found = solver.find_nash("best_response", restarts=restarts, seed=0)
     members = sum(fibre.count for fibre in found)
-    blocks = sum(len(args[1]) * len(args[2].blocks) for args in groups)
+    blocks = block_solves(checks)
     print(f"find_nash best_response at 5 Erlangs: {spread(walls)[1] * 1e3:.1f} ms "
           f"(median of {repeats}), {members} equilibria in {len(found)} fibres")
     policies = report_chunks(chunks)

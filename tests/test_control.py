@@ -102,12 +102,22 @@ def test_threshold_lattice_shape():
     lattice = threshold_lattice(1, step=0.5)
     # ticks 0, .5, 1 -> pairs (0,0),(0,.5),(0,1),(.5,.5),(.5,1),(1,1)
     assert len(lattice) == 6
-    lattice2 = threshold_lattice(2, step=0.5)
-    assert len(lattice2) == 36
-    for scheme in lattice2:
+    assert len(threshold_lattice(2, step=0.5)) == 36
+    assert len(threshold_lattice(2, 0.1)) == 4_356
+    # a step above 1 keeps only the tick 0
+    for step in (1.5, 1.99):
+        for systems in (1, 2):
+            assert threshold_lattice(systems, step) == [
+                AggregationScheme(((0.0, 0.0),) * systems)]
+
+
+@pytest.mark.parametrize("step", [0.15, 0.3, 0.35, 0.5, 0.7, 1.0, 1.5, 5.0])
+def test_threshold_lattice_stays_in_the_unit_interval(step):
+    """Every threshold lies in [0, 1], also where the tick grid runs past 1
+    (0.15, 0.35 and 1.5 reach 1.05, 1.05 and 1.5)."""
+    for scheme in threshold_lattice(2, step):
         for lo, hi in scheme.thresholds:
             assert 0.0 <= lo <= hi <= 1.0
-    assert len(threshold_lattice(2, 0.1)) == 4_356
 
 
 @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])

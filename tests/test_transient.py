@@ -1,15 +1,19 @@
 """Absorbing-chain volume solves against hand-computed oracles."""
 
+import collections
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyRule,
-                      ResidualError, build_generator, enumerate_states, evaluate_rule)
+from hetassoc import (AggregationScheme, NetworkConfig, Policy, PolicyGameSolver, PolicyRule,
+                      ResidualError, build_generator, enumerate_states, evaluate_baseline,
+                      evaluate_rule)
 from hetassoc import transient
-from hetassoc.ctmc import ChainTables, assemble_dense, chain_tables
-from hetassoc.transient import SingularTaggedChainError, solve_volume_from_matrix
+from hetassoc.cli import main
+from hetassoc.ctmc import ChainTables, _Scratch, assemble_dense, assemble_stack, chain_tables
+from hetassoc.transient import SingularTaggedChainError, solve_volume_from_matrix, tagged_volumes
 
 from conftest import (erlang_loss_chain, gathered_tagged_block, random_instance,
                       random_policy, reference_tagged_block, state_id, tagged_rows_cols)
@@ -230,3 +234,112 @@ def test_singular_banded_block_raises(hybrid_chain, monkeypatch):
                         lambda plan, block, rhs: original(plan, block * 0.0, rhs))
     with pytest.raises(SingularTaggedChainError, match="banded LU of the tagged block failed"):
         solve_volume_from_matrix(tables, q, 0, 0)
+
+
+def _stack(space, scheme, policies):
+    """assemble_stack of the policies' choice tables, and the systems each
+    generator's network admits each class's arrival to at each state, as
+    the evaluation core hands them to tagged_volumes."""
+    tables = chain_tables(space)
+    choices = np.stack([PolicyRule(p, scheme).choice_table(space) for p in policies])
+    picked = choices * space.num_states + tables.solve_plan.entry
+    return assemble_stack(tables, choices), tables.admit_sys.astype(np.int8).take(picked)
+
+
+def test_a_stack_sorts_its_blocks_into_cached_copied_and_factored(hybrid_instance, monkeypatch):
+    """tagged_volumes on a stack of four generators A, B, B, C, with A's
+    keys already in the solved dicts: per block, A takes its cached
+    values, the second B copies the first, and B and C are factored, one
+    LU per key not seen before. On the blocks where A, B and C have three
+    keys, that is one of each outcome and two LUs; a block whose states
+    admit the same systems under every policy (class 1 in system 0 here)
+    has one key and runs none. Every generator gets the bits it gets
+    solved alone, and the dicts gain the new keys."""
+    config, scheme = hybrid_instance
+    space = enumerate_states(config)
+    tables = chain_tables(space)
+    plan = tables.solve_plan
+    blocks = plan.tagged_group.blocks
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        policies = [random_policy(rng, config, scheme) for _ in range(3)]
+        admitted = [_stack(space, scheme, [p])[1][0] for p in policies]
+        keys = {k: [a[:, t.ids].tobytes() for a in admitted] for k, t, _ in blocks}
+        distinct = [k for k, _, _ in blocks if len(set(keys[k])) == 3]
+        if len(distinct) > 1:
+            break
+    else:
+        pytest.fail("no three policies with three keys on two blocks")
+    assert len(distinct) < len(blocks)
+    solved, alone = {}, []
+    for p, fresh in zip(policies, (solved, {}, {})):
+        data, admitted = _stack(space, scheme, [p])
+        alone.append(tagged_volumes(tables, data, admitted, fresh, _Scratch(),
+                                    np.empty(plan.largest_band))[0])
+    cached = {k: dict(values) for k, values in solved.items()}
+
+    block_of = {id(t): k for k, t, _ in blocks}
+    lus = collections.Counter()
+    solve = transient._solve_tagged
+
+    def solve_tagged(tagged, band, rhs):
+        lus[block_of[id(tagged)]] += 1
+        return solve(tagged, band, rhs)
+
+    monkeypatch.setattr(transient, "_solve_tagged", solve_tagged)
+    a, b, c = policies
+    data, admitted = _stack(space, scheme, [a, b, b, c])
+    volumes = tagged_volumes(tables, data, admitted, solved, _Scratch(),
+                             np.empty(4 * plan.largest_band))
+    assert {k: lus[k] for k in distinct} == {k: 2 for k in distinct}
+    expected = [alone[0], alone[1], alone[1], alone[2]]
+    assert [v.tobytes() for v in volumes] == [v.tobytes() for v in expected]
+    nst = space.num_states
+    for k, t, _ in blocks:
+        assert lus[k] == len(set(keys[k]) - {keys[k][0]})
+        assert list(solved[k]) == list(dict.fromkeys(keys[k]))
+        assert solved[k][keys[k][0]] is cached[k][keys[k][0]]
+        for key, volume in zip(keys[k][1:], alone[1:]):
+            assert solved[k][key].tobytes() == volume[k * nst + t.ids].tobytes()
+
+
+NO_ADMISSION = NetworkConfig(peak_rate=((0.5, 0.4),), t_min=1.0, t_max=2.0,
+                             arrival_rate=(1.0,), service_rate=1.0)
+
+
+def test_a_space_where_no_user_is_admitted_values_nothing(tmp_path):
+    """Peak rates below t_min admit no user, so the space is the empty
+    state alone and no tagged block has a state. Both baselines and a
+    policy evaluation lose every arrival: per-class blocking 1, global
+    utility 0 and NaN volumes. The exhaustive Nash scan finds one fibre,
+    and the CLI's baseline command exits 0."""
+    space = enumerate_states(NO_ADMISSION)
+    assert space.num_states == 1
+    scheme = AggregationScheme(((0.3, 0.7), (0.3, 0.7)))
+    solver = PolicyGameSolver(space, scheme)
+    evaluations = [evaluate_baseline(space, "peak_rate"),
+                   evaluate_baseline(space, "instantaneous_rate"),
+                   solver.evaluate(Policy.constant(1, scheme.label_count, 1))]
+    for ev in evaluations:
+        assert ev.per_class_blocking.tolist() == [1.0]
+        assert ev.global_utility == 0.0
+        assert ev.volumes.shape == (1, 2, 1) and np.isnan(ev.volumes).all()
+    assert len(solver.find_nash("exhaustive")) == 1
+    doc = {"systems": [{"name": "a", "thresholds": [0.3, 0.7]},
+                       {"name": "b", "thresholds": [0.3, 0.7]}],
+           "classes": [{"name": "c", "arrival_rate": 1.0, "peak_rates": [0.5, 0.4]}],
+           "t_min": 1.0, "t_max": 2.0, "service_rate": 1.0}
+    path = tmp_path / "no_admission.json"
+    path.write_text(json.dumps(doc))
+    assert main(["baseline", "--config", str(path), "--which", "peak_rate",
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+def test_a_space_where_no_user_is_admitted_has_a_group_with_no_blocks():
+    """The plan's tagged group exists for every space: with no tagged state
+    it has no blocks, and every array of it is empty."""
+    group = chain_tables(enumerate_states(NO_ADMISSION)).solve_plan.tagged_group
+    assert group.blocks == []
+    for values in (group.starts, group.norm, group.rate, group.shift_rows, group.shift_cols,
+                   group.targets):
+        assert values.shape == (0,)
