@@ -99,8 +99,9 @@ def _parse_traffic(text: str) -> list[float]:
     up to B. A point that rounds above B, or onto the point before it, is
     dropped; a STEP below 1e-9 would collapse points in the rounding and
     is refused, as is a string that leaves no point (A within 5e-10 below
-    B rounds above it) or that spans MAX_TRAFFIC_POINTS steps. The sum
-    takes floor((B - A) / STEP) + 2 terms at most: the last is a point the
+    B rounds above it), that spans MAX_TRAFFIC_POINTS steps, or whose
+    first point, a traffic multiplier, is not above 0. The sum takes
+    floor((B - A) / STEP) + 2 terms at most: the last is a point the
     division's or the rounding's error may let under B, and the bound ends
     a sum whose STEP is lost in A's rounding and never reaches B."""
     try:
@@ -126,6 +127,9 @@ def _parse_traffic(text: str) -> list[float]:
         value += step
     if not points:
         raise ConfigError("--traffic gives no point: A rounds above B at 9 decimals")
+    if points[0] <= 0:
+        raise ConfigError("--traffic needs A above 0 at 9 decimals: "
+                          "its points multiply the arrival rates")
     return points
 
 

@@ -75,6 +75,13 @@ class ChainTables:
     enumerated space, so every policy and rule evaluation shares them. The
     tables keep the space's config, state count and occupancies, not the
     space, which holds them (chain_tables): no cycle keeps either alive.
+
+    _edges lists every arrival edge once, as (pair, source, target) with
+    pair = n S + s, in (pair, source) order. Every departure is one walked
+    backwards, so departure_id scatters it and the departure edges, rated
+    dep_rate, are the list itself from target to source, in its order:
+    within a pair the targets rise with the sources, as one more user adds
+    a fixed weight to the key the state ids follow.
     """
 
     def __init__(self, space: StateSpace):
@@ -88,7 +95,6 @@ class ChainTables:
             # (nst, N*S) in occupancy order -> contiguous (N, S, nst)
             return np.ascontiguousarray(a.T.reshape(S, N, nst).transpose(1, 0, 2))
 
-        keys = space.keys[:, None]
         # occ_ns[n, s, i]: class-n users in system s at state i
         self.occ_ns = by_pair(occ)
         # arrival_id[n, s, i]: id of the state with one more (n, s) user, -1
@@ -96,51 +102,35 @@ class ChainTables:
         # the next digit of the key, so it is never looked up.
         room = occ < space.bound
         self.arrival_id = by_pair(space.ids_of_keys(
-            np.where(room, keys, 0) + space.weights, room))
+            np.where(room, space.keys[:, None], 0) + space.weights, room))
+        feasible = self.arrival_id >= 0                      # (N, S, nst)
+        pair, source = np.nonzero(feasible.reshape(N * S, nst))
+        target = self.arrival_id.reshape(N * S, nst)[pair, source]
+        self._edges = pair, source, target
         # departure_id[n, s, i]: id after one (n, s) departure, -1 if none
-        present = occ > 0
-        self.departure_id = by_pair(space.ids_of_keys(
-            np.where(present, keys - space.weights, 0), present))
+        self.departure_id = np.full((N, S, nst), -1, dtype=np.int64)
+        self.departure_id.reshape(N * S, nst)[pair, target] = source
         if (self.departure_id[self.occ_ns > 0] < 0).any():
             raise ConfigError("the feasible space is not closed under departures: "
                               "a scheduler gain per user rises with the user count")
         # throughput of one (n, s) user present at state i (nan if absent)
         self.throughput = np.ascontiguousarray(throughput_array(config, occ))
-
-        feasible = self.arrival_id >= 0                      # (N, S, nst)
-        saturated = ~feasible.any(axis=1)                    # (N, nst)
         # each class's share of the arrivals
         self.class_weight = np.array(config.arrival_rate) / sum(config.arrival_rate)
-        first_open = np.argmax(feasible, axis=1)             # lowest open system
 
         # admit_sys / admit_id: the system the network admits an arrival to
         # and the state it reaches, indexed by the preferred system, -1 when
-        # the arrival is lost. A saturated pick is redirected, or dropped
-        # under the config's strict_arrivals.
-        self.admit_sys = np.empty((N, S, nst), dtype=np.int64)
-        self.admit_id = np.empty((N, S, nst), dtype=np.int64)
-        for n in range(N):
-            for s in range(S):
-                sys_taken = np.where(feasible[n, s], s,
-                                     -1 if config.strict_arrivals else first_open[n])
-                sys_taken = np.where(saturated[n], -1, sys_taken)
-                self.admit_sys[n, s] = sys_taken
-                ids = self.arrival_id[n, sys_taken.clip(min=0), np.arange(nst)]
-                self.admit_id[n, s] = np.where(sys_taken >= 0, ids, -1)
+        # the arrival is lost. A saturated pick is redirected to the lowest
+        # open system, or dropped under the config's strict_arrivals.
+        elsewhere = np.where(feasible.any(axis=1), np.argmax(feasible, axis=1), -1)
+        self.admit_sys = np.where(feasible, np.arange(S)[:, None],
+                                  -1 if config.strict_arrivals else elsewhere[:, None])
+        self.admit_id = np.where(self.admit_sys >= 0, np.take_along_axis(
+            self.arrival_id, self.admit_sys.clip(min=0), axis=1), -1)
 
-        # departure triplets, shared by every generator
-        src, rate, dst = [], [], []
-        for n in range(N):
-            for s in range(S):
-                present = self.occ_ns[n, s] > 0
-                idx = np.nonzero(present)[0]
-                src.append(idx)
-                dst.append(self.departure_id[n, s, idx])
-                rate.append(self.occ_ns[n, s, idx] * config.service_rate)
-        self.dep_src = np.concatenate(src)
-        self.dep_dst = np.concatenate(dst)
-        self.dep_rate = np.concatenate(rate).astype(float)
-        self.departure_out = np.bincount(self.dep_src, weights=self.dep_rate, minlength=nst)
+        # departure rates, shared by every generator, and each state's total
+        self.dep_rate = self.occ_ns.reshape(N * S, nst)[pair, target] * config.service_rate
+        self.departure_out = np.bincount(target, weights=self.dep_rate, minlength=nst)
 
     @cached_property
     def solve_plan(self) -> "SolvePlan":
@@ -355,20 +345,19 @@ class _Scratch:
         return buffer
 
 
-def _neighbours(arrival_id: np.ndarray) -> np.ndarray:
+def _neighbours(tables: ChainTables) -> np.ndarray:
     """Each state's neighbours in the graph of arrival and departure edges,
-    as an (n, 2 N S) table for n states: the state one arrival of each
-    (class, system) leads to, then the state one such arrival comes from,
-    n where there is none. No row holds a state twice: the states one
-    arrival away hold one more user, those one departure away one fewer,
-    and each (class, system) arrival maps states one to one."""
-    pairs, n = arrival_id.shape[0] * arrival_id.shape[1], arrival_id.shape[2]
-    up = arrival_id.reshape(pairs, n)
-    pair, state = np.nonzero(up >= 0)
-    target = up[pair, state]
+    as an (n, 2 N S) table for n states, scattered from the tables' list of
+    arrival edges: the state one arrival of each (class, system) leads to,
+    then the state one such arrival comes from, n where there is none. No
+    row holds a state twice: the states one arrival away hold one more
+    user, those one departure away one fewer, and each (class, system)
+    arrival maps states one to one."""
+    pair, source, target = tables._edges
+    n, pairs = tables.num_states, tables.occ.shape[1]
     table = np.full((n, 2, pairs), n, dtype=np.int64)
-    table[state, 0, pair] = target
-    table[target, 1, pair] = state
+    table[source, 0, pair] = target
+    table[target, 1, pair] = source
     return table.reshape(n, 2 * pairs)
 
 
@@ -434,17 +423,17 @@ class SolvePlan:
     states hold the most under heavy load.
 
     The plan also holds what assemble_stack scatters: size, the length of
-    a BandGenerator's data; departures, the data position of each departure
-    edge of the ChainTables (rates dep_rate); diagonal, the data position of
-    each state's diagonal entry, and outflow, minus each state's departure
-    rate; arrivals, per (class, preferred system, state), the data position
-    and rate of the arrival the network admits (the state's own diagonal,
-    which is written last, and rate 0 when it is lost); and entry, the flat
-    position of (class, system 0, state) in a (class, system, state)
-    table. tagged_bytes is what the
-    bands of one generator's tagged blocks take, largest_band the entries
-    of its largest tagged band, and tagged_group the TaggedGroup of its
-    blocks, built on first use (it may have none). policy_bytes is what one
+    a BandGenerator's data; departures, the data position of each arrival
+    edge of the ChainTables walked backwards (rates dep_rate); diagonal,
+    the data position of each state's diagonal entry, and outflow, minus
+    each state's departure rate; arrivals, per (class, preferred system,
+    state), the data position and rate of the arrival the network admits
+    (the state's own diagonal, which is written last, and rate 0 when it is
+    lost); and entry, the flat position of (class, system 0, state) in a
+    (class, system, state) table. tagged_bytes is what the bands of one
+    generator's tagged blocks take, largest_band the entries of its largest
+    tagged band, and tagged_group the TaggedGroup of its blocks, built on
+    first use (it may have none). policy_bytes is what one
     policy's bands are counted at while a stack of several is solved: its
     generator, the copy the stationary LU factors and all its tagged
     blocks. Only one block's bands are held at once, but CHUNK_BYTES was
@@ -457,13 +446,11 @@ class SolvePlan:
     def __init__(self, tables: ChainTables):
         config = tables.config
         nst = tables.num_states
-        state = np.broadcast_to(np.arange(nst), tables.arrival_id.shape)
-        ok = tables.arrival_id >= 0
-        up_src, up_dst = state[ok], tables.arrival_id[ok]
+        _, up_src, up_dst = tables._edges
         loops = np.arange(nst)
         rows = np.concatenate([up_src, up_dst, loops])
         cols = np.concatenate([up_dst, up_src, loops])
-        self.order = _reverse_cuthill_mckee(_neighbours(tables.arrival_id))
+        self.order = _reverse_cuthill_mckee(_neighbours(tables))
         self.position = np.empty(nst, dtype=np.int64)
         self.position[self.order] = np.arange(nst)
         users = tables.occ.sum(axis=1)
@@ -474,13 +461,13 @@ class SolvePlan:
         self.size = (2 * self.width + 1) * nst
         self.diagonal = self.band_position(loops, loops)
         self.outflow = -tables.departure_out
-        self.departures = self.band_position(tables.dep_src, tables.dep_dst)
+        self.departures = self.band_position(up_dst, up_src)
         rate = np.asarray(config.arrival_rate, dtype=float)[:, None, None]
         S = config.num_systems
         self.entry = np.arange(config.num_classes)[:, None] * S * nst + loops
         admitted = tables.admit_id >= 0
-        self.arrivals = (np.where(admitted, self.band_position(state, tables.admit_id),
-                                  self.diagonal[state]),
+        self.arrivals = (np.where(admitted, self.band_position(loops, tables.admit_id),
+                                  self.diagonal),
                          np.where(admitted, rate, 0.0))
         self.tagged = [[self._tagged(tables, rows, cols, n, s)
                         for s in range(config.num_systems)]

@@ -46,9 +46,11 @@ them; the rule is asked once per (occupancy, class).
 
 Per-step observations go into bounded blocks of steps and are reduced as
 each block ends: time per (batch, occupancy), event counts per batch and
-kind, and delivered volumes as sums and counts per (batch, pair) and as
-count, mean and M2 per (class, system, occupancy seen on arrival), merged
-by the pairwise update of Chan, Golub and LeVeque. A block indexes its
+kind, and delivered volumes as sums per (batch, pair) and as count, mean
+and M2 per (class, system, occupancy seen on arrival), merged by the
+pairwise update of Chan, Golub and LeVeque. Every departure delivers one
+volume, so the departure counts per batch are the volume counts per
+(batch, pair), and no other count of them is kept. A block indexes its
 departures once, by one unsigned range test on the event codes, and
 gathers their pairs, seen rows, volumes and batches by that index; the
 rows arrivals saw are all the block's rows less the departures'. Every
@@ -416,9 +418,10 @@ class _Replicas:
 
 class _Tallies:
     """Measured observations reduced per block: time per (batch, row),
-    event counts per (batch, code), arrivals seen per row, volume sums and
-    counts per (batch, pair), and count, mean and M2 of volumes per
-    (pair, row seen)."""
+    event counts per (batch, code), which count each (batch, pair)'s
+    volumes among its departures, arrivals seen per row, volume sums per
+    (batch, pair), and count, mean and M2 of volumes per (pair, row
+    seen)."""
 
     def __init__(self, records: _Records, num_batches: int):
         self.records, self.B = records, num_batches
@@ -427,7 +430,6 @@ class _Tallies:
         self.events = np.zeros((num_batches, records.codes), dtype=np.int64)
         self.seen = np.zeros(0, dtype=np.int64)
         self.vol_sum = np.zeros((num_batches, NS))
-        self.vol_count = np.zeros((num_batches, NS), dtype=np.int64)
         self.entry_count = np.zeros((NS, 0), dtype=np.int64)
         self.entry_mean = np.zeros((NS, 0))
         self.entry_m2 = np.zeros((NS, 0))
@@ -462,7 +464,6 @@ class _Tallies:
                                                                   minlength=M)
         cell = batch.take(counted % m) * NS + pair
         self.vol_sum += np.bincount(cell, vol, B * NS).reshape(B, NS)
-        self.vol_count += np.bincount(cell, minlength=B * NS).reshape(B, NS)
 
         entry = pair * M + seen
         nb = np.bincount(entry, minlength=NS * M).reshape(NS, M)
@@ -536,5 +537,5 @@ def simulate(config: NetworkConfig, rule: AssignmentRule, num_events: int,
         state_time_batches=state_time_batches, batch_time=batch_time,
         arrival_seen={keys[i]: c for i, c in enumerate(tallies.seen.tolist()) if c},
         volume_sum=tallies.vol_sum.reshape(per_pair).transpose(0, 2, 1),
-        volume_count=tallies.vol_count.reshape(per_pair).transpose(0, 2, 1),
+        volume_count=events[:, NS:2 * NS].reshape(per_pair).transpose(0, 2, 1),
         volume_by_entry=volume_by_entry, visited=set(keys))

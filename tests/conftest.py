@@ -294,8 +294,10 @@ def reference_states(config) -> list[tuple[int, ...]]:
 
 def reference_tables(config, states) -> dict[str, np.ndarray]:
     """ChainTables' arrays state by state: neighbours by dict lookup, the
-    throughput by the scalar user_throughput, and each arrival's outcome by
-    trying the preferred system and then the others in index order."""
+    throughput by the scalar user_throughput, each state's departure rate
+    summed pair by pair in (class, system) order, and each arrival's
+    outcome by trying the preferred system and then the others in index
+    order, or under strict_arrivals the preferred system alone."""
     from hetassoc.states import occ_index, user_throughput
     N, S, nst = config.num_classes, config.num_systems, len(states)
     index = {occ: i for i, occ in enumerate(states)}
@@ -304,7 +306,8 @@ def reference_tables(config, states) -> dict[str, np.ndarray]:
          "departure_id": np.full((N, S, nst), -1, dtype=np.int64),
          "throughput": np.full((N, S, nst), np.nan),
          "admit_sys": np.full((N, S, nst), -1, dtype=np.int64),
-         "admit_id": np.full((N, S, nst), -1, dtype=np.int64)}
+         "admit_id": np.full((N, S, nst), -1, dtype=np.int64),
+         "departure_out": np.zeros(nst)}
     for i, occ in enumerate(states):
         for n in range(N):
             for s in range(S):
@@ -314,9 +317,10 @@ def reference_tables(config, states) -> dict[str, np.ndarray]:
                 if occ[j] > 0:
                     t["departure_id"][n, s, i] = index[occ[:j] + (occ[j] - 1,) + occ[j + 1:]]
                     t["throughput"][n, s, i] = user_throughput(config, occ, n, s)
+                    t["departure_out"][i] += occ[j] * config.service_rate
             open_systems = [s for s in range(S) if t["arrival_id"][n, s, i] >= 0]
             for pref in range(S):
-                for s in [pref] + open_systems:
+                for s in [pref] + ([] if config.strict_arrivals else open_systems):
                     if s in open_systems:
                         t["admit_sys"][n, pref, i] = s
                         t["admit_id"][n, pref, i] = t["arrival_id"][n, s, i]
@@ -326,7 +330,8 @@ def reference_tables(config, states) -> dict[str, np.ndarray]:
 
 def assert_structure_matches_reference(config) -> None:
     """The enumerated space and its ChainTables equal the plain-loop
-    reference exactly; throughputs bit for bit, nan positions included."""
+    reference exactly; throughputs and departure rates bit for bit, nan
+    positions included."""
     from hetassoc.ctmc import ChainTables
     states = reference_states(config)
     space = enumerate_states(config)
@@ -338,7 +343,7 @@ def assert_structure_matches_reference(config) -> None:
     for name, expected in reference_tables(config, states).items():
         got = getattr(tables, name)
         assert got.dtype == expected.dtype and got.shape == expected.shape, name
-        if name == "throughput":
+        if name in ("throughput", "departure_out"):
             assert got.tobytes() == expected.tobytes()
         else:
             assert np.array_equal(got, expected), name

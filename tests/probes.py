@@ -5,9 +5,9 @@ against block solves). The Nash search: best_response, coordinate_ascent,
 sweep (policies per _evaluate_chunk, Policy objects built, equilibria
 against fibres; best_response also the fibres cached, one per policy
 solved). The broadcast thresholds: threshold_control. Also
-package_size (lines and code lines, public names, defaulted
-parameters, settable CLI options per subcommand) and simulator (events
-per second, Erlang-B coverage of its 99 % interval).
+package_size (lines, code lines in all and per module, public names,
+defaulted parameters, settable CLI options per subcommand) and simulator
+(events per second, Erlang-B coverage of its 99 % interval).
 test_probes.py runs each probe on small inputs, lone_memory at 3,600
 states only, and requires every count it returns to be positive.
 
@@ -102,9 +102,12 @@ def code_lines(source: str) -> int:
 
 
 def package_size():
-    sources = [py.read_text() for py in (REPO_ROOT / "src" / "hetassoc").rglob("*.py")]
-    lines = sum(source.count("\n") for source in sources)
-    code = sum(map(code_lines, sources))
+    package = REPO_ROOT / "src" / "hetassoc"
+    sources = {py.relative_to(package).as_posix(): py.read_text()
+               for py in sorted(package.rglob("*.py"))}
+    lines = sum(source.count("\n") for source in sources.values())
+    modules = {name: code_lines(source) for name, source in sources.items()}
+    code = sum(modules.values())
     public = list(public_names().values())
     settable = 0
     for value in filter(callable, public):
@@ -115,11 +118,13 @@ def package_size():
         settable += sum(p.default is not p.empty for p in parameters)
     options = {name: len(flags) for name, flags in subcommand_options(cli.build_parser()).items()}
     print(f"{lines} .py lines under src/hetassoc, {code} of them code (no docstring, "
-          f"comment or blank line)\n{len(public)} public names in hetassoc\n"
+          f"comment or blank line): "
+          + ", ".join(f"{name} {count}" for name, count in modules.items())
+          + f"\n{len(public)} public names in hetassoc\n"
           f"{settable} settable parameters (with defaults) over hetassoc's public callables\n"
           f"{sum(options.values())} settable CLI options: "
           + ", ".join(f"{name} {count}" for name, count in options.items()))
-    return lines, code, len(public), settable, *options.values()
+    return lines, code, *modules.values(), len(public), settable, *options.values()
 
 
 def structure_build(classes=3):

@@ -336,6 +336,19 @@ def test_traffic_without_points_is_refused(tmp_path, capsys, command):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("traffic", ["0:1:1", "-1:1:1", "0.0000000004:1:1"])
+@pytest.mark.parametrize("command", ["sweep", "control"])
+def test_traffic_from_a_point_not_above_zero_is_refused(tmp_path, capsys, command, traffic):
+    """A first point at or below 0 after the rounding is no traffic
+    multiplier; both commands refuse it on one --traffic line before any
+    point runs or any output is written."""
+    assert run(command, "--config", HYBRID, f"--traffic={traffic}",
+               "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == ("error: --traffic needs A above 0 at 9 decimals: "
+                                       "its points multiply the arrival rates\n")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["sweep", "control"])
 def test_traffic_with_too_many_points_is_refused(tmp_path, capsys, command):
     """A range of about 10^12 points is refused on one line, before any

@@ -423,5 +423,5 @@ def test_state_order_is_scipys_reverse_cuthill_mckee(scope, erlang_config, twin_
     for config in configs:
         space = enumerate_states(dataclasses.replace(config, sharing_scope=scope))
         tables = ctmc.ChainTables(space)
-        order = ctmc._reverse_cuthill_mckee(ctmc._neighbours(tables.arrival_id))
+        order = ctmc._reverse_cuthill_mckee(ctmc._neighbours(tables))
         assert np.array_equal(order, scipy_state_order(tables)), space.num_states

@@ -1,5 +1,7 @@
 """State space: throughput, admission, enumeration and closure properties."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -167,7 +169,8 @@ def shipped_configs():
 
 def test_structure_matches_reference_on_shipped_configs(twin_config):
     for config in shipped_configs() + [twin_config]:
-        assert_structure_matches_reference(config)
+        for strict in (False, True):
+            assert_structure_matches_reference(replace(config, strict_arrivals=strict))
 
 
 def test_structure_matches_reference_on_random_instances():
@@ -176,7 +179,8 @@ def test_structure_matches_reference_on_random_instances():
     for _ in range(40):
         config, _, _ = random_instance(rng)
         scopes.add(config.sharing_scope)
-        assert_structure_matches_reference(config)
+        for strict in (False, True):
+            assert_structure_matches_reference(replace(config, strict_arrivals=strict))
     assert scopes == {"network_wide", "per_system"}
 
 
